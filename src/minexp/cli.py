@@ -287,9 +287,11 @@ def run_newton(
             raise InputError("the zero polynomial has empty support")
         ms = nt.MonomialSupport.from_poly(f)
     else:
+        if not isinstance(support, list) or not all(isinstance(p, list) for p in support):
+            raise InputError(f"bad support: expected a list of integer lists, got {support!r}")
         try:
-            ms = nt.MonomialSupport(len(support[0]) if support else 0, frozenset(map(tuple, support)))
-        except (ValueError, IndexError) as err:
+            ms = nt.MonomialSupport(len(support[0]) if support else 0, support)
+        except ValueError as err:
             raise InputError(f"bad support: {err}")
     if ms.origin in ms.points:
         raise InputError("support contains the origin: not in the maximal ideal")

@@ -13,45 +13,59 @@ diagonal point reduces to the tiny linear program
                               sum_u lambda_u * u_i <= t  for each i,
 
 because the recession orthant absorbs any componentwise slack.  The program
-is solved by an exact-arithmetic two-phase simplex with Bland's anti-cycling
-rule; sizes are tiny (|S| + 1 variables), so this is instantaneous.
+is solved by an exact two-phase simplex with Bland's anti-cycling rule on a
+fraction-free integer tableau (integer-preserving pivoting in the style of
+Bareiss and Edmonds): the rows are integers over one common denominator, so
+no rational arithmetic runs inside the solver and every division is exact.
 
-Every result carries two certificates that are re-verified independently of
-the solver: a primal one (convex weights placing the diagonal point inside
-the polyhedron at t = c) and a dual one (a nonnegative vector v with
-sum(v) <= 1 and min_u <u, v> = c, which proves no smaller t is feasible:
-t >= t * sum(v) >= sum_u lambda_u <u, v> >= c for any feasible (lambda, t)).
+Every result carries two certificates that are re-verified in integers,
+independently of the solver: a primal one (convex weights placing the
+diagonal point inside the polyhedron at t = c) and a dual one (a nonnegative
+vector v with sum(v) <= 1 and min_u <u, v> = c, which proves no smaller t is
+feasible: t >= t * sum(v) >= sum_u lambda_u <u, v> >= c for any feasible
+(lambda, t)).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from minexp.poly import Poly, as_weights, weighted_order
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class MonomialSupport:
-    """A finite set of exponent vectors in a fixed dimension."""
+    """A finite set of exponent vectors in a fixed dimension.
+
+    ``points`` may be given as any collection of integer sequences; each entry
+    is checked before duplicates merge (``1.0`` and ``True`` equal ``1``), and
+    the points are stored as a frozenset of tuples.
+    """
 
     n: int
     points: frozenset[tuple[int, ...]]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "points", frozenset(tuple(int(x) for x in p) for p in self.points)
-        )
-        if not isinstance(self.n, int) or self.n < 1:
+        points = [tuple(p) for p in self.points]
+        if not _is_int(self.n) or self.n < 1:
             raise ValueError(f"dimension must be a positive integer, got {self.n}")
-        if not self.points:
+        if not points:
             raise ValueError("support must be nonempty")
-        for p in self.points:
+        for p in points:
             if len(p) != self.n:
                 raise ValueError(f"point {p} does not have dimension {self.n}")
+            if not all(_is_int(x) for x in p):
+                raise ValueError(f"point {p} has an entry that is not an integer")
             if any(x < 0 for x in p):
                 raise ValueError(f"point {p} has a negative entry")
+        object.__setattr__(self, "points", frozenset(points))
 
     @classmethod
     def from_poly(cls, f: Poly) -> "MonomialSupport":
@@ -70,7 +84,7 @@ class DiagonalResult:
 
     ``certificate`` pairs every support point with its convex weight;
     ``dual`` is the separating weight vector described in the module
-    docstring.  :meth:`verify` re-checks both with plain arithmetic.
+    docstring.  :meth:`verify` re-checks both in integer arithmetic.
     """
 
     c: Fraction
@@ -79,32 +93,50 @@ class DiagonalResult:
 
     def verify(self) -> bool:
         pts = [p for p, _ in self.certificate]
-        lams = [l for _, l in self.certificate]
         if not pts:
             return False
         n = len(pts[0])
-        if any(l < 0 for l in lams) or sum(lams) != 1:
+        # Every check is made on integers: lams[k] / lam_den are the convex
+        # weights, v[i] / v_den the dual, and a / b == c reads a * c_den == c_num * b.
+        c_num, c_den = self.c.numerator, self.c.denominator
+        lams, lam_den = _common_denominator([l for _, l in self.certificate])
+        if any(l < 0 for l in lams) or sum(lams) != lam_den:
             return False
-        column = [sum(l * p[i] for l, p in zip(lams, pts)) for i in range(n)]
-        if any(y > self.c for y in column):
+        weighted = [(l, p) for l, p in zip(lams, pts) if l]
+        column = [sum(l * p[i] for l, p in weighted) for i in range(n)]
+        # max(column) == c: no coordinate exceeds c, and the bound is tight somewhere
+        if max(column) * c_den != c_num * lam_den:
             return False
-        if max(column) != self.c:  # the bound must be tight somewhere at optimum
+        if len(self.dual) != n:
             return False
-        v = self.dual
-        if len(v) != n or any(x < 0 for x in v):
+        v, v_den = _common_denominator(self.dual)
+        if any(x < 0 for x in v) or sum(v) > v_den:
             return False
-        if sum(v) > 1:
-            return False
-        if min(sum(x * e for x, e in zip(v, p)) for p in pts) != self.c:
+        if min(sum(x * e for x, e in zip(v, p)) for p in pts) * c_den != c_num * v_den:
             return False
         return True
 
 
-# ---------------------------------------------------------------------------
-# exact two-phase simplex (dense tableau, Bland's rule)
+def _common_denominator(values):
+    """Integer numerators of ``values`` over their least common denominator."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values], den
 
-def _reduced_costs(rows, basis, cost):
-    red = [Fraction(x) for x in cost] + [Fraction(0)]
+
+# ---------------------------------------------------------------------------
+# exact two-phase simplex (fraction-free integer tableau, Bland's rule)
+#
+# The tableau is kept as integer rows over one common positive denominator D:
+# the true entries are row[j] / D, and the reduced-cost row is scaled by the
+# same D.  A pivot on element p keeps the pivot row and replaces every other
+# row by (x * p - f * piv_row[j]) // D before setting D = p.  As in Bareiss's
+# integer-preserving elimination, every entry is then a minor of the initial
+# integer tableau, so each division is exact and the integers stay as small
+# as determinants of the support coordinates.
+
+
+def _reduced_costs(rows, basis, cost, d):
+    red = [d * x for x in cost] + [0]
     for r, b in enumerate(basis):
         cb = cost[b]
         if cb:
@@ -114,23 +146,31 @@ def _reduced_costs(rows, basis, cost):
     return red
 
 
-def _pivot(rows, basis, red, leave, enter):
+def _pivot(rows, basis, red, d, leave, enter):
+    """Pivot in place; return the new common denominator (the pivot element)."""
     piv_row = rows[leave]
-    piv = piv_row[enter]
-    rows[leave] = [x / piv for x in piv_row]
-    piv_row = rows[leave]
+    p = piv_row[enter]
+    if p < 0:  # only the phase-1 drive-out can meet one; its row's rhs is 0
+        piv_row = rows[leave] = [-x for x in piv_row]
+        p = -p
     for r, row in enumerate(rows):
-        if r != leave and row[enter]:
-            f = row[enter]
-            rows[r] = [x - f * y for x, y in zip(row, piv_row)]
-    if red[enter]:
-        f = red[enter]
-        for j in range(len(red)):
-            red[j] -= f * piv_row[j]
+        if r != leave:
+            rows[r] = _eliminate(row, piv_row, enter, p, d)
+    red[:] = _eliminate(red, piv_row, enter, p, d)
     basis[leave] = enter
+    return p
 
 
-def _iterate(rows, basis, red, allowed):
+def _eliminate(row, piv_row, enter, p, d):
+    f = row[enter]
+    if f:
+        return [(x * p - f * y) // d for x, y in zip(row, piv_row)]
+    if p == d:
+        return row
+    return [x * p // d for x in row]
+
+
+def _iterate(rows, basis, red, d, allowed):
     while True:
         enter = None
         for j in allowed:  # Bland: smallest eligible index enters
@@ -138,23 +178,21 @@ def _iterate(rows, basis, red, allowed):
                 enter = j
                 break
         if enter is None:
-            return
+            return d
+        # ratio test rhs / a, compared by cross-multiplication (a > 0)
         leave = None
-        best = None
         for r, row in enumerate(rows):
             a = row[enter]
             if a > 0:
-                ratio = row[-1] / a
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[r] < basis[leave])
-                ):
-                    best = ratio
-                    leave = r
+                if leave is None:
+                    leave, num, den = r, row[-1], a
+                    continue
+                lhs, rhs = row[-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    leave, num, den = r, row[-1], a
         if leave is None:
             raise RuntimeError("unbounded linear program; impossible for this formulation")
-        _pivot(rows, basis, red, leave, enter)
+        d = _pivot(rows, basis, red, d, leave, enter)
 
 
 def _solve_diagonal_lp(pts: list[tuple[int, ...]]):
@@ -166,49 +204,48 @@ def _solve_diagonal_lp(pts: list[tuple[int, ...]]):
     ncols = art + 1
 
     rows = []
-    row0 = [Fraction(0)] * (ncols + 1)
+    row0 = [0] * (ncols + 1)
     for j in range(npts):
-        row0[j] = Fraction(1)
-    row0[art] = Fraction(1)
-    row0[-1] = Fraction(1)
+        row0[j] = 1
+    row0[art] = 1
+    row0[-1] = 1
     rows.append(row0)
     for i in range(dim):
-        row = [Fraction(0)] * (ncols + 1)
-        for j, u in enumerate(pts):
-            row[j] = Fraction(u[i])
-        row[t_col] = Fraction(-1)
-        row[s0 + i] = Fraction(1)
+        row = [u[i] for u in pts] + [0] * (ncols + 1 - npts)
+        row[t_col] = -1
+        row[s0 + i] = 1
         rows.append(row)
     basis = [art] + [s0 + i for i in range(dim)]
+    d = 1
 
     # phase 1: drive the artificial variable of the convexity row to zero
-    cost1 = [Fraction(0)] * ncols
-    cost1[art] = Fraction(1)
-    red1 = _reduced_costs(rows, basis, cost1)
-    _iterate(rows, basis, red1, range(ncols))
+    cost1 = [0] * ncols
+    cost1[art] = 1
+    red1 = _reduced_costs(rows, basis, cost1, d)
+    d = _iterate(rows, basis, red1, d, range(ncols))
     if red1[-1] != 0:
         raise RuntimeError("phase 1 failed; the program is always feasible")
     if art in basis:
         r = basis.index(art)
         for j in range(ncols):
             if j != art and rows[r][j] != 0:
-                _pivot(rows, basis, red1, r, j)
+                d = _pivot(rows, basis, red1, d, r, j)
                 break
         else:
             raise RuntimeError("could not drive the artificial variable out")
 
     # phase 2: minimize t, artificial column locked out
-    cost2 = [Fraction(0)] * ncols
-    cost2[t_col] = Fraction(1)
-    red2 = _reduced_costs(rows, basis, cost2)
-    _iterate(rows, basis, red2, [j for j in range(ncols) if j != art])
+    cost2 = [0] * ncols
+    cost2[t_col] = 1
+    red2 = _reduced_costs(rows, basis, cost2, d)
+    d = _iterate(rows, basis, red2, d, [j for j in range(ncols) if j != art])
 
-    x = [Fraction(0)] * ncols
+    value = [0] * ncols
     for r, b in enumerate(basis):
-        x[b] = rows[r][-1]
-    lambdas = x[:npts]
-    c = x[t_col]
-    dual = [red2[s0 + i] for i in range(dim)]
+        value[b] = rows[r][-1]
+    lambdas = [Fraction(x, d) for x in value[:npts]]
+    c = Fraction(value[t_col], d)
+    dual = [Fraction(red2[s0 + i], d) for i in range(dim)]
     return c, lambdas, dual
 
 

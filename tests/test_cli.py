@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import jsonschema
+import pytest
 
 from minexp.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, REPORT_SCHEMA, main
 
@@ -116,6 +118,24 @@ def test_newton_rejects_origin(capsys):
     assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "support", ["[[1.5,2],[0,3]]", "[[true,2],[0,3]]", '[["2",2],[0,3]]', "[[1,2],[1.0,2]]", "5", "[5]"]
+)
+def test_newton_rejects_bad_support(capsys, support):
+    code, report = run_json(capsys, "newton", "--support", support)
+    assert code == EXIT_INPUT
+    assert "bad support" in report["error"]
+
+
+def test_newton_reports_match_golden_bytes(capsys):
+    # --json text and exit codes recorded before the simplex became fraction-free
+    golden = json.loads((Path(__file__).parent / "data" / "golden_newton_reports.json").read_text())
+    for case in golden:
+        code = main(case["argv"])
+        assert capsys.readouterr().out == case["stdout"], case["argv"]
+        assert code == case["exit"], case["argv"]
+
+
 def test_resolve_cross_check(capsys):
     code, report = run_json(capsys, "resolve", "--n", "4", "--degrees", "2,3,4")
     assert code == EXIT_OK
@@ -215,3 +235,18 @@ def test_batch_bad_request_is_reported_not_fatal(tmp_path, capsys):
     assert code == EXIT_INPUT
     assert report["summary"]["passed"] == 1
     assert report["reports"][1]["ok"] is False
+
+
+def test_batch_bad_support_is_reported_not_fatal(tmp_path, capsys):
+    manifest = [
+        {"command": "newton", "support": [[2, 0], [0, 3]]},
+        {"command": "newton", "support": 5},
+        {"command": "newton", "support": [5]},
+        {"command": "newton", "support": [[1.5, 2], [0, 3]]},
+    ]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    code, report = run_json(capsys, "batch", str(path))
+    assert code == EXIT_INPUT
+    assert report["summary"]["passed"] == 1
+    assert [r["ok"] for r in report["reports"]] == [True, False, False, False]
