@@ -13,6 +13,8 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import partial
+from typing import Callable, NamedTuple
 
 from minexp import exponent as ex
 from minexp import newton as nt
@@ -25,7 +27,34 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_FAIL = 2
 
-COMMANDS = ("formula", "weighted", "newton", "resolve", "verify", "probe", "batch")
+# The command table: command -> (help, {request key: required}).  A request
+# is a dict of "command" plus keys of that command.  Batch manifests hold
+# requests as they are; the flag path turns parsed flags into one (the
+# argparse dests are the request keys, and build_parser derives the flags
+# from this table).  _run_request checks each value strictly (see _KEYS) and
+# calls the command's core, run_<command>.
+_TABLE = {
+    "formula": ("closed-form exponent, lct and predicates", {"n": True, "degrees": True}),
+    "weighted": (
+        "weighted upper bound from orders or polynomials",
+        {"weights": True, "orders": False, "polynomials": False, "variables": False},
+    ),
+    "newton": (
+        "Newton polyhedron diagonal value and exponent",
+        {"support": False, "polynomial": False, "variables": False},
+    ),
+    "resolve": ("blow-up ledger, lower bound and cross-check", {"n": True, "degrees": True}),
+    "verify": (
+        "brute-force valuation inequality and chain checks",
+        {"n": True, "degrees": True, "bound": False},
+    ),
+    "probe": (
+        "finite-field transversality screen (advisory)",
+        {"polynomials": True, "variables": True, "field": True, "limit": False},
+    ),
+}
+
+COMMANDS = (*_TABLE, "batch")
 
 # jsonschema document for every report this tool emits (batch reports nest
 # full reports under "reports").
@@ -114,9 +143,9 @@ def _parse_int_list(text: str, what: str) -> list[int]:
         raise InputError(f"could not parse {what} {text!r} as a comma-separated integer list")
 
 
-def _parse_fraction(text, what: str) -> Fraction:
+def _parse_fraction(text: str, what: str) -> Fraction:
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise InputError(f"could not parse {what} {text!r} as a rational number")
 
@@ -152,7 +181,10 @@ def _scan_bounds_env() -> dict:
         key, value = piece.split("=", 1)
         key = key.strip()
         if key == "bound":
-            out[key] = int(value)
+            try:
+                out[key] = int(value)
+            except ValueError:
+                raise InputError(f"could not parse MINEXP_SCAN_BOUNDS bound {value!r} as an integer")
         elif key in ("chain_max", "chain_step"):
             out[key] = _parse_fraction(value.strip(), key)
         else:
@@ -161,65 +193,121 @@ def _scan_bounds_env() -> dict:
 
 
 # ---------------------------------------------------------------------------
+# request keys: the strict check of each value, and the flag that sets it
+
+def _typed(is_item, expected: str, listed: bool = False):
+    """A check that the value, or with listed=True each entry of a list value, passes is_item."""
+
+    def check(value, key: str):
+        if not (isinstance(value, list) and all(map(is_item, value)) if listed else is_item(value)):
+            raise InputError(f"bad {key}: expected {expected}, got {value!r}")
+        return value
+
+    return check
+
+
+_INTEGER = _typed(ex._is_int, "an integer")
+_INTEGERS = _typed(ex._is_int, "a list of integers", listed=True)
+_STRING = _typed(lambda v: isinstance(v, str), "a string")
+_STRINGS = _typed(lambda v: isinstance(v, str), "a list of strings", listed=True)
+
+
+def _rationals(value, key: str, item: str) -> list[int | Fraction]:
+    """Integers and strings such as "3/2"; flag text arrives already parsed."""
+    if not isinstance(value, list):
+        raise InputError(f"bad {key}: expected a list of rationals, got {value!r}")
+    out = []
+    for v in value:
+        if isinstance(v, str):
+            v = _parse_fraction(v, item)
+        elif not (ex._is_int(v) or isinstance(v, Fraction)):
+            raise InputError(f"could not parse {item} {v!r} as a rational number")
+        out.append(v)
+    return out
+
+
+def _support_json(text: str, key: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as err:
+        raise InputError(f"bad support JSON: {err}")
+
+
+class _Key(NamedTuple):
+    check: Callable  # (value, key) -> the value the core gets, or InputError
+    flag: str
+    options: dict  # further add_argument options; a metavar names the flag, not the key
+    text: Callable | None  # (flag text, key) -> request value; None: argparse converts
+
+
+_KEYS = {
+    "n": _Key(_INTEGER, "--n", {"type": int}, None),
+    "degrees": _Key(_INTEGERS, "--degrees", {}, _parse_int_list),
+    "weights": _Key(partial(_rationals, item="weight"), "--weights", {}, _parse_fraction_list),
+    "orders": _Key(partial(_rationals, item="order"), "--orders", {}, _parse_fraction_list),
+    "polynomials": _Key(_STRINGS, "--poly", {"action": "append", "metavar": "POLYS"}, None),
+    "polynomial": _Key(_STRING, "--poly", {"metavar": "POLY"}, None),
+    "variables": _Key(_STRINGS, "--vars", {"metavar": "VARS"}, lambda text, key: text.split(",")),
+    # its shape is checked by run_newton, its entries by MonomialSupport
+    "support": _Key(lambda value, key: value, "--support", {}, _support_json),
+    "bound": _Key(_INTEGER, "--bound", {"type": int}, None),
+    "field": _Key(_INTEGER, "--field", {"type": int}, None),
+    "limit": _Key(_INTEGER, "--limit", {"type": int}, None),
+}
+
+
+# ---------------------------------------------------------------------------
 # command cores (shared by the CLI flags and the batch manifest)
 
-def run_formula(n: int, degrees: list[int]) -> tuple[dict, int]:
+def _guard(fn, *args, prefix: str = ""):
+    """Call a library function; the ValueError it raises on bad input becomes an InputError."""
     try:
-        reduced = ex.normalize_degree_one(n, degrees)
+        return fn(*args)
     except ValueError as err:
-        raise InputError(str(err))
-    r_full = len(degrees)
+        raise InputError(f"{prefix}{err}")
+
+
+def _parse_poly(text: str, variables: list[str]) -> pl.Poly:
+    # a PolyParseError, or a Poly error such as duplicate variable names
+    return _guard(pl.parse_poly, text, variables, prefix=f"in {text!r}: ")
+
+
+def run_formula(n: int, degrees: list[int]) -> tuple[dict, int]:
+    reduced = _guard(ex.normalize_degree_one, n, degrees)
     warnings = [HYPOTHESIS_WARNING]
     provenance = [
         "minimal exponent: minimum of the closed-form candidate sequence over the degrees",
         "lct: minimal exponent capped at the codimension",
         "predicates: derived from the exponent, cross-checked against degree sums",
     ]
-    if reduced is ex.INFINITY:
-        results = {
-            "n": n,
-            "degrees": list(degrees),
-            "linear_shift": r_full,
-            "minimal_exponent": "infinity",
-            "smooth": True,
-            "lct": _rat_json(Fraction(r_full)),
-            "predicates": {
-                "rational_singularities": True,
-                "log_canonical": True,
-                "exceeds_lct": True,
-            },
-        }
-        return _report("formula", results, warnings, provenance), EXIT_OK
-    profile, shift = reduced
-    table = ex.exponent_candidates(profile.n, profile.degrees)
-    alpha = shift + table.minimum
-    lct = min(alpha, Fraction(r_full))
-    rational = alpha > r_full
-    log_canonical = alpha >= r_full
-    total = sum(degrees)
-    if rational != (total < n) or log_canonical != (total <= n):
-        raise RuntimeError("predicate cross-check failed")  # cannot happen
+    if reduced is ex.INFINITY:  # smooth: rational and log canonical, lct = codimension
+        shift = len(degrees)
+        alpha, lct, predicates = ex.INFINITY, Fraction(shift), ex.SingularityPredicates(True, True, True)
+    else:
+        # every degree-1 equation adds one to the exponent and to the
+        # codimension, so the lct shifts with them and the predicates do not move
+        profile, shift = reduced
+        table = ex.exponent_candidates(profile.n, profile.degrees)
+        alpha, lct = shift + table.minimum, shift + ex.lct_cone(profile)
+        predicates = ex.singularity_predicates(profile)
     results = {
         "n": n,
         "degrees": list(degrees),
         "linear_shift": shift,
-        "smooth": False,
+        "smooth": reduced is ex.INFINITY,
         "minimal_exponent": _rat_json(alpha),
-        "candidates": [_rat_json(v) for v in table.values],
-        "pivot": table.pivot,
         "lct": _rat_json(lct),
-        "predicates": {
-            "rational_singularities": rational,
-            "log_canonical": log_canonical,
-            "exceeds_lct": rational,
-        },
+        "predicates": dict(vars(predicates)),
     }
-    if shift:
-        results["reduced"] = {"n": profile.n, "degrees": list(profile.degrees)}
-        provenance.append(
-            f"{shift} linear equation(s) removed; the exponent of the reduced cone "
-            f"is shifted up by {shift}"
-        )
+    if reduced is not ex.INFINITY:
+        results["candidates"] = [_rat_json(v) for v in table.values]
+        results["pivot"] = table.pivot
+        if shift:
+            results["reduced"] = {"n": profile.n, "degrees": list(profile.degrees)}
+            provenance.append(
+                f"{shift} linear equation(s) removed; the exponent of the reduced cone "
+                f"is shifted up by {shift}"
+            )
     return _report("formula", results, warnings, provenance), EXIT_OK
 
 
@@ -240,10 +328,7 @@ def run_weighted(
             raise InputError(f"{len(weights)} weights but {len(names)} variables")
         parsed = []
         for text in polynomials:
-            try:
-                f = pl.parse_poly(text, names)
-            except pl.PolyParseError as err:
-                raise InputError(f"in {text!r}: {err}")
+            f = _parse_poly(text, names)
             if f.is_zero():
                 raise InputError(f"polynomial {text!r} is zero")
             if any(sum(u) < 2 for u in f.terms):
@@ -256,10 +341,7 @@ def run_weighted(
         results["polynomials"] = [str(f) for f in parsed]
     else:
         orders = sorted(orders)
-    try:
-        profile = ex.WeightedProfile(tuple(weights), tuple(orders))
-    except ValueError as err:
-        raise InputError(str(err))
+    profile = _guard(ex.WeightedProfile, tuple(weights), tuple(orders))
     bound = ex.weighted_upper_bound(profile)
     results["orders"] = [_rat_json(d) for d in profile.orders]
     results["upper_bound"] = _rat_json(bound)
@@ -279,20 +361,14 @@ def run_newton(
     if polynomial is not None:
         if not variables:
             raise InputError("a polynomial input needs its variable list")
-        try:
-            f = pl.parse_poly(polynomial, variables)
-        except pl.PolyParseError as err:
-            raise InputError(f"in {polynomial!r}: {err}")
+        f = _parse_poly(polynomial, variables)
         if f.is_zero():
             raise InputError("the zero polynomial has empty support")
         ms = nt.MonomialSupport.from_poly(f)
     else:
         if not isinstance(support, list) or not all(isinstance(p, list) for p in support):
             raise InputError(f"bad support: expected a list of integer lists, got {support!r}")
-        try:
-            ms = nt.MonomialSupport(len(support[0]) if support else 0, support)
-        except ValueError as err:
-            raise InputError(f"bad support: {err}")
+        ms = _guard(nt.MonomialSupport, len(support[0]) if support else 0, support, prefix="bad support: ")
     if ms.origin in ms.points:
         raise InputError("support contains the origin: not in the maximal ideal")
     result = nt.diagonal_entry(ms)
@@ -314,10 +390,7 @@ def run_newton(
 
 
 def run_resolve(n: int, degrees: list[int]) -> tuple[dict, int]:
-    try:
-        profile = ex.DegreeProfile(n, tuple(degrees))
-    except ValueError as err:
-        raise InputError(str(err))
+    profile = _guard(ex.DegreeProfile, n, tuple(degrees))
     report = rs.simulate_resolution(profile)
     formula_value = ex.minimal_exponent_cone(profile)
     match = report.lower_bound == formula_value
@@ -348,10 +421,7 @@ def run_verify(
     chain_max: Fraction | None = None,
     chain_step: Fraction | None = None,
 ) -> tuple[dict, int]:
-    try:
-        profile = ex.DegreeProfile(n, tuple(degrees))
-    except ValueError as err:
-        raise InputError(str(err))
+    profile = _guard(ex.DegreeProfile, n, tuple(degrees))
     env = _scan_bounds_env()
     bound = bound if bound is not None else env.get("bound", 8)
     chain_max = chain_max if chain_max is not None else env.get("chain_max", Fraction(4))
@@ -411,16 +481,8 @@ def run_probe(
         raise InputError("need at least one polynomial")
     if not variables:
         raise InputError("need the variable list")
-    fs = []
-    for text in polynomials:
-        try:
-            fs.append(pl.parse_poly(text, variables))
-        except pl.PolyParseError as err:
-            raise InputError(f"in {text!r}: {err}")
-    try:
-        report = pl.probe_transversality(fs, field, limit)
-    except ValueError as err:
-        raise InputError(str(err))
+    fs = [_parse_poly(text, variables) for text in polynomials]
+    report = _guard(pl.probe_transversality, fs, field, limit)
     results = {
         "field": report.field_size,
         "points_checked": report.points_checked,
@@ -444,63 +506,28 @@ def run_probe(
 
 
 # ---------------------------------------------------------------------------
-# batch manifests
+# requests and batch manifests
 
-_BATCH_KEYS = {
-    "formula": {"n", "degrees"},
-    "weighted": {"weights", "orders", "polynomials", "variables"},
-    "newton": {"support", "polynomial", "variables"},
-    "resolve": {"n", "degrees"},
-    "verify": {"n", "degrees", "bound"},
-    "probe": {"polynomials", "variables", "field", "limit"},
-}
-
-
-def _run_request(request: dict) -> tuple[dict, int]:
+def _run_request(request) -> tuple[dict, int]:
+    """Check one request against the command table and run its core."""
     if not isinstance(request, dict):
         raise InputError("each manifest entry must be an object")
     command = request.get("command")
-    if command not in _BATCH_KEYS:
+    if not isinstance(command, str) or command not in _TABLE:
         raise InputError(f"unknown command {command!r} in manifest")
-    extra = set(request) - _BATCH_KEYS[command] - {"command"}
+    keys = _TABLE[command][1]
+    extra = set(request) - set(keys) - {"command"}
     if extra:
         raise InputError(f"unknown keys {sorted(extra)} for command {command!r}")
-    if command == "formula":
-        return run_formula(int(request["n"]), [int(d) for d in request["degrees"]])
-    if command == "weighted":
-        weights = [_parse_fraction(w, "weight") for w in request["weights"]]
-        orders = request.get("orders")
-        if orders is not None:
-            orders = [_parse_fraction(d, "order") for d in orders]
-        return run_weighted(
-            weights,
-            orders=orders,
-            polynomials=request.get("polynomials"),
-            variables=request.get("variables"),
-        )
-    if command == "newton":
-        return run_newton(
-            support=request.get("support"),
-            polynomial=request.get("polynomial"),
-            variables=request.get("variables"),
-        )
-    if command == "resolve":
-        return run_resolve(int(request["n"]), [int(d) for d in request["degrees"]])
-    if command == "verify":
-        bound = request.get("bound")
-        return run_verify(
-            int(request["n"]),
-            [int(d) for d in request["degrees"]],
-            bound=int(bound) if bound is not None else None,
-        )
-    if command == "probe":
-        return run_probe(
-            [str(p) for p in request["polynomials"]],
-            [str(v) for v in request["variables"]],
-            int(request["field"]),
-            int(request.get("limit", 100_000)),
-        )
-    raise InputError(f"unhandled command {command!r}")
+    kwargs = {}
+    for key, required in keys.items():
+        value = request.get(key)
+        if value is not None:
+            kwargs[key] = _KEYS[key].check(value, key)
+        elif required:
+            raise InputError(f"missing key {key!r} for command {command!r}")
+    # looked up at call time, so a wrapper installed on cli.run_* sees the call
+    return globals()[f"run_{command}"](**kwargs)
 
 
 def run_batch(manifest_path: str) -> tuple[dict, int]:
@@ -519,9 +546,9 @@ def run_batch(manifest_path: str) -> tuple[dict, int]:
         try:
             sub, code = _run_request(request)
         except InputError as err:
-            command = request.get("command", "?") if isinstance(request, dict) else "?"
-            sub, code = _error_report(str(command) if command in COMMANDS else "batch", str(err)), EXIT_INPUT
-            sub["error"] = f"request {i}: {err}"
+            command = request.get("command") if isinstance(request, dict) else None
+            sub = _error_report(command if command in COMMANDS else "batch", f"request {i}: {err}")
+            code = EXIT_INPUT
         reports.append(sub)
         codes.append(code)
     passed = sum(1 for c in codes if c == EXIT_OK)
@@ -662,76 +689,27 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="minexp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("formula", help="closed-form exponent, lct and predicates")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--degrees", required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("weighted", help="weighted upper bound from orders or polynomials")
-    p.add_argument("--weights", required=True)
-    p.add_argument("--orders")
-    p.add_argument("--poly", action="append", dest="polys")
-    p.add_argument("--vars")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("newton", help="Newton polyhedron diagonal value and exponent")
-    p.add_argument("--support")
-    p.add_argument("--poly")
-    p.add_argument("--vars")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("resolve", help="blow-up ledger, lower bound and cross-check")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--degrees", required=True)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("verify", help="brute-force valuation inequality and chain checks")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--degrees", required=True)
-    p.add_argument("--bound", type=int)
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("probe", help="finite-field transversality screen (advisory)")
-    p.add_argument("--poly", action="append", dest="polys", required=True)
-    p.add_argument("--vars", required=True)
-    p.add_argument("--field", type=int, required=True)
-    p.add_argument("--limit", type=int, default=100_000)
-    p.add_argument("--json", action="store_true")
-
+    for command, (help_text, keys) in _TABLE.items():
+        p = sub.add_parser(command, help=help_text)
+        for key, required in keys.items():
+            p.add_argument(_KEYS[key].flag, dest=key, required=required, **_KEYS[key].options)
+        p.add_argument("--json", action="store_true")
     p = sub.add_parser("batch", help="run a JSON manifest of requests")
     p.add_argument("manifest")
     p.add_argument("--json", action="store_true")
-
     return parser
 
 
-def _dispatch(args) -> tuple[dict, int]:
-    if args.command == "formula":
-        return run_formula(args.n, _parse_int_list(args.degrees, "degrees"))
-    if args.command == "weighted":
-        weights = _parse_fraction_list(args.weights, "weights")
-        orders = _parse_fraction_list(args.orders, "orders") if args.orders else None
-        variables = args.vars.split(",") if args.vars else None
-        return run_weighted(weights, orders=orders, polynomials=args.polys, variables=variables)
-    if args.command == "newton":
-        support = None
-        if args.support:
-            try:
-                support = json.loads(args.support)
-            except json.JSONDecodeError as err:
-                raise InputError(f"bad support JSON: {err}")
-        variables = args.vars.split(",") if args.vars else None
-        return run_newton(support=support, polynomial=args.poly, variables=variables)
-    if args.command == "resolve":
-        return run_resolve(args.n, _parse_int_list(args.degrees, "degrees"))
-    if args.command == "verify":
-        return run_verify(args.n, _parse_int_list(args.degrees, "degrees"), bound=args.bound)
-    if args.command == "probe":
-        return run_probe(args.polys, args.vars.split(","), args.field, args.limit)
-    if args.command == "batch":
-        return run_batch(args.manifest)
-    raise InputError(f"unknown command {args.command!r}")
+def _flag_request(args) -> dict:
+    """The request of parsed flags.  Flag text that holds a list or JSON is
+    read here; such a flag that is optional and empty counts as absent."""
+    request = {"command": args.command}
+    for key, required in _TABLE[args.command][1].items():
+        value, text = getattr(args, key), _KEYS[key].text
+        if text is not None:
+            value = text(value, key) if value or required else None
+        request[key] = value
+    return request
 
 
 def main(argv=None) -> int:
@@ -742,15 +720,16 @@ def main(argv=None) -> int:
         print(f"input error: {err}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        report, code = _dispatch(args)
-    except InputError as err:
-        report = _error_report(args.command, str(err))
-        if getattr(args, "json", False):
-            print(json.dumps(report, indent=2, sort_keys=True))
+        if args.command == "batch":
+            report, code = run_batch(args.manifest)
         else:
+            report, code = _run_request(_flag_request(args))
+    except InputError as err:
+        report, code = _error_report(args.command, str(err)), EXIT_INPUT
+        if not args.json:
             print(f"input error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    if getattr(args, "json", False):
+            return code
+    if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
         _render_text(report, sys.stdout)

@@ -77,10 +77,15 @@ class Infinity:
 INFINITY = Infinity()
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class DegreeProfile:
     """Ambient dimension plus the sorted degree list of the defining equations.
 
+    n and the degrees must be ``int`` (not ``bool``); nothing is truncated.
     Degrees must all be at least 2; strip degree-1 entries first with
     :func:`normalize_degree_one`.  The codimension r never exceeds n.
     """
@@ -89,8 +94,10 @@ class DegreeProfile:
     degrees: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
-        if not isinstance(self.n, int) or self.n < 1:
+        object.__setattr__(self, "degrees", tuple(self.degrees))
+        if not all(_is_int(d) for d in self.degrees):
+            raise ValueError(f"degrees must be integers, got {self.degrees}")
+        if not _is_int(self.n) or self.n < 1:
             raise ValueError(f"ambient dimension must be a positive integer, got {self.n}")
         if not self.degrees:
             raise ValueError("degree list must be nonempty")
@@ -169,6 +176,10 @@ def lct_cone(profile: DegreeProfile) -> Fraction:
 
 @dataclass(frozen=True)
 class SingularityPredicates:
+    """``exceeds_lct`` (the exponent exceeds the lct) is the same predicate as
+    ``rational_singularities``: both say the exponent exceeds the codimension r.
+    It is kept as its own field because reports carry it under that name."""
+
     rational_singularities: bool
     log_canonical: bool
     exceeds_lct: bool
@@ -230,14 +241,16 @@ def normalize_degree_one(n: int, degrees: Sequence[int]) -> tuple[DegreeProfile,
     exponent computed on the reduced profile.  If every degree is 1 the
     subscheme is smooth and the result is INFINITY.
     """
-    degrees = tuple(int(d) for d in degrees)
+    degrees = tuple(degrees)
+    if not all(_is_int(d) for d in degrees):
+        raise ValueError(f"degrees must be integers, got {degrees}")
     if not degrees:
         raise ValueError("degree list must be nonempty")
     if any(d < 1 for d in degrees):
         raise ValueError(f"degrees must be positive, got {degrees}")
     if list(degrees) != sorted(degrees):
         raise ValueError(f"degrees must be sorted ascending, got {degrees}")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"ambient dimension must be a positive integer, got {n}")
     if len(degrees) > n:
         raise ValueError(f"codimension {len(degrees)} exceeds ambient dimension {n}")

@@ -33,11 +33,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
+from minexp.exponent import _is_int
 from minexp.poly import Poly, as_weights, weighted_order
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)

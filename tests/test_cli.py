@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minexp.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, REPORT_SCHEMA, main
 
@@ -127,12 +131,22 @@ def test_newton_rejects_bad_support(capsys, support):
     assert "bad support" in report["error"]
 
 
-def test_newton_reports_match_golden_bytes(capsys):
-    # --json text and exit codes recorded before the simplex became fraction-free
-    golden = json.loads((Path(__file__).parent / "data" / "golden_newton_reports.json").read_text())
+@pytest.mark.parametrize("name", ["golden_newton_reports.json", "golden_cli_reports.json"])
+def test_reports_match_golden_bytes(capsys, tmp_path, name):
+    # Output and exit codes recorded from earlier versions: the newton file
+    # before the simplex became fraction-free (--json stdout only), the cli
+    # file before flags and manifests shared one request path (text and
+    # --json, stdout and stderr).  "MANIFEST" in argv stands for the case's
+    # manifest, written to a file.
+    golden = json.loads((Path(__file__).parent / "data" / name).read_text())
+    manifest = tmp_path / "manifest.json"
     for case in golden:
-        code = main(case["argv"])
-        assert capsys.readouterr().out == case["stdout"], case["argv"]
+        if "manifest" in case:
+            manifest.write_text(json.dumps(case["manifest"]))
+        code = main([str(manifest) if arg == "MANIFEST" else arg for arg in case["argv"]])
+        out, err = capsys.readouterr()
+        assert out == case["stdout"], case["argv"]
+        assert err == case.get("stderr", err), case["argv"]
         assert code == case["exit"], case["argv"]
 
 
@@ -165,6 +179,41 @@ def test_verify_env_override(capsys, monkeypatch):
     assert code == EXIT_OK
     assert report["results"]["bound"] == 3
     assert report["results"]["chain_grid"]["points"] == 4  # {0,1}^2
+
+
+def test_verify_env_bad_bound(capsys, monkeypatch):
+    monkeypatch.setenv("MINEXP_SCAN_BOUNDS", "bound=x")
+    code, report = run_json(capsys, "verify", "--n", "6", "--degrees", "2,3")
+    assert code == EXIT_INPUT
+    assert "MINEXP_SCAN_BOUNDS bound 'x'" in report["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, request_",
+    [
+        (
+            ["weighted", "--weights", "1,1", "--poly", "x1^2", "--vars", "x1,x1"],
+            {"command": "weighted", "weights": [1, 1], "polynomials": ["x1^2"], "variables": ["x1", "x1"]},
+        ),
+        (
+            ["newton", "--poly", "x1^2", "--vars", "x1,x1"],
+            {"command": "newton", "polynomial": "x1^2", "variables": ["x1", "x1"]},
+        ),
+        (
+            ["probe", "--poly", "x1^2", "--vars", "x1,x1", "--field", "3"],
+            {"command": "probe", "polynomials": ["x1^2"], "variables": ["x1", "x1"], "field": 3},
+        ),
+    ],
+)
+def test_duplicate_variables_exit_input(capsys, tmp_path, argv, request_):
+    code, report = run_json(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert "duplicate variable names" in report["error"]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([request_]))
+    code, report = run_json(capsys, "batch", str(path))
+    assert code == EXIT_INPUT
+    assert "duplicate variable names" in report["reports"][0]["error"]
 
 
 def test_probe_exit_codes(capsys):
@@ -224,17 +273,40 @@ def test_batch_malformed_manifest(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_batch_bad_request_is_reported_not_fatal(tmp_path, capsys):
-    manifest = [
-        {"command": "formula", "n": 6, "degrees": [2, 3]},
-        {"command": "formula", "n": 2, "degrees": [2, 3, 4]},
-    ]
+PROBE = {"command": "probe", "polynomials": ["x1^2"], "variables": ["x1", "x2"], "field": 3}
+BAD_REQUESTS = {
+    "excess_codimension": {"command": "formula", "n": 2, "degrees": [2, 3, 4]},
+    "missing_n": {"command": "formula", "degrees": [2, 3]},
+    "string_n": {"command": "formula", "n": "x", "degrees": [2, 3]},
+    "integral_string_n": {"command": "formula", "n": "6", "degrees": [2, 3]},
+    "float_n_and_degrees": {"command": "formula", "n": 6.9, "degrees": [2.5, 3]},
+    "bool_n": {"command": "formula", "n": True, "degrees": [1]},
+    "string_degrees": {"command": "formula", "n": 6, "degrees": "23"},
+    "bool_degree": {"command": "resolve", "n": 6, "degrees": [True, 2]},
+    "int_polynomial": {"command": "newton", "polynomial": 5, "variables": ["x1"]},
+    "string_bound": {"command": "verify", "n": 3, "degrees": [2, 3], "bound": "3"},
+    "float_bound": {"command": "verify", "n": 3, "degrees": [2, 3], "bound": 2.9},
+    "bool_bound": {"command": "verify", "n": 3, "degrees": [2, 3], "bound": True},
+    "bool_weight": {"command": "weighted", "weights": [True, 1], "orders": [2]},
+    "float_weight": {"command": "weighted", "weights": [1.5, 1], "orders": [2]},
+    "string_polynomials": {**PROBE, "polynomials": "x1^2"},
+    "string_variables": {**PROBE, "variables": "x1,x2"},
+    "string_field": {**PROBE, "field": "3"},
+    "weighted_string_polynomials": {"command": "weighted", "weights": [1, 1], "polynomials": "x1^2"},
+    "unhashable_command": {"command": ["formula"]},
+}
+
+
+@pytest.mark.parametrize("request_", BAD_REQUESTS.values(), ids=BAD_REQUESTS)
+def test_batch_bad_request_is_reported_not_fatal(tmp_path, capsys, request_):
+    manifest = [{"command": "formula", "n": 6, "degrees": [2, 3]}, request_]
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
     code, report = run_json(capsys, "batch", str(path))
     assert code == EXIT_INPUT
-    assert report["summary"]["passed"] == 1
+    assert report["summary"] == {"total": 2, "passed": 1}
     assert report["reports"][1]["ok"] is False
+    assert report["reports"][1]["error"].startswith("request 1: ")
 
 
 def test_batch_bad_support_is_reported_not_fatal(tmp_path, capsys):
@@ -250,3 +322,70 @@ def test_batch_bad_support_is_reported_not_fatal(tmp_path, capsys):
     assert code == EXIT_INPUT
     assert report["summary"]["passed"] == 1
     assert [r["ok"] for r in report["reports"]] == [True, False, False, False]
+
+
+# ---------------------------------------------------------------------------
+# fuzzed manifests: well-formed and malformed entries through main()
+#
+# Sizes stay small because verify has no work budget yet (its chain grid
+# alone has 9^r points): n <= 8, r <= 3, bound <= 4, at most three
+# variables, fields of 3, 5 or 7.
+
+_N = st.integers(1, 8)
+_DEGREES = st.lists(st.integers(1, 6), min_size=1, max_size=3).map(sorted)
+_RATIONALS = st.lists(st.one_of(st.integers(1, 6), st.sampled_from(["1/2", "3/2", "5/3", "4"])), min_size=1, max_size=3)
+_POLY = st.sampled_from(
+    ["x1^2", "x1^2 + x2^2", "x1*x2 + x2^3", "x1^3 + x2^3 + x3^3", "2/3*x1^2 - x2^2", "x1 + x2^2", "x1^2 +", "y^2"]
+)
+_POLYS = st.lists(_POLY, min_size=1, max_size=2)
+_NAMES = st.sampled_from([["x1"], ["x1", "x2"], ["x1", "x2", "x3"]])
+_SUPPORT = st.lists(st.lists(st.integers(0, 4), min_size=2, max_size=2), min_size=1, max_size=4)
+_WRONG = st.sampled_from(["x", "3", "3/2", 2.5, True, None, [], {}, [1.5], ["a"], [[1, 0]], -1, 0])
+
+
+def _entry(command, **keys):
+    return st.fixed_dictionaries({"command": st.just(command), **keys})
+
+
+_WELL_FORMED = st.one_of(
+    _entry("formula", n=_N, degrees=_DEGREES),
+    _entry("resolve", n=_N, degrees=_DEGREES),
+    _entry("verify", n=_N, degrees=_DEGREES, bound=st.integers(1, 4)),
+    _entry("weighted", weights=_RATIONALS, orders=_RATIONALS),
+    _entry("weighted", weights=_RATIONALS, polynomials=_POLYS, variables=_NAMES),
+    _entry("newton", support=_SUPPORT),
+    _entry("newton", polynomial=_POLY, variables=_NAMES),
+    _entry("probe", polynomials=_POLYS, variables=_NAMES, field=st.sampled_from([3, 5, 7])),
+)
+
+
+@st.composite
+def _malformed(draw):
+    entry = draw(_WELL_FORMED)
+    key = draw(st.sampled_from(sorted(entry)))
+    mutation = draw(st.sampled_from(["drop", "extra", "retype"]))
+    if mutation == "drop":
+        del entry[key]
+    elif mutation == "extra":
+        entry[draw(st.sampled_from(["bogus", "n", "bound", "limit", "support"]))] = draw(_WRONG)
+    else:
+        entry[key] = draw(_WRONG)
+    return entry
+
+
+_MANIFESTS = st.lists(st.one_of(_WELL_FORMED, _malformed(), _WRONG), max_size=4)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(_MANIFESTS)
+def test_fuzzed_manifests_keep_the_report_contract(manifest):
+    out = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "manifest.json"
+        path.write_text(json.dumps(manifest))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["batch", str(path), "--json"])
+    report = json.loads(out.getvalue())
+    VALIDATOR.validate(report)
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_FAIL)
+    assert report["summary"]["total"] == len(manifest)

@@ -166,6 +166,25 @@ def test_normalize_degree_one_rejects_excess_codimension():
         normalize_degree_one(3, (1, 1, 2, 2))
 
 
+@pytest.mark.parametrize(
+    "n, degrees",
+    [(6, (2.5, 3)), (6, (2.0, 3)), (6, (F(2), 3)), (6, (True, 2)), (6.0, (2, 3)), (True, (2,)), ("6", (2, 3))],
+)
+def test_profile_rejects_non_int(n, degrees):
+    # nothing is truncated: 2.5 used to become 2
+    with pytest.raises(ValueError):
+        DegreeProfile(n, degrees)
+
+
+@pytest.mark.parametrize(
+    "n, degrees", [(6, (1.5, 2, 3)), (6, (1, 2.0, 3)), (6, (True, 2)), (6, (1, "2")), (6.0, (1, 2)), (True, (1,))]
+)
+def test_normalize_degree_one_rejects_non_int(n, degrees):
+    # (1.5, 2, 3) used to become a shift of 1 on (2, 3)
+    with pytest.raises(ValueError):
+        normalize_degree_one(n, degrees)
+
+
 def test_minimal_exponent_with_shift():
     assert minimal_exponent(5, [1, 2, 3]) == F(8, 3)
     assert minimal_exponent(6, [2, 3]) == F(7, 3)
