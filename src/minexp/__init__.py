@@ -41,7 +41,6 @@ from minexp.poly import (
     weighted_order,
 )
 from minexp.resolution import (
-    Case3Report,
     ChartState,
     Coordinate,
     DescentChainReport,

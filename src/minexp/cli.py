@@ -8,7 +8,6 @@ with a leading ``≈`` and never participate in any comparison.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -287,7 +286,7 @@ def run_formula(n: int, degrees: list[int]) -> tuple[dict, int]:
         # every degree-1 equation adds one to the exponent and to the
         # codimension, so the lct shifts with them and the predicates do not move
         profile, shift = reduced
-        table = ex.exponent_candidates(profile.n, profile.degrees)
+        table = profile.table
         alpha, lct = shift + table.minimum, shift + ex.lct_cone(profile)
         predicates = ex.singularity_predicates(profile)
     results = {
@@ -428,25 +427,13 @@ def run_verify(
     chain_step = chain_step if chain_step is not None else env.get("chain_step", Fraction(1, 2))
     if bound < 1:
         raise InputError("bound must be at least 1")
-    if chain_step <= 0 or chain_max < 0:
-        raise InputError("chain grid parameters must be positive")
-
+    chain_points, failure = _guard(rs.descent_chain_grid, profile, chain_step, chain_max)
     scan = rs.verify_valuation_inequality(profile, bound)
-
-    steps = int(chain_max / chain_step)
-    axis = [i * chain_step for i in range(steps + 1)]
-    chain_points = 0
-    chain_failure = None
-    for u in itertools.product(axis, repeat=profile.r):
-        chain_points += 1
-        chain = rs.descent_chain(profile, u)
-        if not chain.passed:
-            chain_failure = {
-                "u": [_rat_json(x) for x in u],
-                "chain": list(chain.chain),
-                "chain_values": [_rat_json(b) for b in chain.chain_values],
-            }
-            break
+    chain_failure = None if failure is None else {
+        "u": [_rat_json(x) for x in failure.u],
+        "chain": list(failure.chain),
+        "chain_values": [_rat_json(b) for b in failure.chain_values],
+    }
 
     passed = scan.passed and chain_failure is None
     results = {

@@ -16,6 +16,7 @@ bound.  Smooth inputs (all degrees 1) get the distinguished value INFINITY.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -120,6 +121,11 @@ class DegreeProfile:
     def degree_sum(self) -> int:
         return sum(self.degrees)
 
+    @cached_property
+    def table(self) -> ExponentTable:
+        """The candidate table over w = n, computed once per profile."""
+        return exponent_candidates(self.n, self.degrees)
+
 
 @dataclass(frozen=True)
 class ExponentTable:
@@ -166,7 +172,7 @@ def exponent_candidates(w, degrees: Sequence) -> ExponentTable:
 
 def minimal_exponent_cone(profile: DegreeProfile) -> Fraction:
     """Minimal exponent of the cone cut out by the profile's degrees."""
-    return exponent_candidates(profile.n, profile.degrees).minimum
+    return profile.table.minimum
 
 
 def lct_cone(profile: DegreeProfile) -> Fraction:

@@ -477,15 +477,9 @@ class ProbeReport:
 
 _MAX_PROBE_VARS = 5
 _MAX_PROBE_FIELD = 13
-
-
-def _is_prime(m: int) -> bool:
-    if m < 2:
-        return False
-    for d in range(2, int(m**0.5) + 1):
-        if m % d == 0:
-            return False
-    return True
+_PROBE_FIELDS = frozenset(
+    p for p in range(2, _MAX_PROBE_FIELD + 1) if all(p % d for d in range(2, p))
+)
 
 
 def _mod_terms(f: Poly, q: int) -> list[tuple[int, tuple[int, ...]]] | None:
@@ -582,10 +576,10 @@ def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = 100_0
     n = len(xs)
     if n > _MAX_PROBE_VARS:
         raise ValueError(f"probe supports at most {_MAX_PROBE_VARS} variables, got {n}")
-    if not _is_prime(field_size):
-        raise ValueError(f"field size {field_size} is not prime")
     if field_size > _MAX_PROBE_FIELD:
         raise ValueError(f"probe supports field sizes up to {_MAX_PROBE_FIELD}")
+    if field_size not in _PROBE_FIELDS:
+        raise ValueError(f"field size {field_size} is not prime")
     for i, f in enumerate(fs, 1):
         if f.is_zero():
             raise ValueError(f"input {i} is zero")

@@ -31,11 +31,11 @@ used to prove them pointwise on rational grids.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from minexp.exponent import DegreeProfile, exponent_candidates
+from minexp.exponent import DegreeProfile, _is_int
 
 EXCEPTIONAL = "exceptional"
 STRICT = "strict"
@@ -62,9 +62,9 @@ class GroupedDegrees:
     levels: tuple[tuple[int, int], ...]  # (degree value, multiplicity)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "levels", tuple((int(e), int(p)) for e, p in self.levels)
-        )
+        object.__setattr__(self, "levels", tuple((e, p) for e, p in self.levels))
+        if not all(_is_int(e) and _is_int(p) for e, p in self.levels):
+            raise ValueError(f"level values and multiplicities must be integers, got {self.levels}")
         if not self.levels:
             raise ValueError("levels must be nonempty")
         values = [e for e, _ in self.levels]
@@ -75,13 +75,7 @@ class GroupedDegrees:
 
     @classmethod
     def from_degrees(cls, degrees: Sequence[int]) -> "GroupedDegrees":
-        levels = []
-        for d in degrees:
-            if levels and levels[-1][0] == d:
-                levels[-1][1] += 1
-            else:
-                levels.append([d, 1])
-        return cls(tuple((e, p) for e, p in levels))
+        return cls(tuple((d, len(list(run))) for d, run in itertools.groupby(degrees)))
 
     @property
     def values(self) -> tuple[int, ...]:
@@ -93,12 +87,7 @@ class GroupedDegrees:
 
     @property
     def cumulative(self) -> tuple[int, ...]:
-        out = []
-        total = 0
-        for _, p in self.levels:
-            total += p
-            out.append(total)
-        return tuple(out)
+        return tuple(itertools.accumulate(self.counts))
 
     def degrees(self) -> tuple[int, ...]:
         return tuple(e for e, p in self.levels for _ in range(p))
@@ -132,7 +121,6 @@ class ChartState:
     coords: tuple[Coordinate, ...]
     ideal: tuple[tuple[int, ...], ...]
     depth: int = 0
-    born_center: tuple[str, ...] | None = None
     born_pivot: str | None = None
     born_pivot_index: int | None = None
 
@@ -200,28 +188,18 @@ def blowup_chart(state: ChartState, center: Iterable[str]) -> list[ChartState]:
         state.coords[i].k for i in center_idx if state.coords[i].role == EXCEPTIONAL
     )
     letter = _letter(state.depth + 1)
+    totals = [sum(g[i] for i in center_idx) for g in state.ideal]
     charts = []
     for pivot_pos in center_idx:
-        new_gens = []
-        for g in state.ideal:
-            total = sum(g[i] for i in center_idx)
-            h = list(g)
-            h[pivot_pos] = total
-            new_gens.append(tuple(h))
+        new_gens = [g[:pivot_pos] + (t,) + g[pivot_pos + 1 :] for g, t in zip(state.ideal, totals)]
         a_new = min((g[pivot_pos] for g in new_gens), default=0)
-        new_coords = []
-        for i, c in enumerate(state.coords):
-            name = f"{letter}{i}"
-            if i == pivot_pos:
-                new_coords.append(Coordinate(name, EXCEPTIONAL, a_new, k_new))
-            else:
-                new_coords.append(Coordinate(name, c.role, c.a, c.k))
+        new_coords = [Coordinate(f"{letter}{i}", c.role, c.a, c.k) for i, c in enumerate(state.coords)]
+        new_coords[pivot_pos] = Coordinate(f"{letter}{pivot_pos}", EXCEPTIONAL, a_new, k_new)
         charts.append(
             ChartState(
                 coords=tuple(new_coords),
                 ideal=tuple(new_gens),
                 depth=state.depth + 1,
-                born_center=center,
                 born_pivot=state.coords[pivot_pos].name,
                 born_pivot_index=pivot_pos,
             )
@@ -308,6 +286,10 @@ class FactorizationWitness:
 
 @dataclass(frozen=True)
 class ResolutionReport:
+    """The scripted resolution of a profile.  ``terminal`` is the last chart
+    of the main chain; it holds only the exceptional coordinate and the r
+    strict transforms, since the plain coordinates never carry an exponent."""
+
     profile: DegreeProfile
     mode: str
     grouped: GroupedDegrees
@@ -355,10 +337,7 @@ class ResolutionReport:
                 {"level": c.level, "steps": list(c.steps), "principal": c.principal}
                 for c in self.case3
             ],
-            "vj_checks": [
-                {"divisor": v.divisor, "pivot": v.pivot, "ideal": v.ideal, "generator": v.generator}
-                for v in self.vj_checks
-            ],
+            "vj_checks": [asdict(v) for v in self.vj_checks],
         }
 
 
@@ -382,93 +361,75 @@ def _principal_exceptional_generator(state: ChartState) -> tuple[int, ...]:
     return gmin
 
 
-def _start_chart(profile: DegreeProfile) -> ChartState:
-    """The chart after the origin blow-up: the exceptional coordinate z0
-    tagged (a = d_1, k = n - 1), strict transforms z1..zr, plain fill."""
-    n, degrees = profile.n, profile.degrees
-    r = profile.r
-    coords = [Coordinate("z0", EXCEPTIONAL, degrees[0], n - 1)]
-    coords += [Coordinate(f"z{j}", STRICT) for j in range(1, r + 1)]
-    coords += [Coordinate(f"z{j}", PLAIN) for j in range(r + 1, n)]
-    width = len(coords)
-    gens = []
-    for j in range(1, r + 1):
-        g = [0] * width
-        g[0] = degrees[j - 1]
-        g[j] = 1
-        gens.append(tuple(g))
-    return ChartState(tuple(coords), tuple(gens))
-
-
-def _case3_start(profile: DegreeProfile, grouped: GroupedDegrees, level: int) -> ChartState:
-    """Chart on the first exceptional divisor where only the strict
-    transforms of degree level <= ``level`` pass through, while the next
-    group contributes a pure power of the exceptional coordinate."""
-    n, degrees = profile.n, profile.degrees
-    q = grouped.cumulative[level - 1]
-    extra = grouped.values[level]
-    coords = [Coordinate("z0", EXCEPTIONAL, degrees[0], n - 1)]
+def _start_chart(profile: DegreeProfile, q: int, extra: int | None = None) -> ChartState:
+    """The chart on E1 after the origin blow-up: the exceptional coordinate
+    z0 tagged (a = d_1, k = n - 1) and the strict transforms z1..zq of the
+    q lowest-degree hypersurfaces, with generators z0^{d_j} z_j.  A side
+    chart adds the pure power z0^extra of the next degree group.  The plain
+    coordinates never carry an exponent and are left out."""
+    degrees = profile.degrees
+    coords = [Coordinate("z0", EXCEPTIONAL, degrees[0], profile.n - 1)]
     coords += [Coordinate(f"z{j}", STRICT) for j in range(1, q + 1)]
-    coords += [Coordinate(f"z{j}", PLAIN) for j in range(q + 1, n)]
-    width = len(coords)
-    gens = []
-    for j in range(1, q + 1):
-        g = [0] * width
-        g[0] = degrees[j - 1]
-        g[j] = 1
-        gens.append(tuple(g))
-    g = [0] * width
-    g[0] = extra
-    gens.append(tuple(g))
+    gens = [(degrees[j - 1],) + tuple(int(i == j) for i in range(1, q + 1)) for j in range(1, q + 1)]
+    if extra is not None:
+        gens.append((extra,) + (0,) * q)
     return ChartState(tuple(coords), tuple(gens))
 
 
-def _follow_exceptional(
-    state: ChartState, strict_count: int, divisor: str, collect_vj: list | None
-) -> ChartState:
-    """Run one scripted blow-up and keep the chart that retains the
-    exceptional coordinate; the other charts must come out divisorial."""
-    exc = state.coords[0]
-    if exc.role != EXCEPTIONAL:
-        raise ResolutionError("chain chart lost its exceptional coordinate")
-    center = (exc.name,) + tuple(state.coords[j].name for j in range(1, strict_count + 1))
-    charts = blowup_chart(state, center)
-    follow = None
-    orders = set()
-    for chart in charts:
-        newc = chart.coords[chart.born_pivot_index]
-        orders.add(newc.a)
-        if chart.born_pivot == exc.name:
-            follow = chart
-        else:
-            gmin = _principal_exceptional_generator(chart)
-            if collect_vj is not None:
-                collect_vj.append(
-                    VjCheck(
-                        divisor=divisor,
-                        pivot=chart.born_pivot,
-                        ideal=chart.render_ideal(),
-                        generator=chart.render_monomial(gmin),
-                    )
-                )
-    if follow is None:
-        raise ResolutionError("no chart kept the exceptional coordinate")
-    if len(orders) != 1:
-        raise ResolutionError(f"chart-dependent divisor multiplicity: {sorted(orders)}")
-    return follow
+def _climb(state: ChartState, grouped: GroupedDegrees, top: int, vj_checks: list | None = None):
+    """Run the scripted blow-ups of levels 1..top and yield (center, chart)
+    after each, following the chart that keeps the exceptional coordinate.
+
+    A blow-up of level l is centred on the exceptional coordinate and the
+    strict transforms of the levels below l; there are e_l - e_{l-1} of
+    them.  Every other chart must come out divisorial (principal with an
+    exceptional-supported generator); with ``vj_checks`` given, each is
+    recorded there under the name of the divisor just made, E2 onwards.
+    """
+    e, cum = grouped.values, grouped.cumulative
+    divisor = 1
+    for level in range(1, top + 1):
+        for _ in range(e[level] - e[level - 1]):
+            exc = state.coords[0]
+            if exc.role != EXCEPTIONAL:
+                raise ResolutionError("chain chart lost its exceptional coordinate")
+            center = tuple(c.name for c in state.coords[: cum[level - 1] + 1])
+            divisor += 1
+            follow = None
+            orders = set()
+            for chart in blowup_chart(state, center):
+                orders.add(chart.coords[chart.born_pivot_index].a)
+                if chart.born_pivot == exc.name:
+                    follow = chart
+                else:
+                    gmin = _principal_exceptional_generator(chart)
+                    if vj_checks is not None:
+                        vj_checks.append(
+                            VjCheck(
+                                divisor=f"E{divisor}",
+                                pivot=chart.born_pivot,
+                                ideal=chart.render_ideal(),
+                                generator=chart.render_monomial(gmin),
+                            )
+                        )
+            if follow is None:
+                raise ResolutionError("no chart kept the exceptional coordinate")
+            if len(orders) != 1:
+                raise ResolutionError(f"chart-dependent divisor multiplicity: {sorted(orders)}")
+            state = follow
+            yield center, state
 
 
 def _run_case3(profile: DegreeProfile, grouped: GroupedDegrees, level: int) -> Case3Report:
-    e = grouped.values
-    cum = grouped.cumulative
-    state = _case3_start(profile, grouped, level)
+    """Side chain at ``level``: only the strict transforms of degree level
+    <= ``level`` pass through its start chart, and the next group
+    contributes a pure power of the exceptional coordinate."""
+    expected = grouped.values[level]
+    state = _start_chart(profile, grouped.cumulative[level - 1], expected)
     steps = [state.render_ideal()]
-    for stage in range(1, level + 1):
-        for _ in range(e[stage] - e[stage - 1]):
-            state = _follow_exceptional(state, cum[stage - 1], divisor="", collect_vj=None)
-            steps.append(state.render_ideal())
+    for _, state in _climb(state, grouped, level):
+        steps.append(state.render_ideal())
     gmin = _principal_exceptional_generator(state)
-    expected = e[level]
     if gmin[0] != expected or any(gmin[1:]):
         raise ResolutionError(
             f"side chain at level {level} ended in {state.render_monomial(gmin)}, "
@@ -514,45 +475,18 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     n = profile.n
     grouped = GroupedDegrees.from_degrees(profile.degrees)
     e = grouped.values
-    cum = grouped.cumulative
     k = len(e)
     mode = LOG_RESOLUTION if profile.r == n else STRONG_FACTORIZING
 
-    state = _start_chart(profile)
+    state = _start_chart(profile, profile.r)
     rows = [LedgerRow("E1", profile.degrees[0], n - 1)]
-    trace = [
-        TraceStep(
-            center="origin",
-            pivot=None,
-            divisor="E1",
-            a=profile.degrees[0],
-            k=n - 1,
-            ideal=state.render_ideal(),
-        )
-    ]
+    trace = [TraceStep("origin", None, "E1", profile.degrees[0], n - 1, state.render_ideal())]
     vj_checks: list[VjCheck] = []
-
-    for stage in range(1, k):
-        strict_count = cum[stage - 1]
-        for _ in range(e[stage] - e[stage - 1]):
-            divisor = f"E{len(rows) + 1}"
-            exc_name = state.coords[0].name
-            center = (exc_name,) + tuple(
-                state.coords[j].name for j in range(1, strict_count + 1)
-            )
-            state = _follow_exceptional(state, strict_count, divisor, vj_checks)
-            newc = state.coords[0]
-            rows.append(LedgerRow(divisor, newc.a, newc.k))
-            trace.append(
-                TraceStep(
-                    center=center,
-                    pivot=exc_name,
-                    divisor=divisor,
-                    a=newc.a,
-                    k=newc.k,
-                    ideal=state.render_ideal(),
-                )
-            )
+    for center, state in _climb(state, grouped, k - 1, vj_checks):
+        exc = state.coords[0]
+        row = LedgerRow(f"E{len(rows) + 1}", exc.a, exc.k)
+        rows.append(row)
+        trace.append(TraceStep(center, center[0], row.divisor, row.a, row.k, state.render_ideal()))
 
     expected_a = list(range(e[0], e[-1] + 1))
     if [row.a for row in rows] != expected_a:
@@ -635,39 +569,25 @@ def verify_valuation_inequality(
             f"requested branch {branch!r} but the degree sum {profile.degree_sum} "
             f"vs n = {n} puts this profile in the {actual!r} branch"
         )
-    table = exponent_candidates(n, d)
+    table = profile.table
     exponent = table.minimum if actual == LCT_BRANCH else table.values[-1]
     num, den = exponent.numerator, exponent.denominator
 
+    pinned = () if actual == LCT_BRANCH else (0,)  # the complementary branch fixes b_r = 0
     checked = 0
     counterexample = None
-    if actual == LCT_BRANCH:
-        for b0 in range(1, bound + 1):
-            base = n * b0
-            scaled = [b0 * dj for dj in d]
-            for bs in itertools.product(range(bound + 1), repeat=r):
-                checked += 1
-                order = min(s + b for s, b in zip(scaled, bs))
-                if den * (base + sum(bs)) < num * order:
-                    counterexample = (b0,) + bs
-                    break
-            if counterexample:
+    for b0 in range(1, bound + 1):
+        base = n * b0
+        scaled = [b0 * dj for dj in d]
+        for free in itertools.product(range(bound + 1), repeat=r - len(pinned)):
+            bs = free + pinned
+            checked += 1
+            order = min(s + b for s, b in zip(scaled, bs))
+            if den * (base + sum(bs)) < num * order:
+                counterexample = (b0,) + bs
                 break
-    else:
-        for b0 in range(1, bound + 1):
-            base = n * b0
-            scaled = [b0 * dj for dj in d[:-1]]
-            cap = b0 * d[-1]
-            for bs in itertools.product(range(bound + 1), repeat=r - 1):
-                checked += 1
-                order = min(
-                    min((s + b for s, b in zip(scaled, bs)), default=cap), cap
-                )
-                if den * (base + sum(bs)) < num * order:
-                    counterexample = (b0,) + bs + (0,)
-                    break
-            if counterexample:
-                break
+        if counterexample:
+            break
     return ValuationScanReport(
         profile=profile,
         branch=actual,
@@ -733,7 +653,7 @@ def descent_chain(profile: DegreeProfile, u: Sequence) -> DescentChainReport:
         )
         chain_values.append(Fraction(numer, 1) / (d[j0] + u[j0]))
 
-    alphas = exponent_candidates(n, d).values
+    alphas = profile.table.values
     links = []
     for q in range(len(chain) - 1):
         bound = min(alphas[chain[q] - 1], chain_values[q + 1])
@@ -749,3 +669,21 @@ def descent_chain(profile: DegreeProfile, u: Sequence) -> DescentChainReport:
         terminal_ok=terminal_ok,
         passed=passed,
     )
+
+
+def descent_chain_grid(
+    profile: DegreeProfile, step: Fraction, maximum: Fraction
+) -> tuple[int, DescentChainReport | None]:
+    """Run :func:`descent_chain` at every u in {0, step, 2*step, ...}^r up to
+    ``maximum``, in lexicographic order.  Returns the number of points
+    checked and the first failing report (None when every chain passes)."""
+    if step <= 0 or maximum < 0:
+        raise ValueError("chain grid parameters must be positive")
+    axis = [i * step for i in range(int(maximum / step) + 1)]
+    points = 0
+    for u in itertools.product(axis, repeat=profile.r):
+        points += 1
+        report = descent_chain(profile, u)
+        if not report.passed:
+            return points, report
+    return points, None

@@ -25,7 +25,7 @@ from minexp.exponent import (
 )
 from minexp.newton import MonomialSupport, diagonal_entry, weighted_order_bound
 from minexp.poly import parse_poly
-from minexp.resolution import descent_chain, simulate_resolution, verify_valuation_inequality
+from minexp.resolution import descent_chain_grid, simulate_resolution, verify_valuation_inequality
 
 F = Fraction
 
@@ -162,17 +162,13 @@ def test_c05_valuation_inequality_scan():
 
 
 def test_c06_descent_chain_grid():
-    axis = [F(i, 2) for i in range(9)]  # 0, 1/2, ..., 4
     failures = []
     points = 0
     for profile in _profiles(8, 3, range(2, 7)):
-        for u in itertools.product(axis, repeat=profile.r):
-            points += 1
-            report = descent_chain(profile, u)
-            if not report.passed:
-                failures.append((profile, u))
-                break
-        if failures:
+        checked, failure = descent_chain_grid(profile, F(1, 2), F(4))  # 0, 1/2, ..., 4
+        points += checked
+        if failure is not None:
+            failures.append((profile, failure.u))
             break
     _verdict(
         "C6",

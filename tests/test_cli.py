@@ -131,12 +131,16 @@ def test_newton_rejects_bad_support(capsys, support):
     assert "bad support" in report["error"]
 
 
-@pytest.mark.parametrize("name", ["golden_newton_reports.json", "golden_cli_reports.json"])
+@pytest.mark.parametrize(
+    "name", ["golden_newton_reports.json", "golden_cli_reports.json", "golden_resolve_reports.json"]
+)
 def test_reports_match_golden_bytes(capsys, tmp_path, name):
     # Output and exit codes recorded from earlier versions: the newton file
     # before the simplex became fraction-free (--json stdout only), the cli
     # file before flags and manifests shared one request path (text and
-    # --json, stdout and stderr).  "MANIFEST" in argv stands for the case's
+    # --json, stdout and stderr), the resolve file before the main and side
+    # chains shared one chart builder and one blow-up loop (text and --json,
+    # stdout and stderr).  "MANIFEST" in argv stands for the case's
     # manifest, written to a file.
     golden = json.loads((Path(__file__).parent / "data" / name).read_text())
     manifest = tmp_path / "manifest.json"
@@ -188,6 +192,14 @@ def test_verify_env_bad_bound(capsys, monkeypatch):
     assert "MINEXP_SCAN_BOUNDS bound 'x'" in report["error"]
 
 
+@pytest.mark.parametrize("bounds", ["chain_step=0", "chain_max=-1"])
+def test_verify_env_bad_chain_grid(capsys, monkeypatch, bounds):
+    monkeypatch.setenv("MINEXP_SCAN_BOUNDS", bounds)
+    code, report = run_json(capsys, "verify", "--n", "6", "--degrees", "2,3")
+    assert code == EXIT_INPUT
+    assert report["error"] == "chain grid parameters must be positive"
+
+
 @pytest.mark.parametrize(
     "argv, request_",
     [
@@ -224,6 +236,17 @@ def test_probe_exit_codes(capsys):
     code, report = run_json(capsys, "probe", "--poly", "x1^2", "--vars", "x1,x2", "--field", "3")
     assert code == EXIT_FAIL and report["results"]["verdict"] == "FAIL"
     assert report["results"]["witness"]["genuine"] is True
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [("2305843009213693951", "up to 13"), ("9", "is not prime"), ("1", "is not prime")],
+)
+def test_probe_field_size_errors(capsys, field, message):
+    # 2^61 - 1 is prime: the size check must answer before any primality test
+    code, report = run_json(capsys, "probe", "--poly", "x1^2", "--vars", "x1,x2", "--field", field)
+    assert code == EXIT_INPUT
+    assert message in report["error"]
 
 
 def test_bad_flags_exit_input(capsys):

@@ -28,6 +28,9 @@ def test_candidates_basic():
     assert table.values == (F(3), F(7, 3))
     assert table.pivot == 2
     assert table.minimum == F(7, 3)
+    profile = DegreeProfile(6, (2, 3))
+    assert profile.table == table
+    assert profile.table is profile.table  # built once per profile
 
 
 def test_candidates_tie_reports_late_pivot():

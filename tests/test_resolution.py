@@ -23,6 +23,7 @@ from minexp.resolution import (
     GroupedDegrees,
     blowup_chart,
     descent_chain,
+    descent_chain_grid,
     ledger_lower_bound,
     simulate_resolution,
     verify_valuation_inequality,
@@ -38,6 +39,15 @@ def test_grouped_degrees():
     assert grouped.values == (2, 3, 5)
     assert grouped.cumulative == (2, 3, 6)
     assert grouped.degrees() == (2, 2, 3, 5, 5, 5)
+
+
+@pytest.mark.parametrize(
+    "levels", [((2.5, 1),), ((2, 1.0),), ((True, 1),), ((2, True),), (("2", 1),)]
+)
+def test_grouped_degrees_rejects_non_int(levels):
+    # nothing is truncated: (2.5, 1) used to become (2, 1)
+    with pytest.raises(ValueError):
+        GroupedDegrees(levels)
 
 
 def _two_gen_state():
@@ -141,6 +151,7 @@ def test_simulate_witness_shape():
     assert all("^" not in res and "*" not in res for res in witness.residual)
     # terminal chart: every generator is (common) * (one strict coordinate)
     term = rep.terminal
+    assert [c.role for c in term.coords] == [EXCEPTIONAL] + [STRICT] * 3  # r + 1, no plain
     common = tuple(min(g[i] for g in term.ideal) for i in range(len(term.coords)))
     for g in term.ideal:
         res = [e - c for e, c in zip(g, common)]
@@ -252,6 +263,7 @@ def test_descent_chain_grid():
     grid = [F(x) for x in range(4)]
     for u in itertools.product(grid, repeat=3):
         assert descent_chain(profile, u).passed
+    assert descent_chain_grid(profile, F(1), F(3)) == (4**3, None)
 
 
 def test_descent_chain_validation():
@@ -259,3 +271,5 @@ def test_descent_chain_validation():
         descent_chain(DegreeProfile(4, (2, 3)), (0,))
     with pytest.raises(ValueError):
         descent_chain(DegreeProfile(4, (2, 3)), (0, -1))
+    with pytest.raises(ValueError):
+        descent_chain_grid(DegreeProfile(4, (2, 3)), F(0), F(1))
