@@ -508,30 +508,10 @@ def _eval_mod(terms: list[tuple[int, tuple[int, ...]]], point: tuple[int, ...], 
     return total
 
 
-def _rank_mod(rows: list[list[int]], q: int) -> int:
-    mat = [row[:] for row in rows]
-    rank = 0
-    ncols = len(mat[0]) if mat else 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(rank, len(mat)):
-            if mat[r][col] % q:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = pow(mat[rank][col], -1, q)
-        mat[rank] = [x * inv % q for x in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][col] % q:
-                factor = mat[r][col]
-                mat[r] = [(x - factor * y) % q for x, y in zip(mat[r], mat[rank])]
-        rank += 1
-    return rank
-
-
-def _rank_rational(rows: list[list[Fraction]]) -> int:
+def _rank(rows: list[list], inverse, reduce) -> int:
+    """Gauss-Jordan rank of ``rows`` over a field: ``inverse`` inverts a
+    nonzero entry, and ``reduce`` brings a product or difference of entries
+    back to normal form (``x % q`` over F_q, the identity over Q)."""
     mat = [row[:] for row in rows]
     rank = 0
     ncols = len(mat[0]) if mat else 0
@@ -544,28 +524,48 @@ def _rank_rational(rows: list[list[Fraction]]) -> int:
         if pivot is None:
             continue
         mat[rank], mat[pivot] = mat[pivot], mat[rank]
-        inv = mat[rank][col]
-        mat[rank] = [x / inv for x in mat[rank]]
+        inv = inverse(mat[rank][col])
+        mat[rank] = [reduce(x * inv) for x in mat[rank]]
         for r in range(len(mat)):
             if r != rank and mat[r][col] != 0:
                 factor = mat[r][col]
-                mat[r] = [x - factor * y for x, y in zip(mat[r], mat[rank])]
+                mat[r] = [reduce(x - factor * y) for x, y in zip(mat[r], mat[rank])]
         rank += 1
     return rank
+
+
+def _line_representatives(q: int, n: int):
+    """The lex-smallest point of each line through the origin of F_q^n (the
+    one whose first nonzero coordinate is 1), in lexicographic order."""
+    for k in range(n - 1, -1, -1):
+        head = (0,) * k + (1,)
+        for tail in itertools.product(range(q), repeat=n - k - 1):
+            yield head + tail
 
 
 def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = 100_000) -> ProbeReport:
     """Heuristic finite-field screen for smooth + simple-normal-crossing inputs.
 
-    Scans every nonzero point of F_q^n.  At a point where some of the inputs
-    vanish, the gradient rows of exactly those inputs must be linearly
-    independent mod q.  A PASS is evidence only.  A FAIL comes with a
-    witness point; the witness is additionally re-checked over the rationals
-    at its centered integer lift, and flagged ``genuine`` when the failure
-    survives exactly (a real counterexample, not a mod-q artifact).
+    At a nonzero point of F_q^n where some of the inputs vanish, the
+    gradient rows of exactly those inputs must be linearly independent mod q.
+    The inputs are homogeneous, so which of them vanish and the rank of their
+    gradient rows are the same at every point of a line through the origin:
+    the scan visits one point per line, the one whose first nonzero
+    coordinate is 1, in lexicographic order.  The first failing one is the
+    first failing point of F_q^n in lexicographic order.
+
+    ``points_checked`` counts the points of F_q^n the scan decided: all
+    q^n - 1 nonzero points on a PASS, and on a FAIL the nonzero points up to
+    and including the witness (the witness read as a base-q number).
+
+    A PASS is evidence only.  A FAIL comes with a witness point; the witness
+    is additionally re-checked over the rationals at its centered integer
+    lift, and flagged ``genuine`` when the failure survives exactly (a real
+    counterexample, not a mod-q artifact).
 
     Desk-scale limits are enforced: at most 5 variables, prime field size at
-    most 13, and at most ``limit`` points (otherwise INCONCLUSIVE).
+    most 13, and at most ``limit`` nonzero points of F_q^n, counted as points,
+    not lines (otherwise INCONCLUSIVE).
     """
     if not fs:
         raise ValueError("need at least one polynomial")
@@ -612,11 +612,7 @@ def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = 100_0
             grad.append(gm)
         grads_mod.append(grad)
 
-    checked = 0
-    for point in itertools.product(range(q), repeat=n):
-        if not any(point):
-            continue
-        checked += 1
+    for point in _line_representatives(q, n):
         vanishing = [i for i, tm in enumerate(polys_mod) if _eval_mod(tm, point, q) == 0]
         if not vanishing:
             continue
@@ -624,7 +620,7 @@ def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = 100_0
             [_eval_mod(gm, point, q) for gm in grads_mod[i]]
             for i in vanishing
         ]
-        if _rank_mod(rows, q) == len(vanishing):
+        if _rank(rows, lambda x: pow(x, -1, q), lambda x: x % q) == len(vanishing):
             continue
         # modular failure; re-check exactly at the centered lift
         lift = tuple(x if x <= q // 2 else x - q for x in point)
@@ -636,7 +632,7 @@ def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = 100_0
                 [f.derivative(name).evaluate(lift) for name in xs]
                 for i, f in enumerate(fs) if i in vanishing_q
             ]
-            if _rank_rational(rat_rows) < len(vanishing_q):
+            if _rank(rat_rows, lambda x: 1 / x, lambda x: x) < len(vanishing_q):
                 genuine = True
                 note += "; failure persists exactly at the integer lift"
             else:
@@ -650,5 +646,8 @@ def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = 100_0
             genuine=genuine,
             note=note,
         )
+        checked = 0  # the witness as a base-q number: its place in the affine scan
+        for x in point:
+            checked = checked * q + x
         return ProbeReport("FAIL", q, checked, witness=witness)
-    return ProbeReport("PASS", q, checked)
+    return ProbeReport("PASS", q, total)

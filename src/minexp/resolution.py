@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from minexp.exponent import DegreeProfile, _is_int
@@ -621,53 +622,56 @@ def descent_chain(profile: DegreeProfile, u: Sequence) -> DescentChainReport:
 
     and each value must dominate min(candidate_k, next chain value), with the
     final value dominating min(candidate_r, r).
+
+    The arithmetic is in integers: every u_j is put over the common
+    denominator of the entries, each chain value is kept as an integer
+    numerator and denominator, and every comparison is a cross-multiplication.
+    Only the returned ``chain_values`` are ``Fraction`` objects.
     """
     n = profile.n
     d = profile.degrees
     r = profile.r
-    u = tuple(Fraction(x) for x in u)
+    # entries that are already Fractions (every grid point's are) are not copied
+    u = tuple(x if type(x) is Fraction else Fraction(x) for x in u)
     if len(u) != r:
         raise ValueError(f"expected {r} entries, got {len(u)}")
-    if any(x < 0 for x in u):
+    if any(x.numerator < 0 for x in u):
         raise ValueError("entries must be nonnegative")
 
-    vals = [d[j] + u[j] for j in range(r)]
-    chain = []
-    start = 0
-    while True:
-        tail_min = min(vals[start:])
-        pick = max(j for j in range(start, r) if vals[j] == tail_min)
-        chain.append(pick + 1)
-        if pick == r - 1:
-            break
-        start = pick + 1
+    # Over the common denominator D of the u_j, M_j = D*(d_j + u_j) is an
+    # integer.  The chain is the indices k whose M_k lies below that of every
+    # later index (the repeated "largest index attaining the tail minimum"),
+    # and its value at k is N_k / M_k with the integer
+    # N_k = k*M_k + D*(n - d_1 - ... - d_r) + M_(k+1) + ... + M_r.
+    den = lcm(*(x.denominator for x in u))
+    m = [dj * den + x.numerator * (den // x.denominator) for dj, x in zip(d, u)]
+    base = den * (n - profile.degree_sum)
+    chain, pairs = [], []
+    tail = 0  # M_(k+1) + ... + M_r
+    for j in range(r - 1, -1, -1):
+        if not pairs or m[j] < pairs[-1][1]:
+            chain.append(j + 1)
+            pairs.append(((j + 1) * m[j] + base + tail, m[j]))
+        tail += m[j]
+    chain.reverse()
+    pairs.reverse()
 
-    chain_values = []
-    for idx in chain:
-        j0 = idx - 1
-        numer = (
-            n
-            + idx * u[j0]
-            + sum(d[j0] - d[j] for j in range(j0 + 1))
-            + sum(u[j] for j in range(j0 + 1, r))
-        )
-        chain_values.append(Fraction(numer, 1) / (d[j0] + u[j0]))
-
+    # v >= min(x, y) exactly when v >= x or v >= y.  The last chain value is
+    # held to min(candidate_r, r), so r stands in for the value after it.
     alphas = profile.table.values
-    links = []
-    for q in range(len(chain) - 1):
-        bound = min(alphas[chain[q] - 1], chain_values[q + 1])
-        links.append(chain_values[q] >= bound)
-    terminal_ok = chain_values[-1] >= min(alphas[-1], Fraction(r))
-    passed = all(links) and terminal_ok
+    checks = [
+        numer * alphas[k - 1].denominator >= alphas[k - 1].numerator * denom
+        or numer * next_denom >= next_numer * denom
+        for k, (numer, denom), (next_numer, next_denom) in zip(chain, pairs, pairs[1:] + [(r, 1)])
+    ]
     return DescentChainReport(
         profile=profile,
         u=u,
         chain=tuple(chain),
-        chain_values=tuple(chain_values),
-        links_ok=tuple(links),
-        terminal_ok=terminal_ok,
-        passed=passed,
+        chain_values=tuple(Fraction(numer, denom) for numer, denom in pairs),
+        links_ok=tuple(checks[:-1]),
+        terminal_ok=checks[-1],
+        passed=all(checks),
     )
 
 

@@ -1,18 +1,26 @@
 """Independent brute-force oracles used by the tests.
 
-These deliberately avoid the library's simplex: the diagonal value is
-recomputed by enumerating candidate vertices of the feasible region
+The diagonal oracle deliberately avoids the library's simplex: the diagonal
+value is recomputed by enumerating candidate vertices of the feasible region
 { (lambda, t) : lambda >= 0, sum(lambda) = 1, (support matrix) lambda <= t }
 directly.  A vertex activates the convexity equality plus a mix of
 lambda = 0 and tight-coordinate constraints totalling one per variable;
 every nonsingular activation pattern is solved exactly and the feasible
 ones are scanned for the least t.
+
+The probe oracle scans every nonzero point of F_q^n, where the library
+scans one point per line through the origin; the descent-chain oracle
+computes in ``Fraction`` arithmetic, where the library computes in
+integers over a common denominator.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+
+from minexp.poly import ProbeReport, ProbeWitness, _eval_mod, _mod_terms, _rank
+from minexp.resolution import DescentChainReport
 
 
 def solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]):
@@ -79,3 +87,112 @@ def diagonal_by_vertex_enumeration(points) -> Fraction:
                     best = t
     assert best is not None, f"no feasible vertex found for {pts}"
     return best
+
+
+def probe_by_affine_scan(fs, field_size: int, limit: int = 100_000) -> ProbeReport:
+    """The transversality probe by a scan of every nonzero point of F_q^n in
+    lexicographic order, for inputs that already passed the library's checks."""
+    xs = fs[0].variables
+    n = len(xs)
+    q = field_size
+    total = q**n - 1
+    if total > limit:
+        return ProbeReport(
+            "INCONCLUSIVE", q, 0,
+            reason=f"point budget exceeded: {total} points > limit {limit}",
+        )
+    polys_mod = []
+    grads_mod = []
+    for f in fs:
+        tm = _mod_terms(f, q)
+        if tm is None:
+            return ProbeReport(
+                "INCONCLUSIVE", q, 0,
+                reason=f"a coefficient denominator is divisible by {q}",
+            )
+        polys_mod.append(tm)
+        grads_mod.append([_mod_terms(f.derivative(name), q) for name in xs])
+
+    checked = 0
+    for point in itertools.product(range(q), repeat=n):
+        if not any(point):
+            continue
+        checked += 1
+        vanishing = [i for i, tm in enumerate(polys_mod) if _eval_mod(tm, point, q) == 0]
+        if not vanishing:
+            continue
+        rows = [[_eval_mod(gm, point, q) for gm in grads_mod[i]] for i in vanishing]
+        if _rank(rows, lambda x: pow(x, -1, q), lambda x: x % q) == len(vanishing):
+            continue
+        lift = tuple(x if x <= q // 2 else x - q for x in point)
+        vanishing_q = [i for i, f in enumerate(fs) if f.evaluate(lift) == 0]
+        genuine = False
+        note = "dependent gradient rows mod {}".format(q)
+        if vanishing_q:
+            rat_rows = [
+                [f.derivative(name).evaluate(lift) for name in xs]
+                for i, f in enumerate(fs) if i in vanishing_q
+            ]
+            if _rank(rat_rows, lambda x: 1 / x, lambda x: x) < len(vanishing_q):
+                genuine = True
+                note += "; failure persists exactly at the integer lift"
+            else:
+                note += "; lift is transverse over the rationals (mod-q artifact)"
+        else:
+            note += "; no input vanishes at the integer lift (mod-q artifact)"
+        witness = ProbeWitness(
+            point=point,
+            vanishing=tuple(i + 1 for i in vanishing),
+            lifted_point=lift,
+            genuine=genuine,
+            note=note,
+        )
+        return ProbeReport("FAIL", q, checked, witness=witness)
+    return ProbeReport("PASS", q, checked)
+
+
+def descent_chain_by_fractions(profile, u) -> DescentChainReport:
+    """The descent chain of :func:`minexp.resolution.descent_chain` in plain
+    ``Fraction`` arithmetic, for input that already passed its checks."""
+    n = profile.n
+    d = profile.degrees
+    r = profile.r
+    u = tuple(Fraction(x) for x in u)
+
+    vals = [d[j] + u[j] for j in range(r)]
+    chain = []
+    start = 0
+    while True:
+        tail_min = min(vals[start:])
+        pick = max(j for j in range(start, r) if vals[j] == tail_min)
+        chain.append(pick + 1)
+        if pick == r - 1:
+            break
+        start = pick + 1
+
+    chain_values = []
+    for idx in chain:
+        j0 = idx - 1
+        numer = (
+            n
+            + idx * u[j0]
+            + sum(d[j0] - d[j] for j in range(j0 + 1))
+            + sum(u[j] for j in range(j0 + 1, r))
+        )
+        chain_values.append(Fraction(numer, 1) / (d[j0] + u[j0]))
+
+    alphas = profile.table.values
+    links = []
+    for q in range(len(chain) - 1):
+        bound = min(alphas[chain[q] - 1], chain_values[q + 1])
+        links.append(chain_values[q] >= bound)
+    terminal_ok = chain_values[-1] >= min(alphas[-1], Fraction(r))
+    return DescentChainReport(
+        profile=profile,
+        u=u,
+        chain=tuple(chain),
+        chain_values=tuple(chain_values),
+        links_ok=tuple(links),
+        terminal_ok=terminal_ok,
+        passed=all(links) and terminal_ok,
+    )

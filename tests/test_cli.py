@@ -132,7 +132,13 @@ def test_newton_rejects_bad_support(capsys, support):
 
 
 @pytest.mark.parametrize(
-    "name", ["golden_newton_reports.json", "golden_cli_reports.json", "golden_resolve_reports.json"]
+    "name",
+    [
+        "golden_newton_reports.json",
+        "golden_cli_reports.json",
+        "golden_resolve_reports.json",
+        "golden_scan_reports.json",
+    ],
 )
 def test_reports_match_golden_bytes(capsys, tmp_path, name):
     # Output and exit codes recorded from earlier versions: the newton file
@@ -140,6 +146,8 @@ def test_reports_match_golden_bytes(capsys, tmp_path, name):
     # file before flags and manifests shared one request path (text and
     # --json, stdout and stderr), the resolve file before the main and side
     # chains shared one chart builder and one blow-up loop (text and --json,
+    # stdout and stderr), the scan file before the probe scanned one point
+    # per line and the descent chain computed in integers (text and --json,
     # stdout and stderr).  "MANIFEST" in argv stands for the case's
     # manifest, written to a file.
     golden = json.loads((Path(__file__).parent / "data" / name).read_text())

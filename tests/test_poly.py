@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from _oracles import probe_by_affine_scan
 from minexp.poly import (
     Poly,
     PolyParseError,
@@ -277,3 +278,39 @@ def test_probe_denominator_clash_inconclusive():
     f = parse_poly("1/3*x1^2", ["x1", "x2"])
     report = probe_transversality([f], 3)
     assert report.verdict == "INCONCLUSIVE"
+
+
+def _random_form(rng, names, q):
+    """A homogeneous form of degree 1..q+1 (so q | d occurs) with 1-4 terms;
+    now and then a coefficient denominator is divisible by q."""
+    degree = rng.randint(1, q + 1)
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = [0] * len(names)
+        for _ in range(degree):
+            exps[rng.randrange(len(names))] += 1
+        den = q if rng.random() < 0.02 else rng.choice([d for d in (1, 1, 1, 2, 3, 4) if d % q])
+        terms[tuple(exps)] = F(rng.choice([c for c in range(-q, q + 1) if c]), den)
+    return Poly(names, terms)
+
+
+def test_probe_matches_affine_scan_oracle():
+    rng = random.Random(5)
+    shapes = [(q, n) for q in (2, 3, 5, 7, 11, 13) for n in range(1, 5) if q**n <= 30_000]
+    seen = {"PASS": 0, "INCONCLUSIVE": 0, "FAIL": 0, "several forms": 0, "leading zero": 0, "late": 0}
+    for _ in range(250):
+        q, n = rng.choice(shapes)
+        names = [f"x{i}" for i in range(1, n + 1)]
+        fs = [_random_form(rng, names, q) for _ in range(rng.randint(1, 3))]
+        if any(f.is_zero() for f in fs):
+            continue
+        limit = q**n - 2 if rng.random() < 0.1 else 100_000
+        report = probe_transversality(fs, q, limit)
+        assert report == probe_by_affine_scan(fs, q, limit), (fs, q, limit)
+        seen[report.verdict] += 1
+        if report.verdict == "FAIL":
+            witness = report.witness
+            seen["several forms"] += len(witness.vanishing) > 1
+            seen["leading zero"] += witness.point[0] == 0
+            seen["late"] += witness.point[0] != 0 and n > 1
+    assert all(seen.values()), seen

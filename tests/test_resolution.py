@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from _oracles import descent_chain_by_fractions
 from minexp.exponent import DegreeProfile, minimal_exponent_cone
 from minexp.resolution import (
     EXCEPTIONAL,
@@ -264,6 +265,24 @@ def test_descent_chain_grid():
     for u in itertools.product(grid, repeat=3):
         assert descent_chain(profile, u).passed
     assert descent_chain_grid(profile, F(1), F(3)) == (4**3, None)
+
+
+def test_descent_chain_matches_fraction_oracle():
+    rng = random.Random(11)
+    profiles = [
+        DegreeProfile(n, tuple(sorted(rng.randint(2, 7) for _ in range(r))))
+        for n, r in [(3, 1), (4, 2), (6, 2), (9, 2), (5, 3), (8, 3), (12, 3), (7, 4), (10, 4)]
+    ]
+    # mixed denominators, and entries given as int and str as well as Fraction
+    entries = [F(0), F(1, 3), F(2, 5), F(7, 6), F(1), F(5, 2), 3, "11/4", F(13, 9)]
+    for profile in profiles:
+        for _ in range(60):
+            u = tuple(rng.choice(entries) for _ in range(profile.r))
+            assert descent_chain(profile, u) == descent_chain_by_fractions(profile, u), (profile, u)
+        if profile.r <= 3:
+            half = [F(i, 2) for i in range(9)]
+            for u in itertools.product(half, repeat=profile.r):
+                assert descent_chain(profile, u) == descent_chain_by_fractions(profile, u), (profile, u)
 
 
 def test_descent_chain_validation():
