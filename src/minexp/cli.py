@@ -12,7 +12,7 @@ import json
 import os
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 from minexp import exponent as ex
@@ -318,29 +318,16 @@ def run_weighted(
 ) -> tuple[dict, int]:
     if (orders is None) == (polynomials is None):
         raise InputError("provide exactly one of: orders, polynomials")
-    if any(w <= 0 for w in weights):
-        raise InputError("weights must be positive")
     results: dict = {"weights": [_rat_json(w) for w in weights]}
     if polynomials is not None:
         names = variables or [f"x{i}" for i in range(1, len(weights) + 1)]
         if len(names) != len(weights):
             raise InputError(f"{len(weights)} weights but {len(names)} variables")
-        parsed = []
-        for text in polynomials:
-            f = _parse_poly(text, names)
-            if f.is_zero():
-                raise InputError(f"polynomial {text!r} is zero")
-            if any(sum(u) < 2 for u in f.terms):
-                raise InputError(
-                    f"polynomial {text!r} has a term of total degree <= 1; "
-                    "the bound needs a singular point at the origin"
-                )
-            parsed.append(f)
-        orders = sorted(pl.weighted_order(f, weights) for f in parsed)
+        parsed = [_parse_poly(text, names) for text in polynomials]
+        profile = _guard(pl.weighted_profile, parsed, weights)
         results["polynomials"] = [str(f) for f in parsed]
     else:
-        orders = sorted(orders)
-    profile = _guard(ex.WeightedProfile, tuple(weights), tuple(orders))
+        profile = _guard(ex.WeightedProfile, tuple(weights), tuple(sorted(orders)))
     bound = ex.weighted_upper_bound(profile)
     results["orders"] = [_rat_json(d) for d in profile.orders]
     results["upper_bound"] = _rat_json(bound)
@@ -360,10 +347,7 @@ def run_newton(
     if polynomial is not None:
         if not variables:
             raise InputError("a polynomial input needs its variable list")
-        f = _parse_poly(polynomial, variables)
-        if f.is_zero():
-            raise InputError("the zero polynomial has empty support")
-        ms = nt.MonomialSupport.from_poly(f)
+        ms = _guard(nt.MonomialSupport.from_poly, _parse_poly(polynomial, variables))
     else:
         if not isinstance(support, list) or not all(isinstance(p, list) for p in support):
             raise InputError(f"bad support: expected a list of integer lists, got {support!r}")
@@ -413,22 +397,15 @@ def run_resolve(n: int, degrees: list[int]) -> tuple[dict, int]:
     return _report("resolve", results, warnings, provenance), EXIT_OK if match else EXIT_FAIL
 
 
-def run_verify(
-    n: int,
-    degrees: list[int],
-    bound: int | None = None,
-    chain_max: Fraction | None = None,
-    chain_step: Fraction | None = None,
-) -> tuple[dict, int]:
+def run_verify(n: int, degrees: list[int], bound: int | None = None) -> tuple[dict, int]:
     profile = _guard(ex.DegreeProfile, n, tuple(degrees))
     env = _scan_bounds_env()
     bound = bound if bound is not None else env.get("bound", 8)
-    chain_max = chain_max if chain_max is not None else env.get("chain_max", Fraction(4))
-    chain_step = chain_step if chain_step is not None else env.get("chain_step", Fraction(1, 2))
-    if bound < 1:
-        raise InputError("bound must be at least 1")
+    chain_max = env.get("chain_max", Fraction(4))
+    chain_step = env.get("chain_step", Fraction(1, 2))
+    # the scan rejects a bad bound before it does any work
+    scan = _guard(rs.verify_valuation_inequality, profile, bound)
     chain_points, failure = _guard(rs.descent_chain_grid, profile, chain_step, chain_max)
-    scan = rs.verify_valuation_inequality(profile, bound)
     chain_failure = None if failure is None else {
         "u": [_rat_json(x) for x in failure.u],
         "chain": list(failure.chain),
@@ -464,8 +441,6 @@ def run_verify(
 def run_probe(
     polynomials: list[str], variables: list[str], field: int, limit: int = 100_000
 ) -> tuple[dict, int]:
-    if not polynomials:
-        raise InputError("need at least one polynomial")
     if not variables:
         raise InputError("need the variable list")
     fs = [_parse_poly(text, variables) for text in polynomials]
@@ -673,7 +648,10 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every command, built on first use and then
+    shared by every call of :func:`main` in the process."""
     parser = _Parser(prog="minexp", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (help_text, keys) in _TABLE.items():

@@ -82,6 +82,37 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _as_fraction(x) -> Fraction:
+    """The exact rational value of x; a float is rejected, never rounded.
+    A Fraction is returned as it is, not copied."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"floating-point value {x!r} is not accepted; use an int, a Fraction or a string")
+    return Fraction(x)
+
+
+def _check_degrees(n, degrees: tuple, least: int) -> None:
+    """The checks on an ambient dimension and a degree list that
+    :class:`DegreeProfile` (``least`` 2) and :func:`normalize_degree_one`
+    (``least`` 1) share."""
+    if not all(_is_int(d) for d in degrees):
+        raise ValueError(f"degrees must be integers, got {degrees}")
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"ambient dimension must be a positive integer, got {n}")
+    if not degrees:
+        raise ValueError("degree list must be nonempty")
+    if any(d < least for d in degrees):
+        raise ValueError(
+            f"degrees must be positive, got {degrees}" if least == 1 else
+            f"degrees must all be >= 2 (reduce linear equations first), got {degrees}"
+        )
+    if list(degrees) != sorted(degrees):
+        raise ValueError(f"degrees must be sorted ascending, got {degrees}")
+    if len(degrees) > n:
+        raise ValueError(f"codimension {len(degrees)} exceeds ambient dimension {n}")
+
+
 @dataclass(frozen=True)
 class DegreeProfile:
     """Ambient dimension plus the sorted degree list of the defining equations.
@@ -96,22 +127,7 @@ class DegreeProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "degrees", tuple(self.degrees))
-        if not all(_is_int(d) for d in self.degrees):
-            raise ValueError(f"degrees must be integers, got {self.degrees}")
-        if not _is_int(self.n) or self.n < 1:
-            raise ValueError(f"ambient dimension must be a positive integer, got {self.n}")
-        if not self.degrees:
-            raise ValueError("degree list must be nonempty")
-        if any(d < 2 for d in self.degrees):
-            raise ValueError(
-                f"degrees must all be >= 2 (reduce linear equations first), got {self.degrees}"
-            )
-        if list(self.degrees) != sorted(self.degrees):
-            raise ValueError(f"degrees must be sorted ascending, got {self.degrees}")
-        if len(self.degrees) > self.n:
-            raise ValueError(
-                f"codimension {len(self.degrees)} exceeds ambient dimension {self.n}"
-            )
+        _check_degrees(self.n, self.degrees, 2)
 
     @property
     def r(self) -> int:
@@ -144,10 +160,11 @@ def exponent_candidates(w, degrees: Sequence) -> ExponentTable:
     """Evaluate the candidate sequence for a weight total w over sorted degrees.
 
     Degrees may be rational (they are weighted orders in the weighted
-    setting); they must be positive and sorted ascending.
+    setting); they must be positive and sorted ascending.  w and the degrees
+    are exact: a float is rejected.
     """
-    w = Fraction(w)
-    ds = [Fraction(d) for d in degrees]
+    w = _as_fraction(w)
+    ds = [_as_fraction(d) for d in degrees]
     if not ds:
         raise ValueError("degree list must be nonempty")
     if any(d <= 0 for d in ds):
@@ -210,14 +227,15 @@ def singularity_predicates(profile: DegreeProfile) -> SingularityPredicates:
 @dataclass(frozen=True)
 class WeightedProfile:
     """Positive coordinate weights plus the sorted weighted orders of the
-    defining equations."""
+    defining equations, as exact rationals (a float is rejected).  Build it
+    from polynomials with :func:`minexp.poly.weighted_profile`."""
 
     weights: tuple[Fraction, ...]
     orders: tuple[Fraction, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(Fraction(w) for w in self.weights))
-        object.__setattr__(self, "orders", tuple(Fraction(d) for d in self.orders))
+        object.__setattr__(self, "weights", tuple(map(_as_fraction, self.weights)))
+        object.__setattr__(self, "orders", tuple(map(_as_fraction, self.orders)))
         if not self.weights:
             raise ValueError("weight list must be nonempty")
         if any(w <= 0 for w in self.weights):
@@ -248,18 +266,7 @@ def normalize_degree_one(n: int, degrees: Sequence[int]) -> tuple[DegreeProfile,
     subscheme is smooth and the result is INFINITY.
     """
     degrees = tuple(degrees)
-    if not all(_is_int(d) for d in degrees):
-        raise ValueError(f"degrees must be integers, got {degrees}")
-    if not degrees:
-        raise ValueError("degree list must be nonempty")
-    if any(d < 1 for d in degrees):
-        raise ValueError(f"degrees must be positive, got {degrees}")
-    if list(degrees) != sorted(degrees):
-        raise ValueError(f"degrees must be sorted ascending, got {degrees}")
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"ambient dimension must be a positive integer, got {n}")
-    if len(degrees) > n:
-        raise ValueError(f"codimension {len(degrees)} exceeds ambient dimension {n}")
+    _check_degrees(n, degrees, 1)
     shift = sum(1 for d in degrees if d == 1)
     rest = degrees[shift:]
     if not rest:

@@ -31,10 +31,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
 from minexp.exponent import _is_int
-from minexp.poly import Poly, as_weights, weighted_order
+from minexp.poly import Poly
 
 
 @dataclass(frozen=True)
@@ -271,20 +270,3 @@ def newton_exponent(support: MonomialSupport) -> Fraction:
         raise ValueError("support contains the origin: not in the maximal ideal")
     return 1 / diagonal_entry(support).c
 
-
-def weighted_order_bound(f: Poly, weights: Sequence) -> Fraction:
-    """Upper bound (w_1 + ... + w_n) / wt(f) for the minimal exponent at the
-    origin of the hypersurface f = 0.
-
-    Requires the origin to be a singular point, i.e. every monomial of f has
-    total degree at least 2.
-    """
-    if f.is_zero():
-        raise ValueError("the zero polynomial defines no hypersurface")
-    if any(sum(u) < 2 for u in f.terms):
-        raise ValueError(
-            "f has a term of total degree <= 1: the origin is not a singular point, "
-            "so the bound does not apply"
-        )
-    w = as_weights(weights, len(f.variables))
-    return sum(w) / weighted_order(f, w)

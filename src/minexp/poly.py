@@ -27,6 +27,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
+from minexp.exponent import WeightedProfile, _as_fraction
+
 
 class PolyParseError(ValueError):
     """Raised on malformed polynomial text; carries the 0-based position."""
@@ -34,12 +36,6 @@ class PolyParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at position {position})")
         self.position = position
-
-
-def _as_fraction(x) -> Fraction:
-    if isinstance(x, float):
-        raise TypeError("floating-point coefficients are not accepted; use Fraction")
-    return Fraction(x)
 
 
 class Poly:
@@ -363,6 +359,25 @@ def weighted_order(f: Poly, weights: Sequence) -> Fraction:
     return min(sum(e * wi for e, wi in zip(u, w)) for u in f.terms)
 
 
+def weighted_profile(fs: Sequence[Poly], weights: Sequence) -> WeightedProfile:
+    """The weights and the sorted weighted orders of the inputs ``fs``: the
+    profile whose :func:`minexp.exponent.weighted_upper_bound` bounds the
+    minimal exponent at the origin of ``fs = 0``.
+
+    The bound needs a singular point at the origin, so every input must be
+    nonzero and every monomial must have total degree at least 2.
+    """
+    for i, f in enumerate(fs, 1):
+        if f.is_zero():
+            raise ValueError(f"input {i} is zero and defines no hypersurface")
+        if any(sum(u) < 2 for u in f.terms):
+            raise ValueError(
+                f"input {i} has a term of total degree <= 1: the origin is not a singular "
+                "point, so the bound does not apply"
+            )
+    return WeightedProfile(tuple(weights), tuple(sorted(weighted_order(f, weights) for f in fs)))
+
+
 def is_homogeneous(f: Poly, weights: Sequence) -> tuple[bool, Fraction | None]:
     """Whether every monomial of ``f`` has the same weighted degree.
 
@@ -406,50 +421,6 @@ def cone_hypersurface(fs: Sequence[Poly]) -> Poly:
         block = tuple(block)
         for u, c in f.terms.items():
             key = u + block
-            terms[key] = terms.get(key, Fraction(0)) + c
-    return Poly(variables, terms)
-
-
-def dehomogenized_hypersurface(fs: Sequence[Poly], p: int) -> Poly:
-    """Build f_p + sum_{j != p} f_j * z_j (the cone hypersurface with the
-    p-th cone coordinate scaled to 1).
-
-    ``p`` is 1-based; the remaining auxiliary coordinates keep their index,
-    so the result lives in x_1..x_n, z_1, ..(skipping z_p).., z_r.
-    """
-    if not fs:
-        raise ValueError("need at least one polynomial")
-    r = len(fs)
-    if not 1 <= p <= r:
-        raise ValueError(f"index {p} out of range 1..{r}")
-    xs = fs[0].variables
-    for f in fs[1:]:
-        if f.variables != xs:
-            raise ValueError(f"mismatched variable lists: {xs} vs {f.variables}")
-    zs = tuple(f"z{j}" for j in range(1, r + 1) if j != p)
-    clash = set(xs) & set(zs)
-    if clash:
-        raise ValueError(f"ambient variables collide with chart coordinates: {sorted(clash)}")
-    variables = xs + zs
-    n = len(xs)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for u, c in fs[p - 1].terms.items():
-        key = u + (0,) * len(zs)
-        terms[key] = terms.get(key, Fraction(0)) + c
-    zpos = {}
-    offset = n
-    for j in range(1, r + 1):
-        if j == p:
-            continue
-        zpos[j] = offset
-        offset += 1
-    for j, f in enumerate(fs, 1):
-        if j == p:
-            continue
-        for u, c in f.terms.items():
-            v = list(u) + [0] * len(zs)
-            v[zpos[j]] = 1
-            key = tuple(v)
             terms[key] = terms.get(key, Fraction(0)) + c
     return Poly(variables, terms)
 
@@ -565,7 +536,7 @@ def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = 100_0
 
     Desk-scale limits are enforced: at most 5 variables, prime field size at
     most 13, and at most ``limit`` nonzero points of F_q^n, counted as points,
-    not lines (otherwise INCONCLUSIVE).
+    not lines (otherwise INCONCLUSIVE).  ``limit`` must be at least 1.
     """
     if not fs:
         raise ValueError("need at least one polynomial")
@@ -586,6 +557,8 @@ def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = 100_0
         homogeneous, _ = is_homogeneous(f, [1] * n)
         if not homogeneous:
             raise ValueError(f"input {i} is not homogeneous")
+    if limit < 1:
+        raise ValueError("limit must be at least 1")
 
     q = field_size
     total = q**n - 1

@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from minexp.exponent import DegreeProfile, _is_int
+from minexp.exponent import DegreeProfile, _as_fraction, _is_int
 
 EXCEPTIONAL = "exceptional"
 STRICT = "strict"
@@ -90,9 +90,6 @@ class GroupedDegrees:
     def cumulative(self) -> tuple[int, ...]:
         return tuple(itertools.accumulate(self.counts))
 
-    def degrees(self) -> tuple[int, ...]:
-        return tuple(e for e, p in self.levels for _ in range(p))
-
 
 @dataclass(frozen=True)
 class Coordinate:
@@ -141,12 +138,6 @@ class ChartState:
 
     def names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.coords)
-
-    def index(self, name: str) -> int:
-        for i, c in enumerate(self.coords):
-            if c.name == name:
-                return i
-        raise ValueError(f"no coordinate named {name!r}")
 
     def render_monomial(self, g: Sequence[int]) -> str:
         parts = []
@@ -235,10 +226,6 @@ class DivisorLedger:
         object.__setattr__(self, "rows", tuple(self.rows))
         if not self.rows:
             raise ValueError("ledger must be nonempty")
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]]) -> "DivisorLedger":
-        return cls(tuple(LedgerRow(f"E{i}", a, k) for i, (a, k) in enumerate(pairs, 1)))
 
     @property
     def lower_bound(self) -> Fraction:
@@ -518,13 +505,6 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     )
 
 
-def ledger_lower_bound(ledger: DivisorLedger | ResolutionReport) -> Fraction:
-    """min over the ledger of (k_j + 1) / a_j."""
-    if isinstance(ledger, ResolutionReport):
-        ledger = ledger.ledger
-    return ledger.lower_bound
-
-
 # ---------------------------------------------------------------------------
 # brute-force verification of the valuation inequalities
 
@@ -614,9 +594,10 @@ class DescentChainReport:
 def descent_chain(profile: DegreeProfile, u: Sequence) -> DescentChainReport:
     """Evaluate the telescoping chain that lower-bounds normalized valuations.
 
-    Given nonnegative rationals u_1..u_r, the chain picks the largest index
-    attaining min_j (d_j + u_j), then repeats on the remaining tail until it
-    reaches r.  For a chain index k the chain value is
+    Given nonnegative rationals u_1..u_r (exact: a float is rejected), the
+    chain picks the largest index attaining min_j (d_j + u_j), then repeats
+    on the remaining tail until it reaches r.  For a chain index k the chain
+    value is
 
         (n + k*u_k + sum_{j<=k} (d_k - d_j) + sum_{j>k} u_j) / (d_k + u_k),
 
@@ -631,8 +612,7 @@ def descent_chain(profile: DegreeProfile, u: Sequence) -> DescentChainReport:
     n = profile.n
     d = profile.degrees
     r = profile.r
-    # entries that are already Fractions (every grid point's are) are not copied
-    u = tuple(x if type(x) is Fraction else Fraction(x) for x in u)
+    u = tuple(map(_as_fraction, u))
     if len(u) != r:
         raise ValueError(f"expected {r} entries, got {len(u)}")
     if any(x.numerator < 0 for x in u):

@@ -23,8 +23,8 @@ from minexp.exponent import (
     singularity_predicates,
     weighted_upper_bound,
 )
-from minexp.newton import MonomialSupport, diagonal_entry, weighted_order_bound
-from minexp.poly import parse_poly
+from minexp.newton import MonomialSupport, diagonal_entry
+from minexp.poly import parse_poly, weighted_profile
 from minexp.resolution import descent_chain_grid, simulate_resolution, verify_valuation_inequality
 
 F = Fraction
@@ -203,7 +203,7 @@ def test_c07_newton_oracle():
     cusp_support = MonomialSupport.from_poly(cusp)
     cusp_ok = (
         1 / diagonal_entry(cusp_support).c == F(5, 6)
-        and weighted_order_bound(cusp, [3, 2]) == F(5, 6)
+        and weighted_upper_bound(weighted_profile([cusp], [3, 2])) == F(5, 6)
     )
     test_c07_newton_oracle.results = results  # reused by the certificate audit
     _verdict(

@@ -12,6 +12,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from minexp import cli
 from minexp.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, REPORT_SCHEMA, main
 
 VALIDATOR = jsonschema.Draft202012Validator(REPORT_SCHEMA)
@@ -74,6 +75,14 @@ def test_text_and_json_agree_on_rationals(capsys):
     assert f"{value['num']}/{value['den']}" in text
 
 
+ZERO_POLYNOMIAL_ERROR = "input 1 is zero and defines no hypersurface"
+SMOOTH_POLYNOMIAL_ERROR = (
+    "input 1 has a term of total degree <= 1: the origin is not a singular point, "
+    "so the bound does not apply"
+)
+LIMIT_ERROR = "limit must be at least 1"
+
+
 def test_weighted_orders(capsys):
     code, report = run_json(capsys, "weighted", "--weights", "1,1,1,1", "--orders", "2,3")
     assert code == EXIT_OK
@@ -96,7 +105,10 @@ def test_weighted_trivial(capsys):
 
 def test_weighted_rejects_smooth_poly(capsys):
     code = main(["weighted", "--weights", "1,1", "--poly", "x1 + x2^2"])
-    capsys.readouterr()
+    assert capsys.readouterr().err == f"input error: {SMOOTH_POLYNOMIAL_ERROR}\n"
+    assert code == EXIT_INPUT
+    code = main(["weighted", "--weights", "1,1", "--poly", "x1 - x1"])
+    assert capsys.readouterr().err == f"input error: {ZERO_POLYNOMIAL_ERROR}\n"
     assert code == EXIT_INPUT
 
 
@@ -257,6 +269,26 @@ def test_probe_field_size_errors(capsys, field, message):
     assert message in report["error"]
 
 
+@pytest.mark.parametrize("limit", ["-5", "0"])
+def test_probe_rejects_limit_below_one(capsys, limit):
+    # -5 used to pass as a budget: INCONCLUSIVE, "8 points > limit -5"
+    argv = ["probe", "--poly", "x1^2+x2^2", "--vars", "x1,x2", "--field", "3", "--limit", limit]
+    code, report = run_json(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert report["error"] == LIMIT_ERROR
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    main(["formula", "--n", "6", "--degrees", "2,3"])
+    built = []
+    init = cli._Parser.__init__
+    monkeypatch.setattr(cli._Parser, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k))
+    assert main(["weighted", "--weights", "1,1", "--orders", "2"]) == EXIT_OK
+    assert main(["formula", "--n", "x"]) == EXIT_INPUT
+    capsys.readouterr()
+    assert built == []
+
+
 def test_bad_flags_exit_input(capsys):
     assert main(["formula", "--n", "6"]) == EXIT_INPUT
     capsys.readouterr()
@@ -325,12 +357,21 @@ BAD_REQUESTS = {
     "string_field": {**PROBE, "field": "3"},
     "weighted_string_polynomials": {"command": "weighted", "weights": [1, 1], "polynomials": "x1^2"},
     "unhashable_command": {"command": ["formula"]},
+    "weighted_zero_polynomial": {"command": "weighted", "weights": [1, 1], "polynomials": ["0"]},
+    "weighted_smooth_polynomial": {"command": "weighted", "weights": [1, 1], "polynomials": ["x1 + x2^2"]},
+    "negative_limit": {**PROBE, "limit": -5},
+}
+# the exact error of the bad requests whose text is pinned
+PINNED_ERRORS = {
+    "weighted_zero_polynomial": ZERO_POLYNOMIAL_ERROR,
+    "weighted_smooth_polynomial": SMOOTH_POLYNOMIAL_ERROR,
+    "negative_limit": LIMIT_ERROR,
 }
 
 
-@pytest.mark.parametrize("request_", BAD_REQUESTS.values(), ids=BAD_REQUESTS)
-def test_batch_bad_request_is_reported_not_fatal(tmp_path, capsys, request_):
-    manifest = [{"command": "formula", "n": 6, "degrees": [2, 3]}, request_]
+@pytest.mark.parametrize("name", BAD_REQUESTS)
+def test_batch_bad_request_is_reported_not_fatal(tmp_path, capsys, name):
+    manifest = [{"command": "formula", "n": 6, "degrees": [2, 3]}, BAD_REQUESTS[name]]
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(manifest))
     code, report = run_json(capsys, "batch", str(path))
@@ -338,6 +379,8 @@ def test_batch_bad_request_is_reported_not_fatal(tmp_path, capsys, request_):
     assert report["summary"] == {"total": 2, "passed": 1}
     assert report["reports"][1]["ok"] is False
     assert report["reports"][1]["error"].startswith("request 1: ")
+    if name in PINNED_ERRORS:
+        assert report["reports"][1]["error"] == f"request 1: {PINNED_ERRORS[name]}"
 
 
 def test_batch_bad_support_is_reported_not_fatal(tmp_path, capsys):

@@ -19,6 +19,8 @@ from minexp.exponent import (
     singularity_predicates,
     weighted_upper_bound,
 )
+from minexp.poly import as_weights
+from minexp.resolution import descent_chain
 
 F = Fraction
 
@@ -203,6 +205,33 @@ def test_profile_validation():
         DegreeProfile(4, (1, 2))
     with pytest.raises(ValueError):
         DegreeProfile(0, (2,))
+
+
+# A float used to be read through its binary value: WeightedProfile((0.1, 1),
+# (0.3,)) had the bound 7926335344172073/2161727821137838, and the chain of
+# u = (0.1, 0.5) on (6; 2, 3) had the value 237790060325162189/75660473739824333.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: WeightedProfile((0.1, 1), (3,)),
+        lambda: WeightedProfile((1, 1), (0.3,)),
+        lambda: as_weights([0.5, 1], 2),
+        lambda: exponent_candidates(6.0, (2, 3)),
+        lambda: exponent_candidates(6, (2, 3.0)),
+        lambda: descent_chain(DegreeProfile(6, (2, 3)), (0.1, 0.5)),
+    ],
+    ids=[
+        "WeightedProfile_weights",
+        "WeightedProfile_orders",
+        "as_weights",
+        "exponent_candidates_w",
+        "exponent_candidates_degrees",
+        "descent_chain",
+    ],
+)
+def test_rationals_reject_floats(call):
+    with pytest.raises(TypeError, match="floating-point value"):
+        call()
 
 
 def test_infinity_ordering_and_arithmetic():

@@ -15,9 +15,9 @@ from minexp.newton import (
     MonomialSupport,
     diagonal_entry,
     newton_exponent,
-    weighted_order_bound,
 )
-from minexp.poly import parse_poly
+from minexp.exponent import weighted_upper_bound
+from minexp.poly import parse_poly, weighted_profile
 
 F = Fraction
 
@@ -238,23 +238,28 @@ def test_weighted_floor_inequality():
         assert c * sum(w) >= floor
 
 
+def _order_bound(f, weights):
+    """(w_1 + ... + w_n) / wt(f): the weighted upper bound of one polynomial."""
+    return weighted_upper_bound(weighted_profile([f], weights))
+
+
 def test_weighted_order_bound_examples():
     f = parse_poly("x1^2 + x2^3", ["x1", "x2"])
-    assert weighted_order_bound(f, [1, 1]) == 1
-    assert weighted_order_bound(f, [3, 2]) == F(5, 6)
+    assert _order_bound(f, [1, 1]) == 1
+    assert _order_bound(f, [3, 2]) == F(5, 6)
     g = parse_poly("x1^4", ["x1"])
-    assert weighted_order_bound(g, [1]) == F(1, 4)
+    assert _order_bound(g, [1]) == F(1, 4)
 
 
 def test_weighted_order_bound_rejects_smooth_or_unit():
-    with pytest.raises(ValueError):
-        weighted_order_bound(parse_poly("x1 + x2^2", ["x1", "x2"]), [1, 1])
-    with pytest.raises(ValueError):
-        weighted_order_bound(parse_poly("3", ["x1"]), [1])
-    with pytest.raises(ValueError):
-        weighted_order_bound(parse_poly("0", ["x1"]), [1])
+    with pytest.raises(ValueError, match="total degree <= 1"):
+        _order_bound(parse_poly("x1 + x2^2", ["x1", "x2"]), [1, 1])
+    with pytest.raises(ValueError, match="total degree <= 1"):
+        _order_bound(parse_poly("3", ["x1"]), [1])
+    with pytest.raises(ValueError, match="input 1 is zero"):
+        _order_bound(parse_poly("0", ["x1"]), [1])
 
 
 def test_cusp_bound_agrees_with_newton_route():
     f = parse_poly("x1^2 + x2^3", ["x1", "x2"])
-    assert weighted_order_bound(f, [3, 2]) == newton_exponent(MonomialSupport.from_poly(f))
+    assert _order_bound(f, [3, 2]) == newton_exponent(MonomialSupport.from_poly(f))

@@ -13,7 +13,6 @@ from minexp.poly import (
     Poly,
     PolyParseError,
     cone_hypersurface,
-    dehomogenized_hypersurface,
     is_homogeneous,
     parse_poly,
     probe_transversality,
@@ -189,32 +188,6 @@ def test_cone_weighted_order_splits_over_blocks():
         )
 
 
-def test_dehomogenize_single_is_identity_on_terms():
-    f = parse_poly("x1^2", ["x1"])
-    h = dehomogenized_hypersurface([f], 1)
-    assert h.variables == ("x1",)
-    assert dict(h.terms) == {(2,): F(1)}
-
-
-def test_dehomogenize_last_pivot():
-    fs = [parse_poly("x1^2", ["x1", "x2"]), parse_poly("x2^3", ["x1", "x2"])]
-    h = dehomogenized_hypersurface(fs, 2)
-    assert h.variables == ("x1", "x2", "z1")
-    assert h == parse_poly("x2^3 + x1^2*z1", ["x1", "x2", "z1"])
-
-
-def test_dehomogenize_first_pivot():
-    fs = [parse_poly("x1^2", ["x1", "x2"]), parse_poly("x2^3", ["x1", "x2"])]
-    h = dehomogenized_hypersurface(fs, 1)
-    assert h.variables == ("x1", "x2", "z2")
-    assert h == parse_poly("x1^2 + x2^3*z2", ["x1", "x2", "z2"])
-
-
-def test_dehomogenize_index_out_of_range():
-    with pytest.raises(ValueError):
-        dehomogenized_hypersurface([parse_poly("x1", ["x1"])], 2)
-
-
 # --- transversality probe -----------------------------------------------------
 
 def test_probe_smooth_hyperplane_passes():
@@ -305,6 +278,10 @@ def test_probe_matches_affine_scan_oracle():
         if any(f.is_zero() for f in fs):
             continue
         limit = q**n - 2 if rng.random() < 0.1 else 100_000
+        if limit < 1:  # q = 2, n = 1: a budget below one point is rejected
+            with pytest.raises(ValueError, match="limit must be at least 1"):
+                probe_transversality(fs, q, limit)
+            continue
         report = probe_transversality(fs, q, limit)
         assert report == probe_by_affine_scan(fs, q, limit), (fs, q, limit)
         seen[report.verdict] += 1

@@ -22,10 +22,10 @@ from minexp.resolution import (
     Coordinate,
     DivisorLedger,
     GroupedDegrees,
+    LedgerRow,
     blowup_chart,
     descent_chain,
     descent_chain_grid,
-    ledger_lower_bound,
     simulate_resolution,
     verify_valuation_inequality,
 )
@@ -39,7 +39,7 @@ def test_grouped_degrees():
     assert grouped.levels == ((2, 2), (3, 1), (5, 3))
     assert grouped.values == (2, 3, 5)
     assert grouped.cumulative == (2, 3, 6)
-    assert grouped.degrees() == (2, 2, 3, 5, 5, 5)
+    assert grouped.counts == (2, 1, 3)
 
 
 @pytest.mark.parametrize(
@@ -172,13 +172,17 @@ def test_golden_trace():
     assert rep.to_json_dict() == golden
 
 
+def _ledger(pairs):
+    return DivisorLedger(tuple(LedgerRow(f"E{i}", a, k) for i, (a, k) in enumerate(pairs, 1)))
+
+
 def test_ledger_lower_bound_examples():
-    assert DivisorLedger.from_pairs([(2, 3), (3, 4), (4, 6)]).lower_bound == F(5, 3)
-    assert DivisorLedger.from_pairs([(2, 5), (3, 6)]).lower_bound == F(7, 3)
+    assert _ledger([(2, 3), (3, 4), (4, 6)]).lower_bound == F(5, 3)
+    assert _ledger([(2, 5), (3, 6)]).lower_bound == F(7, 3)
     for n in range(2, 9):
         for d in range(2, 7):
-            assert DivisorLedger.from_pairs([(d, n - 1)]).lower_bound == F(n, d)
-    assert ledger_lower_bound(simulate_resolution(DegreeProfile(6, (2, 3)))) == F(7, 3)
+            assert _ledger([(d, n - 1)]).lower_bound == F(n, d)
+    assert simulate_resolution(DegreeProfile(6, (2, 3))).lower_bound == F(7, 3)
 
 
 def test_ledger_agrees_with_formula_small_scan():
