@@ -321,8 +321,6 @@ def run_weighted(
     results: dict = {"weights": [_rat_json(w) for w in weights]}
     if polynomials is not None:
         names = variables or [f"x{i}" for i in range(1, len(weights) + 1)]
-        if len(names) != len(weights):
-            raise InputError(f"{len(weights)} weights but {len(names)} variables")
         parsed = [_parse_poly(text, names) for text in polynomials]
         profile = _guard(pl.weighted_profile, parsed, weights)
         results["polynomials"] = [str(f) for f in parsed]
@@ -352,10 +350,7 @@ def run_newton(
         if not isinstance(support, list) or not all(isinstance(p, list) for p in support):
             raise InputError(f"bad support: expected a list of integer lists, got {support!r}")
         ms = _guard(nt.MonomialSupport, len(support[0]) if support else 0, support, prefix="bad support: ")
-    if ms.origin in ms.points:
-        raise InputError("support contains the origin: not in the maximal ideal")
-    result = nt.diagonal_entry(ms)
-    exponent = 1 / result.c
+    result, exponent = _guard(nt.newton_diagonal, ms)
     results = {
         "support": [list(p) for p in sorted(ms.points)],
         "c": _rat_json(result.c),
@@ -403,9 +398,11 @@ def run_verify(n: int, degrees: list[int], bound: int | None = None) -> tuple[di
     bound = bound if bound is not None else env.get("bound", 8)
     chain_max = env.get("chain_max", Fraction(4))
     chain_step = env.get("chain_step", Fraction(1, 2))
-    # the scan rejects a bad bound before it does any work
-    scan = _guard(rs.verify_valuation_inequality, profile, bound)
-    chain_points, failure = _guard(rs.descent_chain_grid, profile, chain_step, chain_max)
+    # both scans' arguments are checked before either scan starts
+    _guard(rs._check_scan_bound, bound)
+    _guard(rs._check_chain_grid, chain_step, chain_max)
+    scan = rs.verify_valuation_inequality(profile, bound)
+    chain_points, failure = rs.descent_chain_grid(profile, chain_step, chain_max)
     chain_failure = None if failure is None else {
         "u": [_rat_json(x) for x in failure.u],
         "chain": list(failure.chain),

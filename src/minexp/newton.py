@@ -259,14 +259,20 @@ def diagonal_entry(support: MonomialSupport) -> DiagonalResult:
     return result
 
 
-def newton_exponent(support: MonomialSupport) -> Fraction:
-    """Reciprocal 1/c of the diagonal value.
+def newton_diagonal(support: MonomialSupport) -> tuple[DiagonalResult, Fraction]:
+    """The checked diagonal result of a support in the maximal ideal and its
+    reciprocal 1/c.
 
-    Valid as the minimal exponent at the origin only under the caller's
-    attestation that the singularity is isolated and nondegenerate with
-    respect to its Newton polyhedron; neither hypothesis is checked.
+    The reciprocal is the minimal exponent at the origin only under the
+    caller's attestation that the singularity is isolated and nondegenerate
+    with respect to its Newton polyhedron; neither hypothesis is checked.
     """
     if support.origin in support.points:
         raise ValueError("support contains the origin: not in the maximal ideal")
-    return 1 / diagonal_entry(support).c
+    result = diagonal_entry(support)
+    return result, 1 / result.c
 
+
+def newton_exponent(support: MonomialSupport) -> Fraction:
+    """Reciprocal 1/c of the diagonal value (see :func:`newton_diagonal`)."""
+    return newton_diagonal(support)[1]

@@ -72,60 +72,11 @@ class Poly:
         """Read-only view of the term map (exponent vector -> coefficient)."""
         return MappingProxyType(self._terms)
 
-    @classmethod
-    def zero(cls, variables: Sequence[str]) -> "Poly":
-        return cls(variables, {})
-
-    @classmethod
-    def monomial(cls, variables: Sequence[str], exps: Sequence[int], coeff=1) -> "Poly":
-        return cls(variables, {tuple(exps): coeff})
-
-    @classmethod
-    def variable(cls, variables: Sequence[str], name: str) -> "Poly":
-        idx = tuple(variables).index(name)
-        exps = [0] * len(variables)
-        exps[idx] = 1
-        return cls(variables, {tuple(exps): 1})
-
     def is_zero(self) -> bool:
         return not self._terms
 
     def support(self) -> frozenset[tuple[int, ...]]:
         return frozenset(self._terms)
-
-    def _require_same_variables(self, other: "Poly") -> None:
-        if self._variables != other._variables:
-            raise ValueError(
-                f"mismatched variable lists: {self._variables} vs {other._variables}"
-            )
-
-    def __add__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._require_same_variables(other)
-        out = dict(self._terms)
-        for u, c in other._terms.items():
-            out[u] = out.get(u, Fraction(0)) + c
-        return Poly(self._variables, out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self._variables, {u: -c for u, c in self._terms.items()})
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        if not isinstance(other, Poly):
-            return NotImplemented
-        self._require_same_variables(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for u, cu in self._terms.items():
-            for v, cv in other._terms.items():
-                w = tuple(a + b for a, b in zip(u, v))
-                out[w] = out.get(w, Fraction(0)) + cu * cv
-        return Poly(self._variables, out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
@@ -133,10 +84,6 @@ class Poly:
         return self._variables == other._variables and self._terms == other._terms
 
     __hash__ = None  # mutable-looking mapping inside; compare by value only
-
-    def scale(self, c) -> "Poly":
-        c = _as_fraction(c)
-        return Poly(self._variables, {u: c * cu for u, cu in self._terms.items()})
 
     def derivative(self, name: str) -> "Poly":
         """Formal partial derivative with respect to the named variable."""
@@ -163,24 +110,6 @@ class Poly:
                     term *= x**e
             total += term
         return total
-
-    def embed(self, variables: Sequence[str]) -> "Poly":
-        """Re-express this polynomial in a larger ordered variable list."""
-        variables = tuple(variables)
-        positions = []
-        for name in self._variables:
-            try:
-                positions.append(variables.index(name))
-            except ValueError:
-                raise ValueError(f"variable {name!r} missing from target list") from None
-        n = len(variables)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for u, c in self._terms.items():
-            v = [0] * n
-            for pos, e in zip(positions, u):
-                v[pos] = e
-            out[tuple(v)] = c
-        return Poly(variables, out)
 
     def _sorted_support(self) -> list[tuple[int, ...]]:
         # graded lex, largest first
@@ -337,26 +266,10 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
 # ---------------------------------------------------------------------------
 # weights and orders
 
-def as_weights(weights: Sequence, n: int) -> tuple[Fraction, ...]:
-    """Coerce to a tuple of positive rationals of the expected length."""
-    w = tuple(_as_fraction(x) for x in weights)
-    if len(w) != n:
-        raise ValueError(f"expected {n} weights, got {len(w)}")
-    if any(x <= 0 for x in w):
-        raise ValueError("weights must be positive")
-    return w
-
-
-def weighted_order(f: Poly, weights: Sequence) -> Fraction:
-    """Smallest weighted degree of a monomial appearing in ``f``.
-
-    With all weights equal to 1 this is the ordinary order (minimal total
-    degree).  The zero polynomial has no order and is rejected.
-    """
-    if f.is_zero():
-        raise ValueError("the zero polynomial has no weighted order")
-    w = as_weights(weights, len(f.variables))
-    return min(sum(e * wi for e, wi in zip(u, w)) for u in f.terms)
+def _weighted_order(f: Poly, weights: Sequence[Fraction]) -> Fraction:
+    """Smallest weighted degree of a monomial of the nonzero ``f``; the
+    caller has checked ``f`` and the weights."""
+    return min(sum(e * wi for e, wi in zip(u, weights)) for u in f.terms)
 
 
 def weighted_profile(fs: Sequence[Poly], weights: Sequence) -> WeightedProfile:
@@ -364,10 +277,15 @@ def weighted_profile(fs: Sequence[Poly], weights: Sequence) -> WeightedProfile:
     profile whose :func:`minexp.exponent.weighted_upper_bound` bounds the
     minimal exponent at the origin of ``fs = 0``.
 
-    The bound needs a singular point at the origin, so every input must be
-    nonzero and every monomial must have total degree at least 2.
+    The weights are exact (a float is rejected), one per variable of every
+    input, and positive (checked by :class:`WeightedProfile`).  The bound
+    needs a singular point at the origin, so every input must be nonzero and
+    every monomial must have total degree at least 2.
     """
+    weights = tuple(map(_as_fraction, weights))
     for i, f in enumerate(fs, 1):
+        if len(f.variables) != len(weights):
+            raise ValueError(f"{len(weights)} weights but {len(f.variables)} variables")
         if f.is_zero():
             raise ValueError(f"input {i} is zero and defines no hypersurface")
         if any(sum(u) < 2 for u in f.terms):
@@ -375,54 +293,7 @@ def weighted_profile(fs: Sequence[Poly], weights: Sequence) -> WeightedProfile:
                 f"input {i} has a term of total degree <= 1: the origin is not a singular "
                 "point, so the bound does not apply"
             )
-    return WeightedProfile(tuple(weights), tuple(sorted(weighted_order(f, weights) for f in fs)))
-
-
-def is_homogeneous(f: Poly, weights: Sequence) -> tuple[bool, Fraction | None]:
-    """Whether every monomial of ``f`` has the same weighted degree.
-
-    Returns ``(True, degree)`` or ``(False, None)``.
-    """
-    if f.is_zero():
-        raise ValueError("the zero polynomial is not graded")
-    w = as_weights(weights, len(f.variables))
-    degrees = {sum(e * wi for e, wi in zip(u, w)) for u in f.terms}
-    if len(degrees) == 1:
-        return True, next(iter(degrees))
-    return False, None
-
-
-# ---------------------------------------------------------------------------
-# auxiliary hypersurface constructions
-
-def cone_hypersurface(fs: Sequence[Poly]) -> Poly:
-    """Build sum_j f_j * y_j in the variables x_1..x_n, y_1..y_r.
-
-    All inputs must share one ambient variable list; one fresh cone
-    coordinate ``y<j>`` is appended per input polynomial.
-    """
-    if not fs:
-        raise ValueError("need at least one polynomial")
-    xs = fs[0].variables
-    for f in fs[1:]:
-        if f.variables != xs:
-            raise ValueError(f"mismatched variable lists: {xs} vs {f.variables}")
-    r = len(fs)
-    ys = tuple(f"y{j}" for j in range(1, r + 1))
-    clash = set(xs) & set(ys)
-    if clash:
-        raise ValueError(f"ambient variables collide with cone coordinates: {sorted(clash)}")
-    variables = xs + ys
-    n = len(xs)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for j, f in enumerate(fs):
-        block = [0] * r
-        block[j] = 1
-        block = tuple(block)
-        for u, c in f.terms.items():
-            key = u + block
-            terms[key] = terms.get(key, Fraction(0)) + c
-    return Poly(variables, terms)
+    return WeightedProfile(weights, tuple(sorted(_weighted_order(f, weights) for f in fs)))
 
 
 # ---------------------------------------------------------------------------
@@ -554,8 +425,7 @@ def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = 100_0
     for i, f in enumerate(fs, 1):
         if f.is_zero():
             raise ValueError(f"input {i} is zero")
-        homogeneous, _ = is_homogeneous(f, [1] * n)
-        if not homogeneous:
+        if len({sum(u) for u in f.terms}) != 1:
             raise ValueError(f"input {i} is not homogeneous")
     if limit < 1:
         raise ValueError("limit must be at least 1")

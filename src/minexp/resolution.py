@@ -514,13 +514,17 @@ COMPLEMENTARY_BRANCH = "complementary"
 
 @dataclass(frozen=True)
 class ValuationScanReport:
-    profile: DegreeProfile
     branch: str
-    bound: int
     exponent: Fraction
     tuples_checked: int
     passed: bool
     counterexample: tuple[int, ...] | None
+
+
+def _check_scan_bound(bound: int) -> None:
+    """The check on the box size of :func:`verify_valuation_inequality`."""
+    if bound < 1:
+        raise ValueError("bound must be at least 1")
 
 
 def verify_valuation_inequality(
@@ -539,8 +543,7 @@ def verify_valuation_inequality(
     candidate value as the factor
     ("complementary" branch).  Returns the first violating tuple, if any.
     """
-    if bound < 1:
-        raise ValueError("bound must be at least 1")
+    _check_scan_bound(bound)
     n = profile.n
     d = profile.degrees
     r = profile.r
@@ -570,9 +573,7 @@ def verify_valuation_inequality(
         if counterexample:
             break
     return ValuationScanReport(
-        profile=profile,
         branch=actual,
-        bound=bound,
         exponent=exponent,
         tuples_checked=checked,
         passed=counterexample is None,
@@ -582,7 +583,6 @@ def verify_valuation_inequality(
 
 @dataclass(frozen=True)
 class DescentChainReport:
-    profile: DegreeProfile
     u: tuple[Fraction, ...]
     chain: tuple[int, ...]            # 1-based indices, strictly increasing, ends at r
     chain_values: tuple[Fraction, ...]
@@ -645,7 +645,6 @@ def descent_chain(profile: DegreeProfile, u: Sequence) -> DescentChainReport:
         for k, (numer, denom), (next_numer, next_denom) in zip(chain, pairs, pairs[1:] + [(r, 1)])
     ]
     return DescentChainReport(
-        profile=profile,
         u=u,
         chain=tuple(chain),
         chain_values=tuple(Fraction(numer, denom) for numer, denom in pairs),
@@ -655,14 +654,19 @@ def descent_chain(profile: DegreeProfile, u: Sequence) -> DescentChainReport:
     )
 
 
+def _check_chain_grid(step: Fraction, maximum: Fraction) -> None:
+    """The check on the grid of :func:`descent_chain_grid`."""
+    if step <= 0 or maximum < 0:
+        raise ValueError("chain grid parameters must be positive")
+
+
 def descent_chain_grid(
     profile: DegreeProfile, step: Fraction, maximum: Fraction
 ) -> tuple[int, DescentChainReport | None]:
     """Run :func:`descent_chain` at every u in {0, step, 2*step, ...}^r up to
     ``maximum``, in lexicographic order.  Returns the number of points
     checked and the first failing report (None when every chain passes)."""
-    if step <= 0 or maximum < 0:
-        raise ValueError("chain grid parameters must be positive")
+    _check_chain_grid(step, maximum)
     axis = [i * step for i in range(int(maximum / step) + 1)]
     points = 0
     for u in itertools.product(axis, repeat=profile.r):

@@ -188,7 +188,6 @@ def descent_chain_by_fractions(profile, u) -> DescentChainReport:
         links.append(chain_values[q] >= bound)
     terminal_ok = chain_values[-1] >= min(alphas[-1], Fraction(r))
     return DescentChainReport(
-        profile=profile,
         u=u,
         chain=tuple(chain),
         chain_values=tuple(chain_values),

@@ -13,6 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from minexp import cli
+from minexp import newton as nt
+from minexp import resolution as rs
 from minexp.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, REPORT_SCHEMA, main
 
 VALIDATOR = jsonschema.Draft202012Validator(REPORT_SCHEMA)
@@ -110,6 +112,17 @@ def test_weighted_rejects_smooth_poly(capsys):
     code = main(["weighted", "--weights", "1,1", "--poly", "x1 - x1"])
     assert capsys.readouterr().err == f"input error: {ZERO_POLYNOMIAL_ERROR}\n"
     assert code == EXIT_INPUT
+
+
+def test_weighted_count_mismatch(capsys):
+    argv = ["weighted", "--weights", "1,1,1", "--poly", "x1^2+x2^3", "--vars", "x1,x2"]
+    code, report = run_json(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert report["error"] == "3 weights but 2 variables"
+    # the polynomials are parsed before weighted_profile counts the weights
+    code, report = run_json(capsys, "weighted", "--weights", "1,1,1", "--poly", "x1^", "--vars", "x1,x2")
+    assert code == EXIT_INPUT
+    assert report["error"].startswith("in 'x1^': expected integer exponent")
 
 
 def test_newton_support(capsys):
@@ -214,10 +227,33 @@ def test_verify_env_bad_bound(capsys, monkeypatch):
 
 @pytest.mark.parametrize("bounds", ["chain_step=0", "chain_max=-1"])
 def test_verify_env_bad_chain_grid(capsys, monkeypatch, bounds):
-    monkeypatch.setenv("MINEXP_SCAN_BOUNDS", bounds)
-    code, report = run_json(capsys, "verify", "--n", "6", "--degrees", "2,3")
+    # both scans' arguments are checked before either scan starts
+    def scan(*args):
+        raise AssertionError("the valuation scan ran")
+
+    monkeypatch.setattr(rs, "verify_valuation_inequality", scan)
+    monkeypatch.setenv("MINEXP_SCAN_BOUNDS", f"bound=40,{bounds}")
+    code, report = run_json(capsys, "verify", "--n", "6", "--degrees", "2,3,4")
     assert code == EXIT_INPUT
     assert report["error"] == "chain grid parameters must be positive"
+    monkeypatch.setenv("MINEXP_SCAN_BOUNDS", f"bound=0,{bounds}")
+    code, report = run_json(capsys, "verify", "--n", "6", "--degrees", "2,3,4")
+    assert code == EXIT_INPUT
+    assert report["error"] == "bound must be at least 1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["newton", "--support", "[[2,0],[0,3]]"], ["newton", "--poly", "x1^2+x2^3", "--vars", "x1,x2"]],
+)
+def test_newton_solves_the_simplex_once(capsys, monkeypatch, argv):
+    calls = []
+    solve = nt.diagonal_entry
+    monkeypatch.setattr(nt, "diagonal_entry", lambda support: calls.append(1) or solve(support))
+    code, report = run_json(capsys, *argv)
+    assert code == EXIT_OK
+    assert report["results"]["exponent"] == {"num": 5, "den": 6}
+    assert calls == [1]
 
 
 @pytest.mark.parametrize(

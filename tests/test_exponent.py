@@ -19,7 +19,7 @@ from minexp.exponent import (
     singularity_predicates,
     weighted_upper_bound,
 )
-from minexp.poly import as_weights
+from minexp.poly import parse_poly, weighted_profile
 from minexp.resolution import descent_chain
 
 F = Fraction
@@ -215,7 +215,7 @@ def test_profile_validation():
     [
         lambda: WeightedProfile((0.1, 1), (3,)),
         lambda: WeightedProfile((1, 1), (0.3,)),
-        lambda: as_weights([0.5, 1], 2),
+        lambda: weighted_profile([parse_poly("x1^2 + x2^3", ["x1", "x2"])], [0.5, 1]),
         lambda: exponent_candidates(6.0, (2, 3)),
         lambda: exponent_candidates(6, (2, 3.0)),
         lambda: descent_chain(DegreeProfile(6, (2, 3)), (0.1, 0.5)),
@@ -223,7 +223,7 @@ def test_profile_validation():
     ids=[
         "WeightedProfile_weights",
         "WeightedProfile_orders",
-        "as_weights",
+        "weighted_profile",
         "exponent_candidates_w",
         "exponent_candidates_degrees",
         "descent_chain",

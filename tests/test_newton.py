@@ -14,6 +14,7 @@ from minexp.newton import (
     DiagonalResult,
     MonomialSupport,
     diagonal_entry,
+    newton_diagonal,
     newton_exponent,
 )
 from minexp.exponent import weighted_upper_bound
@@ -63,6 +64,13 @@ def test_newton_exponent_examples():
 def test_newton_exponent_rejects_origin():
     with pytest.raises(ValueError, match="maximal ideal"):
         newton_exponent(_support((0, 0), (2, 0)))
+
+
+def test_newton_diagonal_pairs_the_result_with_its_reciprocal():
+    support = _support((2, 0), (0, 3))
+    assert newton_diagonal(support) == (diagonal_entry(support), F(5, 6))
+    with pytest.raises(ValueError, match="^support contains the origin: not in the maximal ideal$"):
+        newton_diagonal(_support((0, 0), (2, 0)))
 
 
 def test_support_validation():

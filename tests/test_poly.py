@@ -1,4 +1,4 @@
-"""Polynomial parsing, weighted orders and the auxiliary constructions."""
+"""Polynomial parsing, weighted orders and the transversality probe."""
 
 from __future__ import annotations
 
@@ -9,14 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import probe_by_affine_scan
+from minexp.exponent import WeightedProfile
 from minexp.poly import (
     Poly,
     PolyParseError,
-    cone_hypersurface,
-    is_homogeneous,
+    _weighted_order,
     parse_poly,
     probe_transversality,
-    weighted_order,
+    weighted_profile,
 )
 
 F = Fraction
@@ -94,76 +94,52 @@ def test_print_parse_round_trip(f):
 def test_weighted_order_is_a_valuation(f, g, ws):
     nvars = max(len(f.variables), len(g.variables))
     names = _VARS[:nvars]
-    f = f.embed(names)
-    g = g.embed(names)
+    f, g = (Poly(names, {u + (0,) * (nvars - len(u)): c for u, c in p.terms.items()}) for p in (f, g))
+    product = {}
+    for u, cu in f.terms.items():
+        for v, cv in g.terms.items():
+            key = tuple(a + b for a, b in zip(u, v))
+            product[key] = product.get(key, 0) + cu * cv
     w = ws[:nvars]
-    assert weighted_order(f * g, w) == weighted_order(f, w) + weighted_order(g, w)
+    assert _weighted_order(Poly(names, product), w) == _weighted_order(f, w) + _weighted_order(g, w)
 
 
-# --- weighted order and homogeneity -----------------------------------------
+# --- weighted orders and the weighted profile ---------------------------------
 
 def test_weighted_order_examples():
     f = parse_poly("x1^2 + x2^3", ["x1", "x2"])
-    assert weighted_order(f, [1, 1]) == 2
-    assert weighted_order(f, [3, 2]) == 6
+    assert _weighted_order(f, (F(1), F(1))) == 2
+    assert _weighted_order(f, (F(3), F(2))) == 6
     g = parse_poly("x1^2*x2", ["x1", "x2"])
-    assert weighted_order(g, [F(1, 2), 1]) == 2
+    assert _weighted_order(g, (F(1, 2), F(1))) == 2
 
 
 def test_weighted_order_rejects_zero():
-    with pytest.raises(ValueError):
-        weighted_order(Poly.zero(["x1"]), [1])
+    with pytest.raises(ValueError, match="input 1 is zero"):
+        weighted_profile([Poly(["x1"], {})], [1])
 
 
-def test_is_homogeneous_examples():
-    f = parse_poly("x1^2 + x1*x2", ["x1", "x2"])
-    assert is_homogeneous(f, [1, 1]) == (True, 2)
-    g = parse_poly("x1^2 + x2^3", ["x1", "x2"])
-    assert is_homogeneous(g, [1, 1]) == (False, None)
-    assert is_homogeneous(g, [3, 2]) == (True, 6)
+def test_weighted_profile_checks_weights():
+    cusp = parse_poly("x1^2 + x2^3", ["x1", "x2"])
+    assert weighted_profile([cusp], [3, "2"]) == WeightedProfile((3, 2), (6,))
+    with pytest.raises(ValueError, match="^3 weights but 2 variables$"):
+        weighted_profile([cusp], [1, 1, 1])
+    with pytest.raises(ValueError, match="^weights must be positive$"):
+        weighted_profile([cusp], [1, 0])
+    with pytest.raises(ValueError, match="^weights must be positive$"):
+        weighted_profile([cusp], [F(-1, 2), 1])
 
 
 @settings(max_examples=100, derandomize=True)
 @given(polys(min_terms=1))
 def test_homogeneous_implies_order_equals_degree(f):
-    w = [1] * len(f.variables)
-    flag, degree = is_homogeneous(f, w)
-    if flag:
-        assert weighted_order(f, w) == degree
-
-
-# --- cone and chart hypersurfaces --------------------------------------------
-
-def test_cone_single():
-    f = parse_poly("x1", ["x1"])
-    g = cone_hypersurface([f])
-    assert g.variables == ("x1", "y1")
-    assert dict(g.terms) == {(1, 1): F(1)}
-
-
-def test_cone_two_blocks():
-    fs = [parse_poly("x1^2", ["x1", "x2"]), parse_poly("x2^3", ["x1", "x2"])]
-    g = cone_hypersurface(fs)
-    assert g.variables == ("x1", "x2", "y1", "y2")
-    assert dict(g.terms) == {(2, 0, 1, 0): F(1), (0, 3, 0, 1): F(1)}
-
-
-def test_cone_expansion():
-    fs = [parse_poly("x1 + x2", ["x1", "x2"]), parse_poly("x1*x2", ["x1", "x2"])]
-    g = cone_hypersurface(fs)
-    assert dict(g.terms) == {
-        (1, 0, 1, 0): F(1),
-        (0, 1, 1, 0): F(1),
-        (1, 1, 0, 1): F(1),
-    }
-
-
-def test_cone_rejects_mismatched_variables():
-    with pytest.raises(ValueError):
-        cone_hypersurface([parse_poly("x1", ["x1"]), parse_poly("x2", ["x2"])])
+    degrees = {sum(u) for u in f.terms}
+    if len(degrees) == 1:
+        assert _weighted_order(f, [F(1)] * len(f.variables)) == degrees.pop()
 
 
 def test_cone_weighted_order_splits_over_blocks():
+    # the weighted order of sum_j f_j * y_j is the least of wt(f_j) + wt(y_j)
     rng = random.Random(7)
     for _ in range(50):
         nvars = rng.randint(1, 3)
@@ -175,16 +151,16 @@ def test_cone_weighted_order_splits_over_blocks():
             for _ in range(rng.randint(1, 4)):
                 exps = tuple(rng.randint(0, 5) for _ in range(nvars))
                 terms[exps] = F(rng.choice([-3, -1, 1, 2, 5]))
-            if not terms:
-                terms[(0,) * nvars] = F(1)
             fs.append(Poly(names, terms))
-        if any(f.is_zero() for f in fs):
-            continue
+        cone = {}
+        for j, f in enumerate(fs):
+            block = tuple(int(k == j) for k in range(r))
+            cone.update({u + block: c for u, c in f.terms.items()})
+        g = Poly(names + tuple(f"y{j}" for j in range(1, r + 1)), cone)
         w = [F(rng.randint(1, 6), rng.randint(1, 3)) for _ in range(nvars)]
         eps = [F(rng.randint(1, 5), rng.randint(1, 4)) for _ in range(r)]
-        g = cone_hypersurface(fs)
-        assert weighted_order(g, w + eps) == min(
-            weighted_order(f, w) + e for f, e in zip(fs, eps)
+        assert _weighted_order(g, w + eps) == min(
+            _weighted_order(f, w) + e for f, e in zip(fs, eps)
         )
 
 
@@ -236,7 +212,7 @@ def test_probe_rejects_composite_field():
 
 def test_probe_rejects_inhomogeneous():
     f = parse_poly("x1^2 + x1", ["x1"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^input 1 is not homogeneous$"):
         probe_transversality([f], 3)
 
 
