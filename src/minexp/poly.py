@@ -273,7 +273,7 @@ def _weighted_order(f: Poly, weights: Sequence[Fraction]) -> Fraction:
 
 
 def weighted_profile(fs: Sequence[Poly], weights: Sequence) -> WeightedProfile:
-    """The weights and the sorted weighted orders of the inputs ``fs``: the
+    """The weights and the sorted weighted orders of the inputs ``fs`` (at least one): the
     profile whose :func:`minexp.exponent.weighted_upper_bound` bounds the
     minimal exponent at the origin of ``fs = 0``.
 
@@ -282,6 +282,8 @@ def weighted_profile(fs: Sequence[Poly], weights: Sequence) -> WeightedProfile:
     needs a singular point at the origin, so every input must be nonzero and
     every monomial must have total degree at least 2.
     """
+    if not fs:
+        raise ValueError("need at least one polynomial")
     weights = tuple(map(_as_fraction, weights))
     for i, f in enumerate(fs, 1):
         if len(f.variables) != len(weights):

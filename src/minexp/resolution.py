@@ -31,7 +31,7 @@ used to prove them pointwise on rational grids.
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
@@ -125,33 +125,47 @@ class ChartState:
     def __post_init__(self):
         object.__setattr__(self, "coords", tuple(self.coords))
         object.__setattr__(self, "ideal", tuple(tuple(g) for g in self.ideal))
-        names = [c.name for c in self.coords]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate coordinate names: {names}")
-        for g in self.ideal:
-            if len(g) != len(self.coords):
-                raise ValueError(f"generator {g} does not match the coordinate count")
-            if any((not isinstance(e, int)) or e < 0 for e in g):
-                raise ValueError(f"generator {g} must have nonnegative integer exponents")
-            if not any(g):
-                raise ValueError("a generator is the unit monomial; not a proper ideal")
+        _check_chart(self.coords, self.ideal)
+
+    @classmethod
+    def _derived(cls, coords, ideal, depth, born_pivot, born_pivot_index) -> "ChartState":
+        """A chart of :func:`blowup_chart`, which runs the chart checks once per blow-up."""
+        chart = object.__new__(cls)
+        chart.__dict__.update(
+            coords=coords, ideal=ideal, depth=depth, born_pivot=born_pivot, born_pivot_index=born_pivot_index
+        )
+        return chart
 
     def names(self) -> tuple[str, ...]:
-        return tuple(c.name for c in self.coords)
+        return tuple([c.name for c in self.coords])
 
     def render_monomial(self, g: Sequence[int]) -> str:
-        parts = []
-        for c, e in zip(self.coords, g):
-            if e == 1:
-                parts.append(c.name)
-            elif e > 1:
-                parts.append(f"{c.name}^{e}")
-        return "*".join(parts) if parts else "1"
+        return _render_monomial(self.names(), g)
 
     def render_ideal(self) -> str:
-        if not self.ideal:
-            return "(0)"
-        return "(" + ", ".join(self.render_monomial(g) for g in self.ideal) + ")"
+        names = self.names()
+        return "(" + (", ".join([_render_monomial(names, g) for g in self.ideal]) or "0") + ")"
+
+
+def _render_monomial(names: Sequence[str], g: Sequence[int]) -> str:
+    return "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, g) if e > 0]) or "1"
+
+
+def _check_chart(coords: tuple[Coordinate, ...], ideal: tuple[tuple[int, ...], ...]) -> None:
+    names = [c.name for c in coords]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate coordinate names: {names}")
+    exponents = list(itertools.chain.from_iterable(ideal))
+    if {*map(type, exponents)} <= {int} and min(exponents, default=0) >= 0:
+        if all(len(g) == len(coords) and any(g) for g in ideal):
+            return  # plain ints and every check passed; else the loop names the first failure
+    for g in ideal:
+        if len(g) != len(coords):
+            raise ValueError(f"generator {g} does not match the coordinate count")
+        if not all(map(isinstance, g, itertools.repeat(int))) or min(g, default=0) < 0:
+            raise ValueError(f"generator {g} must have nonnegative integer exponents")
+        if not any(g):
+            raise ValueError("a generator is the unit monomial; not a proper ideal")
 
 
 def blowup_chart(state: ChartState, center: Iterable[str]) -> list[ChartState]:
@@ -175,28 +189,26 @@ def blowup_chart(state: ChartState, center: Iterable[str]) -> list[ChartState]:
             raise ValueError(f"center coordinate {name!r} is not in the chart")
     if len(center) < 2:
         raise ValueError("center must contain at least two coordinates")
-    center_idx = [i for i, c in enumerate(state.coords) if c.name in center]
-    k_new = (len(center) - 1) + sum(
-        state.coords[i].k for i in center_idx if state.coords[i].role == EXCEPTIONAL
-    )
+    # Every chart holds these coordinates off its pivot, and the parent's generators with the
+    # pivot exponent set to their total over the center: one check of both covers every chart.
     letter = _letter(state.depth + 1)
-    totals = [sum(g[i] for i in center_idx) for g in state.ideal]
-    charts = []
-    for pivot_pos in center_idx:
-        new_gens = [g[:pivot_pos] + (t,) + g[pivot_pos + 1 :] for g, t in zip(state.ideal, totals)]
-        a_new = min((g[pivot_pos] for g in new_gens), default=0)
-        new_coords = [Coordinate(f"{letter}{i}", c.role, c.a, c.k) for i, c in enumerate(state.coords)]
-        new_coords[pivot_pos] = Coordinate(f"{letter}{pivot_pos}", EXCEPTIONAL, a_new, k_new)
-        charts.append(
-            ChartState(
-                coords=tuple(new_coords),
-                ideal=tuple(new_gens),
-                depth=state.depth + 1,
-                born_pivot=state.coords[pivot_pos].name,
-                born_pivot_index=pivot_pos,
-            )
+    coords = tuple([Coordinate(f"{letter}{i}", c.role, c.a, c.k) for i, c in enumerate(state.coords)])
+    _check_chart(coords, state.ideal)
+    center_idx = [i for i, name in enumerate(names) if name in center]
+    k_new = (len(center) - 1) + sum([coords[i].k for i in center_idx if coords[i].role == EXCEPTIONAL])
+    totals = [sum(map(g.__getitem__, center_idx)) for g in state.ideal]
+    a_new = min(totals, default=0)
+    columns = list(zip(*state.ideal))
+    return [
+        ChartState._derived(
+            coords[:p] + (Coordinate(coords[p].name, EXCEPTIONAL, a_new, k_new),) + coords[p + 1 :],
+            tuple(zip(*columns[:p], totals, *columns[p + 1 :])),
+            state.depth + 1,
+            names[p],
+            p,
         )
-    return charts
+        for p in center_idx
+    ]
 
 
 @dataclass(frozen=True)
@@ -325,12 +337,15 @@ class ResolutionReport:
                 {"level": c.level, "steps": list(c.steps), "principal": c.principal}
                 for c in self.case3
             ],
-            "vj_checks": [asdict(v) for v in self.vj_checks],
+            "vj_checks": [
+                {"divisor": v.divisor, "pivot": v.pivot, "ideal": v.ideal, "generator": v.generator}
+                for v in self.vj_checks
+            ],
         }
 
 
 def _componentwise_min(gens: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-    return tuple(min(g[i] for g in gens) for i in range(len(gens[0])))
+    return tuple(map(min, zip(*gens)))
 
 
 def _principal_exceptional_generator(state: ChartState) -> tuple[int, ...]:
@@ -341,11 +356,10 @@ def _principal_exceptional_generator(state: ChartState) -> tuple[int, ...]:
     gmin = _componentwise_min(state.ideal)
     if gmin not in state.ideal:
         raise ResolutionError(f"ideal {state.render_ideal()} is not principal")
-    for c, e in zip(state.coords, gmin):
-        if e > 0 and c.role != EXCEPTIONAL:
-            raise ResolutionError(
-                f"principal generator {state.render_monomial(gmin)} is not exceptional-supported"
-            )
+    if any(c.role != EXCEPTIONAL for c in itertools.compress(state.coords, gmin)):
+        raise ResolutionError(
+            f"principal generator {state.render_monomial(gmin)} is not exceptional-supported"
+        )
     return gmin
 
 
@@ -430,10 +444,7 @@ def _factorization_witness(state: ChartState, profile: DegreeProfile) -> Factori
     gens = state.ideal
     # divisorial part: the common exceptional exponents; everything else must
     # be accounted for by the residual shape checks below
-    common = tuple(
-        min(g[i] for g in gens) if c.role == EXCEPTIONAL else 0
-        for i, c in enumerate(state.coords)
-    )
+    common = tuple(m if c.role == EXCEPTIONAL else 0 for m, c in zip(_componentwise_min(gens), state.coords))
     residual = [tuple(g[i] - common[i] for i in range(len(common))) for g in gens]
     seen = set()
     for res in residual:

@@ -83,6 +83,7 @@ SMOOTH_POLYNOMIAL_ERROR = (
     "so the bound does not apply"
 )
 LIMIT_ERROR = "limit must be at least 1"
+NO_POLYNOMIAL_ERROR = "need at least one polynomial"
 
 
 def test_weighted_orders(capsys):
@@ -395,12 +396,14 @@ BAD_REQUESTS = {
     "unhashable_command": {"command": ["formula"]},
     "weighted_zero_polynomial": {"command": "weighted", "weights": [1, 1], "polynomials": ["0"]},
     "weighted_smooth_polynomial": {"command": "weighted", "weights": [1, 1], "polynomials": ["x1 + x2^2"]},
+    "weighted_no_polynomials": {"command": "weighted", "weights": [1, 1], "polynomials": []},
     "negative_limit": {**PROBE, "limit": -5},
 }
 # the exact error of the bad requests whose text is pinned
 PINNED_ERRORS = {
     "weighted_zero_polynomial": ZERO_POLYNOMIAL_ERROR,
     "weighted_smooth_polynomial": SMOOTH_POLYNOMIAL_ERROR,
+    "weighted_no_polynomials": NO_POLYNOMIAL_ERROR,
     "negative_limit": LIMIT_ERROR,
 }
 

@@ -128,6 +128,9 @@ def test_weighted_profile_checks_weights():
         weighted_profile([cusp], [1, 0])
     with pytest.raises(ValueError, match="^weights must be positive$"):
         weighted_profile([cusp], [F(-1, 2), 1])
+    # no inputs is named as such, not as an empty order list
+    with pytest.raises(ValueError, match="^need at least one polynomial$"):
+        weighted_profile([], [1, 1])
 
 
 @settings(max_examples=100, derandomize=True)

@@ -9,8 +9,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from _oracles import descent_chain_by_fractions
+from minexp import resolution as rs
 from minexp.exponent import DegreeProfile, minimal_exponent_cone
 from minexp.resolution import (
     EXCEPTIONAL,
@@ -88,26 +90,163 @@ def test_blowup_zero_ideal_is_identity_like():
     state = ChartState(coords, ())
     charts = blowup_chart(state, ["z0", "z1"])
     assert len(charts) == 2
-    for chart in charts:
+    for i, chart in enumerate(charts):
         assert chart.ideal == ()
         assert chart.render_ideal() == "(0)"
+        # no generator: the new divisor has multiplicity a = 0, and k = |center| - 1
+        assert chart.coords[i] == Coordinate(f"u{i}", EXCEPTIONAL, 0, 1)
+    _assert_public_checks_pass(charts)
 
 
 def test_blowup_validation():
     state = _two_gen_state()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^center must contain at least two coordinates$"):
         blowup_chart(state, ["z0"])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^center must contain at least two coordinates$"):
+        blowup_chart(state, ["z1", "z1"])  # repeats count once
+    with pytest.raises(ValueError, match="^center coordinate 'nope' is not in the chart$"):
         blowup_chart(state, ["z0", "nope"])
 
 
+@pytest.mark.parametrize(
+    "target, field, value, message",
+    [
+        (None, "ideal", ((2, 1, 0),), r"^generator \(2, 1, 0\) does not match the coordinate count$"),
+        (None, "ideal", ((2, 1, 0, -1),), r"^generator \(2, 1, 0, -1\) must have nonnegative integer exponents$"),
+        (None, "ideal", ((2, 1.5, 0, 0),), r"^generator \(2, 1.5, 0, 0\) must have nonnegative integer exponents$"),
+        (None, "ideal", ((0, 0, 0, 0),), "^a generator is the unit monomial; not a proper ideal$"),
+        (0, "a", -1, "^negative ledger tags on u0$"),
+        (0, "k", None, r"^exceptional coordinate u0 needs \(a, k\) tags$"),
+        (1, "a", 2, "^non-exceptional coordinate u1 cannot carry tags$"),
+        (3, "role", "bogus", "^unknown coordinate role 'bogus'$"),
+    ],
+)
+def test_blowup_checks_the_data_its_charts_share(target, field, value, message):
+    # blowup_chart runs the chart and coordinate checks once per blow-up, on
+    # the parent's generators and the renamed coordinates: a parent altered
+    # after its own checks is caught by the blow-up
+    state = _two_gen_state()
+    object.__setattr__(state if target is None else state.coords[target], field, value)
+    with pytest.raises(ValueError, match=message):
+        blowup_chart(state, ["z0", "z1"])
+
+
 def test_chart_state_validation():
-    with pytest.raises(ValueError):
-        Coordinate("z0", EXCEPTIONAL)  # missing tags
-    with pytest.raises(ValueError):
-        Coordinate("z1", STRICT, a=1, k=1)
-    with pytest.raises(ValueError):
-        ChartState((Coordinate("z0", PLAIN),), ((0,),))  # unit generator
+    with pytest.raises(ValueError, match="^unknown coordinate role 'bogus'$"):
+        Coordinate("z0", "bogus")
+    with pytest.raises(ValueError, match=r"^exceptional coordinate z0 needs \(a, k\) tags$"):
+        Coordinate("z0", EXCEPTIONAL)
+    with pytest.raises(ValueError, match=r"^exceptional coordinate z0 needs \(a, k\) tags$"):
+        Coordinate("z0", EXCEPTIONAL, a=1)
+    for a, k in [(-1, 0), (0, -1)]:
+        with pytest.raises(ValueError, match="^negative ledger tags on z0$"):
+            Coordinate("z0", EXCEPTIONAL, a=a, k=k)
+    for role, a, k in [(STRICT, 1, 1), (STRICT, None, 1), (PLAIN, 1, None)]:
+        with pytest.raises(ValueError, match="^non-exceptional coordinate z1 cannot carry tags$"):
+            Coordinate("z1", role, a=a, k=k)
+
+    two = (Coordinate("z0", PLAIN), Coordinate("z1", PLAIN))
+    with pytest.raises(ValueError, match=r"^duplicate coordinate names: \['z0', 'z0'\]$"):
+        ChartState((two[0], two[0]), ((1, 0),))
+    with pytest.raises(ValueError, match=r"^generator \(1,\) does not match the coordinate count$"):
+        ChartState(two, ((1, 0), (1,)))
+    for bad in [(1, -1), (1.0, 0), ("1", 0), (None, 1)]:
+        with pytest.raises(ValueError, match="must have nonnegative integer exponents$"):
+            ChartState(two, ((1, 0), bad))
+    with pytest.raises(ValueError, match="^a generator is the unit monomial; not a proper ideal$"):
+        ChartState((two[0],), ((0,),))
+    # the first generator that fails is the one named, whatever fails later
+    with pytest.raises(ValueError, match=r"^generator \(0, -2\) must have"):
+        ChartState(two, ((0, -2), (1,), (0, 0)))
+    with pytest.raises(ValueError, match=r"^generator \(1,\) does not match"):
+        ChartState(two, ((1,), (0, -2)))
+    # bool is an int, as before
+    assert ChartState(two, [[True, 0]]).ideal == ((True, 0),)
+
+
+def _assert_public_checks_pass(charts):
+    """Every chart rebuilt through the validating constructors is itself."""
+    for chart in charts:
+        assert ChartState(chart.coords, chart.ideal, chart.depth, chart.born_pivot, chart.born_pivot_index) == chart
+        for c in chart.coords:
+            assert Coordinate(c.name, c.role, c.a, c.k) == c
+
+
+def _charts_of_resolution(profile, monkeypatch):
+    """Every chart blowup_chart returns while the main and side chains of
+    ``profile`` are resolved."""
+    built = []
+
+    def recording(state, center):
+        charts = blowup_chart(state, center)
+        built.extend(charts)
+        return charts
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rs, "blowup_chart", recording)
+        simulate_resolution(profile)
+    return built
+
+
+def _golden_profiles():
+    cases = json.loads((DATA / "golden_resolve_reports.json").read_text())
+    argvs = {tuple(case["argv"][:5]) for case in cases}
+    return [DegreeProfile(6, (2, 3))] + [
+        DegreeProfile(int(argv[2]), tuple(map(int, argv[4].split(",")))) for argv in sorted(argvs)
+    ]
+
+
+def _c3_sample():
+    """Three profiles from each (n, r) stratum of the C3 grid."""
+    rng = random.Random(3)
+    for n in range(1, 13):
+        for r in range(1, min(4, n) + 1):
+            stratum = list(itertools.combinations_with_replacement(range(2, 9), r))
+            for degrees in rng.sample(stratum, 3):
+                yield DegreeProfile(n, degrees)
+
+
+def test_derived_charts_pass_the_public_checks(monkeypatch):
+    profiles = _golden_profiles() + list(_c3_sample())
+    assert len(profiles) == 5 + 3 * 42
+    total = 0
+    for profile in profiles:
+        charts = _charts_of_resolution(profile, monkeypatch)
+        _assert_public_checks_pass(charts)
+        total += len(charts)
+    assert total > 1000
+
+
+@st.composite
+def _charts_and_centers(draw):
+    m = draw(st.integers(2, 6))
+    coords = []
+    for i in range(m):
+        role = draw(st.sampled_from([EXCEPTIONAL, STRICT, PLAIN]))
+        a, k = (draw(st.integers(0, 9)), draw(st.integers(0, 30))) if role == EXCEPTIONAL else (None, None)
+        coords.append(Coordinate(f"x{i}", role, a, k))
+    ideal = draw(st.lists(st.tuples(*[st.integers(0, 5)] * m).filter(any), max_size=5))
+    names = [c.name for c in coords]
+    center = draw(st.lists(st.sampled_from(names), min_size=2, max_size=m + 2).filter(lambda c: len(set(c)) > 1))
+    return ChartState(coords, ideal, depth=draw(st.integers(0, 10))), center
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_charts_and_centers())
+def test_random_blowups_pass_the_public_checks(case):
+    state, center = case
+    charts = blowup_chart(state, center)
+    _assert_public_checks_pass(charts)
+    pivots = [i for i, name in enumerate(state.names()) if name in center]
+    assert [chart.born_pivot_index for chart in charts] == pivots
+    totals = [sum(g[i] for i in pivots) for g in state.ideal]
+    k = len(pivots) - 1 + sum(state.coords[i].k for i in pivots if state.coords[i].role == EXCEPTIONAL)
+    for p, chart in zip(pivots, charts):
+        assert chart.ideal == tuple(g[:p] + (t,) + g[p + 1 :] for g, t in zip(state.ideal, totals))
+        assert chart.coords[p].role == EXCEPTIONAL
+        assert (chart.coords[p].a, chart.coords[p].k) == (min(totals, default=0), k)
+        others = [(c.role, c.a, c.k) for i, c in enumerate(chart.coords) if i != p]
+        assert others == [(c.role, c.a, c.k) for i, c in enumerate(state.coords) if i != p]
 
 
 # --- the scripted resolution ---------------------------------------------------
