@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import re
 import sys
 from fractions import Fraction
 from functools import cache, partial
@@ -45,7 +45,7 @@ _TABLE = {
     "resolve": ("blow-up ledger, lower bound and cross-check", {"n": True, "degrees": True}),
     "verify": (
         "brute-force valuation inequality and chain checks",
-        {"n": True, "degrees": True, "bound": False},
+        {"n": True, "degrees": True, "bound": False, "chain_step": False, "chain_max": False},
     ),
     "probe": (
         "finite-field transversality screen (advisory)",
@@ -135,9 +135,24 @@ def _fmt(x) -> str:
     return f"{x} (≈{float(x):.6g})"
 
 
+_INT_TEXT = re.compile(r"[+-]?[0-9]+")
+
+
+def _parse_int(text: str) -> int:
+    """Integer flag text: an optional sign and ASCII digits, with surrounding
+    whitespace.  Unlike int(), it rejects underscores and non-ASCII digits."""
+    text = text.strip()
+    if not _INT_TEXT.fullmatch(text):
+        raise ValueError(f"invalid integer text {text!r}")
+    return int(text)
+
+
+_parse_int.__name__ = "int"  # argparse names the type in its error: "invalid int value: 'x'"
+
+
 def _parse_int_list(text: str, what: str) -> list[int]:
     try:
-        return [int(part) for part in text.split(",") if part.strip() != ""]
+        return [_parse_int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise InputError(f"could not parse {what} {text!r} as a comma-separated integer list")
 
@@ -168,29 +183,6 @@ def _error_report(command: str, message: str) -> dict:
     return {"schema": SCHEMA_VERSION, "command": command, "ok": False, "error": message}
 
 
-def _scan_bounds_env() -> dict:
-    """Parse MINEXP_SCAN_BOUNDS, e.g. "bound=6,chain_max=2,chain_step=1"."""
-    raw = os.environ.get("MINEXP_SCAN_BOUNDS", "")
-    out = {}
-    if not raw.strip():
-        return out
-    for piece in raw.split(","):
-        if "=" not in piece:
-            raise InputError(f"bad MINEXP_SCAN_BOUNDS entry {piece!r}; expected key=value")
-        key, value = piece.split("=", 1)
-        key = key.strip()
-        if key == "bound":
-            try:
-                out[key] = int(value)
-            except ValueError:
-                raise InputError(f"could not parse MINEXP_SCAN_BOUNDS bound {value!r} as an integer")
-        elif key in ("chain_max", "chain_step"):
-            out[key] = _parse_fraction(value.strip(), key)
-        else:
-            raise InputError(f"unknown MINEXP_SCAN_BOUNDS key {key!r}")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # request keys: the strict check of each value, and the flag that sets it
 
@@ -211,18 +203,19 @@ _STRING = _typed(lambda v: isinstance(v, str), "a string")
 _STRINGS = _typed(lambda v: isinstance(v, str), "a list of strings", listed=True)
 
 
+def _rational(value, what: str) -> int | Fraction:
+    """An integer or a string such as "3/2"; flag text arrives already parsed."""
+    if isinstance(value, str):
+        return _parse_fraction(value, what)
+    if not (ex._is_int(value) or isinstance(value, Fraction)):
+        raise InputError(f"could not parse {what} {value!r} as a rational number")
+    return value
+
+
 def _rationals(value, key: str, item: str) -> list[int | Fraction]:
-    """Integers and strings such as "3/2"; flag text arrives already parsed."""
     if not isinstance(value, list):
         raise InputError(f"bad {key}: expected a list of rationals, got {value!r}")
-    out = []
-    for v in value:
-        if isinstance(v, str):
-            v = _parse_fraction(v, item)
-        elif not (ex._is_int(v) or isinstance(v, Fraction)):
-            raise InputError(f"could not parse {item} {v!r} as a rational number")
-        out.append(v)
-    return out
+    return [_rational(v, item) for v in value]
 
 
 def _support_json(text: str, key: str):
@@ -240,7 +233,7 @@ class _Key(NamedTuple):
 
 
 _KEYS = {
-    "n": _Key(_INTEGER, "--n", {"type": int}, None),
+    "n": _Key(_INTEGER, "--n", {"type": _parse_int}, None),
     "degrees": _Key(_INTEGERS, "--degrees", {}, _parse_int_list),
     "weights": _Key(partial(_rationals, item="weight"), "--weights", {}, _parse_fraction_list),
     "orders": _Key(partial(_rationals, item="order"), "--orders", {}, _parse_fraction_list),
@@ -249,9 +242,11 @@ _KEYS = {
     "variables": _Key(_STRINGS, "--vars", {"metavar": "VARS"}, lambda text, key: text.split(",")),
     # its shape is checked by run_newton, its entries by MonomialSupport
     "support": _Key(lambda value, key: value, "--support", {}, _support_json),
-    "bound": _Key(_INTEGER, "--bound", {"type": int}, None),
-    "field": _Key(_INTEGER, "--field", {"type": int}, None),
-    "limit": _Key(_INTEGER, "--limit", {"type": int}, None),
+    "bound": _Key(_INTEGER, "--bound", {"type": _parse_int}, None),
+    "chain_step": _Key(_rational, "--chain-step", {}, _parse_fraction),
+    "chain_max": _Key(_rational, "--chain-max", {}, _parse_fraction),
+    "field": _Key(_INTEGER, "--field", {"type": _parse_int}, None),
+    "limit": _Key(_INTEGER, "--limit", {"type": _parse_int}, None),
 }
 
 
@@ -392,12 +387,14 @@ def run_resolve(n: int, degrees: list[int]) -> tuple[dict, int]:
     return _report("resolve", results, warnings, provenance), EXIT_OK if match else EXIT_FAIL
 
 
-def run_verify(n: int, degrees: list[int], bound: int | None = None) -> tuple[dict, int]:
+def run_verify(
+    n: int,
+    degrees: list[int],
+    bound: int = 8,
+    chain_step: int | Fraction = Fraction(1, 2),
+    chain_max: int | Fraction = Fraction(4),
+) -> tuple[dict, int]:
     profile = _guard(ex.DegreeProfile, n, tuple(degrees))
-    env = _scan_bounds_env()
-    bound = bound if bound is not None else env.get("bound", 8)
-    chain_max = env.get("chain_max", Fraction(4))
-    chain_step = env.get("chain_step", Fraction(1, 2))
     # both scans' arguments are checked before either scan starts
     _guard(rs._check_scan_bound, bound)
     _guard(rs._check_chain_grid, chain_step, chain_max)
@@ -663,8 +660,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _flag_request(args) -> dict:
-    """The request of parsed flags.  Flag text that holds a list or JSON is
-    read here; such a flag that is optional and empty counts as absent."""
+    """The request of parsed flags.  Flag text that holds a list, a rational
+    or JSON is read here; such a flag that is optional and empty counts as absent."""
     request = {"command": args.command}
     for key, required in _TABLE[args.command][1].items():
         value, text = getattr(args, key), _KEYS[key].text

@@ -16,11 +16,12 @@ bound.  Smooth inputs (all degrees 1) get the distinguished value INFINITY.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, total_ordering
 from fractions import Fraction
 from typing import Sequence
 
 
+@total_ordering
 class Infinity:
     """Distinguished top value, ordered above every rational.
 
@@ -41,31 +42,10 @@ class Infinity:
     def __hash__(self):
         return hash("minexp.INFINITY")
 
-    def _comparable(self, other) -> bool:
-        return isinstance(other, (int, Fraction))
-
-    def __gt__(self, other):
-        if self._comparable(other):
-            return True
-        if other is self:
-            return False
-        return NotImplemented
-
-    def __ge__(self, other):
-        if self._comparable(other) or other is self:
-            return True
-        return NotImplemented
-
     def __lt__(self, other):
-        if self._comparable(other) or other is self:
+        # total_ordering derives <=, > and >= from this and __eq__
+        if isinstance(other, (int, Fraction)) or other is self:
             return False
-        return NotImplemented
-
-    def __le__(self, other):
-        if self._comparable(other):
-            return False
-        if other is self:
-            return True
         return NotImplemented
 
     def __repr__(self):

@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Iterable, Sequence
 
-from minexp.exponent import DegreeProfile, _as_fraction, _is_int
+from minexp.exponent import DegreeProfile, _as_fraction
 
 EXCEPTIONAL = "exceptional"
 STRICT = "strict"
@@ -54,41 +54,6 @@ def _letter(depth: int) -> str:
 
 class ResolutionError(RuntimeError):
     """An internal chart-calculus invariant failed (a bug, not bad input)."""
-
-
-@dataclass(frozen=True)
-class GroupedDegrees:
-    """Sorted degrees grouped into strictly increasing levels with counts."""
-
-    levels: tuple[tuple[int, int], ...]  # (degree value, multiplicity)
-
-    def __post_init__(self):
-        object.__setattr__(self, "levels", tuple((e, p) for e, p in self.levels))
-        if not all(_is_int(e) and _is_int(p) for e, p in self.levels):
-            raise ValueError(f"level values and multiplicities must be integers, got {self.levels}")
-        if not self.levels:
-            raise ValueError("levels must be nonempty")
-        values = [e for e, _ in self.levels]
-        if values != sorted(set(values)):
-            raise ValueError(f"level values must be strictly increasing, got {values}")
-        if any(p < 1 for _, p in self.levels):
-            raise ValueError("multiplicities must be at least 1")
-
-    @classmethod
-    def from_degrees(cls, degrees: Sequence[int]) -> "GroupedDegrees":
-        return cls(tuple((d, len(list(run))) for d, run in itertools.groupby(degrees)))
-
-    @property
-    def values(self) -> tuple[int, ...]:
-        return tuple(e for e, _ in self.levels)
-
-    @property
-    def counts(self) -> tuple[int, ...]:
-        return tuple(p for _, p in self.levels)
-
-    @property
-    def cumulative(self) -> tuple[int, ...]:
-        return tuple(itertools.accumulate(self.counts))
 
 
 @dataclass(frozen=True)
@@ -292,7 +257,7 @@ class ResolutionReport:
 
     profile: DegreeProfile
     mode: str
-    grouped: GroupedDegrees
+    levels: tuple[tuple[int, int], ...]  # (degree value, multiplicity), values increasing
     ledger: DivisorLedger
     lower_bound: Fraction
     blowup_count: int
@@ -310,7 +275,7 @@ class ResolutionReport:
             "n": self.profile.n,
             "degrees": list(self.profile.degrees),
             "mode": self.mode,
-            "levels": [list(level) for level in self.grouped.levels],
+            "levels": [list(level) for level in self.levels],
             "blowups": self.blowup_count,
             "ledger": [
                 {"divisor": row.divisor, "a": row.a, "k": row.k, "ratio": rat(row.ratio)}
@@ -378,17 +343,18 @@ def _start_chart(profile: DegreeProfile, q: int, extra: int | None = None) -> Ch
     return ChartState(tuple(coords), tuple(gens))
 
 
-def _climb(state: ChartState, grouped: GroupedDegrees, top: int, vj_checks: list | None = None):
+def _climb(state: ChartState, e: Sequence[int], cum: Sequence[int], top: int, vj_checks: list | None = None):
     """Run the scripted blow-ups of levels 1..top and yield (center, chart)
     after each, following the chart that keeps the exceptional coordinate.
 
-    A blow-up of level l is centred on the exceptional coordinate and the
-    strict transforms of the levels below l; there are e_l - e_{l-1} of
-    them.  Every other chart must come out divisorial (principal with an
-    exceptional-supported generator); with ``vj_checks`` given, each is
-    recorded there under the name of the divisor just made, E2 onwards.
+    ``e`` holds the distinct degrees in increasing order and ``cum[l]`` the
+    number of degrees at most ``e[l]``.  A blow-up of level l is centred on
+    the exceptional coordinate and the strict transforms of the levels below
+    l; there are e_l - e_{l-1} of them.  Every other chart must come out
+    divisorial (principal with an exceptional-supported generator); with
+    ``vj_checks`` given, each is recorded there under the name of the
+    divisor just made, E2 onwards.
     """
-    e, cum = grouped.values, grouped.cumulative
     divisor = 1
     for level in range(1, top + 1):
         for _ in range(e[level] - e[level - 1]):
@@ -422,14 +388,14 @@ def _climb(state: ChartState, grouped: GroupedDegrees, top: int, vj_checks: list
             yield center, state
 
 
-def _run_case3(profile: DegreeProfile, grouped: GroupedDegrees, level: int) -> Case3Report:
+def _run_case3(profile: DegreeProfile, e: Sequence[int], cum: Sequence[int], level: int) -> Case3Report:
     """Side chain at ``level``: only the strict transforms of degree level
     <= ``level`` pass through its start chart, and the next group
     contributes a pure power of the exceptional coordinate."""
-    expected = grouped.values[level]
-    state = _start_chart(profile, grouped.cumulative[level - 1], expected)
+    expected = e[level]
+    state = _start_chart(profile, cum[level - 1], expected)
     steps = [state.render_ideal()]
-    for _, state in _climb(state, grouped, level):
+    for _, state in _climb(state, e, cum, level):
         steps.append(state.render_ideal())
     gmin = _principal_exceptional_generator(state)
     if gmin[0] != expected or any(gmin[1:]):
@@ -472,8 +438,9 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     factorization witness is asserted.
     """
     n = profile.n
-    grouped = GroupedDegrees.from_degrees(profile.degrees)
-    e = grouped.values
+    levels = tuple((d, len(list(run))) for d, run in itertools.groupby(profile.degrees))
+    e = [d for d, _ in levels]
+    cum = list(itertools.accumulate(count for _, count in levels))
     k = len(e)
     mode = LOG_RESOLUTION if profile.r == n else STRONG_FACTORIZING
 
@@ -481,7 +448,7 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     rows = [LedgerRow("E1", profile.degrees[0], n - 1)]
     trace = [TraceStep("origin", None, "E1", profile.degrees[0], n - 1, state.render_ideal())]
     vj_checks: list[VjCheck] = []
-    for center, state in _climb(state, grouped, k - 1, vj_checks):
+    for center, state in _climb(state, e, cum, k - 1, vj_checks):
         exc = state.coords[0]
         row = LedgerRow(f"E{len(rows) + 1}", exc.a, exc.k)
         rows.append(row)
@@ -498,13 +465,13 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
         raise ResolutionError("blow-up count does not match the ledger length")
 
     witness = _factorization_witness(state, profile) if mode == STRONG_FACTORIZING else None
-    case3 = tuple(_run_case3(profile, grouped, level) for level in range(1, k))
+    case3 = tuple(_run_case3(profile, e, cum, level) for level in range(1, k))
 
     ledger = DivisorLedger(tuple(rows))
     return ResolutionReport(
         profile=profile,
         mode=mode,
-        grouped=grouped,
+        levels=levels,
         ledger=ledger,
         lower_bound=ledger.lower_bound,
         blowup_count=blowup_count,
@@ -538,9 +505,7 @@ def _check_scan_bound(bound: int) -> None:
         raise ValueError("bound must be at least 1")
 
 
-def verify_valuation_inequality(
-    profile: DegreeProfile, bound: int, branch: str | None = None
-) -> ValuationScanReport:
+def verify_valuation_inequality(profile: DegreeProfile, bound: int) -> ValuationScanReport:
     """Exhaustively check the divisorial valuation inequality on an integer grid.
 
     For degree sum > n ("lct" branch) the inequality is
@@ -558,17 +523,12 @@ def verify_valuation_inequality(
     n = profile.n
     d = profile.degrees
     r = profile.r
-    actual = LCT_BRANCH if profile.degree_sum > n else COMPLEMENTARY_BRANCH
-    if branch is not None and branch != actual:
-        raise ValueError(
-            f"requested branch {branch!r} but the degree sum {profile.degree_sum} "
-            f"vs n = {n} puts this profile in the {actual!r} branch"
-        )
+    branch = LCT_BRANCH if profile.degree_sum > n else COMPLEMENTARY_BRANCH
     table = profile.table
-    exponent = table.minimum if actual == LCT_BRANCH else table.values[-1]
+    exponent = table.minimum if branch == LCT_BRANCH else table.values[-1]
     num, den = exponent.numerator, exponent.denominator
 
-    pinned = () if actual == LCT_BRANCH else (0,)  # the complementary branch fixes b_r = 0
+    pinned = () if branch == LCT_BRANCH else (0,)  # the complementary branch fixes b_r = 0
     checked = 0
     counterexample = None
     for b0 in range(1, bound + 1):
@@ -584,7 +544,7 @@ def verify_valuation_inequality(
         if counterexample:
             break
     return ValuationScanReport(
-        branch=actual,
+        branch=branch,
         exponent=exponent,
         tuples_checked=checked,
         passed=counterexample is None,
@@ -678,7 +638,7 @@ def descent_chain_grid(
     ``maximum``, in lexicographic order.  Returns the number of points
     checked and the first failing report (None when every chain passes)."""
     _check_chain_grid(step, maximum)
-    axis = [i * step for i in range(int(maximum / step) + 1)]
+    axis = [i * step for i in range(maximum // step + 1)]
     points = 0
     for u in itertools.product(axis, repeat=profile.r):
         points += 1

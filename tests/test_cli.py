@@ -211,36 +211,119 @@ def test_verify_pass(capsys):
     assert report["results"]["branch"] == "lct"
 
 
-def test_verify_env_override(capsys, monkeypatch):
-    monkeypatch.setenv("MINEXP_SCAN_BOUNDS", "bound=3,chain_max=1,chain_step=1")
-    code, report = run_json(capsys, "verify", "--n", "6", "--degrees", "2,3")
+def test_verify_chain_grid_from_request(capsys, tmp_path):
+    argv = ["verify", "--n", "6", "--degrees", "2,3", "--bound", "3", "--chain-step", "1", "--chain-max", "1"]
+    code, report = run_json(capsys, *argv)
     assert code == EXIT_OK
-    assert report["results"]["bound"] == 3
-    assert report["results"]["chain_grid"]["points"] == 4  # {0,1}^2
+    results = report["results"]
+    assert results["bound"] == 3
+    assert results["chain_grid"]["points"] == 4  # {0,1}^2
+    path = tmp_path / "manifest.json"
+    for step, maximum in [(1, 1), ("1", "1"), ("2/2", 1)]:
+        entry = {"command": "verify", "n": 6, "degrees": [2, 3], "bound": 3, "chain_step": step, "chain_max": maximum}
+        path.write_text(json.dumps([entry]))
+        code, report = run_json(capsys, "batch", str(path))
+        assert code == EXIT_OK
+        assert report["reports"][0]["results"] == results
+    code, report = run_json(capsys, "verify", "--n", "6", "--degrees", "2,3", "--chain-step", "3/2", "--chain-max", "3")
+    assert report["results"]["chain_grid"]["step"] == {"num": 3, "den": 2}
+    assert report["results"]["chain_grid"]["points"] == 9  # {0, 3/2, 3}^2
+
+
+def _outputs(capsys, argv):
+    """Exit code, stdout and stderr of main(argv), in text and with --json."""
+    outputs = []
+    for extra in ([], ["--json"]):
+        code = main([*argv, *extra])
+        outputs.append((code, *capsys.readouterr()))
+    return outputs
+
+
+def test_verify_env_override(capsys, monkeypatch, tmp_path):
+    # MINEXP_SCAN_BOUNDS used to size verify's grids; only the request does now
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([{"command": "verify", "n": 3, "degrees": [2, 3]}]))
+    requests = [["verify", "--n", "6", "--degrees", "2,3"], ["batch", str(path)]]
+    plain = [_outputs(capsys, argv) for argv in requests]
+    monkeypatch.setenv("MINEXP_SCAN_BOUNDS", "bound=2,chain_max=1,chain_step=1")
+    assert [_outputs(capsys, argv) for argv in requests] == plain
+    assert json.loads(plain[1][1][1])["reports"][0]["results"]["bound"] == 8
 
 
 def test_verify_env_bad_bound(capsys, monkeypatch):
+    # a bad MINEXP_SCAN_BOUNDS used to make every verify request an input
+    # error; it is ignored now, and a bad bound in the request is rejected
+    argv = ["verify", "--n", "6", "--degrees", "2,3"]
+    plain = _outputs(capsys, argv)
     monkeypatch.setenv("MINEXP_SCAN_BOUNDS", "bound=x")
-    code, report = run_json(capsys, "verify", "--n", "6", "--degrees", "2,3")
-    assert code == EXIT_INPUT
-    assert "MINEXP_SCAN_BOUNDS bound 'x'" in report["error"]
+    assert _outputs(capsys, argv) == plain
+    assert plain[0][0] == EXIT_OK
+    assert main([*argv, "--bound", "x"]) == EXIT_INPUT
+    assert capsys.readouterr().err == "input error: argument --bound: invalid int value: 'x'\n"
 
 
 @pytest.mark.parametrize("bounds", ["chain_step=0", "chain_max=-1"])
-def test_verify_env_bad_chain_grid(capsys, monkeypatch, bounds):
-    # both scans' arguments are checked before either scan starts
+def test_verify_env_bad_chain_grid(capsys, monkeypatch, tmp_path, bounds):
+    # the grid MINEXP_SCAN_BOUNDS used to set, and reject, is now set and
+    # rejected by the request; the variable itself is ignored
+    argv = ["verify", "--n", "6", "--degrees", "2,3,4"]
+    plain = _outputs(capsys, argv)
+    monkeypatch.setenv("MINEXP_SCAN_BOUNDS", f"bound=40,{bounds}")
+    assert _outputs(capsys, argv) == plain
+
+    # both scans' arguments are checked before either scan starts, bound first
     def scan(*args):
         raise AssertionError("the valuation scan ran")
 
     monkeypatch.setattr(rs, "verify_valuation_inequality", scan)
-    monkeypatch.setenv("MINEXP_SCAN_BOUNDS", f"bound=40,{bounds}")
-    code, report = run_json(capsys, "verify", "--n", "6", "--degrees", "2,3,4")
-    assert code == EXIT_INPUT
-    assert report["error"] == "chain grid parameters must be positive"
-    monkeypatch.setenv("MINEXP_SCAN_BOUNDS", f"bound=0,{bounds}")
-    code, report = run_json(capsys, "verify", "--n", "6", "--degrees", "2,3,4")
-    assert code == EXIT_INPUT
-    assert report["error"] == "bound must be at least 1"
+    key, value = bounds.split("=")
+    path = tmp_path / "manifest.json"
+    for bound, error in [(40, "chain grid parameters must be positive"), (0, "bound must be at least 1")]:
+        flags = ["--bound", str(bound), "--" + key.replace("_", "-"), value]
+        code, report = run_json(capsys, *argv, *flags)
+        assert code == EXIT_INPUT
+        assert report["error"] == error
+        entry = {"command": "verify", "n": 6, "degrees": [2, 3, 4], "bound": bound, key: int(value)}
+        path.write_text(json.dumps([entry]))
+        code, report = run_json(capsys, "batch", str(path))
+        assert code == EXIT_INPUT
+        assert report["reports"][0]["error"] == f"request 0: {error}"
+
+
+# flag text that int() would accept or reject, and the error it gets now
+BAD_INTEGER_FLAGS = {
+    "underscore_bound": (["verify", "--n", "6", "--degrees", "2,3", "--bound", "1_0"], "argument --bound: invalid int value: '1_0'"),
+    "underscore_field": (["probe", "--poly", "x1^2", "--vars", "x1", "--field", "1_3"], "argument --field: invalid int value: '1_3'"),
+    "underscore_limit": (
+        ["probe", "--poly", "x1^2", "--vars", "x1", "--field", "13", "--limit", " 1_0_0"],
+        "argument --limit: invalid int value: ' 1_0_0'",
+    ),
+    "arabic_indic_n": (["formula", "--n", "\u0666", "--degrees", "2,3"], "argument --n: invalid int value: '\u0666'"),
+    "arabic_indic_degrees": (
+        ["formula", "--n", "6", "--degrees", "\u0662,\u0663"],
+        "could not parse degrees '\u0662,\u0663' as a comma-separated integer list",
+    ),
+    "underscore_degree": (
+        ["formula", "--n", "6", "--degrees", "2,3_0"],
+        "could not parse degrees '2,3_0' as a comma-separated integer list",
+    ),
+    "decimal_n": (["formula", "--n", "6.0", "--degrees", "2,3"], "argument --n: invalid int value: '6.0'"),
+    "letter_n": (["formula", "--n", "x", "--degrees", "2,3"], "argument --n: invalid int value: 'x'"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_INTEGER_FLAGS)
+def test_integer_flags_are_strict(capsys, name):
+    # int() reads "1_0" as 10 and Arabic-Indic digits as ASCII ones
+    argv, error = BAD_INTEGER_FLAGS[name]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: {error}\n"
+
+
+def test_integer_flags_allow_signs_and_spaces(capsys):
+    code, report = run_json(capsys, "verify", "--n", " +3 ", "--degrees", " 2, 3", "--bound", "+4")
+    assert code == EXIT_OK
+    assert (report["results"]["n"], report["results"]["degrees"], report["results"]["bound"]) == (3, [2, 3], 4)
 
 
 @pytest.mark.parametrize(
@@ -387,6 +470,10 @@ BAD_REQUESTS = {
     "string_bound": {"command": "verify", "n": 3, "degrees": [2, 3], "bound": "3"},
     "float_bound": {"command": "verify", "n": 3, "degrees": [2, 3], "bound": 2.9},
     "bool_bound": {"command": "verify", "n": 3, "degrees": [2, 3], "bound": True},
+    "float_chain_step": {"command": "verify", "n": 3, "degrees": [2, 3], "chain_step": 0.5},
+    "bool_chain_max": {"command": "verify", "n": 3, "degrees": [2, 3], "chain_max": True},
+    "string_chain_step": {"command": "verify", "n": 3, "degrees": [2, 3], "chain_step": "x"},
+    "list_chain_max": {"command": "verify", "n": 3, "degrees": [2, 3], "chain_max": [1]},
     "bool_weight": {"command": "weighted", "weights": [True, 1], "orders": [2]},
     "float_weight": {"command": "weighted", "weights": [1.5, 1], "orders": [2]},
     "string_polynomials": {**PROBE, "polynomials": "x1^2"},
@@ -405,6 +492,10 @@ PINNED_ERRORS = {
     "weighted_smooth_polynomial": SMOOTH_POLYNOMIAL_ERROR,
     "weighted_no_polynomials": NO_POLYNOMIAL_ERROR,
     "negative_limit": LIMIT_ERROR,
+    "float_chain_step": "could not parse chain_step 0.5 as a rational number",
+    "bool_chain_max": "could not parse chain_max True as a rational number",
+    "string_chain_step": "could not parse chain_step 'x' as a rational number",
+    "list_chain_max": "could not parse chain_max [1] as a rational number",
 }
 
 
@@ -441,8 +532,9 @@ def test_batch_bad_support_is_reported_not_fatal(tmp_path, capsys):
 # fuzzed manifests: well-formed and malformed entries through main()
 #
 # Sizes stay small because verify has no work budget yet (its chain grid
-# alone has 9^r points): n <= 8, r <= 3, bound <= 4, at most three
-# variables, fields of 3, 5 or 7.
+# alone has 9^r points by default): n <= 8, r <= 3, bound <= 4, a chain
+# grid of at most 9 points per axis, at most three variables, fields of 3,
+# 5 or 7.
 
 _N = st.integers(1, 8)
 _DEGREES = st.lists(st.integers(1, 6), min_size=1, max_size=3).map(sorted)
@@ -464,6 +556,13 @@ _WELL_FORMED = st.one_of(
     _entry("formula", n=_N, degrees=_DEGREES),
     _entry("resolve", n=_N, degrees=_DEGREES),
     _entry("verify", n=_N, degrees=_DEGREES, bound=st.integers(1, 4)),
+    _entry(
+        "verify",
+        n=_N,
+        degrees=_DEGREES,
+        chain_step=st.sampled_from([1, "1/2", "3/2"]),
+        chain_max=st.sampled_from([0, 2, "4"]),
+    ),
     _entry("weighted", weights=_RATIONALS, orders=_RATIONALS),
     _entry("weighted", weights=_RATIONALS, polynomials=_POLYS, variables=_NAMES),
     _entry("newton", support=_SUPPORT),
@@ -480,7 +579,7 @@ def _malformed(draw):
     if mutation == "drop":
         del entry[key]
     elif mutation == "extra":
-        entry[draw(st.sampled_from(["bogus", "n", "bound", "limit", "support"]))] = draw(_WRONG)
+        entry[draw(st.sampled_from(["bogus", "n", "bound", "chain_step", "limit", "support"]))] = draw(_WRONG)
     else:
         entry[key] = draw(_WRONG)
     return entry

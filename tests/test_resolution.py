@@ -23,7 +23,6 @@ from minexp.resolution import (
     ChartState,
     Coordinate,
     DivisorLedger,
-    GroupedDegrees,
     LedgerRow,
     blowup_chart,
     descent_chain,
@@ -37,20 +36,16 @@ DATA = Path(__file__).parent / "data"
 
 
 def test_grouped_degrees():
-    grouped = GroupedDegrees.from_degrees((2, 2, 3, 5, 5, 5))
-    assert grouped.levels == ((2, 2), (3, 1), (5, 3))
-    assert grouped.values == (2, 3, 5)
-    assert grouped.cumulative == (2, 3, 6)
-    assert grouped.counts == (2, 1, 3)
-
-
-@pytest.mark.parametrize(
-    "levels", [((2.5, 1),), ((2, 1.0),), ((True, 1),), ((2, True),), (("2", 1),)]
-)
-def test_grouped_degrees_rejects_non_int(levels):
-    # nothing is truncated: (2.5, 1) used to become (2, 1)
-    with pytest.raises(ValueError):
-        GroupedDegrees(levels)
+    # the degrees group into levels (value, multiplicity); the side chain of
+    # level l starts with the strict transforms of every degree below e_l
+    report = simulate_resolution(DegreeProfile(8, (2, 2, 3, 5, 5, 5)))
+    assert report.levels == ((2, 2), (3, 1), (5, 3))
+    assert report.to_json_dict()["levels"] == [[2, 2], [3, 1], [5, 3]]
+    assert [(c.level, c.steps[0]) for c in report.case3] == [
+        (1, "(z0^2*z1, z0^2*z2, z0^3)"),
+        (2, "(z0^2*z1, z0^2*z2, z0^3*z3, z0^5)"),
+    ]
+    assert report.blowup_count == 5 - 2 + 1
 
 
 def _two_gen_state():
@@ -375,13 +370,6 @@ def test_valuation_scan_complementary_branch():
     assert report.exponent == F(7, 3)
     assert report.passed
     assert report.tuples_checked == 6 * 7  # b_r pinned to zero
-
-
-def test_valuation_branch_mismatch_rejected():
-    with pytest.raises(ValueError):
-        verify_valuation_inequality(DegreeProfile(3, (2, 3)), 4, branch="complementary")
-    with pytest.raises(ValueError):
-        verify_valuation_inequality(DegreeProfile(6, (2, 3)), 4, branch="lct")
 
 
 # --- descent chains --------------------------------------------------------------
