@@ -117,25 +117,31 @@ class InputError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# value rendering
+# reports and values
+
+def _report(command: str, code: int, **fields) -> tuple[dict, int]:
+    """Every report: the envelope around a command's fields, and its exit code.
+    A report is ok exactly when its exit code is EXIT_OK."""
+    return {"schema": SCHEMA_VERSION, "command": command, "ok": code == EXIT_OK, **fields}, code
+
 
 def _rat_json(x):
+    """The one writer of an exact value in a report: {"num", "den"}, or "infinity"."""
     if x is ex.INFINITY:
         return "infinity"
-    x = Fraction(x)
+    x = ex._as_fraction(x)
     return {"num": x.numerator, "den": x.denominator}
 
 
-def _fmt(x) -> str:
-    if x is ex.INFINITY:
-        return "∞"
-    x = Fraction(x)
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x} (≈{float(x):.6g})"
+def _show(value: dict) -> str:
+    """The text of a rational that _rat_json wrote, with a decimal reading
+    when it is not an integer."""
+    num, den = value["num"], value["den"]
+    return str(num) if den == 1 else f"{num}/{den} (≈{num / den:.6g})"
 
 
 _INT_TEXT = re.compile(r"[+-]?[0-9]+")
+_RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _parse_int(text: str) -> int:
@@ -158,29 +164,19 @@ def _parse_int_list(text: str, what: str) -> list[int]:
 
 
 def _parse_fraction(text: str, what: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
+    """Rational text, as a polynomial coefficient is written: an optional sign,
+    ASCII digits, optionally "/" and ASCII digits, with surrounding whitespace.
+    Unlike Fraction(), it rejects underscores, non-ASCII digits, exponents and
+    decimal points."""
+    match = _RATIONAL_TEXT.fullmatch(text.strip())
+    den = int(match[2] or 1) if match else 0
+    if den == 0:
         raise InputError(f"could not parse {what} {text!r} as a rational number")
+    return Fraction(int(match[1]), den)
 
 
 def _parse_fraction_list(text: str, what: str) -> list[Fraction]:
     return [_parse_fraction(part, what) for part in text.split(",") if part.strip() != ""]
-
-
-def _report(command: str, results: dict, warnings: list[str], provenance: list[str], ok=True):
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": command,
-        "ok": ok,
-        "results": results,
-        "warnings": warnings,
-        "provenance": provenance,
-    }
-
-
-def _error_report(command: str, message: str) -> dict:
-    return {"schema": SCHEMA_VERSION, "command": command, "ok": False, "error": message}
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +298,25 @@ def run_formula(n: int, degrees: list[int]) -> tuple[dict, int]:
                 f"{shift} linear equation(s) removed; the exponent of the reduced cone "
                 f"is shifted up by {shift}"
             )
-    return _report("formula", results, warnings, provenance), EXIT_OK
+    return _report("formula", EXIT_OK, results=results, warnings=warnings, provenance=provenance)
+
+
+def _text_formula(results: dict):
+    yield f"n = {results['n']}, degrees = {results['degrees']}"
+    if results["linear_shift"]:
+        yield f"linear equations removed: {results['linear_shift']}"
+    if results["smooth"]:
+        yield "minimal exponent = ∞ (smooth)"
+    else:
+        yield f"minimal exponent = {_show(results['minimal_exponent'])}"
+        cands = ", ".join(map(_show, results["candidates"]))
+        label = "candidates (reduced cone)" if results["linear_shift"] else "candidates"
+        yield f"{label} = [{cands}], pivot = {results['pivot']}"
+    yield f"lct = {_show(results['lct'])}"
+    yield (
+        "rational singularities: {rational_singularities}; log canonical: "
+        "{log_canonical}; exponent exceeds lct: {exceeds_lct}".format(**results["predicates"])
+    )
 
 
 def run_weighted(
@@ -327,7 +341,14 @@ def run_weighted(
     provenance = [
         "upper bound: candidate minimum at w = total weight over the weighted orders",
     ]
-    return _report("weighted", results, [UPPER_BOUND_WARNING], provenance), EXIT_OK
+    return _report(
+        "weighted", EXIT_OK, results=results, warnings=[UPPER_BOUND_WARNING], provenance=provenance
+    )
+
+
+def _text_weighted(results: dict):
+    yield f"weighted orders = [{', '.join(map(_show, results['orders']))}]"
+    yield f"UPPER BOUND = {_show(results['upper_bound'])}"
 
 
 def run_newton(
@@ -359,7 +380,18 @@ def run_newton(
         "c: least diagonal entry of the Newton polyhedron (exact simplex with certificates)",
         "exponent: reciprocal of c",
     ]
-    return _report("newton", results, [NONDEGENERACY_WARNING], provenance), EXIT_OK
+    return _report(
+        "newton", EXIT_OK, results=results, warnings=[NONDEGENERACY_WARNING], provenance=provenance
+    )
+
+
+def _text_newton(results: dict):
+    yield f"support = {results['support']}"
+    yield f"c = {_show(results['c'])}"
+    pieces = ", ".join(f"{entry['point']}: {_show(entry['coefficient'])}" for entry in results["certificate"])
+    yield f"certificate weights: {pieces}"
+    yield f"dual certificate: [{', '.join(map(_show, results['dual']))}]"
+    yield f"exponent = {_show(results['exponent'])}"
 
 
 def run_resolve(n: int, degrees: list[int]) -> tuple[dict, int]:
@@ -367,11 +399,42 @@ def run_resolve(n: int, degrees: list[int]) -> tuple[dict, int]:
     report = rs.simulate_resolution(profile)
     formula_value = ex.minimal_exponent_cone(profile)
     match = report.lower_bound == formula_value
-    results = report.to_json_dict()
-    results["cross_check"] = {
-        "formula": _rat_json(formula_value),
-        "ledger_bound": _rat_json(report.lower_bound),
-        "match": match,
+    witness = report.witness
+    results = {
+        "n": profile.n,
+        "degrees": list(profile.degrees),
+        "mode": report.mode,
+        "levels": [list(level) for level in report.levels],
+        "blowups": report.blowup_count,
+        "ledger": [
+            {"divisor": row.divisor, "a": row.a, "k": row.k, "ratio": _rat_json(row.ratio)}
+            for row in report.ledger.rows
+        ],
+        "lower_bound": _rat_json(report.lower_bound),
+        "witness": (
+            None if witness is None else {"common": witness.common, "residual": list(witness.residual)}
+        ),
+        "trace": [
+            {
+                "center": step.center if isinstance(step.center, str) else list(step.center),
+                "pivot": step.pivot,
+                "divisor": step.divisor,
+                "a": step.a,
+                "k": step.k,
+                "ideal": step.ideal,
+            }
+            for step in report.trace
+        ],
+        "case3": [{"level": c.level, "steps": list(c.steps), "principal": c.principal} for c in report.case3],
+        "vj_checks": [
+            {"divisor": v.divisor, "pivot": v.pivot, "ideal": v.ideal, "generator": v.generator}
+            for v in report.vj_checks
+        ],
+        "cross_check": {
+            "formula": _rat_json(formula_value),
+            "ledger_bound": _rat_json(report.lower_bound),
+            "match": match,
+        },
     }
     warnings = [HYPOTHESIS_WARNING]
     if report.mode == rs.LOG_RESOLUTION:
@@ -384,7 +447,23 @@ def run_resolve(n: int, degrees: list[int]) -> tuple[dict, int]:
         "lower bound: min over divisors of (discrepancy + 1) / multiplicity",
         "cross-check: ledger bound against the closed-form exponent",
     ]
-    return _report("resolve", results, warnings, provenance), EXIT_OK if match else EXIT_FAIL
+    code = EXIT_OK if match else EXIT_FAIL
+    return _report("resolve", code, results=results, warnings=warnings, provenance=provenance)
+
+
+def _text_resolve(results: dict):
+    yield f"n = {results['n']}, degrees = {results['degrees']}, mode = {results['mode']}"
+    for step in results["trace"]:
+        where = step["center"] if isinstance(step["center"], str) else ", ".join(step["center"])
+        yield f"  blow up [{where}] -> {step['divisor']} (a={step['a']}, k={step['k']}): {step['ideal']}"
+    for row in results["ledger"]:
+        yield f"  {row['divisor']}: a = {row['a']}, k = {row['k']}, (k+1)/a = {_show(row['ratio'])}"
+    if results["witness"]:
+        witness = results["witness"]
+        yield f"factorization: {witness['common']} * ({', '.join(witness['residual'])})"
+    yield f"lower bound = {_show(results['lower_bound'])}"
+    cross = results["cross_check"]
+    yield f"cross-check vs formula {_show(cross['formula'])}: {'PASS' if cross['match'] else 'FAIL'}"
 
 
 def run_verify(
@@ -429,7 +508,21 @@ def run_verify(
         "inequality: exhaustive integer-grid check of the divisorial valuation bound",
         "chain grid: pointwise check of the telescoping chain argument",
     ]
-    return _report("verify", results, [], provenance), EXIT_OK if passed else EXIT_FAIL
+    code = EXIT_OK if passed else EXIT_FAIL
+    return _report("verify", code, results=results, warnings=[], provenance=provenance)
+
+
+def _text_verify(results: dict):
+    yield f"n = {results['n']}, degrees = {results['degrees']}"
+    yield (
+        f"branch = {results['branch']}, bound = {results['bound']}, "
+        f"exponent factor = {_show(results['exponent'])}"
+    )
+    yield f"inequality grid: {results['tuples_checked']} tuples"
+    if results["counterexample"]:
+        yield f"counterexample: {results['counterexample']}"
+    yield f"chain grid: {results['chain_grid']['points']} points"
+    yield "PASS" if results["passed"] else "FAIL"
 
 
 def run_probe(
@@ -458,7 +551,21 @@ def run_probe(
     warnings = [PROBE_WARNING, "the probe is advisory and never blocks a computation"]
     provenance = ["verdict: finite-field scan of smoothness + normal-crossing incidence"]
     code = EXIT_FAIL if report.verdict == "FAIL" else EXIT_OK
-    return _report("probe", results, warnings, provenance), code
+    return _report("probe", code, results=results, warnings=warnings, provenance=provenance)
+
+
+def _text_probe(results: dict):
+    yield f"field = {results['field']}, points checked = {results['points_checked']}"
+    yield f"verdict: {results['verdict']}"
+    if results["reason"]:
+        yield f"reason: {results['reason']}"
+    if results["witness"]:
+        w = results["witness"]
+        yield (
+            f"witness point {w['point']} (inputs {w['vanishing']} vanish); "
+            f"lift {w['lifted_point']}; genuine: {w['genuine']}"
+        )
+        yield f"  {w['note']}"
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +610,8 @@ def run_batch(manifest_path: str) -> tuple[dict, int]:
             sub, code = _run_request(request)
         except InputError as err:
             command = request.get("command") if isinstance(request, dict) else None
-            sub = _error_report(command if command in COMMANDS else "batch", f"request {i}: {err}")
-            code = EXIT_INPUT
+            command = command if command in COMMANDS else "batch"
+            sub, code = _report(command, EXIT_INPUT, error=f"request {i}: {err}")
         reports.append(sub)
         codes.append(code)
     passed = sum(1 for c in codes if c == EXIT_OK)
@@ -513,125 +620,27 @@ def run_batch(manifest_path: str) -> tuple[dict, int]:
         overall = EXIT_FAIL
     elif any(c == EXIT_INPUT for c in codes):
         overall = EXIT_INPUT
-    report = {
-        "schema": SCHEMA_VERSION,
-        "command": "batch",
-        "ok": overall == EXIT_OK,
-        "reports": reports,
-        "summary": {"total": len(reports), "passed": passed},
-    }
-    return report, overall
+    return _report("batch", overall, reports=reports, summary={"total": len(reports), "passed": passed})
+
+
+def _text_batch(report: dict):
+    for sub in report["reports"]:
+        yield f"  {sub['command']}: {'ok' if sub['ok'] else 'FAILED'}"
+    yield f"batch: {report['summary']['passed']}/{report['summary']['total']} passed"
 
 
 # ---------------------------------------------------------------------------
 # text rendering
 
 def _render_text(report: dict, stream) -> None:
-    command = report.get("command", "?")
-    print(f"command: {command}", file=stream)
-    if not report.get("ok", False) and "error" in report:
-        print(f"error: {report['error']}", file=stream)
-        return
-
-    def show(value):
-        if value == "infinity":
-            return "∞"
-        if isinstance(value, dict) and set(value) == {"num", "den"}:
-            return _fmt(Fraction(value["num"], value["den"]))
-        return str(value)
-
-    results = report.get("results", {})
-    if command == "formula":
-        print(f"n = {results['n']}, degrees = {results['degrees']}", file=stream)
-        if results.get("linear_shift"):
-            print(f"linear equations removed: {results['linear_shift']}", file=stream)
-        if results.get("smooth"):
-            print("minimal exponent = ∞ (smooth)", file=stream)
-        else:
-            print(f"minimal exponent = {show(results['minimal_exponent'])}", file=stream)
-            cands = ", ".join(show(v) for v in results["candidates"])
-            label = "candidates (reduced cone)" if results.get("linear_shift") else "candidates"
-            print(f"{label} = [{cands}], pivot = {results['pivot']}", file=stream)
-        print(f"lct = {show(results['lct'])}", file=stream)
-        preds = results["predicates"]
-        print(
-            "rational singularities: {rational_singularities}; log canonical: "
-            "{log_canonical}; exponent exceeds lct: {exceeds_lct}".format(**preds),
-            file=stream,
-        )
-    elif command == "weighted":
-        orders = ", ".join(show(v) for v in results["orders"])
-        print(f"weighted orders = [{orders}]", file=stream)
-        print(f"UPPER BOUND = {show(results['upper_bound'])}", file=stream)
-    elif command == "newton":
-        print(f"support = {results['support']}", file=stream)
-        print(f"c = {show(results['c'])}", file=stream)
-        pieces = ", ".join(
-            f"{entry['point']}: {show(entry['coefficient'])}" for entry in results["certificate"]
-        )
-        print(f"certificate weights: {pieces}", file=stream)
-        dual = ", ".join(show(v) for v in results["dual"])
-        print(f"dual certificate: [{dual}]", file=stream)
-        print(f"exponent = {show(results['exponent'])}", file=stream)
-    elif command == "resolve":
-        print(f"n = {results['n']}, degrees = {results['degrees']}, mode = {results['mode']}", file=stream)
-        for step in results["trace"]:
-            where = step["center"] if isinstance(step["center"], str) else ", ".join(step["center"])
-            print(
-                f"  blow up [{where}] -> {step['divisor']} (a={step['a']}, k={step['k']}): "
-                f"{step['ideal']}",
-                file=stream,
-            )
-        for row in results["ledger"]:
-            ratio = show(row["ratio"])
-            print(f"  {row['divisor']}: a = {row['a']}, k = {row['k']}, (k+1)/a = {ratio}", file=stream)
-        if results.get("witness"):
-            witness = results["witness"]
-            residual = ", ".join(witness["residual"])
-            print(f"factorization: {witness['common']} * ({residual})", file=stream)
-        print(f"lower bound = {show(results['lower_bound'])}", file=stream)
-        cross = results["cross_check"]
-        verdict = "PASS" if cross["match"] else "FAIL"
-        print(
-            f"cross-check vs formula {show(cross['formula'])}: {verdict}",
-            file=stream,
-        )
-    elif command == "verify":
-        print(f"n = {results['n']}, degrees = {results['degrees']}", file=stream)
-        print(
-            f"branch = {results['branch']}, bound = {results['bound']}, "
-            f"exponent factor = {show(results['exponent'])}",
-            file=stream,
-        )
-        print(f"inequality grid: {results['tuples_checked']} tuples", file=stream)
-        if results["counterexample"]:
-            print(f"counterexample: {results['counterexample']}", file=stream)
-        grid = results["chain_grid"]
-        print(f"chain grid: {grid['points']} points", file=stream)
-        print("PASS" if results["passed"] else "FAIL", file=stream)
-    elif command == "probe":
-        print(f"field = {results['field']}, points checked = {results['points_checked']}", file=stream)
-        print(f"verdict: {results['verdict']}", file=stream)
-        if results.get("reason"):
-            print(f"reason: {results['reason']}", file=stream)
-        if results.get("witness"):
-            w = results["witness"]
-            print(
-                f"witness point {w['point']} (inputs {w['vanishing']} vanish); "
-                f"lift {w['lifted_point']}; genuine: {w['genuine']}",
-                file=stream,
-            )
-            print(f"  {w['note']}", file=stream)
-    elif command == "batch":
-        summary = report["summary"]
-        for sub in report["reports"]:
-            status = "ok" if sub.get("ok") else "FAILED"
-            print(f"  {sub.get('command', '?')}: {status}", file=stream)
-        print(f"batch: {summary['passed']}/{summary['total']} passed", file=stream)
-    for warning in report.get("warnings", []):
-        print(f"warning: {warning}", file=stream)
-    for note in report.get("provenance", []):
-        print(f"note: {note}", file=stream)
+    """What every report shares: the header, the lines of the command's
+    renderer _text_<command>, the warnings and the notes.  The renderer gets
+    the results; a batch report has none, and its renderer gets the report."""
+    command = report["command"]
+    lines = [f"command: {command}", *globals()[f"_text_{command}"](report.get("results", report))]
+    lines += [f"warning: {warning}" for warning in report.get("warnings", [])]
+    lines += [f"note: {note}" for note in report.get("provenance", [])]
+    print("\n".join(lines), file=stream)
 
 
 # ---------------------------------------------------------------------------
@@ -661,13 +670,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _flag_request(args) -> dict:
     """The request of parsed flags.  Flag text that holds a list, a rational
-    or JSON is read here; such a flag that is optional and empty counts as absent."""
+    or JSON is read here whenever the flag is given, even when it is empty."""
     request = {"command": args.command}
-    for key, required in _TABLE[args.command][1].items():
+    for key in _TABLE[args.command][1]:
         value, text = getattr(args, key), _KEYS[key].text
-        if text is not None:
-            value = text(value, key) if value or required else None
-        request[key] = value
+        request[key] = value if text is None or value is None else text(value, key)
     return request
 
 
@@ -684,10 +691,10 @@ def main(argv=None) -> int:
         else:
             report, code = _run_request(_flag_request(args))
     except InputError as err:
-        report, code = _error_report(args.command, str(err)), EXIT_INPUT
         if not args.json:
             print(f"input error: {err}", file=sys.stderr)
-            return code
+            return EXIT_INPUT
+        report, code = _report(args.command, EXIT_INPUT, error=str(err))
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:

@@ -267,47 +267,6 @@ class ResolutionReport:
     vj_checks: tuple[VjCheck, ...]
     terminal: ChartState
 
-    def to_json_dict(self) -> dict:
-        def rat(x: Fraction) -> dict:
-            return {"num": x.numerator, "den": x.denominator}
-
-        return {
-            "n": self.profile.n,
-            "degrees": list(self.profile.degrees),
-            "mode": self.mode,
-            "levels": [list(level) for level in self.levels],
-            "blowups": self.blowup_count,
-            "ledger": [
-                {"divisor": row.divisor, "a": row.a, "k": row.k, "ratio": rat(row.ratio)}
-                for row in self.ledger.rows
-            ],
-            "lower_bound": rat(self.lower_bound),
-            "witness": (
-                None
-                if self.witness is None
-                else {"common": self.witness.common, "residual": list(self.witness.residual)}
-            ),
-            "trace": [
-                {
-                    "center": step.center if isinstance(step.center, str) else list(step.center),
-                    "pivot": step.pivot,
-                    "divisor": step.divisor,
-                    "a": step.a,
-                    "k": step.k,
-                    "ideal": step.ideal,
-                }
-                for step in self.trace
-            ],
-            "case3": [
-                {"level": c.level, "steps": list(c.steps), "principal": c.principal}
-                for c in self.case3
-            ],
-            "vj_checks": [
-                {"divisor": v.divisor, "pivot": v.pivot, "ideal": v.ideal, "generator": v.generator}
-                for v in self.vj_checks
-            ],
-        }
-
 
 def _componentwise_min(gens: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
     return tuple(map(min, zip(*gens)))

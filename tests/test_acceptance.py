@@ -131,11 +131,13 @@ def test_c03_three_route_agreement():
     )
 
 
-def test_c04_resolution_trace_fidelity(request):
+def test_c04_resolution_trace_fidelity(request, capsys):
     golden_path = request.path.parent / "data" / "golden_resolve_n6_d23.json"
     golden = json.loads(golden_path.read_text())
-    report = simulate_resolution(DegreeProfile(6, (2, 3))).to_json_dict()
-    ok = report == golden
+    code = main(["resolve", "--n", "6", "--degrees", "2,3", "--json"])
+    report = json.loads(capsys.readouterr().out)["results"]
+    del report["cross_check"]
+    ok = code == EXIT_OK and report == golden
     detail = ""
     if not ok:
         diff = {k for k in golden if report.get(k) != golden[k]}

@@ -175,7 +175,11 @@ def test_reports_match_golden_bytes(capsys, tmp_path, name):
     # stdout and stderr), the scan file before the probe scanned one point
     # per line and the descent chain computed in integers (text and --json,
     # stdout and stderr).  "MANIFEST" in argv stands for the case's
-    # manifest, written to a file.
+    # manifest, written to a file.  Patched by hand since recording, in
+    # those bytes only: a probe FAIL (exit 2) used to report "ok": true, and
+    # a batch listed it as "probe: ok"; "ok" now means exit code 0, so the
+    # two cli probe/batch --json entries, the cli batch text entry and the two
+    # scan probe FAIL --json entries read false and FAILED there.
     golden = json.loads((Path(__file__).parent / "data" / name).read_text())
     manifest = tmp_path / "manifest.json"
     for case in golden:
@@ -186,6 +190,27 @@ def test_reports_match_golden_bytes(capsys, tmp_path, name):
         assert out == case["stdout"], case["argv"]
         assert err == case.get("stderr", err), case["argv"]
         assert code == case["exit"], case["argv"]
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "golden_newton_reports.json",
+        "golden_cli_reports.json",
+        "golden_resolve_reports.json",
+        "golden_scan_reports.json",
+    ],
+)
+def test_golden_reports_are_ok_exactly_on_exit_zero(name):
+    # a report's "ok" is its exit code 0; before one envelope built every
+    # report, a probe FAIL (exit 2) reported "ok": true
+    golden = json.loads((Path(__file__).parent / "data" / name).read_text())
+    for case in golden:
+        if "--json" in case["argv"] and case["stdout"]:
+            report = json.loads(case["stdout"])
+            assert report["ok"] == (case["exit"] == EXIT_OK), case["argv"]
+            if report["command"] == "batch":
+                assert report["summary"]["passed"] == sum(sub["ok"] for sub in report["reports"])
 
 
 def test_resolve_cross_check(capsys):
@@ -324,6 +349,71 @@ def test_integer_flags_allow_signs_and_spaces(capsys):
     code, report = run_json(capsys, "verify", "--n", " +3 ", "--degrees", " 2, 3", "--bound", "+4")
     assert code == EXIT_OK
     assert (report["results"]["n"], report["results"]["degrees"], report["results"]["bound"]) == (3, [2, 3], 4)
+
+
+# each rational key: a request that is valid but for its flag, which comes
+# last; a manifest entry that holds the value; the name a manifest error uses
+# (a flag error names the key)
+VERIFY = {"command": "verify", "n": 3, "degrees": [2, 3]}
+RATIONAL_KEYS = {
+    "weights": (["weighted", "--orders", "2", "--weights"], {"command": "weighted", "orders": [2]}, "weight"),
+    "orders": (["weighted", "--weights", "1,1", "--orders"], {"command": "weighted", "weights": [1, 1]}, "order"),
+    "chain_step": (["verify", "--n", "3", "--degrees", "2,3", "--chain-step"], VERIFY, "chain_step"),
+    "chain_max": (["verify", "--n", "3", "--degrees", "2,3", "--chain-max"], VERIFY, "chain_max"),
+}
+
+
+@pytest.mark.parametrize("text", ["1_0", "\u0663", "1e1", "1.5", "1/0", "1 / 2", "3/-2"])
+@pytest.mark.parametrize("key", RATIONAL_KEYS)
+def test_rational_text_is_strict(capsys, tmp_path, key, text):
+    # Fraction() reads "1_0" and "1e1" as 10, "1.5" as 3/2 and Arabic-Indic
+    # digits as ASCII ones
+    argv, entry, what = RATIONAL_KEYS[key]
+    assert main([*argv, text]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: could not parse {key} {text!r} as a rational number\n"
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([{**entry, key: [text] if key in ("weights", "orders") else text}]))
+    code, report = run_json(capsys, "batch", str(path))
+    assert code == EXIT_INPUT
+    assert report["reports"][0]["error"] == f"request 0: could not parse {what} {text!r} as a rational number"
+
+
+def test_rational_text_allows_signs_spaces_and_slashes(capsys, tmp_path):
+    code, report = run_json(capsys, "weighted", "--weights", " 3/2, +1 ", "--orders", "4/2")
+    assert code == EXIT_OK
+    assert report["results"]["weights"] == [{"num": 3, "den": 2}, {"num": 1, "den": 1}]
+    assert report["results"]["orders"] == [{"num": 2, "den": 1}]
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([{"command": "weighted", "weights": [" 3/2", "+1 "], "orders": ["4/2"]}]))
+    code, batch = run_json(capsys, "batch", str(path))
+    assert code == EXIT_OK
+    assert batch["reports"][0]["results"] == report["results"]
+
+
+# optional flags given with empty text: each is read, and rejected
+EMPTY_FLAGS = {
+    "chain_step": (
+        ["verify", "--n", "3", "--degrees", "2,3", "--chain-step", ""],
+        "could not parse chain_step '' as a rational number",
+    ),
+    "chain_max": (
+        ["verify", "--n", "3", "--degrees", "2,3", "--chain-max", ""],
+        "could not parse chain_max '' as a rational number",
+    ),
+    "orders": (["weighted", "--weights", "1,1", "--orders", ""], "order list must be nonempty"),
+    "support": (["newton", "--support", ""], "bad support JSON: "),
+    "variables": (["newton", "--poly", "x1^2", "--vars", ""], "in 'x1^2': unknown variable 'x1' (at position 0)"),
+}
+
+
+@pytest.mark.parametrize("name", EMPTY_FLAGS)
+def test_empty_optional_flag_text_is_read(capsys, name):
+    # empty text used to count as an absent flag: --chain-step "" ran the
+    # default step, and --vars "" the default variable names
+    argv, error = EMPTY_FLAGS[name]
+    assert main(argv) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {error}") if name == "support" else err == f"input error: {error}\n"
 
 
 @pytest.mark.parametrize(
@@ -601,3 +691,4 @@ def test_fuzzed_manifests_keep_the_report_contract(manifest):
     VALIDATOR.validate(report)
     assert code in (EXIT_OK, EXIT_INPUT, EXIT_FAIL)
     assert report["summary"]["total"] == len(manifest)
+    assert report["summary"]["passed"] == sum(sub["ok"] for sub in report["reports"])

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from _oracles import descent_chain_by_fractions
 from minexp import resolution as rs
+from minexp.cli import EXIT_OK, main
 from minexp.exponent import DegreeProfile, minimal_exponent_cone
 from minexp.resolution import (
     EXCEPTIONAL,
@@ -35,12 +36,18 @@ F = Fraction
 DATA = Path(__file__).parent / "data"
 
 
-def test_grouped_degrees():
+def _resolve_results(capsys, n, degrees):
+    """The results of ``resolve --json``, where the CLI builds them from the library report."""
+    assert main(["resolve", "--n", str(n), "--degrees", ",".join(map(str, degrees)), "--json"]) == EXIT_OK
+    return json.loads(capsys.readouterr().out)["results"]
+
+
+def test_grouped_degrees(capsys):
     # the degrees group into levels (value, multiplicity); the side chain of
     # level l starts with the strict transforms of every degree below e_l
     report = simulate_resolution(DegreeProfile(8, (2, 2, 3, 5, 5, 5)))
     assert report.levels == ((2, 2), (3, 1), (5, 3))
-    assert report.to_json_dict()["levels"] == [[2, 2], [3, 1], [5, 3]]
+    assert _resolve_results(capsys, 8, (2, 2, 3, 5, 5, 5))["levels"] == [[2, 2], [3, 1], [5, 3]]
     assert [(c.level, c.steps[0]) for c in report.case3] == [
         (1, "(z0^2*z1, z0^2*z2, z0^3)"),
         (2, "(z0^2*z1, z0^2*z2, z0^3*z3, z0^5)"),
@@ -300,10 +307,11 @@ def test_simulate_case3_chains_terminate():
         assert "*" not in chain.principal  # single exceptional power
 
 
-def test_golden_trace():
-    rep = simulate_resolution(DegreeProfile(6, (2, 3)))
+def test_golden_trace(capsys):
+    results = _resolve_results(capsys, 6, (2, 3))
+    del results["cross_check"]
     golden = json.loads((DATA / "golden_resolve_n6_d23.json").read_text())
-    assert rep.to_json_dict() == golden
+    assert results == golden
 
 
 def _ledger(pairs):
