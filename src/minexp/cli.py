@@ -12,7 +12,7 @@ import json
 import re
 import sys
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 from typing import Callable, NamedTuple
 
 from minexp import exponent as ex
@@ -158,7 +158,7 @@ _parse_int.__name__ = "int"  # argparse names the type in its error: "invalid in
 
 def _parse_int_list(text: str, what: str) -> list[int]:
     try:
-        return [_parse_int(part) for part in text.split(",") if part.strip() != ""]
+        return [_parse_int(part) for part in text.split(",")]
     except ValueError:
         raise InputError(f"could not parse {what} {text!r} as a comma-separated integer list")
 
@@ -176,7 +176,7 @@ def _parse_fraction(text: str, what: str) -> Fraction:
 
 
 def _parse_fraction_list(text: str, what: str) -> list[Fraction]:
-    return [_parse_fraction(part, what) for part in text.split(",") if part.strip() != ""]
+    return [_parse_fraction(part, what) for part in text.split(",")]
 
 
 # ---------------------------------------------------------------------------
@@ -208,10 +208,10 @@ def _rational(value, what: str) -> int | Fraction:
     return value
 
 
-def _rationals(value, key: str, item: str) -> list[int | Fraction]:
+def _rationals(value, key: str) -> list[int | Fraction]:
     if not isinstance(value, list):
         raise InputError(f"bad {key}: expected a list of rationals, got {value!r}")
-    return [_rational(v, item) for v in value]
+    return [_rational(v, key) for v in value]
 
 
 def _support_json(text: str, key: str):
@@ -231,8 +231,8 @@ class _Key(NamedTuple):
 _KEYS = {
     "n": _Key(_INTEGER, "--n", {"type": _parse_int}, None),
     "degrees": _Key(_INTEGERS, "--degrees", {}, _parse_int_list),
-    "weights": _Key(partial(_rationals, item="weight"), "--weights", {}, _parse_fraction_list),
-    "orders": _Key(partial(_rationals, item="order"), "--orders", {}, _parse_fraction_list),
+    "weights": _Key(_rationals, "--weights", {}, _parse_fraction_list),
+    "orders": _Key(_rationals, "--orders", {}, _parse_fraction_list),
     "polynomials": _Key(_STRINGS, "--poly", {"action": "append", "metavar": "POLYS"}, None),
     "polynomial": _Key(_STRING, "--poly", {"metavar": "POLY"}, None),
     "variables": _Key(_STRINGS, "--vars", {"metavar": "VARS"}, lambda text, key: text.split(",")),

@@ -287,82 +287,82 @@ def _principal_exceptional_generator(state: ChartState) -> tuple[int, ...]:
     return gmin
 
 
-def _start_chart(profile: DegreeProfile, q: int, extra: int | None = None) -> ChartState:
+def _start_chart(profile: DegreeProfile) -> ChartState:
     """The chart on E1 after the origin blow-up: the exceptional coordinate
-    z0 tagged (a = d_1, k = n - 1) and the strict transforms z1..zq of the
-    q lowest-degree hypersurfaces, with generators z0^{d_j} z_j.  A side
-    chart adds the pure power z0^extra of the next degree group.  The plain
-    coordinates never carry an exponent and are left out."""
-    degrees = profile.degrees
+    z0 tagged (a = d_1, k = n - 1) and the strict transforms z1..zr, with
+    generators z0^{d_j} z_j.  The plain coordinates never carry an exponent
+    and are left out."""
+    degrees, r = profile.degrees, profile.r
     coords = [Coordinate("z0", EXCEPTIONAL, degrees[0], profile.n - 1)]
-    coords += [Coordinate(f"z{j}", STRICT) for j in range(1, q + 1)]
-    gens = [(degrees[j - 1],) + tuple(int(i == j) for i in range(1, q + 1)) for j in range(1, q + 1)]
-    if extra is not None:
-        gens.append((extra,) + (0,) * q)
+    coords += [Coordinate(f"z{j}", STRICT) for j in range(1, r + 1)]
+    gens = [(degrees[j - 1],) + tuple(int(i == j) for i in range(1, r + 1)) for j in range(1, r + 1)]
     return ChartState(tuple(coords), tuple(gens))
 
 
-def _climb(state: ChartState, e: Sequence[int], cum: Sequence[int], top: int, vj_checks: list | None = None):
-    """Run the scripted blow-ups of levels 1..top and yield (center, chart)
-    after each, following the chart that keeps the exceptional coordinate.
+def _climb(state: ChartState, e: Sequence[int], cum: Sequence[int], vj_checks: list):
+    """Run the main chain's blow-ups and yield (center, chart) after each,
+    following the chart that keeps the exceptional coordinate z0.
 
     ``e`` holds the distinct degrees in increasing order and ``cum[l]`` the
     number of degrees at most ``e[l]``.  A blow-up of level l is centred on
-    the exceptional coordinate and the strict transforms of the levels below
-    l; there are e_l - e_{l-1} of them.  Every other chart must come out
-    divisorial (principal with an exceptional-supported generator); with
-    ``vj_checks`` given, each is recorded there under the name of the
-    divisor just made, E2 onwards.
+    z0 and z1..zq, q = cum[l-1]; there are e_l - e_{l-1} of them.
+    :func:`blowup_chart` returns the z0 chart first.  Every other chart, of
+    pivot p, must be principal with a generator g* supported on its
+    exceptional coordinates z0 and z_p; each is recorded in ``vj_checks``
+    under the name of the divisor just made, E2 onwards.
+
+    The same chart of the side chain of a level m >= l (see
+    :func:`_side_chain`) holds this chart's first cum[m-1] generators, cut
+    to z0..z_{cum[m-1]}, and z0^{e_m} z_p^{e_m}.  If g* is among the first
+    q generators and g*[0], g*[p] <= e_l, then g* divides all of them, so
+    that chart is principal with generator g* too; as ``cum`` and ``e`` rise
+    with the level, this one comparison covers every side chain.
     """
-    divisor = 1
-    for level in range(1, top + 1):
-        for _ in range(e[level] - e[level - 1]):
-            exc = state.coords[0]
-            if exc.role != EXCEPTIONAL:
-                raise ResolutionError("chain chart lost its exceptional coordinate")
-            center = tuple(c.name for c in state.coords[: cum[level - 1] + 1])
-            divisor += 1
-            follow = None
-            orders = set()
-            for chart in blowup_chart(state, center):
-                orders.add(chart.coords[chart.born_pivot_index].a)
-                if chart.born_pivot == exc.name:
-                    follow = chart
-                else:
-                    gmin = _principal_exceptional_generator(chart)
-                    if vj_checks is not None:
-                        vj_checks.append(
-                            VjCheck(
-                                divisor=f"E{divisor}",
-                                pivot=chart.born_pivot,
-                                ideal=chart.render_ideal(),
-                                generator=chart.render_monomial(gmin),
-                            )
-                        )
-            if follow is None:
-                raise ResolutionError("no chart kept the exceptional coordinate")
-            if len(orders) != 1:
-                raise ResolutionError(f"chart-dependent divisor multiplicity: {sorted(orders)}")
-            state = follow
-            yield center, state
+    blowup_levels = [level for level in range(1, len(e)) for _ in range(e[level] - e[level - 1])]
+    for divisor, level in enumerate(blowup_levels, 2):
+        q = cum[level - 1]
+        center = tuple(c.name for c in state.coords[: q + 1])
+        state, *others = blowup_chart(state, center)
+        for chart in others:
+            gmin = _principal_exceptional_generator(chart)
+            generator = chart.render_monomial(gmin)
+            if gmin not in chart.ideal[:q] or max(gmin[0], gmin[chart.born_pivot_index]) > e[level]:
+                raise ResolutionError(
+                    f"level {level}: {generator} does not divide the {chart.born_pivot} side chart"
+                )
+            vj_checks.append(VjCheck(f"E{divisor}", chart.born_pivot, chart.render_ideal(), generator))
+        yield center, state
 
 
-def _run_case3(profile: DegreeProfile, e: Sequence[int], cum: Sequence[int], level: int) -> Case3Report:
-    """Side chain at ``level``: only the strict transforms of degree level
-    <= ``level`` pass through its start chart, and the next group
-    contributes a pure power of the exceptional coordinate."""
-    expected = e[level]
-    state = _start_chart(profile, cum[level - 1], expected)
-    steps = [state.render_ideal()]
-    for _, state in _climb(state, e, cum, level):
-        steps.append(state.render_ideal())
-    gmin = _principal_exceptional_generator(state)
-    if gmin[0] != expected or any(gmin[1:]):
+def _side_chain(chain: Sequence[ChartState], e: Sequence[int], cum: Sequence[int], level: int) -> Case3Report:
+    """The side chain at ``level``, read off ``chain``, the main chain's
+    followed charts (``e`` and ``cum`` as in :func:`_climb`).
+
+    It starts from z1..zq, the strict transforms of the lower levels
+    (q = cum[level-1]), and z0^power (power = e_level), and runs the main
+    chain's blow-ups of levels 1..``level``.  Every chart map is monomial
+    and acts on each generator alone, and these centres use only z0..zq, so
+    the main chain carries the first q generators along; the z0 chart keeps
+    z0^power, its total over the centre.  So step t is main chart t cut to
+    its first q+1 coordinates and first q generators, followed by z0^power.
+    :func:`_climb` checks the other charts; the last chart must be
+    generated by z0^power.
+    """
+    q, power = cum[level - 1], e[level]
+    pure = (power,) + (0,) * q
+    steps = []
+    for chart in chain[: 1 + power - e[0]]:
+        names = chart.names()[: q + 1]
+        gens = [g[: q + 1] for g in chart.ideal[:q]] + [pure]
+        steps.append("(" + ", ".join([_render_monomial(names, g) for g in gens]) + ")")
+    last = ChartState(chart.coords[: q + 1], gens)
+    gmin = _principal_exceptional_generator(last)
+    if gmin != pure:
         raise ResolutionError(
-            f"side chain at level {level} ended in {state.render_monomial(gmin)}, "
-            f"expected the exceptional coordinate to the power {expected}"
+            f"side chain at level {level} ended in {last.render_monomial(gmin)}, "
+            f"expected the exceptional coordinate to the power {power}"
         )
-    return Case3Report(level=level, steps=tuple(steps), principal=state.render_monomial(gmin))
+    return Case3Report(level=level, steps=tuple(steps), principal=last.render_monomial(gmin))
 
 
 def _factorization_witness(state: ChartState, profile: DegreeProfile) -> FactorizationWitness:
@@ -400,31 +400,28 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     levels = tuple((d, len(list(run))) for d, run in itertools.groupby(profile.degrees))
     e = [d for d, _ in levels]
     cum = list(itertools.accumulate(count for _, count in levels))
-    k = len(e)
     mode = LOG_RESOLUTION if profile.r == n else STRONG_FACTORIZING
 
-    state = _start_chart(profile, profile.r)
+    chain = [_start_chart(profile)]
     rows = [LedgerRow("E1", profile.degrees[0], n - 1)]
-    trace = [TraceStep("origin", None, "E1", profile.degrees[0], n - 1, state.render_ideal())]
+    trace = [TraceStep("origin", None, "E1", profile.degrees[0], n - 1, chain[0].render_ideal())]
     vj_checks: list[VjCheck] = []
-    for center, state in _climb(state, e, cum, k - 1, vj_checks):
-        exc = state.coords[0]
-        row = LedgerRow(f"E{len(rows) + 1}", exc.a, exc.k)
+    for center, state in _climb(chain[0], e, cum, vj_checks):
+        chain.append(state)
+        row = LedgerRow(f"E{len(rows) + 1}", state.coords[0].a, state.coords[0].k)
         rows.append(row)
         trace.append(TraceStep(center, center[0], row.divisor, row.a, row.k, state.render_ideal()))
 
+    # one divisor, and so one blow-up, per degree step: this also checks blowup_count
     expected_a = list(range(e[0], e[-1] + 1))
     if [row.a for row in rows] != expected_a:
         raise ResolutionError(f"ledger multiplicities {[r.a for r in rows]} != {expected_a}")
     ks = [row.k for row in rows]
     if any(ks[i] >= ks[i + 1] for i in range(len(ks) - 1)):
         raise ResolutionError(f"discrepancies not strictly increasing: {ks}")
-    blowup_count = 1 + e[-1] - e[0]
-    if blowup_count != len(rows):
-        raise ResolutionError("blow-up count does not match the ledger length")
 
-    witness = _factorization_witness(state, profile) if mode == STRONG_FACTORIZING else None
-    case3 = tuple(_run_case3(profile, e, cum, level) for level in range(1, k))
+    witness = _factorization_witness(chain[-1], profile) if mode == STRONG_FACTORIZING else None
+    case3 = tuple(_side_chain(chain, e, cum, level) for level in range(1, len(e)))
 
     ledger = DivisorLedger(tuple(rows))
     return ResolutionReport(
@@ -433,12 +430,12 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
         levels=levels,
         ledger=ledger,
         lower_bound=ledger.lower_bound,
-        blowup_count=blowup_count,
+        blowup_count=len(rows),
         witness=witness,
         trace=tuple(trace),
         case3=case3,
         vj_checks=tuple(vj_checks),
-        terminal=state,
+        terminal=chain[-1],
     )
 
 

@@ -356,10 +356,10 @@ def test_integer_flags_allow_signs_and_spaces(capsys):
 # (a flag error names the key)
 VERIFY = {"command": "verify", "n": 3, "degrees": [2, 3]}
 RATIONAL_KEYS = {
-    "weights": (["weighted", "--orders", "2", "--weights"], {"command": "weighted", "orders": [2]}, "weight"),
-    "orders": (["weighted", "--weights", "1,1", "--orders"], {"command": "weighted", "weights": [1, 1]}, "order"),
-    "chain_step": (["verify", "--n", "3", "--degrees", "2,3", "--chain-step"], VERIFY, "chain_step"),
-    "chain_max": (["verify", "--n", "3", "--degrees", "2,3", "--chain-max"], VERIFY, "chain_max"),
+    "weights": (["weighted", "--orders", "2", "--weights"], {"command": "weighted", "orders": [2]}),
+    "orders": (["weighted", "--weights", "1,1", "--orders"], {"command": "weighted", "weights": [1, 1]}),
+    "chain_step": (["verify", "--n", "3", "--degrees", "2,3", "--chain-step"], VERIFY),
+    "chain_max": (["verify", "--n", "3", "--degrees", "2,3", "--chain-max"], VERIFY),
 }
 
 
@@ -367,15 +367,15 @@ RATIONAL_KEYS = {
 @pytest.mark.parametrize("key", RATIONAL_KEYS)
 def test_rational_text_is_strict(capsys, tmp_path, key, text):
     # Fraction() reads "1_0" and "1e1" as 10, "1.5" as 3/2 and Arabic-Indic
-    # digits as ASCII ones
-    argv, entry, what = RATIONAL_KEYS[key]
+    # digits as ASCII ones; both input paths name the request key
+    argv, entry = RATIONAL_KEYS[key]
     assert main([*argv, text]) == EXIT_INPUT
     assert capsys.readouterr().err == f"input error: could not parse {key} {text!r} as a rational number\n"
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps([{**entry, key: [text] if key in ("weights", "orders") else text}]))
     code, report = run_json(capsys, "batch", str(path))
     assert code == EXIT_INPUT
-    assert report["reports"][0]["error"] == f"request 0: could not parse {what} {text!r} as a rational number"
+    assert report["reports"][0]["error"] == f"request 0: could not parse {key} {text!r} as a rational number"
 
 
 def test_rational_text_allows_signs_spaces_and_slashes(capsys, tmp_path):
@@ -400,7 +400,7 @@ EMPTY_FLAGS = {
         ["verify", "--n", "3", "--degrees", "2,3", "--chain-max", ""],
         "could not parse chain_max '' as a rational number",
     ),
-    "orders": (["weighted", "--weights", "1,1", "--orders", ""], "order list must be nonempty"),
+    "orders": (["weighted", "--weights", "1,1", "--orders", ""], "could not parse orders '' as a rational number"),
     "support": (["newton", "--support", ""], "bad support JSON: "),
     "variables": (["newton", "--poly", "x1^2", "--vars", ""], "in 'x1^2': unknown variable 'x1' (at position 0)"),
 }
@@ -414,6 +414,43 @@ def test_empty_optional_flag_text_is_read(capsys, name):
     assert main(argv) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith(f"input error: {error}") if name == "support" else err == f"input error: {error}\n"
+
+
+# list flag text with an empty entry: rejected, as an empty entry of a manifest list is
+EMPTY_ENTRIES = {
+    "degrees": (
+        ["formula", "--n", "6", "--degrees"],
+        None,
+        "could not parse degrees {text!r} as a comma-separated integer list",
+    ),
+    "weights": (
+        ["weighted", "--orders", "2", "--weights"],
+        {"orders": [2]},
+        "could not parse weights {entry!r} as a rational number",
+    ),
+    "orders": (
+        ["weighted", "--weights", "1,1", "--orders"],
+        {"weights": [1, 1]},
+        "could not parse orders {entry!r} as a rational number",
+    ),
+}
+
+
+@pytest.mark.parametrize("text", ["2,,3", "2,3,", ",2", " , 2", ","])
+@pytest.mark.parametrize("key", EMPTY_ENTRIES)
+def test_list_flag_text_rejects_empty_entries(capsys, tmp_path, key, text):
+    # empty entries used to be dropped: --degrees "2,,3," ran as [2, 3]
+    argv, request_, template = EMPTY_ENTRIES[key]
+    entry = next(part for part in text.split(",") if not part.strip())
+    error = template.format(text=text, entry=entry)
+    assert main([*argv, text]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: {error}\n"
+    if request_ is not None:  # the same list as manifest strings: the same error
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps([{"command": "weighted", **request_, key: text.split(",")}]))
+        code, report = run_json(capsys, "batch", str(path))
+        assert code == EXIT_INPUT
+        assert report["reports"][0]["error"] == f"request 0: {error}"
 
 
 @pytest.mark.parametrize(

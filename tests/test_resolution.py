@@ -174,20 +174,20 @@ def _assert_public_checks_pass(charts):
             assert Coordinate(c.name, c.role, c.a, c.k) == c
 
 
-def _charts_of_resolution(profile, monkeypatch):
-    """Every chart blowup_chart returns while the main and side chains of
-    ``profile`` are resolved."""
-    built = []
+def _blowups_of_resolution(profile, monkeypatch):
+    """The charts of each blowup_chart call made while ``profile`` is
+    resolved, one list per call."""
+    calls = []
 
     def recording(state, center):
         charts = blowup_chart(state, center)
-        built.extend(charts)
+        calls.append(charts)
         return charts
 
     with monkeypatch.context() as patch:
         patch.setattr(rs, "blowup_chart", recording)
         simulate_resolution(profile)
-    return built
+    return calls
 
 
 def _golden_profiles():
@@ -208,15 +208,41 @@ def _c3_sample():
                 yield DegreeProfile(n, degrees)
 
 
+WIDE = DegreeProfile(60, tuple(range(2, 40)))
+
+
 def test_derived_charts_pass_the_public_checks(monkeypatch):
-    profiles = _golden_profiles() + list(_c3_sample())
-    assert len(profiles) == 5 + 3 * 42
+    profiles = _golden_profiles() + list(_c3_sample()) + [WIDE, DegreeProfile(40, (3, 5, 19, 24))]
+    assert len(profiles) == 5 + 3 * 42 + 2
     total = 0
     for profile in profiles:
-        charts = _charts_of_resolution(profile, monkeypatch)
+        charts = list(itertools.chain.from_iterable(_blowups_of_resolution(profile, monkeypatch)))
         _assert_public_checks_pass(charts)
         total += len(charts)
     assert total > 1000
+
+
+@pytest.mark.parametrize("profile", [WIDE, DegreeProfile(24, (2, 2, 4, 7, 7))], ids=["n60", "golden_n24"])
+def test_side_chains_make_no_blowups(monkeypatch, profile):
+    # each side chain is read off the main chain: one blowup_chart call per
+    # main-chain blow-up after the origin, none replayed
+    report = simulate_resolution(profile)
+    assert len(report.case3) == len(report.levels) - 1 > 1
+    assert len(_blowups_of_resolution(profile, monkeypatch)) == report.blowup_count - 1
+
+
+def test_side_chain_check_is_derived_from_the_main_chain():
+    # (6; 2,3) with the levels lowered to e = [1, 2]: the z1 chart of the one
+    # blow-up is principal, generated by u0^2*u1^3, so the main chain's check
+    # passes, but the side chain's pure power becomes u0^2*u1^2, which that
+    # generator does not divide (g*[p] = 3 > e_1 = 2).  With the real levels
+    # e = [2, 3] the comparison holds with equality.
+    start = rs._start_chart(DegreeProfile(6, (2, 3)))
+    with pytest.raises(rs.ResolutionError, match=r"^level 1: u0\^2\*u1\^3 does not divide the z1 side chart$"):
+        list(rs._climb(start, [1, 2], [1, 2], []))
+    checks = []
+    assert [center for center, _ in rs._climb(start, [2, 3], [1, 2], checks)] == [("z0", "z1")]
+    assert [(v.pivot, v.generator) for v in checks] == [("z1", "u0^2*u1^3")]
 
 
 @st.composite
