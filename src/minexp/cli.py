@@ -13,6 +13,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import cache
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable, NamedTuple
 
 from minexp import exponent as ex
@@ -131,6 +132,35 @@ def _rat_json(x):
         return "infinity"
     x = ex._as_fraction(x)
     return {"num": x.numerator, "den": x.denominator}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """The one JSON writer: the text of json.dumps(value, indent=2,
+    sort_keys=True), with strings escaped to ASCII by the stdlib's C encoder.
+    (Given an indent, the stdlib encodes in pure Python.)  It writes str,
+    dict with str keys, list, int, bool and None, and raises TypeError on
+    anything else, such as a float or a Fraction: reports are exact."""
+    kind = type(value)
+    if kind is str:
+        return _json_string(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = indent + "  "
+        items = [f"{_json_string(key)}: {_json_text(item, inner)}" for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join([_json_text(item, inner) for item in value]) + indent + "]"
+    if value is None:
+        return "null"
+    if kind is bool:
+        return "true" if value else "false"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _show(value: dict) -> str:
@@ -475,8 +505,8 @@ def run_verify(
 ) -> tuple[dict, int]:
     profile = _guard(ex.DegreeProfile, n, tuple(degrees))
     # both scans' arguments are checked before either scan starts
-    _guard(rs._check_scan_bound, bound)
-    _guard(rs._check_chain_grid, chain_step, chain_max)
+    _guard(rs._check_scan_bound, profile, bound)
+    _guard(rs._check_chain_grid, profile, chain_step, chain_max)
     scan = rs.verify_valuation_inequality(profile, bound)
     chain_points, failure = rs.descent_chain_grid(profile, chain_step, chain_max)
     chain_failure = None if failure is None else {
@@ -696,7 +726,7 @@ def main(argv=None) -> int:
             return EXIT_INPUT
         report, code = _report(args.command, EXIT_INPUT, error=str(err))
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json_text(report))
     else:
         _render_text(report, sys.stdout)
     return code

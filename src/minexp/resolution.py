@@ -455,10 +455,26 @@ class ValuationScanReport:
     counterexample: tuple[int, ...] | None
 
 
-def _check_scan_bound(bound: int) -> None:
-    """The check on the box size of :func:`verify_valuation_inequality`."""
+# The most points one exhaustive scan, the valuation grid or the chain grid,
+# may visit; a larger grid is rejected before the scan starts.
+SCAN_BUDGET = 10**6
+
+
+def _check_budget(count: int, axis: int, dims: int, what: str) -> None:
+    """Reject a grid of count * axis**dims points above SCAN_BUDGET.  An axis
+    longer than the budget is cut to one over it, so that a huge request
+    never costs a huge power."""
+    if count * min(axis, SCAN_BUDGET + 1) ** dims > SCAN_BUDGET:
+        raise ValueError(f"{what} exceeds the work budget of {SCAN_BUDGET} points")
+
+
+def _check_scan_bound(profile: DegreeProfile, bound: int) -> None:
+    """The check on the box of :func:`verify_valuation_inequality`: bound >= 1,
+    and its bound * (bound + 1)^free tuples within the budget."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
+    free = profile.r if profile.degree_sum > profile.n else profile.r - 1  # b_r = 0 when complementary
+    _check_budget(bound, bound + 1, free, "valuation grid")
 
 
 def verify_valuation_inequality(profile: DegreeProfile, bound: int) -> ValuationScanReport:
@@ -475,7 +491,7 @@ def verify_valuation_inequality(profile: DegreeProfile, bound: int) -> Valuation
     candidate value as the factor
     ("complementary" branch).  Returns the first violating tuple, if any.
     """
-    _check_scan_bound(bound)
+    _check_scan_bound(profile, bound)
     n = profile.n
     d = profile.degrees
     r = profile.r
@@ -581,10 +597,12 @@ def descent_chain(profile: DegreeProfile, u: Sequence) -> DescentChainReport:
     )
 
 
-def _check_chain_grid(step: Fraction, maximum: Fraction) -> None:
-    """The check on the grid of :func:`descent_chain_grid`."""
+def _check_chain_grid(profile: DegreeProfile, step: Fraction, maximum: Fraction) -> None:
+    """The check on the grid of :func:`descent_chain_grid`: a positive step, a
+    nonnegative maximum, and its (maximum // step + 1)^r points within the budget."""
     if step <= 0 or maximum < 0:
         raise ValueError("chain grid parameters must be positive")
+    _check_budget(1, maximum // step + 1, profile.r, "chain grid")
 
 
 def descent_chain_grid(
@@ -593,7 +611,7 @@ def descent_chain_grid(
     """Run :func:`descent_chain` at every u in {0, step, 2*step, ...}^r up to
     ``maximum``, in lexicographic order.  Returns the number of points
     checked and the first failing report (None when every chain passes)."""
-    _check_chain_grid(step, maximum)
+    _check_chain_grid(profile, step, maximum)
     axis = [i * step for i in range(maximum // step + 1)]
     points = 0
     for u in itertools.product(axis, repeat=profile.r):

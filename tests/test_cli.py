@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
@@ -303,7 +304,8 @@ def test_verify_env_bad_chain_grid(capsys, monkeypatch, tmp_path, bounds):
     monkeypatch.setattr(rs, "verify_valuation_inequality", scan)
     key, value = bounds.split("=")
     path = tmp_path / "manifest.json"
-    for bound, error in [(40, "chain grid parameters must be positive"), (0, "bound must be at least 1")]:
+    # 20 * 21^3 tuples fit the work budget, the 40 * 41^3 of bound 40 would not
+    for bound, error in [(20, "chain grid parameters must be positive"), (0, "bound must be at least 1")]:
         flags = ["--bound", str(bound), "--" + key.replace("_", "-"), value]
         code, report = run_json(capsys, *argv, *flags)
         assert code == EXIT_INPUT
@@ -313,6 +315,27 @@ def test_verify_env_bad_chain_grid(capsys, monkeypatch, tmp_path, bounds):
         code, report = run_json(capsys, "batch", str(path))
         assert code == EXIT_INPUT
         assert report["reports"][0]["error"] == f"request 0: {error}"
+
+
+def test_verify_grids_over_the_budget_exit_input(capsys, monkeypatch):
+    # (6; 2,3,4) is in the lct branch, so bound 31 asks for 31 * 32^3 = 1,015,808
+    # tuples; the chain grid {0, 1/1000, ..., 4}^3 has 4001^3, about 6.4e10, points
+    argv = ["verify", "--n", "6", "--degrees", "2,3,4", "--chain-max", "0"]
+
+    def scan(*args):
+        raise AssertionError("a scan ran")
+
+    monkeypatch.setattr(rs, "verify_valuation_inequality", scan)
+    monkeypatch.setattr(rs, "descent_chain_grid", scan)
+    for flags, error in [
+        (["--bound", "31"], "valuation grid exceeds the work budget of 1000000 points"),
+        (["--bound", "9" * 4000], "valuation grid exceeds the work budget of 1000000 points"),
+        (["--chain-step", "1/1000", "--chain-max", "4"], "chain grid exceeds the work budget of 1000000 points"),
+    ]:
+        assert main([*argv, *flags]) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"input error: {error}\n")
+        code, report = run_json(capsys, *argv, *flags)
+        assert (code, report["error"]) == (EXIT_INPUT, error)
 
 
 # flag text that int() would accept or reject, and the error it gets now
@@ -612,6 +635,8 @@ BAD_REQUESTS = {
     "weighted_smooth_polynomial": {"command": "weighted", "weights": [1, 1], "polynomials": ["x1 + x2^2"]},
     "weighted_no_polynomials": {"command": "weighted", "weights": [1, 1], "polynomials": []},
     "negative_limit": {**PROBE, "limit": -5},
+    "over_budget_bound": {"command": "verify", "n": 3, "degrees": [2, 3], "bound": 10**6},
+    "over_budget_chain_step": {"command": "verify", "n": 3, "degrees": [2, 3], "chain_step": "1/1000"},
 }
 # the exact error of the bad requests whose text is pinned
 PINNED_ERRORS = {
@@ -623,6 +648,8 @@ PINNED_ERRORS = {
     "bool_chain_max": "could not parse chain_max True as a rational number",
     "string_chain_step": "could not parse chain_step 'x' as a rational number",
     "list_chain_max": "could not parse chain_max [1] as a rational number",
+    "over_budget_bound": "valuation grid exceeds the work budget of 1000000 points",
+    "over_budget_chain_step": "chain grid exceeds the work budget of 1000000 points",
 }
 
 
@@ -658,8 +685,8 @@ def test_batch_bad_support_is_reported_not_fatal(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # fuzzed manifests: well-formed and malformed entries through main()
 #
-# Sizes stay small because verify has no work budget yet (its chain grid
-# alone has 9^r points by default): n <= 8, r <= 3, bound <= 4, a chain
+# Sizes stay small so that each example runs fast (verify's grids may hold
+# up to a million points each within its budget): n <= 8, r <= 3, bound <= 4, a chain
 # grid of at most 9 points per axis, at most three variables, fields of 3,
 # 5 or 7.
 
@@ -729,3 +756,46 @@ def test_fuzzed_manifests_keep_the_report_contract(manifest):
     assert code in (EXIT_OK, EXIT_INPUT, EXIT_FAIL)
     assert report["summary"]["total"] == len(manifest)
     assert report["summary"]["passed"] == sum(sub["ok"] for sub in report["reports"])
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer: the stdlib's bytes on every JSON tree it accepts
+
+_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é€\U0001d538\ud800'), st.characters()), max_size=6)
+_SCALARS = st.one_of(
+    st.none(),
+    st.sampled_from([True, False, 1, 0, -1]),
+    st.integers(),
+    st.integers(-(10**80), 10**80),
+    _TEXT,
+)
+_TREES = st.recursive(
+    _SCALARS, lambda children: st.lists(children, max_size=4) | st.dictionaries(_TEXT, children, max_size=4), max_leaves=30
+)
+
+
+def _nested(tree, keys):
+    """The tree wrapped in one container per key, each beside an empty one:
+    a list for a None key, else a dict."""
+    for key in keys:
+        tree = [tree, []] if key is None else {key: tree, "": {}}
+    return tree
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_TREES, st.lists(st.one_of(st.none(), _TEXT), min_size=4, max_size=6))
+def test_json_writer_gives_the_stdlib_bytes(tree, keys):
+    for value in (tree, _nested(tree, keys)):
+        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, Fraction(3, 2), {"c": {"num": 0.5, "den": 1}}, [[Fraction(1)]], (1, 2), {1: 2}],
+    ids=["float", "fraction", "nested_float", "nested_fraction", "tuple", "int_key"],
+)
+def test_json_writer_rejects_what_no_report_holds(value):
+    # reports are exact, so a float or a Fraction in one is a bug, not a value;
+    # tuples and non-string keys never occur either, so nothing needs their conversion
+    with pytest.raises(TypeError):
+        cli._json_text(value)

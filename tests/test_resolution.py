@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from _oracles import descent_chain_by_fractions
 from minexp import resolution as rs
 from minexp.cli import EXIT_OK, main
-from minexp.exponent import DegreeProfile, minimal_exponent_cone
+from minexp.exponent import DegreeProfile, WeightedProfile, minimal_exponent_cone, weighted_upper_bound
 from minexp.resolution import (
     EXCEPTIONAL,
     LOG_RESOLUTION,
@@ -382,6 +382,26 @@ def test_equal_degrees_single_row():
     assert rep.lower_bound == F(9, 3)
 
 
+@st.composite
+def _wide_profiles(draw):
+    n = draw(st.integers(1, 60))
+    degrees = draw(st.lists(st.integers(2, 30), min_size=1, max_size=min(8, n)))
+    return DegreeProfile(n, tuple(sorted(degrees)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_wide_profiles())
+def test_c3_wide_route_agreement(profile):
+    # C3 (tests/test_acceptance.py) on profiles past its grid: n <= 60, r <= 8, degrees <= 30
+    formula = minimal_exponent_cone(profile)
+    report = simulate_resolution(profile)
+    assert report.lower_bound == formula
+    assert weighted_upper_bound(WeightedProfile((1,) * profile.n, profile.degrees)) == formula
+    # the divisor with a = d_pivot is among the ledger's minimizers (the minimum may be tied)
+    pivot_degree = profile.degrees[profile.table.pivot - 1]
+    assert any(row.a == pivot_degree and row.ratio == formula for row in report.ledger.rows)
+
+
 # --- valuation inequality scans -------------------------------------------------
 
 def test_valuation_scan_lct_branch():
@@ -457,3 +477,23 @@ def test_descent_chain_validation():
         descent_chain(DegreeProfile(4, (2, 3)), (0, -1))
     with pytest.raises(ValueError):
         descent_chain_grid(DegreeProfile(4, (2, 3)), F(0), F(1))
+
+
+# --- work budgets -----------------------------------------------------------------
+
+def test_scan_budgets():
+    assert rs.SCAN_BUDGET == 10**6
+    lct, complementary = DegreeProfile(3, (2, 3)), DegreeProfile(6, (2, 3))
+    # the valuation grid has bound * (bound + 1)^r tuples, one axis fewer when b_r is pinned
+    fits = [(lct, 99), (complementary, 999)]  # 990,000 and 999,000 tuples
+    over = [(lct, 100), (complementary, 1000), (lct, 10**50)]  # 1,020,100 and 1,001,000 tuples
+    for profile, bound in fits:
+        rs._check_scan_bound(profile, bound)
+    for profile, bound in over:
+        with pytest.raises(ValueError, match="^valuation grid exceeds the work budget of 1000000 points$"):
+            verify_valuation_inequality(profile, bound)
+    # the chain grid has (max // step + 1)^r points: 1000^2 fit, 1001^2 do not
+    rs._check_chain_grid(lct, F(1), F(999))
+    for step, maximum in [(F(1), F(1000)), (F(1, 1000), F(4)), (F(1), F(10**50))]:
+        with pytest.raises(ValueError, match="^chain grid exceeds the work budget of 1000000 points$"):
+            descent_chain_grid(lct, step, maximum)

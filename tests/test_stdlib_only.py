@@ -1,4 +1,5 @@
-"""The package imports only the standard library and itself."""
+"""The package imports only the standard library and itself, and writes JSON
+in one place."""
 
 from __future__ import annotations
 
@@ -9,9 +10,13 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "minexp"
 
 
+def _nodes(path: Path):
+    return ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+
+
 def _imported_modules(path: Path):
     """The top-level name of every module that ``path`` imports; "minexp" for a relative import."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+    for node in _nodes(path):
         if isinstance(node, ast.Import):
             yield from (alias.name.split(".")[0] for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
@@ -28,3 +33,22 @@ def test_package_imports_only_the_standard_library():
         if name != "minexp" and name not in sys.stdlib_module_names
     }
     assert not foreign
+
+
+def _json_writers(path: Path):
+    """The line of every use of json.dump or json.dumps in ``path``, and of
+    every import of either name from json."""
+    for node in _nodes(path):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id == "json" and node.attr in ("dump", "dumps"):
+                yield node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            if any(alias.name in ("dump", "dumps") for alias in node.names):
+                yield node.lineno
+
+
+def test_cli_writer_is_the_one_json_emitter():
+    # reports are written by cli._json_text alone; json.load and json.loads,
+    # which read manifests and --support, stay allowed
+    uses = {(path.name, line) for path in sorted(PACKAGE.glob("*.py")) for line in _json_writers(path)}
+    assert not uses
