@@ -338,18 +338,29 @@ def _mod_terms(f: Poly, q: int) -> list[tuple[int, tuple[int, ...]]] | None:
     return out
 
 
-def _eval_mod(terms: list[tuple[int, tuple[int, ...]]], point: tuple[int, ...], q: int) -> int:
-    total = 0
+def _power_terms(terms: list[tuple[int, tuple[int, ...]]], q: int, tables: dict[int, list[int]]):
+    """Terms from :func:`_mod_terms` as (coefficient, ((index, table), ...)),
+    one pair per nonzero exponent e, with table[x] = x^e mod q.  ``tables``
+    holds one table per exponent, shared by every caller."""
+    out = []
     for c, u in terms:
-        val = c
-        for x, e in zip(point, u):
+        factors = []
+        for i, e in enumerate(u):
             if e:
-                if x == 0:
-                    val = 0
-                    break
-                val = val * pow(x, e, q) % q
-        total = (total + val) % q
-    return total
+                if e not in tables:
+                    tables[e] = [pow(x, e, q) for x in range(q)]
+                factors.append((i, tables[e]))
+        out.append((c, tuple(factors)))
+    return out
+
+
+def _eval_power_terms(terms, point: tuple[int, ...], q: int) -> int:
+    total = 0
+    for c, factors in terms:
+        for i, table in factors:
+            c *= table[point[i]]
+        total += c
+    return total % q
 
 
 def _rank(rows: list[list], inverse, reduce) -> int:
@@ -442,6 +453,7 @@ def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = 100_0
 
     polys_mod = []
     grads_mod = []
+    tables: dict[int, list[int]] = {}
     for f in fs:
         tm = _mod_terms(f, q)
         if tm is None:
@@ -449,20 +461,20 @@ def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = 100_0
                 "INCONCLUSIVE", q, 0,
                 reason=f"a coefficient denominator is divisible by {q}",
             )
-        polys_mod.append(tm)
+        polys_mod.append(_power_terms(tm, q, tables))
         grad = []
         for name in xs:
             gm = _mod_terms(f.derivative(name), q)
             assert gm is not None  # same denominators as f
-            grad.append(gm)
+            grad.append(_power_terms(gm, q, tables))
         grads_mod.append(grad)
 
     for point in _line_representatives(q, n):
-        vanishing = [i for i, tm in enumerate(polys_mod) if _eval_mod(tm, point, q) == 0]
+        vanishing = [i for i, tm in enumerate(polys_mod) if _eval_power_terms(tm, point, q) == 0]
         if not vanishing:
             continue
         rows = [
-            [_eval_mod(gm, point, q) for gm in grads_mod[i]]
+            [_eval_power_terms(gm, point, q) for gm in grads_mod[i]]
             for i in vanishing
         ]
         if _rank(rows, lambda x: pow(x, -1, q), lambda x: x % q) == len(vanishing):

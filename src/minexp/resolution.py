@@ -23,9 +23,13 @@ with k_1 = n - 1 for the origin blow-up.  The resulting lower bound
 min_j (k_j + 1) / a_j must agree exactly with the closed-form exponent;
 that agreement scan is this module's primary oracle.
 
-The module also brute-force-verifies the valuation inequalities behind the
-lower bound on integer grids, and checks the telescoping chain argument
-used to prove them pointwise on rational grids.
+The module also verifies the valuation inequalities behind the lower bound
+on every tuple of an integer box, and checks the telescoping chain argument
+used to prove them pointwise on a rational grid.  The box is decided one
+slice of fixed b0 at a time, each slice in one pass over the possible
+minimum (see :func:`verify_valuation_inequality`); a PASS still counts the
+whole box in ``tuples_checked``.  The chain grid runs in integers over the
+step's denominator, and only a failing point becomes a report.
 """
 
 from __future__ import annotations
@@ -478,7 +482,7 @@ def _check_scan_bound(profile: DegreeProfile, bound: int) -> None:
 
 
 def verify_valuation_inequality(profile: DegreeProfile, bound: int) -> ValuationScanReport:
-    """Exhaustively check the divisorial valuation inequality on an integer grid.
+    """Check the divisorial valuation inequality on every tuple of an integer box.
 
     For degree sum > n ("lct" branch) the inequality is
 
@@ -489,7 +493,20 @@ def verify_valuation_inequality(profile: DegreeProfile, bound: int) -> Valuation
     scripted resolution never blows up inside the last strict transform, so
     the same inequality is checked with b_r = 0 imposed and the last
     candidate value as the factor
-    ("complementary" branch).  Returns the first violating tuple, if any.
+    ("complementary" branch).  Returns the first violating tuple in
+    lexicographic order, if any.
+
+    Each slice of fixed b0 is decided at once.  Write s_j = b0*d_j and take a
+    tuple of the slice with t = min_j (s_j + b_j).  Every free b_j is at least
+    t - s_j, so the free b_j sum to at least S(t) = sum over free j of
+    max(0, t - s_j), and the tuple b_j = max(0, t - s_j) attains S(t) with
+    minimum exactly t.  That tuple lies in the box exactly when t <= top,
+    where top = min(s_j + bound over the free j, and s_r when b_r is pinned),
+    and every tuple of the slice has min_j s_j <= t <= top.  So the slice holds
+    a violation exactly when den*(n*b0 + S(t)) < num*t for some integer t in
+    [min_j s_j, top].  A slice without one adds its (bound+1)^free tuples to
+    ``tuples_checked``; in the slice with one, the lexicographic scan names
+    the first counterexample and counts the tuples up to it.
     """
     _check_scan_bound(profile, bound)
     n = profile.n
@@ -501,20 +518,29 @@ def verify_valuation_inequality(profile: DegreeProfile, bound: int) -> Valuation
     num, den = exponent.numerator, exponent.denominator
 
     pinned = () if branch == LCT_BRANCH else (0,)  # the complementary branch fixes b_r = 0
+    free = r - len(pinned)
     checked = 0
     counterexample = None
     for b0 in range(1, bound + 1):
         base = n * b0
         scaled = [b0 * dj for dj in d]
-        for free in itertools.product(range(bound + 1), repeat=r - len(pinned)):
-            bs = free + pinned
-            checked += 1
-            order = min(s + b for s, b in zip(scaled, bs))
-            if den * (base + sum(bs)) < num * order:
-                counterexample = (b0,) + bs
-                break
-        if counterexample:
-            break
+        scaled_free = scaled[:free]
+        top = min([s + bound for s in scaled_free] + scaled[free:])
+        if not any(
+            den * (base + sum([t - s for s in scaled_free if s < t])) < num * t
+            for t in range(min(scaled), top + 1)
+        ):
+            checked += (bound + 1) ** free
+            continue
+        # the slice holds a violation, so the scan below meets one
+        tuples = (bs + pinned for bs in itertools.product(range(bound + 1), repeat=free))
+        index, bs = next(
+            (i, bs) for i, bs in enumerate(tuples)
+            if den * (base + sum(bs)) < num * min(s + b for s, b in zip(scaled, bs))
+        )
+        checked += index + 1
+        counterexample = (b0,) + bs
+        break
     return ValuationScanReport(
         branch=branch,
         exponent=exponent,
@@ -561,17 +587,34 @@ def descent_chain(profile: DegreeProfile, u: Sequence) -> DescentChainReport:
     if any(x.numerator < 0 for x in u):
         raise ValueError("entries must be nonnegative")
 
-    # Over the common denominator D of the u_j, M_j = D*(d_j + u_j) is an
-    # integer.  The chain is the indices k whose M_k lies below that of every
-    # later index (the repeated "largest index attaining the tail minimum"),
-    # and its value at k is N_k / M_k with the integer
-    # N_k = k*M_k + D*(n - d_1 - ... - d_r) + M_(k+1) + ... + M_r.
     den = lcm(*(x.denominator for x in u))
     m = [dj * den + x.numerator * (den // x.denominator) for dj, x in zip(d, u)]
-    base = den * (n - profile.degree_sum)
+    chain, pairs, checks = _chain(profile, m, den * (n - profile.degree_sum))
+    return DescentChainReport(
+        u=u,
+        chain=tuple(chain),
+        chain_values=tuple(Fraction(numer, denom) for numer, denom in pairs),
+        links_ok=tuple(checks[:-1]),
+        terminal_ok=checks[-1],
+        passed=all(checks),
+    )
+
+
+def _chain(profile: DegreeProfile, m: Sequence[int], base: int):
+    """The chain of :func:`descent_chain`, its values and its checks, in integers.
+
+    Over a common denominator D of the u_j, M_j = D*(d_j + u_j) is an integer
+    and ``base`` is D*(n - d_1 - ... - d_r).  The chain is the indices k whose
+    M_k lies below that of every later index (the repeated "largest index
+    attaining the tail minimum"), and its value at k is N_k / M_k with the
+    integer N_k = k*M_k + base + M_(k+1) + ... + M_r.  Returns the chain, the
+    pairs (N_k, M_k) and one check per chain index, the last one terminal.
+    Every choice and check is homogeneous in (N, M), so any common
+    denominator D gives the same answer.
+    """
     chain, pairs = [], []
     tail = 0  # M_(k+1) + ... + M_r
-    for j in range(r - 1, -1, -1):
+    for j in range(len(m) - 1, -1, -1):
         if not pairs or m[j] < pairs[-1][1]:
             chain.append(j + 1)
             pairs.append(((j + 1) * m[j] + base + tail, m[j]))
@@ -585,16 +628,9 @@ def descent_chain(profile: DegreeProfile, u: Sequence) -> DescentChainReport:
     checks = [
         numer * alphas[k - 1].denominator >= alphas[k - 1].numerator * denom
         or numer * next_denom >= next_numer * denom
-        for k, (numer, denom), (next_numer, next_denom) in zip(chain, pairs, pairs[1:] + [(r, 1)])
+        for k, (numer, denom), (next_numer, next_denom) in zip(chain, pairs, pairs[1:] + [(len(m), 1)])
     ]
-    return DescentChainReport(
-        u=u,
-        chain=tuple(chain),
-        chain_values=tuple(Fraction(numer, denom) for numer, denom in pairs),
-        links_ok=tuple(checks[:-1]),
-        terminal_ok=checks[-1],
-        passed=all(checks),
-    )
+    return chain, pairs, checks
 
 
 def _check_chain_grid(profile: DegreeProfile, step: Fraction, maximum: Fraction) -> None:
@@ -608,15 +644,23 @@ def _check_chain_grid(profile: DegreeProfile, step: Fraction, maximum: Fraction)
 def descent_chain_grid(
     profile: DegreeProfile, step: Fraction, maximum: Fraction
 ) -> tuple[int, DescentChainReport | None]:
-    """Run :func:`descent_chain` at every u in {0, step, 2*step, ...}^r up to
-    ``maximum``, in lexicographic order.  Returns the number of points
-    checked and the first failing report (None when every chain passes)."""
+    """Run the chain of :func:`descent_chain` at every u in
+    {0, step, 2*step, ...}^r up to ``maximum``, in lexicographic order.
+    Returns the number of points checked and the first failing report (None
+    when every chain passes).
+
+    With the step s/D in lowest terms, every u_j is k_j*s/D, so the grid runs
+    over the integers M_j = D*d_j + k_j*s, with D as the common denominator.
+    Only the first failing point goes to :func:`descent_chain` for its report.
+    """
     _check_chain_grid(profile, step, maximum)
-    axis = [i * step for i in range(maximum // step + 1)]
+    s, den = step.numerator, step.denominator
+    ks = range(maximum // step + 1)
+    columns = [[den * dj + k * s for k in ks] for dj in profile.degrees]
+    base = den * (profile.n - profile.degree_sum)
     points = 0
-    for u in itertools.product(axis, repeat=profile.r):
+    for m, k in zip(itertools.product(*columns), itertools.product(ks, repeat=profile.r)):
         points += 1
-        report = descent_chain(profile, u)
-        if not report.passed:
-            return points, report
+        if not all(_chain(profile, m, base)[2]):
+            return points, descent_chain(profile, [kj * step for kj in k])
     return points, None

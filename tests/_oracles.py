@@ -9,9 +9,13 @@ every nonsingular activation pattern is solved exactly and the feasible
 ones are scanned for the least t.
 
 The probe oracle scans every nonzero point of F_q^n, where the library
-scans one point per line through the origin; the descent-chain oracle
-computes in ``Fraction`` arithmetic, where the library computes in
-integers over a common denominator.
+scans one point per line through the origin, and evaluates with ``pow``,
+where the library reads power tables; the descent-chain oracle computes in
+``Fraction`` arithmetic, where the library computes in integers over a
+common denominator.  The two ``verify`` oracles visit every point of their
+grid: every tuple of the valuation box, where the library decides each b0
+slice at once, and every chain point through ``descent_chain``, where the
+library runs the grid in integers.
 """
 
 from __future__ import annotations
@@ -19,8 +23,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from minexp.poly import ProbeReport, ProbeWitness, _eval_mod, _mod_terms, _rank
-from minexp.resolution import DescentChainReport
+from minexp.poly import ProbeReport, ProbeWitness, _mod_terms, _rank
+from minexp.resolution import (
+    COMPLEMENTARY_BRANCH,
+    LCT_BRANCH,
+    DescentChainReport,
+    ValuationScanReport,
+    descent_chain,
+)
 
 
 def solve_square(matrix: list[list[Fraction]], rhs: list[Fraction]):
@@ -87,6 +97,20 @@ def diagonal_by_vertex_enumeration(points) -> Fraction:
                     best = t
     assert best is not None, f"no feasible vertex found for {pts}"
     return best
+
+
+def _eval_mod(terms: list[tuple[int, tuple[int, ...]]], point: tuple[int, ...], q: int) -> int:
+    total = 0
+    for c, u in terms:
+        val = c
+        for x, e in zip(point, u):
+            if e:
+                if x == 0:
+                    val = 0
+                    break
+                val = val * pow(x, e, q) % q
+        total = (total + val) % q
+    return total
 
 
 def probe_by_affine_scan(fs, field_size: int, limit: int = 100_000) -> ProbeReport:
@@ -195,3 +219,51 @@ def descent_chain_by_fractions(profile, u) -> DescentChainReport:
         terminal_ok=terminal_ok,
         passed=all(links) and terminal_ok,
     )
+
+
+def valuation_scan_by_grid(profile, bound: int) -> ValuationScanReport:
+    """:func:`minexp.resolution.verify_valuation_inequality` by a visit to every
+    tuple of the box in lexicographic order, for input that passed its checks."""
+    n = profile.n
+    d = profile.degrees
+    r = profile.r
+    branch = LCT_BRANCH if profile.degree_sum > n else COMPLEMENTARY_BRANCH
+    table = profile.table
+    exponent = table.minimum if branch == LCT_BRANCH else table.values[-1]
+    num, den = exponent.numerator, exponent.denominator
+
+    pinned = () if branch == LCT_BRANCH else (0,)  # the complementary branch fixes b_r = 0
+    checked = 0
+    counterexample = None
+    for b0 in range(1, bound + 1):
+        base = n * b0
+        scaled = [b0 * dj for dj in d]
+        for free in itertools.product(range(bound + 1), repeat=r - len(pinned)):
+            bs = free + pinned
+            checked += 1
+            order = min(s + b for s, b in zip(scaled, bs))
+            if den * (base + sum(bs)) < num * order:
+                counterexample = (b0,) + bs
+                break
+        if counterexample:
+            break
+    return ValuationScanReport(
+        branch=branch,
+        exponent=exponent,
+        tuples_checked=checked,
+        passed=counterexample is None,
+        counterexample=counterexample,
+    )
+
+
+def chain_grid_by_points(profile, step: Fraction, maximum: Fraction):
+    """:func:`minexp.resolution.descent_chain_grid` by a call of
+    :func:`minexp.resolution.descent_chain` at every grid point."""
+    axis = [i * step for i in range(maximum // step + 1)]
+    points = 0
+    for u in itertools.product(axis, repeat=profile.r):
+        points += 1
+        report = descent_chain(profile, u)
+        if not report.passed:
+            return points, report
+    return points, None

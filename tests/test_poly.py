@@ -249,7 +249,11 @@ def _random_form(rng, names, q):
 def test_probe_matches_affine_scan_oracle():
     rng = random.Random(5)
     shapes = [(q, n) for q in (2, 3, 5, 7, 11, 13) for n in range(1, 5) if q**n <= 30_000]
-    seen = {"PASS": 0, "INCONCLUSIVE": 0, "FAIL": 0, "several forms": 0, "leading zero": 0, "late": 0}
+    shapes += [(q, 5) for q in (2, 3, 5)]  # five variables, the most a probe takes
+    seen = {
+        "PASS": 0, "INCONCLUSIVE": 0, "FAIL": 0, "several forms": 0, "leading zero": 0, "late": 0,
+        "five variables": 0,
+    }
     for _ in range(250):
         q, n = rng.choice(shapes)
         names = [f"x{i}" for i in range(1, n + 1)]
@@ -264,6 +268,7 @@ def test_probe_matches_affine_scan_oracle():
         report = probe_transversality(fs, q, limit)
         assert report == probe_by_affine_scan(fs, q, limit), (fs, q, limit)
         seen[report.verdict] += 1
+        seen["five variables"] += n == 5
         if report.verdict == "FAIL":
             witness = report.witness
             seen["several forms"] += len(witness.vanishing) > 1

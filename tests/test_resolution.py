@@ -11,10 +11,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import descent_chain_by_fractions
+from _oracles import chain_grid_by_points, descent_chain_by_fractions, valuation_scan_by_grid
 from minexp import resolution as rs
 from minexp.cli import EXIT_OK, main
-from minexp.exponent import DegreeProfile, WeightedProfile, minimal_exponent_cone, weighted_upper_bound
+from minexp.exponent import (
+    DegreeProfile,
+    ExponentTable,
+    WeightedProfile,
+    minimal_exponent_cone,
+    weighted_upper_bound,
+)
 from minexp.resolution import (
     EXCEPTIONAL,
     LOG_RESOLUTION,
@@ -477,6 +483,62 @@ def test_descent_chain_validation():
         descent_chain(DegreeProfile(4, (2, 3)), (0, -1))
     with pytest.raises(ValueError):
         descent_chain_grid(DegreeProfile(4, (2, 3)), F(0), F(1))
+
+
+class _TableProfile(DegreeProfile):
+    """A profile with a given candidate table: random values make most scans fail."""
+
+    def __init__(self, n, degrees, values):
+        super().__init__(n, degrees)
+        object.__setattr__(self, "_values", tuple(values))
+
+    @property
+    def table(self):
+        return ExponentTable(self._values, 1, min(self._values))
+
+
+def _scan_cases():
+    """(profile, bound, step, max): the C3 sample with its own tables, then
+    random tables over random profiles, with r = 1 in the complementary branch
+    among them."""
+    rng = random.Random(13)
+    for profile in _c3_sample():
+        yield profile, 4 if profile.r < 4 else 2, F(1, 2), F(2)
+    for _ in range(600):
+        n = rng.randint(1, 12)
+        r = rng.choice([1, 1, 2, 3, 4][: min(4, n) + 1])
+        degrees = tuple(sorted(rng.randint(2, 8) for _ in range(r)))
+        values = [F(rng.randint(1, 60), rng.randint(1, 9)) for _ in range(r)]
+        step, maximum = rng.choice([(F(1), F(3)), (F(1, 2), F(2)), (F(2, 3), F(2)), (F(3, 2), F(5, 2))])
+        yield _TableProfile(n, degrees, values), rng.randint(1, 6 if r < 4 else 3), step, maximum
+
+
+def test_verify_scans_match_exhaustive_oracles():
+    seen = dict.fromkeys(
+        ["lct fail", "complementary fail", "complementary r = 1 fail", "fail past the first tuple",
+         "pass", "chain fail", "chain fail past the first point", "chain pass"],
+        0,
+    )
+    for profile, bound, step, maximum in _scan_cases():
+        scan = verify_valuation_inequality(profile, bound)
+        assert scan == valuation_scan_by_grid(profile, bound), (profile, profile.table, bound)
+        if scan.passed:
+            seen["pass"] += 1
+        else:
+            seen[f"{scan.branch} fail"] += 1
+            seen["complementary r = 1 fail"] += scan.branch == "complementary" and profile.r == 1
+            seen["fail past the first tuple"] += scan.tuples_checked > 1
+            # (n*b0 + S(t))/t depends on t/b0 alone and is monotone between the
+            # integer degrees, and the first slice reaches every integer t/b0 of
+            # the widest range: a scan that fails somewhere fails in that slice
+            assert scan.counterexample[0] == 1
+        grid = descent_chain_grid(profile, step, maximum)
+        assert grid == chain_grid_by_points(profile, step, maximum), (profile, profile.table, step, maximum)
+        points, failure = grid
+        seen["chain pass"] += failure is None
+        seen["chain fail"] += failure is not None
+        seen["chain fail past the first point"] += failure is not None and points > 1
+    assert all(seen.values()), seen
 
 
 # --- work budgets -----------------------------------------------------------------

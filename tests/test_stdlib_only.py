@@ -1,5 +1,5 @@
-"""The package imports only the standard library and itself, and writes JSON
-in one place."""
+"""The package imports only the standard library and itself, writes JSON in
+one place, and makes no float."""
 
 from __future__ import annotations
 
@@ -51,4 +51,20 @@ def test_cli_writer_is_the_one_json_emitter():
     # reports are written by cli._json_text alone; json.load and json.loads,
     # which read manifests and --support, stay allowed
     uses = {(path.name, line) for path in sorted(PACKAGE.glob("*.py")) for line in _json_writers(path)}
+    assert not uses
+
+
+def _floats(path: Path):
+    """The line of every float literal and every ``float(...)`` call in ``path``."""
+    for node in _nodes(path):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            yield node.lineno
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            yield node.lineno
+
+
+def test_package_makes_no_float():
+    # arithmetic is exact: the integer kernels of the scans, like everything
+    # else, hold no float literal and convert nothing to float
+    uses = {(path.name, line) for path in sorted(PACKAGE.glob("*.py")) for line in _floats(path)}
     assert not uses
