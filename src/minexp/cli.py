@@ -398,7 +398,7 @@ def run_newton(
         ms = _guard(nt.MonomialSupport, len(support[0]) if support else 0, support, prefix="bad support: ")
     result, exponent = _guard(nt.newton_diagonal, ms)
     results = {
-        "support": [list(p) for p in sorted(ms.points)],
+        "support": [list(p) for p, _ in result.certificate],  # sorted by diagonal_entry
         "c": _rat_json(result.c),
         "certificate": [
             {"point": list(p), "coefficient": _rat_json(lam)} for p, lam in result.certificate

@@ -13,10 +13,11 @@ diagonal point reduces to the tiny linear program
                               sum_u lambda_u * u_i <= t  for each i,
 
 because the recession orthant absorbs any componentwise slack.  The program
-is solved by an exact two-phase simplex with Bland's anti-cycling rule on a
-fraction-free integer tableau (integer-preserving pivoting in the style of
-Bareiss and Edmonds): the rows are integers over one common denominator, so
-no rational arithmetic runs inside the solver and every division is exact.
+is solved by an exact two-phase revised simplex with Bland's anti-cycling
+rule, fraction-free (integer-preserving pivoting in the style of Bareiss and
+Edmonds): it keeps only d * B^-1, integers over one common denominator d,
+and prices and builds each entering column from the sparse support, so no
+rational arithmetic runs inside the solver and every division is exact.
 
 Every result carries two certificates that are re-verified in integers,
 independently of the solver: a primal one (convex weights placing the
@@ -78,7 +79,8 @@ class MonomialSupport:
 class DiagonalResult:
     """Diagonal value c with primal and dual optimality certificates.
 
-    ``certificate`` pairs every support point with its convex weight;
+    ``certificate`` pairs every support point, in sorted order, with its
+    convex weight;
     ``dual`` is the separating weight vector described in the module
     docstring.  :meth:`verify` re-checks both in integer arithmetic.
     """
@@ -120,75 +122,86 @@ def _common_denominator(values):
 
 
 # ---------------------------------------------------------------------------
-# exact two-phase simplex (fraction-free integer tableau, Bland's rule)
+# exact two-phase revised simplex (fraction-free, Bland's rule)
 #
-# The tableau is kept as integer rows over one common positive denominator D:
-# the true entries are row[j] / D, and the reduced-cost row is scaled by the
-# same D.  A pivot on element p keeps the pivot row and replaces every other
-# row by (x * p - f * piv_row[j]) // D before setting D = p.  As in Bareiss's
-# integer-preserving elimination, every entry is then a minor of the initial
-# integer tableau, so each division is exact and the integers stay as small
-# as determinants of the support coordinates.
+# The program has dim + 1 rows, the convexity row sum(lambda) + art = 1 and,
+# for each coordinate i, sum_u lambda_u * u_i - t + s_i = 0, and the columns
+# lambda_0 .. lambda_{npts-1}, t, s_0 .. s_{dim-1} and art.  The starting
+# basis (art, s_0, ..., s_{dim-1}) is the identity, so the tableau of a full
+# simplex would be d * B^-1 * A0: A0 the initial integer tableau, B the
+# basis matrix, d a common positive denominator.  Only the tableau's columns
+# on those starting slots are kept, the columns of d * B^-1 itself (slot 0
+# is art, slot 1 + i is s_i), and the reduced costs on the same slots.  The
+# slot-0 column is also the right-hand side, since the rhs of A0 equals
+# art's column: both are the first unit vector.  With y = d * cost_slots -
+# red, column j prices as d * cost_j - y . A0[:, j] and enters as
+# d * B^-1 * A0[:, j], the sum of a * (column k of d * B^-1) over the
+# nonzero entries a = A0[k, j]: a support point u is (1, u), one term per
+# nonzero entry.
+#
+# A pivot on element p > 0 keeps the pivot row and replaces every other
+# entry x by (x * p - f * g) // d before setting d = p, where f is the
+# entering column's entry in x's row (for a reduced cost, the entering
+# column's reduced cost) and g the pivot row's entry in x's column.  As
+# in Bareiss's integer-preserving elimination, every entry is then a minor
+# of A0, so each division is exact, and every integer the solver compares is
+# the one the full tableau holds: the pivot path, c, the weights and the
+# dual are its.
 
 
-def _reduced_costs(rows, basis, cost, d):
-    red = [d * x for x in cost] + [0]
-    for r, b in enumerate(basis):
-        cb = cost[b]
-        if cb:
-            row = rows[r]
-            for j in range(len(red)):
-                red[j] -= cb * row[j]
-    return red
+def _reduced_costs(inverse, basis, cost, slots, d):
+    """d * cost - cost_B * (d * B^-1) on the starting slots."""
+    cost_b = [cost[b] for b in basis]
+    return [d * cost[s] - sum(c * x for c, x in zip(cost_b, col)) for s, col in zip(slots, inverse)]
 
 
-def _pivot(rows, basis, red, d, leave, enter):
-    """Pivot in place; return the new common denominator (the pivot element)."""
-    piv_row = rows[leave]
-    p = piv_row[enter]
-    if p < 0:  # only the phase-1 drive-out can meet one; its row's rhs is 0
-        piv_row = rows[leave] = [-x for x in piv_row]
-        p = -p
-    for r, row in enumerate(rows):
-        if r != leave:
-            rows[r] = _eliminate(row, piv_row, enter, p, d)
-    red[:] = _eliminate(red, piv_row, enter, p, d)
-    basis[leave] = enter
+def _pivot(inverse, red, d, leave, column, f):
+    """Pivot in place on column[leave] > 0, where ``inverse`` holds the
+    columns of d * B^-1, ``column`` is the entering column and ``f`` its
+    reduced cost; return the new common denominator (the pivot element)."""
+    p = column[leave]
+    for k, col in enumerate(inverse):
+        g = col[leave]
+        red[k] = (red[k] * p - f * g) // d
+        if g:
+            col = [(x * p - g * a) // d for x, a in zip(col, column)]
+            col[leave] = g
+            inverse[k] = col
+        elif p != d:
+            inverse[k] = [x * p // d for x in col]
     return p
 
 
-def _eliminate(row, piv_row, enter, p, d):
-    f = row[enter]
-    if f:
-        return [(x * p - f * y) // d for x, y in zip(row, piv_row)]
-    if p == d:
-        return row
-    return [x * p // d for x in row]
-
-
-def _iterate(rows, basis, red, d, allowed):
+def _iterate(inverse, basis, red, d, cost, columns, slots, allowed):
+    slot_cost = [cost[s] for s in slots]
     while True:
+        y = [d * c - x for c, x in zip(slot_cost, red)]
         enter = None
         for j in allowed:  # Bland: smallest eligible index enters
-            if red[j] < 0:
+            f = d * cost[j] - sum(y[k] * a for k, a in columns[j])
+            if f < 0:
                 enter = j
                 break
         if enter is None:
             return d
+        (k, a), *rest = columns[enter]
+        column = [a * x for x in inverse[k]]
+        for k, a in rest:
+            column = [c + a * x for c, x in zip(column, inverse[k])]
         # ratio test rhs / a, compared by cross-multiplication (a > 0)
         leave = None
-        for r, row in enumerate(rows):
-            a = row[enter]
+        for r, (a, b) in enumerate(zip(column, inverse[0])):
             if a > 0:
                 if leave is None:
-                    leave, num, den = r, row[-1], a
+                    leave, num, den = r, b, a
                     continue
-                lhs, rhs = row[-1] * den, num * a
+                lhs, rhs = b * den, num * a
                 if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
-                    leave, num, den = r, row[-1], a
+                    leave, num, den = r, b, a
         if leave is None:
             raise RuntimeError("unbounded linear program; impossible for this formulation")
-        d = _pivot(rows, basis, red, d, leave, enter)
+        d = _pivot(inverse, red, d, leave, column, f)
+        basis[leave] = enter
 
 
 def _solve_diagonal_lp(pts: list[tuple[int, ...]]):
@@ -199,49 +212,44 @@ def _solve_diagonal_lp(pts: list[tuple[int, ...]]):
     art = npts + 1 + dim
     ncols = art + 1
 
-    rows = []
-    row0 = [0] * (ncols + 1)
-    for j in range(npts):
-        row0[j] = 1
-    row0[art] = 1
-    row0[-1] = 1
-    rows.append(row0)
-    for i in range(dim):
-        row = [u[i] for u in pts] + [0] * (ncols + 1 - npts)
-        row[t_col] = -1
-        row[s0 + i] = 1
-        rows.append(row)
-    basis = [art] + [s0 + i for i in range(dim)]
+    # the sparse columns of A0 as (row, entry) pairs
+    columns = [[(0, 1)] + [(i + 1, x) for i, x in enumerate(u) if x] for u in pts]
+    columns.append([(i + 1, -1) for i in range(dim)])
+    columns += [[(i + 1, 1)] for i in range(dim)]
+    columns.append([(0, 1)])
+    slots = [art] + [s0 + i for i in range(dim)]
+    inverse = [[int(r == k) for r in range(dim + 1)] for k in range(dim + 1)]
+    basis = slots[:]
     d = 1
 
     # phase 1: drive the artificial variable of the convexity row to zero
     cost1 = [0] * ncols
     cost1[art] = 1
-    red1 = _reduced_costs(rows, basis, cost1, d)
-    d = _iterate(rows, basis, red1, d, range(ncols))
-    if red1[-1] != 0:
-        raise RuntimeError("phase 1 failed; the program is always feasible")
+    red1 = _reduced_costs(inverse, basis, cost1, slots, d)
+    d = _iterate(inverse, basis, red1, d, cost1, columns, slots, range(ncols))
+    # art always leaves the basis in phase 1.  While art is basic, it is 1
+    # and every other basic variable is 0.  That holds at the start, and a
+    # pivot keeps it: an eligible row other than art's has rhs 0, hence
+    # ratio 0, while art's row has ratio 1 / a > 0.  So no ratio ties with
+    # art's row, a pivot that leaves art basic moves nothing, and art leaves
+    # exactly when its row is the only eligible one.  The phase cannot end
+    # while art is 1, above the optimum 0, so no art basic at 0 is ever
+    # left to drive out, and no pivot element is ever negative.
     if art in basis:
-        r = basis.index(art)
-        for j in range(ncols):
-            if j != art and rows[r][j] != 0:
-                d = _pivot(rows, basis, red1, d, r, j)
-                break
-        else:
-            raise RuntimeError("could not drive the artificial variable out")
+        raise RuntimeError("the artificial variable stayed basic after phase 1; impossible")
 
     # phase 2: minimize t, artificial column locked out
     cost2 = [0] * ncols
     cost2[t_col] = 1
-    red2 = _reduced_costs(rows, basis, cost2, d)
-    d = _iterate(rows, basis, red2, d, [j for j in range(ncols) if j != art])
+    red2 = _reduced_costs(inverse, basis, cost2, slots, d)
+    d = _iterate(inverse, basis, red2, d, cost2, columns, slots, [j for j in range(ncols) if j != art])
 
     value = [0] * ncols
-    for r, b in enumerate(basis):
-        value[b] = rows[r][-1]
+    for x, b in zip(inverse[0], basis):
+        value[b] = x
     lambdas = [Fraction(x, d) for x in value[:npts]]
     c = Fraction(value[t_col], d)
-    dual = [Fraction(red2[s0 + i], d) for i in range(dim)]
+    dual = [Fraction(red2[1 + i], d) for i in range(dim)]
     return c, lambdas, dual
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from minexp.exponent import WeightedProfile, _as_fraction
+from minexp.exponent import WeightedProfile, _as_fraction, _is_int
 
 
 class PolyParseError(ValueError):
@@ -55,7 +55,7 @@ class Poly:
             exps = tuple(exps)
             if len(exps) != n:
                 raise ValueError(f"exponent vector {exps} does not match {n} variables")
-            if any((not isinstance(e, int)) or e < 0 for e in exps):
+            if any(not _is_int(e) or e < 0 for e in exps):
                 raise ValueError(f"exponents must be nonnegative integers, got {exps}")
             c = _as_fraction(coeff)
             if c != 0:

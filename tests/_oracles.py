@@ -6,7 +6,9 @@ value is recomputed by enumerating candidate vertices of the feasible region
 directly.  A vertex activates the convexity equality plus a mix of
 lambda = 0 and tight-coordinate constraints totalling one per variable;
 every nonsingular activation pattern is solved exactly and the feasible
-ones are scanned for the least t.
+ones are scanned for the least t.  The full-tableau oracle is the simplex
+the library ran before it kept only d * B^-1: the same pivot rules on every
+column of the tableau, so it must return the same c, weights and dual.
 
 The probe oracle scans every nonzero point of F_q^n, where the library
 scans one point per line through the origin, and evaluates with ``pow``,
@@ -97,6 +99,137 @@ def diagonal_by_vertex_enumeration(points) -> Fraction:
                     best = t
     assert best is not None, f"no feasible vertex found for {pts}"
     return best
+
+
+# ---------------------------------------------------------------------------
+# the diagonal program on the full tableau (fraction-free, Bland's rule)
+#
+# The library keeps only d * B^-1 and prices columns from the support; this
+# solver keeps every column of the tableau and eliminates on all of them.
+#
+# The tableau is kept as integer rows over one common positive denominator D:
+# the true entries are row[j] / D, and the reduced-cost row is scaled by the
+# same D.  A pivot on element p keeps the pivot row and replaces every other
+# row by (x * p - f * piv_row[j]) // D before setting D = p.  As in Bareiss's
+# integer-preserving elimination, every entry is then a minor of the initial
+# integer tableau, so each division is exact and the integers stay as small
+# as determinants of the support coordinates.
+
+
+def _reduced_costs(rows, basis, cost, d):
+    red = [d * x for x in cost] + [0]
+    for r, b in enumerate(basis):
+        cb = cost[b]
+        if cb:
+            row = rows[r]
+            for j in range(len(red)):
+                red[j] -= cb * row[j]
+    return red
+
+
+def _pivot(rows, basis, red, d, leave, enter):
+    """Pivot in place; return the new common denominator (the pivot element)."""
+    piv_row = rows[leave]
+    p = piv_row[enter]
+    if p < 0:  # only the phase-1 drive-out can meet one; its row's rhs is 0
+        piv_row = rows[leave] = [-x for x in piv_row]
+        p = -p
+    for r, row in enumerate(rows):
+        if r != leave:
+            rows[r] = _eliminate(row, piv_row, enter, p, d)
+    red[:] = _eliminate(red, piv_row, enter, p, d)
+    basis[leave] = enter
+    return p
+
+
+def _eliminate(row, piv_row, enter, p, d):
+    f = row[enter]
+    if f:
+        return [(x * p - f * y) // d for x, y in zip(row, piv_row)]
+    if p == d:
+        return row
+    return [x * p // d for x in row]
+
+
+def _iterate(rows, basis, red, d, allowed):
+    while True:
+        enter = None
+        for j in allowed:  # Bland: smallest eligible index enters
+            if red[j] < 0:
+                enter = j
+                break
+        if enter is None:
+            return d
+        # ratio test rhs / a, compared by cross-multiplication (a > 0)
+        leave = None
+        for r, row in enumerate(rows):
+            a = row[enter]
+            if a > 0:
+                if leave is None:
+                    leave, num, den = r, row[-1], a
+                    continue
+                lhs, rhs = row[-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leave]):
+                    leave, num, den = r, row[-1], a
+        if leave is None:
+            raise RuntimeError("unbounded linear program; impossible for this formulation")
+        d = _pivot(rows, basis, red, d, leave, enter)
+
+
+def diagonal_lp_by_full_tableau(pts: list[tuple[int, ...]]):
+    """(c, lambdas, dual) of the diagonal program of the sorted points ``pts``,
+    from the full fraction-free tableau."""
+    npts = len(pts)
+    dim = len(pts[0])
+    t_col = npts
+    s0 = npts + 1
+    art = npts + 1 + dim
+    ncols = art + 1
+
+    rows = []
+    row0 = [0] * (ncols + 1)
+    for j in range(npts):
+        row0[j] = 1
+    row0[art] = 1
+    row0[-1] = 1
+    rows.append(row0)
+    for i in range(dim):
+        row = [u[i] for u in pts] + [0] * (ncols + 1 - npts)
+        row[t_col] = -1
+        row[s0 + i] = 1
+        rows.append(row)
+    basis = [art] + [s0 + i for i in range(dim)]
+    d = 1
+
+    # phase 1: drive the artificial variable of the convexity row to zero
+    cost1 = [0] * ncols
+    cost1[art] = 1
+    red1 = _reduced_costs(rows, basis, cost1, d)
+    d = _iterate(rows, basis, red1, d, range(ncols))
+    if red1[-1] != 0:
+        raise RuntimeError("phase 1 failed; the program is always feasible")
+    if art in basis:
+        r = basis.index(art)
+        for j in range(ncols):
+            if j != art and rows[r][j] != 0:
+                d = _pivot(rows, basis, red1, d, r, j)
+                break
+        else:
+            raise RuntimeError("could not drive the artificial variable out")
+
+    # phase 2: minimize t, artificial column locked out
+    cost2 = [0] * ncols
+    cost2[t_col] = 1
+    red2 = _reduced_costs(rows, basis, cost2, d)
+    d = _iterate(rows, basis, red2, d, [j for j in range(ncols) if j != art])
+
+    value = [0] * ncols
+    for r, b in enumerate(basis):
+        value[b] = rows[r][-1]
+    lambdas = [Fraction(x, d) for x in value[:npts]]
+    c = Fraction(value[t_col], d)
+    dual = [Fraction(red2[s0 + i], d) for i in range(dim)]
+    return c, lambdas, dual
 
 
 def _eval_mod(terms: list[tuple[int, tuple[int, ...]]], point: tuple[int, ...], q: int) -> int:

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import diagonal_by_vertex_enumeration
+from _oracles import diagonal_by_vertex_enumeration, diagonal_lp_by_full_tableau
 from minexp import newton
 from minexp.newton import (
     DiagonalResult,
@@ -132,35 +135,121 @@ def _rational_pivot(rows, red, leave, enter):
 
 
 def test_integer_pivot_matches_rational_tableau():
-    # [A | I | b] with the identity basic, as in the simplex; pivots may be
-    # negative (the phase-1 drive-out can meet one) and must keep D > 0
+    # A0 = [A | I | b] with the identity basic, as in the simplex.  The
+    # solver keeps only d * B^-1, as the columns ``inverse`` on the identity
+    # slots, and the reduced costs there.  Every column of the tableau is
+    # d * B^-1 . A0[:, j] and every reduced cost d * cost_j - y . A0[:, j],
+    # y = d * cost_I - red, with the random first reduced-cost row as the
+    # cost.  Both must equal the rational tableau after each pivot, on a
+    # positive pivot element as the simplex chooses.
     rng = random.Random(5)
-    negative = 0
+    pivots = 0
     for _ in range(60):
         m, k = rng.randint(2, 4), rng.randint(2, 5)
-        rows = [
+        a0 = [
             [rng.randint(-9, 9) for _ in range(k)] + [int(i == j) for j in range(m)] + [rng.randint(0, 9)]
             for i in range(m)
         ]
-        red = [rng.randint(-9, 9) for _ in range(k + m + 1)]
+        cost = [rng.randint(-9, 9) for _ in range(k + m + 1)]
         basis = list(range(k, k + m))
-        exact = [[F(x) for x in row] for row in rows]
-        exact_red = [F(x) for x in red]
+        exact = [[F(x) for x in row] for row in a0]
+        exact_red = [F(x) for x in cost]
+        inverse = [[int(i == j) for i in range(m)] for j in range(m)]
+        red = cost[k : k + m]
         d = 1
-        for _ in range(6):
-            choices = [
-                (r, j) for r in range(m) for j in range(k + m) if j not in basis and rows[r][j]
+        for step in range(7):
+            columns = [
+                [sum(col[r] * row[j] for col, row in zip(inverse, a0)) for r in range(m)]
+                for j in range(k + m + 1)
             ]
-            if not choices:
+            y = [d * c - x for c, x in zip(cost[k : k + m], red)]
+            prices = [d * cost[j] - sum(yi * row[j] for yi, row in zip(y, a0)) for j in range(k + m + 1)]
+            assert [[F(col[r], d) for col in columns] for r in range(m)] == exact
+            assert [F(x, d) for x in prices] == exact_red
+            choices = [(r, j) for r in range(m) for j in range(k + m) if j not in basis and columns[j][r] > 0]
+            if not choices or step == 6:
                 break
             leave, enter = rng.choice(choices)
-            negative += rows[leave][enter] < 0
-            d = newton._pivot(rows, basis, red, d, leave, enter)
+            d = newton._pivot(inverse, red, d, leave, columns[enter], prices[enter])
+            basis[leave] = enter
             _rational_pivot(exact, exact_red, leave, enter)
+            pivots += 1
             assert d > 0
-            assert [[F(x, d) for x in row] for row in rows] == exact
-            assert [F(x, d) for x in red] == exact_red
-    assert negative > 10
+    assert pivots > 200
+
+
+def _cone_support(rng, n, degrees, extra):
+    """The support of sum_j c_j * f_j * y_j with Fermat-type f_j = sum_i x_i^d_j,
+    plus ``extra`` monomials x_i^a * x_k^(d_j - a) * y_j."""
+    r = len(degrees)
+    points = set()
+    for j, d in enumerate(degrees):
+        for i in range(n):
+            p = [0] * (n + r)
+            p[i], p[n + j] = d, 1
+            points.add(tuple(p))
+    fermat = len(points)
+    while len(points) < fermat + extra:
+        j = rng.randrange(r)
+        i, k = rng.sample(range(n), 2)
+        a = rng.randint(1, degrees[j] - 1)
+        p = [0] * (n + r)
+        p[i], p[k], p[n + j] = a, degrees[j] - a, 1
+        points.add(tuple(p))
+    return sorted(points)
+
+
+def _golden_supports():
+    golden = json.loads((Path(__file__).parent / "data" / "golden_newton_reports.json").read_text())
+    return [
+        [tuple(p) for p in json.loads(case["stdout"])["results"]["support"]]
+        for case in golden
+        if case["exit"] == 0
+    ]
+
+
+def _equivalence_supports():
+    rng = random.Random(1414)
+    supports = _golden_supports()
+    # the cone shapes of the newton_cone benchmark workload: (n, degrees, extra)
+    for n, degrees, extra in ((7, (2, 3, 4), 2), (9, (2, 4, 6), 2), (12, (4, 4, 4), 2), (14, (3, 4, 5), 2)):
+        supports += [_cone_support(rng, n, degrees, extra) for _ in range(3)]
+    # wide Fermat-type cones
+    for n, degrees in ((12, (2, 3, 5, 8)), (24, (2, 2, 4, 7, 7)), (34, (5, 9, 13, 17))):
+        supports.append(_cone_support(rng, n, degrees, 0))
+    for _ in range(200):
+        dim = rng.randint(1, 6)
+        top = rng.choice((6, 40))
+        count = min(rng.randint(1, 10), (top + 1) ** dim - 1)
+        points = set()
+        while len(points) < count:
+            p = tuple(rng.randint(0, top) for _ in range(dim))
+            if any(p):
+                points.add(p)
+        supports.append(sorted(points))
+    return supports
+
+
+def test_revised_simplex_matches_full_tableau_oracle():
+    # the solver keeps only d * B^-1; the oracle keeps the full tableau and
+    # makes the same pivots, so c, the weights and the dual are equal
+    supports = _equivalence_supports()
+    assert len(supports) == 13 + 12 + 3 + 200
+    for pts in supports:
+        assert newton._solve_diagonal_lp(pts) == diagonal_lp_by_full_tableau(pts), pts
+
+
+def test_artificial_variable_leaves_in_phase_one_on_every_small_support():
+    # every support of at most 4 nonzero points with dimension <= 2 and
+    # coordinates <= 3 (1,947 supports): phase 1 never ends with the
+    # artificial variable basic (the solver raises if it does), and the
+    # result is the oracle's
+    for dim in (1, 2):
+        pool = [p for p in itertools.product(range(4), repeat=dim) if any(p)]
+        for count in (1, 2, 3, 4):
+            for pts in itertools.combinations(pool, count):
+                pts = list(pts)
+                assert newton._solve_diagonal_lp(pts) == diagonal_lp_by_full_tableau(pts), pts
 
 
 def test_matches_vertex_enumeration_oracle():

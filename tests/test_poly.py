@@ -22,6 +22,17 @@ from minexp.poly import (
 F = Fraction
 
 
+# --- construction ------------------------------------------------------------
+
+@pytest.mark.parametrize("exps", [(True, 2), (0, False), (1.0, 2), (-1, 2)])
+def test_poly_rejects_exponents_that_are_not_nonnegative_integers(exps):
+    # a bool is an int to isinstance, but not an exponent: (True, 2) once
+    # printed as x*y^2 and was rejected only later, by MonomialSupport
+    with pytest.raises(ValueError, match=r"^exponents must be nonnegative integers, got "):
+        Poly(("x", "y"), {exps: 1})
+
+
+
 # --- parsing -----------------------------------------------------------------
 
 def test_parse_direct_terms():
