@@ -66,9 +66,12 @@ class MonomialSupport:
 
     @classmethod
     def from_poly(cls, f: Poly) -> "MonomialSupport":
+        """The support of ``f``: ``Poly`` has checked every exponent vector."""
         if f.is_zero():
             raise ValueError("the zero polynomial has empty support")
-        return cls(len(f.variables), frozenset(f.support()))
+        ms = object.__new__(cls)
+        ms.__dict__.update(n=len(f.variables), points=f.support())
+        return ms
 
     @property
     def origin(self) -> tuple[int, ...]:

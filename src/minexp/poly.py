@@ -11,11 +11,20 @@ Input grammar (used by :func:`parse_poly`)::
     factor :=  NUMBER [ "/" NUMBER ]      rational coefficient
             |  NAME   [ "^" NUMBER ]      variable power, exponent >= 1
 
-Whitespace is insignificant.  Variables are declared by the caller, never
-inferred from the text.  Printing uses graded lexicographic term order
-(highest total degree first, ties broken lexicographically on the exponent
-vector), so output is deterministic and ``parse_poly(str(f), f.variables)``
-reproduces ``f`` exactly.
+A NUMBER is a run of the ASCII digits 0-9; a NAME is an ASCII letter or
+underscore followed by ASCII letters, digits and underscores.  Whitespace is
+insignificant.  Variables are declared by the caller, never inferred from
+the text.  Printing uses graded lexicographic term order (highest total
+degree first, ties broken lexicographically on the exponent vector), so
+output is deterministic and ``parse_poly(str(f), f.variables)`` reproduces
+``f`` exactly.
+
+A ``Poly``'s invariants (at least one variable, no duplicate names, exponent
+vectors of nonnegative ints one per variable, nonzero ``Fraction``
+coefficients) are checked by the public constructor.  :func:`parse_poly`
+checks the variables and builds the rest to fit as it reads, and
+:meth:`Poly.derivative` keeps them; both build through ``Poly._trusted``,
+which checks nothing again.
 """
 
 from __future__ import annotations
@@ -45,10 +54,7 @@ class Poly:
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], object]):
         variables = tuple(variables)
-        if not variables:
-            raise ValueError("a polynomial needs at least one variable")
-        if len(set(variables)) != len(variables):
-            raise ValueError(f"duplicate variable names in {variables}")
+        _check_variables(variables)
         n = len(variables)
         cleaned: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in terms.items():
@@ -62,6 +68,17 @@ class Poly:
                 cleaned[exps] = c
         self._variables = variables
         self._terms = cleaned
+
+    @classmethod
+    def _trusted(cls, variables: tuple[str, ...], terms: dict[tuple[int, ...], Fraction]) -> "Poly":
+        """A polynomial of :func:`parse_poly` or :meth:`derivative`, which have
+        checked the variables and made every exponent vector a tuple of
+        nonnegative ints, one per variable, and every coefficient a nonzero
+        ``Fraction``."""
+        f = object.__new__(cls)
+        f._variables = variables
+        f._terms = terms
+        return f
 
     @property
     def variables(self) -> tuple[str, ...]:
@@ -95,7 +112,7 @@ class Poly:
             v = list(u)
             v[idx] -= 1
             out[tuple(v)] = c * u[idx]
-        return Poly(self._variables, out)
+        return Poly._trusted(self._variables, out)
 
     def evaluate(self, values: Sequence) -> Fraction:
         """Exact evaluation at a rational point."""
@@ -146,111 +163,19 @@ class Poly:
         return f"Poly({str(self)!r}, variables={self._variables!r})"
 
 
+def _check_variables(variables: tuple[str, ...]) -> None:
+    if not variables:
+        raise ValueError("a polynomial needs at least one variable")
+    if len(set(variables)) != len(variables):
+        raise ValueError(f"duplicate variable names in {variables}")
+
+
 # ---------------------------------------------------------------------------
 # parsing
 
-_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^])|(\S)")
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        pos = m.start()
-        if m.group(1):
-            tokens.append(("num", m.group(1), pos))
-        elif m.group(2):
-            tokens.append(("name", m.group(2), pos))
-        elif m.group(3):
-            tokens.append(("op", m.group(3), pos))
-        else:
-            raise PolyParseError(f"unexpected character {m.group(4)!r}", pos)
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, text: str, variables: Sequence[str]):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.variables = tuple(variables)
-        self.index = {name: i for i, name in enumerate(self.variables)}
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.pos]
-
-    def take(self) -> tuple[str, str, int]:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def fail(self, message: str) -> None:
-        raise PolyParseError(message, self.peek()[2])
-
-    def parse(self) -> Poly:
-        terms: dict[tuple[int, ...], Fraction] = {}
-        sign = 1
-        kind, value, _ = self.peek()
-        if kind == "op" and value in "+-":
-            self.take()
-            sign = -1 if value == "-" else 1
-        while True:
-            coeff, exps = self.parse_term()
-            coeff *= sign
-            exps = tuple(exps)
-            terms[exps] = terms.get(exps, Fraction(0)) + coeff
-            kind, value, _ = self.peek()
-            if kind == "end":
-                break
-            if kind == "op" and value in "+-":
-                self.take()
-                sign = -1 if value == "-" else 1
-                continue
-            self.fail(f"expected '+', '-' or end of input, got {value!r}")
-        return Poly(self.variables, terms)
-
-    def parse_term(self) -> tuple[Fraction, list[int]]:
-        coeff = Fraction(1)
-        exps = [0] * len(self.variables)
-        while True:
-            kind, value, pos = self.peek()
-            if kind == "num":
-                self.take()
-                num = int(value)
-                den = 1
-                k, v, _ = self.peek()
-                if k == "op" and v == "/":
-                    self.take()
-                    dk, dv, dpos = self.peek()
-                    if dk != "num":
-                        self.fail("expected denominator after '/'")
-                    self.take()
-                    den = int(dv)
-                    if den == 0:
-                        raise PolyParseError("zero denominator in coefficient", dpos)
-                coeff *= Fraction(num, den)
-            elif kind == "name":
-                self.take()
-                if value not in self.index:
-                    raise PolyParseError(f"unknown variable {value!r}", pos)
-                power = 1
-                k, v, _ = self.peek()
-                if k == "op" and v == "^":
-                    self.take()
-                    ek, ev, epos = self.peek()
-                    if ek != "num":
-                        self.fail("expected integer exponent after '^'")
-                    self.take()
-                    power = int(ev)
-                    if power < 1:
-                        raise PolyParseError("exponent must be a positive integer", epos)
-                exps[self.index[value]] += power
-            else:
-                self.fail("expected a number or a variable")
-            k, v, _ = self.peek()
-            if k == "op" and v == "*":
-                self.take()
-                continue
-            return coeff, exps
+# One group per token kind; m.lastindex names the kind of a match.
+_TOKEN_RE = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^])|(\S)")
+_END, _NUM, _NAME, _STRAY = 0, 1, 2, 4
 
 
 def parse_poly(text: str, variables: Sequence[str]) -> Poly:
@@ -258,9 +183,83 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
 
     Like terms are combined; zero results are legal and print as ``0``.
     Raises :class:`PolyParseError` with a position on malformed input,
-    unknown variable names and zero-denominator coefficients.
+    unknown variable names and zero-denominator coefficients, and
+    ``ValueError`` with :class:`Poly`'s texts on a bad variable list.
     """
-    return _Parser(text, variables).parse()
+    variables = tuple(variables)
+    index = {name: i for i, name in enumerate(variables)}
+    matches = list(_TOKEN_RE.finditer(text))
+    kinds = [m.lastindex for m in matches]
+    if _STRAY in kinds:
+        m = matches[kinds.index(_STRAY)]
+        raise PolyParseError(f"unexpected character {m[_STRAY]!r}", m.start())
+    # operators are told apart by their text; "" ends the list
+    values = [m[k] for m, k in zip(matches, kinds)]
+    kinds.append(_END)
+    values.append("")
+
+    def fail(message: str, i: int):
+        return PolyParseError(message, matches[i].start() if i < len(matches) else len(text))
+
+    n = len(variables)
+    terms: dict[tuple[int, ...], Fraction] = {}
+    i = 0
+    sign = 1
+    if values[0] == "+" or values[0] == "-":
+        sign = -1 if values[0] == "-" else 1
+        i = 1
+    while True:
+        num, den = sign, 1
+        exps = [0] * n
+        while True:
+            kind = kinds[i]
+            if kind == _NUM:
+                num *= int(values[i])
+                i += 1
+                if values[i] == "/":
+                    i += 1
+                    if kinds[i] != _NUM:
+                        raise fail("expected denominator after '/'", i)
+                    d = int(values[i])
+                    if d == 0:
+                        raise fail("zero denominator in coefficient", i)
+                    den *= d
+                    i += 1
+            elif kind == _NAME:
+                j = index.get(values[i])
+                if j is None:
+                    raise fail(f"unknown variable {values[i]!r}", i)
+                i += 1
+                if values[i] == "^":
+                    i += 1
+                    if kinds[i] != _NUM:
+                        raise fail("expected integer exponent after '^'", i)
+                    power = int(values[i])
+                    if power < 1:
+                        raise fail("exponent must be a positive integer", i)
+                    exps[j] += power
+                    i += 1
+                else:
+                    exps[j] += 1
+            else:
+                raise fail("expected a number or a variable", i)
+            if values[i] != "*":
+                break
+            i += 1
+        u = tuple(exps)
+        c = Fraction(num) if den == 1 else Fraction(num, den)
+        terms[u] = terms[u] + c if u in terms else c
+        value = values[i]
+        if value == "+" or value == "-":
+            sign = -1 if value == "-" else 1
+            i += 1
+        elif kinds[i] == _END:
+            break
+        else:
+            raise fail(f"expected '+', '-' or end of input, got {value!r}", i)
+    _check_variables(variables)
+    # zero terms go only now, so a cancelled term keeps its place if it comes back
+    return Poly._trusted(variables, {u: c for u, c in terms.items() if c})
 
 
 # ---------------------------------------------------------------------------

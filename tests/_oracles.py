@@ -17,15 +17,21 @@ where the library reads power tables; the descent-chain oracle computes in
 common denominator.  The two ``verify`` oracles visit every point of their
 grid: every tuple of the valuation box, where the library decides each b0
 slice at once, and every chain point through ``descent_chain``, where the
-library runs the grid in integers.
+library runs the grid in integers.  The token parser is the one the library
+ran before its single-pass reader: a token list walked by ``peek`` and
+``take``, with ``Fraction`` arithmetic on every factor and the public
+``Poly`` constructor at the end.  Its tokenizer reads ``\\d``, which admits
+non-ASCII digits the reader rejects, so it is an oracle for ASCII text only.
 """
 
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
+from typing import Sequence
 
-from minexp.poly import ProbeReport, ProbeWitness, _mod_terms, _rank
+from minexp.poly import Poly, PolyParseError, ProbeReport, ProbeWitness, _mod_terms, _rank
 from minexp.resolution import (
     COMPLEMENTARY_BRANCH,
     LCT_BRANCH,
@@ -400,3 +406,112 @@ def chain_grid_by_points(profile, step: Fraction, maximum: Fraction):
         if not report.passed:
             return points, report
     return points, None
+
+
+_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^])|(\S)")
+
+
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        pos = m.start()
+        if m.group(1):
+            tokens.append(("num", m.group(1), pos))
+        elif m.group(2):
+            tokens.append(("name", m.group(2), pos))
+        elif m.group(3):
+            tokens.append(("op", m.group(3), pos))
+        else:
+            raise PolyParseError(f"unexpected character {m.group(4)!r}", pos)
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str, variables: Sequence[str]):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+        self.variables = tuple(variables)
+        self.index = {name: i for i, name in enumerate(self.variables)}
+
+    def peek(self) -> tuple[str, str, int]:
+        return self.tokens[self.pos]
+
+    def take(self) -> tuple[str, str, int]:
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def fail(self, message: str) -> None:
+        raise PolyParseError(message, self.peek()[2])
+
+    def parse(self) -> Poly:
+        terms: dict[tuple[int, ...], Fraction] = {}
+        sign = 1
+        kind, value, _ = self.peek()
+        if kind == "op" and value in "+-":
+            self.take()
+            sign = -1 if value == "-" else 1
+        while True:
+            coeff, exps = self.parse_term()
+            coeff *= sign
+            exps = tuple(exps)
+            terms[exps] = terms.get(exps, Fraction(0)) + coeff
+            kind, value, _ = self.peek()
+            if kind == "end":
+                break
+            if kind == "op" and value in "+-":
+                self.take()
+                sign = -1 if value == "-" else 1
+                continue
+            self.fail(f"expected '+', '-' or end of input, got {value!r}")
+        return Poly(self.variables, terms)
+
+    def parse_term(self) -> tuple[Fraction, list[int]]:
+        coeff = Fraction(1)
+        exps = [0] * len(self.variables)
+        while True:
+            kind, value, pos = self.peek()
+            if kind == "num":
+                self.take()
+                num = int(value)
+                den = 1
+                k, v, _ = self.peek()
+                if k == "op" and v == "/":
+                    self.take()
+                    dk, dv, dpos = self.peek()
+                    if dk != "num":
+                        self.fail("expected denominator after '/'")
+                    self.take()
+                    den = int(dv)
+                    if den == 0:
+                        raise PolyParseError("zero denominator in coefficient", dpos)
+                coeff *= Fraction(num, den)
+            elif kind == "name":
+                self.take()
+                if value not in self.index:
+                    raise PolyParseError(f"unknown variable {value!r}", pos)
+                power = 1
+                k, v, _ = self.peek()
+                if k == "op" and v == "^":
+                    self.take()
+                    ek, ev, epos = self.peek()
+                    if ek != "num":
+                        self.fail("expected integer exponent after '^'")
+                    self.take()
+                    power = int(ev)
+                    if power < 1:
+                        raise PolyParseError("exponent must be a positive integer", epos)
+                exps[self.index[value]] += power
+            else:
+                self.fail("expected a number or a variable")
+            k, v, _ = self.peek()
+            if k == "op" and v == "*":
+                self.take()
+                continue
+            return coeff, exps
+
+
+def parse_poly_by_tokens(text: str, variables: Sequence[str]) -> Poly:
+    """:func:`minexp.poly.parse_poly` through the token parser."""
+    return _Parser(text, variables).parse()

@@ -476,6 +476,19 @@ def test_list_flag_text_rejects_empty_entries(capsys, tmp_path, key, text):
         assert report["reports"][0]["error"] == f"request 0: {error}"
 
 
+def test_non_ascii_digits_in_a_polynomial_exit_input(capsys, tmp_path):
+    # the reader once took '٣' and '٢' as 3 and 2, so this ran as 3*x1^2
+    text = "٣*x1^٢"
+    error = f"in {text!r}: unexpected character '٣' (at position 0)"
+    assert main(["newton", "--poly", text, "--vars", "x1"]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: {error}\n"
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([{"command": "newton", "polynomial": text, "variables": ["x1"]}]))
+    code, report = run_json(capsys, "batch", str(path))
+    assert code == EXIT_INPUT
+    assert report["reports"][0]["error"] == f"request 0: {error}"
+
+
 @pytest.mark.parametrize(
     "argv",
     [["newton", "--support", "[[2,0],[0,3]]"], ["newton", "--poly", "x1^2+x2^3", "--vars", "x1,x2"]],

@@ -8,8 +8,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import probe_by_affine_scan
+from _oracles import parse_poly_by_tokens, probe_by_affine_scan
 from minexp.exponent import WeightedProfile
+from minexp.newton import MonomialSupport
 from minexp.poly import (
     Poly,
     PolyParseError,
@@ -64,18 +65,58 @@ def test_parse_leading_sign_and_constants():
 def test_parse_unknown_variable_reports_position():
     with pytest.raises(PolyParseError) as err:
         parse_poly("x1 + y2", ["x1"])
+    assert str(err.value) == "unknown variable 'y2' (at position 5)"
     assert err.value.position == 5
 
 
 def test_parse_zero_denominator():
-    with pytest.raises(PolyParseError):
+    with pytest.raises(PolyParseError) as err:
         parse_poly("1/0*x1", ["x1"])
+    assert str(err.value) == "zero denominator in coefficient (at position 2)"
+    assert err.value.position == 2
 
 
-@pytest.mark.parametrize("bad", ["x1 +", "x1^0", "x1^-2", "2x1", "x1 * * x2", "x1^2/3"])
+# with the two tests above, every PolyParseError message and the position it names
+PARSE_ERRORS = {
+    "x1 +": ("expected a number or a variable", 4),
+    "": ("expected a number or a variable", 0),
+    "x1 * * x2": ("expected a number or a variable", 5),
+    "x1^0": ("exponent must be a positive integer", 3),
+    "x1^-2": ("expected integer exponent after '^'", 3),
+    "x1^": ("expected integer exponent after '^'", 3),
+    "2x1": ("expected '+', '-' or end of input, got 'x1'", 1),
+    "x1^2/3": ("expected '+', '-' or end of input, got '/'", 4),
+    "1/x1": ("expected denominator after '/'", 2),
+    "x1 $": ("unexpected character '$'", 3),
+    # the whole text is tokenized first: a stray character wins over a syntax error
+    "x1 + + $": ("unexpected character '$'", 7),
+    # \d once read these as 3 and 2, and int() took them
+    "\u0663*x1^\u0662": ("unexpected character '\u0663'", 0),
+}
+
+
+@pytest.mark.parametrize("bad", PARSE_ERRORS)
 def test_parse_syntax_errors(bad):
-    with pytest.raises(PolyParseError):
+    message, position = PARSE_ERRORS[bad]
+    with pytest.raises(PolyParseError) as err:
         parse_poly(bad, ["x1", "x2"])
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
+
+
+def test_parse_checks_the_variable_list_after_the_text():
+    with pytest.raises(ValueError, match=r"^a polynomial needs at least one variable$"):
+        parse_poly("1", [])
+    with pytest.raises(ValueError, match=r"^duplicate variable names in \('x1', 'x1'\)$"):
+        parse_poly("x1^2", ["x1", "x1"])
+    with pytest.raises(PolyParseError, match=r"^unknown variable 'x1' \(at position 0\)$"):
+        parse_poly("x1", [])
+
+
+@pytest.mark.parametrize("text", ["x1 - x1 + x2 + x1 + x2^2 - x2^2", "0*x2^2 + x1 + 0 + x2"])
+def test_parse_drops_zero_terms_and_keeps_the_place_of_a_cancelled_one(text):
+    f = parse_poly(text, ["x1", "x2"])
+    assert list(f.terms.items()) == [((1, 0), F(1)), ((0, 1), F(1))]
 
 
 _VARS = ("x1", "x2", "x3")
@@ -98,6 +139,93 @@ def polys(draw, min_terms=0):
 @given(polys())
 def test_print_parse_round_trip(f):
     assert parse_poly(str(f), f.variables) == f
+
+
+# (n, degrees) of the cone hypersurfaces sum_j c_j*f_j*y_j that the newton_cone
+# benchmark sends, f_j the Fermat polynomial of degree d_j in x1..xn
+_CONE_SHAPES = ((7, (2, 3, 4)), (9, (2, 4, 6)), (12, (4, 4, 4)), (14, (3, 4, 5)))
+
+
+@st.composite
+def cone_texts(draw):
+    """A cone hypersurface's text as the benchmark writes it, two extra
+    monomials included, and its variable list."""
+    n, degrees = draw(st.sampled_from(_CONE_SHAPES))
+    r = len(degrees)
+    names = [f"x{i}" for i in range(1, n + 1)] + [f"y{j}" for j in range(1, r + 1)]
+    terms = {}
+    for j, d in enumerate(degrees):
+        for i in range(n):
+            exps = [0] * (n + r)
+            exps[i], exps[n + j] = d, 1
+            terms[tuple(exps)] = draw(st.integers(1, 7))
+    for _ in range(2):
+        j = draw(st.integers(0, r - 1))
+        i, k = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        a = draw(st.integers(1, degrees[j] - 1))
+        exps = [0] * (n + r)
+        exps[i], exps[k], exps[n + j] = a, degrees[j] - a, 1
+        terms[tuple(exps)] = draw(st.sampled_from((-2, -1, 1, 3)))
+    pieces = []
+    for exps, c in terms.items():
+        factors = [] if abs(c) == 1 else [str(abs(c))]
+        factors += [name if e == 1 else f"{name}^{e}" for name, e in zip(names, exps) if e]
+        sign = ("-" if c < 0 else "") if not pieces else (" - " if c < 0 else " + ")
+        pieces.append(sign + "*".join(factors))
+    return "".join(pieces), names
+
+
+# known and unknown names, numbers, every operator, spaces and stray characters
+_TOKENS = (
+    "x1", "x2", "z", "y7", "_a", "0", "1", "2", "12", "007",
+    "+", "-", "*", "/", "^", " ", "  ", "$", ".", "(", "\u00e9",
+)
+_VARIABLE_LISTS = (("x1", "x2"), ("x1",), ("x2", "x1", "z"), (), ("x1", "x1"))
+
+
+@st.composite
+def token_mixes(draw):
+    text = "".join(draw(st.lists(st.sampled_from(_TOKENS), max_size=14)))
+    return text, draw(st.sampled_from(_VARIABLE_LISTS))
+
+
+def _outcome(parse, text, variables):
+    try:
+        f = parse(text, variables)
+    except ValueError as err:  # a PolyParseError or a bad variable list
+        return type(err), str(err), getattr(err, "position", None)
+    return f.variables, list(f.terms.items()), [type(c) for c in f.terms.values()]
+
+
+@settings(max_examples=400, derandomize=True)
+@given(st.one_of(token_mixes(), cone_texts()))
+def test_reader_matches_the_token_parser(case):
+    # same variables, terms in the same order and Fractions, or the same
+    # exception class, message and position
+    text, variables = case
+    assert _outcome(parse_poly, text, variables) == _outcome(parse_poly_by_tokens, text, variables)
+
+
+@settings(max_examples=200, derandomize=True)
+@given(st.one_of(cone_texts(), polys().map(lambda f: (str(f), f.variables)), token_mixes()))
+def test_trusted_polys_pass_the_public_checks(case):
+    # parse_poly, derivative and from_poly skip the per-term checks: what
+    # they build must be what the public constructors build from it
+    text, variables = case
+    try:
+        f = parse_poly(text, variables)
+    except ValueError:
+        return
+    for g in [f] + [f.derivative(name) for name in f.variables]:
+        assert Poly(g.variables, g.terms) == g
+        assert all(type(c) is Fraction for c in g.terms.values())
+        assert all(type(e) is int for u in g.terms for e in u)
+        if g.is_zero():
+            with pytest.raises(ValueError, match="^the zero polynomial has empty support$"):
+                MonomialSupport.from_poly(g)
+        else:
+            ms = MonomialSupport.from_poly(g)
+            assert MonomialSupport(ms.n, ms.points) == ms
 
 
 @settings(max_examples=100, derandomize=True)
