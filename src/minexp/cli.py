@@ -1,18 +1,19 @@
-"""Command-line front end: dispatch, reporting, batch runs.
+"""Command-line front end: argv, dispatch, reporting, batch runs.
 
-Exit codes: 0 success / all checks passed, 1 input error, 2 a verification
-check failed.  Reports carry exact fractions; decimal renderings are marked
-with a leading ``≈`` and never participate in any comparison.
+Argv is ``<command> --flag text ... [--json]`` or ``batch <manifest>
+[--json]``; the flags of each command come from the command table, and
+``-h``/``--help`` prints help generated from it.  Exit codes: 0 success /
+all checks passed, 1 input error, 2 a verification check failed.  Reports
+carry exact fractions; decimal renderings are marked with a leading ``≈``
+and never participate in any comparison.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import re
 import sys
 from fractions import Fraction
-from functools import cache
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable, NamedTuple
 
@@ -29,10 +30,10 @@ EXIT_FAIL = 2
 
 # The command table: command -> (help, {request key: required}).  A request
 # is a dict of "command" plus keys of that command.  Batch manifests hold
-# requests as they are; the flag path turns parsed flags into one (the
-# argparse dests are the request keys, and build_parser derives the flags
-# from this table).  _run_request checks each value strictly (see _KEYS) and
-# calls the command's core, run_<command>.
+# requests as they are; _read_argv builds one from argv, reading each key's
+# flag and text through _KEYS, and generates --help from this table.
+# _run_request checks each value strictly (see _KEYS) and calls the
+# command's core, run_<command>.
 _TABLE = {
     "formula": ("closed-form exponent, lct and predicates", {"n": True, "degrees": True}),
     "weighted": (
@@ -176,14 +177,19 @@ _RATIONAL_TEXT = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 def _parse_int(text: str) -> int:
     """Integer flag text: an optional sign and ASCII digits, with surrounding
-    whitespace.  Unlike int(), it rejects underscores and non-ASCII digits."""
+    whitespace.  Unlike int(), it rejects underscores and non-ASCII digits.
+    Like int(), it raises ValueError past the interpreter's digit limit."""
     text = text.strip()
     if not _INT_TEXT.fullmatch(text):
         raise ValueError(f"invalid integer text {text!r}")
     return int(text)
 
 
-_parse_int.__name__ = "int"  # argparse names the type in its error: "invalid int value: 'x'"
+def _parse_int_flag(text: str, key: str) -> int:
+    try:
+        return _parse_int(text)
+    except ValueError:
+        raise InputError(f"argument {_KEYS[key].flag}: invalid int value: {text!r}")
 
 
 def _parse_int_list(text: str, what: str) -> list[int]:
@@ -199,10 +205,12 @@ def _parse_fraction(text: str, what: str) -> Fraction:
     Unlike Fraction(), it rejects underscores, non-ASCII digits, exponents and
     decimal points."""
     match = _RATIONAL_TEXT.fullmatch(text.strip())
-    den = int(match[2] or 1) if match else 0
-    if den == 0:
-        raise InputError(f"could not parse {what} {text!r} as a rational number")
-    return Fraction(int(match[1]), den)
+    try:
+        if match:
+            return Fraction(int(match[1]), int(match[2] or 1))
+    except (ValueError, ZeroDivisionError):  # past int()'s digit limit, or a zero denominator
+        pass
+    raise InputError(f"could not parse {what} {text!r} as a rational number")
 
 
 def _parse_fraction_list(text: str, what: str) -> list[Fraction]:
@@ -251,28 +259,32 @@ def _support_json(text: str, key: str):
         raise InputError(f"bad support JSON: {err}")
 
 
+def _verbatim(value, key: str):
+    return value
+
+
 class _Key(NamedTuple):
     check: Callable  # (value, key) -> the value the core gets, or InputError
     flag: str
-    options: dict  # further add_argument options; a metavar names the flag, not the key
-    text: Callable | None  # (flag text, key) -> request value; None: argparse converts
+    text: Callable  # (flag text, key) -> request value, or InputError
+    repeats: bool = False  # the flag may repeat, and its texts form the value's list
 
 
 _KEYS = {
-    "n": _Key(_INTEGER, "--n", {"type": _parse_int}, None),
-    "degrees": _Key(_INTEGERS, "--degrees", {}, _parse_int_list),
-    "weights": _Key(_rationals, "--weights", {}, _parse_fraction_list),
-    "orders": _Key(_rationals, "--orders", {}, _parse_fraction_list),
-    "polynomials": _Key(_STRINGS, "--poly", {"action": "append", "metavar": "POLYS"}, None),
-    "polynomial": _Key(_STRING, "--poly", {"metavar": "POLY"}, None),
-    "variables": _Key(_STRINGS, "--vars", {"metavar": "VARS"}, lambda text, key: text.split(",")),
+    "n": _Key(_INTEGER, "--n", _parse_int_flag),
+    "degrees": _Key(_INTEGERS, "--degrees", _parse_int_list),
+    "weights": _Key(_rationals, "--weights", _parse_fraction_list),
+    "orders": _Key(_rationals, "--orders", _parse_fraction_list),
+    "polynomials": _Key(_STRINGS, "--poly", _verbatim, repeats=True),
+    "polynomial": _Key(_STRING, "--poly", _verbatim),
+    "variables": _Key(_STRINGS, "--vars", lambda text, key: text.split(",")),
     # its shape is checked by run_newton, its entries by MonomialSupport
-    "support": _Key(lambda value, key: value, "--support", {}, _support_json),
-    "bound": _Key(_INTEGER, "--bound", {"type": _parse_int}, None),
-    "chain_step": _Key(_rational, "--chain-step", {}, _parse_fraction),
-    "chain_max": _Key(_rational, "--chain-max", {}, _parse_fraction),
-    "field": _Key(_INTEGER, "--field", {"type": _parse_int}, None),
-    "limit": _Key(_INTEGER, "--limit", {"type": _parse_int}, None),
+    "support": _Key(_verbatim, "--support", _support_json),
+    "bound": _Key(_INTEGER, "--bound", _parse_int_flag),
+    "chain_step": _Key(_rational, "--chain-step", _parse_fraction),
+    "chain_max": _Key(_rational, "--chain-max", _parse_fraction),
+    "field": _Key(_INTEGER, "--field", _parse_int_flag),
+    "limit": _Key(_INTEGER, "--limit", _parse_int_flag),
 }
 
 
@@ -625,12 +637,20 @@ def _run_request(request) -> tuple[dict, int]:
 
 def run_batch(manifest_path: str) -> tuple[dict, int]:
     try:
-        with open(manifest_path, "r", encoding="utf-8") as handle:
-            manifest = json.load(handle)
+        with open(manifest_path, "rb") as handle:
+            data = handle.read()
     except OSError as err:
         raise InputError(f"cannot read manifest: {err}")
+    try:
+        manifest = json.loads(data.decode("utf-8"))
+    except UnicodeDecodeError as err:
+        raise InputError(f"malformed manifest: not UTF-8 text: {err}")
     except json.JSONDecodeError as err:
         raise InputError(f"malformed manifest JSON: {err}")
+    except ValueError:  # int() refuses a number past the interpreter's digit limit
+        raise InputError("malformed manifest JSON: a number has too many digits")
+    except RecursionError:
+        raise InputError("malformed manifest JSON: nested too deeply")
     if not isinstance(manifest, list):
         raise InputError("manifest must be a JSON array of requests")
     reports = []
@@ -674,53 +694,163 @@ def _render_text(report: dict, stream) -> None:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# argv
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise InputError(message)
+_BATCH_HELP = "run a JSON manifest of requests"
+
+# command -> {flag: request key}; batch takes its manifest path and no flag
+_FLAGS = {command: {_KEYS[key].flag: key for key in keys} for command, (_, keys) in _TABLE.items()}
+_FLAGS["batch"] = {}
+_HELP_FLAGS = ("-h", "--help")
+_NEGATIVE_NUMBER = re.compile(r"-\d+|-\d*\.\d+")
 
 
-@cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser of every command, built on first use and then
-    shared by every call of :func:`main` in the process."""
-    parser = _Parser(prog="minexp", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, keys) in _TABLE.items():
-        p = sub.add_parser(command, help=help_text)
+def _flag_like(token: str) -> bool:
+    """Whether argv text stands where a flag would, not where a command or a
+    manifest path would: it starts with "-", and it is not "-" alone, a
+    negative number or text with a space."""
+    return token[:1] == "-" and token != "-" and " " not in token and not _NEGATIVE_NUMBER.fullmatch(token)
+
+
+class _Argv(NamedTuple):
+    command: str | None  # None until a known command is read
+    json: bool  # --json came among the command's flags
+    request: dict | str | None  # the request, or batch's manifest path
+    error: str | None = None  # the first input error in argv
+    help: str | None = None  # the text -h/--help asks for
+
+
+def _read_argv(argv) -> _Argv:
+    """Read argv against the command table.
+
+    Each flag of the command takes the next argument as its text, whatever
+    it is; only a repeating flag (--poly of weighted and probe) may be given
+    twice, and a flag is named in full (no prefixes, no "--flag=text").  An
+    integer key's text is read where it stands; the first error in argv
+    order wins, then a missing required flag (in table order), then an
+    argument no flag took, then the text readers of the other keys (in
+    table order).  After an error the walk goes on, to see --json."""
+    extras = []
+    i, end = 0, len(argv)
+    while i < end and _flag_like(argv[i]):  # before the command only --help is a flag
+        if argv[i] in _HELP_FLAGS:
+            return _Argv(None, False, None, help=_help(None))
+        extras.append(argv[i])
+        i += 1
+    if i == end:
+        return _Argv(None, False, None, "the following arguments are required: command")
+    command = argv[i]
+    flags = _FLAGS.get(command)
+    if flags is None:
+        choices = ", ".join(map(repr, COMMANDS))
+        return _Argv(None, False, None, f"argument command: invalid choice: {command!r} (choose from {choices})")
+    request = {"command": command}
+    texts = {}  # the text of each key but the integers, read after the walk
+    as_json = False
+    error = manifest = None
+    i += 1
+    while i < end:
+        token = argv[i]
+        i += 1
+        key = flags.get(token)
+        if key is not None:
+            if i == end:
+                error = error or f"argument {token}: expected one argument"
+                break
+            text = argv[i]
+            i += 1
+            spec = _KEYS[key]
+            if error:
+                pass
+            elif spec.repeats:
+                texts.setdefault(key, []).append(text)
+            elif key in texts or key in request:
+                error = f"argument {token}: may be given only once"
+            elif spec.text is _parse_int_flag:
+                try:
+                    request[key] = _parse_int_flag(text, key)
+                except InputError as err:
+                    error = str(err)
+            else:
+                texts[key] = text
+        elif token == "--json":
+            as_json = True
+        elif token in _HELP_FLAGS:
+            if error is None:
+                return _Argv(command, False, None, help=_help(command))
+        elif manifest is None and command == "batch" and not _flag_like(token):
+            manifest = token
+        else:
+            extras.append(token)
+    keys = _TABLE[command][1] if command != "batch" else {}
+    if error is None:
+        required = [_KEYS[key].flag for key, needed in keys.items() if needed and key not in texts and key not in request]
+        if command == "batch" and manifest is None:
+            required.append("manifest")
+        if required:
+            error = f"the following arguments are required: {', '.join(required)}"
+        elif extras:
+            error = f"unrecognized arguments: {' '.join(extras)}"
+    if error is not None:
+        return _Argv(command, as_json, None, error)
+    if command == "batch":
+        return _Argv(command, as_json, manifest)
+    try:
+        for key in keys:
+            if key in texts:
+                request[key] = _KEYS[key].text(texts[key], key)
+    except InputError as err:
+        return _Argv(command, as_json, None, str(err))
+    return _Argv(command, as_json, request)
+
+
+def _help(command: str | None) -> str:
+    """The --help text of a command, or of minexp with command None, from the command table."""
+    if command is None:
+        rows = [(name, help_text) for name, (help_text, _) in _TABLE.items()] + [("batch", _BATCH_HELP)]
+        return "\n".join([
+            "usage: minexp <command> [flags] [--json]",
+            "",
+            "Exact minimal exponents, lct and singularity predicates of cones over complete intersections.",
+            "",
+            "commands:",
+            *(f"  {name:<8}  {help_text}" for name, help_text in rows),
+            "",
+            "minexp <command> --help lists the flags of a command.",
+        ])
+    if command == "batch":
+        help_text, usage = _BATCH_HELP, ["MANIFEST"]
+    else:
+        help_text, keys = _TABLE[command]
+        usage = []
         for key, required in keys.items():
-            p.add_argument(_KEYS[key].flag, dest=key, required=required, **_KEYS[key].options)
-        p.add_argument("--json", action="store_true")
-    p = sub.add_parser("batch", help="run a JSON manifest of requests")
-    p.add_argument("manifest")
-    p.add_argument("--json", action="store_true")
-    return parser
-
-
-def _flag_request(args) -> dict:
-    """The request of parsed flags.  Flag text that holds a list, a rational
-    or JSON is read here whenever the flag is given, even when it is empty."""
-    request = {"command": args.command}
-    for key in _TABLE[args.command][1]:
-        value, text = getattr(args, key), _KEYS[key].text
-        request[key] = value if text is None or value is None else text(value, key)
-    return request
+            flag = f"{_KEYS[key].flag} {key.upper()}"
+            flag = flag if required else f"[{flag}]"
+            usage.append(f"{flag}..." if _KEYS[key].repeats else flag)
+    return "\n".join([
+        f"usage: minexp {command} {' '.join(usage)} [--json]",
+        "",
+        help_text,
+        "",
+        "Each flag takes the next argument as its text: the value of the manifest key named in",
+        "capitals.  Brackets mark an optional flag, and ... a flag that may repeat.",
+    ])
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    args = _read_argv(sys.argv[1:] if argv is None else argv)
+    if args.help is not None:
+        print(args.help)
+        return EXIT_OK
     try:
-        args = parser.parse_args(argv)
-    except InputError as err:
-        print(f"input error: {err}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
+        if args.error is not None:
+            raise InputError(args.error)
         if args.command == "batch":
-            report, code = run_batch(args.manifest)
+            report, code = run_batch(args.request)
         else:
-            report, code = _run_request(_flag_request(args))
+            report, code = _run_request(args.request)
     except InputError as err:
+        # args.json stays False until a known command is read: such an error is text
         if not args.json:
             print(f"input error: {err}", file=sys.stderr)
             return EXIT_INPUT

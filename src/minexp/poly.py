@@ -183,7 +183,8 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
 
     Like terms are combined; zero results are legal and print as ``0``.
     Raises :class:`PolyParseError` with a position on malformed input,
-    unknown variable names and zero-denominator coefficients, and
+    unknown variable names, zero-denominator coefficients and numbers past
+    the interpreter's limit on integer digits, and
     ``ValueError`` with :class:`Poly`'s texts on a bad variable list.
     """
     variables = tuple(variables)
@@ -201,6 +202,12 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
     def fail(message: str, i: int):
         return PolyParseError(message, matches[i].start() if i < len(matches) else len(text))
 
+    def number(i: int) -> int:
+        try:
+            return int(values[i])
+        except ValueError:  # int() refuses more digits than the interpreter's limit
+            raise fail("number has too many digits", i) from None
+
     n = len(variables)
     terms: dict[tuple[int, ...], Fraction] = {}
     i = 0
@@ -214,13 +221,13 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
         while True:
             kind = kinds[i]
             if kind == _NUM:
-                num *= int(values[i])
+                num *= number(i)
                 i += 1
                 if values[i] == "/":
                     i += 1
                     if kinds[i] != _NUM:
                         raise fail("expected denominator after '/'", i)
-                    d = int(values[i])
+                    d = number(i)
                     if d == 0:
                         raise fail("zero denominator in coefficient", i)
                     den *= d
@@ -234,7 +241,7 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
                     i += 1
                     if kinds[i] != _NUM:
                         raise fail("expected integer exponent after '^'", i)
-                    power = int(values[i])
+                    power = number(i)
                     if power < 1:
                         raise fail("exponent must be a positive integer", i)
                     exps[j] += power

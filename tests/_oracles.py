@@ -22,15 +22,24 @@ ran before its single-pass reader: a token list walked by ``peek`` and
 ``take``, with ``Fraction`` arithmetic on every factor and the public
 ``Poly`` constructor at the end.  Its tokenizer reads ``\\d``, which admits
 non-ASCII digits the reader rejects, so it is an oracle for ASCII text only.
+The argparse oracle is the argv parser the CLI ran before it read argv from
+its command table: ``build_parser`` and ``_flag_request`` as they were, over
+the flag options and text readers the request keys had then.
 """
 
 from __future__ import annotations
 
+import argparse
+import contextlib
+import io
 import itertools
 import re
 from fractions import Fraction
-from typing import Sequence
+from functools import cache
+from typing import Callable, NamedTuple, Sequence
 
+from minexp import cli
+from minexp.cli import _TABLE, InputError
 from minexp.poly import Poly, PolyParseError, ProbeReport, ProbeWitness, _mod_terms, _rank
 from minexp.resolution import (
     COMPLEMENTARY_BRANCH,
@@ -515,3 +524,91 @@ class _Parser:
 def parse_poly_by_tokens(text: str, variables: Sequence[str]) -> Poly:
     """:func:`minexp.poly.parse_poly` through the token parser."""
     return _Parser(text, variables).parse()
+
+
+# ---------------------------------------------------------------------------
+# the argparse reader of argv
+
+
+def _parse_int(text: str) -> int:
+    return cli._parse_int(text)
+
+
+_parse_int.__name__ = "int"  # argparse names the type in its error: "invalid int value: 'x'"
+
+
+class _Key(NamedTuple):
+    flag: str
+    options: dict  # further add_argument options; a metavar names the flag, not the key
+    text: Callable | None  # (flag text, key) -> request value; None: argparse converts
+
+
+_KEYS = {
+    "n": _Key("--n", {"type": _parse_int}, None),
+    "degrees": _Key("--degrees", {}, cli._parse_int_list),
+    "weights": _Key("--weights", {}, cli._parse_fraction_list),
+    "orders": _Key("--orders", {}, cli._parse_fraction_list),
+    "polynomials": _Key("--poly", {"action": "append", "metavar": "POLYS"}, None),
+    "polynomial": _Key("--poly", {"metavar": "POLY"}, None),
+    "variables": _Key("--vars", {"metavar": "VARS"}, lambda text, key: text.split(",")),
+    "support": _Key("--support", {}, cli._support_json),
+    "bound": _Key("--bound", {"type": _parse_int}, None),
+    "chain_step": _Key("--chain-step", {}, cli._parse_fraction),
+    "chain_max": _Key("--chain-max", {}, cli._parse_fraction),
+    "field": _Key("--field", {"type": _parse_int}, None),
+    "limit": _Key("--limit", {"type": _parse_int}, None),
+}
+
+
+class _ArgParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise InputError(message)
+
+
+@cache
+def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every command, built on first use and then
+    shared by every call of :func:`main` in the process."""
+    parser = _ArgParser(prog="minexp", description=cli.__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (help_text, keys) in _TABLE.items():
+        p = sub.add_parser(command, help=help_text)
+        for key, required in keys.items():
+            p.add_argument(_KEYS[key].flag, dest=key, required=required, **_KEYS[key].options)
+        p.add_argument("--json", action="store_true")
+    p = sub.add_parser("batch", help="run a JSON manifest of requests")
+    p.add_argument("manifest")
+    p.add_argument("--json", action="store_true")
+    return parser
+
+
+def _flag_request(args) -> dict:
+    """The request of parsed flags.  Flag text that holds a list, a rational
+    or JSON is read here whenever the flag is given, even when it is empty."""
+    request = {"command": args.command}
+    for key in _TABLE[args.command][1]:
+        value, text = getattr(args, key), _KEYS[key].text
+        request[key] = value if text is None or value is None else text(value, key)
+    return request
+
+
+def read_argv_by_argparse(argv: list[str]):
+    """What argparse made of argv: ("help", the command or None for minexp's
+    own help), ("error", the message), or ("ok", command, --json, the request
+    without its absent keys or batch's manifest path)."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            args = build_parser().parse_args(argv)
+    except SystemExit:  # --help printed its text and exited
+        usage = out.getvalue().split()
+        return "help", None if usage[2] == "[-h]" else usage[2]
+    except InputError as err:
+        return "error", str(err)
+    if args.command == "batch":
+        return "ok", "batch", args.json, args.manifest
+    try:
+        request = _flag_request(args)
+    except InputError as err:
+        return "error", str(err)
+    return "ok", args.command, args.json, {key: value for key, value in request.items() if value is not None}

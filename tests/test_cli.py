@@ -5,6 +5,9 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
@@ -13,6 +16,7 @@ import jsonschema
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import _oracles as oracles
 from minexp import cli
 from minexp import newton as nt
 from minexp import resolution as rs
@@ -180,7 +184,10 @@ def test_reports_match_golden_bytes(capsys, tmp_path, name):
     # those bytes only: a probe FAIL (exit 2) used to report "ok": true, and
     # a batch listed it as "probe: ok"; "ok" now means exit code 0, so the
     # two cli probe/batch --json entries, the cli batch text entry and the two
-    # scan probe FAIL --json entries read false and FAILED there.
+    # scan probe FAIL --json entries read false and FAILED there.  And the
+    # cli entry "formula --n 6 --json" printed its argv error as text on
+    # stderr; an argv error under --json is a JSON report once the command
+    # is known, so its stdout holds that report and its stderr is empty.
     golden = json.loads((Path(__file__).parent / "data" / name).read_text())
     manifest = tmp_path / "manifest.json"
     for case in golden:
@@ -320,7 +327,7 @@ def test_verify_env_bad_chain_grid(capsys, monkeypatch, tmp_path, bounds):
 def test_verify_grids_over_the_budget_exit_input(capsys, monkeypatch):
     # (6; 2,3,4) is in the lct branch, so bound 31 asks for 31 * 32^3 = 1,015,808
     # tuples; the chain grid {0, 1/1000, ..., 4}^3 has 4001^3, about 6.4e10, points
-    argv = ["verify", "--n", "6", "--degrees", "2,3,4", "--chain-max", "0"]
+    argv = ["verify", "--n", "6", "--degrees", "2,3,4"]
 
     def scan(*args):
         raise AssertionError("a scan ran")
@@ -328,8 +335,8 @@ def test_verify_grids_over_the_budget_exit_input(capsys, monkeypatch):
     monkeypatch.setattr(rs, "verify_valuation_inequality", scan)
     monkeypatch.setattr(rs, "descent_chain_grid", scan)
     for flags, error in [
-        (["--bound", "31"], "valuation grid exceeds the work budget of 1000000 points"),
-        (["--bound", "9" * 4000], "valuation grid exceeds the work budget of 1000000 points"),
+        (["--bound", "31", "--chain-max", "0"], "valuation grid exceeds the work budget of 1000000 points"),
+        (["--bound", "9" * 4000, "--chain-max", "0"], "valuation grid exceeds the work budget of 1000000 points"),
         (["--chain-step", "1/1000", "--chain-max", "4"], "chain grid exceeds the work budget of 1000000 points"),
     ]:
         assert main([*argv, *flags]) == EXIT_INPUT
@@ -411,6 +418,20 @@ def test_rational_text_allows_signs_spaces_and_slashes(capsys, tmp_path):
     code, batch = run_json(capsys, "batch", str(path))
     assert code == EXIT_OK
     assert batch["reports"][0]["results"] == report["results"]
+
+
+@pytest.mark.parametrize("text", ["1" * 5000, "1/" + "1" * 5000], ids=["numerator", "denominator"])
+@pytest.mark.parametrize("key", RATIONAL_KEYS)
+def test_rational_text_past_the_digit_limit_is_an_input_error(capsys, tmp_path, key, text):
+    # int() raised the interpreter's ValueError past 4300 digits: a traceback on both paths
+    argv, entry = RATIONAL_KEYS[key]
+    assert main([*argv, text]) == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: could not parse {key} {text!r} as a rational number\n"
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([{**entry, key: [1, text] if key in ("weights", "orders") else text}]))
+    code, report = run_json(capsys, "batch", str(path))
+    assert code == EXIT_INPUT
+    assert report["reports"][0]["error"] == f"request 0: could not parse {key} {text!r} as a rational number"
 
 
 # optional flags given with empty text: each is read, and rejected
@@ -561,15 +582,12 @@ def test_probe_rejects_limit_below_one(capsys, limit):
     assert report["error"] == LIMIT_ERROR
 
 
-def test_main_builds_the_parser_once(capsys, monkeypatch):
-    main(["formula", "--n", "6", "--degrees", "2,3"])
-    built = []
-    init = cli._Parser.__init__
-    monkeypatch.setattr(cli._Parser, "__init__", lambda self, *a, **k: built.append(1) or init(self, *a, **k))
-    assert main(["weighted", "--weights", "1,1", "--orders", "2"]) == EXIT_OK
-    assert main(["formula", "--n", "x"]) == EXIT_INPUT
-    capsys.readouterr()
-    assert built == []
+def test_importing_the_cli_leaves_argparse_out():
+    # argv is read from the command table; argparse once cost a third of a formula request
+    code = "import sys, minexp.cli; sys.exit('argparse' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_bad_flags_exit_input(capsys):
@@ -579,6 +597,248 @@ def test_bad_flags_exit_input(capsys):
     capsys.readouterr()
     assert main(["formula", "--n", "6", "--degrees", "2,x"]) == EXIT_INPUT
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# argv: the reader against the argparse parser it replaced
+#
+# The argparse oracle (tests/_oracles.py) is the parser the CLI ran before.
+# The reader gives the same request, or the same error text, on every argv
+# but for four deliberate changes.  The test applies three of them to the
+# oracle's argv before asking it: a prefix of a flag and "--flag=text" are
+# unknown arguments (each stands in as an unknown "--zzNN" flag, named back
+# in the error); a flag's text that starts with "-" is its text (given to
+# argparse as "--flag=text"); and a single-valued flag given twice is an
+# error where it stands (argparse kept the last text).  The fourth, a JSON
+# report for an argv error under --json, is main's and is tested below.
+# Commands are known ones: argparse's invalid-choice text differs between
+# Python versions, and test_unknown_command_is_an_input_error pins the
+# reader's.
+
+_ALL_FLAGS = sorted({spec.flag for spec in oracles._KEYS.values()} | {"--json", "--help"})
+_PREFIXES = sorted({flag[:k] for flag in _ALL_FLAGS for k in range(3, len(flag))} - set(_ALL_FLAGS))
+_TEXTS = {
+    "n": ["6", " +3 ", "x", "-2", "6.0", ""],
+    "degrees": ["2,3", "2,3,4", "2,x", "", "-1,2"],
+    "weights": ["1,1", "3/2, 1", "1/0", "", "-1,2"],
+    "orders": ["2", "5/2", "x", ""],
+    "polynomials": ["x1^2", "x1^2+x2^2", "-x1^2"],
+    "polynomial": ["x1^2+x2^3", "-x1^2"],
+    "variables": ["x1,x2", "x1", ""],
+    "support": ["[[2,0],[0,3]]", "[", "-1"],
+    "bound": ["4", "1_0", "-1"],
+    "chain_step": ["1/2", "x", "-1/2"],
+    "chain_max": ["2", "", "-4"],
+    "field": ["5", "x", "-3"],
+    "limit": ["10", "٣", "-5"],
+}
+# text that is no key's value, most of it starting with "-": a flag's text all the same
+_ODD_TEXTS = ["--json", "-h", "--help", "--n", "--poly", "-", "- x", "--bogus", "--deg"]
+_MISC = [("--json",), ("--json",), ("-h",), ("--help",), ("--bogus",), ("--bogus", "5"), ("5",), ("x", "y"), ("",)]
+
+
+def _stands_in(token: str) -> bool:
+    """A prefix of a flag, or "--flag=text": an unknown argument to the reader only."""
+    return token.startswith("--") and ("=" in token or token in _PREFIXES)
+
+
+def _argv_items(command: str):
+    """The command's flags, each given or not, with text that may be bad,
+    shuffled among at most three odd items."""
+    keys = cli._TABLE[command][1] if command != "batch" else {}
+    own = [oracles._KEYS[key].flag for key in keys]
+    others = sorted({spec.flag for spec in oracles._KEYS.values()} - set(own))
+
+    def flag_with(key, texts):
+        return st.tuples(st.just(oracles._KEYS[key].flag), st.sampled_from(texts))
+
+    base = [flag_with(key, _TEXTS[key]) if required else st.sampled_from([()]) | flag_with(key, _TEXTS[key])
+            for key, required in keys.items()]
+    odd = [
+        st.sampled_from(_MISC),
+        st.sampled_from(others).map(lambda flag: (flag, "5")),
+        st.sampled_from(_PREFIXES).flatmap(lambda prefix: st.sampled_from([(prefix,), (prefix, "2,3")])),
+        st.tuples(st.sampled_from([*own, "--json", "--help"]), st.sampled_from(["6", "", "2,3"])).map(
+            lambda pair: ("=".join(pair),)
+        ),
+    ]
+    if keys:
+        odd += [
+            st.sampled_from(list(keys)).flatmap(lambda key: flag_with(key, _TEXTS[key] + _ODD_TEXTS)),
+            st.sampled_from(own).map(lambda flag: (flag,)),  # takes whatever follows, or nothing at the end
+        ]
+    else:  # batch: manifest paths, some of them text that argparse's rule must tell from a flag
+        base.append(st.sampled_from([("m.json",), ("-",), ("- x",), ("-5",)]))
+        odd.append(st.sampled_from([("n.json",), ("-1,2",)]))
+    return st.tuples(st.tuples(*base), st.just([]) | st.lists(st.one_of(odd), max_size=3)).flatmap(
+        lambda parts: st.permutations([item for item in parts[0] if item] + parts[1])
+    ).map(lambda items: [token for item in items for token in item])
+
+
+_HEADS = st.sampled_from([[]] * 6 + [["--json"], ["-h"], ["--he"], ["--bogus", "--help"], ["--json=1"]])
+_ARGVS = st.tuples(
+    _HEADS,
+    st.sampled_from([*cli.COMMANDS, None]).flatmap(
+        lambda command: st.tuples(st.just(command), _argv_items(command) if command else st.just([]))
+    ),
+)
+
+
+def _expected(head: list[str], command: str | None, tail: list[str]):
+    """The oracle's outcome on this argv with the deliberate changes made, and
+    whether --json stands among the command's flags."""
+    flags = {oracles._KEYS[key].flag: key for key in cli._TABLE.get(command, ("", {}))[1]}
+    names: dict[str, str] = {}
+
+    def stand_in(token):
+        if not _stands_in(token):
+            return token
+        name = f"--zz{len(names):02d}"
+        names[name] = token
+        return name
+
+    def oracle(argv):
+        outcome = oracles.read_argv_by_argparse(argv)
+        if outcome[0] != "error":
+            return outcome
+        text = outcome[1]
+        for name, token in names.items():
+            text = text.replace(name, token)
+        return "error", text
+
+    out = [stand_in(token) for token in head] + ([command] if command else [])
+    as_json, seen, repeat = False, set(), None
+    i = 0
+    while i < len(tail):
+        token = tail[i]
+        if token in flags and i + 1 < len(tail):
+            text = tail[i + 1]
+            if token in seen and repeat is None and "action" not in oracles._KEYS[flags[token]].options:
+                repeat = len(out), token
+            seen.add(token)
+            out += [f"{token}={text}"] if text.startswith("-") else [token, text]
+            i += 2
+        else:
+            as_json |= token == "--json"
+            out.append(stand_in(token))
+            i += 1
+    if repeat is None:
+        return oracle(out), as_json
+    # the repeat is an error where it stands: only an earlier error, or an earlier --help, comes first
+    before = oracle(out[: repeat[0]])
+    if before[0] == "help" or before[0] == "error" and before[1].startswith("argument "):
+        return before, as_json
+    return ("error", f"argument {repeat[1]}: may be given only once"), as_json
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(_ARGVS)
+def test_argv_reader_matches_argparse_but_for_the_deliberate_changes(argv_parts):
+    head, (command, tail) = argv_parts
+    expected, as_json = _expected(head, command, tail)
+    args = cli._read_argv([*head, *([command] if command else []), *tail])
+    if args.help is not None:
+        assert ("help", args.command) == expected
+    elif args.error is not None:
+        assert ("error", args.error) == expected
+        # an argv error knows its command once the command is read, and then whether --json came
+        assert (args.command, args.json) == ((command, as_json) if command else (None, False))
+    else:
+        assert ("ok", args.command, args.json, args.request) == expected
+
+
+DELIBERATE = {
+    "prefix_of_a_flag": (["formula", "--n", "6", "--deg", "2,3"], "the following arguments are required: --degrees"),
+    "prefix_of_json": (["formula", "--n", "6", "--degrees", "2,3", "--js"], "unrecognized arguments: --js"),
+    "prefix_of_help": (["formula", "--n", "6", "--degrees", "2,3", "--he"], "unrecognized arguments: --he"),
+    "flag_equals_text": (["formula", "--n=6", "--degrees", "2,3"], "the following arguments are required: --n"),
+    "json_equals_text": (["formula", "--n", "6", "--degrees", "2,3", "--json=1"], "unrecognized arguments: --json=1"),
+    "repeated_flag": (["formula", "--n", "6", "--n", "7", "--degrees", "2,3"], "argument --n: may be given only once"),
+    "repeated_flag_before_a_bad_int": (
+        ["verify", "--bound", "2", "--bound", "3", "--n", "x"],
+        "argument --bound: may be given only once",
+    ),
+    "repeated_single_poly": (
+        ["newton", "--poly", "x1^2", "--poly", "x2^2", "--vars", "x1,x2"],
+        "argument --poly: may be given only once",
+    ),
+    "dash_text_is_read": (["weighted", "--weights", "-1,2", "--orders", "2"], "weights must be positive"),
+    "flag_as_text": (["formula", "--n", "--degrees", "2,3"], "argument --n: invalid int value: '--degrees'"),
+}
+
+
+@pytest.mark.parametrize("name", DELIBERATE)
+def test_deliberate_argv_changes(capsys, name):
+    # argparse expanded --deg to --degrees and --js to --json, read --n=6,
+    # kept the last of two --n, and said "expected one argument" for -1,2
+    argv, error = DELIBERATE[name]
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"input error: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["formula", "--n", "6", "--json"], "the following arguments are required: --degrees"),
+        (["formula", "--json", "--n", "x", "--degrees", "2,3"], "argument --n: invalid int value: 'x'"),
+        (["formula", "--n", "x", "--degrees", "2,3", "--json"], "argument --n: invalid int value: 'x'"),
+        (["formula", "--n", "6", "--degrees", "2,3", "--bogus", "--json"], "unrecognized arguments: --bogus"),
+        (["formula", "--n", "6", "--n", "6", "--degrees", "2,3", "--json"], "argument --n: may be given only once"),
+        (["weighted", "--weights", "1,1", "--json", "--orders"], "argument --orders: expected one argument"),
+        (["batch", "--json"], "the following arguments are required: manifest"),
+    ],
+)
+def test_argv_errors_under_json_print_a_json_report(capsys, argv, error):
+    # argparse's errors went to stderr as text, --json or not
+    assert main(argv) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    VALIDATOR.validate(report)
+    assert err == ""
+    assert report == {"schema": cli.SCHEMA_VERSION, "command": argv[0], "ok": False, "error": error}
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["nonsense", "--json"], "argument command: invalid choice: 'nonsense' (choose from 'formula', 'weighted', "
+                                 "'newton', 'resolve', 'verify', 'probe', 'batch')"),
+        (["", "--json"], "argument command: invalid choice: '' (choose from 'formula', 'weighted', "
+                         "'newton', 'resolve', 'verify', 'probe', 'batch')"),
+        (["--json"], "the following arguments are required: command"),
+        ([], "the following arguments are required: command"),
+        (["--json", "formula", "--n", "6", "--degrees", "2,3"], "unrecognized arguments: --json"),
+    ],
+)
+def test_unknown_command_is_an_input_error(capsys, argv, error):
+    # without a known command, or with --json before it, there is no JSON report
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"input error: {error}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["-h"], ["--help"], ["--bogus", "-h", "nonsense"], *([command, "--help"] for command in cli.COMMANDS),
+     ["formula", "--n", "6", "-h", "--bogus"], ["probe", "-h", "--field", "x"]],
+)
+def test_help_is_generated_from_the_command_table(capsys, argv):
+    assert main(argv) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    command = argv[0] if argv[0] in cli.COMMANDS else None
+    assert out.startswith(f"usage: minexp {command or '<command>'} ")
+    if command is None:
+        for name in cli.COMMANDS:
+            assert f"\n  {name} " in out
+    elif command == "batch":
+        assert "MANIFEST" in out
+    else:
+        help_text, keys = cli._TABLE[command]
+        assert help_text in out
+        usage = out.splitlines()[0]
+        for key, required in keys.items():
+            flag = f"{cli._KEYS[key].flag} {key.upper()}"
+            assert (flag if required else f"[{flag}]") in usage
 
 
 def test_batch_roundtrip(tmp_path, capsys):
@@ -617,6 +877,28 @@ def test_batch_malformed_manifest(tmp_path, capsys):
     path.write_text(json.dumps({"command": "formula"}))
     assert main(["batch", str(path)]) == EXIT_INPUT
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "data, error",
+    [
+        (b"[" * 200_000, "malformed manifest JSON: nested too deeply"),
+        (b"\xff\xfe[\x00]\x00", "malformed manifest: not UTF-8 text: 'utf-8' codec can't decode byte 0xff in "
+                                "position 0: invalid start byte"),
+        (b'[{"command": "formula", "n": ' + b"1" * 5000 + b', "degrees": [2]}]',
+         "malformed manifest JSON: a number has too many digits"),
+        (b"[1] x", "malformed manifest JSON: Extra data: line 1 column 5 (char 4)"),
+    ],
+    ids=["deep_nesting", "utf16_bytes", "long_integer", "extra_data"],
+)
+def test_malformed_manifests_end_in_a_report(capsys, tmp_path, data, error):
+    # the first three ended in a RecursionError, a UnicodeDecodeError and a ValueError traceback
+    path = tmp_path / "manifest.json"
+    path.write_bytes(data)
+    assert main(["batch", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"input error: {error}\n")
+    code, report = run_json(capsys, "batch", str(path))
+    assert (code, report["error"]) == (EXIT_INPUT, error)
 
 
 PROBE = {"command": "probe", "polynomials": ["x1^2"], "variables": ["x1", "x2"], "field": 3}
@@ -769,6 +1051,41 @@ def test_fuzzed_manifests_keep_the_report_contract(manifest):
     assert code in (EXIT_OK, EXIT_INPUT, EXIT_FAIL)
     assert report["summary"]["total"] == len(manifest)
     assert report["summary"]["passed"] == sum(sub["ok"] for sub in report["reports"])
+
+
+@st.composite
+def _manifest_bytes(draw):
+    """Bytes of a fuzzed manifest with bytes overwritten, inserted or cut, or any bytes at all."""
+    data = bytearray(json.dumps(draw(_MANIFESTS)).encode()) if draw(st.booleans()) else bytearray(draw(st.binary()))
+    for _ in range(draw(st.integers(0, 4))):
+        at = draw(st.integers(0, len(data)))
+        edit = draw(st.sampled_from(["overwrite", "insert", "cut"]))
+        chunk = draw(st.binary(min_size=1, max_size=3) | st.sampled_from([b"[" * 3000, b"9" * 5000, b"\xff", b"\xc3"]))
+        if edit == "insert" or at == len(data):
+            data[at:at] = chunk
+        elif edit == "overwrite":
+            data[at:at + len(chunk)] = chunk
+        else:
+            del data[at:at + len(chunk)]
+    return bytes(data)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_manifest_bytes())
+def test_fuzzed_manifest_bytes_end_in_a_report(data):
+    # every file ends in a report, in text and --json, and never in a traceback
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "manifest.json"
+        path.write_bytes(data)
+        for extra in ([], ["--json"]):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["batch", str(path), *extra])
+            assert code in (EXIT_OK, EXIT_INPUT, EXIT_FAIL)
+            if extra:
+                VALIDATOR.validate(json.loads(out.getvalue()))
+            else:
+                assert out.getvalue() or err.getvalue().startswith("input error: ")
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,20 @@ def test_parse_syntax_errors(bad):
     assert err.value.position == position
 
 
+@pytest.mark.parametrize(
+    "text, position",
+    [("1" * 5000 + "*x1^2", 0), ("x2 + x1^" + "2" * 5000, 8), ("3/" + "7" * 4301 + "*x1", 2)],
+    ids=["coefficient", "exponent", "denominator"],
+)
+def test_parse_numbers_past_the_digit_limit(text, position):
+    # int() raised the interpreter's ValueError past 4300 digits, with no
+    # position and advice to call sys.set_int_max_str_digits
+    with pytest.raises(PolyParseError) as err:
+        parse_poly(text, ["x1", "x2"])
+    assert str(err.value) == f"number has too many digits (at position {position})"
+    assert err.value.position == position
+
+
 def test_parse_checks_the_variable_list_after_the_text():
     with pytest.raises(ValueError, match=r"^a polynomial needs at least one variable$"):
         parse_poly("1", [])
