@@ -140,7 +140,11 @@ def _json_text(value, indent: str = "\n") -> str:
     sort_keys=True), with strings escaped to ASCII by the stdlib's C encoder.
     (Given an indent, the stdlib encodes in pure Python.)  It writes str,
     dict with str keys, list, int, bool and None, and raises TypeError on
-    anything else, such as a float or a Fraction: reports are exact."""
+    anything else, such as a float or a Fraction: reports are exact.
+
+    Three shapes that reports are made of skip the general recursion: a list
+    of only ints (not bools) or only strings, a {"den", "num"} dict of two
+    ints, and a str or int value in a dict."""
     kind = type(value)
     if kind is str:
         return _json_string(value)
@@ -150,13 +154,33 @@ def _json_text(value, indent: str = "\n") -> str:
         if not value:
             return "{}"
         inner = indent + "  "
-        items = [f"{_json_string(key)}: {_json_text(item, inner)}" for key, item in sorted(value.items())]
+        if len(value) == 2 and "num" in value and "den" in value:
+            num, den = value["num"], value["den"]
+            if type(num) is int and type(den) is int:
+                return f'{{{inner}"den": {int.__repr__(den)},{inner}"num": {int.__repr__(num)}{indent}}}'
+        items = []
+        for key, item in sorted(value.items()):
+            item_kind = type(item)
+            if item_kind is str:
+                text = _json_string(item)
+            elif item_kind is int:
+                text = int.__repr__(item)
+            else:
+                text = _json_text(item, inner)
+            items.append(f"{_json_string(key)}: {text}")
         return "{" + inner + ("," + inner).join(items) + indent + "}"
     if kind is list:
         if not value:
             return "[]"
         inner = indent + "  "
-        return "[" + inner + ("," + inner).join([_json_text(item, inner) for item in value]) + indent + "]"
+        kinds = {*map(type, value)}
+        if kinds == {int}:
+            texts = map(int.__repr__, value)
+        elif kinds == {str}:
+            texts = map(_json_string, value)
+        else:
+            texts = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(texts) + indent + "]"
     if value is None:
         return "null"
     if kind is bool:
@@ -438,6 +462,7 @@ def _text_newton(results: dict):
 
 def run_resolve(n: int, degrees: list[int]) -> tuple[dict, int]:
     profile = _guard(ex.DegreeProfile, n, tuple(degrees))
+    _guard(rs._check_resolution_budget, profile)
     report = rs.simulate_resolution(profile)
     formula_value = ex.minimal_exponent_cone(profile)
     match = report.lower_bound == formula_value

@@ -369,10 +369,70 @@ def _eval_power_terms(terms, point: tuple[int, ...], q: int) -> int:
     return total % q
 
 
+def _split_last(terms: list[tuple[int, tuple[int, ...]]], q: int, tables: dict[int, list[int]]):
+    """Terms from :func:`_mod_terms` of f = sum over e of g_e * x_n^e, as one
+    (table, g_e) pair per exponent e of the last variable: table[x] = x^e
+    mod q, and g_e as power terms (see :func:`_power_terms`) in the other
+    variables, read from the point's prefix."""
+    groups: dict[int, list] = {}
+    for c, u in terms:
+        groups.setdefault(u[-1], []).append((c, u[:-1]))
+    out = []
+    for e, group in groups.items():
+        if e not in tables:
+            tables[e] = [pow(x, e, q) for x in range(q)]
+        out.append((tables[e], _power_terms(group, q, tables)))
+    return out
+
+
+def _zeros(parts, prefix: tuple[int, ...], q: int, memo: dict) -> list[int]:
+    """The last coordinates t, ascending, where the form split by
+    :func:`_split_last` vanishes at prefix + (t,).  Each g_e is evaluated
+    once; the zeros depend only on the values of the g_e, so ``memo`` keeps
+    them by those values, and only a new tuple of values builds the form's q
+    values from the tables."""
+    key = tuple([_eval_power_terms(terms, prefix, q) for _, terms in parts])
+    zeros = memo.get(key)
+    if zeros is None:
+        values = [0] * q
+        for c, (table, _) in zip(key, parts):
+            if c:
+                values = [v + c * x for v, x in zip(values, table)]
+        zeros = memo[key] = [t for t, v in enumerate(values) if not v % q]
+    return zeros
+
+
+def _vanishing_points(split: list, q: int, n: int):
+    """(point, indices of the inputs that vanish there) for each line
+    representative of F_q^n where some input vanishes, in lexicographic
+    order; ``split`` holds each input as :func:`_split_last` gives it.
+
+    A line representative is the point of its line whose first nonzero
+    coordinate is 1.  (0, ..., 0, 1) is a line of its own; every other one
+    is a prefix of n - 1 coordinates that is itself a line representative,
+    followed by any last coordinate t.  Each prefix evaluates every input
+    once for all q values of t."""
+    memos = [{} for _ in split]
+    last = (0,) * (n - 1) + (1,)
+    vanishing = [i for i, parts in enumerate(split) if 1 in _zeros(parts, last[:-1], q, memos[i])]
+    if vanishing:
+        yield last, vanishing
+    for k in range(n - 2, -1, -1):  # k zeros before the leading 1 of the prefix
+        head = (0,) * k + (1,)
+        for tail in itertools.product(range(q), repeat=n - k - 2):
+            prefix = head + tail
+            zeros = [_zeros(parts, prefix, q, memo) for parts, memo in zip(split, memos)]
+            for t in zeros[0] if len(zeros) == 1 else sorted(set().union(*zeros)):
+                yield prefix + (t,), [i for i, z in enumerate(zeros) if t in z]
+
+
 def _rank(rows: list[list], inverse, reduce) -> int:
     """Gauss-Jordan rank of ``rows`` over a field: ``inverse`` inverts a
     nonzero entry, and ``reduce`` brings a product or difference of entries
-    back to normal form (``x % q`` over F_q, the identity over Q)."""
+    back to normal form (``x % q`` over F_q, the identity over Q).  A single
+    row has rank 1 exactly when it has a nonzero entry."""
+    if len(rows) == 1:
+        return int(any(rows[0]))
     mat = [row[:] for row in rows]
     rank = 0
     ncols = len(mat[0]) if mat else 0
@@ -395,15 +455,6 @@ def _rank(rows: list[list], inverse, reduce) -> int:
     return rank
 
 
-def _line_representatives(q: int, n: int):
-    """The lex-smallest point of each line through the origin of F_q^n (the
-    one whose first nonzero coordinate is 1), in lexicographic order."""
-    for k in range(n - 1, -1, -1):
-        head = (0,) * k + (1,)
-        for tail in itertools.product(range(q), repeat=n - k - 1):
-            yield head + tail
-
-
 def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = 100_000) -> ProbeReport:
     """Heuristic finite-field screen for smooth + simple-normal-crossing inputs.
 
@@ -411,9 +462,17 @@ def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = 100_0
     gradient rows of exactly those inputs must be linearly independent mod q.
     The inputs are homogeneous, so which of them vanish and the rank of their
     gradient rows are the same at every point of a line through the origin:
-    the scan visits one point per line, the one whose first nonzero
+    the scan decides one point per line, the one whose first nonzero
     coordinate is 1, in lexicographic order.  The first failing one is the
     first failing point of F_q^n in lexicographic order.
+
+    The scan goes by line prefix: each input is split as f = sum over e of
+    g_e(x_1..x_{n-1}) * x_n^e, and at each prefix (the first n - 1
+    coordinates, themselves a line representative) every g_e is evaluated
+    once.  The q values of f over the last coordinate then come from the
+    shared x^e mod q tables, and the gradient rank is checked at each last
+    coordinate where some input vanishes, in ascending order.  The point
+    (0, ..., 0, 1) is a line of its own and is checked alone.
 
     ``points_checked`` counts the points of F_q^n the scan decided: all
     q^n - 1 nonzero points on a PASS, and on a FAIL the nonzero points up to
@@ -457,7 +516,7 @@ def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = 100_0
             reason=f"point budget exceeded: {total} points > limit {limit}",
         )
 
-    polys_mod = []
+    split = []
     grads_mod = []
     tables: dict[int, list[int]] = {}
     for f in fs:
@@ -467,7 +526,7 @@ def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = 100_0
                 "INCONCLUSIVE", q, 0,
                 reason=f"a coefficient denominator is divisible by {q}",
             )
-        polys_mod.append(_power_terms(tm, q, tables))
+        split.append(_split_last(tm, q, tables))
         grad = []
         for name in xs:
             gm = _mod_terms(f.derivative(name), q)
@@ -475,10 +534,7 @@ def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = 100_0
             grad.append(_power_terms(gm, q, tables))
         grads_mod.append(grad)
 
-    for point in _line_representatives(q, n):
-        vanishing = [i for i, tm in enumerate(polys_mod) if _eval_power_terms(tm, point, q) == 0]
-        if not vanishing:
-            continue
+    for point, vanishing in _vanishing_points(split, q, n):
         rows = [
             [_eval_power_terms(gm, point, q) for gm in grads_mod[i]]
             for i in vanishing

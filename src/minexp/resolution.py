@@ -392,18 +392,53 @@ def _factorization_witness(state: ChartState, profile: DegreeProfile) -> Factori
     )
 
 
+# The most chart entries one resolution may build, and what one chart counts
+# for beyond its entries (its own upkeep: the chart, its coordinates, its text).
+# A profile over the budget is rejected before any chart is built.
+RESOLVE_BUDGET = 10**8
+_CHART_UPKEEP = 400
+
+
+def _levels(profile: DegreeProfile):
+    """The (degree, multiplicity) runs of the degrees, the distinct degrees
+    ``e`` in increasing order, and ``cum[l]``, the number of degrees at most
+    ``e[l]``."""
+    levels = tuple((d, len(list(run))) for d, run in itertools.groupby(profile.degrees))
+    e = [d for d, _ in levels]
+    return levels, e, list(itertools.accumulate(count for _, count in levels))
+
+
+def _check_resolution_budget(profile: DegreeProfile) -> None:
+    """Reject a profile whose resolution builds more than RESOLVE_BUDGET
+    chart entries, each chart counted with _CHART_UPKEEP more.
+
+    The main chain holds the first chart and, per blow-up of level l, one
+    chart per centre coordinate (cum[l-1] + 1 of them), each r + 1
+    coordinates by r generators; the side chain of level l has
+    1 + e_l - e_0 steps of cum[l-1] + 1 coordinates by as many generators.
+    The count takes O(r) steps, whatever the degrees."""
+    _, e, cum = _levels(profile)
+    r = profile.r
+    main = 1 + sum((e[l] - e[l - 1]) * (cum[l - 1] + 1) for l in range(1, len(e)))
+    side = [(1 + e[l] - e[0], cum[l - 1] + 1) for l in range(1, len(e))]
+    work = main * (r * (r + 1) + _CHART_UPKEEP) + sum(steps * (width**2 + _CHART_UPKEEP) for steps, width in side)
+    if work > RESOLVE_BUDGET:
+        raise ValueError(f"resolution exceeds the work budget of {RESOLVE_BUDGET} chart entries")
+
+
 def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     """Drive the scripted blow-up sequence and collect the divisor ledger.
 
     For codimension r < n this is a strong factorizing resolution and the
     terminal chart must factor as (exceptional monomial) * (r coordinates);
     for r = n the same bookkeeping runs in log-resolution mode and no
-    factorization witness is asserted.
+    factorization witness is asserted.  A profile over the work budget
+    (:func:`_check_resolution_budget`) raises ``ValueError`` before any
+    chart is built.
     """
+    _check_resolution_budget(profile)
     n = profile.n
-    levels = tuple((d, len(list(run))) for d, run in itertools.groupby(profile.degrees))
-    e = [d for d, _ in levels]
-    cum = list(itertools.accumulate(count for _, count in levels))
+    levels, e, cum = _levels(profile)
     mode = LOG_RESOLUTION if profile.r == n else STRONG_FACTORIZING
 
     chain = [_start_chart(profile)]

@@ -10,9 +10,13 @@ ones are scanned for the least t.  The full-tableau oracle is the simplex
 the library ran before it kept only d * B^-1: the same pivot rules on every
 column of the tableau, so it must return the same c, weights and dual.
 
-The probe oracle scans every nonzero point of F_q^n, where the library
-scans one point per line through the origin, and evaluates with ``pow``,
-where the library reads power tables; the descent-chain oracle computes in
+The affine probe oracle scans every nonzero point of F_q^n, where the
+library scans one point per line through the origin, and evaluates with
+``pow``, where the library reads power tables.  The line probe oracle is
+the loop the library ran before its scan by prefix: every input evaluated
+at every line representative.  Both rank gradient rows by a full
+Gauss-Jordan pass, where the library decides one row by a look at its
+entries.  The descent-chain oracle computes in
 ``Fraction`` arithmetic, where the library computes in integers over a
 common denominator.  The two ``verify`` oracles visit every point of their
 grid: every tuple of the valuation box, where the library decides each b0
@@ -40,7 +44,15 @@ from typing import Callable, NamedTuple, Sequence
 
 from minexp import cli
 from minexp.cli import _TABLE, InputError
-from minexp.poly import Poly, PolyParseError, ProbeReport, ProbeWitness, _mod_terms, _rank
+from minexp.poly import (
+    Poly,
+    PolyParseError,
+    ProbeReport,
+    ProbeWitness,
+    _eval_power_terms,
+    _mod_terms,
+    _power_terms,
+)
 from minexp.resolution import (
     COMPLEMENTARY_BRANCH,
     LCT_BRANCH,
@@ -261,29 +273,89 @@ def _eval_mod(terms: list[tuple[int, tuple[int, ...]]], point: tuple[int, ...], 
     return total
 
 
+def rank_by_elimination(rows: list[list], inverse, reduce) -> int:
+    """Gauss-Jordan rank over a field, as the library computed it before its
+    one-row shortcut: ``inverse`` inverts a nonzero entry and ``reduce``
+    normalizes (``x % q`` over F_q, the identity over Q)."""
+    mat = [row[:] for row in rows]
+    rank = 0
+    ncols = len(mat[0]) if mat else 0
+    for col in range(ncols):
+        pivot = None
+        for r in range(rank, len(mat)):
+            if mat[r][col] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        mat[rank], mat[pivot] = mat[pivot], mat[rank]
+        inv = inverse(mat[rank][col])
+        mat[rank] = [reduce(x * inv) for x in mat[rank]]
+        for r in range(len(mat)):
+            if r != rank and mat[r][col] != 0:
+                factor = mat[r][col]
+                mat[r] = [reduce(x - factor * y) for x, y in zip(mat[r], mat[rank])]
+        rank += 1
+    return rank
+
+
+def _probe_fail(fs, q: int, point: tuple[int, ...], vanishing: list[int], checked: int) -> ProbeReport:
+    """The FAIL report of both probe oracles: the witness re-checked exactly
+    at its centered integer lift."""
+    xs = fs[0].variables
+    lift = tuple(x if x <= q // 2 else x - q for x in point)
+    vanishing_q = [i for i, f in enumerate(fs) if f.evaluate(lift) == 0]
+    genuine = False
+    note = "dependent gradient rows mod {}".format(q)
+    if vanishing_q:
+        rat_rows = [
+            [f.derivative(name).evaluate(lift) for name in xs]
+            for i, f in enumerate(fs) if i in vanishing_q
+        ]
+        if rank_by_elimination(rat_rows, lambda x: 1 / x, lambda x: x) < len(vanishing_q):
+            genuine = True
+            note += "; failure persists exactly at the integer lift"
+        else:
+            note += "; lift is transverse over the rationals (mod-q artifact)"
+    else:
+        note += "; no input vanishes at the integer lift (mod-q artifact)"
+    witness = ProbeWitness(
+        point=point,
+        vanishing=tuple(i + 1 for i in vanishing),
+        lifted_point=lift,
+        genuine=genuine,
+        note=note,
+    )
+    return ProbeReport("FAIL", q, checked, witness=witness)
+
+
+def _probe_budget(fs, q: int, limit: int) -> ProbeReport | None:
+    """The INCONCLUSIVE report of both probe oracles, or None."""
+    total = q ** len(fs[0].variables) - 1
+    if total > limit:
+        return ProbeReport(
+            "INCONCLUSIVE", q, 0,
+            reason=f"point budget exceeded: {total} points > limit {limit}",
+        )
+    if any(_mod_terms(f, q) is None for f in fs):
+        return ProbeReport(
+            "INCONCLUSIVE", q, 0,
+            reason=f"a coefficient denominator is divisible by {q}",
+        )
+    return None
+
+
 def probe_by_affine_scan(fs, field_size: int, limit: int = 100_000) -> ProbeReport:
     """The transversality probe by a scan of every nonzero point of F_q^n in
     lexicographic order, for inputs that already passed the library's checks."""
     xs = fs[0].variables
     n = len(xs)
     q = field_size
-    total = q**n - 1
-    if total > limit:
-        return ProbeReport(
-            "INCONCLUSIVE", q, 0,
-            reason=f"point budget exceeded: {total} points > limit {limit}",
-        )
-    polys_mod = []
-    grads_mod = []
-    for f in fs:
-        tm = _mod_terms(f, q)
-        if tm is None:
-            return ProbeReport(
-                "INCONCLUSIVE", q, 0,
-                reason=f"a coefficient denominator is divisible by {q}",
-            )
-        polys_mod.append(tm)
-        grads_mod.append([_mod_terms(f.derivative(name), q) for name in xs])
+    inconclusive = _probe_budget(fs, q, limit)
+    if inconclusive:
+        return inconclusive
+    polys_mod = [_mod_terms(f, q) for f in fs]
+    grads_mod = [[_mod_terms(f.derivative(name), q) for name in xs] for f in fs]
 
     checked = 0
     for point in itertools.product(range(q), repeat=n):
@@ -294,33 +366,46 @@ def probe_by_affine_scan(fs, field_size: int, limit: int = 100_000) -> ProbeRepo
         if not vanishing:
             continue
         rows = [[_eval_mod(gm, point, q) for gm in grads_mod[i]] for i in vanishing]
-        if _rank(rows, lambda x: pow(x, -1, q), lambda x: x % q) == len(vanishing):
+        if rank_by_elimination(rows, lambda x: pow(x, -1, q), lambda x: x % q) == len(vanishing):
             continue
-        lift = tuple(x if x <= q // 2 else x - q for x in point)
-        vanishing_q = [i for i, f in enumerate(fs) if f.evaluate(lift) == 0]
-        genuine = False
-        note = "dependent gradient rows mod {}".format(q)
-        if vanishing_q:
-            rat_rows = [
-                [f.derivative(name).evaluate(lift) for name in xs]
-                for i, f in enumerate(fs) if i in vanishing_q
-            ]
-            if _rank(rat_rows, lambda x: 1 / x, lambda x: x) < len(vanishing_q):
-                genuine = True
-                note += "; failure persists exactly at the integer lift"
-            else:
-                note += "; lift is transverse over the rationals (mod-q artifact)"
-        else:
-            note += "; no input vanishes at the integer lift (mod-q artifact)"
-        witness = ProbeWitness(
-            point=point,
-            vanishing=tuple(i + 1 for i in vanishing),
-            lifted_point=lift,
-            genuine=genuine,
-            note=note,
-        )
-        return ProbeReport("FAIL", q, checked, witness=witness)
+        return _probe_fail(fs, q, point, vanishing, checked)
     return ProbeReport("PASS", q, checked)
+
+
+def _line_representatives(q: int, n: int):
+    """The lex-smallest point of each line through the origin of F_q^n (the
+    one whose first nonzero coordinate is 1), in lexicographic order."""
+    for k in range(n - 1, -1, -1):
+        head = (0,) * k + (1,)
+        for tail in itertools.product(range(q), repeat=n - k - 1):
+            yield head + tail
+
+
+def probe_by_line_scan(fs, field_size: int, limit: int = 100_000) -> ProbeReport:
+    """The transversality probe as the library ran it before its scan by
+    prefix: every input evaluated at every line representative, from power
+    tables, for inputs that already passed the library's checks."""
+    xs = fs[0].variables
+    q = field_size
+    inconclusive = _probe_budget(fs, q, limit)
+    if inconclusive:
+        return inconclusive
+    tables: dict[int, list[int]] = {}
+    polys_mod = [_power_terms(_mod_terms(f, q), q, tables) for f in fs]
+    grads_mod = [[_power_terms(_mod_terms(f.derivative(name), q), q, tables) for name in xs] for f in fs]
+
+    for point in _line_representatives(q, len(xs)):
+        vanishing = [i for i, tm in enumerate(polys_mod) if _eval_power_terms(tm, point, q) == 0]
+        if not vanishing:
+            continue
+        rows = [[_eval_power_terms(gm, point, q) for gm in grads_mod[i]] for i in vanishing]
+        if rank_by_elimination(rows, lambda x: pow(x, -1, q), lambda x: x % q) == len(vanishing):
+            continue
+        checked = 0  # the witness as a base-q number: its place in the affine scan
+        for x in point:
+            checked = checked * q + x
+        return _probe_fail(fs, q, point, vanishing, checked)
+    return ProbeReport("PASS", q, q ** len(xs) - 1)
 
 
 def descent_chain_by_fractions(profile, u) -> DescentChainReport:

@@ -345,6 +345,23 @@ def test_verify_grids_over_the_budget_exit_input(capsys, monkeypatch):
         assert (code, report["error"]) == (EXIT_INPUT, error)
 
 
+def test_resolve_over_the_budget_exits_input(capsys, monkeypatch):
+    # 2,100000000 would make about 10^8 blow-ups: about 1.2e11 chart entries
+    error = "resolution exceeds the work budget of 100000000 chart entries"
+
+    def charts(*args):
+        raise AssertionError("a chart was built")
+
+    monkeypatch.setattr(rs, "_start_chart", charts)
+    monkeypatch.setattr(rs, "blowup_chart", charts)
+    for degrees in ["2,100000000", "2," + "9" * 4000, ",".join(["2"] * 20_000)]:
+        argv = ["resolve", "--n", "20000", "--degrees", degrees]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"input error: {error}\n")
+        code, report = run_json(capsys, *argv)
+        assert (code, report["error"]) == (EXIT_INPUT, error)
+
+
 # flag text that int() would accept or reject, and the error it gets now
 BAD_INTEGER_FLAGS = {
     "underscore_bound": (["verify", "--n", "6", "--degrees", "2,3", "--bound", "1_0"], "argument --bound: invalid int value: '1_0'"),
@@ -1099,8 +1116,24 @@ _SCALARS = st.one_of(
     st.integers(-(10**80), 10**80),
     _TEXT,
 )
+# the shapes the writer takes a shorter path on, and their near misses: lists of
+# only ints or only strings, an int list with a bool in it, and {"num", "den"}
+# dicts with ints, bools or strings and now and then an extra key
+_INTEGERS = st.one_of(st.integers(), st.integers(-(10**80), 10**80))
+_INT_LISTS = st.lists(_INTEGERS, min_size=1, max_size=6)
+_FLAT_LISTS = st.one_of(
+    _INT_LISTS,
+    st.lists(_TEXT, min_size=1, max_size=6),
+    st.tuples(_INT_LISTS, st.booleans(), st.integers(0, 6)).map(lambda t: t[0][: t[2]] + [t[1]] + t[0][t[2] :]),
+)
+_RATIONALS = st.fixed_dictionaries(
+    {"num": _INTEGERS | st.booleans() | _TEXT, "den": _INTEGERS | st.booleans() | _TEXT},
+    optional={"sign": _SCALARS, "nu": _SCALARS, "numer": _INTEGERS},
+)
 _TREES = st.recursive(
-    _SCALARS, lambda children: st.lists(children, max_size=4) | st.dictionaries(_TEXT, children, max_size=4), max_leaves=30
+    _SCALARS | _FLAT_LISTS | _RATIONALS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(_TEXT, children, max_size=4),
+    max_leaves=30,
 )
 
 
@@ -1121,8 +1154,14 @@ def test_json_writer_gives_the_stdlib_bytes(tree, keys):
 
 @pytest.mark.parametrize(
     "value",
-    [1.5, Fraction(3, 2), {"c": {"num": 0.5, "den": 1}}, [[Fraction(1)]], (1, 2), {1: 2}],
-    ids=["float", "fraction", "nested_float", "nested_fraction", "tuple", "int_key"],
+    [
+        1.5, Fraction(3, 2), {"c": {"num": 0.5, "den": 1}}, [[Fraction(1)]], (1, 2), {1: 2},
+        {"num": 1, "den": 2.0}, [1, 2, 3.0], ["a", 1.0], {"a": "b", "c": 1.0},
+    ],
+    ids=[
+        "float", "fraction", "nested_float", "nested_fraction", "tuple", "int_key",
+        "float_denominator", "float_in_int_list", "float_in_str_list", "float_beside_str",
+    ],
 )
 def test_json_writer_rejects_what_no_report_holds(value):
     # reports are exact, so a float or a Fraction in one is a bug, not a value;

@@ -8,12 +8,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import parse_poly_by_tokens, probe_by_affine_scan
+from _oracles import parse_poly_by_tokens, probe_by_affine_scan, probe_by_line_scan, rank_by_elimination
 from minexp.exponent import WeightedProfile
 from minexp.newton import MonomialSupport
 from minexp.poly import (
     Poly,
     PolyParseError,
+    _rank,
     _weighted_order,
     parse_poly,
     probe_transversality,
@@ -400,12 +401,14 @@ def _random_form(rng, names, q):
 
 
 def test_probe_matches_affine_scan_oracle():
+    # both oracles: every point of F_q^n, and the per-point scan of the lines
     rng = random.Random(5)
     shapes = [(q, n) for q in (2, 3, 5, 7, 11, 13) for n in range(1, 5) if q**n <= 30_000]
     shapes += [(q, 5) for q in (2, 3, 5)]  # five variables, the most a probe takes
     seen = {
         "PASS": 0, "INCONCLUSIVE": 0, "FAIL": 0, "several forms": 0, "leading zero": 0, "late": 0,
-        "five variables": 0,
+        "five variables": 0, "one variable": 0, "q = 13, four variables": 0,
+        "last variable absent": 0, "last variable in every term": 0,
     }
     for _ in range(250):
         q, n = rng.choice(shapes)
@@ -420,11 +423,88 @@ def test_probe_matches_affine_scan_oracle():
             continue
         report = probe_transversality(fs, q, limit)
         assert report == probe_by_affine_scan(fs, q, limit), (fs, q, limit)
+        assert report == probe_by_line_scan(fs, q, limit), (fs, q, limit)
         seen[report.verdict] += 1
         seen["five variables"] += n == 5
+        seen["one variable"] += n == 1
+        seen["q = 13, four variables"] += (q, n) == (13, 4)
+        seen["last variable absent"] += n > 1 and any(all(u[-1] == 0 for u in f.terms) for f in fs)
+        seen["last variable in every term"] += n > 1 and any(all(u[-1] for u in f.terms) for f in fs)
         if report.verdict == "FAIL":
             witness = report.witness
             seen["several forms"] += len(witness.vanishing) > 1
             seen["leading zero"] += witness.point[0] == 0
             seen["late"] += witness.point[0] != 0 and n > 1
     assert all(seen.values()), seen
+
+
+def _forms(texts, names):
+    return [parse_poly(text, names) for text in texts]
+
+
+@pytest.mark.parametrize(
+    "texts, names, q, verdict, point, checked",
+    [
+        # one variable: no free prefix, only the line of (1,)
+        (["x1^2"], ["x1"], 3, "PASS", None, 2),
+        (["3*x1"], ["x1"], 3, "FAIL", (1,), 1),  # zero mod 3, so singular at every point
+        # the last variable absent from a form, and in every term of one
+        (["x1^2 + x2^2"], ["x1", "x2", "x3"], 5, "FAIL", (0, 0, 1), 1),
+        (["x1*x3 + x2*x3"], ["x1", "x2", "x3"], 5, "FAIL", (1, 4, 0), 45),
+        (["x1*x3 - x2^2", "x3"], ["x1", "x2", "x3"], 7, "FAIL", (1, 0, 0), 49),
+        # two forms vanishing at different last coordinates of the prefix (1,):
+        # x2 - x1 at t = 1 (transverse), (x2 - 2*x1)^2 at t = 2 (singular)
+        (["x2 - x1", "x2^2 - 4*x1*x2 + 4*x1^2"], ["x1", "x2"], 5, "FAIL", (1, 2), 7),
+        (["x2 - x1", "x2 - 2*x1"], ["x1", "x2"], 5, "PASS", None, 24),
+        # the first input vanishes at t = 9, the second at t = 1: (1, 1) comes first
+        (["x2^2 - 18*x1*x2 + 81*x1^2", "x2^2 - 2*x1*x2 + x1^2"], ["x1", "x2"], 11, "FAIL", (1, 1), 12),
+        # (0, ..., 0, 1): transverse on x1*(x1 + x2), singular on x1^2
+        (["x1^2 + x1*x2"], ["x1", "x2"], 5, "PASS", None, 24),
+        (["x1^2"], ["x1", "x2", "x3", "x4"], 3, "FAIL", (0, 0, 0, 1), 1),
+        # singular only on the last line: (1, 4) of F_5^2, and (1, 2, 2) of F_3^3,
+        # where the lines x2 = -x1 and x3 = -x1 of (x2 + x1)*(x3 + x1) meet
+        (["x1^2 + 2*x1*x2 + x2^2"], ["x1", "x2"], 5, "FAIL", (1, 4), 9),
+        (["x2*x3 + x1*x2 + x1*x3 + x1^2"], ["x1", "x2", "x3"], 3, "FAIL", (1, 2, 2), 17),
+        # q = 2, and q = 13 with four variables
+        (["x1*x2 + x3^2"], ["x1", "x2", "x3"], 2, "PASS", None, 7),
+        (["x1^2 + x2^2 + x3^2 + x4^2"], ["x1", "x2", "x3", "x4"], 2, "FAIL", (0, 0, 1, 1), 3),
+        (["x1^2 + x2^2 + x3^2 + x4^2", "x1 + 2*x2 + 3*x3 + 4*x4"], ["x1", "x2", "x3", "x4"], 13, "PASS", None, 13**4 - 1),
+        (["x1^13 + x2^13 + x3^13 + x4^13"], ["x1", "x2", "x3", "x4"], 13, "FAIL", (0, 0, 1, 12), 25),
+    ],
+)
+def test_probe_by_prefix_cases(texts, names, q, verdict, point, checked):
+    fs = _forms(texts, names)
+    report = probe_transversality(fs, q)
+    assert report == probe_by_line_scan(fs, q) == probe_by_affine_scan(fs, q)
+    assert report.verdict == verdict
+    assert report.points_checked == checked
+    assert (report.witness and report.witness.point) == point
+
+
+def test_probe_by_prefix_inconclusive_cases():
+    names = ["x1", "x2", "x3", "x4"]
+    for fs, q, limit in [
+        (_forms(["x1^2 + x2^2 + x3^2 + x4^2"], names), 13, 28_559),  # one point over the limit
+        (_forms(["x1^2 + x2^2 + x3^2 + x4^2"], names), 13, 100_000 // 4),
+        (_forms(["x1^2 + x4^2", "1/13*x2*x3"], names), 13, 100_000),
+    ]:
+        report = probe_transversality(fs, q, limit)
+        assert report.verdict == "INCONCLUSIVE"
+        assert report == probe_by_line_scan(fs, q, limit) == probe_by_affine_scan(fs, q, limit)
+
+
+_ENTRIES = st.integers(-6, 6)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_ENTRIES, max_size=5), st.sampled_from([2, 3, 5, 7, 11, 13]))
+def test_rank_of_one_row_matches_gauss_jordan(row, q):
+    # zero rows included: an empty row, and rows whose entries are all 0 or all q
+    for entries in (row, [0] * len(row), [q] * len(row)):
+        mod_row = [x % q for x in entries]
+        fq = (lambda x: pow(x, -1, q), lambda x: x % q)
+        assert _rank([mod_row], *fq) == rank_by_elimination([mod_row], *fq) == int(any(mod_row))
+        rat_row = [F(x, 3) for x in entries]
+        qq = (lambda x: 1 / x, lambda x: x)
+        assert _rank([rat_row], *qq) == rank_by_elimination([rat_row], *qq) == int(any(rat_row))
+    assert _rank([], *qq) == rank_by_elimination([], *qq) == 0

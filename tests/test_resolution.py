@@ -559,3 +559,35 @@ def test_scan_budgets():
     for step, maximum in [(F(1), F(1000)), (F(1, 1000), F(4)), (F(1), F(10**50))]:
         with pytest.raises(ValueError, match="^chain grid exceeds the work budget of 1000000 points$"):
             descent_chain_grid(lct, step, maximum)
+
+
+# --- the work budget of a resolution --------------------------------------------
+
+def test_resolution_budget_admits_the_wide_baselines():
+    # the widest profiles measured for resolve; n=200 builds about 5.1e7 of the 1e8
+    for n, low, high in [(60, 2, 39), (120, 2, 60), (200, 2, 90)]:
+        rs._check_resolution_budget(DegreeProfile(n, tuple(range(low, high + 1))))
+    report = simulate_resolution(DegreeProfile(60, tuple(range(2, 40))))
+    assert report.blowup_count == 38
+
+
+def test_resolution_budget_counts_every_chart():
+    # the main chain of (4; 2, D) has 1 + 2 * (D - 2) charts of 3 x 2 entries and its
+    # one side chain D - 1 steps of 2 x 2; each chart costs 400 more
+    def work(high):
+        return (1 + 2 * (high - 2)) * (6 + 400) + (high - 1) * (4 + 400)
+
+    high = max(h for h in range(80_000, 90_000) if work(h) <= rs.RESOLVE_BUDGET)
+    rs._check_resolution_budget(DegreeProfile(4, (2, high)))
+    with pytest.raises(ValueError, match="^resolution exceeds the work budget of 100000000 chart entries$"):
+        rs._check_resolution_budget(DegreeProfile(4, (2, high + 1)))
+
+
+def test_resolution_over_the_budget_builds_no_chart(monkeypatch):
+    def charts(*args):
+        raise AssertionError("a chart was built")
+
+    monkeypatch.setattr(rs, "_start_chart", charts)
+    for profile in [DegreeProfile(4, (2, 10**8)), DegreeProfile(10**5, (2,) * 10**4), DegreeProfile(4, (2, 10**4000))]:
+        with pytest.raises(ValueError, match="^resolution exceeds the work budget of 100000000 chart entries$"):
+            simulate_resolution(profile)
