@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, total_ordering
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 
@@ -142,25 +143,33 @@ def exponent_candidates(w, degrees: Sequence) -> ExponentTable:
     Degrees may be rational (they are weighted orders in the weighted
     setting); they must be positive and sorted ascending.  w and the degrees
     are exact: a float is rejected.
+
+    The arithmetic is in integers: over a common denominator D of w and the
+    degrees, W = D*w and M_i = D*d_i are integers, and with the prefix sum
+    P_i = M_1 + ... + M_i the candidate i is (i*M_i + W - P_i) / M_i, one
+    ``Fraction`` each.  The checks and the pivot compare the integers.
     """
-    w = _as_fraction(w)
-    ds = [_as_fraction(d) for d in degrees]
+    # an int already has the numerator and denominator the kernel reads
+    w = w if type(w) is int else _as_fraction(w)
+    ds = [d if type(d) is int else _as_fraction(d) for d in degrees]
     if not ds:
         raise ValueError("degree list must be nonempty")
-    if any(d <= 0 for d in ds):
+    den = lcm(w.denominator, *[d.denominator for d in ds])
+    total = w.numerator * (den // w.denominator)
+    ms = [d.numerator * (den // d.denominator) for d in ds]
+    if min(ms) <= 0:
         raise ValueError(f"degrees must be positive, got {degrees}")
-    if ds != sorted(ds):
+    if ms != sorted(ms):
         raise ValueError(f"degrees must be sorted ascending, got {degrees}")
     values = []
-    prefix = Fraction(0)
-    pivot = len(ds)
-    found = False
-    for i, d in enumerate(ds, 1):
-        prefix += d
-        values.append(i + (w - prefix) / d)
-        if not found and prefix > w:
+    prefix = 0
+    pivot = None
+    for i, m in enumerate(ms, 1):
+        prefix += m
+        values.append(Fraction(i * m + total - prefix, m))
+        if pivot is None and prefix > total:
             pivot = i
-            found = True
+    pivot = pivot or len(ms)
     minimum = min(values)
     if values[pivot - 1] != minimum:  # pivot rule always lands on the minimum
         raise AssertionError(f"pivot {pivot} misses the minimum for w={w}, degrees={degrees}")

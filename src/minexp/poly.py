@@ -455,6 +455,17 @@ def _rank(rows: list[list], inverse, reduce) -> int:
     return rank
 
 
+def _independent(grads: list, vanishing: list[int], point: tuple[int, ...], q: int) -> bool:
+    """Whether the gradient rows mod q of the inputs ``vanishing`` (each
+    input's partial derivatives as power terms) are linearly independent at
+    ``point``.  One row is independent exactly when some entry is nonzero,
+    so its entries are evaluated only up to the first nonzero one."""
+    if len(vanishing) == 1:
+        return any(_eval_power_terms(gm, point, q) for gm in grads[vanishing[0]])
+    rows = [[_eval_power_terms(gm, point, q) for gm in grads[i]] for i in vanishing]
+    return _rank(rows, lambda x: pow(x, -1, q), lambda x: x % q) == len(vanishing)
+
+
 def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = 100_000) -> ProbeReport:
     """Heuristic finite-field screen for smooth + simple-normal-crossing inputs.
 
@@ -471,8 +482,10 @@ def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = 100_0
     coordinates, themselves a line representative) every g_e is evaluated
     once.  The q values of f over the last coordinate then come from the
     shared x^e mod q tables, and the gradient rank is checked at each last
-    coordinate where some input vanishes, in ascending order.  The point
-    (0, ..., 0, 1) is a line of its own and is checked alone.
+    coordinate where some input vanishes, in ascending order (where one
+    input vanishes, its gradient is evaluated up to its first nonzero
+    entry).  The point (0, ..., 0, 1) is a line of its own and is checked
+    alone.
 
     ``points_checked`` counts the points of F_q^n the scan decided: all
     q^n - 1 nonzero points on a PASS, and on a FAIL the nonzero points up to
@@ -535,11 +548,7 @@ def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = 100_0
         grads_mod.append(grad)
 
     for point, vanishing in _vanishing_points(split, q, n):
-        rows = [
-            [_eval_power_terms(gm, point, q) for gm in grads_mod[i]]
-            for i in vanishing
-        ]
-        if _rank(rows, lambda x: pow(x, -1, q), lambda x: x % q) == len(vanishing):
+        if _independent(grads_mod, vanishing, point, q):
             continue
         # modular failure; re-check exactly at the centered lift
         lift = tuple(x if x <= q // 2 else x - q for x in point)

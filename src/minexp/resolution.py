@@ -23,6 +23,21 @@ with k_1 = n - 1 for the origin blow-up.  The resulting lower bound
 min_j (k_j + 1) / a_j must agree exactly with the closed-form exponent;
 that agreement scan is this module's primary oracle.
 
+The simulation runs on plain generator tuples.  Each blow-up of the main
+chain is one :func:`_blowup` on the generators of the chart it follows,
+which returns the new divisor's (a, k) and the generators of every pivot
+chart; the chain keeps the coordinate names (made once per blow-up), roles
+and (a, k) tags as lists.  Each generator of each chart is rendered once,
+by :func:`_render`, and every text of a report is read from those
+renderings: the trace, the vj checks, the side chains and the
+factorization witness.  The checks stay those of the argument: every chart
+off the main chain is principal, with an exceptional-supported generator
+that divides the matching side-chain chart (:func:`_climb`); every side
+chain ends in z0^{e_l} (:func:`_side_chain`); the ledger's a run through
+the degree steps while its k rise strictly; and the terminal chart, a
+:class:`ChartState` through the public checks, factors as an exceptional
+monomial times r strict coordinates.
+
 The module also verifies the valuation inequalities behind the lower bound
 on every tuple of an integer box, and checks the telescoping chain argument
 used to prove them pointwise on a rational grid.  The box is decided one
@@ -35,6 +50,7 @@ step's denominator, and only a failing point becomes a report.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -54,6 +70,12 @@ _LETTERS = ("z", "u", "v", "w", "s", "t", "q", "m")
 
 def _letter(depth: int) -> str:
     return _LETTERS[depth] if depth < len(_LETTERS) else f"c{depth}_"
+
+
+def _names(depth: int, width: int) -> list[str]:
+    """The coordinate names of a chart at ``depth``: one letter per depth."""
+    letter = _letter(depth)
+    return [f"{letter}{i}" for i in range(width)]
 
 
 class ResolutionError(RuntimeError):
@@ -96,28 +118,31 @@ class ChartState:
         object.__setattr__(self, "ideal", tuple(tuple(g) for g in self.ideal))
         _check_chart(self.coords, self.ideal)
 
-    @classmethod
-    def _derived(cls, coords, ideal, depth, born_pivot, born_pivot_index) -> "ChartState":
-        """A chart of :func:`blowup_chart`, which runs the chart checks once per blow-up."""
-        chart = object.__new__(cls)
-        chart.__dict__.update(
-            coords=coords, ideal=ideal, depth=depth, born_pivot=born_pivot, born_pivot_index=born_pivot_index
-        )
-        return chart
-
     def names(self) -> tuple[str, ...]:
         return tuple([c.name for c in self.coords])
 
     def render_monomial(self, g: Sequence[int]) -> str:
-        return _render_monomial(self.names(), g)
+        return _render(self.names(), [g])[0]
 
     def render_ideal(self) -> str:
-        names = self.names()
-        return "(" + (", ".join([_render_monomial(names, g) for g in self.ideal]) or "0") + ")"
+        return _ideal_text(_render(self.names(), self.ideal))
 
 
-def _render_monomial(names: Sequence[str], g: Sequence[int]) -> str:
-    return "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, g) if e > 0]) or "1"
+def _render(names: Sequence[str], gens: Iterable[Sequence[int]]) -> list[str]:
+    """The one renderer: the text of each generator in ``gens`` over the
+    coordinate ``names``.  Every text of a resolution report comes from it.
+    Exponents are nonnegative, so a generator itself selects the
+    coordinates of its support."""
+    return [
+        "*".join([name if e == 1 else f"{name}^{e}" for name, e in itertools.compress(zip(names, g), g)])
+        or "1"
+        for g in gens
+    ]
+
+
+def _ideal_text(texts: Sequence[str]) -> str:
+    """An ideal's text from its rendered generators."""
+    return "(" + (", ".join(texts) or "0") + ")"
 
 
 def _check_chart(coords: tuple[Coordinate, ...], ideal: tuple[tuple[int, ...], ...]) -> None:
@@ -137,47 +162,27 @@ def _check_chart(coords: tuple[Coordinate, ...], ideal: tuple[tuple[int, ...], .
             raise ValueError("a generator is the unit monomial; not a proper ideal")
 
 
-def blowup_chart(state: ChartState, center: Iterable[str]) -> list[ChartState]:
-    """Transform a monomial ideal under the blow-up of a coordinate subspace.
+def _blowup(ideal: Sequence[tuple[int, ...]], tags: Sequence[tuple[int, int] | None], width: int):
+    """One blow-up of a monomial ideal along its first ``width`` coordinates.
 
-    Returns one chart per pivot coordinate of the center, in coordinate
-    order.  In the pivot chart every generator's pivot exponent becomes the
-    sum of its exponents over the center; all other exponents are unchanged.
-    The pivot coordinate becomes the new exceptional divisor, tagged with
+    ``ideal`` holds the generators as exponent tuples and ``tags[i]`` the
+    (a, k) tags of coordinate i, None when it is not exceptional.  Returns
+    (a, k, charts): the tags of the new exceptional divisor,
 
-        a = min over transformed generators of the pivot exponent,
-        k = (|center| - 1) + sum of k over exceptional coordinates in center,
+        a = min over generators of their total exponent over the centre,
+        k = (width - 1) + sum of k over the exceptional centre coordinates,
 
-    while the remaining center coordinates keep their roles (they cut the
-    strict transforms of whatever they cut before).
+    and, for each pivot p < width, charts[p], the generators of the chart
+    of pivot p: each generator with its pivot exponent replaced by its
+    total over the centre, all other exponents unchanged.  The pivot
+    coordinate becomes the new divisor; the remaining centre coordinates
+    keep their roles (they cut the strict transforms of whatever they cut
+    before).
     """
-    center = tuple(dict.fromkeys(center))
-    names = state.names()
-    for name in center:
-        if name not in names:
-            raise ValueError(f"center coordinate {name!r} is not in the chart")
-    if len(center) < 2:
-        raise ValueError("center must contain at least two coordinates")
-    # Every chart holds these coordinates off its pivot, and the parent's generators with the
-    # pivot exponent set to their total over the center: one check of both covers every chart.
-    letter = _letter(state.depth + 1)
-    coords = tuple([Coordinate(f"{letter}{i}", c.role, c.a, c.k) for i, c in enumerate(state.coords)])
-    _check_chart(coords, state.ideal)
-    center_idx = [i for i, name in enumerate(names) if name in center]
-    k_new = (len(center) - 1) + sum([coords[i].k for i in center_idx if coords[i].role == EXCEPTIONAL])
-    totals = [sum(map(g.__getitem__, center_idx)) for g in state.ideal]
-    a_new = min(totals, default=0)
-    columns = list(zip(*state.ideal))
-    return [
-        ChartState._derived(
-            coords[:p] + (Coordinate(coords[p].name, EXCEPTIONAL, a_new, k_new),) + coords[p + 1 :],
-            tuple(zip(*columns[:p], totals, *columns[p + 1 :])),
-            state.depth + 1,
-            names[p],
-            p,
-        )
-        for p in center_idx
-    ]
+    totals = [sum(g[:width]) for g in ideal]
+    k = width - 1 + sum([tag[1] for tag in tags[:width] if tag is not None])
+    charts = [[g[:p] + (t,) + g[p + 1 :] for g, t in zip(ideal, totals)] for p in range(width)]
+    return min(totals, default=0), k, charts
 
 
 @dataclass(frozen=True)
@@ -276,44 +281,56 @@ def _componentwise_min(gens: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
     return tuple(map(min, zip(*gens)))
 
 
-def _principal_exceptional_generator(state: ChartState) -> tuple[int, ...]:
-    """The componentwise minimum must itself be a generator (the ideal is
-    principal) and be supported on exceptional coordinates only."""
-    if not state.ideal:
-        raise ResolutionError(f"empty ideal in chart {state.names()}")
-    gmin = _componentwise_min(state.ideal)
-    if gmin not in state.ideal:
-        raise ResolutionError(f"ideal {state.render_ideal()} is not principal")
-    if any(c.role != EXCEPTIONAL for c in itertools.compress(state.coords, gmin)):
-        raise ResolutionError(
-            f"principal generator {state.render_monomial(gmin)} is not exceptional-supported"
-        )
-    return gmin
+def _principal_exceptional_generator(
+    names: Sequence[str], roles: Sequence[str], ideal: list[tuple[int, ...]], texts: Sequence[str]
+) -> int:
+    """The index in ``ideal`` of its generator: the componentwise minimum
+    must itself be a generator (the ideal is principal) and be supported on
+    exceptional coordinates only.  ``texts`` holds the rendered generators."""
+    if not ideal:
+        raise ResolutionError(f"empty ideal in chart {tuple(names)}")
+    gmin = _componentwise_min(ideal)
+    try:
+        star = ideal.index(gmin)
+    except ValueError:
+        raise ResolutionError(f"ideal {_ideal_text(texts)} is not principal") from None
+    if any(role != EXCEPTIONAL for role in itertools.compress(roles, gmin)):
+        raise ResolutionError(f"principal generator {texts[star]} is not exceptional-supported")
+    return star
 
 
-def _start_chart(profile: DegreeProfile) -> ChartState:
-    """The chart on E1 after the origin blow-up: the exceptional coordinate
-    z0 tagged (a = d_1, k = n - 1) and the strict transforms z1..zr, with
-    generators z0^{d_j} z_j.  The plain coordinates never carry an exponent
-    and are left out."""
-    degrees, r = profile.degrees, profile.r
-    coords = [Coordinate("z0", EXCEPTIONAL, degrees[0], profile.n - 1)]
-    coords += [Coordinate(f"z{j}", STRICT) for j in range(1, r + 1)]
-    gens = [(degrees[j - 1],) + tuple(int(i == j) for i in range(1, r + 1)) for j in range(1, r + 1)]
-    return ChartState(tuple(coords), tuple(gens))
+def _start_chart(profile: DegreeProfile):
+    """The chart on E1 after the origin blow-up, as (roles, tags, generators):
+    the exceptional coordinate z0 tagged (a = d_1, k = n - 1) and the strict
+    transforms z1..zr, with generators z0^{d_j} z_j.  The plain coordinates
+    never carry an exponent and are left out."""
+    r = profile.r
+    roles = [EXCEPTIONAL] + [STRICT] * r
+    tags = [(profile.degrees[0], profile.n - 1)] + [None] * r
+    ideal = [(d,) + (0,) * (j - 1) + (1,) + (0,) * (r - j) for j, d in enumerate(profile.degrees, 1)]
+    return roles, tags, ideal
 
 
-def _climb(state: ChartState, e: Sequence[int], cum: Sequence[int], vj_checks: list):
-    """Run the main chain's blow-ups and yield (center, chart) after each,
-    following the chart that keeps the exceptional coordinate z0.
+def _climb(
+    roles: list[str], tags: list, ideal: list[tuple[int, ...]], e: Sequence[int], cum: Sequence[int],
+    vj_checks: list,
+):
+    """Run the main chain's blow-ups from the chart (``roles``, ``tags``,
+    ``ideal``) of :func:`_start_chart`, and yield after each the chart that
+    keeps the exceptional coordinate z0, as (center, names, tags, ideal,
+    texts): the names of the centre, then the chart's coordinate names, tags,
+    generators and rendered generators.  Its roles stay ``roles``, since z0
+    is exceptional from the start.
 
     ``e`` holds the distinct degrees in increasing order and ``cum[l]`` the
-    number of degrees at most ``e[l]``.  A blow-up of level l is centred on
-    z0 and z1..zq, q = cum[l-1]; there are e_l - e_{l-1} of them.
-    :func:`blowup_chart` returns the z0 chart first.  Every other chart, of
-    pivot p, must be principal with a generator g* supported on its
-    exceptional coordinates z0 and z_p; each is recorded in ``vj_checks``
-    under the name of the divisor just made, E2 onwards.
+    number of degrees at most ``e[l]``.  A blow-up of level l is one
+    :func:`_blowup` centred on z0 and z1..zq, q = cum[l-1]; there are
+    e_l - e_{l-1} of them, and the coordinate names of each are made once
+    for all its charts.  Every chart other than the z0 one, of pivot p,
+    must be principal with a generator g* supported on its exceptional
+    coordinates z0 and z_p; each is recorded in ``vj_checks`` under the name
+    of the divisor just made, E2 onwards, with g*'s text read from the
+    chart's rendered generators.
 
     The same chart of the side chain of a level m >= l (see
     :func:`_side_chain`) holds this chart's first cum[m-1] generators, cut
@@ -322,25 +339,34 @@ def _climb(state: ChartState, e: Sequence[int], cum: Sequence[int], vj_checks: l
     that chart is principal with generator g* too; as ``cum`` and ``e`` rise
     with the level, this one comparison covers every side chain.
     """
+    names = _names(0, len(roles))
     blowup_levels = [level for level in range(1, len(e)) for _ in range(e[level] - e[level - 1])]
-    for divisor, level in enumerate(blowup_levels, 2):
+    for depth, level in enumerate(blowup_levels, 1):
         q = cum[level - 1]
-        center = tuple(c.name for c in state.coords[: q + 1])
-        state, *others = blowup_chart(state, center)
-        for chart in others:
-            gmin = _principal_exceptional_generator(chart)
-            generator = chart.render_monomial(gmin)
-            if gmin not in chart.ideal[:q] or max(gmin[0], gmin[chart.born_pivot_index]) > e[level]:
+        center = tuple(names[: q + 1])
+        a, k, charts = _blowup(ideal, tags, q + 1)
+        names = _names(depth, len(roles))
+        for p in range(1, q + 1):
+            chart = charts[p]
+            texts = _render(names, chart)
+            chart_roles = roles[:p] + [EXCEPTIONAL] + roles[p + 1 :]
+            star = _principal_exceptional_generator(names, chart_roles, chart, texts)
+            if star >= q or max(chart[star][0], chart[star][p]) > e[level]:
                 raise ResolutionError(
-                    f"level {level}: {generator} does not divide the {chart.born_pivot} side chart"
+                    f"level {level}: {texts[star]} does not divide the {center[p]} side chart"
                 )
-            vj_checks.append(VjCheck(f"E{divisor}", chart.born_pivot, chart.render_ideal(), generator))
-        yield center, state
+            vj_checks.append(VjCheck(f"E{depth + 1}", center[p], _ideal_text(texts), texts[star]))
+        ideal = charts[0]
+        tags = [(a, k)] + tags[1:]
+        yield center, names, tags, ideal, _render(names, ideal)
 
 
-def _side_chain(chain: Sequence[ChartState], e: Sequence[int], cum: Sequence[int], level: int) -> Case3Report:
+def _side_chain(
+    chain: Sequence[tuple], roles: Sequence[str], e: Sequence[int], cum: Sequence[int], level: int
+) -> Case3Report:
     """The side chain at ``level``, read off ``chain``, the main chain's
-    followed charts (``e`` and ``cum`` as in :func:`_climb`).
+    followed charts as (names, generators, rendered generators), of roles
+    ``roles`` (``e`` and ``cum`` as in :func:`_climb`).
 
     It starts from z1..zq, the strict transforms of the lower levels
     (q = cum[level-1]), and z0^power (power = e_level), and runs the main
@@ -349,24 +375,27 @@ def _side_chain(chain: Sequence[ChartState], e: Sequence[int], cum: Sequence[int
     the main chain carries the first q generators along; the z0 chart keeps
     z0^power, its total over the centre.  So step t is main chart t cut to
     its first q+1 coordinates and first q generators, followed by z0^power.
-    :func:`_climb` checks the other charts; the last chart must be
-    generated by z0^power.
+    A main generator is supported on z0 and z_j, j <= q, so its cut keeps
+    the main chart's text; a cut that differs from the full generator is
+    rendered.  :func:`_climb` checks the other charts; the last chart must
+    be generated by z0^power.
     """
     q, power = cum[level - 1], e[level]
     pure = (power,) + (0,) * q
     steps = []
-    for chart in chain[: 1 + power - e[0]]:
-        names = chart.names()[: q + 1]
-        gens = [g[: q + 1] for g in chart.ideal[:q]] + [pure]
-        steps.append("(" + ", ".join([_render_monomial(names, g) for g in gens]) + ")")
-    last = ChartState(chart.coords[: q + 1], gens)
-    gmin = _principal_exceptional_generator(last)
-    if gmin != pure:
+    for names, ideal, texts in chain[: 1 + power - e[0]]:
+        names = names[: q + 1]
+        cut = [_render(names, [g])[0] if any(g[q + 1 :]) else text for g, text in zip(ideal[:q], texts)]
+        cut += _render(names, [pure])
+        steps.append(_ideal_text(cut))
+    gens = [g[: q + 1] for g in ideal[:q]] + [pure]
+    star = _principal_exceptional_generator(names, roles[: q + 1], gens, cut)
+    if gens[star] != pure:
         raise ResolutionError(
-            f"side chain at level {level} ended in {last.render_monomial(gmin)}, "
+            f"side chain at level {level} ended in {cut[star]}, "
             f"expected the exceptional coordinate to the power {power}"
         )
-    return Case3Report(level=level, steps=tuple(steps), principal=last.render_monomial(gmin))
+    return Case3Report(level=level, steps=tuple(steps), principal=cut[star])
 
 
 def _factorization_witness(state: ChartState, profile: DegreeProfile) -> FactorizationWitness:
@@ -374,7 +403,7 @@ def _factorization_witness(state: ChartState, profile: DegreeProfile) -> Factori
     # divisorial part: the common exceptional exponents; everything else must
     # be accounted for by the residual shape checks below
     common = tuple(m if c.role == EXCEPTIONAL else 0 for m, c in zip(_componentwise_min(gens), state.coords))
-    residual = [tuple(g[i] - common[i] for i in range(len(common))) for g in gens]
+    residual = [tuple(map(operator.sub, g, common)) for g in gens]
     seen = set()
     for res in residual:
         support = [i for i, exp in enumerate(res) if exp]
@@ -386,14 +415,12 @@ def _factorization_witness(state: ChartState, profile: DegreeProfile) -> Factori
         seen.add(i)
     if len(seen) != profile.r:
         raise ResolutionError("residual generators do not span r distinct coordinates")
-    return FactorizationWitness(
-        common=state.render_monomial(common),
-        residual=tuple(state.render_monomial(res) for res in residual),
-    )
+    common_text, *residual_texts = _render(state.names(), [common, *residual])
+    return FactorizationWitness(common=common_text, residual=tuple(residual_texts))
 
 
 # The most chart entries one resolution may build, and what one chart counts
-# for beyond its entries (its own upkeep: the chart, its coordinates, its text).
+# for beyond its entries (its own upkeep: its names, its generator list, its text).
 # A profile over the budget is rejected before any chart is built.
 RESOLVE_BUDGET = 10**8
 _CHART_UPKEEP = 400
@@ -435,21 +462,30 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     factorization witness is asserted.  A profile over the work budget
     (:func:`_check_resolution_budget`) raises ``ValueError`` before any
     chart is built.
+
+    The main chain runs on generator tuples (:func:`_start_chart`, then
+    :func:`_climb`, one :func:`_blowup` per blow-up), and each of its
+    charts is kept as (names, generators, rendered generators), from which
+    :func:`_side_chain` reads every side chain.  Only ``terminal`` is built
+    as a :class:`ChartState`.
     """
     _check_resolution_budget(profile)
     n = profile.n
     levels, e, cum = _levels(profile)
     mode = LOG_RESOLUTION if profile.r == n else STRONG_FACTORIZING
 
-    chain = [_start_chart(profile)]
-    rows = [LedgerRow("E1", profile.degrees[0], n - 1)]
-    trace = [TraceStep("origin", None, "E1", profile.degrees[0], n - 1, chain[0].render_ideal())]
+    roles, tags, ideal = _start_chart(profile)
+    names = _names(0, len(roles))
+    texts = _render(names, ideal)
+    chain = [(names, ideal, texts)]
+    rows = [LedgerRow("E1", *tags[0])]
+    trace = [TraceStep("origin", None, "E1", rows[0].a, rows[0].k, _ideal_text(texts))]
     vj_checks: list[VjCheck] = []
-    for center, state in _climb(chain[0], e, cum, vj_checks):
-        chain.append(state)
-        row = LedgerRow(f"E{len(rows) + 1}", state.coords[0].a, state.coords[0].k)
+    for center, names, tags, ideal, texts in _climb(roles, tags, ideal, e, cum, vj_checks):
+        chain.append((names, ideal, texts))
+        row = LedgerRow(f"E{len(rows) + 1}", *tags[0])
         rows.append(row)
-        trace.append(TraceStep(center, center[0], row.divisor, row.a, row.k, state.render_ideal()))
+        trace.append(TraceStep(center, center[0], row.divisor, row.a, row.k, _ideal_text(texts)))
 
     # one divisor, and so one blow-up, per degree step: this also checks blowup_count
     expected_a = list(range(e[0], e[-1] + 1))
@@ -459,8 +495,12 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     if any(ks[i] >= ks[i + 1] for i in range(len(ks) - 1)):
         raise ResolutionError(f"discrepancies not strictly increasing: {ks}")
 
-    witness = _factorization_witness(chain[-1], profile) if mode == STRONG_FACTORIZING else None
-    case3 = tuple(_side_chain(chain, e, cum, level) for level in range(1, len(e)))
+    # the last chart of the main chain, through the public checks
+    coords = [Coordinate(name, role, *(tag or (None, None))) for name, role, tag in zip(names, roles, tags)]
+    pivot = trace[-1].pivot
+    terminal = ChartState(coords, ideal, len(chain) - 1, pivot, None if pivot is None else 0)
+    witness = _factorization_witness(terminal, profile) if mode == STRONG_FACTORIZING else None
+    case3 = tuple(_side_chain(chain, roles, e, cum, level) for level in range(1, len(e)))
 
     ledger = DivisorLedger(tuple(rows))
     return ResolutionReport(
@@ -474,7 +514,7 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
         trace=tuple(trace),
         case3=case3,
         vj_checks=tuple(vj_checks),
-        terminal=chain[-1],
+        terminal=terminal,
     )
 
 

@@ -28,7 +28,13 @@ ran before its single-pass reader: a token list walked by ``peek`` and
 non-ASCII digits the reader rejects, so it is an oracle for ASCII text only.
 The argparse oracle is the argv parser the CLI ran before it read argv from
 its command table: ``build_parser`` and ``_flag_request`` as they were, over
-the flag options and text readers the request keys had then.
+the flag options and text readers the request keys had then.  The candidate
+oracle adds ``Fraction`` terms one by one, where the library builds each
+candidate from integers over a common denominator.  The chart oracle is the
+resolution the library ran before its chain ran on generator tuples:
+``blowup_chart`` makes every chart a ``ChartState`` of fresh
+``Coordinate`` objects, each ideal is rendered from its chart, and each
+side chain is rendered again from the cut charts.
 """
 
 from __future__ import annotations
@@ -40,10 +46,11 @@ import itertools
 import re
 from fractions import Fraction
 from functools import cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from minexp import cli
 from minexp.cli import _TABLE, InputError
+from minexp.exponent import DegreeProfile, ExponentTable, _as_fraction
 from minexp.poly import (
     Poly,
     PolyParseError,
@@ -55,9 +62,28 @@ from minexp.poly import (
 )
 from minexp.resolution import (
     COMPLEMENTARY_BRANCH,
+    EXCEPTIONAL,
     LCT_BRANCH,
+    LOG_RESOLUTION,
+    STRICT,
+    STRONG_FACTORIZING,
+    Case3Report,
+    ChartState,
+    Coordinate,
     DescentChainReport,
+    DivisorLedger,
+    LedgerRow,
+    ResolutionError,
+    ResolutionReport,
+    TraceStep,
     ValuationScanReport,
+    VjCheck,
+    _check_chart,
+    _check_resolution_budget,
+    _componentwise_min,
+    _factorization_witness,
+    _letter,
+    _levels,
     descent_chain,
 )
 
@@ -408,6 +434,33 @@ def probe_by_line_scan(fs, field_size: int, limit: int = 100_000) -> ProbeReport
     return ProbeReport("PASS", q, q ** len(xs) - 1)
 
 
+def exponent_candidates_by_fractions(w, degrees: Sequence) -> ExponentTable:
+    """:func:`minexp.exponent.exponent_candidates` in a chain of ``Fraction``
+    additions, as the library computed it before its integer kernel."""
+    w = _as_fraction(w)
+    ds = [_as_fraction(d) for d in degrees]
+    if not ds:
+        raise ValueError("degree list must be nonempty")
+    if any(d <= 0 for d in ds):
+        raise ValueError(f"degrees must be positive, got {degrees}")
+    if ds != sorted(ds):
+        raise ValueError(f"degrees must be sorted ascending, got {degrees}")
+    values = []
+    prefix = Fraction(0)
+    pivot = len(ds)
+    found = False
+    for i, d in enumerate(ds, 1):
+        prefix += d
+        values.append(i + (w - prefix) / d)
+        if not found and prefix > w:
+            pivot = i
+            found = True
+    minimum = min(values)
+    if values[pivot - 1] != minimum:  # pivot rule always lands on the minimum
+        raise AssertionError(f"pivot {pivot} misses the minimum for w={w}, degrees={degrees}")
+    return ExponentTable(tuple(values), pivot, minimum)
+
+
 def descent_chain_by_fractions(profile, u) -> DescentChainReport:
     """The descent chain of :func:`minexp.resolution.descent_chain` in plain
     ``Fraction`` arithmetic, for input that already passed its checks."""
@@ -697,3 +750,210 @@ def read_argv_by_argparse(argv: list[str]):
     except InputError as err:
         return "error", str(err)
     return "ok", args.command, args.json, {key: value for key, value in request.items() if value is not None}
+
+
+# ---------------------------------------------------------------------------
+# the resolution on ChartState charts
+
+
+def _render_monomial(names: Sequence[str], g: Sequence[int]) -> str:
+    return "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, g) if e > 0]) or "1"
+
+
+def _derived(coords, ideal, depth, born_pivot, born_pivot_index) -> ChartState:
+    """A chart of :func:`blowup_chart`, which runs the chart checks once per blow-up."""
+    chart = object.__new__(ChartState)
+    chart.__dict__.update(
+        coords=coords, ideal=ideal, depth=depth, born_pivot=born_pivot, born_pivot_index=born_pivot_index
+    )
+    return chart
+
+
+def blowup_chart(state: ChartState, center: Iterable[str]) -> list[ChartState]:
+    """Transform a monomial ideal under the blow-up of a coordinate subspace.
+
+    Returns one chart per pivot coordinate of the center, in coordinate
+    order.  In the pivot chart every generator's pivot exponent becomes the
+    sum of its exponents over the center; all other exponents are unchanged.
+    The pivot coordinate becomes the new exceptional divisor, tagged with
+
+        a = min over transformed generators of the pivot exponent,
+        k = (|center| - 1) + sum of k over exceptional coordinates in center,
+
+    while the remaining center coordinates keep their roles (they cut the
+    strict transforms of whatever they cut before).
+    """
+    center = tuple(dict.fromkeys(center))
+    names = state.names()
+    for name in center:
+        if name not in names:
+            raise ValueError(f"center coordinate {name!r} is not in the chart")
+    if len(center) < 2:
+        raise ValueError("center must contain at least two coordinates")
+    # Every chart holds these coordinates off its pivot, and the parent's generators with the
+    # pivot exponent set to their total over the center: one check of both covers every chart.
+    letter = _letter(state.depth + 1)
+    coords = tuple([Coordinate(f"{letter}{i}", c.role, c.a, c.k) for i, c in enumerate(state.coords)])
+    _check_chart(coords, state.ideal)
+    center_idx = [i for i, name in enumerate(names) if name in center]
+    k_new = (len(center) - 1) + sum([coords[i].k for i in center_idx if coords[i].role == EXCEPTIONAL])
+    totals = [sum(map(g.__getitem__, center_idx)) for g in state.ideal]
+    a_new = min(totals, default=0)
+    columns = list(zip(*state.ideal))
+    return [
+        _derived(
+            coords[:p] + (Coordinate(coords[p].name, EXCEPTIONAL, a_new, k_new),) + coords[p + 1 :],
+            tuple(zip(*columns[:p], totals, *columns[p + 1 :])),
+            state.depth + 1,
+            names[p],
+            p,
+        )
+        for p in center_idx
+    ]
+
+
+
+def _principal_exceptional_generator(state: ChartState) -> tuple[int, ...]:
+    """The componentwise minimum must itself be a generator (the ideal is
+    principal) and be supported on exceptional coordinates only."""
+    if not state.ideal:
+        raise ResolutionError(f"empty ideal in chart {state.names()}")
+    gmin = _componentwise_min(state.ideal)
+    if gmin not in state.ideal:
+        raise ResolutionError(f"ideal {state.render_ideal()} is not principal")
+    if any(c.role != EXCEPTIONAL for c in itertools.compress(state.coords, gmin)):
+        raise ResolutionError(
+            f"principal generator {state.render_monomial(gmin)} is not exceptional-supported"
+        )
+    return gmin
+
+
+def _start_chart(profile: DegreeProfile) -> ChartState:
+    """The chart on E1 after the origin blow-up: the exceptional coordinate
+    z0 tagged (a = d_1, k = n - 1) and the strict transforms z1..zr, with
+    generators z0^{d_j} z_j.  The plain coordinates never carry an exponent
+    and are left out."""
+    degrees, r = profile.degrees, profile.r
+    coords = [Coordinate("z0", EXCEPTIONAL, degrees[0], profile.n - 1)]
+    coords += [Coordinate(f"z{j}", STRICT) for j in range(1, r + 1)]
+    gens = [(degrees[j - 1],) + tuple(int(i == j) for i in range(1, r + 1)) for j in range(1, r + 1)]
+    return ChartState(tuple(coords), tuple(gens))
+
+
+def _climb(state: ChartState, e: Sequence[int], cum: Sequence[int], vj_checks: list):
+    """Run the main chain's blow-ups and yield (center, chart) after each,
+    following the chart that keeps the exceptional coordinate z0.
+
+    ``e`` holds the distinct degrees in increasing order and ``cum[l]`` the
+    number of degrees at most ``e[l]``.  A blow-up of level l is centred on
+    z0 and z1..zq, q = cum[l-1]; there are e_l - e_{l-1} of them.
+    :func:`blowup_chart` returns the z0 chart first.  Every other chart, of
+    pivot p, must be principal with a generator g* supported on its
+    exceptional coordinates z0 and z_p; each is recorded in ``vj_checks``
+    under the name of the divisor just made, E2 onwards.
+
+    The same chart of the side chain of a level m >= l (see
+    :func:`_side_chain`) holds this chart's first cum[m-1] generators, cut
+    to z0..z_{cum[m-1]}, and z0^{e_m} z_p^{e_m}.  If g* is among the first
+    q generators and g*[0], g*[p] <= e_l, then g* divides all of them, so
+    that chart is principal with generator g* too; as ``cum`` and ``e`` rise
+    with the level, this one comparison covers every side chain.
+    """
+    blowup_levels = [level for level in range(1, len(e)) for _ in range(e[level] - e[level - 1])]
+    for divisor, level in enumerate(blowup_levels, 2):
+        q = cum[level - 1]
+        center = tuple(c.name for c in state.coords[: q + 1])
+        state, *others = blowup_chart(state, center)
+        for chart in others:
+            gmin = _principal_exceptional_generator(chart)
+            generator = chart.render_monomial(gmin)
+            if gmin not in chart.ideal[:q] or max(gmin[0], gmin[chart.born_pivot_index]) > e[level]:
+                raise ResolutionError(
+                    f"level {level}: {generator} does not divide the {chart.born_pivot} side chart"
+                )
+            vj_checks.append(VjCheck(f"E{divisor}", chart.born_pivot, chart.render_ideal(), generator))
+        yield center, state
+
+
+def _side_chain(chain: Sequence[ChartState], e: Sequence[int], cum: Sequence[int], level: int) -> Case3Report:
+    """The side chain at ``level``, read off ``chain``, the main chain's
+    followed charts (``e`` and ``cum`` as in :func:`_climb`).
+
+    It starts from z1..zq, the strict transforms of the lower levels
+    (q = cum[level-1]), and z0^power (power = e_level), and runs the main
+    chain's blow-ups of levels 1..``level``.  Every chart map is monomial
+    and acts on each generator alone, and these centres use only z0..zq, so
+    the main chain carries the first q generators along; the z0 chart keeps
+    z0^power, its total over the centre.  So step t is main chart t cut to
+    its first q+1 coordinates and first q generators, followed by z0^power.
+    :func:`_climb` checks the other charts; the last chart must be
+    generated by z0^power.
+    """
+    q, power = cum[level - 1], e[level]
+    pure = (power,) + (0,) * q
+    steps = []
+    for chart in chain[: 1 + power - e[0]]:
+        names = chart.names()[: q + 1]
+        gens = [g[: q + 1] for g in chart.ideal[:q]] + [pure]
+        steps.append("(" + ", ".join([_render_monomial(names, g) for g in gens]) + ")")
+    last = ChartState(chart.coords[: q + 1], gens)
+    gmin = _principal_exceptional_generator(last)
+    if gmin != pure:
+        raise ResolutionError(
+            f"side chain at level {level} ended in {last.render_monomial(gmin)}, "
+            f"expected the exceptional coordinate to the power {power}"
+        )
+    return Case3Report(level=level, steps=tuple(steps), principal=last.render_monomial(gmin))
+
+
+
+def simulate_resolution_by_charts(profile: DegreeProfile) -> ResolutionReport:
+    """Drive the scripted blow-up sequence and collect the divisor ledger.
+
+    For codimension r < n this is a strong factorizing resolution and the
+    terminal chart must factor as (exceptional monomial) * (r coordinates);
+    for r = n the same bookkeeping runs in log-resolution mode and no
+    factorization witness is asserted.  A profile over the work budget
+    (:func:`_check_resolution_budget`) raises ``ValueError`` before any
+    chart is built.
+    """
+    _check_resolution_budget(profile)
+    n = profile.n
+    levels, e, cum = _levels(profile)
+    mode = LOG_RESOLUTION if profile.r == n else STRONG_FACTORIZING
+
+    chain = [_start_chart(profile)]
+    rows = [LedgerRow("E1", profile.degrees[0], n - 1)]
+    trace = [TraceStep("origin", None, "E1", profile.degrees[0], n - 1, chain[0].render_ideal())]
+    vj_checks: list[VjCheck] = []
+    for center, state in _climb(chain[0], e, cum, vj_checks):
+        chain.append(state)
+        row = LedgerRow(f"E{len(rows) + 1}", state.coords[0].a, state.coords[0].k)
+        rows.append(row)
+        trace.append(TraceStep(center, center[0], row.divisor, row.a, row.k, state.render_ideal()))
+
+    # one divisor, and so one blow-up, per degree step: this also checks blowup_count
+    expected_a = list(range(e[0], e[-1] + 1))
+    if [row.a for row in rows] != expected_a:
+        raise ResolutionError(f"ledger multiplicities {[r.a for r in rows]} != {expected_a}")
+    ks = [row.k for row in rows]
+    if any(ks[i] >= ks[i + 1] for i in range(len(ks) - 1)):
+        raise ResolutionError(f"discrepancies not strictly increasing: {ks}")
+
+    witness = _factorization_witness(chain[-1], profile) if mode == STRONG_FACTORIZING else None
+    case3 = tuple(_side_chain(chain, e, cum, level) for level in range(1, len(e)))
+
+    ledger = DivisorLedger(tuple(rows))
+    return ResolutionReport(
+        profile=profile,
+        mode=mode,
+        levels=levels,
+        ledger=ledger,
+        lower_bound=ledger.lower_bound,
+        blowup_count=len(rows),
+        witness=witness,
+        trace=tuple(trace),
+        case3=case3,
+        vj_checks=tuple(vj_checks),
+        terminal=chain[-1],
+    )

@@ -353,7 +353,7 @@ def test_resolve_over_the_budget_exits_input(capsys, monkeypatch):
         raise AssertionError("a chart was built")
 
     monkeypatch.setattr(rs, "_start_chart", charts)
-    monkeypatch.setattr(rs, "blowup_chart", charts)
+    monkeypatch.setattr(rs, "_blowup", charts)
     for degrees in ["2,100000000", "2," + "9" * 4000, ",".join(["2"] * 20_000)]:
         argv = ["resolve", "--n", "20000", "--degrees", degrees]
         assert main(argv) == EXIT_INPUT

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from _oracles import exponent_candidates_by_fractions
 from minexp.exponent import (
     INFINITY,
     DegreeProfile,
@@ -58,6 +59,36 @@ def test_candidates_validation():
         exponent_candidates(4, [3, 2])
     with pytest.raises(ValueError):
         exponent_candidates(4, [0, 2])
+
+
+def _outcome(candidates, w, degrees):
+    try:
+        return candidates(w, degrees)
+    except (ValueError, TypeError) as error:
+        return type(error), str(error)
+
+
+def test_candidates_match_the_fraction_oracle():
+    # random rational w and degrees, as Fraction, int and str, over mixed
+    # denominators; now and then a list that is empty, unsorted, not positive
+    # or holds a float, so that every error text and its order is compared
+    kinds = ["table", "degree list must be nonempty", "degrees must be positive", "degrees must be sorted",
+             "floating-point value"]
+    rng = random.Random(18)
+    seen = set()
+    for _ in range(4000):
+        degrees = sorted(F(rng.randint(-3, 40), rng.randint(1, 9)) for _ in range(rng.randint(0, 6)))
+        if rng.random() < 0.1:
+            rng.shuffle(degrees)
+        degrees = [rng.choice([d, str(d), d.numerator if d.denominator == 1 else d]) for d in degrees]
+        if degrees and rng.random() < 0.02:
+            degrees[rng.randrange(len(degrees))] = 2.0
+        w = rng.choice([F(rng.randint(-30, 200), rng.randint(1, 12)), rng.randint(-5, 60), "7/3", 6.0])
+        outcome = _outcome(exponent_candidates, w, degrees)
+        assert outcome == _outcome(exponent_candidates_by_fractions, w, degrees), (w, degrees)
+        text = outcome[1] if isinstance(outcome, tuple) else "table"
+        seen.update(kind for kind in kinds if text.startswith(kind))
+    assert seen == set(kinds), seen
 
 
 def _random_profile(rng):

@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import parse_poly_by_tokens, probe_by_affine_scan, probe_by_line_scan, rank_by_elimination
+from minexp import poly
 from minexp.exponent import WeightedProfile
 from minexp.newton import MonomialSupport
 from minexp.poly import (
     Poly,
     PolyParseError,
+    _eval_power_terms,
     _rank,
     _weighted_order,
     parse_poly,
@@ -442,36 +445,36 @@ def _forms(texts, names):
     return [parse_poly(text, names) for text in texts]
 
 
-@pytest.mark.parametrize(
-    "texts, names, q, verdict, point, checked",
-    [
-        # one variable: no free prefix, only the line of (1,)
-        (["x1^2"], ["x1"], 3, "PASS", None, 2),
-        (["3*x1"], ["x1"], 3, "FAIL", (1,), 1),  # zero mod 3, so singular at every point
-        # the last variable absent from a form, and in every term of one
-        (["x1^2 + x2^2"], ["x1", "x2", "x3"], 5, "FAIL", (0, 0, 1), 1),
-        (["x1*x3 + x2*x3"], ["x1", "x2", "x3"], 5, "FAIL", (1, 4, 0), 45),
-        (["x1*x3 - x2^2", "x3"], ["x1", "x2", "x3"], 7, "FAIL", (1, 0, 0), 49),
-        # two forms vanishing at different last coordinates of the prefix (1,):
-        # x2 - x1 at t = 1 (transverse), (x2 - 2*x1)^2 at t = 2 (singular)
-        (["x2 - x1", "x2^2 - 4*x1*x2 + 4*x1^2"], ["x1", "x2"], 5, "FAIL", (1, 2), 7),
-        (["x2 - x1", "x2 - 2*x1"], ["x1", "x2"], 5, "PASS", None, 24),
-        # the first input vanishes at t = 9, the second at t = 1: (1, 1) comes first
-        (["x2^2 - 18*x1*x2 + 81*x1^2", "x2^2 - 2*x1*x2 + x1^2"], ["x1", "x2"], 11, "FAIL", (1, 1), 12),
-        # (0, ..., 0, 1): transverse on x1*(x1 + x2), singular on x1^2
-        (["x1^2 + x1*x2"], ["x1", "x2"], 5, "PASS", None, 24),
-        (["x1^2"], ["x1", "x2", "x3", "x4"], 3, "FAIL", (0, 0, 0, 1), 1),
-        # singular only on the last line: (1, 4) of F_5^2, and (1, 2, 2) of F_3^3,
-        # where the lines x2 = -x1 and x3 = -x1 of (x2 + x1)*(x3 + x1) meet
-        (["x1^2 + 2*x1*x2 + x2^2"], ["x1", "x2"], 5, "FAIL", (1, 4), 9),
-        (["x2*x3 + x1*x2 + x1*x3 + x1^2"], ["x1", "x2", "x3"], 3, "FAIL", (1, 2, 2), 17),
-        # q = 2, and q = 13 with four variables
-        (["x1*x2 + x3^2"], ["x1", "x2", "x3"], 2, "PASS", None, 7),
-        (["x1^2 + x2^2 + x3^2 + x4^2"], ["x1", "x2", "x3", "x4"], 2, "FAIL", (0, 0, 1, 1), 3),
-        (["x1^2 + x2^2 + x3^2 + x4^2", "x1 + 2*x2 + 3*x3 + 4*x4"], ["x1", "x2", "x3", "x4"], 13, "PASS", None, 13**4 - 1),
-        (["x1^13 + x2^13 + x3^13 + x4^13"], ["x1", "x2", "x3", "x4"], 13, "FAIL", (0, 0, 1, 12), 25),
-    ],
-)
+PREFIX_CASES = [
+    # one variable: no free prefix, only the line of (1,)
+    (["x1^2"], ["x1"], 3, "PASS", None, 2),
+    (["3*x1"], ["x1"], 3, "FAIL", (1,), 1),  # zero mod 3, so singular at every point
+    # the last variable absent from a form, and in every term of one
+    (["x1^2 + x2^2"], ["x1", "x2", "x3"], 5, "FAIL", (0, 0, 1), 1),
+    (["x1*x3 + x2*x3"], ["x1", "x2", "x3"], 5, "FAIL", (1, 4, 0), 45),
+    (["x1*x3 - x2^2", "x3"], ["x1", "x2", "x3"], 7, "FAIL", (1, 0, 0), 49),
+    # two forms vanishing at different last coordinates of the prefix (1,):
+    # x2 - x1 at t = 1 (transverse), (x2 - 2*x1)^2 at t = 2 (singular)
+    (["x2 - x1", "x2^2 - 4*x1*x2 + 4*x1^2"], ["x1", "x2"], 5, "FAIL", (1, 2), 7),
+    (["x2 - x1", "x2 - 2*x1"], ["x1", "x2"], 5, "PASS", None, 24),
+    # the first input vanishes at t = 9, the second at t = 1: (1, 1) comes first
+    (["x2^2 - 18*x1*x2 + 81*x1^2", "x2^2 - 2*x1*x2 + x1^2"], ["x1", "x2"], 11, "FAIL", (1, 1), 12),
+    # (0, ..., 0, 1): transverse on x1*(x1 + x2), singular on x1^2
+    (["x1^2 + x1*x2"], ["x1", "x2"], 5, "PASS", None, 24),
+    (["x1^2"], ["x1", "x2", "x3", "x4"], 3, "FAIL", (0, 0, 0, 1), 1),
+    # singular only on the last line: (1, 4) of F_5^2, and (1, 2, 2) of F_3^3,
+    # where the lines x2 = -x1 and x3 = -x1 of (x2 + x1)*(x3 + x1) meet
+    (["x1^2 + 2*x1*x2 + x2^2"], ["x1", "x2"], 5, "FAIL", (1, 4), 9),
+    (["x2*x3 + x1*x2 + x1*x3 + x1^2"], ["x1", "x2", "x3"], 3, "FAIL", (1, 2, 2), 17),
+    # q = 2, and q = 13 with four variables
+    (["x1*x2 + x3^2"], ["x1", "x2", "x3"], 2, "PASS", None, 7),
+    (["x1^2 + x2^2 + x3^2 + x4^2"], ["x1", "x2", "x3", "x4"], 2, "FAIL", (0, 0, 1, 1), 3),
+    (["x1^2 + x2^2 + x3^2 + x4^2", "x1 + 2*x2 + 3*x3 + 4*x4"], ["x1", "x2", "x3", "x4"], 13, "PASS", None, 13**4 - 1),
+    (["x1^13 + x2^13 + x3^13 + x4^13"], ["x1", "x2", "x3", "x4"], 13, "FAIL", (0, 0, 1, 12), 25),
+]
+
+
+@pytest.mark.parametrize("texts, names, q, verdict, point, checked", PREFIX_CASES)
 def test_probe_by_prefix_cases(texts, names, q, verdict, point, checked):
     fs = _forms(texts, names)
     report = probe_transversality(fs, q)
@@ -479,6 +482,34 @@ def test_probe_by_prefix_cases(texts, names, q, verdict, point, checked):
     assert report.verdict == verdict
     assert report.points_checked == checked
     assert (report.witness and report.witness.point) == point
+
+
+def test_independence_check_matches_gauss_jordan(monkeypatch):
+    # with one vanishing input the gradient is evaluated only up to its first
+    # nonzero entry; the answer is the full row's Gauss-Jordan rank, on the
+    # prefix cases and on random forms
+    independent = poly._independent
+    seen = Counter()
+
+    def checked(grads, vanishing, point, q):
+        answer = independent(grads, vanishing, point, q)
+        rows = [[_eval_power_terms(gm, point, q) for gm in grads[i]] for i in vanishing]
+        rank = rank_by_elimination(rows, lambda x: pow(x, -1, q), lambda x: x % q)
+        assert answer == (rank == len(vanishing)), (point, vanishing)
+        seen[len(vanishing) == 1, answer] += 1
+        return answer
+
+    monkeypatch.setattr(poly, "_independent", checked)
+    cases = [(_forms(texts, names), q) for texts, names, q, *_ in PREFIX_CASES]
+    rng = random.Random(7)
+    for _ in range(60):
+        q, n = rng.choice([(2, 3), (3, 3), (5, 2), (5, 3), (7, 2), (11, 2)])
+        names = [f"x{i}" for i in range(1, n + 1)]
+        cases.append(([_random_form(rng, names, q) for _ in range(rng.randint(1, 2))], q))
+    for fs, q in cases:
+        if not any(f.is_zero() for f in fs):
+            probe_transversality(fs, q)
+    assert set(seen) == {(True, True), (True, False), (False, True), (False, False)}, seen
 
 
 def test_probe_by_prefix_inconclusive_cases():

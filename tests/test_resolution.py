@@ -11,7 +11,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import chain_grid_by_points, descent_chain_by_fractions, valuation_scan_by_grid
+import _oracles
+from _oracles import (
+    blowup_chart,
+    chain_grid_by_points,
+    descent_chain_by_fractions,
+    simulate_resolution_by_charts,
+    valuation_scan_by_grid,
+)
 from minexp import resolution as rs
 from minexp.cli import EXIT_OK, main
 from minexp.exponent import (
@@ -31,7 +38,6 @@ from minexp.resolution import (
     Coordinate,
     DivisorLedger,
     LedgerRow,
-    blowup_chart,
     descent_chain,
     descent_chain_grid,
     simulate_resolution,
@@ -181,8 +187,38 @@ def _assert_public_checks_pass(charts):
 
 
 def _blowups_of_resolution(profile, monkeypatch):
-    """The charts of each blowup_chart call made while ``profile`` is
-    resolved, one list per call."""
+    """The charts of each blow-up step made while ``profile`` is resolved,
+    one list per step, each chart rebuilt through the public ChartState and
+    Coordinate: the step's generators for each pivot, under the names of
+    the step's depth, with the parent's tags and the pivot tagged as the new
+    divisor.  The main chain has no plain coordinate, so an untagged
+    coordinate is strict."""
+    step = rs._blowup
+    calls = []
+
+    def recording(ideal, tags, width):
+        a, k, charts = step(ideal, tags, width)
+        depth = len(calls) + 1
+        names, parent = rs._names(depth, len(tags)), rs._names(depth - 1, len(tags))
+        rebuilt = []
+        for p, chart in enumerate(charts):
+            chart_tags = [(a, k) if i == p else tag for i, tag in enumerate(tags)]
+            coords = [
+                Coordinate(name, STRICT, None, None) if tag is None else Coordinate(name, EXCEPTIONAL, *tag)
+                for name, tag in zip(names, chart_tags)
+            ]
+            rebuilt.append(ChartState(coords, chart, depth, parent[p], p))
+        calls.append(rebuilt)
+        return a, k, charts
+
+    with monkeypatch.context() as patch:
+        patch.setattr(rs, "_blowup", recording)
+        simulate_resolution(profile)
+    return calls
+
+
+def _oracle_blowups(profile, monkeypatch):
+    """The charts of each blowup_chart call of the chart oracle on ``profile``."""
     calls = []
 
     def recording(state, center):
@@ -191,8 +227,8 @@ def _blowups_of_resolution(profile, monkeypatch):
         return charts
 
     with monkeypatch.context() as patch:
-        patch.setattr(rs, "blowup_chart", recording)
-        simulate_resolution(profile)
+        patch.setattr(_oracles, "blowup_chart", recording)
+        simulate_resolution_by_charts(profile)
     return calls
 
 
@@ -202,6 +238,14 @@ def _golden_profiles():
     return [DegreeProfile(6, (2, 3))] + [
         DegreeProfile(int(argv[2]), tuple(map(int, argv[4].split(",")))) for argv in sorted(argvs)
     ]
+
+
+def _c3_grid():
+    """Every profile of the C3 grid: n <= 12, r <= 4, degrees 2..8."""
+    for n in range(1, 13):
+        for r in range(1, min(4, n) + 1):
+            for degrees in itertools.combinations_with_replacement(range(2, 9), r):
+                yield DegreeProfile(n, degrees)
 
 
 def _c3_sample():
@@ -218,19 +262,29 @@ WIDE = DegreeProfile(60, tuple(range(2, 40)))
 
 
 def test_derived_charts_pass_the_public_checks(monkeypatch):
+    # every chart of every blow-up step, rebuilt through the validating
+    # constructors, is the chart oracle's chart of the same blow-up
     profiles = _golden_profiles() + list(_c3_sample()) + [WIDE, DegreeProfile(40, (3, 5, 19, 24))]
     assert len(profiles) == 5 + 3 * 42 + 2
     total = 0
     for profile in profiles:
-        charts = list(itertools.chain.from_iterable(_blowups_of_resolution(profile, monkeypatch)))
-        _assert_public_checks_pass(charts)
-        total += len(charts)
+        charts = _blowups_of_resolution(profile, monkeypatch)
+        assert charts == _oracle_blowups(profile, monkeypatch), profile
+        total += sum(map(len, charts))
     assert total > 1000
+
+
+def test_resolution_matches_the_chart_oracle():
+    # every report field, the terminal chart's coordinates and ideal included
+    profiles = list(_c3_grid()) + _golden_profiles() + [WIDE]
+    assert len(profiles) == 3122 + 5 + 1
+    for profile in profiles:
+        assert simulate_resolution(profile) == simulate_resolution_by_charts(profile), profile
 
 
 @pytest.mark.parametrize("profile", [WIDE, DegreeProfile(24, (2, 2, 4, 7, 7))], ids=["n60", "golden_n24"])
 def test_side_chains_make_no_blowups(monkeypatch, profile):
-    # each side chain is read off the main chain: one blowup_chart call per
+    # each side chain is read off the main chain: one blow-up step per
     # main-chain blow-up after the origin, none replayed
     report = simulate_resolution(profile)
     assert len(report.case3) == len(report.levels) - 1 > 1
@@ -245,10 +299,25 @@ def test_side_chain_check_is_derived_from_the_main_chain():
     # e = [2, 3] the comparison holds with equality.
     start = rs._start_chart(DegreeProfile(6, (2, 3)))
     with pytest.raises(rs.ResolutionError, match=r"^level 1: u0\^2\*u1\^3 does not divide the z1 side chart$"):
-        list(rs._climb(start, [1, 2], [1, 2], []))
+        list(rs._climb(*start, [1, 2], [1, 2], []))
     checks = []
-    assert [center for center, _ in rs._climb(start, [2, 3], [1, 2], checks)] == [("z0", "z1")]
+    assert [center for center, *_ in rs._climb(*start, [2, 3], [1, 2], checks)] == [("z0", "z1")]
     assert [(v.pivot, v.generator) for v in checks] == [("z1", "u0^2*u1^3")]
+
+
+def test_side_chain_renders_its_cuts_and_checks_its_end():
+    # a main generator reaches past z0..zq only in a hand-made chain: its
+    # text cut to z0..zq is rendered, not read from the main chart
+    names = ["z0", "z1", "z2"]
+    chain = [(names, [(3, 1, 1)], ["z0^3*z1*z2"]), (names, [(3, 1, 0)], ["z0^3*z1"])]
+    report = rs._side_chain(chain, [EXCEPTIONAL, STRICT, STRICT], [2, 3], [1, 2], 1)
+    assert report.steps == ("(z0^3*z1, z0^3)", "(z0^3*z1, z0^3)")
+    assert report.principal == "z0^3"
+    # a last chart generated by a lower power of z0 than e_l fails the end check
+    chain[1] = (names, [(2, 0, 1)], ["z0^2*z2"])
+    message = r"^side chain at level 1 ended in z0\^2, expected the exceptional coordinate to the power 3$"
+    with pytest.raises(rs.ResolutionError, match=message):
+        rs._side_chain(chain, [EXCEPTIONAL, STRICT, STRICT], [2, 3], [1, 2], 1)
 
 
 @st.composite
@@ -281,6 +350,13 @@ def test_random_blowups_pass_the_public_checks(case):
         assert (chart.coords[p].a, chart.coords[p].k) == (min(totals, default=0), k)
         others = [(c.role, c.a, c.k) for i, c in enumerate(chart.coords) if i != p]
         assert others == [(c.role, c.a, c.k) for i, c in enumerate(state.coords) if i != p]
+    # the library's step on the centre of the first len(center) coordinates
+    width = len(pivots)
+    tags = [(c.a, c.k) if c.role == EXCEPTIONAL else None for c in state.coords]
+    a, k, ideals = rs._blowup(list(state.ideal), tags, width)
+    charts = blowup_chart(state, state.names()[:width])
+    assert ideals == [list(chart.ideal) for chart in charts]
+    assert [(a, k)] * width == [(chart.coords[p].a, chart.coords[p].k) for p, chart in enumerate(charts)]
 
 
 # --- the scripted resolution ---------------------------------------------------
@@ -401,6 +477,7 @@ def test_c3_wide_route_agreement(profile):
     # C3 (tests/test_acceptance.py) on profiles past its grid: n <= 60, r <= 8, degrees <= 30
     formula = minimal_exponent_cone(profile)
     report = simulate_resolution(profile)
+    assert report == simulate_resolution_by_charts(profile)
     assert report.lower_bound == formula
     assert weighted_upper_bound(WeightedProfile((1,) * profile.n, profile.degrees)) == formula
     # the divisor with a = d_pivot is among the ledger's minimizers (the minimum may be tied)
@@ -588,6 +665,7 @@ def test_resolution_over_the_budget_builds_no_chart(monkeypatch):
         raise AssertionError("a chart was built")
 
     monkeypatch.setattr(rs, "_start_chart", charts)
+    monkeypatch.setattr(rs, "_blowup", charts)
     for profile in [DegreeProfile(4, (2, 10**8)), DegreeProfile(10**5, (2,) * 10**4), DegreeProfile(4, (2, 10**4000))]:
         with pytest.raises(ValueError, match="^resolution exceeds the work budget of 100000000 chart entries$"):
             simulate_resolution(profile)
