@@ -475,7 +475,7 @@ def run_resolve(n: int, degrees: list[int]) -> tuple[dict, int]:
         "blowups": report.blowup_count,
         "ledger": [
             {"divisor": row.divisor, "a": row.a, "k": row.k, "ratio": _rat_json(row.ratio)}
-            for row in report.ledger.rows
+            for row in report.ledger
         ],
         "lower_bound": _rat_json(report.lower_bound),
         "witness": (

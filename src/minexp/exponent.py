@@ -73,6 +73,15 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def _common_denominator(values) -> tuple[list[int], int]:
+    """Integer numerators of ``values`` (ints or Fractions) over their least
+    common denominator, and that denominator."""
+    den = lcm(*[x.denominator for x in values])
+    if den == 1:  # ints, or Fractions of denominator 1: the numerators as they are
+        return [x.numerator for x in values], 1
+    return [x.numerator * (den // x.denominator) for x in values], den
+
+
 def _check_degrees(n, degrees: tuple, least: int) -> None:
     """The checks on an ambient dimension and a degree list that
     :class:`DegreeProfile` (``least`` 2) and :func:`normalize_degree_one`
@@ -154,9 +163,8 @@ def exponent_candidates(w, degrees: Sequence) -> ExponentTable:
     ds = [d if type(d) is int else _as_fraction(d) for d in degrees]
     if not ds:
         raise ValueError("degree list must be nonempty")
-    den = lcm(w.denominator, *[d.denominator for d in ds])
-    total = w.numerator * (den // w.denominator)
-    ms = [d.numerator * (den // d.denominator) for d in ds]
+    nums, _ = _common_denominator([w, *ds])
+    total, ms = nums[0], nums[1:]
     if min(ms) <= 0:
         raise ValueError(f"degrees must be positive, got {degrees}")
     if ms != sorted(ms):

@@ -31,9 +31,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
-from minexp.exponent import _is_int
+from minexp.exponent import _common_denominator, _is_int
 from minexp.poly import Poly
 
 
@@ -116,12 +115,6 @@ class DiagonalResult:
         if min(sum(x * e for x, e in zip(v, p)) for p in pts) * c_den != c_num * v_den:
             return False
         return True
-
-
-def _common_denominator(values):
-    """Integer numerators of ``values`` over their least common denominator."""
-    den = lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values], den
 
 
 # ---------------------------------------------------------------------------

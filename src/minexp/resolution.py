@@ -34,9 +34,9 @@ factorization witness.  The checks stay those of the argument: every chart
 off the main chain is principal, with an exceptional-supported generator
 that divides the matching side-chain chart (:func:`_climb`); every side
 chain ends in z0^{e_l} (:func:`_side_chain`); the ledger's a run through
-the degree steps while its k rise strictly; and the terminal chart, a
-:class:`ChartState` through the public checks, factors as an exceptional
-monomial times r strict coordinates.
+the degree steps while its k rise strictly; and the terminal chart, read
+from the chain's own lists, factors as an exceptional monomial times r
+strict coordinates (:func:`_factorization_witness`).
 
 The module also verifies the valuation inequalities behind the lower bound
 on every tuple of an integer box, and checks the telescoping chain argument
@@ -53,14 +53,13 @@ import itertools
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from minexp.exponent import DegreeProfile, _as_fraction
+from minexp.exponent import DegreeProfile, _as_fraction, _common_denominator
 
 EXCEPTIONAL = "exceptional"
 STRICT = "strict"
-PLAIN = "plain"
 
 STRONG_FACTORIZING = "strong_factorizing"
 LOG_RESOLUTION = "log_resolution"
@@ -82,52 +81,6 @@ class ResolutionError(RuntimeError):
     """An internal chart-calculus invariant failed (a bug, not bad input)."""
 
 
-@dataclass(frozen=True)
-class Coordinate:
-    """A chart coordinate: exceptional ones carry their ledger tags."""
-
-    name: str
-    role: str
-    a: int | None = None
-    k: int | None = None
-
-    def __post_init__(self):
-        if self.role not in (EXCEPTIONAL, STRICT, PLAIN):
-            raise ValueError(f"unknown coordinate role {self.role!r}")
-        if self.role == EXCEPTIONAL:
-            if self.a is None or self.k is None:
-                raise ValueError(f"exceptional coordinate {self.name} needs (a, k) tags")
-            if self.a < 0 or self.k < 0:
-                raise ValueError(f"negative ledger tags on {self.name}")
-        elif self.a is not None or self.k is not None:
-            raise ValueError(f"non-exceptional coordinate {self.name} cannot carry tags")
-
-
-@dataclass(frozen=True)
-class ChartState:
-    """A coordinate chart with a monomial ideal (tuple of exponent vectors)."""
-
-    coords: tuple[Coordinate, ...]
-    ideal: tuple[tuple[int, ...], ...]
-    depth: int = 0
-    born_pivot: str | None = None
-    born_pivot_index: int | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(self.coords))
-        object.__setattr__(self, "ideal", tuple(tuple(g) for g in self.ideal))
-        _check_chart(self.coords, self.ideal)
-
-    def names(self) -> tuple[str, ...]:
-        return tuple([c.name for c in self.coords])
-
-    def render_monomial(self, g: Sequence[int]) -> str:
-        return _render(self.names(), [g])[0]
-
-    def render_ideal(self) -> str:
-        return _ideal_text(_render(self.names(), self.ideal))
-
-
 def _render(names: Sequence[str], gens: Iterable[Sequence[int]]) -> list[str]:
     """The one renderer: the text of each generator in ``gens`` over the
     coordinate ``names``.  Every text of a resolution report comes from it.
@@ -143,23 +96,6 @@ def _render(names: Sequence[str], gens: Iterable[Sequence[int]]) -> list[str]:
 def _ideal_text(texts: Sequence[str]) -> str:
     """An ideal's text from its rendered generators."""
     return "(" + (", ".join(texts) or "0") + ")"
-
-
-def _check_chart(coords: tuple[Coordinate, ...], ideal: tuple[tuple[int, ...], ...]) -> None:
-    names = [c.name for c in coords]
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate coordinate names: {names}")
-    exponents = list(itertools.chain.from_iterable(ideal))
-    if {*map(type, exponents)} <= {int} and min(exponents, default=0) >= 0:
-        if all(len(g) == len(coords) and any(g) for g in ideal):
-            return  # plain ints and every check passed; else the loop names the first failure
-    for g in ideal:
-        if len(g) != len(coords):
-            raise ValueError(f"generator {g} does not match the coordinate count")
-        if not all(map(isinstance, g, itertools.repeat(int))) or min(g, default=0) < 0:
-            raise ValueError(f"generator {g} must have nonnegative integer exponents")
-        if not any(g):
-            raise ValueError("a generator is the unit monomial; not a proper ideal")
 
 
 def _blowup(ideal: Sequence[tuple[int, ...]], tags: Sequence[tuple[int, int] | None], width: int):
@@ -199,23 +135,10 @@ class LedgerRow:
         if self.k < 0:
             raise ValueError(f"discrepancy must be >= 0, got {self.k}")
 
-    @property
+    @cached_property
     def ratio(self) -> Fraction:
+        """(k + 1) / a, built once: the lower bound and the report read the same object."""
         return Fraction(self.k + 1, self.a)
-
-
-@dataclass(frozen=True)
-class DivisorLedger:
-    rows: tuple[LedgerRow, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        if not self.rows:
-            raise ValueError("ledger must be nonempty")
-
-    @property
-    def lower_bound(self) -> Fraction:
-        return min(row.ratio for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -260,21 +183,19 @@ class FactorizationWitness:
 
 @dataclass(frozen=True)
 class ResolutionReport:
-    """The scripted resolution of a profile.  ``terminal`` is the last chart
-    of the main chain; it holds only the exceptional coordinate and the r
-    strict transforms, since the plain coordinates never carry an exponent."""
+    """The scripted resolution of a profile: one ledger row per exceptional
+    divisor, and ``lower_bound`` the least of their ratios."""
 
     profile: DegreeProfile
     mode: str
     levels: tuple[tuple[int, int], ...]  # (degree value, multiplicity), values increasing
-    ledger: DivisorLedger
+    ledger: tuple[LedgerRow, ...]
     lower_bound: Fraction
     blowup_count: int
     witness: FactorizationWitness | None
     trace: tuple[TraceStep, ...]
     case3: tuple[Case3Report, ...]
     vj_checks: tuple[VjCheck, ...]
-    terminal: ChartState
 
 
 def _componentwise_min(gens: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
@@ -398,24 +319,29 @@ def _side_chain(
     return Case3Report(level=level, steps=tuple(steps), principal=cut[star])
 
 
-def _factorization_witness(state: ChartState, profile: DegreeProfile) -> FactorizationWitness:
-    gens = state.ideal
+def _factorization_witness(
+    names: Sequence[str], roles: Sequence[str], ideal: Sequence[tuple[int, ...]], r: int
+) -> FactorizationWitness:
+    """The factorization of the terminal chart, of coordinate ``names`` and
+    ``roles`` and generators ``ideal``: the common exceptional exponents, and
+    a residual per generator that must be one strict coordinate to the first
+    power, r distinct ones in all."""
     # divisorial part: the common exceptional exponents; everything else must
     # be accounted for by the residual shape checks below
-    common = tuple(m if c.role == EXCEPTIONAL else 0 for m, c in zip(_componentwise_min(gens), state.coords))
-    residual = [tuple(map(operator.sub, g, common)) for g in gens]
+    common = tuple(m if role == EXCEPTIONAL else 0 for m, role in zip(_componentwise_min(ideal), roles))
+    residual = [tuple(map(operator.sub, g, common)) for g in ideal]
     seen = set()
     for res in residual:
         support = [i for i, exp in enumerate(res) if exp]
         if len(support) != 1 or res[support[0]] != 1:
             raise ResolutionError(f"residual generator {res} is not a single coordinate")
         i = support[0]
-        if state.coords[i].role != STRICT:
-            raise ResolutionError(f"residual coordinate {state.coords[i].name} is not strict")
+        if roles[i] != STRICT:
+            raise ResolutionError(f"residual coordinate {names[i]} is not strict")
         seen.add(i)
-    if len(seen) != profile.r:
+    if len(seen) != r:
         raise ResolutionError("residual generators do not span r distinct coordinates")
-    common_text, *residual_texts = _render(state.names(), [common, *residual])
+    common_text, *residual_texts = _render(names, [common, *residual])
     return FactorizationWitness(common=common_text, residual=tuple(residual_texts))
 
 
@@ -466,8 +392,8 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     The main chain runs on generator tuples (:func:`_start_chart`, then
     :func:`_climb`, one :func:`_blowup` per blow-up), and each of its
     charts is kept as (names, generators, rendered generators), from which
-    :func:`_side_chain` reads every side chain.  Only ``terminal`` is built
-    as a :class:`ChartState`.
+    :func:`_side_chain` reads every side chain.  The factorization witness
+    reads the last chart's names, roles and generators from the same lists.
     """
     _check_resolution_budget(profile)
     n = profile.n
@@ -495,26 +421,20 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     if any(ks[i] >= ks[i + 1] for i in range(len(ks) - 1)):
         raise ResolutionError(f"discrepancies not strictly increasing: {ks}")
 
-    # the last chart of the main chain, through the public checks
-    coords = [Coordinate(name, role, *(tag or (None, None))) for name, role, tag in zip(names, roles, tags)]
-    pivot = trace[-1].pivot
-    terminal = ChartState(coords, ideal, len(chain) - 1, pivot, None if pivot is None else 0)
-    witness = _factorization_witness(terminal, profile) if mode == STRONG_FACTORIZING else None
+    witness = _factorization_witness(names, roles, ideal, profile.r) if mode == STRONG_FACTORIZING else None
     case3 = tuple(_side_chain(chain, roles, e, cum, level) for level in range(1, len(e)))
 
-    ledger = DivisorLedger(tuple(rows))
     return ResolutionReport(
         profile=profile,
         mode=mode,
         levels=levels,
-        ledger=ledger,
-        lower_bound=ledger.lower_bound,
+        ledger=tuple(rows),
+        lower_bound=min([row.ratio for row in rows]),
         blowup_count=len(rows),
         witness=witness,
         trace=tuple(trace),
         case3=case3,
         vj_checks=tuple(vj_checks),
-        terminal=terminal,
     )
 
 
@@ -662,8 +582,8 @@ def descent_chain(profile: DegreeProfile, u: Sequence) -> DescentChainReport:
     if any(x.numerator < 0 for x in u):
         raise ValueError("entries must be nonnegative")
 
-    den = lcm(*(x.denominator for x in u))
-    m = [dj * den + x.numerator * (den // x.denominator) for dj, x in zip(d, u)]
+    nums, den = _common_denominator(u)
+    m = [dj * den + x for dj, x in zip(d, nums)]
     chain, pairs, checks = _chain(profile, m, den * (n - profile.degree_sum))
     return DescentChainReport(
         u=u,

@@ -34,7 +34,11 @@ candidate from integers over a common denominator.  The chart oracle is the
 resolution the library ran before its chain ran on generator tuples:
 ``blowup_chart`` makes every chart a ``ChartState`` of fresh
 ``Coordinate`` objects, each ideal is rendered from its chart, and each
-side chain is rendered again from the cut charts.
+side chain is rendered again from the cut charts.  The chart classes
+``Coordinate`` and ``ChartState``, with their checks (``_check_chart``) and
+the ``PLAIN`` role, live here, since the library runs on generator tuples
+alone; so does the factorization witness on a ``ChartState``, which checks
+the library's witness on the oracle's terminal chart.
 """
 
 from __future__ import annotations
@@ -43,7 +47,9 @@ import argparse
 import contextlib
 import io
 import itertools
+import operator
 import re
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from typing import Callable, Iterable, NamedTuple, Sequence
@@ -68,22 +74,20 @@ from minexp.resolution import (
     STRICT,
     STRONG_FACTORIZING,
     Case3Report,
-    ChartState,
-    Coordinate,
     DescentChainReport,
-    DivisorLedger,
+    FactorizationWitness,
     LedgerRow,
     ResolutionError,
     ResolutionReport,
     TraceStep,
     ValuationScanReport,
     VjCheck,
-    _check_chart,
     _check_resolution_budget,
     _componentwise_min,
-    _factorization_witness,
+    _ideal_text,
     _letter,
     _levels,
+    _render,
     descent_chain,
 )
 
@@ -755,6 +759,72 @@ def read_argv_by_argparse(argv: list[str]):
 # ---------------------------------------------------------------------------
 # the resolution on ChartState charts
 
+PLAIN = "plain"
+
+
+@dataclass(frozen=True)
+class Coordinate:
+    """A chart coordinate: exceptional ones carry their ledger tags."""
+
+    name: str
+    role: str
+    a: int | None = None
+    k: int | None = None
+
+    def __post_init__(self):
+        if self.role not in (EXCEPTIONAL, STRICT, PLAIN):
+            raise ValueError(f"unknown coordinate role {self.role!r}")
+        if self.role == EXCEPTIONAL:
+            if self.a is None or self.k is None:
+                raise ValueError(f"exceptional coordinate {self.name} needs (a, k) tags")
+            if self.a < 0 or self.k < 0:
+                raise ValueError(f"negative ledger tags on {self.name}")
+        elif self.a is not None or self.k is not None:
+            raise ValueError(f"non-exceptional coordinate {self.name} cannot carry tags")
+
+
+@dataclass(frozen=True)
+class ChartState:
+    """A coordinate chart with a monomial ideal (tuple of exponent vectors)."""
+
+    coords: tuple[Coordinate, ...]
+    ideal: tuple[tuple[int, ...], ...]
+    depth: int = 0
+    born_pivot: str | None = None
+    born_pivot_index: int | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "coords", tuple(self.coords))
+        object.__setattr__(self, "ideal", tuple(tuple(g) for g in self.ideal))
+        _check_chart(self.coords, self.ideal)
+
+    def names(self) -> tuple[str, ...]:
+        return tuple([c.name for c in self.coords])
+
+    def render_monomial(self, g: Sequence[int]) -> str:
+        return _render(self.names(), [g])[0]
+
+    def render_ideal(self) -> str:
+        return _ideal_text(_render(self.names(), self.ideal))
+
+
+def _check_chart(coords: tuple[Coordinate, ...], ideal: tuple[tuple[int, ...], ...]) -> None:
+    names = [c.name for c in coords]
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate coordinate names: {names}")
+    exponents = list(itertools.chain.from_iterable(ideal))
+    if {*map(type, exponents)} <= {int} and min(exponents, default=0) >= 0:
+        if all(len(g) == len(coords) and any(g) for g in ideal):
+            return  # plain ints and every check passed; else the loop names the first failure
+    for g in ideal:
+        if len(g) != len(coords):
+            raise ValueError(f"generator {g} does not match the coordinate count")
+        if not all(map(isinstance, g, itertools.repeat(int))) or min(g, default=0) < 0:
+            raise ValueError(f"generator {g} must have nonnegative integer exponents")
+        if not any(g):
+            raise ValueError("a generator is the unit monomial; not a proper ideal")
+
+
 
 def _render_monomial(names: Sequence[str], g: Sequence[int]) -> str:
     return "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, g) if e > 0]) or "1"
@@ -905,9 +975,28 @@ def _side_chain(chain: Sequence[ChartState], e: Sequence[int], cum: Sequence[int
         )
     return Case3Report(level=level, steps=tuple(steps), principal=last.render_monomial(gmin))
 
+def _factorization_witness(state: ChartState, profile: DegreeProfile) -> FactorizationWitness:
+    gens = state.ideal
+    # divisorial part: the common exceptional exponents; everything else must
+    # be accounted for by the residual shape checks below
+    common = tuple(m if c.role == EXCEPTIONAL else 0 for m, c in zip(_componentwise_min(gens), state.coords))
+    residual = [tuple(map(operator.sub, g, common)) for g in gens]
+    seen = set()
+    for res in residual:
+        support = [i for i, exp in enumerate(res) if exp]
+        if len(support) != 1 or res[support[0]] != 1:
+            raise ResolutionError(f"residual generator {res} is not a single coordinate")
+        i = support[0]
+        if state.coords[i].role != STRICT:
+            raise ResolutionError(f"residual coordinate {state.coords[i].name} is not strict")
+        seen.add(i)
+    if len(seen) != profile.r:
+        raise ResolutionError("residual generators do not span r distinct coordinates")
+    common_text, *residual_texts = _render(state.names(), [common, *residual])
+    return FactorizationWitness(common=common_text, residual=tuple(residual_texts))
 
 
-def simulate_resolution_by_charts(profile: DegreeProfile) -> ResolutionReport:
+def simulate_resolution_by_charts(profile: DegreeProfile) -> tuple[ResolutionReport, ChartState]:
     """Drive the scripted blow-up sequence and collect the divisor ledger.
 
     For codimension r < n this is a strong factorizing resolution and the
@@ -915,7 +1004,8 @@ def simulate_resolution_by_charts(profile: DegreeProfile) -> ResolutionReport:
     for r = n the same bookkeeping runs in log-resolution mode and no
     factorization witness is asserted.  A profile over the work budget
     (:func:`_check_resolution_budget`) raises ``ValueError`` before any
-    chart is built.
+    chart is built.  Returns the report and the terminal chart, the last
+    chart of the main chain.
     """
     _check_resolution_budget(profile)
     n = profile.n
@@ -943,17 +1033,16 @@ def simulate_resolution_by_charts(profile: DegreeProfile) -> ResolutionReport:
     witness = _factorization_witness(chain[-1], profile) if mode == STRONG_FACTORIZING else None
     case3 = tuple(_side_chain(chain, e, cum, level) for level in range(1, len(e)))
 
-    ledger = DivisorLedger(tuple(rows))
-    return ResolutionReport(
+    report = ResolutionReport(
         profile=profile,
         mode=mode,
         levels=levels,
-        ledger=ledger,
-        lower_bound=ledger.lower_bound,
+        ledger=tuple(rows),
+        lower_bound=min(row.ratio for row in rows),
         blowup_count=len(rows),
         witness=witness,
         trace=tuple(trace),
         case3=case3,
         vj_checks=tuple(vj_checks),
-        terminal=chain[-1],
     )
+    return report, chain[-1]

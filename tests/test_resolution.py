@@ -13,6 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 import _oracles
 from _oracles import (
+    PLAIN,
+    ChartState,
+    Coordinate,
     blowup_chart,
     chain_grid_by_points,
     descent_chain_by_fractions,
@@ -31,13 +34,9 @@ from minexp.exponent import (
 from minexp.resolution import (
     EXCEPTIONAL,
     LOG_RESOLUTION,
-    PLAIN,
     STRICT,
     STRONG_FACTORIZING,
-    ChartState,
-    Coordinate,
-    DivisorLedger,
-    LedgerRow,
+    FactorizationWitness,
     descent_chain,
     descent_chain_grid,
     simulate_resolution,
@@ -275,11 +274,21 @@ def test_derived_charts_pass_the_public_checks(monkeypatch):
 
 
 def test_resolution_matches_the_chart_oracle():
-    # every report field, the terminal chart's coordinates and ideal included
+    # every report field; the oracle's terminal chart renders to the last
+    # trace ideal, carries the last ledger row's tags and gives the witness
     profiles = list(_c3_grid()) + _golden_profiles() + [WIDE]
     assert len(profiles) == 3122 + 5 + 1
     for profile in profiles:
-        assert simulate_resolution(profile) == simulate_resolution_by_charts(profile), profile
+        report = simulate_resolution(profile)
+        expected, terminal = simulate_resolution_by_charts(profile)
+        assert report == expected, profile
+        assert terminal.render_ideal() == report.trace[-1].ideal, profile
+        last = report.ledger[-1]
+        assert [(c.a, c.k) for c in terminal.coords if c.role == EXCEPTIONAL] == [(last.a, last.k)], profile
+        if report.mode == STRONG_FACTORIZING:
+            assert _oracles._factorization_witness(terminal, profile) == report.witness, profile
+        else:
+            assert report.witness is None, profile
 
 
 @pytest.mark.parametrize("profile", [WIDE, DegreeProfile(24, (2, 2, 4, 7, 7))], ids=["n60", "golden_n24"])
@@ -318,6 +327,47 @@ def test_side_chain_renders_its_cuts_and_checks_its_end():
     message = r"^side chain at level 1 ended in z0\^2, expected the exceptional coordinate to the power 3$"
     with pytest.raises(rs.ResolutionError, match=message):
         rs._side_chain(chain, [EXCEPTIONAL, STRICT, STRICT], [2, 3], [1, 2], 1)
+
+
+def _hand_built_witnesses(roles, ideal, r):
+    """The factorization witness of a hand-built terminal chart, as two
+    calls: the library's on tuples and the oracle's on a ChartState."""
+    names = [f"z{i}" for i in range(len(roles))]
+    coords = [
+        Coordinate(name, role, *((1, 1) if role == EXCEPTIONAL else (None, None))) for name, role in zip(names, roles)
+    ]
+    profile = DegreeProfile(r + 1, (2,) * r)
+    return [
+        lambda: rs._factorization_witness(names, roles, ideal, r),
+        lambda: _oracles._factorization_witness(ChartState(coords, ideal), profile),
+    ]
+
+
+@pytest.mark.parametrize(
+    "roles, ideal, r, message",
+    [
+        ([EXCEPTIONAL, STRICT, STRICT], [(2, 1, 0), (2, 0, 2)], 2,
+         r"^residual generator \(0, 0, 2\) is not a single coordinate$"),
+        ([EXCEPTIONAL, STRICT, STRICT], [(2, 1, 1), (3, 1, 0)], 2,
+         r"^residual generator \(0, 1, 1\) is not a single coordinate$"),
+        ([EXCEPTIONAL, EXCEPTIONAL, STRICT], [(2, 1, 0), (2, 0, 1)], 2, "^residual coordinate z1 is not strict$"),
+        ([EXCEPTIONAL, STRICT, PLAIN], [(2, 1, 0), (2, 0, 1)], 2, "^residual coordinate z2 is not strict$"),
+        ([EXCEPTIONAL, STRICT, STRICT], [(2, 1, 0), (2, 1, 0)], 2,
+         "^residual generators do not span r distinct coordinates$"),
+        ([EXCEPTIONAL, STRICT, STRICT], [(2, 1, 0)], 2, "^residual generators do not span r distinct coordinates$"),
+    ],
+    ids=["power", "two_coordinates", "exceptional", "plain", "repeated", "too_few"],
+)
+def test_witness_rejects_a_terminal_chart_that_does_not_factor(roles, ideal, r, message):
+    for witness in _hand_built_witnesses(roles, ideal, r):
+        with pytest.raises(rs.ResolutionError, match=message):
+            witness()
+
+
+def test_witness_of_a_hand_built_terminal_chart():
+    expected = FactorizationWitness("z0^2", ("z1", "z2"))
+    witnesses = _hand_built_witnesses([EXCEPTIONAL, STRICT, STRICT], [(2, 1, 0), (2, 0, 1)], 2)
+    assert [witness() for witness in witnesses] == [expected, expected]
 
 
 @st.composite
@@ -363,17 +413,17 @@ def test_random_blowups_pass_the_public_checks(case):
 
 def test_simulate_examples():
     rep = simulate_resolution(DegreeProfile(4, (2, 3, 4)))
-    assert [(r.a, r.k) for r in rep.ledger.rows] == [(2, 3), (3, 4), (4, 6)]
-    assert [r.ratio for r in rep.ledger.rows] == [F(2), F(5, 3), F(7, 4)]
+    assert [(r.a, r.k) for r in rep.ledger] == [(2, 3), (3, 4), (4, 6)]
+    assert [r.ratio for r in rep.ledger] == [F(2), F(5, 3), F(7, 4)]
     assert rep.lower_bound == F(5, 3)
     assert rep.blowup_count == 3
 
     rep = simulate_resolution(DegreeProfile(6, (2, 3)))
-    assert [(r.a, r.k) for r in rep.ledger.rows] == [(2, 5), (3, 6)]
+    assert [(r.a, r.k) for r in rep.ledger] == [(2, 5), (3, 6)]
     assert rep.lower_bound == F(7, 3)
 
     rep = simulate_resolution(DegreeProfile(5, (2, 2)))
-    assert [(r.a, r.k) for r in rep.ledger.rows] == [(2, 4)]
+    assert [(r.a, r.k) for r in rep.ledger] == [(2, 4)]
     assert rep.lower_bound == F(5, 2)
     assert rep.blowup_count == 1
 
@@ -382,7 +432,7 @@ def test_simulate_log_resolution_mode():
     rep = simulate_resolution(DegreeProfile(2, (2, 2)))
     assert rep.mode == LOG_RESOLUTION
     assert rep.witness is None
-    assert [(r.a, r.k) for r in rep.ledger.rows] == [(2, 1)]
+    assert [(r.a, r.k) for r in rep.ledger] == [(2, 1)]
     assert rep.lower_bound == 1
 
     rep = simulate_resolution(DegreeProfile(3, (2, 2)))
@@ -399,8 +449,8 @@ def test_simulate_witness_shape():
     assert len(set(witness.residual)) == 3
     # residual generators are bare coordinates (exponent one)
     assert all("^" not in res and "*" not in res for res in witness.residual)
-    # terminal chart: every generator is (common) * (one strict coordinate)
-    term = rep.terminal
+    # the oracle's terminal chart: every generator is (common) * (one strict coordinate)
+    _, term = simulate_resolution_by_charts(DegreeProfile(7, (2, 2, 4)))
     assert [c.role for c in term.coords] == [EXCEPTIONAL] + [STRICT] * 3  # r + 1, no plain
     common = tuple(min(g[i] for g in term.ideal) for i in range(len(term.coords)))
     for g in term.ideal:
@@ -422,17 +472,19 @@ def test_golden_trace(capsys):
     assert results == golden
 
 
-def _ledger(pairs):
-    return DivisorLedger(tuple(LedgerRow(f"E{i}", a, k) for i, (a, k) in enumerate(pairs, 1)))
-
-
 def test_ledger_lower_bound_examples():
-    assert _ledger([(2, 3), (3, 4), (4, 6)]).lower_bound == F(5, 3)
-    assert _ledger([(2, 5), (3, 6)]).lower_bound == F(7, 3)
-    for n in range(2, 9):
-        for d in range(2, 7):
-            assert _ledger([(d, n - 1)]).lower_bound == F(n, d)
-    assert simulate_resolution(DegreeProfile(6, (2, 3))).lower_bound == F(7, 3)
+    # the lower bound is the least (k + 1)/a of the ledger's rows, and it is
+    # that row's own ratio object, which the report's ratio field reads too
+    cases = [
+        (DegreeProfile(4, (2, 3, 4)), [(2, 3), (3, 4), (4, 6)], F(5, 3)),
+        (DegreeProfile(6, (2, 3)), [(2, 5), (3, 6)], F(7, 3)),
+    ]
+    cases += [(DegreeProfile(n, (d,)), [(d, n - 1)], F(n, d)) for n in range(2, 9) for d in range(2, 7)]
+    for profile, pairs, bound in cases:
+        rep = simulate_resolution(profile)
+        assert [(row.a, row.k) for row in rep.ledger] == pairs
+        assert rep.lower_bound == bound
+        assert any(rep.lower_bound is row.ratio for row in rep.ledger)
 
 
 def test_ledger_agrees_with_formula_small_scan():
@@ -451,16 +503,16 @@ def test_ledger_shape():
         r = rng.randint(1, min(4, n))
         degrees = tuple(sorted(rng.randint(2, 8) for _ in range(r)))
         rep = simulate_resolution(DegreeProfile(n, degrees))
-        a_values = [row.a for row in rep.ledger.rows]
+        a_values = [row.a for row in rep.ledger]
         assert a_values == list(range(degrees[0], degrees[-1] + 1))
-        k_values = [row.k for row in rep.ledger.rows]
+        k_values = [row.k for row in rep.ledger]
         assert all(x < y for x, y in zip(k_values, k_values[1:]))
         assert rep.blowup_count == len(a_values)
 
 
 def test_equal_degrees_single_row():
     rep = simulate_resolution(DegreeProfile(9, (3, 3, 3)))
-    assert [(r.a, r.k) for r in rep.ledger.rows] == [(3, 8)]
+    assert [(r.a, r.k) for r in rep.ledger] == [(3, 8)]
     assert rep.lower_bound == F(9, 3)
 
 
@@ -477,12 +529,12 @@ def test_c3_wide_route_agreement(profile):
     # C3 (tests/test_acceptance.py) on profiles past its grid: n <= 60, r <= 8, degrees <= 30
     formula = minimal_exponent_cone(profile)
     report = simulate_resolution(profile)
-    assert report == simulate_resolution_by_charts(profile)
+    assert report == simulate_resolution_by_charts(profile)[0]
     assert report.lower_bound == formula
     assert weighted_upper_bound(WeightedProfile((1,) * profile.n, profile.degrees)) == formula
     # the divisor with a = d_pivot is among the ledger's minimizers (the minimum may be tied)
     pivot_degree = profile.degrees[profile.table.pivot - 1]
-    assert any(row.a == pivot_degree and row.ratio == formula for row in report.ledger.rows)
+    assert any(row.a == pivot_degree and row.ratio == formula for row in report.ledger)
 
 
 # --- valuation inequality scans -------------------------------------------------
