@@ -77,8 +77,6 @@ def _common_denominator(values) -> tuple[list[int], int]:
     """Integer numerators of ``values`` (ints or Fractions) over their least
     common denominator, and that denominator."""
     den = lcm(*[x.denominator for x in values])
-    if den == 1:  # ints, or Fractions of denominator 1: the numerators as they are
-        return [x.numerator for x in values], 1
     return [x.numerator * (den // x.denominator) for x in values], den
 
 
