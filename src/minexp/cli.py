@@ -393,6 +393,8 @@ def run_weighted(
 ) -> tuple[dict, int]:
     if (orders is None) == (polynomials is None):
         raise InputError("provide exactly one of: orders, polynomials")
+    if variables is not None and polynomials is None:
+        raise InputError("variables apply only to polynomials")
     results: dict = {"weights": [_rat_json(w) for w in weights]}
     if polynomials is not None:
         names = variables or [f"x{i}" for i in range(1, len(weights) + 1)]
@@ -424,6 +426,8 @@ def run_newton(
 ) -> tuple[dict, int]:
     if (support is None) == (polynomial is None):
         raise InputError("provide exactly one of: support, polynomial")
+    if variables is not None and polynomial is None:
+        raise InputError("variables apply only to a polynomial")
     if polynomial is not None:
         if not variables:
             raise InputError("a polynomial input needs its variable list")
@@ -462,8 +466,7 @@ def _text_newton(results: dict):
 
 def run_resolve(n: int, degrees: list[int]) -> tuple[dict, int]:
     profile = _guard(ex.DegreeProfile, n, tuple(degrees))
-    _guard(rs._check_resolution_budget, profile)
-    report = rs.simulate_resolution(profile)
+    report = _guard(rs.simulate_resolution, profile)  # the work budget is its one ValueError
     formula_value = ex.minimal_exponent_cone(profile)
     match = report.lower_bound == formula_value
     witness = report.witness

@@ -429,10 +429,7 @@ def _vanishing_points(split: list, q: int, n: int):
 def _rank(rows: list[list], inverse, reduce) -> int:
     """Gauss-Jordan rank of ``rows`` over a field: ``inverse`` inverts a
     nonzero entry, and ``reduce`` brings a product or difference of entries
-    back to normal form (``x % q`` over F_q, the identity over Q).  A single
-    row has rank 1 exactly when it has a nonzero entry."""
-    if len(rows) == 1:
-        return int(any(rows[0]))
+    back to normal form (``x % q`` over F_q, the identity over Q)."""
     mat = [row[:] for row in rows]
     rank = 0
     ncols = len(mat[0]) if mat else 0

@@ -23,20 +23,20 @@ with k_1 = n - 1 for the origin blow-up.  The resulting lower bound
 min_j (k_j + 1) / a_j must agree exactly with the closed-form exponent;
 that agreement scan is this module's primary oracle.
 
-The simulation runs on plain generator tuples.  Each blow-up of the main
-chain is one :func:`_blowup` on the generators of the chart it follows,
-which returns the new divisor's (a, k) and the generators of every pivot
-chart; the chain keeps the coordinate names (made once per blow-up), roles
-and (a, k) tags as lists.  Each generator of each chart is rendered once,
-by :func:`_render`, and every text of a report is read from those
+The simulation runs on plain generator tuples.  In every chart the main
+chain follows, z0 is the newest exceptional divisor and z1..zr are strict,
+so its state is z0's discrepancy k and the generators.  Each blow-up is
+one :func:`_blowup`, which returns the new divisor's (a, k) and the
+generators of every pivot chart.  Each generator of each chart is rendered
+once, by :func:`_render`, and every text of a report is read from those
 renderings: the trace, the vj checks, the side chains and the
 factorization witness.  The checks stay those of the argument: every chart
-off the main chain is principal, with an exceptional-supported generator
-that divides the matching side-chain chart (:func:`_climb`); every side
-chain ends in z0^{e_l} (:func:`_side_chain`); the ledger's a run through
-the degree steps while its k rise strictly; and the terminal chart, read
-from the chain's own lists, factors as an exceptional monomial times r
-strict coordinates (:func:`_factorization_witness`).
+off the main chain is principal, generated on z0 and its pivot, and that
+generator divides the matching side-chain chart (:func:`_climb`); every
+side chain ends in z0^{e_l} (:func:`_side_chain`); the ledger's a run
+through the degree steps while its k rise strictly; and the terminal chart
+factors as a power of z0 times r distinct strict coordinates
+(:func:`_factorization_witness`).
 
 The module also verifies the valuation inequalities behind the lower bound
 on every tuple of an integer box, and checks the telescoping chain argument
@@ -50,16 +50,12 @@ step's denominator, and only a failing point becomes a report.
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from minexp.exponent import DegreeProfile, _as_fraction, _common_denominator
-
-EXCEPTIONAL = "exceptional"
-STRICT = "strict"
 
 STRONG_FACTORIZING = "strong_factorizing"
 LOG_RESOLUTION = "log_resolution"
@@ -98,15 +94,16 @@ def _ideal_text(texts: Sequence[str]) -> str:
     return "(" + (", ".join(texts) or "0") + ")"
 
 
-def _blowup(ideal: Sequence[tuple[int, ...]], tags: Sequence[tuple[int, int] | None], width: int):
-    """One blow-up of a monomial ideal along its first ``width`` coordinates.
+def _blowup(ideal: Sequence[tuple[int, ...]], k: int, width: int):
+    """One blow-up of a main-chain chart along its first ``width``
+    coordinates, z0 and the strict coordinates z1..z(width-1).
 
-    ``ideal`` holds the generators as exponent tuples and ``tags[i]`` the
-    (a, k) tags of coordinate i, None when it is not exceptional.  Returns
-    (a, k, charts): the tags of the new exceptional divisor,
+    ``ideal`` holds the generators as exponent tuples and ``k`` is the
+    discrepancy of z0, the one exceptional coordinate of the centre.
+    Returns (a, k, charts): the tags of the new exceptional divisor,
 
         a = min over generators of their total exponent over the centre,
-        k = (width - 1) + sum of k over the exceptional centre coordinates,
+        k = (width - 1) + the discrepancy of z0,
 
     and, for each pivot p < width, charts[p], the generators of the chart
     of pivot p: each generator with its pivot exponent replaced by its
@@ -116,9 +113,8 @@ def _blowup(ideal: Sequence[tuple[int, ...]], tags: Sequence[tuple[int, int] | N
     before).
     """
     totals = [sum(g[:width]) for g in ideal]
-    k = width - 1 + sum([tag[1] for tag in tags[:width] if tag is not None])
     charts = [[g[:p] + (t,) + g[p + 1 :] for g, t in zip(ideal, totals)] for p in range(width)]
-    return min(totals, default=0), k, charts
+    return min(totals, default=0), width - 1 + k, charts
 
 
 @dataclass(frozen=True)
@@ -186,7 +182,6 @@ class ResolutionReport:
     """The scripted resolution of a profile: one ledger row per exceptional
     divisor, and ``lower_bound`` the least of their ratios."""
 
-    profile: DegreeProfile
     mode: str
     levels: tuple[tuple[int, int], ...]  # (degree value, multiplicity), values increasing
     ledger: tuple[LedgerRow, ...]
@@ -203,11 +198,12 @@ def _componentwise_min(gens: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
 
 
 def _principal_exceptional_generator(
-    names: Sequence[str], roles: Sequence[str], ideal: list[tuple[int, ...]], texts: Sequence[str]
+    names: Sequence[str], pivot: int, ideal: list[tuple[int, ...]], texts: Sequence[str]
 ) -> int:
     """The index in ``ideal`` of its generator: the componentwise minimum
     must itself be a generator (the ideal is principal) and be supported on
-    exceptional coordinates only.  ``texts`` holds the rendered generators."""
+    the chart's exceptional coordinates z0 and z_``pivot``.  ``texts`` holds
+    the rendered generators."""
     if not ideal:
         raise ResolutionError(f"empty ideal in chart {tuple(names)}")
     gmin = _componentwise_min(ideal)
@@ -215,33 +211,27 @@ def _principal_exceptional_generator(
         star = ideal.index(gmin)
     except ValueError:
         raise ResolutionError(f"ideal {_ideal_text(texts)} is not principal") from None
-    if any(role != EXCEPTIONAL for role in itertools.compress(roles, gmin)):
+    if any(gmin[1:pivot]) or any(gmin[pivot + 1 :]):
         raise ResolutionError(f"principal generator {texts[star]} is not exceptional-supported")
     return star
 
 
 def _start_chart(profile: DegreeProfile):
-    """The chart on E1 after the origin blow-up, as (roles, tags, generators):
-    the exceptional coordinate z0 tagged (a = d_1, k = n - 1) and the strict
-    transforms z1..zr, with generators z0^{d_j} z_j.  The plain coordinates
-    never carry an exponent and are left out."""
+    """The chart on E1 after the origin blow-up, as (k, generators): the
+    discrepancy k = n - 1 of the exceptional coordinate z0, and the
+    generators z0^{d_j} z_j over z0 and the strict transforms z1..zr.  The
+    plain coordinates never carry an exponent and are left out."""
     r = profile.r
-    roles = [EXCEPTIONAL] + [STRICT] * r
-    tags = [(profile.degrees[0], profile.n - 1)] + [None] * r
     ideal = [(d,) + (0,) * (j - 1) + (1,) + (0,) * (r - j) for j, d in enumerate(profile.degrees, 1)]
-    return roles, tags, ideal
+    return profile.n - 1, ideal
 
 
-def _climb(
-    roles: list[str], tags: list, ideal: list[tuple[int, ...]], e: Sequence[int], cum: Sequence[int],
-    vj_checks: list,
-):
-    """Run the main chain's blow-ups from the chart (``roles``, ``tags``,
-    ``ideal``) of :func:`_start_chart`, and yield after each the chart that
-    keeps the exceptional coordinate z0, as (center, names, tags, ideal,
-    texts): the names of the centre, then the chart's coordinate names, tags,
-    generators and rendered generators.  Its roles stay ``roles``, since z0
-    is exceptional from the start.
+def _climb(k: int, ideal: list[tuple[int, ...]], e: Sequence[int], cum: Sequence[int], vj_checks: list):
+    """Run the main chain's blow-ups from the chart (``k``, ``ideal``) of
+    :func:`_start_chart`, and yield after each the chart that keeps the
+    exceptional coordinate z0, as (center, names, a, k, ideal, texts): the
+    names of the centre, the chart's coordinate names, the new divisor's
+    (a, k), and the chart's generators and rendered generators.
 
     ``e`` holds the distinct degrees in increasing order and ``cum[l]`` the
     number of degrees at most ``e[l]``.  A blow-up of level l is one
@@ -260,34 +250,31 @@ def _climb(
     that chart is principal with generator g* too; as ``cum`` and ``e`` rise
     with the level, this one comparison covers every side chain.
     """
-    names = _names(0, len(roles))
+    width = len(ideal[0])
+    names = _names(0, width)
     blowup_levels = [level for level in range(1, len(e)) for _ in range(e[level] - e[level - 1])]
     for depth, level in enumerate(blowup_levels, 1):
         q = cum[level - 1]
         center = tuple(names[: q + 1])
-        a, k, charts = _blowup(ideal, tags, q + 1)
-        names = _names(depth, len(roles))
+        a, k, charts = _blowup(ideal, k, q + 1)
+        names = _names(depth, width)
         for p in range(1, q + 1):
             chart = charts[p]
             texts = _render(names, chart)
-            chart_roles = roles[:p] + [EXCEPTIONAL] + roles[p + 1 :]
-            star = _principal_exceptional_generator(names, chart_roles, chart, texts)
+            star = _principal_exceptional_generator(names, p, chart, texts)
             if star >= q or max(chart[star][0], chart[star][p]) > e[level]:
                 raise ResolutionError(
                     f"level {level}: {texts[star]} does not divide the {center[p]} side chart"
                 )
             vj_checks.append(VjCheck(f"E{depth + 1}", center[p], _ideal_text(texts), texts[star]))
         ideal = charts[0]
-        tags = [(a, k)] + tags[1:]
-        yield center, names, tags, ideal, _render(names, ideal)
+        yield center, names, a, k, ideal, _render(names, ideal)
 
 
-def _side_chain(
-    chain: Sequence[tuple], roles: Sequence[str], e: Sequence[int], cum: Sequence[int], level: int
-) -> Case3Report:
+def _side_chain(chain: Sequence[tuple], e: Sequence[int], cum: Sequence[int], level: int) -> Case3Report:
     """The side chain at ``level``, read off ``chain``, the main chain's
-    followed charts as (names, generators, rendered generators), of roles
-    ``roles`` (``e`` and ``cum`` as in :func:`_climb`).
+    followed charts as (names, generators, rendered generators); ``e`` and
+    ``cum`` are as in :func:`_climb`.
 
     It starts from z1..zq, the strict transforms of the lower levels
     (q = cum[level-1]), and z0^power (power = e_level), and runs the main
@@ -298,8 +285,8 @@ def _side_chain(
     its first q+1 coordinates and first q generators, followed by z0^power.
     A main generator is supported on z0 and z_j, j <= q, so its cut keeps
     the main chart's text; a cut that differs from the full generator is
-    rendered.  :func:`_climb` checks the other charts; the last chart must
-    be generated by z0^power.
+    rendered.  :func:`_climb` checks the other charts; the last chart, whose
+    one exceptional coordinate is z0, must be generated by z0^power.
     """
     q, power = cum[level - 1], e[level]
     pure = (power,) + (0,) * q
@@ -310,7 +297,7 @@ def _side_chain(
         cut += _render(names, [pure])
         steps.append(_ideal_text(cut))
     gens = [g[: q + 1] for g in ideal[:q]] + [pure]
-    star = _principal_exceptional_generator(names, roles[: q + 1], gens, cut)
+    star = _principal_exceptional_generator(names, 0, gens, cut)
     if gens[star] != pure:
         raise ResolutionError(
             f"side chain at level {level} ended in {cut[star]}, "
@@ -320,24 +307,25 @@ def _side_chain(
 
 
 def _factorization_witness(
-    names: Sequence[str], roles: Sequence[str], ideal: Sequence[tuple[int, ...]], r: int
+    names: Sequence[str], ideal: Sequence[tuple[int, ...]], r: int
 ) -> FactorizationWitness:
     """The factorization of the terminal chart, of coordinate ``names`` and
-    ``roles`` and generators ``ideal``: the common exceptional exponents, and
-    a residual per generator that must be one strict coordinate to the first
-    power, r distinct ones in all."""
-    # divisorial part: the common exceptional exponents; everything else must
-    # be accounted for by the residual shape checks below
-    common = tuple(m if role == EXCEPTIONAL else 0 for m, role in zip(_componentwise_min(ideal), roles))
-    residual = [tuple(map(operator.sub, g, common)) for g in ideal]
+    generators ``ideal``: the common part, the least exponent of z0 (its one
+    exceptional coordinate), and a residual per generator that must be one
+    strict coordinate z1..zr to the first power, r distinct ones in all."""
+    # divisorial part: the common power of z0; everything else must be
+    # accounted for by the residual shape checks below
+    low = min([g[0] for g in ideal], default=0)
+    common = (low,) + (0,) * (len(names) - 1)
+    residual = [(g[0] - low, *g[1:]) for g in ideal]
     seen = set()
     for res in residual:
         support = [i for i, exp in enumerate(res) if exp]
         if len(support) != 1 or res[support[0]] != 1:
             raise ResolutionError(f"residual generator {res} is not a single coordinate")
         i = support[0]
-        if roles[i] != STRICT:
-            raise ResolutionError(f"residual coordinate {names[i]} is not strict")
+        if i == 0:
+            raise ResolutionError(f"residual coordinate {names[0]} is not strict")
         seen.add(i)
     if len(seen) != r:
         raise ResolutionError("residual generators do not span r distinct coordinates")
@@ -392,24 +380,25 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     The main chain runs on generator tuples (:func:`_start_chart`, then
     :func:`_climb`, one :func:`_blowup` per blow-up), and each of its
     charts is kept as (names, generators, rendered generators), from which
-    :func:`_side_chain` reads every side chain.  The factorization witness
-    reads the last chart's names, roles and generators from the same lists.
+    :func:`_side_chain` reads every side chain.  Each ledger row after the
+    first is the (a, k) that :func:`_climb` yields, and the factorization
+    witness reads the last chart's names and generators.
     """
     _check_resolution_budget(profile)
     n = profile.n
     levels, e, cum = _levels(profile)
     mode = LOG_RESOLUTION if profile.r == n else STRONG_FACTORIZING
 
-    roles, tags, ideal = _start_chart(profile)
-    names = _names(0, len(roles))
+    k, ideal = _start_chart(profile)
+    names = _names(0, len(ideal[0]))
     texts = _render(names, ideal)
     chain = [(names, ideal, texts)]
-    rows = [LedgerRow("E1", *tags[0])]
+    rows = [LedgerRow("E1", profile.degrees[0], k)]
     trace = [TraceStep("origin", None, "E1", rows[0].a, rows[0].k, _ideal_text(texts))]
     vj_checks: list[VjCheck] = []
-    for center, names, tags, ideal, texts in _climb(roles, tags, ideal, e, cum, vj_checks):
+    for center, names, a, k, ideal, texts in _climb(k, ideal, e, cum, vj_checks):
         chain.append((names, ideal, texts))
-        row = LedgerRow(f"E{len(rows) + 1}", *tags[0])
+        row = LedgerRow(f"E{len(rows) + 1}", a, k)
         rows.append(row)
         trace.append(TraceStep(center, center[0], row.divisor, row.a, row.k, _ideal_text(texts)))
 
@@ -421,11 +410,10 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     if any(ks[i] >= ks[i + 1] for i in range(len(ks) - 1)):
         raise ResolutionError(f"discrepancies not strictly increasing: {ks}")
 
-    witness = _factorization_witness(names, roles, ideal, profile.r) if mode == STRONG_FACTORIZING else None
-    case3 = tuple(_side_chain(chain, roles, e, cum, level) for level in range(1, len(e)))
+    witness = _factorization_witness(names, ideal, profile.r) if mode == STRONG_FACTORIZING else None
+    case3 = tuple(_side_chain(chain, e, cum, level) for level in range(1, len(e)))
 
     return ResolutionReport(
-        profile=profile,
         mode=mode,
         levels=levels,
         ledger=tuple(rows),

@@ -36,9 +36,11 @@ resolution the library ran before its chain ran on generator tuples:
 ``Coordinate`` objects, each ideal is rendered from its chart, and each
 side chain is rendered again from the cut charts.  The chart classes
 ``Coordinate`` and ``ChartState``, with their checks (``_check_chart``) and
-the ``PLAIN`` role, live here, since the library runs on generator tuples
-alone; so does the factorization witness on a ``ChartState``, which checks
-the library's witness on the oracle's terminal chart.
+the roles ``EXCEPTIONAL``, ``STRICT`` and ``PLAIN``, live here, since the
+library runs on generator tuples alone, with z0 its one exceptional
+coordinate; so does the factorization witness on a ``ChartState``, which
+reads each coordinate's role and so checks the library's witness on the
+oracle's terminal chart.
 """
 
 from __future__ import annotations
@@ -68,10 +70,8 @@ from minexp.poly import (
 )
 from minexp.resolution import (
     COMPLEMENTARY_BRANCH,
-    EXCEPTIONAL,
     LCT_BRANCH,
     LOG_RESOLUTION,
-    STRICT,
     STRONG_FACTORIZING,
     Case3Report,
     DescentChainReport,
@@ -304,9 +304,9 @@ def _eval_mod(terms: list[tuple[int, tuple[int, ...]]], point: tuple[int, ...], 
 
 
 def rank_by_elimination(rows: list[list], inverse, reduce) -> int:
-    """Gauss-Jordan rank over a field, as the library computed it before its
-    one-row shortcut: ``inverse`` inverts a nonzero entry and ``reduce``
-    normalizes (``x % q`` over F_q, the identity over Q)."""
+    """Gauss-Jordan rank over a field, on every row count, one row included:
+    ``inverse`` inverts a nonzero entry and ``reduce`` normalizes (``x % q``
+    over F_q, the identity over Q)."""
     mat = [row[:] for row in rows]
     rank = 0
     ncols = len(mat[0]) if mat else 0
@@ -759,6 +759,8 @@ def read_argv_by_argparse(argv: list[str]):
 # ---------------------------------------------------------------------------
 # the resolution on ChartState charts
 
+EXCEPTIONAL = "exceptional"
+STRICT = "strict"
 PLAIN = "plain"
 
 
@@ -1034,7 +1036,6 @@ def simulate_resolution_by_charts(profile: DegreeProfile) -> tuple[ResolutionRep
     case3 = tuple(_side_chain(chain, e, cum, level) for level in range(1, len(e)))
 
     report = ResolutionReport(
-        profile=profile,
         mode=mode,
         levels=levels,
         ledger=tuple(rows),

@@ -89,6 +89,8 @@ SMOOTH_POLYNOMIAL_ERROR = (
 )
 LIMIT_ERROR = "limit must be at least 1"
 NO_POLYNOMIAL_ERROR = "need at least one polynomial"
+WEIGHTED_VARIABLES_ERROR = "variables apply only to polynomials"
+NEWTON_VARIABLES_ERROR = "variables apply only to a polynomial"
 
 
 def test_weighted_orders(capsys):
@@ -151,6 +153,22 @@ def test_newton_rejects_origin(capsys):
     code = main(["newton", "--support", "[[0,0],[1,2]]"])
     capsys.readouterr()
     assert code == EXIT_INPUT
+
+
+def test_variables_without_a_polynomial_are_an_input_error(capsys):
+    # --vars names the variables of polynomial input, so beside orders or a
+    # support it is an input error, not ignored; a request with neither input
+    # gets the missing-input error first
+    for argv, error in [
+        (["weighted", "--weights", "1,1", "--orders", "2", "--vars", "a,b"], WEIGHTED_VARIABLES_ERROR),
+        (["newton", "--support", "[[2,0],[0,3]]", "--vars", "zz"], NEWTON_VARIABLES_ERROR),
+        (["weighted", "--weights", "1,1", "--vars", "a,b"], "provide exactly one of: orders, polynomials"),
+        (["newton", "--vars", "zz"], "provide exactly one of: support, polynomial"),
+    ]:
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr() == ("", f"input error: {error}\n")
+        code, report = run_json(capsys, *argv)
+        assert (code, report["error"]) == (EXIT_INPUT, error)
 
 
 @pytest.mark.parametrize(
@@ -360,6 +378,21 @@ def test_resolve_over_the_budget_exits_input(capsys, monkeypatch):
         assert capsys.readouterr() == ("", f"input error: {error}\n")
         code, report = run_json(capsys, *argv)
         assert (code, report["error"]) == (EXIT_INPUT, error)
+
+
+def test_resolve_checks_its_budget_once(capsys, monkeypatch):
+    # simulate_resolution checks the work budget before it builds a chart, and
+    # run_resolve turns that check's ValueError into an input error: one check
+    # per request, passing or over the budget
+    calls = []
+    check = rs._check_resolution_budget
+    monkeypatch.setattr(rs, "_check_resolution_budget", lambda profile: calls.append(profile) or check(profile))
+    for degrees, code in [("2,3", EXIT_OK), ("2,100000000", EXIT_INPUT)]:
+        for json_flag in [[], ["--json"]]:
+            calls.clear()
+            assert main(["resolve", "--n", "6", "--degrees", degrees, *json_flag]) == code
+            capsys.readouterr()
+            assert len(calls) == 1, (degrees, json_flag)
 
 
 # flag text that int() would accept or reject, and the error it gets now
@@ -949,6 +982,8 @@ BAD_REQUESTS = {
     "negative_limit": {**PROBE, "limit": -5},
     "over_budget_bound": {"command": "verify", "n": 3, "degrees": [2, 3], "bound": 10**6},
     "over_budget_chain_step": {"command": "verify", "n": 3, "degrees": [2, 3], "chain_step": "1/1000"},
+    "weighted_orders_and_variables": {"command": "weighted", "weights": [1, 1], "orders": [2], "variables": ["a", "b"]},
+    "newton_support_and_variables": {"command": "newton", "support": [[2, 0], [0, 3]], "variables": ["zz"]},
 }
 # the exact error of the bad requests whose text is pinned
 PINNED_ERRORS = {
@@ -962,6 +997,8 @@ PINNED_ERRORS = {
     "list_chain_max": "could not parse chain_max [1] as a rational number",
     "over_budget_bound": "valuation grid exceeds the work budget of 1000000 points",
     "over_budget_chain_step": "chain grid exceeds the work budget of 1000000 points",
+    "weighted_orders_and_variables": WEIGHTED_VARIABLES_ERROR,
+    "newton_support_and_variables": NEWTON_VARIABLES_ERROR,
 }
 
 

@@ -13,7 +13,9 @@ from hypothesis import given, settings, strategies as st
 
 import _oracles
 from _oracles import (
+    EXCEPTIONAL,
     PLAIN,
+    STRICT,
     ChartState,
     Coordinate,
     blowup_chart,
@@ -32,9 +34,7 @@ from minexp.exponent import (
     weighted_upper_bound,
 )
 from minexp.resolution import (
-    EXCEPTIONAL,
     LOG_RESOLUTION,
-    STRICT,
     STRONG_FACTORIZING,
     FactorizationWitness,
     descent_chain,
@@ -189,25 +189,30 @@ def _blowups_of_resolution(profile, monkeypatch):
     """The charts of each blow-up step made while ``profile`` is resolved,
     one list per step, each chart rebuilt through the public ChartState and
     Coordinate: the step's generators for each pivot, under the names of
-    the step's depth, with the parent's tags and the pivot tagged as the new
-    divisor.  The main chain has no plain coordinate, so an untagged
-    coordinate is strict."""
+    the step's depth, with z0 tagged as in the parent and the pivot tagged
+    as the new divisor.  The parent's z0 carries the previous step's (a, k),
+    or (d_1, n - 1) at the first step; every other coordinate of the main
+    chain is strict."""
     step = rs._blowup
     calls = []
+    parent_tags = [(profile.degrees[0], profile.n - 1)]
 
-    def recording(ideal, tags, width):
-        a, k, charts = step(ideal, tags, width)
+    def recording(ideal, k, width):
+        assert k == parent_tags[-1][1]
+        a, k, charts = step(ideal, k, width)
         depth = len(calls) + 1
-        names, parent = rs._names(depth, len(tags)), rs._names(depth - 1, len(tags))
+        names, parent = rs._names(depth, len(ideal[0])), rs._names(depth - 1, len(ideal[0]))
         rebuilt = []
+        tags = [parent_tags[-1]] + [None] * (len(names) - 1)
         for p, chart in enumerate(charts):
-            chart_tags = [(a, k) if i == p else tag for i, tag in enumerate(tags)]
+            chart_tags = tags[:p] + [(a, k)] + tags[p + 1 :]
             coords = [
                 Coordinate(name, STRICT, None, None) if tag is None else Coordinate(name, EXCEPTIONAL, *tag)
                 for name, tag in zip(names, chart_tags)
             ]
             rebuilt.append(ChartState(coords, chart, depth, parent[p], p))
         calls.append(rebuilt)
+        parent_tags.append((a, k))
         return a, k, charts
 
     with monkeypatch.context() as patch:
@@ -319,28 +324,67 @@ def test_side_chain_renders_its_cuts_and_checks_its_end():
     # text cut to z0..zq is rendered, not read from the main chart
     names = ["z0", "z1", "z2"]
     chain = [(names, [(3, 1, 1)], ["z0^3*z1*z2"]), (names, [(3, 1, 0)], ["z0^3*z1"])]
-    report = rs._side_chain(chain, [EXCEPTIONAL, STRICT, STRICT], [2, 3], [1, 2], 1)
+    report = rs._side_chain(chain, [2, 3], [1, 2], 1)
     assert report.steps == ("(z0^3*z1, z0^3)", "(z0^3*z1, z0^3)")
     assert report.principal == "z0^3"
     # a last chart generated by a lower power of z0 than e_l fails the end check
     chain[1] = (names, [(2, 0, 1)], ["z0^2*z2"])
     message = r"^side chain at level 1 ended in z0\^2, expected the exceptional coordinate to the power 3$"
     with pytest.raises(rs.ResolutionError, match=message):
-        rs._side_chain(chain, [EXCEPTIONAL, STRICT, STRICT], [2, 3], [1, 2], 1)
+        rs._side_chain(chain, [2, 3], [1, 2], 1)
 
 
-def _hand_built_witnesses(roles, ideal, r):
-    """The factorization witness of a hand-built terminal chart, as two
-    calls: the library's on tuples and the oracle's on a ChartState."""
+def _hand_built_chart(roles, ideal):
+    """Coordinate names z0, z1, ... and a ChartState of those names with
+    ``roles`` (each exceptional one tagged (1, 1)) and generators ``ideal``."""
     names = [f"z{i}" for i in range(len(roles))]
     coords = [
         Coordinate(name, role, *((1, 1) if role == EXCEPTIONAL else (None, None))) for name, role in zip(names, roles)
     ]
-    profile = DegreeProfile(r + 1, (2,) * r)
-    return [
-        lambda: rs._factorization_witness(names, roles, ideal, r),
-        lambda: _oracles._factorization_witness(ChartState(coords, ideal), profile),
+    return names, ChartState(coords, ideal)
+
+
+@pytest.mark.parametrize(
+    "pivot, ideal, message",
+    [
+        (1, [(2, 3, 0), (2, 3, 1)], None),
+        (0, [(3, 0, 0), (3, 1, 0)], None),
+        (1, [(1, 1, 1)], r"^principal generator z0\*z1\*z2 is not exceptional-supported$"),
+        (2, [(1, 1, 1), (1, 1, 2)], r"^principal generator z0\*z1\*z2 is not exceptional-supported$"),
+        (0, [(2, 1, 0)], r"^principal generator z0\^2\*z1 is not exceptional-supported$"),
+        (1, [(2, 1, 0), (1, 2, 0)], r"^ideal \(z0\^2\*z1, z0\*z1\^2\) is not principal$"),
+    ],
+    ids=["pivot", "z0", "past_the_pivot", "before_the_pivot", "strict_at_pivot_0", "not_principal"],
+)
+def test_principal_generator_lies_on_z0_and_the_pivot(pivot, ideal, message):
+    # a chart off the main chain, of pivot p, has the exceptional coordinates
+    # z0 and z_p; a side chain's last chart has z0 alone (pivot 0).  The
+    # oracle reads the same chart's roles.
+    names, chart = _hand_built_chart([EXCEPTIONAL if i in (0, pivot) else STRICT for i in range(3)], ideal)
+    texts = rs._render(names, ideal)
+    calls = [
+        lambda: ideal[rs._principal_exceptional_generator(names, pivot, ideal, texts)],
+        lambda: _oracles._principal_exceptional_generator(chart),
     ]
+    for call in calls:
+        if message is None:
+            assert call() == ideal[0]
+        else:
+            with pytest.raises(rs.ResolutionError, match=message):
+                call()
+
+
+def _hand_built_witnesses(roles, ideal, r):
+    """The factorization witness of a hand-built terminal chart, as calls:
+    the oracle's on a ChartState of coordinates with ``roles``, and the
+    library's on tuples when the roles are those of every library chart,
+    z0 exceptional and the rest strict."""
+    names, chart = _hand_built_chart(roles, ideal)
+    profile = DegreeProfile(r + 1, (2,) * r)
+    witnesses = [lambda: _oracles._factorization_witness(chart, profile)]
+    if roles == [EXCEPTIONAL] + [STRICT] * (len(roles) - 1):
+        witnesses.append(lambda: rs._factorization_witness(names, ideal, r))
+    return witnesses
 
 
 @pytest.mark.parametrize(
@@ -350,16 +394,21 @@ def _hand_built_witnesses(roles, ideal, r):
          r"^residual generator \(0, 0, 2\) is not a single coordinate$"),
         ([EXCEPTIONAL, STRICT, STRICT], [(2, 1, 1), (3, 1, 0)], 2,
          r"^residual generator \(0, 1, 1\) is not a single coordinate$"),
+        ([EXCEPTIONAL, STRICT, STRICT], [(2, 1, 0), (3, 0, 0)], 2, "^residual coordinate z0 is not strict$"),
         ([EXCEPTIONAL, EXCEPTIONAL, STRICT], [(2, 1, 0), (2, 0, 1)], 2, "^residual coordinate z1 is not strict$"),
         ([EXCEPTIONAL, STRICT, PLAIN], [(2, 1, 0), (2, 0, 1)], 2, "^residual coordinate z2 is not strict$"),
         ([EXCEPTIONAL, STRICT, STRICT], [(2, 1, 0), (2, 1, 0)], 2,
          "^residual generators do not span r distinct coordinates$"),
         ([EXCEPTIONAL, STRICT, STRICT], [(2, 1, 0)], 2, "^residual generators do not span r distinct coordinates$"),
     ],
-    ids=["power", "two_coordinates", "exceptional", "plain", "repeated", "too_few"],
+    ids=["power", "two_coordinates", "exceptional", "second_exceptional", "plain", "repeated", "too_few"],
 )
 def test_witness_rejects_a_terminal_chart_that_does_not_factor(roles, ideal, r, message):
-    for witness in _hand_built_witnesses(roles, ideal, r):
+    # the library's charts have no plain coordinate and one exceptional one,
+    # so the second_exceptional and plain cases check the oracle's witness alone
+    witnesses = _hand_built_witnesses(roles, ideal, r)
+    assert len(witnesses) == (1 if PLAIN in roles or roles.count(EXCEPTIONAL) > 1 else 2)
+    for witness in witnesses:
         with pytest.raises(rs.ResolutionError, match=message):
             witness()
 
@@ -400,10 +449,11 @@ def test_random_blowups_pass_the_public_checks(case):
         assert (chart.coords[p].a, chart.coords[p].k) == (min(totals, default=0), k)
         others = [(c.role, c.a, c.k) for i, c in enumerate(chart.coords) if i != p]
         assert others == [(c.role, c.a, c.k) for i, c in enumerate(state.coords) if i != p]
-    # the library's step on the centre of the first len(center) coordinates
+    # the library's step on the centre of the first len(center) coordinates,
+    # given the sum of the centre's discrepancies (in the main chain, z0's alone)
     width = len(pivots)
-    tags = [(c.a, c.k) if c.role == EXCEPTIONAL else None for c in state.coords]
-    a, k, ideals = rs._blowup(list(state.ideal), tags, width)
+    k = sum(c.k for c in state.coords[:width] if c.role == EXCEPTIONAL)
+    a, k, ideals = rs._blowup(list(state.ideal), k, width)
     charts = blowup_chart(state, state.names()[:width])
     assert ideals == [list(chart.ideal) for chart in charts]
     assert [(a, k)] * width == [(chart.coords[p].a, chart.coords[p].k) for p, chart in enumerate(charts)]
