@@ -261,6 +261,12 @@ _STRING = _typed(lambda v: isinstance(v, str), "a string")
 _STRINGS = _typed(lambda v: isinstance(v, str), "a list of strings", listed=True)
 
 
+def _names(value, key: str) -> list[str]:
+    """A list of variable names, none of them empty or blank."""
+    _guard(pl._check_names, tuple(_STRINGS(value, key)), prefix=f"bad {key}: ")
+    return value
+
+
 def _rational(value, what: str) -> int | Fraction:
     """An integer or a string such as "3/2"; flag text arrives already parsed."""
     if isinstance(value, str):
@@ -301,7 +307,7 @@ _KEYS = {
     "orders": _Key(_rationals, "--orders", _parse_fraction_list),
     "polynomials": _Key(_STRINGS, "--poly", _verbatim, repeats=True),
     "polynomial": _Key(_STRING, "--poly", _verbatim),
-    "variables": _Key(_STRINGS, "--vars", lambda text, key: text.split(",")),
+    "variables": _Key(_names, "--vars", lambda text, key: text.split(",")),
     # its shape is checked by run_newton, its entries by MonomialSupport
     "support": _Key(_verbatim, "--support", _support_json),
     "bound": _Key(_INTEGER, "--bound", _parse_int_flag),

@@ -163,9 +163,17 @@ class Poly:
         return f"Poly({str(self)!r}, variables={self._variables!r})"
 
 
+def _check_names(variables: tuple[str, ...]) -> None:
+    """Reject an empty or blank name, naming its entry, counted from 1."""
+    for index, name in enumerate(variables, 1):
+        if isinstance(name, str) and not name.strip():
+            raise ValueError(f"variable {index} of {variables} has an empty or blank name")
+
+
 def _check_variables(variables: tuple[str, ...]) -> None:
     if not variables:
         raise ValueError("a polynomial needs at least one variable")
+    _check_names(variables)
     if len(set(variables)) != len(variables):
         raise ValueError(f"duplicate variable names in {variables}")
 

@@ -33,8 +33,8 @@ renderings: the trace, the vj checks, the side chains and the
 factorization witness.  The checks stay those of the argument: every chart
 off the main chain is principal, generated on z0 and its pivot, and that
 generator divides the matching side-chain chart (:func:`_climb`); every
-side chain ends in z0^{e_l} (:func:`_side_chain`); the ledger's a run
-through the degree steps while its k rise strictly; and the terminal chart
+side chain ends in z0^{e_l} (:func:`_side_chain`); the ledger's (a, k)
+rows equal their closed form (:func:`ledger_rows`); and the terminal chart
 factors as a power of z0 times r distinct strict coordinates
 (:func:`_factorization_witness`).
 
@@ -44,7 +44,12 @@ used to prove them pointwise on a rational grid.  The box is decided one
 slice of fixed b0 at a time, each slice in one pass over the possible
 minimum (see :func:`verify_valuation_inequality`); a PASS still counts the
 whole box in ``tuples_checked``.  The chain grid runs in integers over the
-step's denominator, and only a failing point becomes a report.
+step's denominator.  The chain is built right to left, and each check at a
+chain index reads only its suffix (M_j, ..., M_r) and the next chain index,
+which that suffix fixes too; so each distinct suffix is decided once (see
+:func:`descent_chain_grid`), and a PASS still counts every point.  Only a
+failing grid is scanned point by point, and only its first failing point
+becomes a report.
 """
 
 from __future__ import annotations
@@ -349,6 +354,16 @@ def _levels(profile: DegreeProfile):
     return levels, e, list(itertools.accumulate(count for _, count in levels))
 
 
+def ledger_rows(profile: DegreeProfile) -> list[tuple[int, int]]:
+    """The (a, k) of every ledger row in closed form, in O(d_r - d_1) steps:
+    a runs through d_1, d_1 + 1, ..., d_r, k starts at n - 1, and each
+    blow-up of level l adds cum[l-1] (see :func:`_levels`), the
+    ``width - 1`` of its :func:`_blowup`."""
+    _, e, cum = _levels(profile)
+    steps = (cum[l - 1] for l in range(1, len(e)) for _ in range(e[l] - e[l - 1]))
+    return list(zip(range(e[0], e[-1] + 1), itertools.accumulate(steps, initial=profile.n - 1)))
+
+
 def _check_resolution_budget(profile: DegreeProfile) -> None:
     """Reject a profile whose resolution builds more than RESOLVE_BUDGET
     chart entries, each chart counted with _CHART_UPKEEP more.
@@ -403,12 +418,9 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
         trace.append(TraceStep(center, center[0], row.divisor, row.a, row.k, _ideal_text(texts)))
 
     # one divisor, and so one blow-up, per degree step: this also checks blowup_count
-    expected_a = list(range(e[0], e[-1] + 1))
-    if [row.a for row in rows] != expected_a:
-        raise ResolutionError(f"ledger multiplicities {[r.a for r in rows]} != {expected_a}")
-    ks = [row.k for row in rows]
-    if any(ks[i] >= ks[i + 1] for i in range(len(ks) - 1)):
-        raise ResolutionError(f"discrepancies not strictly increasing: {ks}")
+    got, expected = [(row.a, row.k) for row in rows], ledger_rows(profile)
+    if got != expected:
+        raise ResolutionError(f"ledger rows {got} != closed form {expected}")
 
     witness = _factorization_witness(names, ideal, profile.r) if mode == STRONG_FACTORIZING else None
     case3 = tuple(_side_chain(chain, e, cum, level) for level in range(1, len(e)))
@@ -624,6 +636,42 @@ def _check_chain_grid(profile: DegreeProfile, step: Fraction, maximum: Fraction)
     _check_budget(1, maximum // step + 1, profile.r, "chain grid")
 
 
+def _grid_passes(profile: DegreeProfile, columns: Sequence[Sequence[int]], base: int) -> bool:
+    """Whether :func:`_chain` passes at every point of the grid whose j-th
+    coordinate M_j runs through ``columns[j-1]``, each suffix
+    (M_j, ..., M_r) decided once.
+
+    :func:`_chain` builds the chain right to left: index r is always in it,
+    and j joins when M_j lies below the M of the current head, the chain
+    index last joined; then N_j = j*M_j + base + (M_(j+1) + ... + M_r), and
+    the check at j reads only its suffix and that head, which the suffix
+    fixes too.  So a point passes exactly when every suffix along it does.
+    The suffixes are walked depth first from index r with an explicit stack
+    of (index, column iterator, tail, head N, head M), the tail being
+    M_(j+1) + ... + M_r: O(1) per suffix and O(r) memory.  There is no
+    recursion, since a one-point axis admits any r.
+    """
+    alphas = [(alpha.numerator, alpha.denominator) for alpha in profile.table.values]
+    last = len(columns) - 1
+    # (r, 1) stands for the value after the last chain index, as in _chain
+    stack = [(last, iter(columns[last]), 0, last + 1, 1)]
+    while stack:
+        j, column, tail, head_n, head_m = stack[-1]
+        alpha_num, alpha_den = alphas[j]
+        for m in column:
+            next_n, next_m = head_n, head_m
+            if j == last or m < head_m:
+                next_n, next_m = (j + 1) * m + base + tail, m
+                if not (next_n * alpha_den >= alpha_num * m or next_n * head_m >= head_n * m):
+                    return False
+            if j:
+                stack.append((j - 1, iter(columns[j - 1]), tail + m, next_n, next_m))
+                break
+        else:
+            stack.pop()
+    return True
+
+
 def descent_chain_grid(
     profile: DegreeProfile, step: Fraction, maximum: Fraction
 ) -> tuple[int, DescentChainReport | None]:
@@ -634,16 +682,21 @@ def descent_chain_grid(
 
     With the step s/D in lowest terms, every u_j is k_j*s/D, so the grid runs
     over the integers M_j = D*d_j + k_j*s, with D as the common denominator.
-    Only the first failing point goes to :func:`descent_chain` for its report.
+    A point's checks depend only on its suffixes (M_j, ..., M_r), so
+    :func:`_grid_passes` decides each distinct suffix once, and a PASS counts
+    all (maximum // step + 1)^r points.  Only a grid that fails is scanned
+    point by point with :func:`_chain`, in lexicographic order, to count the
+    points up to the first failing one, which goes to :func:`descent_chain`
+    for its report.
     """
     _check_chain_grid(profile, step, maximum)
     s, den = step.numerator, step.denominator
     ks = range(maximum // step + 1)
     columns = [[den * dj + k * s for k in ks] for dj in profile.degrees]
     base = den * (profile.n - profile.degree_sum)
-    points = 0
-    for m, k in zip(itertools.product(*columns), itertools.product(ks, repeat=profile.r)):
-        points += 1
-        if not all(_chain(profile, m, base)[2]):
-            return points, descent_chain(profile, [kj * step for kj in k])
-    return points, None
+    if _grid_passes(profile, columns, base):
+        return len(ks) ** profile.r, None
+    # the grid holds a failing point, so the scan below meets one
+    points = zip(itertools.product(*columns), itertools.product(ks, repeat=profile.r))
+    index, k = next((i, k) for i, (m, k) in enumerate(points, 1) if not all(_chain(profile, m, base)[2]))
+    return index, descent_chain(profile, [kj * step for kj in k])

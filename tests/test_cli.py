@@ -496,7 +496,7 @@ EMPTY_FLAGS = {
     ),
     "orders": (["weighted", "--weights", "1,1", "--orders", ""], "could not parse orders '' as a rational number"),
     "support": (["newton", "--support", ""], "bad support JSON: "),
-    "variables": (["newton", "--poly", "x1^2", "--vars", ""], "in 'x1^2': unknown variable 'x1' (at position 0)"),
+    "variables": (["newton", "--poly", "x1^2", "--vars", ""], "bad variables: variable 1 of ('',) has an empty or blank name"),
 }
 
 
@@ -600,6 +600,38 @@ def test_duplicate_variables_exit_input(capsys, tmp_path, argv, request_):
     code, report = run_json(capsys, "batch", str(path))
     assert code == EXIT_INPUT
     assert "duplicate variable names" in report["reports"][0]["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, request_, error",
+    [
+        (
+            ["probe", "--poly", "x1^2", "--vars", "x1,,x2", "--field", "3"],
+            {"command": "probe", "polynomials": ["x1^2"], "variables": ["x1", "", "x2"], "field": 3},
+            "bad variables: variable 2 of ('x1', '', 'x2') has an empty or blank name",
+        ),
+        (
+            ["newton", "--poly", "x1^2+x2^3", "--vars", "x1,"],
+            {"command": "newton", "polynomial": "x1^2+x2^3", "variables": ["x1", ""]},
+            "bad variables: variable 2 of ('x1', '') has an empty or blank name",
+        ),
+        (
+            ["weighted", "--weights", "1,1", "--poly", "x1^2", "--vars", " ,x1"],
+            {"command": "weighted", "weights": [1, 1], "polynomials": ["x1^2"], "variables": [" ", "x1"]},
+            "bad variables: variable 1 of (' ', 'x1') has an empty or blank name",
+        ),
+    ],
+)
+def test_empty_variable_names_exit_input(capsys, tmp_path, argv, request_, error):
+    # an empty name used to count as a variable: probe scanned x1, '' and x2
+    # and reported FAIL, and newton said "unknown variable 'x2'"
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr().err == f"input error: {error}\n"
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([request_]))
+    code, report = run_json(capsys, "batch", str(path))
+    assert code == EXIT_INPUT
+    assert report["reports"][0]["error"] == f"request 0: {error}"
 
 
 def test_probe_exit_codes(capsys):

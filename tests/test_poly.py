@@ -129,6 +129,14 @@ def test_parse_checks_the_variable_list_after_the_text():
         parse_poly("x1^2", ["x1", "x1"])
     with pytest.raises(PolyParseError, match=r"^unknown variable 'x1' \(at position 0\)$"):
         parse_poly("x1", [])
+    with pytest.raises(ValueError, match=r"^variable 2 of \('x1', '', 'x2'\) has an empty or blank name$"):
+        parse_poly("x1^2", ["x1", "", "x2"])
+
+
+@pytest.mark.parametrize("names", [["x1", ""], ["x1", " "], ["\t", "x1"]])
+def test_poly_rejects_an_empty_or_blank_variable_name(names):
+    with pytest.raises(ValueError, match=r"has an empty or blank name$"):
+        Poly(names, {(1, 0): 1})
 
 
 @pytest.mark.parametrize("text", ["x1 - x1 + x2 + x1 + x2^2 - x2^2", "0*x2^2 + x1 + 0 + x2"])

@@ -560,6 +560,29 @@ def test_ledger_shape():
         assert rep.blowup_count == len(a_values)
 
 
+def test_ledger_rows_closed_form():
+    # a runs through the degree steps; k starts at n - 1, and each blow-up of
+    # level l adds the number of degrees below e_l
+    assert rs.ledger_rows(DegreeProfile(9, (2, 2, 4, 5))) == [(2, 8), (3, 10), (4, 12), (5, 15)]
+    assert rs.ledger_rows(DegreeProfile(9, (3, 3, 3))) == [(3, 8)]
+    for n, degrees in [(6, (2, 3)), (12, (2, 3, 3, 7)), (60, tuple(range(2, 40)))]:
+        profile = DegreeProfile(n, degrees)
+        assert rs.ledger_rows(profile) == [(row.a, row.k) for row in simulate_resolution(profile).ledger]
+
+
+def test_ledger_is_checked_against_its_closed_form(monkeypatch):
+    # a discrepancy off by one still rises, so only the closed form catches it
+    blowup = rs._blowup
+
+    def off_by_one(ideal, k, width):
+        a, k, charts = blowup(ideal, k, width)
+        return a, k + 1, charts
+
+    monkeypatch.setattr(rs, "_blowup", off_by_one)
+    with pytest.raises(rs.ResolutionError, match=r"^ledger rows \[\(2, 5\), \(3, 7\)\] != closed form \[\(2, 5\), \(3, 6\)\]$"):
+        simulate_resolution(DegreeProfile(6, (2, 3)))
+
+
 def test_equal_degrees_single_row():
     rep = simulate_resolution(DegreeProfile(9, (3, 3, 3)))
     assert [(r.a, r.k) for r in rep.ledger] == [(3, 8)]
@@ -581,6 +604,7 @@ def test_c3_wide_route_agreement(profile):
     report = simulate_resolution(profile)
     assert report == simulate_resolution_by_charts(profile)[0]
     assert report.lower_bound == formula
+    assert min(F(k + 1, a) for a, k in rs.ledger_rows(profile)) == formula
     assert weighted_upper_bound(WeightedProfile((1,) * profile.n, profile.degrees)) == formula
     # the divisor with a = d_pivot is among the ledger's minimizers (the minimum may be tied)
     pivot_degree = profile.degrees[profile.table.pivot - 1]
@@ -718,6 +742,41 @@ def test_verify_scans_match_exhaustive_oracles():
         seen["chain fail"] += failure is not None
         seen["chain fail past the first point"] += failure is not None and points > 1
     assert all(seen.values()), seen
+
+
+# (profile, points, failing chain index, u) on the grid {0, 1, 2}^r: tables
+# whose one failing check is, in turn, the terminal check at r, an interior
+# link and the link at 1, then two passing tables whose one link at u = 0
+# holds only with equality, the first through the next chain value, the
+# second through its candidate.  The terminal value r + base/M_r only rises
+# with u_r, so a terminal check that fails somewhere fails at the first
+# point; the links fail only past it, where their index first joins the chain.
+_HAND_GRIDS = [
+    (_TableProfile(3, (2, 2, 2), [F(0), F(0), F(2)]), 1, 3, (0, 0, 0)),
+    (_TableProfile(3, (2, 3, 3), [F(0), F(2), F(0)]), 2, 2, (0, 0, 1)),
+    (_TableProfile(3, (6, 6, 6), [F(1), F(0), F(0)]), 5, 1, (0, 1, 1)),
+    (_TableProfile(2, (2, 3), [F(100), F(0)]), 9, None, None),  # v_1 = v_2 = 1
+    (_TableProfile(2, (3, 4), [F(2, 3), F(0)]), 9, None, None),  # v_1 = 2/3 < v_2 = 3/4
+]
+
+
+@pytest.mark.parametrize("profile, points, index, u", _HAND_GRIDS)
+def test_chain_grid_on_hand_built_tables(profile, points, index, u):
+    grid = descent_chain_grid(profile, F(1), F(2))
+    assert grid == chain_grid_by_points(profile, F(1), F(2))
+    assert grid[0] == points
+    report = grid[1]
+    if index is None:
+        assert report is None
+    else:
+        assert report.u == u
+        checks = report.links_ok + (report.terminal_ok,)
+        assert [k for k, ok in zip(report.chain, checks) if not ok] == [index]
+
+
+def test_chain_grid_walks_a_one_point_axis_of_any_length():
+    # a one-point axis passes the budget at any r; the walk holds one frame per index
+    assert descent_chain_grid(DegreeProfile(6000, (2,) * 2500), F(1), F(0)) == (1, None)
 
 
 # --- work budgets -----------------------------------------------------------------
