@@ -8,6 +8,7 @@ resolution with its exceptional-divisor ledger.
 
 from minexp.exponent import (
     DegreeProfile,
+    cone_formula,
     lct_cone,
     minimal_exponent,
     minimal_exponent_cone,

@@ -262,8 +262,10 @@ _STRINGS = _typed(lambda v: isinstance(v, str), "a list of strings", listed=True
 
 
 def _names(value, key: str) -> list[str]:
-    """A list of variable names, none of them empty or blank."""
-    _guard(pl._check_names, tuple(_STRINGS(value, key)), prefix=f"bad {key}: ")
+    """A nonempty list of variable names, none of them empty or blank."""
+    if not _STRINGS(value, key):
+        raise InputError(f"bad {key}: expected a nonempty list of names")
+    _guard(pl._check_names, tuple(value), prefix=f"bad {key}: ")
     return value
 
 
@@ -335,42 +337,31 @@ def _parse_poly(text: str, variables: list[str]) -> pl.Poly:
 
 
 def run_formula(n: int, degrees: list[int]) -> tuple[dict, int]:
-    reduced = _guard(ex.normalize_degree_one, n, degrees)
-    warnings = [HYPOTHESIS_WARNING]
+    shift, profile, alpha, lct, predicates = _guard(ex.cone_formula, n, degrees)
     provenance = [
         "minimal exponent: minimum of the closed-form candidate sequence over the degrees",
         "lct: minimal exponent capped at the codimension",
         "predicates: derived from the exponent, cross-checked against degree sums",
     ]
-    if reduced is ex.INFINITY:  # smooth: rational and log canonical, lct = codimension
-        shift = len(degrees)
-        alpha, lct, predicates = ex.INFINITY, Fraction(shift), ex.SingularityPredicates(True, True, True)
-    else:
-        # every degree-1 equation adds one to the exponent and to the
-        # codimension, so the lct shifts with them and the predicates do not move
-        profile, shift = reduced
-        table = profile.table
-        alpha, lct = shift + table.minimum, shift + ex.lct_cone(profile)
-        predicates = ex.singularity_predicates(profile)
     results = {
         "n": n,
         "degrees": list(degrees),
         "linear_shift": shift,
-        "smooth": reduced is ex.INFINITY,
+        "smooth": profile is None,
         "minimal_exponent": _rat_json(alpha),
         "lct": _rat_json(lct),
         "predicates": dict(vars(predicates)),
     }
-    if reduced is not ex.INFINITY:
-        results["candidates"] = [_rat_json(v) for v in table.values]
-        results["pivot"] = table.pivot
+    if profile is not None:
+        results["candidates"] = [_rat_json(v) for v in profile.table.values]
+        results["pivot"] = profile.table.pivot
         if shift:
             results["reduced"] = {"n": profile.n, "degrees": list(profile.degrees)}
             provenance.append(
                 f"{shift} linear equation(s) removed; the exponent of the reduced cone "
                 f"is shifted up by {shift}"
             )
-    return _report("formula", EXIT_OK, results=results, warnings=warnings, provenance=provenance)
+    return _report("formula", EXIT_OK, results=results, warnings=[HYPOTHESIS_WARNING], provenance=provenance)
 
 
 def _text_formula(results: dict):
@@ -403,7 +394,7 @@ def run_weighted(
         raise InputError("variables apply only to polynomials")
     results: dict = {"weights": [_rat_json(w) for w in weights]}
     if polynomials is not None:
-        names = variables or [f"x{i}" for i in range(1, len(weights) + 1)]
+        names = [f"x{i}" for i in range(1, len(weights) + 1)] if variables is None else variables
         parsed = [_parse_poly(text, names) for text in polynomials]
         profile = _guard(pl.weighted_profile, parsed, weights)
         results["polynomials"] = [str(f) for f in parsed]
@@ -435,7 +426,7 @@ def run_newton(
     if variables is not None and polynomial is None:
         raise InputError("variables apply only to a polynomial")
     if polynomial is not None:
-        if not variables:
+        if variables is None:
             raise InputError("a polynomial input needs its variable list")
         ms = _guard(nt.MonomialSupport.from_poly, _parse_poly(polynomial, variables))
     else:
@@ -602,10 +593,8 @@ def _text_verify(results: dict):
 
 
 def run_probe(
-    polynomials: list[str], variables: list[str], field: int, limit: int = 100_000
+    polynomials: list[str], variables: list[str], field: int, limit: int = pl.PROBE_LIMIT
 ) -> tuple[dict, int]:
-    if not variables:
-        raise InputError("need the variable list")
     fs = [_parse_poly(text, variables) for text in polynomials]
     report = _guard(pl.probe_transversality, fs, field, limit)
     results = {

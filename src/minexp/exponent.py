@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property, total_ordering
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 
 @total_ordering
@@ -82,7 +82,7 @@ def _common_denominator(values) -> tuple[list[int], int]:
 
 def _check_degrees(n, degrees: tuple, least: int) -> None:
     """The checks on an ambient dimension and a degree list that
-    :class:`DegreeProfile` (``least`` 2) and :func:`normalize_degree_one`
+    :class:`DegreeProfile` (``least`` 2) and :func:`cone_formula`
     (``least`` 1) share."""
     if not all(_is_int(d) for d in degrees):
         raise ValueError(f"degrees must be integers, got {degrees}")
@@ -106,8 +106,8 @@ class DegreeProfile:
     """Ambient dimension plus the sorted degree list of the defining equations.
 
     n and the degrees must be ``int`` (not ``bool``); nothing is truncated.
-    Degrees must all be at least 2; strip degree-1 entries first with
-    :func:`normalize_degree_one`.  The codimension r never exceeds n.
+    Degrees must all be at least 2; :func:`cone_formula` takes degree-1
+    entries.  The codimension r never exceeds n.
     """
 
     n: int
@@ -252,28 +252,37 @@ def weighted_upper_bound(profile: WeightedProfile) -> Fraction:
     return exponent_candidates(sum(profile.weights), profile.orders).minimum
 
 
-def normalize_degree_one(n: int, degrees: Sequence[int]) -> tuple[DegreeProfile, int] | Infinity:
-    """Strip degree-1 equations: each one drops the ambient dimension by one
-    and shifts the minimal exponent up by one.
+class ConeFormula(NamedTuple):
+    """The closed form of a cone for any positive degrees: ``shift``
+    degree-1 equations removed, ``profile`` the reduced profile (None when
+    the cone is smooth), and the cone's own exponent, lct and predicates."""
 
-    Returns ``(reduced profile, shift)``; callers add the shift to any
-    exponent computed on the reduced profile.  If every degree is 1 the
-    subscheme is smooth and the result is INFINITY.
+    shift: int
+    profile: DegreeProfile | None
+    minimal_exponent: Fraction | Infinity
+    lct: Fraction
+    predicates: SingularityPredicates
+
+
+def cone_formula(n: int, degrees: Sequence[int]) -> ConeFormula:
+    """The closed form for arbitrary positive degrees.
+
+    Each degree-1 equation is a hyperplane section: it drops the ambient
+    dimension by one and shifts the exponent and the codimension up by one,
+    so the lct shifts with them and the predicates do not move.  If every
+    degree is 1 the cone is smooth: its exponent is INFINITY, its lct the
+    codimension, and every predicate holds.
     """
     degrees = tuple(degrees)
     _check_degrees(n, degrees, 1)
-    shift = sum(1 for d in degrees if d == 1)
-    rest = degrees[shift:]
-    if not rest:
-        return INFINITY
-    return DegreeProfile(n - shift, rest), shift
+    shift = degrees.count(1)
+    if shift == len(degrees):
+        return ConeFormula(shift, None, INFINITY, Fraction(shift), SingularityPredicates(True, True, True))
+    profile = DegreeProfile(n - shift, degrees[shift:])
+    alpha, lct = shift + minimal_exponent_cone(profile), shift + lct_cone(profile)
+    return ConeFormula(shift, profile, alpha, lct, singularity_predicates(profile))
 
 
 def minimal_exponent(n: int, degrees: Sequence[int]) -> Fraction | Infinity:
-    """Minimal exponent for arbitrary positive degrees, applying the
-    degree-1 reduction automatically; INFINITY when all degrees are 1."""
-    reduced = normalize_degree_one(n, degrees)
-    if reduced is INFINITY:
-        return INFINITY
-    profile, shift = reduced
-    return shift + minimal_exponent_cone(profile)
+    """Minimal exponent for arbitrary positive degrees (see :func:`cone_formula`)."""
+    return cone_formula(n, degrees).minimal_exponent

@@ -334,6 +334,7 @@ class ProbeReport:
 
 
 _MAX_PROBE_VARS = 5
+PROBE_LIMIT = 100_000  # the default budget of nonzero points a probe scans
 _MAX_PROBE_FIELD = 13
 _PROBE_FIELDS = frozenset(
     p for p in range(2, _MAX_PROBE_FIELD + 1) if all(p % d for d in range(2, p))
@@ -471,7 +472,7 @@ def _independent(grads: list, vanishing: list[int], point: tuple[int, ...], q: i
     return _rank(rows, lambda x: pow(x, -1, q), lambda x: x % q) == len(vanishing)
 
 
-def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = 100_000) -> ProbeReport:
+def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = PROBE_LIMIT) -> ProbeReport:
     """Heuristic finite-field screen for smooth + simple-normal-crossing inputs.
 
     At a nonzero point of F_q^n where some of the inputs vanish, the

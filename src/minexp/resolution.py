@@ -231,22 +231,20 @@ def _start_chart(profile: DegreeProfile):
     return profile.n - 1, ideal
 
 
-def _climb(k: int, ideal: list[tuple[int, ...]], e: Sequence[int], cum: Sequence[int], vj_checks: list):
+def _climb(k: int, ideal: list[tuple[int, ...]], schedule: Sequence[tuple[int, int, int]], vj_checks: list):
     """Run the main chain's blow-ups from the chart (``k``, ``ideal``) of
     :func:`_start_chart`, and yield after each the chart that keeps the
     exceptional coordinate z0, as (center, names, a, k, ideal, texts): the
     names of the centre, the chart's coordinate names, the new divisor's
     (a, k), and the chart's generators and rendered generators.
 
-    ``e`` holds the distinct degrees in increasing order and ``cum[l]`` the
-    number of degrees at most ``e[l]``.  A blow-up of level l is one
-    :func:`_blowup` centred on z0 and z1..zq, q = cum[l-1]; there are
-    e_l - e_{l-1} of them, and the coordinate names of each are made once
-    for all its charts.  Every chart other than the z0 one, of pivot p,
-    must be principal with a generator g* supported on its exceptional
-    coordinates z0 and z_p; each is recorded in ``vj_checks`` under the name
-    of the divisor just made, E2 onwards, with g*'s text read from the
-    chart's rendered generators.
+    ``schedule`` is the blow-up schedule of :func:`_levels`.  A blow-up of
+    level l is one :func:`_blowup` centred on z0 and z1..zq, and the
+    coordinate names of each are made once for all its charts.  Every chart
+    other than the z0 one, of pivot p, must be principal with a generator g*
+    supported on its exceptional coordinates z0 and z_p; each is recorded in
+    ``vj_checks`` under the name of the divisor just made, E2 onwards, with
+    g*'s text read from the chart's rendered generators.
 
     The same chart of the side chain of a level m >= l (see
     :func:`_side_chain`) holds this chart's first cum[m-1] generators, cut
@@ -257,9 +255,8 @@ def _climb(k: int, ideal: list[tuple[int, ...]], e: Sequence[int], cum: Sequence
     """
     width = len(ideal[0])
     names = _names(0, width)
-    blowup_levels = [level for level in range(1, len(e)) for _ in range(e[level] - e[level - 1])]
-    for depth, level in enumerate(blowup_levels, 1):
-        q = cum[level - 1]
+    blowups = ((level, q, power) for level, (q, power, count) in enumerate(schedule, 1) for _ in range(count))
+    for depth, (level, q, power) in enumerate(blowups, 1):
         center = tuple(names[: q + 1])
         a, k, charts = _blowup(ideal, k, q + 1)
         names = _names(depth, width)
@@ -267,7 +264,7 @@ def _climb(k: int, ideal: list[tuple[int, ...]], e: Sequence[int], cum: Sequence
             chart = charts[p]
             texts = _render(names, chart)
             star = _principal_exceptional_generator(names, p, chart, texts)
-            if star >= q or max(chart[star][0], chart[star][p]) > e[level]:
+            if star >= q or max(chart[star][0], chart[star][p]) > power:
                 raise ResolutionError(
                     f"level {level}: {texts[star]} does not divide the {center[p]} side chart"
                 )
@@ -276,27 +273,26 @@ def _climb(k: int, ideal: list[tuple[int, ...]], e: Sequence[int], cum: Sequence
         yield center, names, a, k, ideal, _render(names, ideal)
 
 
-def _side_chain(chain: Sequence[tuple], e: Sequence[int], cum: Sequence[int], level: int) -> Case3Report:
+def _side_chain(chain: Sequence[tuple], level: int, q: int, power: int) -> Case3Report:
     """The side chain at ``level``, read off ``chain``, the main chain's
-    followed charts as (names, generators, rendered generators); ``e`` and
-    ``cum`` are as in :func:`_climb`.
+    followed charts through that level as (names, generators, rendered
+    generators); ``q`` and ``power`` are the level's in :func:`_levels`.
 
-    It starts from z1..zq, the strict transforms of the lower levels
-    (q = cum[level-1]), and z0^power (power = e_level), and runs the main
-    chain's blow-ups of levels 1..``level``.  Every chart map is monomial
-    and acts on each generator alone, and these centres use only z0..zq, so
-    the main chain carries the first q generators along; the z0 chart keeps
-    z0^power, its total over the centre.  So step t is main chart t cut to
-    its first q+1 coordinates and first q generators, followed by z0^power.
-    A main generator is supported on z0 and z_j, j <= q, so its cut keeps
-    the main chart's text; a cut that differs from the full generator is
-    rendered.  :func:`_climb` checks the other charts; the last chart, whose
-    one exceptional coordinate is z0, must be generated by z0^power.
+    It starts from z1..zq, the strict transforms of the lower levels, and
+    z0^power, and runs the main chain's blow-ups of levels 1..``level``.
+    Every chart map is monomial and acts on each generator alone, and these
+    centres use only z0..zq, so the main chain carries the first q
+    generators along; the z0 chart keeps z0^power, its total over the
+    centre.  So step t is main chart t cut to its first q+1 coordinates and
+    first q generators, followed by z0^power.  A main generator is supported
+    on z0 and z_j, j <= q, so its cut keeps the main chart's text; a cut
+    that differs from the full generator is rendered.  :func:`_climb` checks
+    the other charts; the last chart, whose one exceptional coordinate is
+    z0, must be generated by z0^power.
     """
-    q, power = cum[level - 1], e[level]
     pure = (power,) + (0,) * q
     steps = []
-    for names, ideal, texts in chain[: 1 + power - e[0]]:
+    for names, ideal, texts in chain:
         names = names[: q + 1]
         cut = [_render(names, [g])[0] if any(g[q + 1 :]) else text for g, text in zip(ideal[:q], texts)]
         cut += _render(names, [pure])
@@ -346,38 +342,41 @@ _CHART_UPKEEP = 400
 
 
 def _levels(profile: DegreeProfile):
-    """The (degree, multiplicity) runs of the degrees, the distinct degrees
-    ``e`` in increasing order, and ``cum[l]``, the number of degrees at most
-    ``e[l]``."""
+    """The (degree, multiplicity) runs of the degrees, and the blow-up
+    schedule after the origin blow-up.  With the distinct degrees
+    e_0 < e_1 < ..., level l >= 1 has e_l - e_{l-1} blow-ups, each centred on
+    z0..zq, q = cum[l-1] the number of degrees below e_l.  The schedule holds
+    one (q, e_l, e_l - e_{l-1}) per level, so it is built in O(r) steps,
+    whatever the degrees."""
     levels = tuple((d, len(list(run))) for d, run in itertools.groupby(profile.degrees))
-    e = [d for d, _ in levels]
-    return levels, e, list(itertools.accumulate(count for _, count in levels))
+    cum = itertools.accumulate(count for _, count in levels)
+    return levels, [(q, d, d - low) for q, (d, _), (low, _) in zip(cum, levels[1:], levels)]
 
 
 def ledger_rows(profile: DegreeProfile) -> list[tuple[int, int]]:
     """The (a, k) of every ledger row in closed form, in O(d_r - d_1) steps:
     a runs through d_1, d_1 + 1, ..., d_r, k starts at n - 1, and each
-    blow-up of level l adds cum[l-1] (see :func:`_levels`), the
-    ``width - 1`` of its :func:`_blowup`."""
-    _, e, cum = _levels(profile)
-    steps = (cum[l - 1] for l in range(1, len(e)) for _ in range(e[l] - e[l - 1]))
-    return list(zip(range(e[0], e[-1] + 1), itertools.accumulate(steps, initial=profile.n - 1)))
+    blow-up adds its q (see :func:`_levels`), the ``width - 1`` of its
+    :func:`_blowup`."""
+    steps = (q for q, _, count in _levels(profile)[1] for _ in range(count))
+    a = range(profile.degrees[0], profile.degrees[-1] + 1)
+    return list(zip(a, itertools.accumulate(steps, initial=profile.n - 1)))
 
 
 def _check_resolution_budget(profile: DegreeProfile) -> None:
     """Reject a profile whose resolution builds more than RESOLVE_BUDGET
     chart entries, each chart counted with _CHART_UPKEEP more.
 
-    The main chain holds the first chart and, per blow-up of level l, one
-    chart per centre coordinate (cum[l-1] + 1 of them), each r + 1
+    The main chain holds the first chart and, per blow-up, one chart per
+    centre coordinate (q + 1 of them, see :func:`_levels`), each r + 1
     coordinates by r generators; the side chain of level l has
-    1 + e_l - e_0 steps of cum[l-1] + 1 coordinates by as many generators.
-    The count takes O(r) steps, whatever the degrees."""
-    _, e, cum = _levels(profile)
-    r = profile.r
-    main = 1 + sum((e[l] - e[l - 1]) * (cum[l - 1] + 1) for l in range(1, len(e)))
-    side = [(1 + e[l] - e[0], cum[l - 1] + 1) for l in range(1, len(e))]
-    work = main * (r * (r + 1) + _CHART_UPKEEP) + sum(steps * (width**2 + _CHART_UPKEEP) for steps, width in side)
+    1 + e_l - e_0 steps of q + 1 coordinates by as many generators.  The
+    count takes O(r) steps, whatever the degrees."""
+    schedule = _levels(profile)[1]
+    r, low = profile.r, profile.degrees[0]
+    main = 1 + sum(count * (q + 1) for q, _, count in schedule)
+    side = sum((1 + power - low) * ((q + 1) ** 2 + _CHART_UPKEEP) for q, power, _ in schedule)
+    work = main * (r * (r + 1) + _CHART_UPKEEP) + side
     if work > RESOLVE_BUDGET:
         raise ValueError(f"resolution exceeds the work budget of {RESOLVE_BUDGET} chart entries")
 
@@ -401,29 +400,29 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     """
     _check_resolution_budget(profile)
     n = profile.n
-    levels, e, cum = _levels(profile)
+    levels, schedule = _levels(profile)
     mode = LOG_RESOLUTION if profile.r == n else STRONG_FACTORIZING
 
     k, ideal = _start_chart(profile)
     names = _names(0, len(ideal[0]))
     texts = _render(names, ideal)
     chain = [(names, ideal, texts)]
-    rows = [LedgerRow("E1", profile.degrees[0], k)]
-    trace = [TraceStep("origin", None, "E1", rows[0].a, rows[0].k, _ideal_text(texts))]
+    trace = [TraceStep("origin", None, "E1", profile.degrees[0], k, _ideal_text(texts))]
     vj_checks: list[VjCheck] = []
-    for center, names, a, k, ideal, texts in _climb(k, ideal, e, cum, vj_checks):
+    for center, names, a, k, ideal, texts in _climb(k, ideal, schedule, vj_checks):
         chain.append((names, ideal, texts))
-        row = LedgerRow(f"E{len(rows) + 1}", a, k)
-        rows.append(row)
-        trace.append(TraceStep(center, center[0], row.divisor, row.a, row.k, _ideal_text(texts)))
+        trace.append(TraceStep(center, center[0], f"E{len(trace) + 1}", a, k, _ideal_text(texts)))
 
-    # one divisor, and so one blow-up, per degree step: this also checks blowup_count
-    got, expected = [(row.a, row.k) for row in rows], ledger_rows(profile)
+    # one divisor, and so one blow-up, per degree step: this also checks blowup_count.
+    # Checked before a LedgerRow refuses a bad (a, k) as input: a chain fault is no input error.
+    got, expected = [(step.a, step.k) for step in trace], ledger_rows(profile)
     if got != expected:
         raise ResolutionError(f"ledger rows {got} != closed form {expected}")
+    rows = [LedgerRow(step.divisor, step.a, step.k) for step in trace]
 
     witness = _factorization_witness(names, ideal, profile.r) if mode == STRONG_FACTORIZING else None
-    case3 = tuple(_side_chain(chain, e, cum, level) for level in range(1, len(e)))
+    low = profile.degrees[0]  # the side chain of level l runs through chart e_l - e_0 of the main chain
+    case3 = tuple(_side_chain(chain[: 1 + e - low], level, q, e) for level, (q, e, _) in enumerate(schedule, 1))
 
     return ResolutionReport(
         mode=mode,

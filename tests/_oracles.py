@@ -60,6 +60,7 @@ from minexp import cli
 from minexp.cli import _TABLE, InputError
 from minexp.exponent import DegreeProfile, ExponentTable, _as_fraction
 from minexp.poly import (
+    PROBE_LIMIT,
     Poly,
     PolyParseError,
     ProbeReport,
@@ -375,7 +376,7 @@ def _probe_budget(fs, q: int, limit: int) -> ProbeReport | None:
     return None
 
 
-def probe_by_affine_scan(fs, field_size: int, limit: int = 100_000) -> ProbeReport:
+def probe_by_affine_scan(fs, field_size: int, limit: int = PROBE_LIMIT) -> ProbeReport:
     """The transversality probe by a scan of every nonzero point of F_q^n in
     lexicographic order, for inputs that already passed the library's checks."""
     xs = fs[0].variables
@@ -411,7 +412,7 @@ def _line_representatives(q: int, n: int):
             yield head + tail
 
 
-def probe_by_line_scan(fs, field_size: int, limit: int = 100_000) -> ProbeReport:
+def probe_by_line_scan(fs, field_size: int, limit: int = PROBE_LIMIT) -> ProbeReport:
     """The transversality probe as the library ran it before its scan by
     prefix: every input evaluated at every line representative, from power
     tables, for inputs that already passed the library's checks."""
@@ -1011,7 +1012,10 @@ def simulate_resolution_by_charts(profile: DegreeProfile) -> tuple[ResolutionRep
     """
     _check_resolution_budget(profile)
     n = profile.n
-    levels, e, cum = _levels(profile)
+    # e and cum come from the degree runs, not from the library's schedule, which this oracle checks
+    levels = _levels(profile)[0]
+    e = [d for d, _ in levels]
+    cum = list(itertools.accumulate(count for _, count in levels))
     mode = LOG_RESOLUTION if profile.r == n else STRONG_FACTORIZING
 
     chain = [_start_chart(profile)]

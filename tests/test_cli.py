@@ -91,6 +91,7 @@ LIMIT_ERROR = "limit must be at least 1"
 NO_POLYNOMIAL_ERROR = "need at least one polynomial"
 WEIGHTED_VARIABLES_ERROR = "variables apply only to polynomials"
 NEWTON_VARIABLES_ERROR = "variables apply only to a polynomial"
+EMPTY_VARIABLES_ERROR = "bad variables: expected a nonempty list of names"
 
 
 def test_weighted_orders(capsys):
@@ -262,6 +263,16 @@ def test_verify_pass(capsys):
     assert report["results"]["branch"] == "lct"
 
 
+def test_verify_text_names_the_counterexample(capsys, monkeypatch):
+    # the scan cannot fail on a valid profile, so a failing one is patched in
+    failing = rs.ValuationScanReport(rs.LCT_BRANCH, Fraction(7, 3), 5, False, (1, 0, 0))
+    monkeypatch.setattr(rs, "verify_valuation_inequality", lambda profile, bound: failing)
+    code, text = run(capsys, "verify", "--n", "6", "--degrees", "2,3")
+    assert code == EXIT_FAIL
+    assert "\ninequality grid: 5 tuples\ncounterexample: [1, 0, 0]\n" in text
+    assert "\nFAIL\n" in text
+
+
 def test_verify_chain_grid_from_request(capsys, tmp_path):
     argv = ["verify", "--n", "6", "--degrees", "2,3", "--bound", "3", "--chain-step", "1", "--chain-max", "1"]
     code, report = run_json(capsys, *argv)
@@ -378,6 +389,18 @@ def test_resolve_over_the_budget_exits_input(capsys, monkeypatch):
         assert capsys.readouterr() == ("", f"input error: {error}\n")
         code, report = run_json(capsys, *argv)
         assert (code, report["error"]) == (EXIT_INPUT, error)
+
+
+def test_resolve_chain_fault_is_not_an_input_error(capsys, monkeypatch):
+    # a blow-up giving a = 0 is a fault of the chain, found by the ledger's
+    # closed form; it used to surface as LedgerRow's ValueError, and so as
+    # "input error: divisor multiplicity must be >= 1, got 0" with exit 1
+    blowup = rs._blowup
+    monkeypatch.setattr(rs, "_blowup", lambda ideal, k, width: (0, *blowup(ideal, k, width)[1:]))
+    message = r"^ledger rows \[\(2, 5\), \(0, 6\), \(0, 7\)\] != closed form \[\(2, 5\), \(3, 6\), \(4, 7\)\]$"
+    with pytest.raises(rs.ResolutionError, match=message):
+        main(["resolve", "--n", "6", "--degrees", "2,4"])
+    assert capsys.readouterr().err == ""
 
 
 def test_resolve_checks_its_budget_once(capsys, monkeypatch):
@@ -653,6 +676,34 @@ def test_probe_field_size_errors(capsys, field, message):
     code, report = run_json(capsys, "probe", "--poly", "x1^2", "--vars", "x1,x2", "--field", field)
     assert code == EXIT_INPUT
     assert message in report["error"]
+
+
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (
+            ["probe", "--poly", "x1^2", "--vars", "x1,x2,x3,x4,x5,x6", "--field", "3"],
+            "probe supports at most 5 variables, got 6",
+        ),
+        (["probe", "--poly", "x1 - x1", "--vars", "x1,x2", "--field", "3"], "input 1 is zero"),
+        (["weighted", "--weights", "1,1", "--orders", "0"], "orders must be positive"),
+    ],
+    ids=["probe_six_variables", "probe_zero_input", "weighted_zero_order"],
+)
+def test_library_refusals_exit_input(capsys, argv, error):
+    assert main(argv) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"input error: {error}\n")
+    code, report = run_json(capsys, *argv)
+    assert (code, report["error"]) == (EXIT_INPUT, error)
+
+
+def test_batch_missing_manifest_exits_input(capsys, tmp_path):
+    path = tmp_path / "missing.json"
+    error = f"cannot read manifest: [Errno 2] No such file or directory: {str(path)!r}"
+    assert main(["batch", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"input error: {error}\n")
+    code, report = run_json(capsys, "batch", str(path))
+    assert (code, report["error"]) == (EXIT_INPUT, error)
 
 
 @pytest.mark.parametrize("limit", ["-5", "0"])
@@ -1016,6 +1067,15 @@ BAD_REQUESTS = {
     "over_budget_chain_step": {"command": "verify", "n": 3, "degrees": [2, 3], "chain_step": "1/1000"},
     "weighted_orders_and_variables": {"command": "weighted", "weights": [1, 1], "orders": [2], "variables": ["a", "b"]},
     "newton_support_and_variables": {"command": "newton", "support": [[2, 0], [0, 3]], "variables": ["zz"]},
+    # an empty variable list used to give weighted the default names x1, x2, ...
+    "weighted_empty_variables": {
+        "command": "weighted", "weights": [3, 2], "polynomials": ["x1^2 + x2^3"], "variables": [],
+    },
+    "newton_empty_variables": {"command": "newton", "polynomial": "x1^2", "variables": []},
+    "probe_empty_variables": {**PROBE, "variables": []},
+    "probe_no_polynomials": {**PROBE, "polynomials": []},
+    "empty_degrees": {"command": "formula", "n": 6, "degrees": []},
+    "empty_orders": {"command": "weighted", "weights": [1, 1], "orders": []},
 }
 # the exact error of the bad requests whose text is pinned
 PINNED_ERRORS = {
@@ -1031,6 +1091,12 @@ PINNED_ERRORS = {
     "over_budget_chain_step": "chain grid exceeds the work budget of 1000000 points",
     "weighted_orders_and_variables": WEIGHTED_VARIABLES_ERROR,
     "newton_support_and_variables": NEWTON_VARIABLES_ERROR,
+    "weighted_empty_variables": EMPTY_VARIABLES_ERROR,
+    "newton_empty_variables": EMPTY_VARIABLES_ERROR,
+    "probe_empty_variables": EMPTY_VARIABLES_ERROR,
+    "probe_no_polynomials": NO_POLYNOMIAL_ERROR,
+    "empty_degrees": "degree list must be nonempty",
+    "empty_orders": "order list must be nonempty",
 }
 
 

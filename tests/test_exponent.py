@@ -11,12 +11,13 @@ from _oracles import exponent_candidates_by_fractions
 from minexp.exponent import (
     INFINITY,
     DegreeProfile,
+    SingularityPredicates,
     WeightedProfile,
+    cone_formula,
     exponent_candidates,
     lct_cone,
     minimal_exponent,
     minimal_exponent_cone,
-    normalize_degree_one,
     singularity_predicates,
     weighted_upper_bound,
 )
@@ -188,18 +189,19 @@ def test_weighted_profile_validation():
 
 
 def test_normalize_degree_one():
-    profile, shift = normalize_degree_one(5, (1, 2, 3))
-    assert profile == DegreeProfile(4, (2, 3))
-    assert shift == 1
-    profile, shift = normalize_degree_one(4, (2, 3))
-    assert profile == DegreeProfile(4, (2, 3))
-    assert shift == 0
-    assert normalize_degree_one(3, (1, 1, 1)) is INFINITY
+    # cone_formula strips the degree-1 equations: the reduced (4; 2,3) has
+    # exponent and lct 5/3, and the shift adds one to both
+    cone = cone_formula(5, (1, 2, 3))
+    assert cone == (1, DegreeProfile(4, (2, 3)), F(8, 3), F(8, 3), SingularityPredicates(False, False, False))
+    cone = cone_formula(4, (2, 3))
+    assert (cone.shift, cone.profile, cone.minimal_exponent, cone.lct) == (0, DegreeProfile(4, (2, 3)), F(5, 3), F(5, 3))
+    # smooth: the exponent is INFINITY, the lct the codimension, and every predicate holds
+    assert cone_formula(3, (1, 1, 1)) == (3, None, INFINITY, F(3), SingularityPredicates(True, True, True))
 
 
 def test_normalize_degree_one_rejects_excess_codimension():
     with pytest.raises(ValueError):
-        normalize_degree_one(3, (1, 1, 2, 2))
+        cone_formula(3, (1, 1, 2, 2))
 
 
 @pytest.mark.parametrize(
@@ -218,7 +220,7 @@ def test_profile_rejects_non_int(n, degrees):
 def test_normalize_degree_one_rejects_non_int(n, degrees):
     # (1.5, 2, 3) used to become a shift of 1 on (2, 3)
     with pytest.raises(ValueError):
-        normalize_degree_one(n, degrees)
+        cone_formula(n, degrees)
 
 
 def test_minimal_exponent_with_shift():

@@ -384,6 +384,22 @@ def test_probe_rejects_inhomogeneous():
         probe_transversality([f], 3)
 
 
+@pytest.mark.parametrize(
+    "texts, names, message",
+    [
+        ([], None, "need at least one polynomial"),
+        (["x1^2", "x2^2"], [["x1"], ["x1", "x2"]], "mismatched variable lists"),
+        (["x1^2"], [[f"x{i}" for i in range(1, 7)]], "probe supports at most 5 variables, got 6"),
+        (["x1^2", "x1 - x1"], [["x1", "x2"]] * 2, "input 2 is zero"),
+    ],
+    ids=["no_polynomial", "mismatched_variables", "six_variables", "zero_input"],
+)
+def test_probe_refusals(texts, names, message):
+    fs = [parse_poly(text, variables) for text, variables in zip(texts, names or [])]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        probe_transversality(fs, 3)
+
+
 def test_probe_budget_inconclusive():
     f = parse_poly("x1 + x2 + x3", ["x1", "x2", "x3"])
     report = probe_transversality([f], 5, limit=10)

@@ -306,16 +306,17 @@ def test_side_chains_make_no_blowups(monkeypatch, profile):
 
 
 def test_side_chain_check_is_derived_from_the_main_chain():
-    # (6; 2,3) with the levels lowered to e = [1, 2]: the z1 chart of the one
-    # blow-up is principal, generated by u0^2*u1^3, so the main chain's check
-    # passes, but the side chain's pure power becomes u0^2*u1^2, which that
-    # generator does not divide (g*[p] = 3 > e_1 = 2).  With the real levels
-    # e = [2, 3] the comparison holds with equality.
+    # (6; 2,3) with its one level's degree lowered to e_1 = 2, as the schedule
+    # (q, e_1, count) = (1, 2, 1): the z1 chart of the one blow-up is
+    # principal, generated by u0^2*u1^3, so the main chain's check passes,
+    # but the side chain's pure power becomes u0^2*u1^2, which that generator
+    # does not divide (g*[p] = 3 > e_1 = 2).  With the real schedule
+    # (1, 3, 1) the comparison holds with equality.
     start = rs._start_chart(DegreeProfile(6, (2, 3)))
     with pytest.raises(rs.ResolutionError, match=r"^level 1: u0\^2\*u1\^3 does not divide the z1 side chart$"):
-        list(rs._climb(*start, [1, 2], [1, 2], []))
+        list(rs._climb(*start, [(1, 2, 1)], []))
     checks = []
-    assert [center for center, *_ in rs._climb(*start, [2, 3], [1, 2], checks)] == [("z0", "z1")]
+    assert [center for center, *_ in rs._climb(*start, [(1, 3, 1)], checks)] == [("z0", "z1")]
     assert [(v.pivot, v.generator) for v in checks] == [("z1", "u0^2*u1^3")]
 
 
@@ -324,14 +325,14 @@ def test_side_chain_renders_its_cuts_and_checks_its_end():
     # text cut to z0..zq is rendered, not read from the main chart
     names = ["z0", "z1", "z2"]
     chain = [(names, [(3, 1, 1)], ["z0^3*z1*z2"]), (names, [(3, 1, 0)], ["z0^3*z1"])]
-    report = rs._side_chain(chain, [2, 3], [1, 2], 1)
+    report = rs._side_chain(chain, 1, 1, 3)
     assert report.steps == ("(z0^3*z1, z0^3)", "(z0^3*z1, z0^3)")
     assert report.principal == "z0^3"
     # a last chart generated by a lower power of z0 than e_l fails the end check
     chain[1] = (names, [(2, 0, 1)], ["z0^2*z2"])
     message = r"^side chain at level 1 ended in z0\^2, expected the exceptional coordinate to the power 3$"
     with pytest.raises(rs.ResolutionError, match=message):
-        rs._side_chain(chain, [2, 3], [1, 2], 1)
+        rs._side_chain(chain, 1, 1, 3)
 
 
 def _hand_built_chart(roles, ideal):
