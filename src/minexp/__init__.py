@@ -3,7 +3,7 @@
 Three independent routes to the minimal exponent, cross-checked against
 each other with exact rational arithmetic throughout: a closed-form degree
 formula, Newton-polyhedron linear programming, and a simulated blow-up
-resolution with its exceptional-divisor ledger.
+resolution with its exceptional-divisor ledger, one record per divisor.
 """
 
 from minexp.exponent import (

@@ -5,12 +5,15 @@ Argv is ``<command> --flag text ... [--json]`` or ``batch <manifest>
 ``-h``/``--help`` prints help generated from it.  Exit codes: 0 success /
 all checks passed, 1 input error, 2 a verification check failed.  Reports
 carry exact fractions; decimal renderings are marked with a leading ``≈``
-and never participate in any comparison.
+and never participate in any comparison.  The resolve report's trace,
+ledger and blow-up count are read from one record per divisor, the
+library's ledger row.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 import sys
 from fractions import Fraction
@@ -127,12 +130,23 @@ def _report(command: str, code: int, **fields) -> tuple[dict, int]:
     return {"schema": SCHEMA_VERSION, "command": command, "ok": code == EXIT_OK, **fields}, code
 
 
+# The interpreter writes no integer of more digits than its limit (0: none;
+# releases before 3.10.7 have none), so no exact value of a report may have one.
+_DIGITS = getattr(sys, "get_int_max_str_digits", int)()
+_TOO_BIG = 10**_DIGITS if _DIGITS else math.inf
+
+
 def _rat_json(x):
-    """The one writer of an exact value in a report: {"num", "den"}, or "infinity"."""
+    """The one writer of an exact value in a report: {"num", "den"}, or
+    "infinity".  A value whose numerator or denominator has more digits than
+    the interpreter writes is an input error."""
     if x is ex.INFINITY:
         return "infinity"
     x = ex._as_fraction(x)
-    return {"num": x.numerator, "den": x.denominator}
+    num, den = x.numerator, x.denominator
+    if abs(num) >= _TOO_BIG or den >= _TOO_BIG:
+        raise InputError(f"a result has more than {_DIGITS} digits, the limit of integer text")
+    return {"num": num, "den": den}
 
 
 def _json_text(value, indent: str = "\n") -> str:
@@ -190,9 +204,14 @@ def _json_text(value, indent: str = "\n") -> str:
 
 def _show(value: dict) -> str:
     """The text of a rational that _rat_json wrote, with a decimal reading
-    when it is not an integer."""
+    when it is not an integer and lies in the range of a float."""
     num, den = value["num"], value["den"]
-    return str(num) if den == 1 else f"{num}/{den} (≈{num / den:.6g})"
+    if den == 1:
+        return str(num)
+    try:
+        return f"{num}/{den} (≈{num / den:.6g})"
+    except OverflowError:
+        return f"{num}/{den}"
 
 
 _INT_TEXT = re.compile(r"[+-]?[0-9]+")
@@ -284,11 +303,21 @@ def _rationals(value, key: str) -> list[int | Fraction]:
     return [_rational(v, key) for v in value]
 
 
-def _support_json(text: str, key: str):
+def _json_loads(text: str, prefix: str):
+    """Decoded JSON text; text that is no JSON, holds a number past the
+    interpreter's digit limit or nests too deeply is an InputError."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as err:
-        raise InputError(f"bad support JSON: {err}")
+        raise InputError(f"{prefix}{err}")
+    except ValueError:  # int() refuses a number past the interpreter's digit limit
+        raise InputError(f"{prefix}a number has too many digits")
+    except RecursionError:
+        raise InputError(f"{prefix}nested too deeply")
+
+
+def _support_json(text: str, key: str):
+    return _json_loads(text, "bad support JSON: ")
 
 
 def _verbatim(value, key: str):
@@ -472,7 +501,7 @@ def run_resolve(n: int, degrees: list[int]) -> tuple[dict, int]:
         "degrees": list(profile.degrees),
         "mode": report.mode,
         "levels": [list(level) for level in report.levels],
-        "blowups": report.blowup_count,
+        "blowups": len(report.ledger),
         "ledger": [
             {"divisor": row.divisor, "a": row.a, "k": row.k, "ratio": _rat_json(row.ratio)}
             for row in report.ledger
@@ -483,14 +512,14 @@ def run_resolve(n: int, degrees: list[int]) -> tuple[dict, int]:
         ),
         "trace": [
             {
-                "center": step.center if isinstance(step.center, str) else list(step.center),
-                "pivot": step.pivot,
-                "divisor": step.divisor,
-                "a": step.a,
-                "k": step.k,
-                "ideal": step.ideal,
+                "center": row.center if isinstance(row.center, str) else list(row.center),
+                "pivot": row.pivot,
+                "divisor": row.divisor,
+                "a": row.a,
+                "k": row.k,
+                "ideal": row.ideal,
             }
-            for step in report.trace
+            for row in report.ledger
         ],
         "case3": [{"level": c.level, "steps": list(c.steps), "principal": c.principal} for c in report.case3],
         "vj_checks": [
@@ -665,15 +694,10 @@ def run_batch(manifest_path: str) -> tuple[dict, int]:
     except OSError as err:
         raise InputError(f"cannot read manifest: {err}")
     try:
-        manifest = json.loads(data.decode("utf-8"))
+        text = data.decode("utf-8")
     except UnicodeDecodeError as err:
         raise InputError(f"malformed manifest: not UTF-8 text: {err}")
-    except json.JSONDecodeError as err:
-        raise InputError(f"malformed manifest JSON: {err}")
-    except ValueError:  # int() refuses a number past the interpreter's digit limit
-        raise InputError("malformed manifest JSON: a number has too many digits")
-    except RecursionError:
-        raise InputError("malformed manifest JSON: nested too deeply")
+    manifest = _json_loads(text, "malformed manifest JSON: ")
     if not isinstance(manifest, list):
         raise InputError("manifest must be a JSON array of requests")
     reports = []

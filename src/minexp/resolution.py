@@ -29,14 +29,16 @@ so its state is z0's discrepancy k and the generators.  Each blow-up is
 one :func:`_blowup`, which returns the new divisor's (a, k) and the
 generators of every pivot chart.  Each generator of each chart is rendered
 once, by :func:`_render`, and every text of a report is read from those
-renderings: the trace, the vj checks, the side chains and the
-factorization witness.  The checks stay those of the argument: every chart
-off the main chain is principal, generated on z0 and its pivot, and that
-generator divides the matching side-chain chart (:func:`_climb`); every
-side chain ends in z0^{e_l} (:func:`_side_chain`); the ledger's (a, k)
-rows equal their closed form (:func:`ledger_rows`); and the terminal chart
-factors as a power of z0 times r distinct strict coordinates
-(:func:`_factorization_witness`).
+renderings: the ledger, the vj checks, the side chains and the
+factorization witness.  Each exceptional divisor has one record, its
+:class:`LedgerRow`: the blow-up that made it, its (a, k) and the ideal of
+the chart the main chain follows.  The checks stay those of the argument:
+every chart off the main chain is principal, generated on z0 and its
+pivot, and that generator divides the matching side-chain chart
+(:func:`_climb`); every side chain ends in z0^{e_l} (:func:`_side_chain`);
+the ledger's (a, k) rows equal their closed form (:func:`ledger_rows`);
+and the terminal chart factors as a power of z0 times r distinct strict
+coordinates (:func:`_factorization_witness`).
 
 The module also verifies the valuation inequalities behind the lower bound
 on every tuple of an integer box, and checks the telescoping chain argument
@@ -124,32 +126,22 @@ def _blowup(ideal: Sequence[tuple[int, ...]], k: int, width: int):
 
 @dataclass(frozen=True)
 class LedgerRow:
-    """One exceptional divisor: its ideal multiplicity a and discrepancy k."""
+    """One exceptional divisor, the one record of its blow-up: the centre
+    (``"origin"`` for E1), the pivot of the chart the main chain follows
+    (None for E1), the divisor's name, its ideal multiplicity a and
+    discrepancy k, and the text of that chart's ideal."""
 
-    divisor: str
-    a: int
-    k: int
-
-    def __post_init__(self):
-        if self.a < 1:
-            raise ValueError(f"divisor multiplicity must be >= 1, got {self.a}")
-        if self.k < 0:
-            raise ValueError(f"discrepancy must be >= 0, got {self.k}")
-
-    @cached_property
-    def ratio(self) -> Fraction:
-        """(k + 1) / a, built once: the lower bound and the report read the same object."""
-        return Fraction(self.k + 1, self.a)
-
-
-@dataclass(frozen=True)
-class TraceStep:
     center: tuple[str, ...] | str
     pivot: str | None
     divisor: str
     a: int
     k: int
     ideal: str
+
+    @cached_property
+    def ratio(self) -> Fraction:
+        """(k + 1) / a, built once: the lower bound and the report read the same object."""
+        return Fraction(self.k + 1, self.a)
 
 
 @dataclass(frozen=True)
@@ -191,9 +183,7 @@ class ResolutionReport:
     levels: tuple[tuple[int, int], ...]  # (degree value, multiplicity), values increasing
     ledger: tuple[LedgerRow, ...]
     lower_bound: Fraction
-    blowup_count: int
     witness: FactorizationWitness | None
-    trace: tuple[TraceStep, ...]
     case3: tuple[Case3Report, ...]
     vj_checks: tuple[VjCheck, ...]
 
@@ -233,18 +223,19 @@ def _start_chart(profile: DegreeProfile):
 
 def _climb(k: int, ideal: list[tuple[int, ...]], schedule: Sequence[tuple[int, int, int]], vj_checks: list):
     """Run the main chain's blow-ups from the chart (``k``, ``ideal``) of
-    :func:`_start_chart`, and yield after each the chart that keeps the
-    exceptional coordinate z0, as (center, names, a, k, ideal, texts): the
-    names of the centre, the chart's coordinate names, the new divisor's
-    (a, k), and the chart's generators and rendered generators.
+    :func:`_start_chart`, and yield after each the new divisor's
+    :class:`LedgerRow` and the chart that keeps the exceptional coordinate
+    z0, as (row, names, ideal, texts): the chart's coordinate names,
+    generators and rendered generators.  Each divisor after E1 is named
+    here, once for its row and its vj checks.
 
     ``schedule`` is the blow-up schedule of :func:`_levels`.  A blow-up of
     level l is one :func:`_blowup` centred on z0 and z1..zq, and the
     coordinate names of each are made once for all its charts.  Every chart
     other than the z0 one, of pivot p, must be principal with a generator g*
     supported on its exceptional coordinates z0 and z_p; each is recorded in
-    ``vj_checks`` under the name of the divisor just made, E2 onwards, with
-    g*'s text read from the chart's rendered generators.
+    ``vj_checks`` under the name of the divisor just made, with g*'s text
+    read from the chart's rendered generators.
 
     The same chart of the side chain of a level m >= l (see
     :func:`_side_chain`) holds this chart's first cum[m-1] generators, cut
@@ -257,7 +248,7 @@ def _climb(k: int, ideal: list[tuple[int, ...]], schedule: Sequence[tuple[int, i
     names = _names(0, width)
     blowups = ((level, q, power) for level, (q, power, count) in enumerate(schedule, 1) for _ in range(count))
     for depth, (level, q, power) in enumerate(blowups, 1):
-        center = tuple(names[: q + 1])
+        center, divisor = tuple(names[: q + 1]), f"E{depth + 1}"
         a, k, charts = _blowup(ideal, k, q + 1)
         names = _names(depth, width)
         for p in range(1, q + 1):
@@ -268,9 +259,10 @@ def _climb(k: int, ideal: list[tuple[int, ...]], schedule: Sequence[tuple[int, i
                 raise ResolutionError(
                     f"level {level}: {texts[star]} does not divide the {center[p]} side chart"
                 )
-            vj_checks.append(VjCheck(f"E{depth + 1}", center[p], _ideal_text(texts), texts[star]))
+            vj_checks.append(VjCheck(divisor, center[p], _ideal_text(texts), texts[star]))
         ideal = charts[0]
-        yield center, names, a, k, ideal, _render(names, ideal)
+        texts = _render(names, ideal)
+        yield LedgerRow(center, center[0], divisor, a, k, _ideal_text(texts)), names, ideal, texts
 
 
 def _side_chain(chain: Sequence[tuple], level: int, q: int, power: int) -> Case3Report:
@@ -395,7 +387,7 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     :func:`_climb`, one :func:`_blowup` per blow-up), and each of its
     charts is kept as (names, generators, rendered generators), from which
     :func:`_side_chain` reads every side chain.  Each ledger row after the
-    first is the (a, k) that :func:`_climb` yields, and the factorization
+    first is the one that :func:`_climb` yields, and the factorization
     witness reads the last chart's names and generators.
     """
     _check_resolution_budget(profile)
@@ -407,18 +399,17 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     names = _names(0, len(ideal[0]))
     texts = _render(names, ideal)
     chain = [(names, ideal, texts)]
-    trace = [TraceStep("origin", None, "E1", profile.degrees[0], k, _ideal_text(texts))]
+    rows = [LedgerRow("origin", None, "E1", profile.degrees[0], k, _ideal_text(texts))]
     vj_checks: list[VjCheck] = []
-    for center, names, a, k, ideal, texts in _climb(k, ideal, schedule, vj_checks):
+    for row, names, ideal, texts in _climb(k, ideal, schedule, vj_checks):
+        rows.append(row)
         chain.append((names, ideal, texts))
-        trace.append(TraceStep(center, center[0], f"E{len(trace) + 1}", a, k, _ideal_text(texts)))
 
-    # one divisor, and so one blow-up, per degree step: this also checks blowup_count.
-    # Checked before a LedgerRow refuses a bad (a, k) as input: a chain fault is no input error.
-    got, expected = [(step.a, step.k) for step in trace], ledger_rows(profile)
+    # one divisor, and so one blow-up, per degree step.  Checked before any
+    # ratio is read, so that a = 0 is a chain fault and not a ZeroDivisionError.
+    got, expected = [(row.a, row.k) for row in rows], ledger_rows(profile)
     if got != expected:
         raise ResolutionError(f"ledger rows {got} != closed form {expected}")
-    rows = [LedgerRow(step.divisor, step.a, step.k) for step in trace]
 
     witness = _factorization_witness(names, ideal, profile.r) if mode == STRONG_FACTORIZING else None
     low = profile.degrees[0]  # the side chain of level l runs through chart e_l - e_0 of the main chain
@@ -429,9 +420,7 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
         levels=levels,
         ledger=tuple(rows),
         lower_bound=min([row.ratio for row in rows]),
-        blowup_count=len(rows),
         witness=witness,
-        trace=tuple(trace),
         case3=case3,
         vj_checks=tuple(vj_checks),
     )

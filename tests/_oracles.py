@@ -80,7 +80,6 @@ from minexp.resolution import (
     LedgerRow,
     ResolutionError,
     ResolutionReport,
-    TraceStep,
     ValuationScanReport,
     VjCheck,
     _check_resolution_budget,
@@ -1019,16 +1018,14 @@ def simulate_resolution_by_charts(profile: DegreeProfile) -> tuple[ResolutionRep
     mode = LOG_RESOLUTION if profile.r == n else STRONG_FACTORIZING
 
     chain = [_start_chart(profile)]
-    rows = [LedgerRow("E1", profile.degrees[0], n - 1)]
-    trace = [TraceStep("origin", None, "E1", profile.degrees[0], n - 1, chain[0].render_ideal())]
+    rows = [LedgerRow("origin", None, "E1", profile.degrees[0], n - 1, chain[0].render_ideal())]
     vj_checks: list[VjCheck] = []
     for center, state in _climb(chain[0], e, cum, vj_checks):
         chain.append(state)
-        row = LedgerRow(f"E{len(rows) + 1}", state.coords[0].a, state.coords[0].k)
-        rows.append(row)
-        trace.append(TraceStep(center, center[0], row.divisor, row.a, row.k, state.render_ideal()))
+        z0 = state.coords[0]
+        rows.append(LedgerRow(center, center[0], f"E{len(rows) + 1}", z0.a, z0.k, state.render_ideal()))
 
-    # one divisor, and so one blow-up, per degree step: this also checks blowup_count
+    # one divisor, and so one blow-up, per degree step
     expected_a = list(range(e[0], e[-1] + 1))
     if [row.a for row in rows] != expected_a:
         raise ResolutionError(f"ledger multiplicities {[r.a for r in rows]} != {expected_a}")
@@ -1044,9 +1041,7 @@ def simulate_resolution_by_charts(profile: DegreeProfile) -> tuple[ResolutionRep
         levels=levels,
         ledger=tuple(rows),
         lower_bound=min(row.ratio for row in rows),
-        blowup_count=len(rows),
         witness=witness,
-        trace=tuple(trace),
         case3=case3,
         vj_checks=tuple(vj_checks),
     )

@@ -6,6 +6,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -393,8 +394,8 @@ def test_resolve_over_the_budget_exits_input(capsys, monkeypatch):
 
 def test_resolve_chain_fault_is_not_an_input_error(capsys, monkeypatch):
     # a blow-up giving a = 0 is a fault of the chain, found by the ledger's
-    # closed form; it used to surface as LedgerRow's ValueError, and so as
-    # "input error: divisor multiplicity must be >= 1, got 0" with exit 1
+    # closed form before any ratio is read: neither an input error nor a
+    # ZeroDivisionError
     blowup = rs._blowup
     monkeypatch.setattr(rs, "_blowup", lambda ideal, k, width: (0, *blowup(ideal, k, width)[1:]))
     message = r"^ledger rows \[\(2, 5\), \(0, 6\), \(0, 7\)\] != closed form \[\(2, 5\), \(3, 6\), \(4, 7\)\]$"
@@ -1032,6 +1033,62 @@ def test_malformed_manifests_end_in_a_report(capsys, tmp_path, data, error):
     assert capsys.readouterr() == ("", f"input error: {error}\n")
     code, report = run_json(capsys, "batch", str(path))
     assert (code, report["error"]) == (EXIT_INPUT, error)
+
+
+@pytest.mark.parametrize(
+    "text, error",
+    [
+        ("[[1" + "0" * 5000 + ", 2]]", "bad support JSON: a number has too many digits"),
+        ("[" * 5000 + "]" * 5000, "bad support JSON: nested too deeply"),
+    ],
+    ids=["long_integer", "deep_nesting"],
+)
+def test_support_text_the_decoder_refuses_is_an_input_error(capsys, text, error):
+    # --support text is decoded as a manifest is; these ended in a ValueError
+    # and a RecursionError traceback, in text and --json alike
+    assert main(["newton", "--support", text]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"input error: {error}\n")
+    code, report = run_json(capsys, "newton", "--support", text)
+    assert (code, report["error"]) == (EXIT_INPUT, error)
+
+
+def test_text_of_a_rational_past_the_float_range(capsys):
+    # (10^400 + 1)/2 has no float, and its (≈...) reading raised OverflowError;
+    # the text gives the exact value alone, as --json does
+    n = 10**400 + 1
+    assert main(["formula", "--n", str(n), "--degrees", "2"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert f"minimal exponent = {n}/2\n" in out
+    assert f"candidates = [{n}/2], pivot = 1\n" in out
+    code, report = run_json(capsys, "formula", "--n", str(n), "--degrees", "2")
+    assert (code, report["results"]["minimal_exponent"]) == (EXIT_OK, {"num": n, "den": 2})
+
+
+DIGITS_ERROR = f"a result has more than {sys.get_int_max_str_digits()} digits, the limit of integer text"
+BIG_WEIGHTS = ",".join(f"1/{10**999 + 2 * i + 1}" for i in range(6))
+
+
+def test_result_past_the_digit_limit_is_an_input_error(capsys, tmp_path):
+    # the six weights' sum has a denominator of about 6000 digits, which
+    # int.__repr__ refused with a ValueError when the report was written
+    assert main(["weighted", "--weights", BIG_WEIGHTS, "--orders", "2"]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"input error: {DIGITS_ERROR}\n")
+    # six points of four coordinates of 2100 digits: the simplex's value has more than 4300
+    rng = random.Random(0)
+    support = [[rng.randrange(10**2099, 10**2100) for _ in range(4)] for _ in range(6)]
+    code, report = run_json(capsys, "newton", "--support", json.dumps(support))
+    assert (code, report["error"]) == (EXIT_INPUT, DIGITS_ERROR)
+    # in a batch the entry alone is refused, and the other entry keeps its report
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([
+        {"command": "weighted", "weights": BIG_WEIGHTS.split(","), "orders": [2]},
+        {"command": "formula", "n": 6, "degrees": [2, 3]},
+    ]))
+    code, batch = run_json(capsys, "batch", str(path))
+    assert (code, batch["summary"]) == (EXIT_INPUT, {"total": 2, "passed": 1})
+    assert batch["reports"][0]["error"] == f"request 0: {DIGITS_ERROR}"
+    assert batch["reports"][1]["results"]["minimal_exponent"] == {"num": 7, "den": 3}
 
 
 PROBE = {"command": "probe", "polynomials": ["x1^2"], "variables": ["x1", "x2"], "field": 3}

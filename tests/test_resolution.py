@@ -63,7 +63,7 @@ def test_grouped_degrees(capsys):
         (1, "(z0^2*z1, z0^2*z2, z0^3)"),
         (2, "(z0^2*z1, z0^2*z2, z0^3*z3, z0^5)"),
     ]
-    assert report.blowup_count == 5 - 2 + 1
+    assert len(report.ledger) == 5 - 2 + 1
 
 
 def _two_gen_state():
@@ -280,15 +280,15 @@ def test_derived_charts_pass_the_public_checks(monkeypatch):
 
 def test_resolution_matches_the_chart_oracle():
     # every report field; the oracle's terminal chart renders to the last
-    # trace ideal, carries the last ledger row's tags and gives the witness
+    # ledger row's ideal, carries the last ledger row's tags and gives the witness
     profiles = list(_c3_grid()) + _golden_profiles() + [WIDE]
     assert len(profiles) == 3122 + 5 + 1
     for profile in profiles:
         report = simulate_resolution(profile)
         expected, terminal = simulate_resolution_by_charts(profile)
         assert report == expected, profile
-        assert terminal.render_ideal() == report.trace[-1].ideal, profile
         last = report.ledger[-1]
+        assert terminal.render_ideal() == last.ideal, profile
         assert [(c.a, c.k) for c in terminal.coords if c.role == EXCEPTIONAL] == [(last.a, last.k)], profile
         if report.mode == STRONG_FACTORIZING:
             assert _oracles._factorization_witness(terminal, profile) == report.witness, profile
@@ -302,7 +302,7 @@ def test_side_chains_make_no_blowups(monkeypatch, profile):
     # main-chain blow-up after the origin, none replayed
     report = simulate_resolution(profile)
     assert len(report.case3) == len(report.levels) - 1 > 1
-    assert len(_blowups_of_resolution(profile, monkeypatch)) == report.blowup_count - 1
+    assert len(_blowups_of_resolution(profile, monkeypatch)) == profile.degrees[-1] - profile.degrees[0]
 
 
 def test_side_chain_check_is_derived_from_the_main_chain():
@@ -316,8 +316,9 @@ def test_side_chain_check_is_derived_from_the_main_chain():
     with pytest.raises(rs.ResolutionError, match=r"^level 1: u0\^2\*u1\^3 does not divide the z1 side chart$"):
         list(rs._climb(*start, [(1, 2, 1)], []))
     checks = []
-    assert [center for center, *_ in rs._climb(*start, [(1, 3, 1)], checks)] == [("z0", "z1")]
-    assert [(v.pivot, v.generator) for v in checks] == [("z1", "u0^2*u1^3")]
+    rows = [row for row, *_ in rs._climb(*start, [(1, 3, 1)], checks)]
+    assert [(row.center, row.pivot, row.divisor, row.a, row.k) for row in rows] == [(("z0", "z1"), "z0", "E2", 3, 6)]
+    assert [(v.divisor, v.pivot, v.generator) for v in checks] == [("E2", "z1", "u0^2*u1^3")]
 
 
 def test_side_chain_renders_its_cuts_and_checks_its_end():
@@ -467,7 +468,7 @@ def test_simulate_examples():
     assert [(r.a, r.k) for r in rep.ledger] == [(2, 3), (3, 4), (4, 6)]
     assert [r.ratio for r in rep.ledger] == [F(2), F(5, 3), F(7, 4)]
     assert rep.lower_bound == F(5, 3)
-    assert rep.blowup_count == 3
+    assert len(rep.ledger) == 4 - 2 + 1
 
     rep = simulate_resolution(DegreeProfile(6, (2, 3)))
     assert [(r.a, r.k) for r in rep.ledger] == [(2, 5), (3, 6)]
@@ -476,7 +477,7 @@ def test_simulate_examples():
     rep = simulate_resolution(DegreeProfile(5, (2, 2)))
     assert [(r.a, r.k) for r in rep.ledger] == [(2, 4)]
     assert rep.lower_bound == F(5, 2)
-    assert rep.blowup_count == 1
+    assert len(rep.ledger) == 2 - 2 + 1
 
 
 def test_simulate_log_resolution_mode():
@@ -558,7 +559,7 @@ def test_ledger_shape():
         assert a_values == list(range(degrees[0], degrees[-1] + 1))
         k_values = [row.k for row in rep.ledger]
         assert all(x < y for x, y in zip(k_values, k_values[1:]))
-        assert rep.blowup_count == len(a_values)
+        assert len(rep.ledger) == degrees[-1] - degrees[0] + 1
 
 
 def test_ledger_rows_closed_form():
@@ -807,7 +808,7 @@ def test_resolution_budget_admits_the_wide_baselines():
     for n, low, high in [(60, 2, 39), (120, 2, 60), (200, 2, 90)]:
         rs._check_resolution_budget(DegreeProfile(n, tuple(range(low, high + 1))))
     report = simulate_resolution(DegreeProfile(60, tuple(range(2, 40))))
-    assert report.blowup_count == 38
+    assert len(report.ledger) == 39 - 2 + 1
 
 
 def test_resolution_budget_counts_every_chart():
