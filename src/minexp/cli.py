@@ -316,10 +316,6 @@ def _json_loads(text: str, prefix: str):
         raise InputError(f"{prefix}nested too deeply")
 
 
-def _support_json(text: str, key: str):
-    return _json_loads(text, "bad support JSON: ")
-
-
 def _verbatim(value, key: str):
     return value
 
@@ -340,7 +336,7 @@ _KEYS = {
     "polynomial": _Key(_STRING, "--poly", _verbatim),
     "variables": _Key(_names, "--vars", lambda text, key: text.split(",")),
     # its shape is checked by run_newton, its entries by MonomialSupport
-    "support": _Key(_verbatim, "--support", _support_json),
+    "support": _Key(_verbatim, "--support", lambda text, key: _json_loads(text, "bad support JSON: ")),
     "bound": _Key(_INTEGER, "--bound", _parse_int_flag),
     "chain_step": _Key(_rational, "--chain-step", _parse_fraction),
     "chain_max": _Key(_rational, "--chain-max", _parse_fraction),

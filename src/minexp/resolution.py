@@ -127,16 +127,21 @@ def _blowup(ideal: Sequence[tuple[int, ...]], k: int, width: int):
 @dataclass(frozen=True)
 class LedgerRow:
     """One exceptional divisor, the one record of its blow-up: the centre
-    (``"origin"`` for E1), the pivot of the chart the main chain follows
-    (None for E1), the divisor's name, its ideal multiplicity a and
-    discrepancy k, and the text of that chart's ideal."""
+    (``"origin"`` for E1), the divisor's name, its ideal multiplicity a and
+    discrepancy k, and the text of the ideal in the chart the main chain
+    follows."""
 
     center: tuple[str, ...] | str
-    pivot: str | None
     divisor: str
     a: int
     k: int
     ideal: str
+
+    @property
+    def pivot(self) -> str | None:
+        """The pivot of the chart the main chain follows: the centre's first
+        coordinate, z0 of the chart before (None for E1)."""
+        return None if self.center == "origin" else self.center[0]
 
     @cached_property
     def ratio(self) -> Fraction:
@@ -262,7 +267,7 @@ def _climb(k: int, ideal: list[tuple[int, ...]], schedule: Sequence[tuple[int, i
             vj_checks.append(VjCheck(divisor, center[p], _ideal_text(texts), texts[star]))
         ideal = charts[0]
         texts = _render(names, ideal)
-        yield LedgerRow(center, center[0], divisor, a, k, _ideal_text(texts)), names, ideal, texts
+        yield LedgerRow(center, divisor, a, k, _ideal_text(texts)), names, ideal, texts
 
 
 def _side_chain(chain: Sequence[tuple], level: int, q: int, power: int) -> Case3Report:
@@ -399,7 +404,7 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     names = _names(0, len(ideal[0]))
     texts = _render(names, ideal)
     chain = [(names, ideal, texts)]
-    rows = [LedgerRow("origin", None, "E1", profile.degrees[0], k, _ideal_text(texts))]
+    rows = [LedgerRow("origin", "E1", profile.degrees[0], k, _ideal_text(texts))]
     vj_checks: list[VjCheck] = []
     for row, names, ideal, texts in _climb(k, ideal, schedule, vj_checks):
         rows.append(row)

@@ -693,7 +693,7 @@ _KEYS = {
     "polynomials": _Key("--poly", {"action": "append", "metavar": "POLYS"}, None),
     "polynomial": _Key("--poly", {"metavar": "POLY"}, None),
     "variables": _Key("--vars", {"metavar": "VARS"}, lambda text, key: text.split(",")),
-    "support": _Key("--support", {}, cli._support_json),
+    "support": _Key("--support", {}, cli._KEYS["support"].text),
     "bound": _Key("--bound", {"type": _parse_int}, None),
     "chain_step": _Key("--chain-step", {}, cli._parse_fraction),
     "chain_max": _Key("--chain-max", {}, cli._parse_fraction),
@@ -1018,12 +1018,12 @@ def simulate_resolution_by_charts(profile: DegreeProfile) -> tuple[ResolutionRep
     mode = LOG_RESOLUTION if profile.r == n else STRONG_FACTORIZING
 
     chain = [_start_chart(profile)]
-    rows = [LedgerRow("origin", None, "E1", profile.degrees[0], n - 1, chain[0].render_ideal())]
+    rows = [LedgerRow("origin", "E1", profile.degrees[0], n - 1, chain[0].render_ideal())]
     vj_checks: list[VjCheck] = []
     for center, state in _climb(chain[0], e, cum, vj_checks):
         chain.append(state)
         z0 = state.coords[0]
-        rows.append(LedgerRow(center, center[0], f"E{len(rows) + 1}", z0.a, z0.k, state.render_ideal()))
+        rows.append(LedgerRow(center, f"E{len(rows) + 1}", z0.a, z0.k, state.render_ideal()))
 
     # one divisor, and so one blow-up, per degree step
     expected_a = list(range(e[0], e[-1] + 1))
