@@ -334,7 +334,7 @@ class ProbeReport:
 
 
 _MAX_PROBE_VARS = 5
-PROBE_LIMIT = 100_000  # the default budget of nonzero points a probe scans
+PROBE_LIMIT = 100_000  # the default budget of lines through the origin a probe decides
 _MAX_PROBE_FIELD = 13
 _PROBE_FIELDS = frozenset(
     p for p in range(2, _MAX_PROBE_FIELD + 1) if all(p % d for d in range(2, p))
@@ -503,8 +503,9 @@ def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = PROBE
     counterexample, not a mod-q artifact).
 
     Desk-scale limits are enforced: at most 5 variables, prime field size at
-    most 13, and at most ``limit`` nonzero points of F_q^n, counted as points,
-    not lines (otherwise INCONCLUSIVE).  ``limit`` must be at least 1.
+    most 13, and at most ``limit`` lines through the origin, the
+    (q^n - 1)/(q - 1) points the scan decides (otherwise INCONCLUSIVE).
+    ``limit`` must be at least 1.
     """
     if not fs:
         raise ValueError("need at least one polynomial")
@@ -529,10 +530,11 @@ def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = PROBE
 
     q = field_size
     total = q**n - 1
-    if total > limit:
+    lines = total // (q - 1)
+    if lines > limit:
         return ProbeReport(
             "INCONCLUSIVE", q, 0,
-            reason=f"point budget exceeded: {total} points > limit {limit}",
+            reason=f"line budget exceeded: {lines} lines > limit {limit}",
         )
 
     split = []

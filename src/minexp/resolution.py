@@ -40,18 +40,13 @@ the ledger's (a, k) rows equal their closed form (:func:`ledger_rows`);
 and the terminal chart factors as a power of z0 times r distinct strict
 coordinates (:func:`_factorization_witness`).
 
-The module also verifies the valuation inequalities behind the lower bound
-on every tuple of an integer box, and checks the telescoping chain argument
-used to prove them pointwise on a rational grid.  The box is decided one
-slice of fixed b0 at a time, each slice in one pass over the possible
-minimum (see :func:`verify_valuation_inequality`); a PASS still counts the
-whole box in ``tuples_checked``.  The chain grid runs in integers over the
-step's denominator.  The chain is built right to left, and each check at a
-chain index reads only its suffix (M_j, ..., M_r) and the next chain index,
-which that suffix fixes too; so each distinct suffix is decided once (see
-:func:`descent_chain_grid`), and a PASS still counts every point.  Only a
-failing grid is scanned point by point, and only its first failing point
-becomes a report.
+The module also decides the two lemmas behind the lower bound, each on the
+whole cone and in O(r), by a certificate that re-checks itself in integers:
+the valuation inequality by Farkas weights from a fractional knapsack
+(:func:`valuation_certificate`), and the telescoping descent chain by the
+sign of n - d_1 - ... - d_k at each index (:func:`chain_certificate`).
+``verify`` still sizes its integer box and rational grid from the request,
+but neither certificate reads them.
 """
 
 from __future__ import annotations
@@ -62,7 +57,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from minexp.exponent import DegreeProfile, _as_fraction, _common_denominator
+from minexp.exponent import DegreeProfile, _common_denominator
 
 STRONG_FACTORIZING = "strong_factorizing"
 LOG_RESOLUTION = "log_resolution"
@@ -432,264 +427,164 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
 
 
 # ---------------------------------------------------------------------------
-# brute-force verification of the valuation inequalities
+# the two lemmas behind the lower bound, decided by certificates
 
 LCT_BRANCH = "lct"
 COMPLEMENTARY_BRANCH = "complementary"
 
-
-@dataclass(frozen=True)
-class ValuationScanReport:
-    branch: str
-    exponent: Fraction
-    tuples_checked: int
-    passed: bool
-    counterexample: tuple[int, ...] | None
-
-
-# The most points one exhaustive scan, the valuation grid or the chain grid,
-# may visit; a larger grid is rejected before the scan starts.
+# The most points verify's valuation box or chain grid may hold; a larger one
+# is rejected.  The two only size the report: no certificate reads them.
 SCAN_BUDGET = 10**6
 
 
-def _check_budget(count: int, axis: int, dims: int, what: str) -> None:
-    """Reject a grid of count * axis**dims points above SCAN_BUDGET.  An axis
-    longer than the budget is cut to one over it, so that a huge request
+def _check_budget(count: int, axis: int, dims: int, what: str) -> int:
+    """The count * axis**dims points of a grid, rejected above SCAN_BUDGET.  An
+    axis longer than the budget is cut to one over it, so that a huge request
     never costs a huge power."""
     if count * min(axis, SCAN_BUDGET + 1) ** dims > SCAN_BUDGET:
         raise ValueError(f"{what} exceeds the work budget of {SCAN_BUDGET} points")
+    return count * axis**dims
 
 
-def _check_scan_bound(profile: DegreeProfile, bound: int) -> None:
-    """The check on the box of :func:`verify_valuation_inequality`: bound >= 1,
-    and its bound * (bound + 1)^free tuples within the budget."""
+def _check_scan_bound(profile: DegreeProfile, bound: int) -> int:
+    """The size of verify's valuation box, bound * (bound + 1)^free tuples
+    (1 <= b0 <= bound, 0 <= b_j <= bound), after the checks bound >= 1 and
+    the budget.  b_r is pinned to 0 in the complementary branch."""
     if bound < 1:
         raise ValueError("bound must be at least 1")
-    free = profile.r if profile.degree_sum > profile.n else profile.r - 1  # b_r = 0 when complementary
-    _check_budget(bound, bound + 1, free, "valuation grid")
+    free = profile.r if profile.degree_sum > profile.n else profile.r - 1
+    return _check_budget(bound, bound + 1, free, "valuation grid")
 
 
-def verify_valuation_inequality(profile: DegreeProfile, bound: int) -> ValuationScanReport:
-    """Check the divisorial valuation inequality on every tuple of an integer box.
+def _check_chain_grid(profile: DegreeProfile, step: Fraction, maximum: Fraction) -> int:
+    """The size of verify's chain grid, (maximum // step + 1)^r points of
+    u in {0, step, 2*step, ...}^r, after the checks step > 0, maximum >= 0
+    and the budget."""
+    if step <= 0 or maximum < 0:
+        raise ValueError("chain grid parameters must be positive")
+    return _check_budget(1, maximum // step + 1, profile.r, "chain grid")
+
+
+@dataclass(frozen=True)
+class ValuationCertificate:
+    """A Farkas certificate of the valuation inequality on the whole cone.
 
     For degree sum > n ("lct" branch) the inequality is
 
         n*b0 + b1 + ... + br  >=  exponent * min_j (b0*d_j + b_j)
 
-    with the exponent factor equal to the minimal exponent, over
-    1 <= b0 <= bound and 0 <= b_j <= bound.  For degree sum <= n the
-    scripted resolution never blows up inside the last strict transform, so
-    the same inequality is checked with b_r = 0 imposed and the last
-    candidate value as the factor
-    ("complementary" branch).  Returns the first violating tuple in
-    lexicographic order, if any.
+    for every b0 > 0 and b_j >= 0, with the minimal exponent as the factor.
+    For degree sum <= n ("complementary" branch) the scripted resolution
+    never blows up inside the last strict transform: b_r is pinned to 0 and
+    the factor is the last candidate.  Weights lambda_j >= 0 with
 
-    Each slice of fixed b0 is decided at once.  Write s_j = b0*d_j and take a
-    tuple of the slice with t = min_j (s_j + b_j).  Every free b_j is at least
-    t - s_j, so the free b_j sum to at least S(t) = sum over free j of
-    max(0, t - s_j), and the tuple b_j = max(0, t - s_j) attains S(t) with
-    minimum exactly t.  That tuple lies in the box exactly when t <= top,
-    where top = min(s_j + bound over the free j, and s_r when b_r is pinned),
-    and every tuple of the slice has min_j s_j <= t <= top.  So the slice holds
-    a violation exactly when den*(n*b0 + S(t)) < num*t for some integer t in
-    [min_j s_j, top].  A slice without one adds its (bound+1)^free tuples to
-    ``tuples_checked``; in the slice with one, the lexicographic scan names
-    the first counterexample and counts the tuples up to it.
+        sum_j lambda_j = 1,  exponent*lambda_j <= 1 for every free b_j,
+        exponent * sum_j lambda_j*d_j <= n
+
+    prove it: min_j (b0*d_j + b_j) <= sum_j lambda_j*(b0*d_j + b_j), and the
+    factor times that is at most n*b0 + the sum of the free b_j.  By Farkas'
+    lemma such weights exist exactly when the inequality holds on the whole
+    cone.  :meth:`verify` re-checks them in integer arithmetic.
     """
-    _check_scan_bound(profile, bound)
-    n = profile.n
-    d = profile.degrees
-    r = profile.r
-    branch = LCT_BRANCH if profile.degree_sum > n else COMPLEMENTARY_BRANCH
-    table = profile.table
-    exponent = table.minimum if branch == LCT_BRANCH else table.values[-1]
-    num, den = exponent.numerator, exponent.denominator
 
-    pinned = () if branch == LCT_BRANCH else (0,)  # the complementary branch fixes b_r = 0
-    free = r - len(pinned)
-    checked = 0
-    counterexample = None
-    for b0 in range(1, bound + 1):
-        base = n * b0
-        scaled = [b0 * dj for dj in d]
-        scaled_free = scaled[:free]
-        top = min([s + bound for s in scaled_free] + scaled[free:])
-        if not any(
-            den * (base + sum([t - s for s in scaled_free if s < t])) < num * t
-            for t in range(min(scaled), top + 1)
-        ):
-            checked += (bound + 1) ** free
-            continue
-        # the slice holds a violation, so the scan below meets one
-        tuples = (bs + pinned for bs in itertools.product(range(bound + 1), repeat=free))
-        index, bs = next(
-            (i, bs) for i, bs in enumerate(tuples)
-            if den * (base + sum(bs)) < num * min(s + b for s, b in zip(scaled, bs))
+    n: int
+    degrees: tuple[int, ...]
+    branch: str
+    exponent: Fraction
+    weights: tuple[Fraction, ...]
+
+    def verify(self) -> bool:
+        # lams[j] / den are the weights, and a / b is the factor
+        a, b = self.exponent.numerator, self.exponent.denominator
+        lams, den = _common_denominator(self.weights)
+        free = lams if self.branch == LCT_BRANCH else lams[:-1]
+        return (
+            len(lams) == len(self.degrees)
+            and a >= 0
+            and all(lam >= 0 for lam in lams)
+            and sum(lams) == den
+            and all(a * lam <= b * den for lam in free)
+            and a * sum([lam * d for lam, d in zip(lams, self.degrees)]) <= b * self.n * den
         )
-        checked += index + 1
-        counterexample = (b0,) + bs
-        break
-    return ValuationScanReport(
-        branch=branch,
-        exponent=exponent,
-        tuples_checked=checked,
-        passed=counterexample is None,
-        counterexample=counterexample,
-    )
+
+
+def valuation_certificate(profile: DegreeProfile) -> ValuationCertificate:
+    """The weights of :class:`ValuationCertificate` by a fractional knapsack.
+
+    The least sum_j lambda_j*d_j comes from filling the smallest degrees
+    first, each weight capped at 1/exponent: every weight in the lct branch,
+    and every one but lambda_r in the complementary branch, where b_r is
+    pinned and lambda_r takes what is left.  So the certificate verifies
+    exactly when any does.  O(r); in the lct branch a factor above r leaves
+    the weights short of 1, and the certificate fails.
+    """
+    lct = profile.degree_sum > profile.n
+    table = profile.table
+    exponent = table.minimum if lct else table.values[-1]
+    cap, left = 1 / exponent, Fraction(1)
+    weights = []
+    for j in range(profile.r):
+        weight = left if not lct and j == profile.r - 1 else min(cap, left)
+        weights.append(weight)
+        left -= weight
+    branch = LCT_BRANCH if lct else COMPLEMENTARY_BRANCH
+    return ValuationCertificate(profile.n, profile.degrees, branch, exponent, tuple(weights))
 
 
 @dataclass(frozen=True)
-class DescentChainReport:
-    u: tuple[Fraction, ...]
-    chain: tuple[int, ...]            # 1-based indices, strictly increasing, ends at r
-    chain_values: tuple[Fraction, ...]
-    links_ok: tuple[bool, ...]
-    terminal_ok: bool
-    passed: bool
+class ChainCertificate:
+    """The descent chain lemma for every u >= 0, by the signs of n - P_k.
 
+    Write M_j = d_j + u_j, P_k = d_1 + ... + d_k and B = n - P_r.  The chain
+    picks the largest index attaining min_j M_j, then repeats on the indices
+    after it until it reaches r; its value at a chain index k is
 
-def descent_chain(profile: DegreeProfile, u: Sequence) -> DescentChainReport:
-    """Evaluate the telescoping chain that lower-bounds normalized valuations.
+        v_k = k + (B + sum_{j>k} M_j) / M_k,
 
-    Given nonnegative rationals u_1..u_r (exact: a float is rejected), the
-    chain picks the largest index attaining min_j (d_j + u_j), then repeats
-    on the remaining tail until it reaches r.  For a chain index k the chain
-    value is
+    and each link must give v_k >= min(alpha_k, v_k') for the next chain
+    index k', the terminal value v_r >= min(alpha_r, r).  Let k' follow k,
+    so M_k < M_k' <= M_j for k < j <= k', and put
+    X = B + sum_{j>k'} M_j + (k' - k)*M_k'.  Since M_k' >= d_j for j <= k',
+    X >= n - P_k, and v_k' = k + X/M_k'.  Each link then holds by the sign of
+    n - P_k:
 
-        (n + k*u_k + sum_{j<=k} (d_k - d_j) + sum_{j>k} u_j) / (d_k + u_k),
+    * if n >= P_k, then X >= 0 and B + sum_{j>k} M_j >= X, so
+      v_k >= k + X/M_k >= k + X/M_k' = v_k';
+    * if n < P_k, then v_k = k + (n - P_k + sum_{j>k} u_j)/(d_k + u_k) is
+      least at u = 0, so v_k >= alpha_k exactly when
+      alpha_k <= k + (n - P_k)/d_k.
 
-    and each value must dominate min(candidate_k, next chain value), with the
-    final value dominating min(candidate_r, r).
+    The terminal check holds likewise: v_r = r + B/(d_r + u_r) >= r when
+    B >= 0, and v_r >= alpha_r when B < 0 and alpha_r <= r + B/d_r.  The
+    candidates alpha_k = k + (n - P_k)/d_k meet both bounds with equality,
+    so the lemma cannot fail on a degree profile.
 
-    The arithmetic is in integers: every u_j is put over the common
-    denominator of the entries, each chain value is kept as an integer
-    numerator and denominator, and every comparison is a cross-multiplication.
-    Only the returned ``chain_values`` are ``Fraction`` objects.
+    ``signs`` holds the sign of n - P_k for k = 1..r, the last one the
+    terminal sign of B.  :meth:`verify` re-derives each sign and, wherever
+    it is negative, checks alpha_k*d_k <= k*d_k + n - P_k in integers.
     """
-    n = profile.n
-    d = profile.degrees
-    r = profile.r
-    u = tuple(map(_as_fraction, u))
-    if len(u) != r:
-        raise ValueError(f"expected {r} entries, got {len(u)}")
-    if any(x.numerator < 0 for x in u):
-        raise ValueError("entries must be nonnegative")
 
-    nums, den = _common_denominator(u)
-    m = [dj * den + x for dj, x in zip(d, nums)]
-    chain, pairs, checks = _chain(profile, m, den * (n - profile.degree_sum))
-    return DescentChainReport(
-        u=u,
-        chain=tuple(chain),
-        chain_values=tuple(Fraction(numer, denom) for numer, denom in pairs),
-        links_ok=tuple(checks[:-1]),
-        terminal_ok=checks[-1],
-        passed=all(checks),
-    )
+    n: int
+    degrees: tuple[int, ...]
+    candidates: tuple[Fraction, ...]
+    signs: tuple[int, ...]
+
+    def verify(self) -> bool:
+        if not len(self.signs) == len(self.candidates) == len(self.degrees):
+            return False
+        prefix = 0
+        for k, (d, alpha, sign) in enumerate(zip(self.degrees, self.candidates, self.signs), 1):
+            prefix += d
+            gap = self.n - prefix
+            if sign != (gap > 0) - (gap < 0):
+                return False
+            if gap < 0 and alpha.numerator * d > alpha.denominator * (k * d + gap):
+                return False
+        return True
 
 
-def _chain(profile: DegreeProfile, m: Sequence[int], base: int):
-    """The chain of :func:`descent_chain`, its values and its checks, in integers.
-
-    Over a common denominator D of the u_j, M_j = D*(d_j + u_j) is an integer
-    and ``base`` is D*(n - d_1 - ... - d_r).  The chain is the indices k whose
-    M_k lies below that of every later index (the repeated "largest index
-    attaining the tail minimum"), and its value at k is N_k / M_k with the
-    integer N_k = k*M_k + base + M_(k+1) + ... + M_r.  Returns the chain, the
-    pairs (N_k, M_k) and one check per chain index, the last one terminal.
-    Every choice and check is homogeneous in (N, M), so any common
-    denominator D gives the same answer.
-    """
-    chain, pairs = [], []
-    tail = 0  # M_(k+1) + ... + M_r
-    for j in range(len(m) - 1, -1, -1):
-        if not pairs or m[j] < pairs[-1][1]:
-            chain.append(j + 1)
-            pairs.append(((j + 1) * m[j] + base + tail, m[j]))
-        tail += m[j]
-    chain.reverse()
-    pairs.reverse()
-
-    # v >= min(x, y) exactly when v >= x or v >= y.  The last chain value is
-    # held to min(candidate_r, r), so r stands in for the value after it.
-    alphas = profile.table.values
-    checks = [
-        numer * alphas[k - 1].denominator >= alphas[k - 1].numerator * denom
-        or numer * next_denom >= next_numer * denom
-        for k, (numer, denom), (next_numer, next_denom) in zip(chain, pairs, pairs[1:] + [(len(m), 1)])
-    ]
-    return chain, pairs, checks
-
-
-def _check_chain_grid(profile: DegreeProfile, step: Fraction, maximum: Fraction) -> None:
-    """The check on the grid of :func:`descent_chain_grid`: a positive step, a
-    nonnegative maximum, and its (maximum // step + 1)^r points within the budget."""
-    if step <= 0 or maximum < 0:
-        raise ValueError("chain grid parameters must be positive")
-    _check_budget(1, maximum // step + 1, profile.r, "chain grid")
-
-
-def _grid_passes(profile: DegreeProfile, columns: Sequence[Sequence[int]], base: int) -> bool:
-    """Whether :func:`_chain` passes at every point of the grid whose j-th
-    coordinate M_j runs through ``columns[j-1]``, each suffix
-    (M_j, ..., M_r) decided once.
-
-    :func:`_chain` builds the chain right to left: index r is always in it,
-    and j joins when M_j lies below the M of the current head, the chain
-    index last joined; then N_j = j*M_j + base + (M_(j+1) + ... + M_r), and
-    the check at j reads only its suffix and that head, which the suffix
-    fixes too.  So a point passes exactly when every suffix along it does.
-    The suffixes are walked depth first from index r with an explicit stack
-    of (index, column iterator, tail, head N, head M), the tail being
-    M_(j+1) + ... + M_r: O(1) per suffix and O(r) memory.  There is no
-    recursion, since a one-point axis admits any r.
-    """
-    alphas = [(alpha.numerator, alpha.denominator) for alpha in profile.table.values]
-    last = len(columns) - 1
-    # (r, 1) stands for the value after the last chain index, as in _chain
-    stack = [(last, iter(columns[last]), 0, last + 1, 1)]
-    while stack:
-        j, column, tail, head_n, head_m = stack[-1]
-        alpha_num, alpha_den = alphas[j]
-        for m in column:
-            next_n, next_m = head_n, head_m
-            if j == last or m < head_m:
-                next_n, next_m = (j + 1) * m + base + tail, m
-                if not (next_n * alpha_den >= alpha_num * m or next_n * head_m >= head_n * m):
-                    return False
-            if j:
-                stack.append((j - 1, iter(columns[j - 1]), tail + m, next_n, next_m))
-                break
-        else:
-            stack.pop()
-    return True
-
-
-def descent_chain_grid(
-    profile: DegreeProfile, step: Fraction, maximum: Fraction
-) -> tuple[int, DescentChainReport | None]:
-    """Run the chain of :func:`descent_chain` at every u in
-    {0, step, 2*step, ...}^r up to ``maximum``, in lexicographic order.
-    Returns the number of points checked and the first failing report (None
-    when every chain passes).
-
-    With the step s/D in lowest terms, every u_j is k_j*s/D, so the grid runs
-    over the integers M_j = D*d_j + k_j*s, with D as the common denominator.
-    A point's checks depend only on its suffixes (M_j, ..., M_r), so
-    :func:`_grid_passes` decides each distinct suffix once, and a PASS counts
-    all (maximum // step + 1)^r points.  Only a grid that fails is scanned
-    point by point with :func:`_chain`, in lexicographic order, to count the
-    points up to the first failing one, which goes to :func:`descent_chain`
-    for its report.
-    """
-    _check_chain_grid(profile, step, maximum)
-    s, den = step.numerator, step.denominator
-    ks = range(maximum // step + 1)
-    columns = [[den * dj + k * s for k in ks] for dj in profile.degrees]
-    base = den * (profile.n - profile.degree_sum)
-    if _grid_passes(profile, columns, base):
-        return len(ks) ** profile.r, None
-    # the grid holds a failing point, so the scan below meets one
-    points = zip(itertools.product(*columns), itertools.product(ks, repeat=profile.r))
-    index, k = next((i, k) for i, (m, k) in enumerate(points, 1) if not all(_chain(profile, m, base)[2]))
-    return index, descent_chain(profile, [kj * step for kj in k])
+def chain_certificate(profile: DegreeProfile) -> ChainCertificate:
+    """The signs of :class:`ChainCertificate` for the profile's candidates, in O(r)."""
+    gaps = [profile.n - prefix for prefix in itertools.accumulate(profile.degrees)]
+    signs = tuple((gap > 0) - (gap < 0) for gap in gaps)
+    return ChainCertificate(profile.n, profile.degrees, profile.table.values, signs)

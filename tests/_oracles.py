@@ -16,16 +16,16 @@ library scans one point per line through the origin, and evaluates with
 the loop the library ran before its scan by prefix: every input evaluated
 at every line representative.  Both rank gradient rows by a full
 Gauss-Jordan pass, where the library decides one row by a look at its
-entries.  The descent-chain oracle computes in
-``Fraction`` arithmetic, where the library computes in integers over a
-common denominator.  The two ``verify`` oracles visit every point of their
-grid: every tuple of the valuation box, where the library decides each b0
-slice at once, and every chain point through ``descent_chain``, where the
-library runs the grid in integers.  The token parser is the one the library
-ran before its single-pass reader: a token list walked by ``peek`` and
-``take``, with ``Fraction`` arithmetic on every factor and the public
-``Poly`` constructor at the end.  Its tokenizer reads ``\\d``, which admits
-non-ASCII digits the reader rejects, so it is an oracle for ASCII text only.
+entries.  The two ``verify`` oracles visit every point of their grid, where
+the library decides each lemma on the whole cone by a certificate: every
+tuple of the valuation box, and every chain point through the descent chain
+in ``Fraction`` arithmetic (``descent_chain_by_fractions``).  On a
+``TableProfile``, whose candidate table is given, they can fail.  The token
+parser is the one the library ran before its single-pass reader: a token
+list walked by ``peek`` and ``take``, with ``Fraction`` arithmetic on every
+factor and the public ``Poly`` constructor at the end.  Its tokenizer reads
+``\\d``, which admits non-ASCII digits the reader rejects, so it is an
+oracle for ASCII text only.
 The argparse oracle is the argv parser the CLI ran before it read argv from
 its command table: ``build_parser`` and ``_flag_request`` as they were, over
 the flag options and text readers the request keys had then.  The candidate
@@ -75,12 +75,10 @@ from minexp.resolution import (
     LOG_RESOLUTION,
     STRONG_FACTORIZING,
     Case3Report,
-    DescentChainReport,
     FactorizationWitness,
     LedgerRow,
     ResolutionError,
     ResolutionReport,
-    ValuationScanReport,
     VjCheck,
     _check_resolution_budget,
     _componentwise_min,
@@ -88,7 +86,6 @@ from minexp.resolution import (
     _letter,
     _levels,
     _render,
-    descent_chain,
 )
 
 
@@ -361,11 +358,11 @@ def _probe_fail(fs, q: int, point: tuple[int, ...], vanishing: list[int], checke
 
 def _probe_budget(fs, q: int, limit: int) -> ProbeReport | None:
     """The INCONCLUSIVE report of both probe oracles, or None."""
-    total = q ** len(fs[0].variables) - 1
-    if total > limit:
+    lines = (q ** len(fs[0].variables) - 1) // (q - 1)
+    if lines > limit:
         return ProbeReport(
             "INCONCLUSIVE", q, 0,
-            reason=f"point budget exceeded: {total} points > limit {limit}",
+            reason=f"line budget exceeded: {lines} lines > limit {limit}",
         )
     if any(_mod_terms(f, q) is None for f in fs):
         return ProbeReport(
@@ -465,9 +462,41 @@ def exponent_candidates_by_fractions(w, degrees: Sequence) -> ExponentTable:
     return ExponentTable(tuple(values), pivot, minimum)
 
 
+class TableProfile(DegreeProfile):
+    """A profile with a given candidate table, for the ``verify`` oracles and
+    certificates: random values make most grids fail."""
+
+    def __init__(self, n, degrees, values):
+        super().__init__(n, degrees)
+        object.__setattr__(self, "_values", tuple(values))
+
+    @property
+    def table(self):
+        return ExponentTable(self._values, 1, min(self._values))
+
+
+@dataclass(frozen=True)
+class DescentChainReport:
+    u: tuple[Fraction, ...]
+    chain: tuple[int, ...]  # 1-based indices, strictly increasing, ends at r
+    chain_values: tuple[Fraction, ...]
+    links_ok: tuple[bool, ...]
+    terminal_ok: bool
+    passed: bool
+
+
 def descent_chain_by_fractions(profile, u) -> DescentChainReport:
-    """The descent chain of :func:`minexp.resolution.descent_chain` in plain
-    ``Fraction`` arithmetic, for input that already passed its checks."""
+    """The telescoping chain that lower-bounds normalized valuations, at
+    nonnegative rationals u_1..u_r, in plain ``Fraction`` arithmetic.
+
+    The chain picks the largest index attaining min_j (d_j + u_j), then
+    repeats on the remaining tail until it reaches r.  For a chain index k
+    the chain value is
+
+        (n + k*u_k + sum_{j<=k} (d_k - d_j) + sum_{j>k} u_j) / (d_k + u_k),
+
+    and each value must dominate min(candidate_k, next chain value), with the
+    final value dominating min(candidate_r, r)."""
     n = profile.n
     d = profile.degrees
     r = profile.r
@@ -511,9 +540,20 @@ def descent_chain_by_fractions(profile, u) -> DescentChainReport:
     )
 
 
+@dataclass(frozen=True)
+class ValuationScanReport:
+    branch: str
+    exponent: Fraction
+    tuples_checked: int
+    passed: bool
+    counterexample: tuple[int, ...] | None
+
+
 def valuation_scan_by_grid(profile, bound: int) -> ValuationScanReport:
-    """:func:`minexp.resolution.verify_valuation_inequality` by a visit to every
-    tuple of the box in lexicographic order, for input that passed its checks."""
+    """The valuation inequality of :class:`minexp.resolution.ValuationCertificate`
+    at every tuple of the box 1 <= b0 <= bound, 0 <= b_j <= bound (b_r = 0 in
+    the complementary branch), in lexicographic order up to the first
+    violation, for input that passed the box's checks."""
     n = profile.n
     d = profile.degrees
     r = profile.r
@@ -547,13 +587,15 @@ def valuation_scan_by_grid(profile, bound: int) -> ValuationScanReport:
 
 
 def chain_grid_by_points(profile, step: Fraction, maximum: Fraction):
-    """:func:`minexp.resolution.descent_chain_grid` by a call of
-    :func:`minexp.resolution.descent_chain` at every grid point."""
+    """The descent chain at every u in {0, step, 2*step, ...}^r up to
+    ``maximum``, in lexicographic order, through
+    :func:`descent_chain_by_fractions`: the number of points checked and the
+    first failing report (None when every chain passes)."""
     axis = [i * step for i in range(maximum // step + 1)]
     points = 0
     for u in itertools.product(axis, repeat=profile.r):
         points += 1
-        report = descent_chain(profile, u)
+        report = descent_chain_by_fractions(profile, u)
         if not report.passed:
             return points, report
     return points, None

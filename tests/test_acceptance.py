@@ -6,6 +6,7 @@ All numeric comparisons are exact; there are no tolerances anywhere.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import random
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 import jsonschema
 
-from _oracles import diagonal_by_vertex_enumeration
+from _oracles import TableProfile, chain_grid_by_points, diagonal_by_vertex_enumeration, valuation_scan_by_grid
 from minexp.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, REPORT_SCHEMA, main
 from minexp.exponent import (
     DegreeProfile,
@@ -25,7 +26,7 @@ from minexp.exponent import (
 )
 from minexp.newton import MonomialSupport, diagonal_entry
 from minexp.poly import parse_poly, weighted_profile
-from minexp.resolution import descent_chain_grid, simulate_resolution, verify_valuation_inequality
+from minexp.resolution import chain_certificate, simulate_resolution, valuation_certificate
 
 F = Fraction
 
@@ -146,37 +147,59 @@ def test_c04_resolution_trace_fidelity(request, capsys):
 
 
 def test_c05_valuation_inequality_scan():
+    # the oracle's grid on C5's profiles, then the certificate on the whole C3
+    # grid: it verifies, and the knapsack at the factor plus 10^-6 fails
     failures = []
     tuples = 0
     count = 0
     for profile in _profiles(8, 3, range(2, 7)):
         count += 1
-        report = verify_valuation_inequality(profile, 8)
+        report = valuation_scan_by_grid(profile, 8)
         tuples += report.tuples_checked
         if not report.passed:
             failures.append((profile, report.counterexample))
+    epsilon = F(1, 10**6)
+    certified = 0
+    for profile in _profiles(12, 4, range(2, 9)):
+        raised = TableProfile(profile.n, profile.degrees, [x + epsilon for x in profile.table.values])
+        if not valuation_certificate(profile).verify() or valuation_certificate(raised).verify():
+            failures.append((profile, "certificate"))
+        certified += 1
     _verdict(
         "C5",
-        "valuation inequality holds on the full B=8 grid in both branches",
+        "valuation inequality holds on the full B=8 grid in both branches, and its certificate "
+        "verifies at the exponent and fails at the exponent + 10^-6",
         not failures,
-        f"{count} profiles, {tuples} tuples" if not failures else f"first: {failures[0]}",
+        f"{count} profiles, {tuples} tuples, {certified} certificates" if not failures else f"first: {failures[0]}",
     )
 
 
 def test_c06_descent_chain_grid():
+    # the oracle's grid on C6's profiles, then the certificate on the whole C3
+    # grid: it verifies, and fails with any one sign flipped
     failures = []
     points = 0
     for profile in _profiles(8, 3, range(2, 7)):
-        checked, failure = descent_chain_grid(profile, F(1, 2), F(4))  # 0, 1/2, ..., 4
+        checked, failure = chain_grid_by_points(profile, F(1, 2), F(4))  # 0, 1/2, ..., 4
         points += checked
         if failure is not None:
             failures.append((profile, failure.u))
             break
+    certified = 0
+    for profile in _profiles(12, 4, range(2, 9)):
+        certificate = chain_certificate(profile)
+        signs = certificate.signs
+        # sign k flipped: 1 and -1 swap, and 0 becomes 1
+        flipped = [signs[:k] + (-signs[k] or 1,) + signs[k + 1 :] for k in range(profile.r)]
+        if not certificate.verify() or any(dataclasses.replace(certificate, signs=f).verify() for f in flipped):
+            failures.append((profile, "certificate"))
+        certified += 1
     _verdict(
         "C6",
-        "chain links and the terminal bound hold on the half-integer grid",
+        "chain links and the terminal bound hold on the half-integer grid, and the sign "
+        "certificate verifies and fails with any one sign flipped",
         not failures,
-        f"{points} chains" if not failures else f"first: {failures[0]}",
+        f"{points} chains, {certified} certificates" if not failures else f"first: {failures[0]}",
     )
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -22,6 +23,7 @@ from minexp import cli
 from minexp import newton as nt
 from minexp import resolution as rs
 from minexp.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, REPORT_SCHEMA, main
+from minexp.exponent import DegreeProfile
 
 VALIDATOR = jsonschema.Draft202012Validator(REPORT_SCHEMA)
 
@@ -208,6 +210,14 @@ def test_reports_match_golden_bytes(capsys, tmp_path, name):
     # cli entry "formula --n 6 --json" printed its argv error as text on
     # stderr; an argv error under --json is a JSON report once the command
     # is known, so its stdout holds that report and its stderr is empty.
+    # Once verify decided its two lemmas by certificates, its two provenance
+    # texts (the "note:" lines in text) were patched in its 9 entries: the
+    # two cli verify entries, the verify report inside the cli batch --json
+    # entry and the six scan verify entries.  Once the probe's limit bounded
+    # lines rather than points, the cli --limit 10 probe entries (text and
+    # --json) give "line budget exceeded: 31 lines > limit 10", and the two
+    # scan entries of five variables over F_13 (30,941 lines) read PASS with
+    # 371292 points checked, where they were INCONCLUSIVE.
     golden = json.loads((Path(__file__).parent / "data" / name).read_text())
     manifest = tmp_path / "manifest.json"
     for case in golden:
@@ -264,14 +274,28 @@ def test_verify_pass(capsys):
     assert report["results"]["branch"] == "lct"
 
 
-def test_verify_text_names_the_counterexample(capsys, monkeypatch):
-    # the scan cannot fail on a valid profile, so a failing one is patched in
-    failing = rs.ValuationScanReport(rs.LCT_BRANCH, Fraction(7, 3), 5, False, (1, 0, 0))
-    monkeypatch.setattr(rs, "verify_valuation_inequality", lambda profile, bound: failing)
+def test_verify_fails_when_a_certificate_fails(capsys, monkeypatch):
+    # neither certificate can fail on a valid profile, so a failing one is
+    # patched in; the sizes of the box and the grid are still reported
+    failing = rs.ValuationCertificate(6, (2, 3), rs.COMPLEMENTARY_BRANCH, Fraction(7, 3), (Fraction(1, 2),) * 2)
+    assert not failing.verify()
+    monkeypatch.setattr(rs, "valuation_certificate", lambda profile: failing)
     code, text = run(capsys, "verify", "--n", "6", "--degrees", "2,3")
     assert code == EXIT_FAIL
-    assert "\ninequality grid: 5 tuples\ncounterexample: [1, 0, 0]\n" in text
-    assert "\nFAIL\n" in text
+    assert "\ninequality grid: 72 tuples\nchain grid: 81 points\nFAIL\n" in text
+    code, report = run_json(capsys, "verify", "--n", "6", "--degrees", "2,3")
+    results = report["results"]
+    assert code == EXIT_FAIL and report["ok"] is False
+    assert (results["inequality_passed"], results["chain_grid"]["passed"], results["passed"]) == (False, True, False)
+    assert results["counterexample"] is None
+    monkeypatch.undo()
+    sign_flipped = dataclasses.replace(rs.chain_certificate(DegreeProfile(6, (2, 3))), signs=(1, -1))
+    monkeypatch.setattr(rs, "chain_certificate", lambda profile: sign_flipped)
+    code, report = run_json(capsys, "verify", "--n", "6", "--degrees", "2,3")
+    results = report["results"]
+    assert code == EXIT_FAIL
+    assert (results["inequality_passed"], results["chain_grid"]["passed"], results["passed"]) == (True, False, False)
+    assert results["chain_grid"]["first_failure"] is None
 
 
 def test_verify_chain_grid_from_request(capsys, tmp_path):
@@ -334,11 +358,11 @@ def test_verify_env_bad_chain_grid(capsys, monkeypatch, tmp_path, bounds):
     monkeypatch.setenv("MINEXP_SCAN_BOUNDS", f"bound=40,{bounds}")
     assert _outputs(capsys, argv) == plain
 
-    # both scans' arguments are checked before either scan starts, bound first
+    # both grids' arguments are checked before either certificate is built, bound first
     def scan(*args):
-        raise AssertionError("the valuation scan ran")
+        raise AssertionError("the valuation certificate was built")
 
-    monkeypatch.setattr(rs, "verify_valuation_inequality", scan)
+    monkeypatch.setattr(rs, "valuation_certificate", scan)
     key, value = bounds.split("=")
     path = tmp_path / "manifest.json"
     # 20 * 21^3 tuples fit the work budget, the 40 * 41^3 of bound 40 would not
@@ -360,10 +384,10 @@ def test_verify_grids_over_the_budget_exit_input(capsys, monkeypatch):
     argv = ["verify", "--n", "6", "--degrees", "2,3,4"]
 
     def scan(*args):
-        raise AssertionError("a scan ran")
+        raise AssertionError("a certificate was built")
 
-    monkeypatch.setattr(rs, "verify_valuation_inequality", scan)
-    monkeypatch.setattr(rs, "descent_chain_grid", scan)
+    monkeypatch.setattr(rs, "valuation_certificate", scan)
+    monkeypatch.setattr(rs, "chain_certificate", scan)
     for flags, error in [
         (["--bound", "31", "--chain-max", "0"], "valuation grid exceeds the work budget of 1000000 points"),
         (["--bound", "9" * 4000, "--chain-max", "0"], "valuation grid exceeds the work budget of 1000000 points"),
@@ -1065,6 +1089,17 @@ def test_text_of_a_rational_past_the_float_range(capsys):
     assert f"candidates = [{n}/2], pivot = 1\n" in out
     code, report = run_json(capsys, "formula", "--n", str(n), "--degrees", "2")
     assert (code, report["results"]["minimal_exponent"]) == (EXIT_OK, {"num": n, "den": 2})
+
+
+def test_text_of_a_positive_rational_below_the_float_range(capsys):
+    # 2/10^400 is positive, but its float underflows to 0.0, and the text
+    # read "(≈0)"; the exact value is written alone, as past the float range
+    weight = f"1/{10**400}"
+    assert main(["weighted", "--weights", f"{weight},{weight}", "--orders", "1"]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert f"UPPER BOUND = 1/{5 * 10**399}\n" in out
+    assert "≈" not in out
 
 
 DIGITS_ERROR = f"a result has more than {cli._DIGITS} digits, the limit of integer text"

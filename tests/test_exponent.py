@@ -22,7 +22,6 @@ from minexp.exponent import (
     weighted_upper_bound,
 )
 from minexp.poly import parse_poly, weighted_profile
-from minexp.resolution import descent_chain
 
 F = Fraction
 
@@ -241,8 +240,7 @@ def test_profile_validation():
 
 
 # A float used to be read through its binary value: WeightedProfile((0.1, 1),
-# (0.3,)) had the bound 7926335344172073/2161727821137838, and the chain of
-# u = (0.1, 0.5) on (6; 2, 3) had the value 237790060325162189/75660473739824333.
+# (0.3,)) had the bound 7926335344172073/2161727821137838.
 @pytest.mark.parametrize(
     "call",
     [
@@ -251,7 +249,6 @@ def test_profile_validation():
         lambda: weighted_profile([parse_poly("x1^2 + x2^3", ["x1", "x2"])], [0.5, 1]),
         lambda: exponent_candidates(6.0, (2, 3)),
         lambda: exponent_candidates(6, (2, 3.0)),
-        lambda: descent_chain(DegreeProfile(6, (2, 3)), (0.1, 0.5)),
     ],
     ids=[
         "WeightedProfile_weights",
@@ -259,7 +256,6 @@ def test_profile_validation():
         "weighted_profile",
         "exponent_candidates_w",
         "exponent_candidates_degrees",
-        "descent_chain",
     ],
 )
 def test_rationals_reject_floats(call):

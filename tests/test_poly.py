@@ -16,6 +16,7 @@ from minexp.newton import MonomialSupport
 from minexp.poly import (
     Poly,
     PolyParseError,
+    ProbeReport,
     _eval_power_terms,
     _rank,
     _weighted_order,
@@ -404,7 +405,11 @@ def test_probe_budget_inconclusive():
     f = parse_poly("x1 + x2 + x3", ["x1", "x2", "x3"])
     report = probe_transversality([f], 5, limit=10)
     assert report.verdict == "INCONCLUSIVE"
-    assert "budget" in report.reason
+    assert report.reason == "line budget exceeded: 31 lines > limit 10"  # (5^3 - 1)/4 lines, not 124 points
+    # the limit bounds the (13^5 - 1)/12 = 30941 lines the scan decides, not the 371292 points
+    fermat = parse_poly("x1^3 + x2^3 + x3^3 + x4^3 + x5^3", ["x1", "x2", "x3", "x4", "x5"])
+    assert probe_transversality([fermat], 13, limit=30_941) == ProbeReport("PASS", 13, 13**5 - 1)
+    assert probe_transversality([fermat], 13, limit=30_940).reason == "line budget exceeded: 30941 lines > limit 30940"
 
 
 def test_probe_denominator_clash_inconclusive():
@@ -443,8 +448,8 @@ def test_probe_matches_affine_scan_oracle():
         fs = [_random_form(rng, names, q) for _ in range(rng.randint(1, 3))]
         if any(f.is_zero() for f in fs):
             continue
-        limit = q**n - 2 if rng.random() < 0.1 else 100_000
-        if limit < 1:  # q = 2, n = 1: a budget below one point is rejected
+        limit = (q**n - 1) // (q - 1) - 1 if rng.random() < 0.1 else 100_000  # one line short, or the default
+        if limit < 1:  # n = 1 is one line, and a budget below one line is rejected
             with pytest.raises(ValueError, match="limit must be at least 1"):
                 probe_transversality(fs, q, limit)
             continue
@@ -539,7 +544,7 @@ def test_independence_check_matches_gauss_jordan(monkeypatch):
 def test_probe_by_prefix_inconclusive_cases():
     names = ["x1", "x2", "x3", "x4"]
     for fs, q, limit in [
-        (_forms(["x1^2 + x2^2 + x3^2 + x4^2"], names), 13, 28_559),  # one point over the limit
+        (_forms(["x1^2 + x2^2 + x3^2 + x4^2"], names), 13, 2379),  # 2380 lines: one over the limit
         (_forms(["x1^2 + x4^2", "1/13*x2*x3"], names), 13, 100_000),
     ]:
         report = probe_transversality(fs, q, limit)

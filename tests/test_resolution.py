@@ -1,7 +1,8 @@
-"""Blow-up chart calculus, the divisor ledger and the grid verifiers."""
+"""Blow-up chart calculus, the divisor ledger and the certificates of verify."""
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
 import random
@@ -19,6 +20,7 @@ from _oracles import (
     ChartState,
     Coordinate,
     blowup_chart,
+    TableProfile,
     chain_grid_by_points,
     descent_chain_by_fractions,
     simulate_resolution_by_charts,
@@ -28,7 +30,6 @@ from minexp import resolution as rs
 from minexp.cli import EXIT_OK, main
 from minexp.exponent import (
     DegreeProfile,
-    ExponentTable,
     WeightedProfile,
     minimal_exponent_cone,
     weighted_upper_bound,
@@ -37,10 +38,7 @@ from minexp.resolution import (
     LOG_RESOLUTION,
     STRONG_FACTORIZING,
     FactorizationWitness,
-    descent_chain,
-    descent_chain_grid,
     simulate_resolution,
-    verify_valuation_inequality,
 )
 
 F = Fraction
@@ -611,16 +609,26 @@ def test_c3_wide_route_agreement(profile):
     # the divisor with a = d_pivot is among the ledger's minimizers (the minimum may be tied)
     pivot_degree = profile.degrees[profile.table.pivot - 1]
     assert any(row.a == pivot_degree and row.ratio == formula for row in report.ledger)
+    # the valuation certificate's factor is the formula, and both lemmas hold
+    valuation = rs.valuation_certificate(profile)
+    assert valuation.exponent == formula
+    assert valuation.verify() and rs.chain_certificate(profile).verify()
 
 
-# --- valuation inequality scans -------------------------------------------------
+# --- the valuation inequality ---------------------------------------------------
 
 def test_valuation_scan_lct_branch():
-    report = verify_valuation_inequality(DegreeProfile(3, (2, 3)), 6)
-    assert report.branch == "lct"
-    assert report.exponent == F(4, 3)
+    profile = DegreeProfile(3, (2, 3))
+    certificate = rs.valuation_certificate(profile)
+    assert certificate.branch == "lct"
+    assert certificate.exponent == F(4, 3)
+    # lambda_1 at its cap 3/4, and 4/3 * (3/4 * 2 + 1/4 * 3) = 3 = n
+    assert certificate.weights == (F(3, 4), F(1, 4))
+    assert certificate.verify()
+    report = valuation_scan_by_grid(profile, 6)
+    assert (report.branch, report.exponent) == (certificate.branch, certificate.exponent)
     assert report.passed and report.counterexample is None
-    assert report.tuples_checked == 6 * 7 * 7
+    assert report.tuples_checked == 6 * 7 * 7 == rs._check_scan_bound(profile, 6)
 
 
 def test_valuation_hand_tuple():
@@ -630,26 +638,61 @@ def test_valuation_hand_tuple():
 
 
 def test_valuation_scan_complementary_branch():
-    report = verify_valuation_inequality(DegreeProfile(6, (2, 3)), 6)
-    assert report.branch == "complementary"
-    assert report.exponent == F(7, 3)
+    profile = DegreeProfile(6, (2, 3))
+    certificate = rs.valuation_certificate(profile)
+    assert certificate.branch == "complementary"
+    assert certificate.exponent == F(7, 3)
+    # lambda_2 is uncapped, since b_2 is pinned: 7/3 * (3/7 * 2 + 4/7 * 3) = 6 = n
+    assert certificate.weights == (F(3, 7), F(4, 7))
+    assert certificate.verify()
+    report = valuation_scan_by_grid(profile, 6)
     assert report.passed
-    assert report.tuples_checked == 6 * 7  # b_r pinned to zero
+    assert report.tuples_checked == 6 * 7 == rs._check_scan_bound(profile, 6)  # b_r pinned to zero
 
 
-# --- descent chains --------------------------------------------------------------
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"weights": (F(3, 4), F(1, 5))},  # the weights sum below 1
+        {"weights": (F(5, 4), F(-1, 4))},  # a negative weight
+        {"weights": (F(4, 5), F(1, 5))},  # 4/3 * 4/5 > 1: over its cap
+        {"weights": (F(3, 4), F(1, 4)), "n": 2},  # 4/3 * 9/4 = 3 > n
+        {"weights": (F(1),)},  # one weight for two degrees
+        {"exponent": F(-4, 3)},  # a negative factor reverses the inequality
+    ],
+    ids=["sum", "negative", "cap", "cost", "length", "factor"],
+)
+def test_valuation_certificate_rejects_each_broken_condition(change):
+    certificate = rs.valuation_certificate(DegreeProfile(3, (2, 3)))
+    assert certificate.verify()
+    assert not dataclasses.replace(certificate, **change).verify()
+
+
+def test_valuation_certificate_caps_every_free_weight():
+    certificate = rs.ValuationCertificate(6, (2, 3), "lct", F(2), (F(1, 4), F(3, 4)))
+    assert not certificate.verify()  # 2 * 3/4 > 1
+    # b_2 is pinned in the complementary branch, so lambda_2 has no cap
+    assert dataclasses.replace(certificate, branch="complementary").verify()
+
+
+# --- the descent chain -------------------------------------------------------------
 
 def test_descent_chain_hand_example():
-    report = descent_chain(DegreeProfile(3, (2, 3)), (0, 0))
+    profile = DegreeProfile(3, (2, 3))
+    report = descent_chain_by_fractions(profile, (0, 0))
     assert report.chain == (1, 2)
     assert report.chain_values == (F(3, 2), F(4, 3))
     assert report.links_ok == (True,)
     assert report.terminal_ok
     assert report.passed
+    # n - P_1 = 1 and B = n - P_2 = -2, whose candidate 4/3 = 2 + B/3 holds with equality
+    certificate = rs.chain_certificate(profile)
+    assert certificate.signs == (1, -1)
+    assert certificate.verify()
 
 
 def test_descent_chain_all_ties_collapse():
-    report = descent_chain(DegreeProfile(8, (3, 3, 3)), (F(1, 2),) * 3)
+    report = descent_chain_by_fractions(DegreeProfile(8, (3, 3, 3)), (F(1, 2),) * 3)
     assert report.chain == (3,)
     assert report.chain_values == ((8 + 3 * F(1, 2)) / (3 + F(1, 2)),)
     assert report.passed
@@ -657,13 +700,16 @@ def test_descent_chain_all_ties_collapse():
 
 def test_descent_chain_grid():
     profile = DegreeProfile(4, (2, 3, 4))
-    grid = [F(x) for x in range(4)]
-    for u in itertools.product(grid, repeat=3):
-        assert descent_chain(profile, u).passed
-    assert descent_chain_grid(profile, F(1), F(3)) == (4**3, None)
+    assert chain_grid_by_points(profile, F(1), F(3)) == (4**3, None)
+    assert rs._check_chain_grid(profile, F(1), F(3)) == 4**3
+    assert rs.chain_certificate(profile).signs == (1, -1, -1)
+    assert rs.chain_certificate(profile).verify()
 
 
 def test_descent_chain_matches_fraction_oracle():
+    # the certificate's case split, link by link, on the chains the fraction
+    # oracle builds: where n >= P_k the link holds through the next chain
+    # value, where n < P_k through its candidate; the terminal likewise
     rng = random.Random(11)
     profiles = [
         DegreeProfile(n, tuple(sorted(rng.randint(2, 7) for _ in range(r))))
@@ -671,35 +717,67 @@ def test_descent_chain_matches_fraction_oracle():
     ]
     # mixed denominators, and entries given as int and str as well as Fraction
     entries = [F(0), F(1, 3), F(2, 5), F(7, 6), F(1), F(5, 2), 3, "11/4", F(13, 9)]
+    links = 0
     for profile in profiles:
-        for _ in range(60):
-            u = tuple(rng.choice(entries) for _ in range(profile.r))
-            assert descent_chain(profile, u) == descent_chain_by_fractions(profile, u), (profile, u)
+        certificate = rs.chain_certificate(profile)
+        assert certificate.verify()
+        alphas = profile.table.values
+        points = [tuple(rng.choice(entries) for _ in range(profile.r)) for _ in range(60)]
         if profile.r <= 3:
-            half = [F(i, 2) for i in range(9)]
-            for u in itertools.product(half, repeat=profile.r):
-                assert descent_chain(profile, u) == descent_chain_by_fractions(profile, u), (profile, u)
+            points += itertools.product([F(i, 2) for i in range(9)], repeat=profile.r)
+        for u in points:
+            report = descent_chain_by_fractions(profile, u)
+            assert report.passed, (profile, u)
+            nexts = report.chain_values[1:] + (profile.r,)
+            for k, value, after in zip(report.chain, report.chain_values, nexts):
+                assert value >= (after if certificate.signs[k - 1] >= 0 else alphas[k - 1]), (profile, u, k)
+                links += 1
+    assert links > 5000
 
 
 def test_descent_chain_validation():
-    with pytest.raises(ValueError):
-        descent_chain(DegreeProfile(4, (2, 3)), (0,))
-    with pytest.raises(ValueError):
-        descent_chain(DegreeProfile(4, (2, 3)), (0, -1))
-    with pytest.raises(ValueError):
-        descent_chain_grid(DegreeProfile(4, (2, 3)), F(0), F(1))
+    with pytest.raises(ValueError, match="^chain grid parameters must be positive$"):
+        rs._check_chain_grid(DegreeProfile(4, (2, 3)), F(0), F(1))
+    with pytest.raises(ValueError, match="^chain grid parameters must be positive$"):
+        rs._check_chain_grid(DegreeProfile(4, (2, 3)), F(1), F(-1))
+    with pytest.raises(ValueError, match="^bound must be at least 1$"):
+        rs._check_scan_bound(DegreeProfile(4, (2, 3)), 0)
 
 
-class _TableProfile(DegreeProfile):
-    """A profile with a given candidate table: random values make most scans fail."""
+@pytest.mark.parametrize("sign", [-1, 0, 1])
+def test_chain_certificate_rejects_a_wrong_sign(sign):
+    # (3; 2, 3) has the signs (1, -1); every other sign at either index fails
+    certificate = rs.chain_certificate(DegreeProfile(3, (2, 3)))
+    for k in range(2):
+        signs = list(certificate.signs)
+        if signs[k] != sign:
+            signs[k] = sign
+            assert not dataclasses.replace(certificate, signs=tuple(signs)).verify()
+    assert not dataclasses.replace(certificate, signs=(1,)).verify()
 
-    def __init__(self, n, degrees, values):
-        super().__init__(n, degrees)
-        object.__setattr__(self, "_values", tuple(values))
 
-    @property
-    def table(self):
-        return ExponentTable(self._values, 1, min(self._values))
+# --- the certificates against the grids ---------------------------------------------
+
+def _flipped(signs, k):
+    """``signs`` with entry k flipped: 1 and -1 swap, and 0 becomes 1."""
+    return signs[:k] + (-signs[k] or 1,) + signs[k + 1 :]
+
+
+def test_certificates_on_the_c3_grid():
+    # both certificates verify on every profile; the knapsack at the factor
+    # plus 10^-6 finds no weights, and one flipped sign fails the chain's
+    epsilon = F(1, 10**6)
+    profiles = list(_c3_grid())
+    assert len(profiles) == 3122
+    for profile in profiles:
+        valuation = rs.valuation_certificate(profile)
+        chain = rs.chain_certificate(profile)
+        assert valuation.verify() and chain.verify(), profile
+        raised = TableProfile(profile.n, profile.degrees, [x + epsilon for x in profile.table.values])
+        assert rs.valuation_certificate(raised).exponent == valuation.exponent + epsilon
+        assert not rs.valuation_certificate(raised).verify(), profile
+        for k in range(profile.r):
+            assert not dataclasses.replace(chain, signs=_flipped(chain.signs, k)).verify(), (profile, k)
 
 
 def _scan_cases():
@@ -715,18 +793,27 @@ def _scan_cases():
         degrees = tuple(sorted(rng.randint(2, 8) for _ in range(r)))
         values = [F(rng.randint(1, 60), rng.randint(1, 9)) for _ in range(r)]
         step, maximum = rng.choice([(F(1), F(3)), (F(1, 2), F(2)), (F(2, 3), F(2)), (F(3, 2), F(5, 2))])
-        yield _TableProfile(n, degrees, values), rng.randint(1, 6 if r < 4 else 3), step, maximum
+        yield TableProfile(n, degrees, values), rng.randint(1, 6 if r < 4 else 3), step, maximum
 
 
 def test_verify_scans_match_exhaustive_oracles():
+    # a certificate that verifies decides its lemma on the whole cone, so
+    # the oracle's grid passes; on a random table either may fail
     seen = dict.fromkeys(
         ["lct fail", "complementary fail", "complementary r = 1 fail", "fail past the first tuple",
-         "pass", "chain fail", "chain fail past the first point", "chain pass"],
+         "pass", "valuation certificate", "chain fail", "chain fail past the first point", "chain pass",
+         "chain certificate"],
         0,
     )
     for profile, bound, step, maximum in _scan_cases():
-        scan = verify_valuation_inequality(profile, bound)
-        assert scan == valuation_scan_by_grid(profile, bound), (profile, profile.table, bound)
+        valuation = rs.valuation_certificate(profile).verify()
+        chain = rs.chain_certificate(profile).verify()
+        if type(profile) is DegreeProfile:
+            assert valuation and chain, profile
+        scan = valuation_scan_by_grid(profile, bound)
+        seen["valuation certificate"] += valuation
+        if valuation:
+            assert scan.passed, (profile, profile.table, bound)
         if scan.passed:
             seen["pass"] += 1
         else:
@@ -737,9 +824,10 @@ def test_verify_scans_match_exhaustive_oracles():
             # integer degrees, and the first slice reaches every integer t/b0 of
             # the widest range: a scan that fails somewhere fails in that slice
             assert scan.counterexample[0] == 1
-        grid = descent_chain_grid(profile, step, maximum)
-        assert grid == chain_grid_by_points(profile, step, maximum), (profile, profile.table, step, maximum)
-        points, failure = grid
+        points, failure = chain_grid_by_points(profile, step, maximum)
+        seen["chain certificate"] += chain
+        if chain:
+            assert failure is None, (profile, profile.table, step, maximum)
         seen["chain pass"] += failure is None
         seen["chain fail"] += failure is not None
         seen["chain fail past the first point"] += failure is not None and points > 1
@@ -753,19 +841,19 @@ def test_verify_scans_match_exhaustive_oracles():
 # second through its candidate.  The terminal value r + base/M_r only rises
 # with u_r, so a terminal check that fails somewhere fails at the first
 # point; the links fail only past it, where their index first joins the chain.
+# The chain certificate fails on the first three and verifies on the last two.
 _HAND_GRIDS = [
-    (_TableProfile(3, (2, 2, 2), [F(0), F(0), F(2)]), 1, 3, (0, 0, 0)),
-    (_TableProfile(3, (2, 3, 3), [F(0), F(2), F(0)]), 2, 2, (0, 0, 1)),
-    (_TableProfile(3, (6, 6, 6), [F(1), F(0), F(0)]), 5, 1, (0, 1, 1)),
-    (_TableProfile(2, (2, 3), [F(100), F(0)]), 9, None, None),  # v_1 = v_2 = 1
-    (_TableProfile(2, (3, 4), [F(2, 3), F(0)]), 9, None, None),  # v_1 = 2/3 < v_2 = 3/4
+    (TableProfile(3, (2, 2, 2), [F(0), F(0), F(2)]), 1, 3, (0, 0, 0)),
+    (TableProfile(3, (2, 3, 3), [F(0), F(2), F(0)]), 2, 2, (0, 0, 1)),
+    (TableProfile(3, (6, 6, 6), [F(1), F(0), F(0)]), 5, 1, (0, 1, 1)),
+    (TableProfile(2, (2, 3), [F(100), F(0)]), 9, None, None),  # v_1 = v_2 = 1
+    (TableProfile(2, (3, 4), [F(2, 3), F(0)]), 9, None, None),  # v_1 = 2/3 < v_2 = 3/4
 ]
 
 
 @pytest.mark.parametrize("profile, points, index, u", _HAND_GRIDS)
 def test_chain_grid_on_hand_built_tables(profile, points, index, u):
-    grid = descent_chain_grid(profile, F(1), F(2))
-    assert grid == chain_grid_by_points(profile, F(1), F(2))
+    grid = chain_grid_by_points(profile, F(1), F(2))
     assert grid[0] == points
     report = grid[1]
     if index is None:
@@ -774,11 +862,15 @@ def test_chain_grid_on_hand_built_tables(profile, points, index, u):
         assert report.u == u
         checks = report.links_ok + (report.terminal_ok,)
         assert [k for k, ok in zip(report.chain, checks) if not ok] == [index]
+    assert rs.chain_certificate(profile).verify() is (index is None)
 
 
-def test_chain_grid_walks_a_one_point_axis_of_any_length():
-    # a one-point axis passes the budget at any r; the walk holds one frame per index
-    assert descent_chain_grid(DegreeProfile(6000, (2,) * 2500), F(1), F(0)) == (1, None)
+def test_certificates_decide_a_one_point_grid_of_any_length():
+    # a one-point axis passes the budget at any r, and each certificate is O(r)
+    profile = DegreeProfile(6000, (2,) * 2500)
+    assert rs._check_chain_grid(profile, F(1), F(0)) == 1
+    assert rs.valuation_certificate(profile).verify()
+    assert rs.chain_certificate(profile).verify()
 
 
 # --- work budgets -----------------------------------------------------------------
@@ -787,18 +879,18 @@ def test_scan_budgets():
     assert rs.SCAN_BUDGET == 10**6
     lct, complementary = DegreeProfile(3, (2, 3)), DegreeProfile(6, (2, 3))
     # the valuation grid has bound * (bound + 1)^r tuples, one axis fewer when b_r is pinned
-    fits = [(lct, 99), (complementary, 999)]  # 990,000 and 999,000 tuples
+    fits = [(lct, 99, 990_000), (complementary, 999, 999_000)]
     over = [(lct, 100), (complementary, 1000), (lct, 10**50)]  # 1,020,100 and 1,001,000 tuples
-    for profile, bound in fits:
-        rs._check_scan_bound(profile, bound)
+    for profile, bound, size in fits:
+        assert rs._check_scan_bound(profile, bound) == size
     for profile, bound in over:
         with pytest.raises(ValueError, match="^valuation grid exceeds the work budget of 1000000 points$"):
-            verify_valuation_inequality(profile, bound)
+            rs._check_scan_bound(profile, bound)
     # the chain grid has (max // step + 1)^r points: 1000^2 fit, 1001^2 do not
-    rs._check_chain_grid(lct, F(1), F(999))
+    assert rs._check_chain_grid(lct, F(1), F(999)) == 10**6
     for step, maximum in [(F(1), F(1000)), (F(1, 1000), F(4)), (F(1), F(10**50))]:
         with pytest.raises(ValueError, match="^chain grid exceeds the work budget of 1000000 points$"):
-            descent_chain_grid(lct, step, maximum)
+            rs._check_chain_grid(lct, step, maximum)
 
 
 # --- the work budget of a resolution --------------------------------------------
