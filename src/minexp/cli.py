@@ -377,7 +377,7 @@ def run_formula(n: int, degrees: list[int]) -> tuple[dict, int]:
         "smooth": profile is None,
         "minimal_exponent": _rat_json(alpha),
         "lct": _rat_json(lct),
-        "predicates": dict(vars(predicates)),
+        "predicates": predicates._asdict(),
     }
     if profile is not None:
         results["candidates"] = [_rat_json(v) for v in profile.table.values]
@@ -459,7 +459,8 @@ def run_newton(
     else:
         if not isinstance(support, list) or not all(isinstance(p, list) for p in support):
             raise InputError(f"bad support: expected a list of integer lists, got {support!r}")
-        ms = _guard(nt.MonomialSupport, len(support[0]) if support else 0, support, prefix="bad support: ")
+        n = len(support[0]) if support else 1  # no first point: the library names the empty support
+        ms = _guard(nt.MonomialSupport, n, support, prefix="bad support: ")
     result, exponent = _guard(nt.newton_diagonal, ms)
     results = {
         "support": [list(p) for p, _ in result.certificate],  # sorted by diagonal_entry
@@ -520,10 +521,7 @@ def run_resolve(n: int, degrees: list[int]) -> tuple[dict, int]:
             for row in report.ledger
         ],
         "case3": [{"level": c.level, "steps": list(c.steps), "principal": c.principal} for c in report.case3],
-        "vj_checks": [
-            {"divisor": v.divisor, "pivot": v.pivot, "ideal": v.ideal, "generator": v.generator}
-            for v in report.vj_checks
-        ],
+        "vj_checks": [v._asdict() for v in report.vj_checks],
         "cross_check": {
             "formula": _rat_json(formula_value),
             "ledger_bound": _rat_json(report.lower_bound),

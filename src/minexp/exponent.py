@@ -15,7 +15,6 @@ bound.  Smooth inputs (all degrees 1) get the distinguished value INFINITY.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, total_ordering
 from fractions import Fraction
 from math import lcm
@@ -101,8 +100,12 @@ def _check_degrees(n, degrees: tuple, least: int) -> None:
         raise ValueError(f"codimension {len(degrees)} exceeds ambient dimension {n}")
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class _DegreeProfile(NamedTuple):
+    n: int
+    degrees: tuple[int, ...]
+
+
+class DegreeProfile(_DegreeProfile):
     """Ambient dimension plus the sorted degree list of the defining equations.
 
     n and the degrees must be ``int`` (not ``bool``); nothing is truncated.
@@ -110,12 +113,15 @@ class DegreeProfile:
     entries.  The codimension r never exceeds n.
     """
 
-    n: int
-    degrees: tuple[int, ...]
+    # no __slots__ = (): the cached table lives in the instance __dict__
 
-    def __post_init__(self):
-        object.__setattr__(self, "degrees", tuple(self.degrees))
-        _check_degrees(self.n, self.degrees, 2)
+    def __new__(cls, n, degrees):
+        degrees = tuple(degrees)
+        _check_degrees(n, degrees, 2)
+        return super().__new__(cls, n, degrees)
+
+    # _replace builds through _make, so a changed copy is checked too
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     @property
     def r(self) -> int:
@@ -131,8 +137,7 @@ class DegreeProfile:
         return exponent_candidates(self.n, self.degrees)
 
 
-@dataclass(frozen=True)
-class ExponentTable:
+class ExponentTable(NamedTuple):
     """Candidate values i + (w - d_1 - ... - d_i)/d_i, their pivot and minimum.
 
     ``pivot`` is the 1-based smallest index whose degree prefix sum exceeds w
@@ -192,8 +197,7 @@ def lct_cone(profile: DegreeProfile) -> Fraction:
     return min(minimal_exponent_cone(profile), Fraction(profile.r))
 
 
-@dataclass(frozen=True)
-class SingularityPredicates:
+class SingularityPredicates(NamedTuple):
     """``exceeds_lct`` (the exponent exceeds the lct) is the same predicate as
     ``rational_singularities``: both say the exponent exceeds the codimension r.
     It is kept as its own field because reports carry it under that name."""
@@ -219,28 +223,34 @@ def singularity_predicates(profile: DegreeProfile) -> SingularityPredicates:
     return SingularityPredicates(rational, log_canonical, exceeds)
 
 
-@dataclass(frozen=True)
-class WeightedProfile:
+class _WeightedProfile(NamedTuple):
+    weights: tuple[Fraction, ...]
+    orders: tuple[Fraction, ...]
+
+
+class WeightedProfile(_WeightedProfile):
     """Positive coordinate weights plus the sorted weighted orders of the
     defining equations, as exact rationals (a float is rejected).  Build it
     from polynomials with :func:`minexp.poly.weighted_profile`."""
 
-    weights: tuple[Fraction, ...]
-    orders: tuple[Fraction, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", tuple(map(_as_fraction, self.weights)))
-        object.__setattr__(self, "orders", tuple(map(_as_fraction, self.orders)))
-        if not self.weights:
+    def __new__(cls, weights, orders):
+        weights = tuple(map(_as_fraction, weights))
+        orders = tuple(map(_as_fraction, orders))
+        if not weights:
             raise ValueError("weight list must be nonempty")
-        if any(w <= 0 for w in self.weights):
+        if any(w <= 0 for w in weights):
             raise ValueError("weights must be positive")
-        if not self.orders:
+        if not orders:
             raise ValueError("order list must be nonempty")
-        if any(d <= 0 for d in self.orders):
+        if any(d <= 0 for d in orders):
             raise ValueError("orders must be positive")
-        if list(self.orders) != sorted(self.orders):
-            raise ValueError(f"orders must be sorted ascending, got {self.orders}")
+        if list(orders) != sorted(orders):
+            raise ValueError(f"orders must be sorted ascending, got {orders}")
+        return super().__new__(cls, weights, orders)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # as in DegreeProfile
 
 
 def weighted_upper_bound(profile: WeightedProfile) -> Fraction:

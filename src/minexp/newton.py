@@ -29,15 +29,19 @@ feasible: t >= t * sum(v) >= sum_u lambda_u <u, v> >= c for any feasible
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from minexp.exponent import _common_denominator, _is_int
 from minexp.poly import Poly
 
 
-@dataclass(frozen=True)
-class MonomialSupport:
+class _MonomialSupport(NamedTuple):
+    n: int
+    points: frozenset[tuple[int, ...]]
+
+
+class MonomialSupport(_MonomialSupport):
     """A finite set of exponent vectors in a fixed dimension.
 
     ``points`` may be given as any collection of integer sequences; each entry
@@ -45,40 +49,38 @@ class MonomialSupport:
     the points are stored as a frozenset of tuples.
     """
 
-    n: int
-    points: frozenset[tuple[int, ...]]
+    __slots__ = ()
 
-    def __post_init__(self):
-        points = [tuple(p) for p in self.points]
-        if not _is_int(self.n) or self.n < 1:
-            raise ValueError(f"dimension must be a positive integer, got {self.n}")
+    def __new__(cls, n, points):
+        points = [tuple(p) for p in points]
+        if not _is_int(n) or n < 1:
+            raise ValueError(f"dimension must be a positive integer, got {n}")
         if not points:
             raise ValueError("support must be nonempty")
         for p in points:
-            if len(p) != self.n:
-                raise ValueError(f"point {p} does not have dimension {self.n}")
+            if len(p) != n:
+                raise ValueError(f"point {p} does not have dimension {n}")
             if not all(_is_int(x) for x in p):
                 raise ValueError(f"point {p} has an entry that is not an integer")
             if any(x < 0 for x in p):
                 raise ValueError(f"point {p} has a negative entry")
-        object.__setattr__(self, "points", frozenset(points))
+        return super().__new__(cls, n, frozenset(points))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # as in DegreeProfile
 
     @classmethod
     def from_poly(cls, f: Poly) -> "MonomialSupport":
         """The support of ``f``: ``Poly`` has checked every exponent vector."""
         if f.is_zero():
             raise ValueError("the zero polynomial has empty support")
-        ms = object.__new__(cls)
-        ms.__dict__.update(n=len(f.variables), points=f.support())
-        return ms
+        return _MonomialSupport.__new__(cls, len(f.variables), f.support())
 
     @property
     def origin(self) -> tuple[int, ...]:
         return (0,) * self.n
 
 
-@dataclass(frozen=True)
-class DiagonalResult:
+class DiagonalResult(NamedTuple):
     """Diagonal value c with primal and dual optimality certificates.
 
     ``certificate`` pairs every support point, in sorted order, with its
@@ -253,11 +255,7 @@ def diagonal_entry(support: MonomialSupport) -> DiagonalResult:
     """Exact diagonal value of the Newton polyhedron, with certificates."""
     pts = sorted(support.points)
     c, lambdas, dual = _solve_diagonal_lp(pts)
-    result = DiagonalResult(
-        c=c,
-        certificate=tuple(zip(pts, lambdas)),
-        dual=tuple(dual),
-    )
+    result = DiagonalResult(c, tuple(zip(pts, lambdas)), tuple(dual))
     if not result.verify():
         raise RuntimeError(f"internal error: certificate failed to verify for {pts}")
     return result

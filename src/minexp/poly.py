@@ -31,12 +31,11 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from minexp.exponent import WeightedProfile, _as_fraction, _is_int
+from minexp.exponent import WeightedProfile, _as_fraction, _common_denominator, _is_int
 
 
 class PolyParseError(ValueError):
@@ -282,8 +281,10 @@ def parse_poly(text: str, variables: Sequence[str]) -> Poly:
 
 def _weighted_order(f: Poly, weights: Sequence[Fraction]) -> Fraction:
     """Smallest weighted degree of a monomial of the nonzero ``f``; the
-    caller has checked ``f`` and the weights."""
-    return min(sum(e * wi for e, wi in zip(u, weights)) for u in f.terms)
+    caller has checked ``f`` and the weights.  The degrees are summed in
+    integers over the weights' common denominator, into one ``Fraction``."""
+    nums, den = _common_denominator(weights)
+    return Fraction(min(sum(e * w for e, w in zip(u, nums)) for u in f.terms), den)
 
 
 def weighted_profile(fs: Sequence[Poly], weights: Sequence) -> WeightedProfile:
@@ -315,8 +316,7 @@ def weighted_profile(fs: Sequence[Poly], weights: Sequence) -> WeightedProfile:
 # ---------------------------------------------------------------------------
 # finite-field transversality probe
 
-@dataclass(frozen=True)
-class ProbeWitness:
+class ProbeWitness(NamedTuple):
     point: tuple[int, ...]
     vanishing: tuple[int, ...]            # 1-based indices of the vanishing inputs
     lifted_point: tuple[int, ...]         # centered integer lift of the point
@@ -324,8 +324,7 @@ class ProbeWitness:
     note: str
 
 
-@dataclass(frozen=True)
-class ProbeReport:
+class ProbeReport(NamedTuple):
     verdict: str                          # "PASS", "FAIL" or "INCONCLUSIVE"
     field_size: int
     points_checked: int
@@ -575,13 +574,7 @@ def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = PROBE
                 note += "; lift is transverse over the rationals (mod-q artifact)"
         else:
             note += "; no input vanishes at the integer lift (mod-q artifact)"
-        witness = ProbeWitness(
-            point=point,
-            vanishing=tuple(i + 1 for i in vanishing),
-            lifted_point=lift,
-            genuine=genuine,
-            note=note,
-        )
+        witness = ProbeWitness(point, tuple(i + 1 for i in vanishing), lift, genuine, note)
         checked = 0  # the witness as a base-q number: its place in the affine scan
         for x in point:
             checked = checked * q + x

@@ -52,10 +52,9 @@ but neither certificate reads them.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from minexp.exponent import DegreeProfile, _common_denominator
 
@@ -119,18 +118,21 @@ def _blowup(ideal: Sequence[tuple[int, ...]], k: int, width: int):
     return min(totals, default=0), width - 1 + k, charts
 
 
-@dataclass(frozen=True)
-class LedgerRow:
-    """One exceptional divisor, the one record of its blow-up: the centre
-    (``"origin"`` for E1), the divisor's name, its ideal multiplicity a and
-    discrepancy k, and the text of the ideal in the chart the main chain
-    follows."""
-
+class _LedgerRow(NamedTuple):
     center: tuple[str, ...] | str
     divisor: str
     a: int
     k: int
     ideal: str
+
+
+class LedgerRow(_LedgerRow):
+    """One exceptional divisor, the one record of its blow-up: the centre
+    (``"origin"`` for E1), the divisor's name, its ideal multiplicity a and
+    discrepancy k, and the text of the ideal in the chart the main chain
+    follows."""
+
+    # no __slots__ = (): the cached ratio lives in the instance __dict__
 
     @property
     def pivot(self) -> str | None:
@@ -144,8 +146,7 @@ class LedgerRow:
         return Fraction(self.k + 1, self.a)
 
 
-@dataclass(frozen=True)
-class VjCheck:
+class VjCheck(NamedTuple):
     """Depth-one expansion of a non-pivot chart: the transformed ideal must
     be principal with an exceptional-supported generator."""
 
@@ -155,8 +156,7 @@ class VjCheck:
     generator: str
 
 
-@dataclass(frozen=True)
-class Case3Report:
+class Case3Report(NamedTuple):
     """A side chart where only the first q strict transforms survive; its
     chain must terminate in a purely exceptional principal ideal."""
 
@@ -165,8 +165,7 @@ class Case3Report:
     principal: str
 
 
-@dataclass(frozen=True)
-class FactorizationWitness:
+class FactorizationWitness(NamedTuple):
     """Terminal-chart factorization: a monomial supported on exceptional
     coordinates times the ideal of r distinct strict-transform coordinates."""
 
@@ -174,8 +173,7 @@ class FactorizationWitness:
     residual: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ResolutionReport:
+class ResolutionReport(NamedTuple):
     """The scripted resolution of a profile: one ledger row per exceptional
     divisor, and ``lower_bound`` the least of their ratios."""
 
@@ -465,8 +463,7 @@ def _check_chain_grid(profile: DegreeProfile, step: Fraction, maximum: Fraction)
     return _check_budget(1, maximum // step + 1, profile.r, "chain grid")
 
 
-@dataclass(frozen=True)
-class ValuationCertificate:
+class ValuationCertificate(NamedTuple):
     """A Farkas certificate of the valuation inequality on the whole cone.
 
     For degree sum > n ("lct" branch) the inequality is
@@ -531,8 +528,7 @@ def valuation_certificate(profile: DegreeProfile) -> ValuationCertificate:
     return ValuationCertificate(profile.n, profile.degrees, branch, exponent, tuple(weights))
 
 
-@dataclass(frozen=True)
-class ChainCertificate:
+class ChainCertificate(NamedTuple):
     """The descent chain lemma for every u >= 0, by the signs of n - P_k.
 
     Write M_j = d_j + u_j, P_k = d_1 + ... + d_k and B = n - P_r.  The chain

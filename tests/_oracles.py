@@ -466,9 +466,10 @@ class TableProfile(DegreeProfile):
     """A profile with a given candidate table, for the ``verify`` oracles and
     certificates: random values make most grids fail."""
 
-    def __init__(self, n, degrees, values):
-        super().__init__(n, degrees)
-        object.__setattr__(self, "_values", tuple(values))
+    def __new__(cls, n, degrees, values):
+        profile = super().__new__(cls, n, degrees)
+        profile._values = tuple(values)
+        return profile
 
     @property
     def table(self):

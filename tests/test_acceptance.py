@@ -6,7 +6,6 @@ All numeric comparisons are exact; there are no tolerances anywhere.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import random
@@ -20,11 +19,12 @@ from minexp.exponent import (
     DegreeProfile,
     WeightedProfile,
     exponent_candidates,
+    lct_cone,
     minimal_exponent_cone,
     singularity_predicates,
     weighted_upper_bound,
 )
-from minexp.newton import MonomialSupport, diagonal_entry
+from minexp.newton import MonomialSupport, diagonal_entry, newton_diagonal
 from minexp.poly import parse_poly, weighted_profile
 from minexp.resolution import chain_certificate, simulate_resolution, valuation_certificate
 
@@ -112,7 +112,23 @@ def test_c02_candidate_identity_suite():
     )
 
 
+def _fermat_cone_support(profile: DegreeProfile) -> MonomialSupport:
+    """The support of the cone hypersurface g = f_1*y_1 + ... + f_r*y_r over
+    the Fermat-type forms f_j = x_1^{d_j} + ... + x_n^{d_j}: the points
+    d_j*e_i + e_{n+j}, built from the degrees alone."""
+    n, dim = profile.n, profile.n + profile.r
+    points = []
+    for j, d in enumerate(profile.degrees):
+        for i in range(n):
+            point = [0] * dim
+            point[i], point[n + j] = d, 1
+            points.append(point)
+    return MonomialSupport(dim, points)
+
+
 def test_c03_three_route_agreement():
+    # the three routes agree on the exponent; the Newton diagonal of the
+    # Fermat-type cone hypersurface gives the lct, min(exponent, r)
     failures = []
     count = 0
     for profile in _profiles(12, 4, range(2, 9)):
@@ -122,11 +138,13 @@ def test_c03_three_route_agreement():
         weighted = weighted_upper_bound(
             WeightedProfile((1,) * profile.n, profile.degrees)
         )
-        if not (formula == ledger == weighted):
-            failures.append((profile, formula, ledger, weighted))
+        newton = newton_diagonal(_fermat_cone_support(profile))[1]
+        if not (formula == ledger == weighted and newton == lct_cone(profile)):
+            failures.append((profile, formula, ledger, weighted, newton))
     _verdict(
         "C3",
-        "formula = resolution-ledger bound = all-ones weighted bound on every profile",
+        "formula = resolution-ledger bound = all-ones weighted bound, and the Newton "
+        "exponent of the Fermat-type cone hypersurface = lct, on every profile",
         not failures,
         f"{count} profiles" if not failures else f"first: {failures[0]}",
     )
@@ -191,7 +209,7 @@ def test_c06_descent_chain_grid():
         signs = certificate.signs
         # sign k flipped: 1 and -1 swap, and 0 becomes 1
         flipped = [signs[:k] + (-signs[k] or 1,) + signs[k + 1 :] for k in range(profile.r)]
-        if not certificate.verify() or any(dataclasses.replace(certificate, signs=f).verify() for f in flipped):
+        if not certificate.verify() or any(certificate._replace(signs=f).verify() for f in flipped):
             failures.append((profile, "certificate"))
         certified += 1
     _verdict(

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -289,7 +288,7 @@ def test_verify_fails_when_a_certificate_fails(capsys, monkeypatch):
     assert (results["inequality_passed"], results["chain_grid"]["passed"], results["passed"]) == (False, True, False)
     assert results["counterexample"] is None
     monkeypatch.undo()
-    sign_flipped = dataclasses.replace(rs.chain_certificate(DegreeProfile(6, (2, 3))), signs=(1, -1))
+    sign_flipped = rs.chain_certificate(DegreeProfile(6, (2, 3)))._replace(signs=(1, -1))
     monkeypatch.setattr(rs, "chain_certificate", lambda profile: sign_flipped)
     code, report = run_json(capsys, "verify", "--n", "6", "--degrees", "2,3")
     results = report["results"]
@@ -1076,6 +1075,24 @@ def test_support_text_the_decoder_refuses_is_an_input_error(capsys, text, error)
     assert capsys.readouterr() == ("", f"input error: {error}\n")
     code, report = run_json(capsys, "newton", "--support", text)
     assert (code, report["error"]) == (EXIT_INPUT, error)
+
+
+@pytest.mark.parametrize(
+    "support, error",
+    [("[]", "bad support: support must be nonempty"), ("[[]]", "bad support: dimension must be a positive integer, got 0")],
+    ids=["no_point", "empty_point"],
+)
+def test_empty_support_is_named(capsys, tmp_path, support, error):
+    # [] read "dimension must be a positive integer, got 0": with no first
+    # point its dimension was taken as 0; [[]] has a point of dimension 0
+    assert main(["newton", "--support", support]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", f"input error: {error}\n")
+    code, report = run_json(capsys, "newton", "--support", support)
+    assert (code, report["error"]) == (EXIT_INPUT, error)
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps([{"command": "newton", "support": json.loads(support)}]))
+    code, report = run_json(capsys, "batch", str(path))
+    assert (code, report["reports"][0]["error"]) == (EXIT_INPUT, f"request 0: {error}")
 
 
 def test_text_of_a_rational_past_the_float_range(capsys):

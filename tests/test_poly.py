@@ -278,6 +278,9 @@ def test_weighted_order_examples():
     assert _weighted_order(f, (F(3), F(2))) == 6
     g = parse_poly("x1^2*x2", ["x1", "x2"])
     assert _weighted_order(g, (F(1, 2), F(1))) == 2
+    # summed in integers over the common denominator 6: one Fraction, in lowest terms
+    order = _weighted_order(parse_poly("x1^2 + x1*x2^2", ["x1", "x2"]), (F(1, 2), F(2, 3)))
+    assert type(order) is Fraction and (order.numerator, order.denominator) == (1, 1)
 
 
 def test_weighted_order_rejects_zero():

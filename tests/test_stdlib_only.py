@@ -1,9 +1,11 @@
-"""The package imports only the standard library and itself, writes JSON in
-one place, and makes no float."""
+"""The package imports only the standard library and itself, starts its CLI
+without the dataclass machinery, writes JSON in one place, and makes no float."""
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,6 +35,16 @@ def test_package_imports_only_the_standard_library():
         if name != "minexp" and name not in sys.stdlib_module_names
     }
     assert not foreign
+
+
+def test_cold_start_loads_no_dataclass_machinery():
+    # a fresh interpreter importing the CLI, as every minexp run does, loads
+    # neither dataclasses nor the inspect, ast and dis modules it would pull in
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    heavy = ["dataclasses", "inspect", "ast", "dis"]
+    code = f"import sys, minexp.cli; print(sorted(set({heavy!r}) & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 def _json_writers(path: Path):
