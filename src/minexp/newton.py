@@ -15,9 +15,10 @@ diagonal point reduces to the tiny linear program
 because the recession orthant absorbs any componentwise slack.  The program
 is solved by an exact two-phase revised simplex with Bland's anti-cycling
 rule, fraction-free (integer-preserving pivoting in the style of Bareiss and
-Edmonds): it keeps only d * B^-1, integers over one common denominator d,
-and prices and builds each entering column from the sparse support, so no
-rational arithmetic runs inside the solver and every division is exact.
+Edmonds): it keeps only d * B^-1, d the last pivot element, each column
+stored at the denominator it was last written at, and prices and builds
+each entering column from the sparse support, so no rational arithmetic
+runs inside the solver and every division is exact (see the kernel).
 
 Every result carries two certificates that are re-verified in integers,
 independently of the solver: a primal one (convex weights placing the
@@ -127,7 +128,7 @@ class DiagonalResult(NamedTuple):
 # lambda_0 .. lambda_{npts-1}, t, s_0 .. s_{dim-1} and art.  The starting
 # basis (art, s_0, ..., s_{dim-1}) is the identity, so the tableau of a full
 # simplex would be d * B^-1 * A0: A0 the initial integer tableau, B the
-# basis matrix, d a common positive denominator.  Only the tableau's columns
+# basis matrix, d > 0 the last pivot element.  Only the tableau's columns
 # on those starting slots are kept, the columns of d * B^-1 itself (slot 0
 # is art, slot 1 + i is s_i), and the reduced costs on the same slots.  The
 # slot-0 column is also the right-hand side, since the rhs of A0 equals
@@ -137,58 +138,93 @@ class DiagonalResult(NamedTuple):
 # nonzero entries a = A0[k, j]: a support point u is (1, u), one term per
 # nonzero entry.
 #
-# A pivot on element p > 0 keeps the pivot row and replaces every other
-# entry x by (x * p - f * g) // d before setting d = p, where f is the
-# entering column's entry in x's row (for a reduced cost, the entering
-# column's reduced cost) and g the pivot row's entry in x's column.  As
-# in Bareiss's integer-preserving elimination, every entry is then a minor
-# of A0, so each division is exact, and every integer the solver compares is
-# the one the full tableau holds: the pivot path, c, the weights and the
-# dual are its.
+# In Bareiss's integer-preserving elimination, a pivot on element p > 0
+# keeps the pivot row and replaces every other entry x by
+# (x * p - f * g) // d before setting d = p, where f is the entering
+# column's entry in x's row (for a reduced cost, the entering column's
+# reduced cost) and g the pivot row's entry in x's column.  Every entry is
+# then a minor of A0.  A column with g = 0 only scales by p / d: it is the
+# same column of B^-1.  So each column k is stored as it was last written,
+# at the denominator dens[k] = e, and its entries at the current d are
+# x * d / e.  A pivot leaves a column with g = 0 as it is.  A column with
+# g != 0 becomes
+#
+#     (x * d / e * p - g * d / e * f) / d = (x * p - g * f) / e,
+#
+# its pivot-row entry g * d / e, and its denominator p; its slot's reduced
+# cost takes the true g, g * d / e, as above.  A reader rescales a stale
+# column once, as x * d // e, before it reads it.  Each of these divisions
+# is exact.  x * d / e, g * d / e and (x * p - g * f) / e are the entries
+# of the full tableau at the denominator d or p, and those are minors of
+# A0, so integers.  Every integer the solver compares is the one the full
+# tableau holds: the pivot path, c, the weights and the dual are its.
 
 
-def _reduced_costs(inverse, basis, cost, slots, d):
+def _fresh(inverse, dens, k, d):
+    """Column k of d * B^-1, rescaled in place if it is stale."""
+    col = inverse[k]
+    e = dens[k]
+    if e != d:
+        col = inverse[k] = [x * d // e for x in col]
+        dens[k] = d
+    return col
+
+
+def _reduced_costs(inverse, dens, basis, cost, slots, d):
     """d * cost - cost_B * (d * B^-1) on the starting slots."""
-    cost_b = [cost[b] for b in basis]
-    return [d * cost[s] - sum(c * x for c, x in zip(cost_b, col)) for s, col in zip(slots, inverse)]
+    cost_b = [(r, cost[b]) for r, b in enumerate(basis) if cost[b]]
+    red = []
+    for k, s in enumerate(slots):
+        col = _fresh(inverse, dens, k, d)
+        f = d * cost[s]
+        for r, c in cost_b:
+            f -= c * col[r]
+        red.append(f)
+    return red
 
 
-def _pivot(inverse, red, d, leave, column, f):
+def _pivot(inverse, dens, red, d, leave, column, f):
     """Pivot in place on column[leave] > 0, where ``inverse`` holds the
-    columns of d * B^-1, ``column`` is the entering column and ``f`` its
-    reduced cost; return the new common denominator (the pivot element)."""
+    columns of d * B^-1, column k stored at the denominator dens[k],
+    ``column`` is the entering column at d and ``f`` its reduced cost;
+    return the new denominator (the pivot element)."""
     p = column[leave]
     for k, col in enumerate(inverse):
         g = col[leave]
-        red[k] = (red[k] * p - f * g) // d
         if g:
-            col = [(x * p - g * a) // d for x, a in zip(col, column)]
-            col[leave] = g
+            e = dens[k]
+            g_d = g * d // e
+            col = [(x * p - g * a) // e for x, a in zip(col, column)]
+            col[leave] = g_d
             inverse[k] = col
-        elif p != d:
-            inverse[k] = [x * p // d for x in col]
+            dens[k] = p
+            red[k] = (red[k] * p - f * g_d) // d
+        else:
+            red[k] = red[k] * p // d
     return p
 
 
-def _iterate(inverse, basis, red, d, cost, columns, slots, allowed):
+def _iterate(inverse, dens, basis, red, d, cost, columns, slots, allowed):
     slot_cost = [cost[s] for s in slots]
     while True:
         y = [d * c - x for c, x in zip(slot_cost, red)]
         enter = None
         for j in allowed:  # Bland: smallest eligible index enters
-            f = d * cost[j] - sum(y[k] * a for k, a in columns[j])
+            f = d * cost[j]
+            for k, a in columns[j]:
+                f -= y[k] * a
             if f < 0:
                 enter = j
                 break
         if enter is None:
             return d
         (k, a), *rest = columns[enter]
-        column = [a * x for x in inverse[k]]
+        column = [a * x for x in _fresh(inverse, dens, k, d)]
         for k, a in rest:
-            column = [c + a * x for c, x in zip(column, inverse[k])]
+            column = [c + a * x for c, x in zip(column, _fresh(inverse, dens, k, d))]
         # ratio test rhs / a, compared by cross-multiplication (a > 0)
         leave = None
-        for r, (a, b) in enumerate(zip(column, inverse[0])):
+        for r, (a, b) in enumerate(zip(column, _fresh(inverse, dens, 0, d))):
             if a > 0:
                 if leave is None:
                     leave, num, den = r, b, a
@@ -198,7 +234,7 @@ def _iterate(inverse, basis, red, d, cost, columns, slots, allowed):
                     leave, num, den = r, b, a
         if leave is None:
             raise RuntimeError("unbounded linear program; impossible for this formulation")
-        d = _pivot(inverse, red, d, leave, column, f)
+        d = _pivot(inverse, dens, red, d, leave, column, f)
         basis[leave] = enter
 
 
@@ -217,14 +253,15 @@ def _solve_diagonal_lp(pts: list[tuple[int, ...]]):
     columns.append([(0, 1)])
     slots = [art] + [s0 + i for i in range(dim)]
     inverse = [[int(r == k) for r in range(dim + 1)] for k in range(dim + 1)]
+    dens = [1] * (dim + 1)
     basis = slots[:]
     d = 1
 
     # phase 1: drive the artificial variable of the convexity row to zero
     cost1 = [0] * ncols
     cost1[art] = 1
-    red1 = _reduced_costs(inverse, basis, cost1, slots, d)
-    d = _iterate(inverse, basis, red1, d, cost1, columns, slots, range(ncols))
+    red1 = _reduced_costs(inverse, dens, basis, cost1, slots, d)
+    d = _iterate(inverse, dens, basis, red1, d, cost1, columns, slots, range(ncols))
     # art always leaves the basis in phase 1.  While art is basic, it is 1
     # and every other basic variable is 0.  That holds at the start, and a
     # pivot keeps it: an eligible row other than art's has rhs 0, hence
@@ -239,11 +276,11 @@ def _solve_diagonal_lp(pts: list[tuple[int, ...]]):
     # phase 2: minimize t, artificial column locked out
     cost2 = [0] * ncols
     cost2[t_col] = 1
-    red2 = _reduced_costs(inverse, basis, cost2, slots, d)
-    d = _iterate(inverse, basis, red2, d, cost2, columns, slots, [j for j in range(ncols) if j != art])
+    red2 = _reduced_costs(inverse, dens, basis, cost2, slots, d)
+    d = _iterate(inverse, dens, basis, red2, d, cost2, columns, slots, [j for j in range(ncols) if j != art])
 
     value = [0] * ncols
-    for x, b in zip(inverse[0], basis):
+    for x, b in zip(_fresh(inverse, dens, 0, d), basis):
         value[b] = x
     lambdas = [Fraction(x, d) for x in value[:npts]]
     c = Fraction(value[t_col], d)

@@ -97,15 +97,20 @@ def test_support_checks_entries_before_duplicates_merge():
     assert MonomialSupport(2, [[1, 2], (1, 2)]).points == frozenset({(1, 2)})
 
 
+def _random_points(rng, dim, count, top):
+    """``count`` distinct nonzero points of dimension ``dim``, coordinates <= ``top``."""
+    points = set()
+    while len(points) < count:
+        p = tuple(rng.randint(0, top) for _ in range(dim))
+        if any(p):
+            points.add(p)
+    return sorted(points)
+
+
 def _random_support(rng, max_dim=3, max_coord=6):
     dim = rng.randint(1, max_dim)
     count = rng.randint(1, 5)
-    points = set()
-    while len(points) < count:
-        p = tuple(rng.randint(0, max_coord) for _ in range(dim))
-        if any(p):
-            points.add(p)
-    return MonomialSupport(dim, frozenset(points))
+    return MonomialSupport(dim, _random_points(rng, dim, count, max_coord))
 
 
 @settings(max_examples=100, deadline=None, derandomize=True)
@@ -137,13 +142,17 @@ def _rational_pivot(rows, red, leave, enter):
 def test_integer_pivot_matches_rational_tableau():
     # A0 = [A | I | b] with the identity basic, as in the simplex.  The
     # solver keeps only d * B^-1, as the columns ``inverse`` on the identity
-    # slots, and the reduced costs there.  Every column of the tableau is
-    # d * B^-1 . A0[:, j] and every reduced cost d * cost_j - y . A0[:, j],
-    # y = d * cost_I - red, with the random first reduced-cost row as the
-    # cost.  Both must equal the rational tableau after each pivot, on a
-    # positive pivot element as the simplex chooses.
+    # slots, column k stored at the denominator dens[k], and the reduced
+    # costs there.  Every column rescaled to d must divide exactly, and then
+    # every column of the tableau is d * B^-1 . A0[:, j] and every reduced
+    # cost d * cost_j - y . A0[:, j], y = d * cost_I - red, with the random
+    # first reduced-cost row as the cost.  Both must equal the rational
+    # tableau after each pivot, on a positive pivot element as the simplex
+    # chooses.  The test rescales copies, so stale columns stay stale in
+    # ``inverse`` across pivots; a column whose pivot-row entry is 0 keeps
+    # its list and its denominator.
     rng = random.Random(5)
-    pivots = 0
+    pivots = kept = 0
     for _ in range(60):
         m, k = rng.randint(2, 4), rng.randint(2, 5)
         a0 = [
@@ -155,11 +164,14 @@ def test_integer_pivot_matches_rational_tableau():
         exact = [[F(x) for x in row] for row in a0]
         exact_red = [F(x) for x in cost]
         inverse = [[int(i == j) for i in range(m)] for j in range(m)]
+        dens = [1] * m
         red = cost[k : k + m]
         d = 1
         for step in range(7):
+            assert all(x * d % e == 0 for col, e in zip(inverse, dens) for x in col)
+            fresh = [[x * d // e for x in col] for col, e in zip(inverse, dens)]
             columns = [
-                [sum(col[r] * row[j] for col, row in zip(inverse, a0)) for r in range(m)]
+                [sum(col[r] * row[j] for col, row in zip(fresh, a0)) for r in range(m)]
                 for j in range(k + m + 1)
             ]
             y = [d * c - x for c, x in zip(cost[k : k + m], red)]
@@ -170,12 +182,20 @@ def test_integer_pivot_matches_rational_tableau():
             if not choices or step == 6:
                 break
             leave, enter = rng.choice(choices)
-            d = newton._pivot(inverse, red, d, leave, columns[enter], prices[enter])
+            before = list(zip(inverse, dens))
+            d = newton._pivot(inverse, dens, red, d, leave, columns[enter], prices[enter])
+            for col, e, (old, old_e) in zip(inverse, dens, before):
+                if old[leave] == 0:
+                    assert col is old and e == old_e
+                    kept += 1
+                else:
+                    assert e == d
             basis[leave] = enter
             _rational_pivot(exact, exact_red, leave, enter)
             pivots += 1
             assert d > 0
     assert pivots > 200
+    assert kept > 100
 
 
 def _cone_support(rng, n, degrees, extra):
@@ -221,12 +241,14 @@ def _equivalence_supports():
         dim = rng.randint(1, 6)
         top = rng.choice((6, 40))
         count = min(rng.randint(1, 10), (top + 1) ** dim - 1)
-        points = set()
-        while len(points) < count:
-            p = tuple(rng.randint(0, top) for _ in range(dim))
-            if any(p):
-                points.add(p)
-        supports.append(sorted(points))
+        supports.append(_random_points(rng, dim, count, top))
+    # dense supports of dimension 7-16 with 10-30 points take about 50 pivots
+    # each: a column whose pivot-row entry stays 0 stays stale, at the
+    # denominator it was last written at, across many of them
+    for _ in range(40):
+        dim = rng.randint(7, 16)
+        count = rng.randint(10, 30)
+        supports.append(_random_points(rng, dim, count, 6))
     return supports
 
 
@@ -234,7 +256,7 @@ def test_revised_simplex_matches_full_tableau_oracle():
     # the solver keeps only d * B^-1; the oracle keeps the full tableau and
     # makes the same pivots, so c, the weights and the dual are equal
     supports = _equivalence_supports()
-    assert len(supports) == 13 + 12 + 3 + 200
+    assert len(supports) == 13 + 12 + 3 + 200 + 40
     for pts in supports:
         assert newton._solve_diagonal_lp(pts) == diagonal_lp_by_full_tableau(pts), pts
 
