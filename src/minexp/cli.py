@@ -156,9 +156,9 @@ def _json_text(value, indent: str = "\n") -> str:
     dict with str keys, list, int, bool and None, and raises TypeError on
     anything else, such as a float or a Fraction: reports are exact.
 
-    Three shapes that reports are made of skip the general recursion: a list
-    of only ints (not bools) or only strings, a {"den", "num"} dict of two
-    ints, and a str or int value in a dict."""
+    A child of a dict or a list is written by one rule: a str or an exact
+    int directly, anything else by recursion.  A {"den", "num"} dict of two
+    ints, the shape of every rational in a report, is written at once."""
     kind = type(value)
     if kind is str:
         return _json_string(value)
@@ -187,13 +187,15 @@ def _json_text(value, indent: str = "\n") -> str:
         if not value:
             return "[]"
         inner = indent + "  "
-        kinds = {*map(type, value)}
-        if kinds == {int}:
-            texts = map(int.__repr__, value)
-        elif kinds == {str}:
-            texts = map(_json_string, value)
-        else:
-            texts = [_json_text(item, inner) for item in value]
+        texts = []
+        for item in value:
+            item_kind = type(item)
+            if item_kind is str:
+                texts.append(_json_string(item))
+            elif item_kind is int:
+                texts.append(int.__repr__(item))
+            else:
+                texts.append(_json_text(item, inner))
         return "[" + inner + ("," + inner).join(texts) + indent + "]"
     if value is None:
         return "null"

@@ -206,6 +206,14 @@ def _pivot(inverse, dens, red, d, leave, column, f):
 
 def _iterate(inverse, dens, basis, red, d, cost, columns, slots, allowed):
     slot_cost = [cost[s] for s in slots]
+    # Bland's rule never revisits a basis within a phase: that is its
+    # anti-cycling theorem.  So a revisit is a fault of the kernel, raised
+    # here instead of cycling forever.  A faulty kernel whose next basis
+    # follows from the current one alone is periodic from some pivot on, and
+    # Brent's cycle detection finds the period: the basis is compared with a
+    # snapshot after each pivot, and the snapshot is refreshed at pivots
+    # 1, 2, 4, ..., at the cost of one list comparison per pivot.
+    seen, pivots, mark = basis[:], 0, 1
     while True:
         y = [d * c - x for c, x in zip(slot_cost, red)]
         enter = None
@@ -236,6 +244,11 @@ def _iterate(inverse, dens, basis, red, d, cost, columns, slots, allowed):
             raise RuntimeError("unbounded linear program; impossible for this formulation")
         d = _pivot(inverse, dens, red, d, leave, column, f)
         basis[leave] = enter
+        if basis == seen:
+            raise RuntimeError("the simplex revisited a basis; impossible under Bland's rule")
+        pivots += 1
+        if pivots == mark:
+            seen, mark = basis[:], 2 * mark
 
 
 def _solve_diagonal_lp(pts: list[tuple[int, ...]]):

@@ -33,7 +33,7 @@ import itertools
 import re
 from fractions import Fraction
 from types import MappingProxyType
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from minexp.exponent import WeightedProfile, _as_fraction, _common_denominator, _is_int
 
@@ -131,24 +131,15 @@ class Poly:
         # graded lex, largest first
         return sorted(self._terms, key=lambda u: (sum(u), u), reverse=True)
 
-    def _monomial_str(self, u: tuple[int, ...]) -> str:
-        parts = []
-        for name, e in zip(self._variables, u):
-            if e == 1:
-                parts.append(name)
-            elif e > 1:
-                parts.append(f"{name}^{e}")
-        return "*".join(parts)
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
+        support = self._sorted_support()
         pieces = []
-        for i, u in enumerate(self._sorted_support()):
+        for i, (u, mono) in enumerate(zip(support, _render(self._variables, support))):
             c = self._terms[u]
-            mono = self._monomial_str(u)
             mag = abs(c)
-            if mono:
+            if any(u):
                 body = mono if mag == 1 else f"{mag}*{mono}"
             else:
                 body = str(mag)
@@ -178,7 +169,21 @@ def _check_variables(variables: tuple[str, ...]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# parsing
+# parsing and writing
+
+
+def _render(names: Sequence[str], gens: Iterable[Sequence[int]]) -> list[str]:
+    """The one writer of the monomial grammar that :func:`parse_poly` reads,
+    for ``Poly.__str__`` and every text of a resolution report: each
+    exponent vector in ``gens`` as its factors ``x`` or ``x^e`` over
+    ``names`` joined by ``*``, or ``1``.  Exponents are nonnegative, so a
+    vector itself selects the variables of its support."""
+    return [
+        "*".join([name if e == 1 else f"{name}^{e}" for name, e in itertools.compress(zip(names, g), g)])
+        or "1"
+        for g in gens
+    ]
+
 
 # One group per token kind; m.lastindex names the kind of a match.
 _TOKEN_RE = re.compile(r"([0-9]+)|([A-Za-z_][A-Za-z0-9_]*)|([-+*/^])|(\S)")

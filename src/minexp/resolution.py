@@ -28,8 +28,9 @@ chain follows, z0 is the newest exceptional divisor and z1..zr are strict,
 so its state is z0's discrepancy k and the generators.  Each blow-up is
 one :func:`_blowup`, which returns the new divisor's (a, k) and the
 generators of every pivot chart.  Each generator of each chart is rendered
-once, by :func:`_render`, and every text of a report is read from those
-renderings: the ledger, the vj checks, the side chains and the
+once, by ``minexp.poly._render``, the one writer of the monomial grammar
+that ``minexp.poly.parse_poly`` reads, and every text of a report is read
+from those renderings: the ledger, the vj checks, the side chains and the
 factorization witness.  Each exceptional divisor has one record, its
 :class:`LedgerRow`: the blow-up that made it, its (a, k) and the ideal of
 the chart the main chain follows.  The checks stay those of the argument:
@@ -54,9 +55,10 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from minexp.exponent import DegreeProfile, _common_denominator
+from minexp.poly import _render
 
 STRONG_FACTORIZING = "strong_factorizing"
 LOG_RESOLUTION = "log_resolution"
@@ -76,18 +78,6 @@ def _names(depth: int, width: int) -> list[str]:
 
 class ResolutionError(RuntimeError):
     """An internal chart-calculus invariant failed (a bug, not bad input)."""
-
-
-def _render(names: Sequence[str], gens: Iterable[Sequence[int]]) -> list[str]:
-    """The one renderer: the text of each generator in ``gens`` over the
-    coordinate ``names``.  Every text of a resolution report comes from it.
-    Exponents are nonnegative, so a generator itself selects the
-    coordinates of its support."""
-    return [
-        "*".join([name if e == 1 else f"{name}^{e}" for name, e in itertools.compress(zip(names, g), g)])
-        or "1"
-        for g in gens
-    ]
 
 
 def _ideal_text(texts: Sequence[str]) -> str:

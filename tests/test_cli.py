@@ -398,6 +398,27 @@ def test_verify_grids_over_the_budget_exit_input(capsys, monkeypatch):
         assert (code, report["error"]) == (EXIT_INPUT, error)
 
 
+@pytest.mark.parametrize(
+    "n, r, branch, refused",
+    [(11, 6, rs.LCT_BRANCH, True), (14, 7, rs.COMPLEMENTARY_BRANCH, True),
+     (9, 5, rs.LCT_BRANCH, False), (12, 6, rs.COMPLEMENTARY_BRANCH, False)],
+)
+def test_verify_refuses_profiles_its_certificates_decide(capsys, n, r, branch, refused):
+    # At the defaults the reported box holds 8 * 9^free tuples, free = r in
+    # the lct branch and r - 1 in the complementary one, so it is over the
+    # budget for every lct profile with r >= 6 and every profile with r >= 7,
+    # though both certificates decide these profiles in O(r)
+    profile = DegreeProfile(n, (2,) * r)
+    valuation = rs.valuation_certificate(profile)
+    assert valuation.branch == branch
+    assert valuation.verify() and rs.chain_certificate(profile).verify()
+    code, report = run_json(capsys, "verify", "--n", str(n), "--degrees", ",".join(["2"] * r))
+    if refused:
+        assert (code, report["error"]) == (EXIT_INPUT, "valuation grid exceeds the work budget of 1000000 points")
+    else:
+        assert (code, report["results"]["passed"]) == (EXIT_OK, True)
+
+
 def test_resolve_over_the_budget_exits_input(capsys, monkeypatch):
     # 2,100000000 would make about 10^8 blow-ups: about 1.2e11 chart entries
     error = "resolution exceeds the work budget of 100000000 chart entries"
@@ -1363,9 +1384,10 @@ _SCALARS = st.one_of(
     st.integers(-(10**80), 10**80),
     _TEXT,
 )
-# the shapes the writer takes a shorter path on, and their near misses: lists of
-# only ints or only strings, an int list with a bool in it, and {"num", "den"}
-# dicts with ints, bools or strings and now and then an extra key
+# lists of only ints or only strings and an int list with a bool in it, whose
+# items the writer writes by the rule of a dict value (a bool is not an exact
+# int); and the one shape it takes a shorter path on, with its near misses:
+# {"num", "den"} dicts with ints, bools or strings and now and then an extra key
 _INTEGERS = st.one_of(st.integers(), st.integers(-(10**80), 10**80))
 _INT_LISTS = st.lists(_INTEGERS, min_size=1, max_size=6)
 _FLAT_LISTS = st.one_of(

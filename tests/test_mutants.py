@@ -7,12 +7,20 @@ module's namespace and monkeypatched in.  A refactor that renames a function
 or rewrites a snippet makes its entry fail here, so the entry is updated
 with it instead of lost.  Each check first passes on the library as it is,
 then must fail under the mutant.
+
+The table covers every route and certificate: the simplex and the Newton
+certificate, the blow-up chain and its closed-form ledger, the candidate
+formula and its degree-1 shift, both ``verify`` certificates, the weighted
+order, the probe's one-row test and its rank, and the two writers of a report, the JSON writer
+and the monomial writer.  A simplex mutant that cycles needs no pivot cap:
+the solver raises on a revisited basis (see ``newton._iterate``).
 """
 
 from __future__ import annotations
 
 import inspect
 import itertools
+import json
 import random
 import textwrap
 from fractions import Fraction
@@ -21,21 +29,25 @@ from typing import Callable, NamedTuple
 
 import pytest
 
-from _oracles import diagonal_lp_by_full_tableau
-from minexp import newton
+from _oracles import (
+    diagonal_lp_by_full_tableau,
+    exponent_candidates_by_fractions,
+    probe_by_line_scan,
+    rank_by_elimination,
+    simulate_resolution_by_charts,
+)
+from minexp import cli, exponent, newton, poly, resolution
+from minexp.exponent import DegreeProfile, WeightedProfile, weighted_upper_bound
 from minexp.newton import DiagonalResult
+from minexp.poly import PolyParseError, parse_poly
+from minexp.resolution import ChainCertificate, ResolutionError, ValuationCertificate
 from test_newton import _certificate, _cone_support, _random_points
+from test_poly import PREFIX_CASES, _forms
 
 F = Fraction
 
-# a solve of the library takes at most 41 pivots on the supports below; a
-# mutant whose pivot rule cycles is stopped after this many and is caught
-PIVOT_CAP = 1_000
 
-
-class _Cycling(RuntimeError):
-    pass
-
+# --- the simplex and the Newton certificate ----------------------------------------
 
 def _simplex_supports():
     """Small fixed supports: every support of at most 3 nonzero points in
@@ -68,7 +80,7 @@ def simplex_matches_full_tableau() -> bool:
         try:
             if newton._solve_diagonal_lp(pts) != expected:
                 return False
-        except RuntimeError:  # the solver's own checks, or the pivot cap
+        except RuntimeError:  # the solver's own checks, a revisited basis among them
             return False
     return True
 
@@ -77,6 +89,199 @@ def verify_rejects_dual_summing_above_one() -> bool:
     """The ``(F(1, 2), F(1))`` case of ``test_verify_rejects_each_broken_condition``:
     the dual's minimum over the points is c = 1, but it sums to 3/2."""
     return not _certificate(1, (0, 1, 0), (F(1, 2), F(1))).verify()
+
+
+# --- the blow-up chain, the formula and the certificates ------------------------------
+
+# every profile with n <= 6, r <= 3 and degrees 2..5: one, two and three
+# levels, r = n (log resolution) and r < n, both verify branches, and ties
+_PROFILES = [
+    DegreeProfile(n, degrees)
+    for n in range(1, 7)
+    for r in range(1, min(3, n) + 1)
+    for degrees in itertools.combinations_with_replacement(range(2, 6), r)
+]
+
+
+def resolution_passes_its_own_checks() -> bool:
+    """``simulate_resolution`` raises no ``ResolutionError``: among its checks,
+    the ledger's rows equal their closed form."""
+    for profile in _PROFILES:
+        try:
+            resolution.simulate_resolution(profile)
+        except ResolutionError:
+            return False
+    return True
+
+
+def resolution_matches_the_chart_oracle() -> bool:
+    """The report equals the chart oracle's, and its lower bound the formula's."""
+    for profile in _PROFILES:
+        try:
+            report = resolution.simulate_resolution(profile)
+        except ResolutionError:
+            return False
+        if report != simulate_resolution_by_charts(profile)[0] or report.lower_bound != profile.table.minimum:
+            return False
+    return True
+
+
+def certificates_verify() -> bool:
+    """Both ``verify`` certificates verify on every profile."""
+    return all(
+        resolution.valuation_certificate(profile).verify() and resolution.chain_certificate(profile).verify()
+        for profile in _PROFILES
+    )
+
+
+def valuation_verify_rejects_weights_summing_below_one() -> bool:
+    """The ``sum`` case of ``test_valuation_certificate_rejects_each_broken_condition``."""
+    certificate = resolution.valuation_certificate(DegreeProfile(3, (2, 3)))
+    return not certificate._replace(weights=(F(3, 4), F(1, 5))).verify()
+
+
+def chain_verify_rejects_every_flipped_sign() -> bool:
+    """One flipped sign fails the chain certificate of every profile, as in
+    ``test_certificates_on_the_c3_grid``."""
+    for profile in _PROFILES:
+        certificate = resolution.chain_certificate(profile)
+        for k, sign in enumerate(certificate.signs):
+            signs = certificate.signs[:k] + (-sign or 1,) + certificate.signs[k + 1 :]
+            if certificate._replace(signs=signs).verify():
+                return False
+    return True
+
+
+def candidates_match_the_fraction_oracle() -> bool:
+    """The candidate table, its pivot included, equals the fraction oracle's
+    for w = 1..12 over degrees 2..5, r <= 3, where the prefix sum often
+    equals w."""
+    for w in range(1, 13):
+        for r in (1, 2, 3):
+            for degrees in itertools.combinations_with_replacement(range(2, 6), r):
+                try:
+                    if exponent.exponent_candidates(w, degrees) != exponent_candidates_by_fractions(w, degrees):
+                        return False
+                except AssertionError:  # the library's own pivot check
+                    return False
+    return True
+
+
+def degree_one_formula_matches_the_weighted_route() -> bool:
+    """With degree-1 equations among the degrees, ``cone_formula``'s exponent
+    equals the weighted route's with unit weights, which reads the degrees
+    as they are: a degree-1 candidate i is n, and every later one is the
+    shifted candidate."""
+    for n in range(2, 8):
+        for ones in (1, 2):
+            for degrees in itertools.combinations_with_replacement(range(2, 5), 2):
+                if ones + len(degrees) > n:
+                    continue
+                degrees = (1,) * ones + degrees
+                unit = weighted_upper_bound(WeightedProfile((1,) * n, degrees))
+                if exponent.cone_formula(n, degrees).minimal_exponent != unit:
+                    return False
+    return True
+
+
+# --- the weighted order and the probe ------------------------------------------------
+
+_WEIGHTED = [
+    ("x1^2 + x2^3", ("x1", "x2"), (F(1, 2), F(2, 3))),
+    ("x1^2 + x1*x2^2", ("x1", "x2"), (F(1, 2), F(2, 3))),
+    ("x1*x2*x3 + x1^4 + x3^5", ("x1", "x2", "x3"), (F(1, 3), F(1), F(5, 7))),
+    ("x1^3 + x2^2", ("x1", "x2"), (F(3), F(2))),
+]
+
+
+def weighted_order_matches_fractions() -> bool:
+    """``_weighted_order`` equals the least weighted degree over the terms,
+    summed in ``Fraction``s, for rational weights (unit weights would hide a
+    lost denominator)."""
+    for text, names, weights in _WEIGHTED:
+        f = parse_poly(text, names)
+        least = min(sum(e * w for e, w in zip(u, weights)) for u in f.terms)
+        if poly._weighted_order(f, weights) != least:
+            return False
+    return True
+
+
+def probe_matches_the_line_scan() -> bool:
+    """The probe's report equals the line-scan oracle's on the prefix cases
+    of ``test_poly``; the oracle ranks every gradient by a full Gauss-Jordan
+    pass."""
+    for texts, names, q, *_ in PREFIX_CASES:
+        fs = _forms(texts, names)
+        if poly.probe_transversality(fs, q) != probe_by_line_scan(fs, q):
+            return False
+    return True
+
+
+@cache
+def _rank_cases():
+    """200 matrices over F_2..F_7 of 1-4 dense rows, half of them with a
+    row that is a sum of multiples of the others.  The probe's forms have
+    sparse gradients, whose dependent rows are mostly zero or equal: the
+    line-scan check above, even with 60 random sets of forms added, misses
+    a difference left unreduced mod q."""
+    rng = random.Random(17)
+    cases = []
+    for _ in range(200):
+        q, ncols = rng.choice([2, 3, 5, 7]), rng.randint(2, 5)
+        rows = [[rng.randrange(q) for _ in range(ncols)] for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            rows.append([sum(rng.randrange(q) * row[j] for row in rows) % q for j in range(ncols)])
+        rng.shuffle(rows)
+        cases.append((rows, q))
+    return cases
+
+
+def rank_matches_gauss_jordan() -> bool:
+    """``_rank`` over F_q equals the oracle's Gauss-Jordan rank."""
+    for rows, q in _rank_cases():
+        field = (lambda x: pow(x, -1, q), lambda x: x % q)
+        try:
+            if poly._rank(rows, *field) != rank_by_elimination(rows, *field):
+                return False
+        except ValueError:  # pow found no inverse: a pivot that is 0 mod q
+            return False
+    return True
+
+
+# --- the two writers ---------------------------------------------------------------------
+
+# lists of only ints, of only strings, of ints with a bool, and a rational beside its near misses
+_JSON_CORPUS = [
+    [1, 2, 3], ["a", "b"], [1, True, 2], [False], [None, "x", 0, -7],
+    {"a": [True, [1, 2], {"b": False}], "c": 10**30}, {"num": 1, "den": 2}, {"num": True, "den": 2},
+    [{"num": -3, "den": 4}, [], {}, ["é"]],
+]
+
+
+def json_writer_matches_the_stdlib() -> bool:
+    """``_json_text`` writes what ``json.dumps(indent=2, sort_keys=True)``
+    writes, a bool in a list of ints included."""
+    return all(cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True) for value in _JSON_CORPUS)
+
+
+_POLYS = [
+    ("x1^2*x2 - 3/2*x2^3 + x1 - 7", ("x1", "x2")),
+    ("a*b^4*c^2 + 2*a^10", ("a", "b", "c")),
+    ("x^3 + y", ("x", "y")),
+]
+
+
+def poly_text_round_trips() -> bool:
+    """``parse_poly(str(f), f.variables) == f``: the monomial writer writes
+    the grammar the parser reads."""
+    for text, names in _POLYS:
+        f = parse_poly(text, names)
+        try:
+            if parse_poly(str(f), names) != f:
+                return False
+        except PolyParseError:
+            return False
+    return True
 
 
 class Mutant(NamedTuple):
@@ -118,6 +323,90 @@ MUTANTS = {
         "if any(x < 0 for x in v):",
         verify_rejects_dual_summing_above_one,
     ),
+    "blowup_discrepancy_off_by_one": Mutant(
+        resolution, "_blowup",
+        "width - 1 + k",
+        "width + k",
+        resolution_passes_its_own_checks,
+    ),
+    "ledger_rows_start_at_n": Mutant(
+        resolution, "ledger_rows",
+        "initial=profile.n - 1",
+        "initial=profile.n",
+        resolution_passes_its_own_checks,
+    ),
+    "levels_centre_one_too_wide": Mutant(
+        resolution, "_levels",
+        "[(q, d, d - low)",
+        "[(q + 1, d, d - low)",
+        resolution_matches_the_chart_oracle,
+    ),
+    "valuation_certificate_drops_its_cap": Mutant(
+        resolution, "valuation_certificate",
+        "min(cap, left)",
+        "left",
+        certificates_verify,
+    ),
+    "valuation_verify_drops_the_weight_sum": Mutant(
+        ValuationCertificate, "verify",
+        "and sum(lams) == den\n",
+        "\n",
+        valuation_verify_rejects_weights_summing_below_one,
+    ),
+    "chain_verify_drops_its_sign_test": Mutant(
+        ChainCertificate, "verify",
+        "if sign != (gap > 0) - (gap < 0):",
+        "if sign not in (-1, 0, 1):",
+        chain_verify_rejects_every_flipped_sign,
+    ),
+    "candidates_pivot_on_a_tie": Mutant(
+        exponent, "exponent_candidates",
+        "if pivot is None and prefix > total:",
+        "if pivot is None and prefix >= total:",
+        candidates_match_the_fraction_oracle,
+    ),
+    "cone_formula_drops_the_degree_one_shift": Mutant(
+        exponent, "cone_formula",
+        "alpha, lct = shift + minimal_exponent_cone(profile), shift + lct_cone(profile)",
+        "alpha, lct = minimal_exponent_cone(profile), lct_cone(profile)",
+        degree_one_formula_matches_the_weighted_route,
+    ),
+    "weighted_order_drops_its_denominator": Mutant(
+        poly, "_weighted_order",
+        "for u in f.terms), den)",
+        "for u in f.terms))",
+        weighted_order_matches_fractions,
+    ),
+    "independent_row_needs_every_entry": Mutant(
+        poly, "_independent",
+        "return any(_eval_power_terms(gm, point, q) for gm in grads[vanishing[0]])",
+        "return all(_eval_power_terms(gm, point, q) for gm in grads[vanishing[0]])",
+        probe_matches_the_line_scan,
+    ),
+    "rank_skips_the_first_free_row": Mutant(
+        poly, "_rank",
+        "for r in range(rank, len(mat)):",
+        "for r in range(rank + 1, len(mat)):",
+        probe_matches_the_line_scan,
+    ),
+    "rank_leaves_a_difference_unreduced": Mutant(
+        poly, "_rank",
+        "mat[r] = [reduce(x - factor * y) for",
+        "mat[r] = [x - factor * y for",
+        rank_matches_gauss_jordan,
+    ),
+    "json_list_writes_a_bool_as_an_int": Mutant(
+        cli, "_json_text",
+        "elif item_kind is int:\n                texts.append(",
+        "elif isinstance(item, int):\n                texts.append(",
+        json_writer_matches_the_stdlib,
+    ),
+    "render_writes_a_python_power": Mutant(
+        poly, "_render",
+        'f"{name}^{e}"',
+        'f"{name}**{e}"',
+        poly_text_round_trips,
+    ),
 }
 
 
@@ -136,30 +425,29 @@ def test_check_passes_on_the_library(key):
     assert MUTANTS[key].check()
 
 
-def _cap_pivots(monkeypatch) -> None:
-    """Raise ``_Cycling`` once one solve has made PIVOT_CAP pivots."""
-    pivot, solve = newton._pivot, newton._solve_diagonal_lp
-    count = 0
-
-    def capped_pivot(*args):
-        nonlocal count
-        count += 1
-        if count > PIVOT_CAP:
-            raise _Cycling
-        return pivot(*args)
-
-    def counted_solve(pts):
-        nonlocal count
-        count = 0
-        return solve(pts)
-
-    monkeypatch.setattr(newton, "_pivot", capped_pivot)
-    monkeypatch.setattr(newton, "_solve_diagonal_lp", counted_solve)
-
-
 @pytest.mark.parametrize("key", MUTANTS)
 def test_check_catches_the_mutant(key, monkeypatch):
     mutant = MUTANTS[key]
     _install(monkeypatch, mutant)
-    _cap_pivots(monkeypatch)
     assert not mutant.check(), f"no check catches {key}"
+
+
+# a dense support of dimension 7 on which the simplex under
+# pivot_divides_by_d_not_dens cycles: without the revisit check it ran past
+# 5,000 pivots, and with it the solve stops at its ninth pivot
+_CYCLING_SUPPORT = [
+    [0, 1, 5, 1, 4, 1, 5], [0, 3, 1, 5, 0, 5, 4], [0, 6, 0, 6, 2, 1, 6], [0, 6, 6, 6, 6, 2, 3],
+    [1, 1, 2, 1, 3, 3, 0], [1, 4, 2, 0, 0, 3, 3], [1, 5, 3, 1, 3, 2, 6], [2, 0, 0, 5, 3, 0, 5],
+    [2, 2, 2, 6, 2, 5, 1], [3, 0, 6, 4, 3, 6, 0], [4, 0, 0, 5, 4, 4, 3],
+]
+
+
+def test_a_revisited_basis_propagates_through_the_cli(monkeypatch, capsys):
+    # an internal fault, as a ResolutionError is: no report, no exit code
+    argv = ["newton", "--support", json.dumps(_CYCLING_SUPPORT), "--json"]
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["ok"] is True
+    _install(monkeypatch, MUTANTS["pivot_divides_by_d_not_dens"])
+    with pytest.raises(RuntimeError, match="^the simplex revisited a basis; impossible under Bland's rule$"):
+        cli.main(argv)
+    assert capsys.readouterr().out == ""
