@@ -6,16 +6,8 @@ formula, Newton-polyhedron linear programming, and a simulated blow-up
 resolution with its exceptional-divisor ledger, one record per divisor.
 """
 
-from minexp.exponent import (
-    DegreeProfile,
-    cone_formula,
-    lct_cone,
-    minimal_exponent,
-    minimal_exponent_cone,
-    singularity_predicates,
-    weighted_upper_bound,
-)
-from minexp.newton import MonomialSupport, diagonal_entry, newton_exponent
+from minexp.exponent import DegreeProfile, cone_formula, weighted_upper_bound
+from minexp.newton import MonomialSupport, diagonal_entry, newton_diagonal
 from minexp.poly import parse_poly, weighted_profile
 from minexp.resolution import simulate_resolution
 

@@ -494,7 +494,7 @@ def _text_newton(results: dict):
 def run_resolve(n: int, degrees: list[int]) -> tuple[dict, int]:
     profile = _guard(ex.DegreeProfile, n, tuple(degrees))
     report = _guard(rs.simulate_resolution, profile)  # the work budget is its one ValueError
-    formula_value = ex.minimal_exponent_cone(profile)
+    formula_value = profile.table.minimum
     match = report.lower_bound == formula_value
     witness = report.witness
     results = {

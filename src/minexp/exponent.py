@@ -187,16 +187,6 @@ def exponent_candidates(w, degrees: Sequence) -> ExponentTable:
     return ExponentTable(tuple(values), pivot, minimum)
 
 
-def minimal_exponent_cone(profile: DegreeProfile) -> Fraction:
-    """Minimal exponent of the cone cut out by the profile's degrees."""
-    return profile.table.minimum
-
-
-def lct_cone(profile: DegreeProfile) -> Fraction:
-    """Log canonical threshold: the minimal exponent capped at the codimension."""
-    return min(minimal_exponent_cone(profile), Fraction(profile.r))
-
-
 class SingularityPredicates(NamedTuple):
     """``exceeds_lct`` (the exponent exceeds the lct) is the same predicate as
     ``rational_singularities``: both say the exponent exceeds the codimension r.
@@ -205,22 +195,6 @@ class SingularityPredicates(NamedTuple):
     rational_singularities: bool
     log_canonical: bool
     exceeds_lct: bool
-
-
-def singularity_predicates(profile: DegreeProfile) -> SingularityPredicates:
-    """Derive the three predicates from the exponent and cross-check them
-    against the degree-sum criteria (sum < n, respectively sum <= n)."""
-    alpha = minimal_exponent_cone(profile)
-    r = profile.r
-    rational = alpha > r
-    log_canonical = alpha >= r
-    exceeds = alpha > r
-    total = profile.degree_sum
-    if rational != (total < profile.n) or log_canonical != (total <= profile.n):
-        raise AssertionError(
-            f"exponent-derived predicates disagree with degree sums for {profile}"
-        )
-    return SingularityPredicates(rational, log_canonical, exceeds)
 
 
 class _WeightedProfile(NamedTuple):
@@ -277,6 +251,11 @@ class ConeFormula(NamedTuple):
 def cone_formula(n: int, degrees: Sequence[int]) -> ConeFormula:
     """The closed form for arbitrary positive degrees.
 
+    The reduced profile's exponent alpha is its candidate minimum; the lct
+    is alpha capped at the codimension r; the singularities are rational
+    when alpha > r and log canonical when alpha >= r, which are cross-checked
+    against the degree-sum criteria (sum < n, respectively sum <= n).
+
     Each degree-1 equation is a hyperplane section: it drops the ambient
     dimension by one and shifts the exponent and the codimension up by one,
     so the lct shifts with them and the predicates do not move.  If every
@@ -289,10 +268,11 @@ def cone_formula(n: int, degrees: Sequence[int]) -> ConeFormula:
     if shift == len(degrees):
         return ConeFormula(shift, None, INFINITY, Fraction(shift), SingularityPredicates(True, True, True))
     profile = DegreeProfile(n - shift, degrees[shift:])
-    alpha, lct = shift + minimal_exponent_cone(profile), shift + lct_cone(profile)
-    return ConeFormula(shift, profile, alpha, lct, singularity_predicates(profile))
-
-
-def minimal_exponent(n: int, degrees: Sequence[int]) -> Fraction | Infinity:
-    """Minimal exponent for arbitrary positive degrees (see :func:`cone_formula`)."""
-    return cone_formula(n, degrees).minimal_exponent
+    alpha, r, total = profile.table.minimum, profile.r, profile.degree_sum
+    rational, log_canonical = alpha > r, alpha >= r
+    if rational != (total < profile.n) or log_canonical != (total <= profile.n):
+        raise AssertionError(
+            f"exponent-derived predicates disagree with degree sums for {profile}"
+        )
+    predicates = SingularityPredicates(rational, log_canonical, rational)
+    return ConeFormula(shift, profile, shift + alpha, shift + min(alpha, Fraction(r)), predicates)

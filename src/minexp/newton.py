@@ -323,8 +323,3 @@ def newton_diagonal(support: MonomialSupport) -> tuple[DiagonalResult, Fraction]
         raise ValueError("support contains the origin: not in the maximal ideal")
     result = diagonal_entry(support)
     return result, 1 / result.c
-
-
-def newton_exponent(support: MonomialSupport) -> Fraction:
-    """Reciprocal 1/c of the diagonal value (see :func:`newton_diagonal`)."""
-    return newton_diagonal(support)[1]

@@ -264,18 +264,18 @@ def _side_chain(chain: Sequence[tuple], level: int, q: int, power: int) -> Case3
     centres use only z0..zq, so the main chain carries the first q
     generators along; the z0 chart keeps z0^power, its total over the
     centre.  So step t is main chart t cut to its first q+1 coordinates and
-    first q generators, followed by z0^power.  A main generator is supported
-    on z0 and z_j, j <= q, so its cut keeps the main chart's text; a cut
-    that differs from the full generator is rendered.  :func:`_climb` checks
-    the other charts; the last chart, whose one exceptional coordinate is
-    z0, must be generated by z0^power.
+    first q generators, followed by z0^power.  Main generator j <= q is
+    z0^x z_j in every chart (:func:`_start_chart` gives z0^{d_j} z_j, and
+    :func:`_blowup`'s z0 chart changes only the exponent of z0), so the cut
+    never drops a coordinate and keeps the main chart's text.
+    :func:`_climb` checks the other charts; the last chart, whose one
+    exceptional coordinate is z0, must be generated by z0^power.
     """
     pure = (power,) + (0,) * q
     steps = []
     for names, ideal, texts in chain:
         names = names[: q + 1]
-        cut = [_render(names, [g])[0] if any(g[q + 1 :]) else text for g, text in zip(ideal[:q], texts)]
-        cut += _render(names, [pure])
+        cut = texts[:q] + _render(names, [pure])
         steps.append(_ideal_text(cut))
     gens = [g[: q + 1] for g in ideal[:q]] + [pure]
     star = _principal_exceptional_generator(names, 0, gens, cut)

@@ -18,10 +18,8 @@ from minexp.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, REPORT_SCHEMA, main
 from minexp.exponent import (
     DegreeProfile,
     WeightedProfile,
+    cone_formula,
     exponent_candidates,
-    lct_cone,
-    minimal_exponent_cone,
-    singularity_predicates,
     weighted_upper_bound,
 )
 from minexp.newton import MonomialSupport, diagonal_entry, newton_diagonal
@@ -52,7 +50,7 @@ def test_c01_formula_exactness():
         for d in range(2, 9):
             for r in range(1, n + 1):
                 cases += 1
-                if minimal_exponent_cone(DegreeProfile(n, (d,) * r)) != F(n, d):
+                if DegreeProfile(n, (d,) * r).table.minimum != F(n, d):
                     failures.append((n, d, r))
     derived = [
         ((6, (2, 3)), F(7, 3)),
@@ -61,7 +59,7 @@ def test_c01_formula_exactness():
     ]
     for (n, degrees), expected in derived:
         cases += 1
-        if minimal_exponent_cone(DegreeProfile(n, degrees)) != expected:
+        if DegreeProfile(n, degrees).table.minimum != expected:
             failures.append((n, degrees))
     _verdict(
         "C1",
@@ -133,13 +131,13 @@ def test_c03_three_route_agreement():
     count = 0
     for profile in _profiles(12, 4, range(2, 9)):
         count += 1
-        formula = minimal_exponent_cone(profile)
+        formula = profile.table.minimum
         ledger = simulate_resolution(profile).lower_bound
         weighted = weighted_upper_bound(
             WeightedProfile((1,) * profile.n, profile.degrees)
         )
         newton = newton_diagonal(_fermat_cone_support(profile))[1]
-        if not (formula == ledger == weighted and newton == lct_cone(profile)):
+        if not (formula == ledger == weighted and newton == cone_formula(profile.n, profile.degrees).lct):
             failures.append((profile, formula, ledger, weighted, newton))
     _verdict(
         "C3",
@@ -288,8 +286,8 @@ def test_c09_predicates_agree_with_degree_sums():
     count = 0
     for profile in _profiles(12, 4, range(2, 9)):
         count += 1
-        preds = singularity_predicates(profile)  # raises if the cross-check fails
-        alpha = minimal_exponent_cone(profile)
+        preds = cone_formula(profile.n, profile.degrees).predicates  # raises if the cross-check fails
+        alpha = profile.table.minimum
         r = profile.r
         total = profile.degree_sum
         ok = (

@@ -15,10 +15,6 @@ from minexp.exponent import (
     WeightedProfile,
     cone_formula,
     exponent_candidates,
-    lct_cone,
-    minimal_exponent,
-    minimal_exponent_cone,
-    singularity_predicates,
     weighted_upper_bound,
 )
 from minexp.poly import parse_poly, weighted_profile
@@ -129,36 +125,36 @@ def test_candidate_identities_random():
 
 
 def test_minimal_exponent_examples():
-    assert minimal_exponent_cone(DegreeProfile(6, (2, 3))) == F(7, 3)
-    assert minimal_exponent_cone(DegreeProfile(5, (2, 2))) == F(5, 2)
-    assert minimal_exponent_cone(DegreeProfile(3, (2, 3))) == F(4, 3)
+    assert DegreeProfile(6, (2, 3)).table.minimum == F(7, 3)
+    assert DegreeProfile(5, (2, 2)).table.minimum == F(5, 2)
+    assert DegreeProfile(3, (2, 3)).table.minimum == F(4, 3)
 
 
 def test_equal_degree_collapse():
     for n in range(1, 10):
         for d in range(2, 7):
             for r in range(1, n + 1):
-                assert minimal_exponent_cone(DegreeProfile(n, (d,) * r)) == F(n, d)
+                assert DegreeProfile(n, (d,) * r).table.minimum == F(n, d)
 
 
 def test_hypersurface_case():
     for n in range(1, 12):
         for d in range(2, 9):
-            assert minimal_exponent_cone(DegreeProfile(n, (d,))) == F(n, d)
+            assert DegreeProfile(n, (d,)).table.minimum == F(n, d)
 
 
 def test_lct_examples():
-    assert lct_cone(DegreeProfile(6, (2, 3))) == 2
-    assert lct_cone(DegreeProfile(3, (2, 3))) == F(4, 3)
-    assert lct_cone(DegreeProfile(5, (2, 3))) == 2
+    assert cone_formula(6, (2, 3)).lct == 2
+    assert cone_formula(3, (2, 3)).lct == F(4, 3)
+    assert cone_formula(5, (2, 3)).lct == 2
 
 
 def test_predicates_examples():
-    p = singularity_predicates(DegreeProfile(6, (2, 3)))
+    p = cone_formula(6, (2, 3)).predicates
     assert (p.rational_singularities, p.log_canonical, p.exceeds_lct) == (True, True, True)
-    p = singularity_predicates(DegreeProfile(5, (2, 3)))
+    p = cone_formula(5, (2, 3)).predicates
     assert (p.rational_singularities, p.log_canonical, p.exceeds_lct) == (False, True, False)
-    p = singularity_predicates(DegreeProfile(3, (2, 3)))
+    p = cone_formula(3, (2, 3)).predicates
     assert (p.rational_singularities, p.log_canonical, p.exceeds_lct) == (False, False, False)
 
 
@@ -176,7 +172,7 @@ def test_weighted_specializes_to_cone_formula():
         degrees = tuple(sorted(rng.randint(2, 8) for _ in range(r)))
         profile = DegreeProfile(n, degrees)
         wp = WeightedProfile((1,) * n, degrees)
-        assert weighted_upper_bound(wp) == minimal_exponent_cone(profile)
+        assert weighted_upper_bound(wp) == profile.table.minimum
 
 
 def test_weighted_profile_validation():
@@ -224,9 +220,9 @@ def test_normalize_degree_one_rejects_non_int(n, degrees):
 
 
 def test_minimal_exponent_with_shift():
-    assert minimal_exponent(5, [1, 2, 3]) == F(8, 3)
-    assert minimal_exponent(6, [2, 3]) == F(7, 3)
-    assert minimal_exponent(2, [1, 1]) is INFINITY
+    assert cone_formula(5, [1, 2, 3]).minimal_exponent == F(8, 3)
+    assert cone_formula(6, [2, 3]).minimal_exponent == F(7, 3)
+    assert cone_formula(2, [1, 1]).minimal_exponent is INFINITY
 
 
 def test_profile_validation():

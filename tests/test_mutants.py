@@ -10,9 +10,10 @@ then must fail under the mutant.
 
 The table covers every route and certificate: the simplex and the Newton
 certificate, the blow-up chain and its closed-form ledger, the candidate
-formula and its degree-1 shift, both ``verify`` certificates, the weighted
-order, the probe's one-row test and its rank, and the two writers of a report, the JSON writer
-and the monomial writer.  A simplex mutant that cycles needs no pivot cap:
+formula, its degree-1 shift and its degree-sum check, both ``verify``
+certificates, the weighted order, the probe's one-row test and its rank,
+and the two writers of a report, the JSON writer and the monomial writer.
+A simplex mutant that cycles needs no pivot cap:
 the solver raises on a revisited basis (see ``newton._iterate``).
 """
 
@@ -184,6 +185,17 @@ def degree_one_formula_matches_the_weighted_route() -> bool:
     return True
 
 
+def cone_formula_passes_its_degree_sum_check() -> bool:
+    """``cone_formula`` raises no ``AssertionError`` on (4; 2, 2), where the
+    degree sum equals n and the exponent equals r: the singularities are log
+    canonical but not rational."""
+    try:
+        exponent.cone_formula(4, (2, 2))
+    except AssertionError:  # the library's own degree-sum check
+        return False
+    return True
+
+
 # --- the weighted order and the probe ------------------------------------------------
 
 _WEIGHTED = [
@@ -212,7 +224,10 @@ def probe_matches_the_line_scan() -> bool:
     pass."""
     for texts, names, q, *_ in PREFIX_CASES:
         fs = _forms(texts, names)
-        if poly.probe_transversality(fs, q) != probe_by_line_scan(fs, q):
+        try:
+            if poly.probe_transversality(fs, q) != probe_by_line_scan(fs, q):
+                return False
+        except ValueError:  # pow found no inverse: a pivot that is 0 mod q
             return False
     return True
 
@@ -222,8 +237,8 @@ def _rank_cases():
     """200 matrices over F_2..F_7 of 1-4 dense rows, half of them with a
     row that is a sum of multiples of the others.  The probe's forms have
     sparse gradients, whose dependent rows are mostly zero or equal: the
-    line-scan check above, even with 60 random sets of forms added, misses
-    a difference left unreduced mod q."""
+    line-scan check above catches a difference left unreduced mod q only on
+    the prefix case whose two gradient rows are proportional by 2 mod 7."""
     rng = random.Random(17)
     cases = []
     for _ in range(200):
@@ -246,6 +261,13 @@ def rank_matches_gauss_jordan() -> bool:
         except ValueError:  # pow found no inverse: a pivot that is 0 mod q
             return False
     return True
+
+
+def rank_matches_gauss_jordan_and_the_probe() -> bool:
+    """Both checks of ``_rank``: on dense matrices, and through the probe
+    on the prefix cases, one of which has two gradient rows proportional
+    but not equal mod 7."""
+    return rank_matches_gauss_jordan() and probe_matches_the_line_scan()
 
 
 # --- the two writers ---------------------------------------------------------------------
@@ -367,9 +389,15 @@ MUTANTS = {
     ),
     "cone_formula_drops_the_degree_one_shift": Mutant(
         exponent, "cone_formula",
-        "alpha, lct = shift + minimal_exponent_cone(profile), shift + lct_cone(profile)",
-        "alpha, lct = minimal_exponent_cone(profile), lct_cone(profile)",
+        "shift + alpha, shift + min(alpha, Fraction(r))",
+        "alpha, min(alpha, Fraction(r))",
         degree_one_formula_matches_the_weighted_route,
+    ),
+    "cone_formula_reads_rational_as_log_canonical": Mutant(
+        exponent, "cone_formula",
+        "rational, log_canonical = alpha > r, alpha >= r",
+        "rational, log_canonical = alpha >= r, alpha >= r",
+        cone_formula_passes_its_degree_sum_check,
     ),
     "weighted_order_drops_its_denominator": Mutant(
         poly, "_weighted_order",
@@ -393,7 +421,7 @@ MUTANTS = {
         poly, "_rank",
         "mat[r] = [reduce(x - factor * y) for",
         "mat[r] = [x - factor * y for",
-        rank_matches_gauss_jordan,
+        rank_matches_gauss_jordan_and_the_probe,
     ),
     "json_list_writes_a_bool_as_an_int": Mutant(
         cli, "_json_text",
@@ -430,6 +458,13 @@ def test_check_catches_the_mutant(key, monkeypatch):
     mutant = MUTANTS[key]
     _install(monkeypatch, mutant)
     assert not mutant.check(), f"no check catches {key}"
+
+
+def test_an_unreduced_rank_is_caught_by_both_of_its_checks(monkeypatch):
+    # the dense matrices catch it, and so does the probe on its own cases
+    _install(monkeypatch, MUTANTS["rank_leaves_a_difference_unreduced"])
+    assert not rank_matches_gauss_jordan()
+    assert not probe_matches_the_line_scan()
 
 
 # a dense support of dimension 7 on which the simplex under

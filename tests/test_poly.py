@@ -503,6 +503,9 @@ PREFIX_CASES = [
     (["x1^2 + x2^2 + x3^2 + x4^2"], ["x1", "x2", "x3", "x4"], 2, "FAIL", (0, 0, 1, 1), 3),
     (["x1^2 + x2^2 + x3^2 + x4^2", "x1 + 2*x2 + 3*x3 + 4*x4"], ["x1", "x2", "x3", "x4"], 13, "PASS", None, 13**4 - 1),
     (["x1^13 + x2^13 + x3^13 + x4^13"], ["x1", "x2", "x3", "x4"], 13, "FAIL", (0, 0, 1, 12), 25),
+    # gradient rows (1, 4, 0) and (2, 1, 0) at (0, 0, 1): proportional by 2
+    # mod 7 but not equal, so their rank needs each difference reduced mod q
+    (["x1*x3 + 4*x2*x3", "2*x1*x3 + x2*x3"], ["x1", "x2", "x3"], 7, "FAIL", (0, 0, 1), 1),
 ]
 
 

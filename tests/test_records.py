@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from minexp.exponent import DegreeProfile, WeightedProfile, singularity_predicates
+from minexp.exponent import DegreeProfile, WeightedProfile, cone_formula
 from minexp.newton import MonomialSupport, diagonal_entry
 from minexp.poly import parse_poly, probe_transversality
 from minexp.resolution import chain_certificate, simulate_resolution, valuation_certificate
@@ -31,7 +31,7 @@ def _records():
     probe = probe_transversality([parse_poly("x1^2", ["x1", "x2"])], 3)
     report = simulate_resolution(profile)
     return [
-        profile, profile.table, singularity_predicates(profile), WeightedProfile((3, 2), (6,)),
+        profile, profile.table, cone_formula(6, (2, 3)).predicates, WeightedProfile((3, 2), (6,)),
         support, diagonal_entry(support), probe.witness, probe,
         report.ledger[1], report.vj_checks[0], report.case3[0], report.witness, report,
         valuation_certificate(profile), chain_certificate(profile),
@@ -58,7 +58,7 @@ def test_records_unpack_and_compare_as_tuples():
     assert profile.table is profile.table  # built once per profile
     row = simulate_resolution(profile).ledger[1]
     assert row.ratio is row.ratio and row.ratio == F(7, 3)
-    assert singularity_predicates(profile)._asdict() == {
+    assert cone_formula(profile.n, profile.degrees).predicates._asdict() == {
         "rational_singularities": True, "log_canonical": True, "exceeds_lct": True,
     }
 

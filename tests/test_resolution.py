@@ -30,7 +30,6 @@ from minexp.cli import EXIT_OK, main
 from minexp.exponent import (
     DegreeProfile,
     WeightedProfile,
-    minimal_exponent_cone,
     weighted_upper_bound,
 )
 from minexp.resolution import (
@@ -318,16 +317,16 @@ def test_side_chain_check_is_derived_from_the_main_chain():
     assert [(v.divisor, v.pivot, v.generator) for v in checks] == [("E2", "z1", "u0^2*u1^3")]
 
 
-def test_side_chain_renders_its_cuts_and_checks_its_end():
-    # a main generator reaches past z0..zq only in a hand-made chain: its
-    # text cut to z0..zq is rendered, not read from the main chart
+def test_side_chain_reads_its_cuts_and_checks_its_end():
+    # main generator j <= q is z0^x*z_j in every chart, so a step reads the
+    # first q texts of the main chart and renders only z0^power
     names = ["z0", "z1", "z2"]
-    chain = [(names, [(3, 1, 1)], ["z0^3*z1*z2"]), (names, [(3, 1, 0)], ["z0^3*z1"])]
+    chain = [(names, [(2, 1, 0), (2, 0, 1)], ["z0^2*z1", "z0^2*z2"]), (names, [(3, 1, 0)], ["z0^3*z1"])]
     report = rs._side_chain(chain, 1, 1, 3)
-    assert report.steps == ("(z0^3*z1, z0^3)", "(z0^3*z1, z0^3)")
+    assert report.steps == ("(z0^2*z1, z0^3)", "(z0^3*z1, z0^3)")
     assert report.principal == "z0^3"
     # a last chart generated by a lower power of z0 than e_l fails the end check
-    chain[1] = (names, [(2, 0, 1)], ["z0^2*z2"])
+    chain[1] = (names, [(2, 0, 0)], ["z0^2"])
     message = r"^side chain at level 1 ended in z0\^2, expected the exceptional coordinate to the power 3$"
     with pytest.raises(rs.ResolutionError, match=message):
         rs._side_chain(chain, 1, 1, 3)
@@ -542,7 +541,7 @@ def test_ledger_agrees_with_formula_small_scan():
             for degrees in itertools.combinations_with_replacement(range(2, 7), r):
                 profile = DegreeProfile(n, degrees)
                 rep = simulate_resolution(profile)
-                assert rep.lower_bound == minimal_exponent_cone(profile), profile
+                assert rep.lower_bound == profile.table.minimum, profile
 
 
 def test_ledger_shape():
@@ -599,7 +598,7 @@ def _wide_profiles(draw):
 @given(_wide_profiles())
 def test_c3_wide_route_agreement(profile):
     # C3 (tests/test_acceptance.py) on profiles past its grid: n <= 60, r <= 8, degrees <= 30
-    formula = minimal_exponent_cone(profile)
+    formula = profile.table.minimum
     report = simulate_resolution(profile)
     assert report == simulate_resolution_by_charts(profile)[0]
     assert report.lower_bound == formula

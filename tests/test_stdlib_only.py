@@ -1,5 +1,6 @@
 """The package imports only the standard library and itself, starts its CLI
-without the dataclass machinery, writes JSON in one place, and makes no float."""
+without the dataclass machinery, writes JSON in one place, makes no float,
+and calls every public function of its library modules."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import ast
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "minexp"
@@ -80,3 +82,37 @@ def test_package_makes_no_float():
     # else, hold no float literal and convert nothing to float
     uses = {(path.name, line) for path in sorted(PACKAGE.glob("*.py")) for line in _floats(path)}
     assert not uses
+
+
+def _code_tree(code: types.CodeType):
+    """``code`` and every code object nested in it."""
+    yield code
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _code_tree(const)
+
+
+def test_every_public_library_function_has_a_caller():
+    # each public module-level function of the library modules is named in
+    # some other function or class body of the package, a name passed to
+    # cli._guard included; module top-level code (so __init__'s re-export)
+    # and the function's own code do not count
+    bodies = []  # (module, name, names read) of each top-level function and class body
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = compile(path.read_text(encoding="utf-8"), str(path), "exec")
+        for code in module.co_consts:
+            if isinstance(code, types.CodeType):
+                bodies.append((path.stem, code.co_name, {name for c in _code_tree(code) for name in c.co_names}))
+    public = [
+        (stem, node.name)
+        for stem in ("exponent", "newton", "poly", "resolution")
+        for node in ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    ]
+    assert public
+    uncalled = [
+        f"{stem}.{name}"
+        for stem, name in public
+        if not any(name in names for owner, body, names in bodies if (owner, body) != (stem, name))
+    ]
+    assert not uncalled
