@@ -34,12 +34,13 @@ from those renderings: the ledger, the vj checks, the side chains and the
 factorization witness.  Each exceptional divisor has one record, its
 :class:`LedgerRow`: the blow-up that made it, its (a, k) and the ideal of
 the chart the main chain follows.  The checks stay those of the argument:
-every chart off the main chain is principal, generated on z0 and its
-pivot, and that generator divides the matching side-chain chart
-(:func:`_climb`); every side chain ends in z0^{e_l} (:func:`_side_chain`);
-the ledger's (a, k) rows equal their closed form (:func:`ledger_rows`);
-and the terminal chart factors as a power of z0 times r distinct strict
-coordinates (:func:`_factorization_witness`).
+every chart off the main chain, of pivot p, is generated by z_p's own
+strict transform on z0 and z_p (:func:`_check_principal`), and that
+generator divides the matching side-chain chart
+(:func:`simulate_resolution`); every side chain ends in z0^{e_l}
+(:func:`_side_chain`); the ledger's (a, k) rows equal their closed form
+(:func:`ledger_rows`); and the terminal chart factors as a power of z0
+times r distinct strict coordinates (:func:`_factorization_witness`).
 
 The module also decides the two lemmas behind the lower bound, each on the
 whole cone and in O(r), by a certificate that re-checks itself in integers:
@@ -176,29 +177,6 @@ class ResolutionReport(NamedTuple):
     vj_checks: tuple[VjCheck, ...]
 
 
-def _componentwise_min(gens: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
-    return tuple(map(min, zip(*gens)))
-
-
-def _principal_exceptional_generator(
-    names: Sequence[str], pivot: int, ideal: list[tuple[int, ...]], texts: Sequence[str]
-) -> int:
-    """The index in ``ideal`` of its generator: the componentwise minimum
-    must itself be a generator (the ideal is principal) and be supported on
-    the chart's exceptional coordinates z0 and z_``pivot``.  ``texts`` holds
-    the rendered generators."""
-    if not ideal:
-        raise ResolutionError(f"empty ideal in chart {tuple(names)}")
-    gmin = _componentwise_min(ideal)
-    try:
-        star = ideal.index(gmin)
-    except ValueError:
-        raise ResolutionError(f"ideal {_ideal_text(texts)} is not principal") from None
-    if any(gmin[1:pivot]) or any(gmin[pivot + 1 :]):
-        raise ResolutionError(f"principal generator {texts[star]} is not exceptional-supported")
-    return star
-
-
 def _start_chart(profile: DegreeProfile):
     """The chart on E1 after the origin blow-up, as (k, generators): the
     discrepancy k = n - 1 of the exceptional coordinate z0, and the
@@ -209,48 +187,23 @@ def _start_chart(profile: DegreeProfile):
     return profile.n - 1, ideal
 
 
-def _climb(k: int, ideal: list[tuple[int, ...]], schedule: Sequence[tuple[int, int, int]], vj_checks: list):
-    """Run the main chain's blow-ups from the chart (``k``, ``ideal``) of
-    :func:`_start_chart`, and yield after each the new divisor's
-    :class:`LedgerRow` and the chart that keeps the exceptional coordinate
-    z0, as (row, names, ideal, texts): the chart's coordinate names,
-    generators and rendered generators.  Each divisor after E1 is named
-    here, once for its row and its vj checks.
+def _check_principal(pivot: int, ideal: Sequence[tuple[int, ...]], texts: Sequence[str]) -> None:
+    """Check that the chart of ``pivot`` p >= 1, of generators ``ideal``
+    rendered as ``texts``, is generated by generator p - 1 on z0 and z_p.
 
-    ``schedule`` is the blow-up schedule of :func:`_levels`.  A blow-up of
-    level l is one :func:`_blowup` centred on z0 and z1..zq, and the
-    coordinate names of each are made once for all its charts.  Every chart
-    other than the z0 one, of pivot p, must be principal with a generator g*
-    supported on its exceptional coordinates z0 and z_p; each is recorded in
-    ``vj_checks`` under the name of the divisor just made, with g*'s text
-    read from the chart's rendered generators.
-
-    The same chart of the side chain of a level m >= l (see
-    :func:`_side_chain`) holds this chart's first cum[m-1] generators, cut
-    to z0..z_{cum[m-1]}, and z0^{e_m} z_p^{e_m}.  If g* is among the first
-    q generators and g*[0], g*[p] <= e_l, then g* divides all of them, so
-    that chart is principal with generator g* too; as ``cum`` and ``e`` rise
-    with the level, this one comparison covers every side chain.
-    """
-    width = len(ideal[0])
-    names = _names(0, width)
-    blowups = ((level, q, power) for level, (q, power, count) in enumerate(schedule, 1) for _ in range(count))
-    for depth, (level, q, power) in enumerate(blowups, 1):
-        center, divisor = tuple(names[: q + 1]), f"E{depth + 1}"
-        a, k, charts = _blowup(ideal, k, q + 1)
-        names = _names(depth, width)
-        for p in range(1, q + 1):
-            chart = charts[p]
-            texts = _render(names, chart)
-            star = _principal_exceptional_generator(names, p, chart, texts)
-            if star >= q or max(chart[star][0], chart[star][p]) > power:
-                raise ResolutionError(
-                    f"level {level}: {texts[star]} does not divide the {center[p]} side chart"
-                )
-            vj_checks.append(VjCheck(divisor, center[p], _ideal_text(texts), texts[star]))
-        ideal = charts[0]
-        texts = _render(names, ideal)
-        yield LedgerRow(center, divisor, a, k, _ideal_text(texts)), names, ideal, texts
+    Generator p - 1 is z_p's own strict transform.  Every other generator j
+    carries the strict coordinate z_{j+1} (:func:`_start_chart`; each chart
+    of :func:`_blowup` changes only the exponent of its pivot), so only
+    generator p - 1 can generate the ideal.  Supported on z0 and z_p, it
+    divides h exactly when h[0] >= g[0] and h[p] >= g[p]: two comparisons
+    per generator, O(r).  A generator that divides every generator is the
+    componentwise minimum."""
+    g = ideal[pivot - 1]
+    if any(g[1:pivot]) or any(g[pivot + 1 :]):
+        raise ResolutionError(f"principal generator {texts[pivot - 1]} is not exceptional-supported")
+    low, high = g[0], g[pivot]
+    if any(h[0] < low or h[pivot] < high for h in ideal):
+        raise ResolutionError(f"ideal {_ideal_text(texts)} is not principal")
 
 
 def _side_chain(chain: Sequence[tuple], level: int, q: int, power: int) -> Case3Report:
@@ -268,23 +221,23 @@ def _side_chain(chain: Sequence[tuple], level: int, q: int, power: int) -> Case3
     z0^x z_j in every chart (:func:`_start_chart` gives z0^{d_j} z_j, and
     :func:`_blowup`'s z0 chart changes only the exponent of z0), so the cut
     never drops a coordinate and keeps the main chart's text.
-    :func:`_climb` checks the other charts; the last chart, whose one
-    exceptional coordinate is z0, must be generated by z0^power.
+    :func:`simulate_resolution` checks the other charts; the last chart,
+    whose one exceptional coordinate is z0, must be generated by z0^power,
+    which it is exactly when power is at most the z0 exponent of every cut
+    generator.
     """
     pure = (power,) + (0,) * q
     steps = []
     for names, ideal, texts in chain:
-        names = names[: q + 1]
-        cut = texts[:q] + _render(names, [pure])
+        cut = texts[:q] + _render(names[: q + 1], [pure])
         steps.append(_ideal_text(cut))
-    gens = [g[: q + 1] for g in ideal[:q]] + [pure]
-    star = _principal_exceptional_generator(names, 0, gens, cut)
-    if gens[star] != pure:
-        raise ResolutionError(
-            f"side chain at level {level} ended in {cut[star]}, "
-            f"expected the exceptional coordinate to the power {power}"
-        )
-    return Case3Report(level=level, steps=tuple(steps), principal=cut[star])
+    for g, text in zip(ideal[:q], cut):
+        if g[0] < power:
+            raise ResolutionError(
+                f"side chain at level {level} ended in {text}, "
+                f"expected the exceptional coordinate to the power {power}"
+            )
+    return Case3Report(level=level, steps=tuple(steps), principal=cut[-1])
 
 
 def _factorization_witness(
@@ -371,12 +324,19 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     (:func:`_check_resolution_budget`) raises ``ValueError`` before any
     chart is built.
 
-    The main chain runs on generator tuples (:func:`_start_chart`, then
-    :func:`_climb`, one :func:`_blowup` per blow-up), and each of its
-    charts is kept as (names, generators, rendered generators), from which
-    :func:`_side_chain` reads every side chain.  Each ledger row after the
-    first is the one that :func:`_climb` yields, and the factorization
-    witness reads the last chart's names and generators.
+    The main chain runs on generator tuples from :func:`_start_chart`, one
+    :func:`_blowup` per blow-up (see :func:`_levels`), and follows the z0
+    chart, kept as (names, generators, rendered generators) for
+    :func:`_side_chain` and the factorization witness.  Each chart of pivot
+    p >= 1 must be generated by z_p's own strict transform, generator
+    p - 1, on z0 and z_p (:func:`_check_principal`): a :class:`VjCheck`.
+
+    The same chart of the side chain of a level m >= l holds this chart's
+    first cum[m-1] generators, cut to z0..z_{cum[m-1]}, and
+    z0^{e_m} z_p^{e_m}.  Generator p - 1 is among the first q, as p <= q,
+    so if its exponents of z0 and z_p are at most e_l, it divides all of
+    them, and that chart is principal with the same generator; as cum and e
+    rise with the level, this one comparison covers every side chain.
     """
     _check_resolution_budget(profile)
     n = profile.n
@@ -384,14 +344,27 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     mode = LOG_RESOLUTION if profile.r == n else STRONG_FACTORIZING
 
     k, ideal = _start_chart(profile)
-    names = _names(0, len(ideal[0]))
+    width = profile.r + 1
+    names = _names(0, width)
     texts = _render(names, ideal)
     chain = [(names, ideal, texts)]
     rows = [LedgerRow("origin", "E1", profile.degrees[0], k, _ideal_text(texts))]
     vj_checks: list[VjCheck] = []
-    for row, names, ideal, texts in _climb(k, ideal, schedule, vj_checks):
-        rows.append(row)
+    blowups = ((level, q, power) for level, (q, power, count) in enumerate(schedule, 1) for _ in range(count))
+    for depth, (level, q, power) in enumerate(blowups, 1):
+        center, divisor = tuple(names[: q + 1]), f"E{depth + 1}"
+        a, k, charts = _blowup(ideal, k, q + 1)
+        names = _names(depth, width)
+        for p, chart in enumerate(charts[1:], 1):
+            texts = _render(names, chart)
+            _check_principal(p, chart, texts)
+            if max(chart[p - 1][0], chart[p - 1][p]) > power:
+                raise ResolutionError(f"level {level}: {texts[p - 1]} does not divide the {center[p]} side chart")
+            vj_checks.append(VjCheck(divisor, center[p], _ideal_text(texts), texts[p - 1]))
+        ideal = charts[0]
+        texts = _render(names, ideal)
         chain.append((names, ideal, texts))
+        rows.append(LedgerRow(center, divisor, a, k, _ideal_text(texts)))
 
     # one divisor, and so one blow-up, per degree step.  Checked before any
     # ratio is read, so that a = 0 is a chain fault and not a ZeroDivisionError.

@@ -81,7 +81,6 @@ from minexp.resolution import (
     ResolutionReport,
     VjCheck,
     _check_resolution_budget,
-    _componentwise_min,
     _ideal_text,
     _letter,
     _levels,
@@ -926,6 +925,10 @@ def blowup_chart(state: ChartState, center: Iterable[str]) -> list[ChartState]:
         for p in center_idx
     ]
 
+
+
+def _componentwise_min(gens: Sequence[tuple[int, ...]]) -> tuple[int, ...]:
+    return tuple(map(min, zip(*gens)))
 
 
 def _principal_exceptional_generator(state: ChartState) -> tuple[int, ...]:

@@ -9,8 +9,8 @@ with it instead of lost.  Each check first passes on the library as it is,
 then must fail under the mutant.
 
 The table covers every route and certificate: the simplex and the Newton
-certificate, the blow-up chain and its closed-form ledger, the candidate
-formula, its degree-1 shift and its degree-sum check, both ``verify``
+certificate, the blow-up chain, its chart checks and its closed-form
+ledger, the candidate formula, its degree-1 shift and its degree-sum check, both ``verify``
 certificates, the weighted order, the probe's one-row test and its rank,
 and the two writers of a report, the JSON writer and the monomial writer.
 A simplex mutant that cycles needs no pivot cap:
@@ -125,6 +125,28 @@ def resolution_matches_the_chart_oracle() -> bool:
         if report != simulate_resolution_by_charts(profile)[0] or report.lower_bound != profile.table.minimum:
             return False
     return True
+
+
+def principal_check_rejects_a_chart_short_at_the_pivot() -> bool:
+    """The chart of pivot 1 with generators z0*z1^2 and z0*z1*z2 is not
+    principal: z0*z1^2, z1's own strict transform, does not divide z0*z1*z2."""
+    ideal = [(1, 2, 0), (1, 1, 1)]
+    try:
+        resolution._check_principal(1, ideal, poly._render(["z0", "z1", "z2"], ideal))
+    except ResolutionError:
+        return True
+    return False
+
+
+def side_chain_rejects_an_end_below_its_power() -> bool:
+    """A side chain of power 3 whose last chart holds z0^2 does not end in z0^3."""
+    names = ["z0", "z1", "z2"]
+    chain = [(names, [(2, 1, 0), (2, 0, 1)], ["z0^2*z1", "z0^2*z2"]), (names, [(2, 0, 0)], ["z0^2"])]
+    try:
+        resolution._side_chain(chain, 1, 1, 3)
+    except ResolutionError:
+        return True
+    return False
 
 
 def certificates_verify() -> bool:
@@ -362,6 +384,24 @@ MUTANTS = {
         "[(q, d, d - low)",
         "[(q + 1, d, d - low)",
         resolution_matches_the_chart_oracle,
+    ),
+    "principal_check_drops_the_pivot_comparison": Mutant(
+        resolution, "_check_principal",
+        "h[0] < low or h[pivot] < high",
+        "h[0] < low",
+        principal_check_rejects_a_chart_short_at_the_pivot,
+    ),
+    "vj_check_reads_the_next_generator": Mutant(
+        resolution, "simulate_resolution",
+        "_ideal_text(texts), texts[p - 1]))",
+        "_ideal_text(texts), texts[p]))",
+        resolution_matches_the_chart_oracle,
+    ),
+    "side_chain_end_bound_lowered_by_one": Mutant(
+        resolution, "_side_chain",
+        "g[0] < power",
+        "g[0] < power - 1",
+        side_chain_rejects_an_end_below_its_power,
     ),
     "valuation_certificate_drops_its_cap": Mutant(
         resolution, "valuation_certificate",

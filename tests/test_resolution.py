@@ -301,20 +301,44 @@ def test_side_chains_make_no_blowups(monkeypatch, profile):
     assert len(_blowups_of_resolution(profile, monkeypatch)) == profile.degrees[-1] - profile.degrees[0]
 
 
-def test_side_chain_check_is_derived_from_the_main_chain():
+def test_side_chain_check_is_derived_from_the_main_chain(monkeypatch):
     # (6; 2,3) with its one level's degree lowered to e_1 = 2, as the schedule
     # (q, e_1, count) = (1, 2, 1): the z1 chart of the one blow-up is
     # principal, generated by u0^2*u1^3, so the main chain's check passes,
     # but the side chain's pure power becomes u0^2*u1^2, which that generator
     # does not divide (g*[p] = 3 > e_1 = 2).  With the real schedule
     # (1, 3, 1) the comparison holds with equality.
-    start = rs._start_chart(DegreeProfile(6, (2, 3)))
-    with pytest.raises(rs.ResolutionError, match=r"^level 1: u0\^2\*u1\^3 does not divide the z1 side chart$"):
-        list(rs._climb(*start, [(1, 2, 1)], []))
-    checks = []
-    rows = [row for row, *_ in rs._climb(*start, [(1, 3, 1)], checks)]
+    profile = DegreeProfile(6, (2, 3))
+    levels = rs._levels(profile)[0]
+    with monkeypatch.context() as patch:
+        patch.setattr(rs, "_levels", lambda _: (levels, [(1, 2, 1)]))
+        with pytest.raises(rs.ResolutionError, match=r"^level 1: u0\^2\*u1\^3 does not divide the z1 side chart$"):
+            simulate_resolution(profile)
+    report = simulate_resolution(profile)
+    rows = report.ledger[1:]
     assert [(row.center, row.pivot, row.divisor, row.a, row.k) for row in rows] == [(("z0", "z1"), "z0", "E2", 3, 6)]
-    assert [(v.divisor, v.pivot, v.generator) for v in checks] == [("E2", "z1", "u0^2*u1^3")]
+    assert [(v.divisor, v.pivot, v.generator) for v in report.vj_checks] == [("E2", "z1", "u0^2*u1^3")]
+
+
+def test_vj_generator_has_its_closed_form():
+    # divisor E_j's check on the pivot of index i is generated by
+    # L0^{a_{j-1}}*Li^{a_j}, L the letter of E_j's charts: z_i's strict
+    # transform, its z0 exponent the last divisor's a and its pivot exponent
+    # the new one's; the pivot is named in the letter of E_{j-1}'s charts.
+    # The wide profile is past the chart oracle's reach.
+    profiles = list(_c3_grid()) + [DegreeProfile(120, tuple(range(2, 61)))]
+    total = 0
+    for profile in profiles:
+        report = simulate_resolution(profile)
+        a = {row.divisor: row.a for row in report.ledger}
+        for check in report.vj_checks:
+            j = int(check.divisor[1:])
+            letter, i = rs._letter(j - 1), check.pivot.removeprefix(rs._letter(j - 2))
+            assert check.generator == f"{letter}0^{a[f'E{j - 1}']}*{letter}{i}^{a[check.divisor]}", (profile, check)
+        # one check per pivot p >= 1 of each blow-up
+        assert len(report.vj_checks) == sum(q * count for q, _, count in rs._levels(profile)[1]), profile
+        total += len(report.vj_checks)
+    assert total == 19715
 
 
 def test_side_chain_reads_its_cuts_and_checks_its_end():
@@ -346,27 +370,28 @@ def _hand_built_chart(roles, ideal):
     "pivot, ideal, message",
     [
         (1, [(2, 3, 0), (2, 3, 1)], None),
-        (0, [(3, 0, 0), (3, 1, 0)], None),
+        (2, [(3, 1, 3), (2, 0, 3)], None),
         (1, [(1, 1, 1)], r"^principal generator z0\*z1\*z2 is not exceptional-supported$"),
-        (2, [(1, 1, 1), (1, 1, 2)], r"^principal generator z0\*z1\*z2 is not exceptional-supported$"),
-        (0, [(2, 1, 0)], r"^principal generator z0\^2\*z1 is not exceptional-supported$"),
+        (2, [(1, 1, 2), (1, 1, 1)], r"^principal generator z0\*z1\*z2 is not exceptional-supported$"),
         (1, [(2, 1, 0), (1, 2, 0)], r"^ideal \(z0\^2\*z1, z0\*z1\^2\) is not principal$"),
+        (1, [(1, 2, 0), (1, 1, 1)], r"^ideal \(z0\*z1\^2, z0\*z1\*z2\) is not principal$"),
     ],
-    ids=["pivot", "z0", "past_the_pivot", "before_the_pivot", "strict_at_pivot_0", "not_principal"],
+    ids=["pivot", "pivot_2", "past_the_pivot", "before_the_pivot", "not_principal", "short_at_the_pivot"],
 )
 def test_principal_generator_lies_on_z0_and_the_pivot(pivot, ideal, message):
     # a chart off the main chain, of pivot p, has the exceptional coordinates
-    # z0 and z_p; a side chain's last chart has z0 alone (pivot 0).  The
-    # oracle reads the same chart's roles.
+    # z0 and z_p, and generator p - 1 is z_p's own strict transform.  The
+    # oracle searches the same chart, of the same roles, for its
+    # componentwise minimum.
     names, chart = _hand_built_chart([EXCEPTIONAL if i in (0, pivot) else STRICT for i in range(3)], ideal)
     texts = rs._render(names, ideal)
     calls = [
-        lambda: ideal[rs._principal_exceptional_generator(names, pivot, ideal, texts)],
+        lambda: rs._check_principal(pivot, ideal, texts) or ideal[pivot - 1],
         lambda: _oracles._principal_exceptional_generator(chart),
     ]
     for call in calls:
         if message is None:
-            assert call() == ideal[0]
+            assert call() == ideal[pivot - 1]
         else:
             with pytest.raises(rs.ResolutionError, match=message):
                 call()

@@ -1,10 +1,12 @@
 """The package imports only the standard library and itself, starts its CLI
 without the dataclass machinery, writes JSON in one place, makes no float,
-and calls every public function of its library modules."""
+and calls every public function and loads every private helper of its
+library modules."""
 
 from __future__ import annotations
 
 import ast
+import dis
 import os
 import subprocess
 import sys
@@ -116,3 +118,37 @@ def test_every_public_library_function_has_a_caller():
         if not any(name in names for owner, body, names in bodies if (owner, body) != (stem, name))
     ]
     assert not uncalled
+
+
+# a helper is loaded by its name, by an import, or off its module (cli reads
+# two of resolution's budget checks as ``rs._check_scan_bound`` and the like)
+_LOADS = ("LOAD_GLOBAL", "LOAD_NAME", "IMPORT_FROM", "LOAD_ATTR", "LOAD_METHOD")
+
+
+def test_every_private_library_helper_is_loaded():
+    # each private module-level function of the library modules is loaded by
+    # name in some other code object of the package, module top-level code
+    # (so an import) included; the helper's own code does not count, so a
+    # helper kept only for a test to import fails here
+    codes = []  # (module, top-level function or None, names loaded) of each code object
+    for path in sorted(PACKAGE.glob("*.py")):
+        module = compile(path.read_text(encoding="utf-8"), str(path), "exec")
+        for top in module.co_consts:
+            if isinstance(top, types.CodeType):
+                for code in _code_tree(top):
+                    loads = {ins.argval for ins in dis.get_instructions(code) if ins.opname in _LOADS}
+                    codes.append((path.stem, top.co_name, loads))
+        codes.append((path.stem, None, {ins.argval for ins in dis.get_instructions(module) if ins.opname in _LOADS}))
+    private = [
+        (stem, node.name)
+        for stem in ("exponent", "newton", "poly", "resolution")
+        for node in ast.parse((PACKAGE / f"{stem}.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+    ]
+    assert private
+    unloaded = [
+        f"{stem}.{name}"
+        for stem, name in private
+        if not any(name in loads for owner, top, loads in codes if (owner, top) != (stem, name))
+    ]
+    assert not unloaded
