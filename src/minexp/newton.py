@@ -13,12 +13,14 @@ diagonal point reduces to the tiny linear program
                               sum_u lambda_u * u_i <= t  for each i,
 
 because the recession orthant absorbs any componentwise slack.  The program
-is solved by an exact two-phase revised simplex with Bland's anti-cycling
-rule, fraction-free (integer-preserving pivoting in the style of Bareiss and
-Edmonds): it keeps only d * B^-1, d the last pivot element, each column
-stored at the denominator it was last written at, and prices and builds
-each entering column from the sparse support, so no rational arithmetic
-runs inside the solver and every division is exact (see the kernel).
+is solved by an exact revised simplex with Bland's anti-cycling rule, in one
+phase from a feasible vertex written down in closed form (all weight on a
+point whose largest coordinate is least), and fraction-free
+(integer-preserving pivoting in the style of Bareiss and Edmonds): it keeps
+only d * B^-1, d the last pivot element, each column stored at the
+denominator it was last written at, and prices and builds each entering
+column from the sparse support, so no rational arithmetic runs inside the
+solver and every division is exact (see the kernel).
 
 Every result carries two certificates that are re-verified in integers,
 independently of the solver: a primal one (convex weights placing the
@@ -121,33 +123,48 @@ class DiagonalResult(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# exact two-phase revised simplex (fraction-free, Bland's rule)
+# exact revised simplex from a feasible vertex (fraction-free, Bland's rule)
 #
-# The program has dim + 1 rows, the convexity row sum(lambda) + art = 1 and,
-# for each coordinate i, sum_u lambda_u * u_i - t + s_i = 0, and the columns
-# lambda_0 .. lambda_{npts-1}, t, s_0 .. s_{dim-1} and art.  The starting
-# basis (art, s_0, ..., s_{dim-1}) is the identity, so the tableau of a full
+# The program has dim + 1 rows, the convexity row sum(lambda) = 1 and, for
+# each coordinate i, sum_u lambda_u * u_i - t + s_i = 0, and the columns
+# lambda_0 .. lambda_{npts-1}, t, s_0 .. s_{dim-1}.  The tableau of a full
 # simplex would be d * B^-1 * A0: A0 the initial integer tableau, B the
-# basis matrix, d > 0 the last pivot element.  Only the tableau's columns
-# on those starting slots are kept, the columns of d * B^-1 itself (slot 0
-# is art, slot 1 + i is s_i), and the reduced costs on the same slots.  The
-# slot-0 column is also the right-hand side, since the rhs of A0 equals
-# art's column: both are the first unit vector.  With y = d * cost_slots -
-# red, column j prices as d * cost_j - y . A0[:, j] and enters as
+# basis matrix, d > 0 the last pivot element.  Only the columns of d * B^-1
+# itself are kept, slot k being d * B^-1 applied to the k-th unit vector,
+# and the reduced costs on the same slots, read as columns of cost 0: slot
+# 1 + i is s_i's column, and slot 0 is also the right-hand side, since the
+# rhs of A0 is the first unit vector.  So y = -red is d times the dual of
+# the rows, column j prices as d * cost_j + red . A0[:, j] and enters as
 # d * B^-1 * A0[:, j], the sum of a * (column k of d * B^-1) over the
 # nonzero entries a = A0[k, j]: a support point u is (1, u), one term per
 # nonzero entry.
 #
-# In Bareiss's integer-preserving elimination, a pivot on element p > 0
+# The start is a feasible vertex in closed form.  Let u* be the first
+# sorted point whose largest coordinate M is least, and i* its first
+# coordinate equal to M.  The basis is lambda_{u*} on row 0, t on row
+# 1 + i* and s_i on every other row.  B has determinant -1, so d = 1 and
+# B^-1 is an integer matrix: slot 0, the rhs, is 1 on row 0, M on row
+# 1 + i* and M - u*_i >= 0 on row 1 + i, so the start is feasible; slot
+# 1 + i* is 0 on row 0 and -1 on every other row; slot 1 + i, i != i*, is
+# the unit vector.  The cost is t, basic on row 1 + i*, so the reduced cost
+# on slot k is minus slot k's entry on that row: -M on slot 0, 1 on slot
+# 1 + i*, 0 elsewhere.  Bland's anti-cycling theorem holds from any
+# feasible basis, so one phase that minimizes t is the whole solve.
+#
+# In Bareiss's integer-preserving elimination, a pivot on element p
 # keeps the pivot row and replaces every other entry x by
 # (x * p - f * g) // d before setting d = p, where f is the entering
 # column's entry in x's row (for a reduced cost, the entering column's
-# reduced cost) and g the pivot row's entry in x's column.  Every entry is
-# then a minor of A0.  A column with g = 0 only scales by p / d: it is the
-# same column of B^-1.  So each column k is stored as it was last written,
-# at the denominator dens[k] = e, and its entries at the current d are
-# x * d / e.  A pivot leaves a column with g = 0 as it is.  A column with
-# g != 0 becomes
+# reduced cost) and g the pivot row's entry in x's column.  Its d is det B,
+# and every entry is a minor of A0.  Here d = 1 = -det B at the start, so
+# the stored state is -1 times Bareiss's at the same basis, and it stays
+# so: (x * p - f * g) / d changes sign with x, p, f, g and d together.  So
+# every entry is a minor of A0 up to sign, an integer, while pivot
+# elements stay positive, the ratio test taking only a > 0.  A column
+# with g = 0 only scales by p / d: it is the same column of B^-1.  So each
+# column k is stored as it was last written, at the denominator dens[k] =
+# e, and its entries at the current d are x * d / e.  A pivot leaves a
+# column with g = 0 as it is.  A column with g != 0 becomes
 #
 #     (x * d / e * p - g * d / e * f) / d = (x * p - g * f) / e,
 #
@@ -156,8 +173,9 @@ class DiagonalResult(NamedTuple):
 # column once, as x * d // e, before it reads it.  Each of these divisions
 # is exact.  x * d / e, g * d / e and (x * p - g * f) / e are the entries
 # of the full tableau at the denominator d or p, and those are minors of
-# A0, so integers.  Every integer the solver compares is the one the full
-# tableau holds: the pivot path, c, the weights and the dual are its.
+# A0 up to sign, so integers.  Every integer the solver compares is the
+# one the full tableau holds: the pivot path, c, the weights and the dual
+# are its.
 
 
 def _fresh(inverse, dens, k, d):
@@ -168,19 +186,6 @@ def _fresh(inverse, dens, k, d):
         col = inverse[k] = [x * d // e for x in col]
         dens[k] = d
     return col
-
-
-def _reduced_costs(inverse, dens, basis, cost, slots, d):
-    """d * cost - cost_B * (d * B^-1) on the starting slots."""
-    cost_b = [(r, cost[b]) for r, b in enumerate(basis) if cost[b]]
-    red = []
-    for k, s in enumerate(slots):
-        col = _fresh(inverse, dens, k, d)
-        f = d * cost[s]
-        for r, c in cost_b:
-            f -= c * col[r]
-        red.append(f)
-    return red
 
 
 def _pivot(inverse, dens, red, d, leave, column, f):
@@ -204,23 +209,21 @@ def _pivot(inverse, dens, red, d, leave, column, f):
     return p
 
 
-def _iterate(inverse, dens, basis, red, d, cost, columns, slots, allowed):
-    slot_cost = [cost[s] for s in slots]
-    # Bland's rule never revisits a basis within a phase: that is its
-    # anti-cycling theorem.  So a revisit is a fault of the kernel, raised
-    # here instead of cycling forever.  A faulty kernel whose next basis
-    # follows from the current one alone is periodic from some pivot on, and
-    # Brent's cycle detection finds the period: the basis is compared with a
-    # snapshot after each pivot, and the snapshot is refreshed at pivots
-    # 1, 2, 4, ..., at the cost of one list comparison per pivot.
+def _iterate(inverse, dens, basis, red, d, cost, columns):
+    # Bland's rule never revisits a basis: that is its anti-cycling
+    # theorem.  So a revisit is a fault of the kernel, raised here instead
+    # of cycling forever.  A faulty kernel whose next basis follows from the
+    # current one alone is periodic from some pivot on, and Brent's cycle
+    # detection finds the period: the basis is compared with a snapshot
+    # after each pivot, and the snapshot is refreshed at pivots 1, 2, 4, ...,
+    # at the cost of one list comparison per pivot.
     seen, pivots, mark = basis[:], 0, 1
     while True:
-        y = [d * c - x for c, x in zip(slot_cost, red)]
         enter = None
-        for j in allowed:  # Bland: smallest eligible index enters
+        for j, entries in enumerate(columns):  # Bland: smallest eligible index enters
             f = d * cost[j]
-            for k, a in columns[j]:
-                f -= y[k] * a
+            for k, a in entries:
+                f += red[k] * a
             if f < 0:
                 enter = j
                 break
@@ -255,49 +258,36 @@ def _solve_diagonal_lp(pts: list[tuple[int, ...]]):
     npts = len(pts)
     dim = len(pts[0])
     t_col = npts
-    s0 = npts + 1
-    art = npts + 1 + dim
-    ncols = art + 1
 
     # the sparse columns of A0 as (row, entry) pairs
     columns = [[(0, 1)] + [(i + 1, x) for i, x in enumerate(u) if x] for u in pts]
     columns.append([(i + 1, -1) for i in range(dim)])
     columns += [[(i + 1, 1)] for i in range(dim)]
-    columns.append([(0, 1)])
-    slots = [art] + [s0 + i for i in range(dim)]
+    cost = [0] * len(columns)
+    cost[t_col] = 1
+
+    # the feasible start of the kernel comment: lambda_{u*} = 1, t = M
+    star = min(range(npts), key=lambda k: max(pts[k]))
+    u = pts[star]
+    row = 1 + u.index(max(u))
+    top = u[row - 1]
     inverse = [[int(r == k) for r in range(dim + 1)] for k in range(dim + 1)]
+    inverse[0] = [1] + [top - x for x in u]
+    inverse[0][row] = top
+    inverse[row] = [0] + [-1] * dim
+    basis = [star] + [t_col + 1 + i for i in range(dim)]
+    basis[row] = t_col
+    red = [0] * (dim + 1)
+    red[0], red[row] = -top, 1
     dens = [1] * (dim + 1)
-    basis = slots[:]
-    d = 1
+    d = _iterate(inverse, dens, basis, red, 1, cost, columns)
 
-    # phase 1: drive the artificial variable of the convexity row to zero
-    cost1 = [0] * ncols
-    cost1[art] = 1
-    red1 = _reduced_costs(inverse, dens, basis, cost1, slots, d)
-    d = _iterate(inverse, dens, basis, red1, d, cost1, columns, slots, range(ncols))
-    # art always leaves the basis in phase 1.  While art is basic, it is 1
-    # and every other basic variable is 0.  That holds at the start, and a
-    # pivot keeps it: an eligible row other than art's has rhs 0, hence
-    # ratio 0, while art's row has ratio 1 / a > 0.  So no ratio ties with
-    # art's row, a pivot that leaves art basic moves nothing, and art leaves
-    # exactly when its row is the only eligible one.  The phase cannot end
-    # while art is 1, above the optimum 0, so no art basic at 0 is ever
-    # left to drive out, and no pivot element is ever negative.
-    if art in basis:
-        raise RuntimeError("the artificial variable stayed basic after phase 1; impossible")
-
-    # phase 2: minimize t, artificial column locked out
-    cost2 = [0] * ncols
-    cost2[t_col] = 1
-    red2 = _reduced_costs(inverse, dens, basis, cost2, slots, d)
-    d = _iterate(inverse, dens, basis, red2, d, cost2, columns, slots, [j for j in range(ncols) if j != art])
-
-    value = [0] * ncols
+    value = [0] * len(columns)
     for x, b in zip(_fresh(inverse, dens, 0, d), basis):
         value[b] = x
     lambdas = [Fraction(x, d) for x in value[:npts]]
     c = Fraction(value[t_col], d)
-    dual = [Fraction(red2[1 + i], d) for i in range(dim)]
+    dual = [Fraction(x, d) for x in red[1:]]
     return c, lambdas, dual
 
 

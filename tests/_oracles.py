@@ -169,22 +169,11 @@ def diagonal_by_vertex_enumeration(points) -> Fraction:
 # as determinants of the support coordinates.
 
 
-def _reduced_costs(rows, basis, cost, d):
-    red = [d * x for x in cost] + [0]
-    for r, b in enumerate(basis):
-        cb = cost[b]
-        if cb:
-            row = rows[r]
-            for j in range(len(red)):
-                red[j] -= cb * row[j]
-    return red
-
-
 def _pivot(rows, basis, red, d, leave, enter):
     """Pivot in place; return the new common denominator (the pivot element)."""
     piv_row = rows[leave]
     p = piv_row[enter]
-    if p < 0:  # only the phase-1 drive-out can meet one; its row's rhs is 0
+    if p < 0:  # only the start's pivot of t can meet one: t's column is -1
         piv_row = rows[leave] = [-x for x in piv_row]
         p = -p
     for r, row in enumerate(rows):
@@ -204,11 +193,11 @@ def _eliminate(row, piv_row, enter, p, d):
     return [x * p // d for x in row]
 
 
-def _iterate(rows, basis, red, d, allowed):
+def _iterate(rows, basis, red, d):
     while True:
         enter = None
-        for j in allowed:  # Bland: smallest eligible index enters
-            if red[j] < 0:
+        for j, f in enumerate(red[:-1]):  # Bland: smallest eligible index enters
+            if f < 0:
                 enter = j
                 break
         if enter is None:
@@ -236,52 +225,36 @@ def diagonal_lp_by_full_tableau(pts: list[tuple[int, ...]]):
     dim = len(pts[0])
     t_col = npts
     s0 = npts + 1
-    art = npts + 1 + dim
-    ncols = art + 1
+    ncols = s0 + dim
 
-    rows = []
-    row0 = [0] * (ncols + 1)
-    for j in range(npts):
-        row0[j] = 1
-    row0[art] = 1
-    row0[-1] = 1
-    rows.append(row0)
+    rows = [[1] * npts + [0] * (ncols - npts) + [1]]
     for i in range(dim):
         row = [u[i] for u in pts] + [0] * (ncols + 1 - npts)
         row[t_col] = -1
         row[s0 + i] = 1
         rows.append(row)
-    basis = [art] + [s0 + i for i in range(dim)]
-    d = 1
+    # The convexity row has no basic variable yet, and every basic s_i costs
+    # 0, so the reduced costs of the cost t are the cost row itself.
+    basis = [None] + [s0 + i for i in range(dim)]
+    red = [int(j == t_col) for j in range(ncols + 1)]
+    # The feasible start: lambda_{u*} enters on the convexity row, u* the
+    # first point whose largest coordinate M is least, then t enters on the
+    # row of u*'s first coordinate equal to M, on the pivot element -1.
+    star = min(range(npts), key=lambda j: max(pts[j]))
+    d = _pivot(rows, basis, red, 1, 0, star)
+    d = _pivot(rows, basis, red, d, 1 + pts[star].index(max(pts[star])), t_col)
+    if any(row[-1] < 0 for row in rows):
+        raise RuntimeError("the start is infeasible; impossible for this formulation")
 
-    # phase 1: drive the artificial variable of the convexity row to zero
-    cost1 = [0] * ncols
-    cost1[art] = 1
-    red1 = _reduced_costs(rows, basis, cost1, d)
-    d = _iterate(rows, basis, red1, d, range(ncols))
-    if red1[-1] != 0:
-        raise RuntimeError("phase 1 failed; the program is always feasible")
-    if art in basis:
-        r = basis.index(art)
-        for j in range(ncols):
-            if j != art and rows[r][j] != 0:
-                d = _pivot(rows, basis, red1, d, r, j)
-                break
-        else:
-            raise RuntimeError("could not drive the artificial variable out")
-
-    # phase 2: minimize t, artificial column locked out
-    cost2 = [0] * ncols
-    cost2[t_col] = 1
-    red2 = _reduced_costs(rows, basis, cost2, d)
-    d = _iterate(rows, basis, red2, d, [j for j in range(ncols) if j != art])
+    # minimize t: one phase from a feasible basis
+    d = _iterate(rows, basis, red, d)
 
     value = [0] * ncols
     for r, b in enumerate(basis):
         value[b] = rows[r][-1]
     lambdas = [Fraction(x, d) for x in value[:npts]]
     c = Fraction(value[t_col], d)
-    dual = [Fraction(red2[s0 + i], d) for i in range(dim)]
+    dual = [Fraction(red[s0 + i], d) for i in range(dim)]
     return c, lambdas, dual
 
 

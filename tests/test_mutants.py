@@ -8,11 +8,12 @@ or rewrites a snippet makes its entry fail here, so the entry is updated
 with it instead of lost.  Each check first passes on the library as it is,
 then must fail under the mutant.
 
-The table covers every route and certificate: the simplex and the Newton
-certificate, the blow-up chain, its chart checks and its closed-form
-ledger, the candidate formula, its degree-1 shift and its degree-sum check, both ``verify``
-certificates, the weighted order, the probe's one-row test and its rank,
-and the two writers of a report, the JSON writer and the monomial writer.
+The table covers every route and certificate: the simplex, its closed-form
+start and the Newton certificate, the blow-up chain, its chart checks and
+its closed-form ledger, the candidate formula, its degree-1 shift and its
+degree-sum check, both ``verify`` certificates, the weighted order, the
+probe's one-row test and its rank, and the two writers of a report, the
+JSON writer and the monomial writer.
 A simplex mutant that cycles needs no pivot cap:
 the solver raises on a revisited basis (see ``newton._iterate``).
 """
@@ -351,14 +352,20 @@ MUTANTS = {
     ),
     "bland_takes_the_last_eligible_column": Mutant(
         newton, "_iterate",
-        "for j in allowed:",
-        "for j in reversed(allowed):",
+        "for j, entries in enumerate(columns):",
+        "for j, entries in reversed(list(enumerate(columns))):",
         simplex_matches_full_tableau,
     ),
     "ratio_tie_goes_to_the_larger_basis_index": Mutant(
         newton, "_iterate",
         "basis[r] < basis[leave]",
         "basis[r] > basis[leave]",
+        simplex_matches_full_tableau,
+    ),
+    "start_puts_t_on_the_smallest_coordinate": Mutant(
+        newton, "_solve_diagonal_lp",
+        "row = 1 + u.index(max(u))",
+        "row = 1 + u.index(min(u))",
         simplex_matches_full_tableau,
     ),
     "verify_drops_the_dual_sum_check": Mutant(
@@ -507,13 +514,15 @@ def test_an_unreduced_rank_is_caught_by_both_of_its_checks(monkeypatch):
     assert not probe_matches_the_line_scan()
 
 
-# a dense support of dimension 7 on which the simplex under
-# pivot_divides_by_d_not_dens cycles: without the revisit check it ran past
-# 5,000 pivots, and with it the solve stops at its ninth pivot
+# a dense support of dimension 5 on which the simplex under
+# pivot_divides_by_d_not_dens cycles: without the revisit check it runs past
+# 5,000 pivots, and with it the solve stops at its ninth pivot.  Of 3,000
+# supports drawn as _random_points(rng, rng.randint(5, 9), rng.randint(8,
+# 16), 6) with rng = random.Random(7), that mutant revisits a basis on 551;
+# this is the first drawn of the smallest (dimension 5, 8 points).
 _CYCLING_SUPPORT = [
-    [0, 1, 5, 1, 4, 1, 5], [0, 3, 1, 5, 0, 5, 4], [0, 6, 0, 6, 2, 1, 6], [0, 6, 6, 6, 6, 2, 3],
-    [1, 1, 2, 1, 3, 3, 0], [1, 4, 2, 0, 0, 3, 3], [1, 5, 3, 1, 3, 2, 6], [2, 0, 0, 5, 3, 0, 5],
-    [2, 2, 2, 6, 2, 5, 1], [3, 0, 6, 4, 3, 6, 0], [4, 0, 0, 5, 4, 4, 3],
+    [0, 1, 2, 4, 5], [1, 4, 5, 2, 3], [3, 0, 5, 1, 6], [3, 5, 4, 4, 5],
+    [3, 6, 6, 3, 5], [4, 6, 1, 5, 1], [5, 3, 6, 1, 5], [5, 5, 6, 5, 5],
 ]
 
 

@@ -260,17 +260,31 @@ def test_revised_simplex_matches_full_tableau_oracle():
         assert newton._solve_diagonal_lp(pts) == diagonal_lp_by_full_tableau(pts), pts
 
 
-def test_artificial_variable_leaves_in_phase_one_on_every_small_support():
+def test_the_start_is_feasible_on_every_small_support(monkeypatch):
     # every support of at most 4 nonzero points with dimension <= 2 and
-    # coordinates <= 3 (1,947 supports): phase 1 never ends with the
-    # artificial variable basic (the solver raises if it does), and the
-    # result is the oracle's
+    # coordinates <= 3 (1,947 supports): the closed-form start, read where
+    # the simplex begins, has a right-hand side >= 0, and the result is the
+    # full tableau's, with the vertex-enumeration oracle's c
+    starts = []
+    iterate = newton._iterate
+
+    def recording(inverse, *rest):
+        starts.append(list(inverse[0]))  # slot 0 is the right-hand side
+        return iterate(inverse, *rest)
+
+    monkeypatch.setattr(newton, "_iterate", recording)
+    count = 0
     for dim in (1, 2):
         pool = [p for p in itertools.product(range(4), repeat=dim) if any(p)]
-        for count in (1, 2, 3, 4):
-            for pts in itertools.combinations(pool, count):
+        for size in (1, 2, 3, 4):
+            for pts in itertools.combinations(pool, size):
                 pts = list(pts)
-                assert newton._solve_diagonal_lp(pts) == diagonal_lp_by_full_tableau(pts), pts
+                result = newton._solve_diagonal_lp(pts)
+                assert min(starts.pop()) >= 0, pts
+                assert result == diagonal_lp_by_full_tableau(pts), pts
+                assert result[0] == diagonal_by_vertex_enumeration(pts), pts
+                count += 1
+    assert count == 1947
 
 
 def test_matches_vertex_enumeration_oracle():
