@@ -5,9 +5,9 @@ Argv is ``<command> --flag text ... [--json]`` or ``batch <manifest>
 ``-h``/``--help`` prints help generated from it.  Exit codes: 0 success /
 all checks passed, 1 input error, 2 a verification check failed.  Reports
 carry exact fractions; decimal renderings are marked with a leading ``≈``
-and never participate in any comparison.  The resolve report's trace,
-ledger and blow-up count are read from one record per divisor, the
-library's ledger row.
+and never participate in any comparison.  The resolve report's ledger
+holds one record per divisor, read from the library's ledger row, and its
+blow-up count is the ledger's length.
 """
 
 from __future__ import annotations
@@ -504,24 +504,20 @@ def run_resolve(n: int, degrees: list[int]) -> tuple[dict, int]:
         "levels": [list(level) for level in report.levels],
         "blowups": len(report.ledger),
         "ledger": [
-            {"divisor": row.divisor, "a": row.a, "k": row.k, "ratio": _rat_json(row.ratio)}
+            {
+                "center": row.center if isinstance(row.center, str) else list(row.center),
+                "divisor": row.divisor,
+                "a": row.a,
+                "k": row.k,
+                "ratio": _rat_json(row.ratio),
+                "ideal": row.ideal,
+            }
             for row in report.ledger
         ],
         "lower_bound": _rat_json(report.lower_bound),
         "witness": (
             None if witness is None else {"common": witness.common, "residual": list(witness.residual)}
         ),
-        "trace": [
-            {
-                "center": row.center if isinstance(row.center, str) else list(row.center),
-                "pivot": row.pivot,
-                "divisor": row.divisor,
-                "a": row.a,
-                "k": row.k,
-                "ideal": row.ideal,
-            }
-            for row in report.ledger
-        ],
         "case3": [{"level": c.level, "steps": list(c.steps), "principal": c.principal} for c in report.case3],
         "vj_checks": [v._asdict() for v in report.vj_checks],
         "cross_check": {
@@ -547,11 +543,12 @@ def run_resolve(n: int, degrees: list[int]) -> tuple[dict, int]:
 
 def _text_resolve(results: dict):
     yield f"n = {results['n']}, degrees = {results['degrees']}, mode = {results['mode']}"
-    for step in results["trace"]:
-        where = step["center"] if isinstance(step["center"], str) else ", ".join(step["center"])
-        yield f"  blow up [{where}] -> {step['divisor']} (a={step['a']}, k={step['k']}): {step['ideal']}"
     for row in results["ledger"]:
-        yield f"  {row['divisor']}: a = {row['a']}, k = {row['k']}, (k+1)/a = {_show(row['ratio'])}"
+        where = row["center"] if isinstance(row["center"], str) else ", ".join(row["center"])
+        yield (
+            f"  {row['divisor']}: blow up [{where}], a = {row['a']}, k = {row['k']}, "
+            f"(k+1)/a = {_show(row['ratio'])}: {row['ideal']}"
+        )
     if results["witness"]:
         witness = results["witness"]
         yield f"factorization: {witness['common']} * ({', '.join(witness['residual'])})"

@@ -125,12 +125,6 @@ class LedgerRow(_LedgerRow):
 
     # no __slots__ = (): the cached ratio lives in the instance __dict__
 
-    @property
-    def pivot(self) -> str | None:
-        """The pivot of the chart the main chain follows: the centre's first
-        coordinate, z0 of the chart before (None for E1)."""
-        return None if self.center == "origin" else self.center[0]
-
     @cached_property
     def ratio(self) -> Fraction:
         """(k + 1) / a, built once: the lower bound and the report read the same object."""

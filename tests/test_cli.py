@@ -220,7 +220,14 @@ def test_reports_match_golden_bytes(capsys, tmp_path, name):
     # started at a closed-form feasible vertex, the newton entries of the
     # cones over (12; 4,4,4) and (14; 3,4,5) were re-recorded: their optimum
     # is not unique, and only their "certificate" changed, to weights that
-    # pass DiagonalResult.verify and the benchmark checker.
+    # pass DiagonalResult.verify and the benchmark checker.  Once the resolve
+    # report said each divisor once, every entry holding a resolve report was
+    # re-recorded: the seven of the resolve file, the cli resolve entries of
+    # (4; 2,3,4) and (2; 2,2) (text and --json), and the cli batch --json
+    # entry; in --json each ledger record is the old trace record without
+    # "pivot", plus the old ledger record's ratio, "trace" is gone and every
+    # other key is unchanged, and in text each divisor's blow-up line and
+    # ledger line are one line.
     golden = json.loads((Path(__file__).parent / "data" / name).read_text())
     manifest = tmp_path / "manifest.json"
     for case in golden:
@@ -261,6 +268,35 @@ def test_resolve_cross_check(capsys):
     assert [row["a"] for row in results["ledger"]] == [2, 3, 4]
     assert results["lower_bound"] == {"num": 5, "den": 3}
     assert results["cross_check"]["match"] is True
+
+
+def _resolve_with_the_bound_off_by_one() -> list[tuple[int, str]]:
+    """The (exit code, stdout) of resolve (6; 2,3), with --json and in text,
+    when simulate_resolution's lower bound is raised by one.  No valid
+    profile fails the cross-check, so the failure is patched in."""
+    simulate = rs.simulate_resolution
+    outputs = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(rs, "simulate_resolution", lambda p: (r := simulate(p))._replace(lower_bound=r.lower_bound + 1))
+        for flags in (["--json"], []):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = main(["resolve", "--n", "6", "--degrees", "2,3", *flags])
+            outputs.append((code, out.getvalue()))
+    return outputs
+
+
+def test_resolve_fails_a_ledger_bound_off_the_formula():
+    (code, out), (text_code, text) = _resolve_with_the_bound_off_by_one()
+    report = json.loads(out)
+    VALIDATOR.validate(report)
+    assert (code, text_code) == (EXIT_FAIL, EXIT_FAIL)
+    assert report["ok"] is False
+    assert report["results"]["cross_check"] == {
+        "formula": {"num": 7, "den": 3},
+        "ledger_bound": {"num": 10, "den": 3},
+        "match": False,
+    }
+    assert "\nlower bound = 10/3 (≈3.33333)\ncross-check vs formula 7/3 (≈2.33333): FAIL\n" in text
 
 
 def test_resolve_log_resolution_mode(capsys):
@@ -692,13 +728,21 @@ def test_duplicate_variables_exit_input(capsys, tmp_path, argv, request_):
             {"command": "weighted", "weights": [1, 1], "polynomials": ["x1^2"], "variables": [" ", "x1"]},
             "bad variables: variable 1 of (' ', 'x1') has an empty or blank name",
         ),
+        (
+            ["newton", "--poly", "x1^2+x2^3"],
+            {"command": "newton", "polynomial": "x1^2+x2^3"},
+            "a polynomial input needs its variable list",
+        ),
     ],
 )
 def test_empty_variable_names_exit_input(capsys, tmp_path, argv, request_, error):
     # an empty name used to count as a variable: probe scanned x1, '' and x2
-    # and reported FAIL, and newton said "unknown variable 'x2'"
+    # and reported FAIL, and newton said "unknown variable 'x2'"; newton's
+    # polynomial with no variable list at all is refused the same way
     assert main(argv) == EXIT_INPUT
     assert capsys.readouterr().err == f"input error: {error}\n"
+    code, report = run_json(capsys, *argv)
+    assert (code, report["error"]) == (EXIT_INPUT, error)
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps([request_]))
     code, report = run_json(capsys, "batch", str(path))

@@ -273,3 +273,5 @@ def test_infinity_ordering_and_arithmetic():
         INFINITY + 1
     with pytest.raises(TypeError):
         1 + INFINITY
+    with pytest.raises(TypeError):  # ordered above the rationals only
+        INFINITY < "a"

@@ -12,8 +12,9 @@ The table covers every route and certificate: the simplex, its closed-form
 start and the Newton certificate, the blow-up chain, its chart checks and
 its closed-form ledger, the candidate formula, its degree-1 shift and its
 degree-sum check, both ``verify`` certificates, the weighted order, the
-probe's one-row test and its rank, and the two writers of a report, the
-JSON writer and the monomial writer.
+probe's one-row test and its rank, the resolve report's cross-check
+against the formula, and the two writers of a report, the JSON writer and
+the monomial writer.
 A simplex mutant that cycles needs no pivot cap:
 the solver raises on a revisited basis (see ``newton._iterate``).
 """
@@ -43,6 +44,7 @@ from minexp.exponent import DegreeProfile, WeightedProfile, weighted_upper_bound
 from minexp.newton import DiagonalResult
 from minexp.poly import PolyParseError, parse_poly
 from minexp.resolution import ChainCertificate, ResolutionError, ValuationCertificate
+from test_cli import _resolve_with_the_bound_off_by_one
 from test_newton import _certificate, _cone_support, _random_points
 from test_poly import PREFIX_CASES, _forms
 
@@ -293,6 +295,22 @@ def rank_matches_gauss_jordan_and_the_probe() -> bool:
     return rank_matches_gauss_jordan() and probe_matches_the_line_scan()
 
 
+# --- the cross-check of a report ------------------------------------------------------
+
+def resolve_fails_a_ledger_bound_off_the_formula() -> bool:
+    """``test_resolve_fails_a_ledger_bound_off_the_formula``: with the
+    ledger's bound raised by one, resolve exits 2, in text and --json, and
+    its report reads "ok": false, "match": false and FAIL."""
+    (code, out), (text_code, text) = _resolve_with_the_bound_off_by_one()
+    report = json.loads(out)
+    return (
+        code == text_code == cli.EXIT_FAIL
+        and report["ok"] is False
+        and report["results"]["cross_check"]["match"] is False
+        and "\ncross-check vs formula 7/3 (≈2.33333): FAIL\n" in text
+    )
+
+
 # --- the two writers ---------------------------------------------------------------------
 
 # lists of only ints, of only strings, of ints with a bool, and a rational beside its near misses
@@ -469,6 +487,12 @@ MUTANTS = {
         "mat[r] = [reduce(x - factor * y) for",
         "mat[r] = [x - factor * y for",
         rank_matches_gauss_jordan_and_the_probe,
+    ),
+    "resolve_cross_check_always_matches": Mutant(
+        cli, "run_resolve",
+        "match = report.lower_bound == formula_value",
+        "match = True",
+        resolve_fails_a_ledger_bound_off_the_formula,
     ),
     "json_list_writes_a_bool_as_an_int": Mutant(
         cli, "_json_text",

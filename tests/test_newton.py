@@ -307,6 +307,7 @@ def test_tampered_certificate_fails_verify():
     assert not bad.verify()
     bad = DiagonalResult(good.c, good.certificate, (F(1), F(1)))
     assert not bad.verify()
+    assert not DiagonalResult(F(1), (), ()).verify()  # no points
 
 
 _POINTS = ((0, 2), (1, 1), (2, 0))

@@ -38,6 +38,14 @@ def test_poly_rejects_exponents_that_are_not_nonnegative_integers(exps):
         Poly(("x", "y"), {exps: 1})
 
 
+def test_poly_rejects_a_vector_of_the_wrong_length():
+    # an exponent vector and a point need one entry per variable
+    with pytest.raises(ValueError, match=r"^exponent vector \(1, 2\) does not match 1 variables$"):
+        Poly(("x",), {(1, 2): 1})
+    with pytest.raises(ValueError, match="^wrong number of values$"):
+        Poly(("x", "y"), {(1, 2): 1}).evaluate([1])
+
+
 
 # --- parsing -----------------------------------------------------------------
 

@@ -316,7 +316,7 @@ def test_side_chain_check_is_derived_from_the_main_chain(monkeypatch):
             simulate_resolution(profile)
     report = simulate_resolution(profile)
     rows = report.ledger[1:]
-    assert [(row.center, row.pivot, row.divisor, row.a, row.k) for row in rows] == [(("z0", "z1"), "z0", "E2", 3, 6)]
+    assert [(row.center, row.divisor, row.a, row.k) for row in rows] == [(("z0", "z1"), "E2", 3, 6)]
     assert [(v.divisor, v.pivot, v.generator) for v in report.vj_checks] == [("E2", "z1", "u0^2*u1^3")]
 
 
