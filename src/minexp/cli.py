@@ -5,8 +5,10 @@ Argv is ``<command> --flag text ... [--json]`` or ``batch <manifest>
 ``-h``/``--help`` prints help generated from it.  Exit codes: 0 success /
 all checks passed, 1 input error, 2 a verification check failed.  Reports
 carry exact fractions; decimal renderings are marked with a leading ``≈``
-and never participate in any comparison.  The resolve report's ledger
-holds one record per divisor, read from the library's ledger row, and its
+and never participate in any comparison.  A library record reaches a report
+as it is, through its ``_asdict()``: the JSON writer writes its tuples as
+arrays, and a text renderer lists a tuple before it prints it.  The resolve
+report's ledger holds the library's ledger rows, one per divisor, and its
 blow-up count is the ledger's length.
 """
 
@@ -153,10 +155,12 @@ def _json_text(value, indent: str = "\n") -> str:
     """The one JSON writer: the text of json.dumps(value, indent=2,
     sort_keys=True), with strings escaped to ASCII by the stdlib's C encoder.
     (Given an indent, the stdlib encodes in pure Python.)  It writes str,
-    dict with str keys, list, int, bool and None, and raises TypeError on
-    anything else, such as a float or a Fraction: reports are exact.
+    dict with str keys, list and tuple (as json.dumps does, both as an
+    array), int, bool and None, and raises TypeError on anything else: a
+    float or a Fraction, as reports are exact, or a library record, a tuple
+    subclass, which reaches a report only through its ``_asdict()``.
 
-    A child of a dict or a list is written by one rule: a str or an exact
+    A child of a dict or an array is written by one rule: a str or an exact
     int directly, anything else by recursion.  A {"den", "num"} dict of two
     ints, the shape of every rational in a report, is written at once."""
     kind = type(value)
@@ -183,7 +187,7 @@ def _json_text(value, indent: str = "\n") -> str:
                 text = _json_text(item, inner)
             items.append(f"{_json_string(key)}: {text}")
         return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if kind is list:
+    if kind is list or kind is tuple:
         if not value:
             return "[]"
         inner = indent + "  "
@@ -285,7 +289,7 @@ _STRINGS = _typed(lambda v: isinstance(v, str), "a list of strings", listed=True
 
 
 def _names(value, key: str) -> list[str]:
-    """A nonempty list of variable names, none of them empty or blank."""
+    """A nonempty list of variable names, each a NAME of the polynomial grammar."""
     if not _STRINGS(value, key):
         raise InputError(f"bad {key}: expected a nonempty list of names")
     _guard(pl._check_names, tuple(value), prefix=f"bad {key}: ")
@@ -385,7 +389,7 @@ def run_formula(n: int, degrees: list[int]) -> tuple[dict, int]:
         results["candidates"] = [_rat_json(v) for v in profile.table.values]
         results["pivot"] = profile.table.pivot
         if shift:
-            results["reduced"] = {"n": profile.n, "degrees": list(profile.degrees)}
+            results["reduced"] = profile._asdict()
             provenance.append(
                 f"{shift} linear equation(s) removed; the exponent of the reduced cone "
                 f"is shifted up by {shift}"
@@ -501,24 +505,12 @@ def run_resolve(n: int, degrees: list[int]) -> tuple[dict, int]:
         "n": profile.n,
         "degrees": list(profile.degrees),
         "mode": report.mode,
-        "levels": [list(level) for level in report.levels],
+        "levels": report.levels,
         "blowups": len(report.ledger),
-        "ledger": [
-            {
-                "center": row.center if isinstance(row.center, str) else list(row.center),
-                "divisor": row.divisor,
-                "a": row.a,
-                "k": row.k,
-                "ratio": _rat_json(row.ratio),
-                "ideal": row.ideal,
-            }
-            for row in report.ledger
-        ],
+        "ledger": [{**row._asdict(), "ratio": _rat_json(row.ratio)} for row in report.ledger],
         "lower_bound": _rat_json(report.lower_bound),
-        "witness": (
-            None if witness is None else {"common": witness.common, "residual": list(witness.residual)}
-        ),
-        "case3": [{"level": c.level, "steps": list(c.steps), "principal": c.principal} for c in report.case3],
+        "witness": None if witness is None else witness._asdict(),
+        "case3": [c._asdict() for c in report.case3],
         "vj_checks": [v._asdict() for v in report.vj_checks],
         "cross_check": {
             "formula": _rat_json(formula_value),
@@ -622,17 +614,8 @@ def run_probe(
         "points_checked": report.points_checked,
         "verdict": report.verdict,
         "reason": report.reason,
-        "witness": None,
+        "witness": None if report.witness is None else report.witness._asdict(),
     }
-    if report.witness is not None:
-        w = report.witness
-        results["witness"] = {
-            "point": list(w.point),
-            "vanishing": list(w.vanishing),
-            "lifted_point": list(w.lifted_point),
-            "genuine": w.genuine,
-            "note": w.note,
-        }
     warnings = [PROBE_WARNING, "the probe is advisory and never blocks a computation"]
     provenance = ["verdict: finite-field scan of smoothness + normal-crossing incidence"]
     code = EXIT_FAIL if report.verdict == "FAIL" else EXIT_OK
@@ -647,8 +630,8 @@ def _text_probe(results: dict):
     if results["witness"]:
         w = results["witness"]
         yield (
-            f"witness point {w['point']} (inputs {w['vanishing']} vanish); "
-            f"lift {w['lifted_point']}; genuine: {w['genuine']}"
+            f"witness point {list(w['point'])} (inputs {list(w['vanishing'])} vanish); "
+            f"lift {list(w['lifted_point'])}; genuine: {w['genuine']}"
         )
         yield f"  {w['note']}"
 

@@ -19,12 +19,12 @@ degree first, ties broken lexicographically on the exponent vector), so
 output is deterministic and ``parse_poly(str(f), f.variables)`` reproduces
 ``f`` exactly.
 
-A ``Poly``'s invariants (at least one variable, no duplicate names, exponent
-vectors of nonnegative ints one per variable, nonzero ``Fraction``
-coefficients) are checked by the public constructor.  :func:`parse_poly`
-checks the variables and builds the rest to fit as it reads, and
-:meth:`Poly.derivative` keeps them; both build through ``Poly._trusted``,
-which checks nothing again.
+A ``Poly``'s invariants (at least one variable, each a NAME of the grammar,
+no duplicate names, exponent vectors of nonnegative ints one per variable,
+nonzero ``Fraction`` coefficients) are checked by the public constructor.
+:func:`parse_poly` checks the variables and builds the rest to fit as it
+reads, and :meth:`Poly.derivative` keeps them; both build through
+``Poly._trusted``, which checks nothing again.
 """
 
 from __future__ import annotations
@@ -154,10 +154,14 @@ class Poly:
 
 
 def _check_names(variables: tuple[str, ...]) -> None:
-    """Reject an empty or blank name, naming its entry, counted from 1."""
+    """Reject a name the grammar cannot read, naming its entry, counted from
+    1: each must be one NAME token of :data:`_TOKEN_RE`."""
     for index, name in enumerate(variables, 1):
         if isinstance(name, str) and not name.strip():
             raise ValueError(f"variable {index} of {variables} has an empty or blank name")
+        match = _TOKEN_RE.fullmatch(name) if isinstance(name, str) else None
+        if match is None or match[2] is None:
+            raise ValueError(f"variable {index} of {variables} is not a name: {name!r}")
 
 
 def _check_variables(variables: tuple[str, ...]) -> None:

@@ -32,8 +32,10 @@ once, by ``minexp.poly._render``, the one writer of the monomial grammar
 that ``minexp.poly.parse_poly`` reads, and every text of a report is read
 from those renderings: the ledger, the vj checks, the side chains and the
 factorization witness.  Each exceptional divisor has one record, its
-:class:`LedgerRow`: the blow-up that made it, its (a, k) and the ideal of
-the chart the main chain follows.  The checks stay those of the argument:
+:class:`LedgerRow`: the blow-up that made it, its (a, k), its ratio
+(k + 1)/a and the ideal of the chart the main chain follows.  The ratios are
+built only after the (a, k) rows equal their closed form, so a = 0 is a
+chain fault, never a division by zero.  The checks stay those of the argument:
 every chart off the main chain, of pivot p, is generated by z_p's own
 strict transform on z0 and z_p (:func:`_check_principal`), and that
 generator divides the matching side-chain chart
@@ -55,7 +57,6 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from minexp.exponent import DegreeProfile, _common_denominator
@@ -109,26 +110,18 @@ def _blowup(ideal: Sequence[tuple[int, ...]], k: int, width: int):
     return min(totals, default=0), width - 1 + k, charts
 
 
-class _LedgerRow(NamedTuple):
+class LedgerRow(NamedTuple):
+    """One exceptional divisor, the one record of its blow-up: the centre
+    (``"origin"`` for E1), the divisor's name, its ideal multiplicity a and
+    discrepancy k, its ratio (k + 1) / a, and the text of the ideal in the
+    chart the main chain follows."""
+
     center: tuple[str, ...] | str
     divisor: str
     a: int
     k: int
+    ratio: Fraction
     ideal: str
-
-
-class LedgerRow(_LedgerRow):
-    """One exceptional divisor, the one record of its blow-up: the centre
-    (``"origin"`` for E1), the divisor's name, its ideal multiplicity a and
-    discrepancy k, and the text of the ideal in the chart the main chain
-    follows."""
-
-    # no __slots__ = (): the cached ratio lives in the instance __dict__
-
-    @cached_property
-    def ratio(self) -> Fraction:
-        """(k + 1) / a, built once: the lower bound and the report read the same object."""
-        return Fraction(self.k + 1, self.a)
 
 
 class VjCheck(NamedTuple):
@@ -342,7 +335,7 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     names = _names(0, width)
     texts = _render(names, ideal)
     chain = [(names, ideal, texts)]
-    rows = [LedgerRow("origin", "E1", profile.degrees[0], k, _ideal_text(texts))]
+    divisors = [("origin", "E1", profile.degrees[0], k, _ideal_text(texts))]
     vj_checks: list[VjCheck] = []
     blowups = ((level, q, power) for level, (q, power, count) in enumerate(schedule, 1) for _ in range(count))
     for depth, (level, q, power) in enumerate(blowups, 1):
@@ -358,13 +351,14 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
         ideal = charts[0]
         texts = _render(names, ideal)
         chain.append((names, ideal, texts))
-        rows.append(LedgerRow(center, divisor, a, k, _ideal_text(texts)))
+        divisors.append((center, divisor, a, k, _ideal_text(texts)))
 
     # one divisor, and so one blow-up, per degree step.  Checked before any
-    # ratio is read, so that a = 0 is a chain fault and not a ZeroDivisionError.
-    got, expected = [(row.a, row.k) for row in rows], ledger_rows(profile)
+    # ratio is built, so that a = 0 is a chain fault and not a ZeroDivisionError.
+    got, expected = [(a, k) for _, _, a, k, _ in divisors], ledger_rows(profile)
     if got != expected:
         raise ResolutionError(f"ledger rows {got} != closed form {expected}")
+    rows = [LedgerRow(center, divisor, a, k, Fraction(k + 1, a), text) for center, divisor, a, k, text in divisors]
 
     witness = _factorization_witness(names, ideal, profile.r) if mode == STRONG_FACTORIZING else None
     low = profile.degrees[0]  # the side chain of level l runs through chart e_l - e_0 of the main chain

@@ -1037,12 +1037,14 @@ def simulate_resolution_by_charts(profile: DegreeProfile) -> tuple[ResolutionRep
     mode = LOG_RESOLUTION if profile.r == n else STRONG_FACTORIZING
 
     chain = [_start_chart(profile)]
-    rows = [LedgerRow("origin", "E1", profile.degrees[0], n - 1, chain[0].render_ideal())]
+    a, k = profile.degrees[0], n - 1
+    rows = [LedgerRow("origin", "E1", a, k, Fraction(k + 1, a), chain[0].render_ideal())]
     vj_checks: list[VjCheck] = []
     for center, state in _climb(chain[0], e, cum, vj_checks):
         chain.append(state)
         z0 = state.coords[0]
-        rows.append(LedgerRow(center, f"E{len(rows) + 1}", z0.a, z0.k, state.render_ideal()))
+        ratio = Fraction(z0.k + 1, z0.a)
+        rows.append(LedgerRow(center, f"E{len(rows) + 1}", z0.a, z0.k, ratio, state.render_ideal()))
 
     # one divisor, and so one blow-up, per degree step
     expected_a = list(range(e[0], e[-1] + 1))

@@ -733,12 +733,18 @@ def test_duplicate_variables_exit_input(capsys, tmp_path, argv, request_):
             {"command": "newton", "polynomial": "x1^2+x2^3"},
             "a polynomial input needs its variable list",
         ),
+        (
+            ["weighted", "--weights", "3,2", "--poly", "y^3", "--vars", "x y,y"],
+            {"command": "weighted", "weights": [3, 2], "polynomials": ["y^3"], "variables": ["x y", "y"]},
+            "bad variables: variable 1 of ('x y', 'y') is not a name: 'x y'",
+        ),
     ],
 )
 def test_empty_variable_names_exit_input(capsys, tmp_path, argv, request_, error):
     # an empty name used to count as a variable: probe scanned x1, '' and x2
     # and reported FAIL, and newton said "unknown variable 'x2'"; newton's
-    # polynomial with no variable list at all is refused the same way
+    # polynomial with no variable list at all is refused the same way, and so
+    # is a name the grammar cannot read, which weighted used to accept
     assert main(argv) == EXIT_INPUT
     assert capsys.readouterr().err == f"input error: {error}\n"
     code, report = run_json(capsys, *argv)
@@ -1434,8 +1440,9 @@ _SCALARS = st.one_of(
 )
 # lists of only ints or only strings and an int list with a bool in it, whose
 # items the writer writes by the rule of a dict value (a bool is not an exact
-# int); and the one shape it takes a shorter path on, with its near misses:
-# {"num", "den"} dicts with ints, bools or strings and now and then an extra key
+# int), each also as a tuple, which json.dumps writes as a list; and the one
+# shape it takes a shorter path on, with its near misses: {"num", "den"}
+# dicts with ints, bools or strings and now and then an extra key
 _INTEGERS = st.one_of(st.integers(), st.integers(-(10**80), 10**80))
 _INT_LISTS = st.lists(_INTEGERS, min_size=1, max_size=6)
 _FLAT_LISTS = st.one_of(
@@ -1448,8 +1455,12 @@ _RATIONALS = st.fixed_dictionaries(
     optional={"sign": _SCALARS, "nu": _SCALARS, "numer": _INTEGERS},
 )
 _TREES = st.recursive(
-    _SCALARS | _FLAT_LISTS | _RATIONALS,
-    lambda children: st.lists(children, max_size=4) | st.dictionaries(_TEXT, children, max_size=4),
+    _SCALARS | _FLAT_LISTS | _FLAT_LISTS.map(tuple) | _RATIONALS,
+    lambda children: (
+        st.lists(children, max_size=4)
+        | st.lists(children, max_size=4).map(tuple)
+        | st.dictionaries(_TEXT, children, max_size=4)
+    ),
     max_leaves=30,
 )
 
@@ -1472,16 +1483,21 @@ def test_json_writer_gives_the_stdlib_bytes(tree, keys):
 @pytest.mark.parametrize(
     "value",
     [
-        1.5, Fraction(3, 2), {"c": {"num": 0.5, "den": 1}}, [[Fraction(1)]], (1, 2), {1: 2},
+        1.5, Fraction(3, 2), {"c": {"num": 0.5, "den": 1}}, [[Fraction(1)]],
+        rs.FactorizationWitness("u0^3", ("u1", "u2")), {1: 2},
         {"num": 1, "den": 2.0}, [1, 2, 3.0], ["a", 1.0], {"a": "b", "c": 1.0},
     ],
     ids=[
-        "float", "fraction", "nested_float", "nested_fraction", "tuple", "int_key",
+        "float", "fraction", "nested_float", "nested_fraction", "record", "int_key",
         "float_denominator", "float_in_int_list", "float_in_str_list", "float_beside_str",
     ],
 )
 def test_json_writer_rejects_what_no_report_holds(value):
     # reports are exact, so a float or a Fraction in one is a bug, not a value;
-    # tuples and non-string keys never occur either, so nothing needs their conversion
+    # non-string keys never occur either, so nothing needs their conversion.  A
+    # tuple is written as json.dumps writes it, but a library record, a tuple
+    # subclass, is refused though each of its fields could be written (here a
+    # factorization witness: a string and a tuple of strings), so that a record
+    # reaches a report only through its _asdict()
     with pytest.raises(TypeError):
         cli._json_text(value)

@@ -9,8 +9,9 @@ with it instead of lost.  Each check first passes on the library as it is,
 then must fail under the mutant.
 
 The table covers every route and certificate: the simplex, its closed-form
-start and the Newton certificate, the blow-up chain, its chart checks and
-its closed-form ledger, the candidate formula, its degree-1 shift and its
+start and the Newton certificate, the blow-up chain, its chart checks, its
+closed-form ledger and its ratios, the candidate formula, its values against
+the Newton route on the Fermat pivot chart, its degree-1 shift and its
 degree-sum check, both ``verify`` certificates, the weighted order, the
 probe's one-row test and its rank, the resolve report's cross-check
 against the formula, and the two writers of a report, the JSON writer and
@@ -44,6 +45,7 @@ from minexp.exponent import DegreeProfile, WeightedProfile, weighted_upper_bound
 from minexp.newton import DiagonalResult
 from minexp.poly import PolyParseError, parse_poly
 from minexp.resolution import ChainCertificate, ResolutionError, ValuationCertificate
+from test_acceptance import _pivot_chart_routes
 from test_cli import _resolve_with_the_bound_off_by_one
 from test_newton import _certificate, _cone_support, _random_points
 from test_poly import PREFIX_CASES, _forms
@@ -210,6 +212,18 @@ def degree_one_formula_matches_the_weighted_route() -> bool:
     return True
 
 
+def pivot_charts_give_the_exponent() -> bool:
+    """On every profile, 1/c of the Newton polyhedron of the Fermat pivot
+    chart and that chart's weighted bound equal the candidate minimum, as
+    in ``test_c03_three_route_agreement``.  Each profile is built afresh, so
+    that its table is the one of the ``exponent_candidates`` in place."""
+    for n, degrees in _PROFILES:
+        profile = DegreeProfile(n, degrees)
+        if _pivot_chart_routes(profile) != (profile.table.minimum,) * 2:
+            return False
+    return True
+
+
 def cone_formula_passes_its_degree_sum_check() -> bool:
     """``cone_formula`` raises no ``AssertionError`` on (4; 2, 2), where the
     degree sum equals n and the exponent equals r: the singularities are log
@@ -313,9 +327,11 @@ def resolve_fails_a_ledger_bound_off_the_formula() -> bool:
 
 # --- the two writers ---------------------------------------------------------------------
 
-# lists of only ints, of only strings, of ints with a bool, and a rational beside its near misses
+# lists and tuples of only ints, of only strings, of ints with a bool, nested
+# ones, and a rational beside its near misses
 _JSON_CORPUS = [
     [1, 2, 3], ["a", "b"], [1, True, 2], [False], [None, "x", 0, -7],
+    (1, 2, 3), ("a",), (1, True), (), ((1, 2), [("x", False)], {"t": (None, ())}),
     {"a": [True, [1, 2], {"b": False}], "c": 10**30}, {"num": 1, "den": 2}, {"num": True, "den": 2},
     [{"num": -3, "den": 4}, [], {}, ["é"]],
 ]
@@ -323,7 +339,7 @@ _JSON_CORPUS = [
 
 def json_writer_matches_the_stdlib() -> bool:
     """``_json_text`` writes what ``json.dumps(indent=2, sort_keys=True)``
-    writes, a bool in a list of ints included."""
+    writes, a bool in a list or a tuple of ints included."""
     return all(cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True) for value in _JSON_CORPUS)
 
 
@@ -422,6 +438,12 @@ MUTANTS = {
         "_ideal_text(texts), texts[p]))",
         resolution_matches_the_chart_oracle,
     ),
+    "ledger_ratio_drops_the_one": Mutant(
+        resolution, "simulate_resolution",
+        "Fraction(k + 1, a)",
+        "Fraction(k, a)",
+        resolution_matches_the_chart_oracle,
+    ),
     "side_chain_end_bound_lowered_by_one": Mutant(
         resolution, "_side_chain",
         "g[0] < power",
@@ -451,6 +473,12 @@ MUTANTS = {
         "if pivot is None and prefix > total:",
         "if pivot is None and prefix >= total:",
         candidates_match_the_fraction_oracle,
+    ),
+    "candidates_subtract_the_previous_prefix": Mutant(
+        exponent, "exponent_candidates",
+        "Fraction(i * m + total - prefix, m)",
+        "Fraction(i * m + total - (prefix - m), m)",
+        pivot_charts_give_the_exponent,
     ),
     "cone_formula_drops_the_degree_one_shift": Mutant(
         exponent, "cone_formula",

@@ -142,10 +142,30 @@ def test_parse_checks_the_variable_list_after_the_text():
         parse_poly("x1^2", ["x1", "", "x2"])
 
 
-@pytest.mark.parametrize("names", [["x1", ""], ["x1", " "], ["\t", "x1"]])
-def test_poly_rejects_an_empty_or_blank_variable_name(names):
-    with pytest.raises(ValueError, match=r"has an empty or blank name$"):
+# each name must be one NAME token, so that the printer's text parses back:
+# ("2x", "y") printed "y^3 + 2x^2", which the parser refuses, (1, 2) printed
+# "2*2^3 + 1^2", and a None name built a Poly whose str() raised TypeError
+_BAD_NAMES = [
+    (["x1", ""], "variable 2 of ('x1', '') has an empty or blank name"),
+    (["x1", " "], "variable 2 of ('x1', ' ') has an empty or blank name"),
+    (["\t", "x1"], "variable 1 of ('\\t', 'x1') has an empty or blank name"),
+    ([1, "x1"], "variable 1 of (1, 'x1') is not a name: 1"),
+    (["x1", None], "variable 2 of ('x1', None) is not a name: None"),
+    (["2x", "y"], "variable 1 of ('2x', 'y') is not a name: '2x'"),
+    (["x y", "y"], "variable 1 of ('x y', 'y') is not a name: 'x y'"),
+]
+
+
+@pytest.mark.parametrize(
+    "names, error", [pytest.param(names, error, id=f"names{i}") for i, (names, error) in enumerate(_BAD_NAMES)]
+)
+def test_poly_rejects_an_empty_or_blank_variable_name(names, error):
+    with pytest.raises(ValueError) as err:
         Poly(names, {(1, 0): 1})
+    assert str(err.value) == error
+    with pytest.raises(ValueError) as err:
+        parse_poly("1", names)
+    assert str(err.value) == error
 
 
 @pytest.mark.parametrize("text", ["x1 - x1 + x2 + x1 + x2^2 - x2^2", "0*x2^2 + x1 + 0 + x2"])
