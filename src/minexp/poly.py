@@ -388,8 +388,8 @@ def _eval_power_terms(terms, point: tuple[int, ...], q: int) -> int:
 
 def _split_last(terms: list[tuple[int, tuple[int, ...]]], q: int, tables: dict[int, list[int]]):
     """Terms from :func:`_mod_terms` of f = sum over e of g_e * x_n^e, as one
-    (table, g_e) pair per exponent e of the last variable: table[x] = x^e
-    mod q, and g_e as power terms (see :func:`_power_terms`) in the other
+    (e, table, g_e) triple per exponent e of the last variable: table[x] =
+    x^e mod q, and g_e as power terms (see :func:`_power_terms`) in the other
     variables, read from the point's prefix."""
     groups: dict[int, list] = {}
     for c, u in terms:
@@ -398,49 +398,81 @@ def _split_last(terms: list[tuple[int, tuple[int, ...]]], q: int, tables: dict[i
     for e, group in groups.items():
         if e not in tables:
             tables[e] = [pow(x, e, q) for x in range(q)]
-        out.append((tables[e], _power_terms(group, q, tables)))
+        out.append((e, tables[e], _power_terms(group, q, tables)))
     return out
 
 
-def _zeros(parts, prefix: tuple[int, ...], q: int, memo: dict) -> list[int]:
-    """The last coordinates t, ascending, where the form split by
-    :func:`_split_last` vanishes at prefix + (t,).  Each g_e is evaluated
-    once; the zeros depend only on the values of the g_e, so ``memo`` keeps
+def _zeros(parts, prefix: tuple[int, ...], q: int, memo: dict) -> tuple[list[int], list[int]]:
+    """The roots and the multiple roots, each ascending, of phi(t) = f(prefix,
+    t) mod q, for the form split by :func:`_split_last`.  A root t is
+    multiple where phi'(t) = sum over e of e * g_e(prefix) * t^(e - 1), the
+    last partial of f at prefix + (t,), is 0 mod q.  Each g_e is evaluated
+    once; the roots depend only on the values of the g_e, so ``memo`` keeps
     them by those values, and only a new tuple of values builds the form's q
     values from the tables."""
-    key = tuple([_eval_power_terms(terms, prefix, q) for _, terms in parts])
+    key = tuple([_eval_power_terms(terms, prefix, q) for _, _, terms in parts])
     zeros = memo.get(key)
     if zeros is None:
         values = [0] * q
-        for c, (table, _) in zip(key, parts):
+        for c, (_, table, _) in zip(key, parts):
             if c:
                 values = [v + c * x for v, x in zip(values, table)]
-        zeros = memo[key] = [t for t, v in enumerate(values) if not v % q]
+        roots = [t for t, v in enumerate(values) if not v % q]
+        slopes = [(c, e) for c, (e, *_) in zip(key, parts) if c and e]
+        multiple = [t for t in roots if not sum(e * c * pow(t, e - 1, q) for c, e in slopes) % q]
+        zeros = memo[key] = roots, multiple
     return zeros
 
 
-def _vanishing_points(split: list, q: int, n: int):
-    """(point, indices of the inputs that vanish there) for each line
-    representative of F_q^n where some input vanishes, in lexicographic
-    order; ``split`` holds each input as :func:`_split_last` gives it.
+def _needs_gradient(zeros: list) -> list[tuple[int, list[int]]]:
+    """(t, indices of the inputs that vanish there), t ascending, for each
+    last coordinate where two or more inputs vanish, or one vanishes at a
+    multiple root; ``zeros`` holds each input's roots and multiple roots
+    from :func:`_zeros`.  Where one input vanishes at a simple root, its
+    last partial is nonzero, so its gradient row is independent."""
+    out = []
+    for t in sorted(set().union(*(roots for roots, _ in zeros))):
+        vanishing = [i for i, (roots, _) in enumerate(zeros) if t in roots]
+        if len(vanishing) > 1 or t in zeros[vanishing[0]][1]:
+            out.append((t, vanishing))
+    return out
+
+
+def _line_prefixes(q: int, n: int):
+    """The first n - 1 coordinates of each line representative of F_q^n
+    other than (0, ..., 0, 1), in lexicographic order.
 
     A line representative is the point of its line whose first nonzero
     coordinate is 1.  (0, ..., 0, 1) is a line of its own; every other one
     is a prefix of n - 1 coordinates that is itself a line representative,
-    followed by any last coordinate t.  Each prefix evaluates every input
-    once for all q values of t."""
-    memos = [{} for _ in split]
-    last = (0,) * (n - 1) + (1,)
-    vanishing = [i for i, parts in enumerate(split) if 1 in _zeros(parts, last[:-1], q, memos[i])]
-    if vanishing:
-        yield last, vanishing
+    followed by any last coordinate t."""
     for k in range(n - 2, -1, -1):  # k zeros before the leading 1 of the prefix
         head = (0,) * k + (1,)
         for tail in itertools.product(range(q), repeat=n - k - 2):
-            prefix = head + tail
-            zeros = [_zeros(parts, prefix, q, memo) for parts, memo in zip(split, memos)]
-            for t in zeros[0] if len(zeros) == 1 else sorted(set().union(*zeros)):
-                yield prefix + (t,), [i for i, z in enumerate(zeros) if t in z]
+            yield head + tail
+
+
+def _vanishing_points(split: list, q: int, n: int):
+    """(point, indices of the inputs that vanish there) for each line
+    representative of F_q^n whose gradient rank needs checking (see
+    :func:`_needs_gradient`), in lexicographic order; ``split`` holds each
+    input as :func:`_split_last` gives it.  Each prefix (see
+    :func:`_line_prefixes`) evaluates every input once for all q values of
+    the last coordinate."""
+    memos = [{} for _ in split]
+    zero = (0,) * (n - 1)
+    for t, vanishing in _needs_gradient([_zeros(parts, zero, q, memo) for parts, memo in zip(split, memos)]):
+        if t == 1:
+            yield zero + (1,), vanishing
+    if len(split) == 1:  # one input: only its multiple roots need a gradient
+        (parts,), (memo,) = split, memos
+        for prefix in _line_prefixes(q, n):
+            for t in _zeros(parts, prefix, q, memo)[1]:
+                yield prefix + (t,), [0]
+        return
+    for prefix in _line_prefixes(q, n):
+        for t, vanishing in _needs_gradient([_zeros(parts, prefix, q, memo) for parts, memo in zip(split, memos)]):
+            yield prefix + (t,), vanishing
 
 
 def _rank(rows: list[list], inverse, reduce) -> int:
@@ -495,11 +527,14 @@ def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = PROBE
     g_e(x_1..x_{n-1}) * x_n^e, and at each prefix (the first n - 1
     coordinates, themselves a line representative) every g_e is evaluated
     once.  The q values of f over the last coordinate then come from the
-    shared x^e mod q tables, and the gradient rank is checked at each last
-    coordinate where some input vanishes, in ascending order (where one
-    input vanishes, its gradient is evaluated up to its first nonzero
-    entry).  The point (0, ..., 0, 1) is a line of its own and is checked
-    alone.
+    shared x^e mod q tables.  At a last coordinate t where exactly one input
+    vanishes, its last partial is phi'(t) for phi(t) = f(prefix, t) mod q,
+    so at a simple root of phi the gradient row is nonzero and the point is
+    transverse.  The gradient rank is checked, in ascending order of t,
+    only where two or more inputs vanish or one vanishes at a multiple root
+    (where one input vanishes, its gradient is evaluated up to its first
+    nonzero entry).  The point (0, ..., 0, 1) is a line of its own and is
+    checked alone.
 
     ``points_checked`` counts the points of F_q^n the scan decided: all
     q^n - 1 nonzero points on a PASS, and on a FAIL the nonzero points up to

@@ -13,9 +13,9 @@ start and the Newton certificate, the blow-up chain, its chart checks, its
 closed-form ledger and its ratios, the candidate formula, its values against
 the Newton route on the Fermat pivot chart, its degree-1 shift and its
 degree-sum check, both ``verify`` certificates, the weighted order, the
-probe's one-row test and its rank, the resolve report's cross-check
-against the formula, and the two writers of a report, the JSON writer and
-the monomial writer.
+probe's multiple-root test, its one-row test and its rank, the resolve
+report's cross-check against the formula, and the two writers of a report,
+the JSON writer and the monomial writer.
 A simplex mutant that cycles needs no pivot cap:
 the solver raises on a revisited basis (see ``newton._iterate``).
 """
@@ -100,19 +100,27 @@ def verify_rejects_dual_summing_above_one() -> bool:
 # --- the blow-up chain, the formula and the certificates ------------------------------
 
 # every profile with n <= 6, r <= 3 and degrees 2..5: one, two and three
-# levels, r = n (log resolution) and r < n, both verify branches, and ties
+# levels, r = n (log resolution) and r < n, both verify branches, and ties.
+# The table keeps (n, degrees) pairs, not profiles: a profile caches its
+# candidate table, and one cached before an ``exponent_candidates`` mutant is
+# installed would hide it, depending on the order of the tests.
 _PROFILES = [
-    DegreeProfile(n, degrees)
+    (n, degrees)
     for n in range(1, 7)
     for r in range(1, min(3, n) + 1)
     for degrees in itertools.combinations_with_replacement(range(2, 6), r)
 ]
 
 
+def _profiles():
+    """A fresh profile for each pair of ``_PROFILES``."""
+    return [DegreeProfile(n, degrees) for n, degrees in _PROFILES]
+
+
 def resolution_passes_its_own_checks() -> bool:
     """``simulate_resolution`` raises no ``ResolutionError``: among its checks,
     the ledger's rows equal their closed form."""
-    for profile in _PROFILES:
+    for profile in _profiles():
         try:
             resolution.simulate_resolution(profile)
         except ResolutionError:
@@ -122,7 +130,7 @@ def resolution_passes_its_own_checks() -> bool:
 
 def resolution_matches_the_chart_oracle() -> bool:
     """The report equals the chart oracle's, and its lower bound the formula's."""
-    for profile in _PROFILES:
+    for profile in _profiles():
         try:
             report = resolution.simulate_resolution(profile)
         except ResolutionError:
@@ -158,7 +166,7 @@ def certificates_verify() -> bool:
     """Both ``verify`` certificates verify on every profile."""
     return all(
         resolution.valuation_certificate(profile).verify() and resolution.chain_certificate(profile).verify()
-        for profile in _PROFILES
+        for profile in _profiles()
     )
 
 
@@ -171,7 +179,7 @@ def valuation_verify_rejects_weights_summing_below_one() -> bool:
 def chain_verify_rejects_every_flipped_sign() -> bool:
     """One flipped sign fails the chain certificate of every profile, as in
     ``test_certificates_on_the_c3_grid``."""
-    for profile in _PROFILES:
+    for profile in _profiles():
         certificate = resolution.chain_certificate(profile)
         for k, sign in enumerate(certificate.signs):
             signs = certificate.signs[:k] + (-sign or 1,) + certificate.signs[k + 1 :]
@@ -215,10 +223,8 @@ def degree_one_formula_matches_the_weighted_route() -> bool:
 def pivot_charts_give_the_exponent() -> bool:
     """On every profile, 1/c of the Newton polyhedron of the Fermat pivot
     chart and that chart's weighted bound equal the candidate minimum, as
-    in ``test_c03_three_route_agreement``.  Each profile is built afresh, so
-    that its table is the one of the ``exponent_candidates`` in place."""
-    for n, degrees in _PROFILES:
-        profile = DegreeProfile(n, degrees)
+    in ``test_c03_three_route_agreement``."""
+    for profile in _profiles():
         if _pivot_chart_routes(profile) != (profile.table.minimum,) * 2:
             return False
     return True
@@ -260,7 +266,7 @@ def weighted_order_matches_fractions() -> bool:
 def probe_matches_the_line_scan() -> bool:
     """The probe's report equals the line-scan oracle's on the prefix cases
     of ``test_poly``; the oracle ranks every gradient by a full Gauss-Jordan
-    pass."""
+    pass, at every point where an input vanishes."""
     for texts, names, q, *_ in PREFIX_CASES:
         fs = _forms(texts, names)
         try:
@@ -498,6 +504,18 @@ MUTANTS = {
         "for u in f.terms))",
         weighted_order_matches_fractions,
     ),
+    "every_root_counts_as_simple": Mutant(
+        poly, "_zeros",
+        "zeros = memo[key] = roots, multiple",
+        "zeros = memo[key] = roots, []",
+        probe_matches_the_line_scan,
+    ),
+    "last_partial_drops_its_exponent": Mutant(
+        poly, "_zeros",
+        "e * c * pow(t, e - 1, q)",
+        "c * pow(t, e - 1, q)",
+        probe_matches_the_line_scan,
+    ),
     "independent_row_needs_every_entry": Mutant(
         poly, "_independent",
         "return any(_eval_power_terms(gm, point, q) for gm in grads[vanishing[0]])",
@@ -557,6 +575,15 @@ def test_check_catches_the_mutant(key, monkeypatch):
     mutant = MUTANTS[key]
     _install(monkeypatch, mutant)
     assert not mutant.check(), f"no check catches {key}"
+
+
+def test_a_shifted_candidate_is_caught_by_the_chart_oracle(monkeypatch):
+    # the library pass reads every profile's table first; each check builds
+    # its profiles afresh, so no table cached before the mutant hides it,
+    # and the ledger's bound no longer equals the formula's
+    assert resolution_matches_the_chart_oracle()
+    _install(monkeypatch, MUTANTS["candidates_subtract_the_previous_prefix"])
+    assert not resolution_matches_the_chart_oracle()
 
 
 def test_an_unreduced_rank_is_caught_by_both_of_its_checks(monkeypatch):

@@ -534,6 +534,15 @@ PREFIX_CASES = [
     # gradient rows (1, 4, 0) and (2, 1, 0) at (0, 0, 1): proportional by 2
     # mod 7 but not equal, so their rank needs each difference reduced mod q
     (["x1*x3 + 4*x2*x3", "2*x1*x3 + x2*x3"], ["x1", "x2", "x3"], 7, "FAIL", (0, 0, 1), 1),
+    # a multiple root at a transverse point: x3^2 = x1*x2 has the double
+    # root x3 = 0 on the prefixes (0, 1) and (1, 0), where x1 or x2 has a
+    # nonzero partial
+    (["x1*x2 - x3^2"], ["x1", "x2", "x3"], 5, "PASS", None, 124),
+    # q divides the degree and x3 occurs only as x3^5, so the last partial
+    # is 0 mod 5 and every root is multiple: every point where the form
+    # vanishes has its gradient checked, transverse ones, and one that is not
+    (["x1^4*x2 + x1^3*x2^2 + 2*x1*x2^4 + x3^5"], ["x1", "x2", "x3"], 5, "PASS", None, 124),
+    (["x1^4*x2 + x1*x2^4 + x3^5"], ["x1", "x2", "x3"], 5, "FAIL", (1, 1, 3), 33),
 ]
 
 
@@ -550,7 +559,9 @@ def test_probe_by_prefix_cases(texts, names, q, verdict, point, checked):
 def test_independence_check_matches_gauss_jordan(monkeypatch):
     # with one vanishing input the gradient is evaluated only up to its first
     # nonzero entry; the answer is the full row's Gauss-Jordan rank, on the
-    # prefix cases and on random forms
+    # prefix cases and on random forms.  A point where one input vanishes
+    # with a nonzero last partial (a simple root) is transverse, and the
+    # scan never asks
     independent = poly._independent
     seen = Counter()
 
@@ -559,6 +570,7 @@ def test_independence_check_matches_gauss_jordan(monkeypatch):
         rows = [[_eval_power_terms(gm, point, q) for gm in grads[i]] for i in vanishing]
         rank = rank_by_elimination(rows, lambda x: pow(x, -1, q), lambda x: x % q)
         assert answer == (rank == len(vanishing)), (point, vanishing)
+        assert len(vanishing) > 1 or rows[0][-1] == 0, (point, vanishing)
         seen[len(vanishing) == 1, answer] += 1
         return answer
 

@@ -27,17 +27,14 @@ from _oracles import (
 )
 from minexp import resolution as rs
 from minexp.cli import EXIT_OK, main
-from minexp.exponent import (
-    DegreeProfile,
-    WeightedProfile,
-    weighted_upper_bound,
-)
+from minexp.exponent import DegreeProfile
 from minexp.resolution import (
     LOG_RESOLUTION,
     STRONG_FACTORIZING,
     FactorizationWitness,
     simulate_resolution,
 )
+from test_acceptance import _pivot_chart_routes
 
 F = Fraction
 DATA = Path(__file__).parent / "data"
@@ -628,7 +625,6 @@ def test_c3_wide_route_agreement(profile):
     assert report == simulate_resolution_by_charts(profile)[0]
     assert report.lower_bound == formula
     assert min(F(k + 1, a) for a, k in rs.ledger_rows(profile)) == formula
-    assert weighted_upper_bound(WeightedProfile((1,) * profile.n, profile.degrees)) == formula
     # the divisor with a = d_pivot is among the ledger's minimizers (the minimum may be tied)
     pivot_degree = profile.degrees[profile.table.pivot - 1]
     assert any(row.a == pivot_degree and row.ratio == formula for row in report.ledger)
@@ -636,6 +632,17 @@ def test_c3_wide_route_agreement(profile):
     valuation = rs.valuation_certificate(profile)
     assert valuation.exponent == formula
     assert valuation.verify() and rs.chain_certificate(profile).verify()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(_wide_profiles())
+def test_c3_wide_pivot_chart_routes(profile):
+    # the Newton and weighted routes on the Fermat pivot chart (C3) past its
+    # grid: both give the formula's exponent.  The unit-weight weighted bound
+    # of the profile itself would not count, since it is the candidate
+    # formula again; these routes cost about 24 ms a profile, hence their
+    # own, smaller example budget
+    assert _pivot_chart_routes(profile) == (profile.table.minimum,) * 2
 
 
 # --- the valuation inequality ---------------------------------------------------
