@@ -591,12 +591,9 @@ def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = PROBE
                 reason=f"a coefficient denominator is divisible by {q}",
             )
         split.append(_split_last(tm, q, tables))
-        grad = []
-        for name in xs:
-            gm = _mod_terms(f.derivative(name), q)
-            assert gm is not None  # same denominators as f
-            grad.append(_power_terms(gm, q, tables))
-        grads_mod.append(grad)
+        # each partial mod q straight from the terms mod q: c*u_i x^(u - e_i) where nonzero
+        rows = [[(c * u[i] % q, u[:i] + (u[i] - 1,) + u[i + 1 :]) for c, u in tm if c * u[i] % q] for i in range(n)]
+        grads_mod.append([_power_terms(row, q, tables) for row in rows])
 
     for point, vanishing in _vanishing_points(split, q, n):
         if _independent(grads_mod, vanishing, point, q):

@@ -30,8 +30,8 @@ one :func:`_blowup`, which returns the new divisor's (a, k) and the
 generators of every pivot chart.  Each generator of each chart is rendered
 once, by ``minexp.poly._render``, the one writer of the monomial grammar
 that ``minexp.poly.parse_poly`` reads, and every text of a report is read
-from those renderings: the ledger, the vj checks, the side chains and the
-factorization witness.  Each exceptional divisor has one record, its
+from those renderings: the ledger, the vj checks, the side-chain ends and
+the factorization witness.  Each exceptional divisor has one record, its
 :class:`LedgerRow`: the blow-up that made it, its (a, k), its ratio
 (k + 1)/a and the ideal of the chart the main chain follows.  The ratios are
 built only after the (a, k) rows equal their closed form, so a = 0 is a
@@ -39,10 +39,11 @@ chain fault, never a division by zero.  The checks stay those of the argument:
 every chart off the main chain, of pivot p, is generated by z_p's own
 strict transform on z0 and z_p (:func:`_check_principal`), and that
 generator divides the matching side-chain chart
-(:func:`simulate_resolution`); every side chain ends in z0^{e_l}
-(:func:`_side_chain`); the ledger's (a, k) rows equal their closed form
-(:func:`ledger_rows`); and the terminal chart factors as a power of z0
-times r distinct strict coordinates (:func:`_factorization_witness`).
+(:func:`simulate_resolution`); every side chain ends in z0^{e_l}, checked
+on the main chart at the end of its level (:func:`_side_chain_end`); the
+ledger's (a, k) rows equal their closed form (:func:`ledger_rows`); and the
+terminal chart factors as a power of z0 times r distinct strict coordinates
+(:func:`_factorization_witness`).
 
 The module also decides the two lemmas behind the lower bound, each on the
 whole cone and in O(r), by a certificate that re-checks itself in integers:
@@ -136,10 +137,10 @@ class VjCheck(NamedTuple):
 
 class Case3Report(NamedTuple):
     """A side chart where only the first q strict transforms survive; its
-    chain must terminate in a purely exceptional principal ideal."""
+    chain must terminate in a purely exceptional principal ideal, the text
+    ``principal``."""
 
     level: int
-    steps: tuple[str, ...]
     principal: str
 
 
@@ -193,18 +194,22 @@ def _check_principal(pivot: int, ideal: Sequence[tuple[int, ...]], texts: Sequen
         raise ResolutionError(f"ideal {_ideal_text(texts)} is not principal")
 
 
-def _side_chain(chain: Sequence[tuple], level: int, q: int, power: int) -> Case3Report:
-    """The side chain at ``level``, read off ``chain``, the main chain's
-    followed charts through that level as (names, generators, rendered
-    generators); ``q`` and ``power`` are the level's in :func:`_levels`.
+def _side_chain_end(
+    names: Sequence[str], ideal: Sequence[tuple[int, ...]], texts: Sequence[str], level: int, q: int, power: int
+) -> Case3Report:
+    """The side chain at ``level``, checked at its end: ``names``,
+    ``ideal`` and ``texts`` are the coordinate names, generators and
+    rendered generators of the main chain's followed chart after the
+    level's last blow-up; ``q`` and ``power`` are the level's in
+    :func:`_levels`.
 
-    It starts from z1..zq, the strict transforms of the lower levels, and
-    z0^power, and runs the main chain's blow-ups of levels 1..``level``.
-    Every chart map is monomial and acts on each generator alone, and these
-    centres use only z0..zq, so the main chain carries the first q
-    generators along; the z0 chart keeps z0^power, its total over the
-    centre.  So step t is main chart t cut to its first q+1 coordinates and
-    first q generators, followed by z0^power.  Main generator j <= q is
+    The side chain starts from z1..zq, the strict transforms of the lower
+    levels, and z0^power, and runs the main chain's blow-ups of levels
+    1..``level``.  Every chart map is monomial and acts on each generator
+    alone, and these centres use only z0..zq, so the main chain carries the
+    first q generators along; the z0 chart keeps z0^power, its total over
+    the centre.  So step t is main chart t cut to its first q+1 coordinates
+    and first q generators, followed by z0^power.  Main generator j <= q is
     z0^x z_j in every chart (:func:`_start_chart` gives z0^{d_j} z_j, and
     :func:`_blowup`'s z0 chart changes only the exponent of z0), so the cut
     never drops a coordinate and keeps the main chart's text.
@@ -213,18 +218,13 @@ def _side_chain(chain: Sequence[tuple], level: int, q: int, power: int) -> Case3
     which it is exactly when power is at most the z0 exponent of every cut
     generator.
     """
-    pure = (power,) + (0,) * q
-    steps = []
-    for names, ideal, texts in chain:
-        cut = texts[:q] + _render(names[: q + 1], [pure])
-        steps.append(_ideal_text(cut))
-    for g, text in zip(ideal[:q], cut):
+    for g, text in zip(ideal[:q], texts):
         if g[0] < power:
             raise ResolutionError(
                 f"side chain at level {level} ended in {text}, "
                 f"expected the exceptional coordinate to the power {power}"
             )
-    return Case3Report(level=level, steps=tuple(steps), principal=cut[-1])
+    return Case3Report(level=level, principal=_render(names[:1], [(power,)])[0])
 
 
 def _factorization_witness(
@@ -289,14 +289,11 @@ def _check_resolution_budget(profile: DegreeProfile) -> None:
 
     The main chain holds the first chart and, per blow-up, one chart per
     centre coordinate (q + 1 of them, see :func:`_levels`), each r + 1
-    coordinates by r generators; the side chain of level l has
-    1 + e_l - e_0 steps of q + 1 coordinates by as many generators.  The
-    count takes O(r) steps, whatever the degrees."""
-    schedule = _levels(profile)[1]
-    r, low = profile.r, profile.degrees[0]
-    main = 1 + sum(count * (q + 1) for q, _, count in schedule)
-    side = sum((1 + power - low) * ((q + 1) ** 2 + _CHART_UPKEEP) for q, power, _ in schedule)
-    work = main * (r * (r + 1) + _CHART_UPKEEP) + side
+    coordinates by r generators.  The count takes O(r) steps, whatever the
+    degrees."""
+    r = profile.r
+    main = 1 + sum(count * (q + 1) for q, _, count in _levels(profile)[1])
+    work = main * (r * (r + 1) + _CHART_UPKEEP)
     if work > RESOLVE_BUDGET:
         raise ValueError(f"resolution exceeds the work budget of {RESOLVE_BUDGET} chart entries")
 
@@ -313,10 +310,12 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
 
     The main chain runs on generator tuples from :func:`_start_chart`, one
     :func:`_blowup` per blow-up (see :func:`_levels`), and follows the z0
-    chart, kept as (names, generators, rendered generators) for
-    :func:`_side_chain` and the factorization witness.  Each chart of pivot
+    chart as (names, generators, rendered generators).  Each chart of pivot
     p >= 1 must be generated by z_p's own strict transform, generator
     p - 1, on z0 and z_p (:func:`_check_principal`): a :class:`VjCheck`.
+    The followed chart after the last blow-up of each level of the schedule
+    is held, one per level, for :func:`_side_chain_end`, which runs after
+    the ledger comparison and the factorization witness.
 
     The same chart of the side chain of a level m >= l holds this chart's
     first cum[m-1] generators, cut to z0..z_{cum[m-1]}, and
@@ -334,7 +333,7 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     width = profile.r + 1
     names = _names(0, width)
     texts = _render(names, ideal)
-    chain = [(names, ideal, texts)]
+    ends = {}  # level -> its end chart
     divisors = [("origin", "E1", profile.degrees[0], k, _ideal_text(texts))]
     vj_checks: list[VjCheck] = []
     blowups = ((level, q, power) for level, (q, power, count) in enumerate(schedule, 1) for _ in range(count))
@@ -350,7 +349,7 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
             vj_checks.append(VjCheck(divisor, center[p], _ideal_text(texts), texts[p - 1]))
         ideal = charts[0]
         texts = _render(names, ideal)
-        chain.append((names, ideal, texts))
+        ends[level] = names, ideal, texts
         divisors.append((center, divisor, a, k, _ideal_text(texts)))
 
     # one divisor, and so one blow-up, per degree step.  Checked before any
@@ -361,8 +360,7 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     rows = [LedgerRow(center, divisor, a, k, Fraction(k + 1, a), text) for center, divisor, a, k, text in divisors]
 
     witness = _factorization_witness(names, ideal, profile.r) if mode == STRONG_FACTORIZING else None
-    low = profile.degrees[0]  # the side chain of level l runs through chart e_l - e_0 of the main chain
-    case3 = tuple(_side_chain(chain[: 1 + e - low], level, q, e) for level, (q, e, _) in enumerate(schedule, 1))
+    case3 = tuple(_side_chain_end(*ends[level], level, q, e) for level, (q, e, _) in enumerate(schedule, 1))
 
     return ResolutionReport(
         mode=mode,

@@ -34,7 +34,8 @@ candidate from integers over a common denominator.  The chart oracle is the
 resolution the library ran before its chain ran on generator tuples:
 ``blowup_chart`` makes every chart a ``ChartState`` of fresh
 ``Coordinate`` objects, each ideal is rendered from its chart, and each
-side chain is rendered again from the cut charts.  The chart classes
+side chain's end is cut from the kept chain and checked by the general
+principal-generator test.  The chart classes
 ``Coordinate`` and ``ChartState``, with their checks (``_check_chart``) and
 the roles ``EXCEPTIONAL``, ``STRICT`` and ``PLAIN``, live here, since the
 library runs on generator tuples alone, with z0 its one exceptional
@@ -842,11 +843,6 @@ def _check_chart(coords: tuple[Coordinate, ...], ideal: tuple[tuple[int, ...], .
             raise ValueError("a generator is the unit monomial; not a proper ideal")
 
 
-
-def _render_monomial(names: Sequence[str], g: Sequence[int]) -> str:
-    return "*".join([name if e == 1 else f"{name}^{e}" for name, e in zip(names, g) if e > 0]) or "1"
-
-
 def _derived(coords, ideal, depth, born_pivot, born_pivot_index) -> ChartState:
     """A chart of :func:`blowup_chart`, which runs the chart checks once per blow-up."""
     chart = object.__new__(ChartState)
@@ -977,24 +973,20 @@ def _side_chain(chain: Sequence[ChartState], e: Sequence[int], cum: Sequence[int
     the main chain carries the first q generators along; the z0 chart keeps
     z0^power, its total over the centre.  So step t is main chart t cut to
     its first q+1 coordinates and first q generators, followed by z0^power.
-    :func:`_climb` checks the other charts; the last chart must be
-    generated by z0^power.
+    :func:`_climb` checks the other charts; the last chart, cut from main
+    chart power - e_0, must be generated by z0^power.
     """
     q, power = cum[level - 1], e[level]
     pure = (power,) + (0,) * q
-    steps = []
-    for chart in chain[: 1 + power - e[0]]:
-        names = chart.names()[: q + 1]
-        gens = [g[: q + 1] for g in chart.ideal[:q]] + [pure]
-        steps.append("(" + ", ".join([_render_monomial(names, g) for g in gens]) + ")")
-    last = ChartState(chart.coords[: q + 1], gens)
+    chart = chain[power - e[0]]
+    last = ChartState(chart.coords[: q + 1], [g[: q + 1] for g in chart.ideal[:q]] + [pure])
     gmin = _principal_exceptional_generator(last)
     if gmin != pure:
         raise ResolutionError(
             f"side chain at level {level} ended in {last.render_monomial(gmin)}, "
             f"expected the exceptional coordinate to the power {power}"
         )
-    return Case3Report(level=level, steps=tuple(steps), principal=last.render_monomial(gmin))
+    return Case3Report(level=level, principal=last.render_monomial(gmin))
 
 def _factorization_witness(state: ChartState, profile: DegreeProfile) -> FactorizationWitness:
     gens = state.ideal

@@ -227,7 +227,11 @@ def test_reports_match_golden_bytes(capsys, tmp_path, name):
     # entry; in --json each ledger record is the old trace record without
     # "pivot", plus the old ledger record's ratio, "trace" is gone and every
     # other key is unchanged, and in text each divisor's blow-up line and
-    # ledger line are one line.
+    # ledger line are one line.  Once each side chain was checked at its end
+    # only, every resolve --json entry with a side chain was re-recorded: the
+    # four of the resolve file, the cli entry of (4; 2,3,4) and the cli batch
+    # --json entry, each "case3" record without its "steps"; no other byte
+    # changed.
     golden = json.loads((Path(__file__).parent / "data" / name).read_text())
     manifest = tmp_path / "manifest.json"
     for case in golden:

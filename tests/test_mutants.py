@@ -151,15 +151,26 @@ def principal_check_rejects_a_chart_short_at_the_pivot() -> bool:
     return False
 
 
-def side_chain_rejects_an_end_below_its_power() -> bool:
-    """A side chain of power 3 whose last chart holds z0^2 does not end in z0^3."""
+def _side_chain_end_rejects(ideal) -> bool:
+    """Whether the end check of a level-1 side chain of q = 2 and power 3
+    rejects the end chart of generators ``ideal`` over z0, z1, z2."""
     names = ["z0", "z1", "z2"]
-    chain = [(names, [(2, 1, 0), (2, 0, 1)], ["z0^2*z1", "z0^2*z2"]), (names, [(2, 0, 0)], ["z0^2"])]
     try:
-        resolution._side_chain(chain, 1, 1, 3)
+        resolution._side_chain_end(names, ideal, poly._render(names, ideal), 1, 2, 3)
     except ResolutionError:
         return True
     return False
+
+
+def side_chain_rejects_an_end_below_its_power() -> bool:
+    """A side chain of power 3 whose end holds z0^2*z1 does not end in z0^3."""
+    return _side_chain_end_rejects([(2, 1, 0), (3, 0, 1)])
+
+
+def side_chain_rejects_a_short_last_cut_generator() -> bool:
+    """A side chain of power 3 whose q-th cut generator is z0^2*z2 does not
+    end in z0^3, though its first one, z0^3*z1, passes."""
+    return _side_chain_end_rejects([(3, 1, 0), (2, 0, 1)])
 
 
 def certificates_verify() -> bool:
@@ -451,10 +462,16 @@ MUTANTS = {
         resolution_matches_the_chart_oracle,
     ),
     "side_chain_end_bound_lowered_by_one": Mutant(
-        resolution, "_side_chain",
+        resolution, "_side_chain_end",
         "g[0] < power",
         "g[0] < power - 1",
         side_chain_rejects_an_end_below_its_power,
+    ),
+    "side_chain_end_cuts_one_generator_too_few": Mutant(
+        resolution, "_side_chain_end",
+        "ideal[:q]",
+        "ideal[:q - 1]",
+        side_chain_rejects_a_short_last_cut_generator,
     ),
     "valuation_certificate_drops_its_cap": Mutant(
         resolution, "valuation_certificate",

@@ -48,14 +48,11 @@ def _resolve_results(capsys, n, degrees):
 
 def test_grouped_degrees(capsys):
     # the degrees group into levels (value, multiplicity); the side chain of
-    # level l starts with the strict transforms of every degree below e_l
+    # level l ends in the chart after e_l - e_0 blow-ups, in a pure power e_l
     report = simulate_resolution(DegreeProfile(8, (2, 2, 3, 5, 5, 5)))
     assert report.levels == ((2, 2), (3, 1), (5, 3))
     assert _resolve_results(capsys, 8, (2, 2, 3, 5, 5, 5))["levels"] == [[2, 2], [3, 1], [5, 3]]
-    assert [(c.level, c.steps[0]) for c in report.case3] == [
-        (1, "(z0^2*z1, z0^2*z2, z0^3)"),
-        (2, "(z0^2*z1, z0^2*z2, z0^3*z3, z0^5)"),
-    ]
+    assert [(c.level, c.principal) for c in report.case3] == [(1, "u0^3"), (2, "w0^5")]
     assert len(report.ledger) == 5 - 2 + 1
 
 
@@ -338,19 +335,52 @@ def test_vj_generator_has_its_closed_form():
     assert total == 19715
 
 
-def test_side_chain_reads_its_cuts_and_checks_its_end():
-    # main generator j <= q is z0^x*z_j in every chart, so a step reads the
-    # first q texts of the main chart and renders only z0^power
-    names = ["z0", "z1", "z2"]
-    chain = [(names, [(2, 1, 0), (2, 0, 1)], ["z0^2*z1", "z0^2*z2"]), (names, [(3, 1, 0)], ["z0^3*z1"])]
-    report = rs._side_chain(chain, 1, 1, 3)
-    assert report.steps == ("(z0^2*z1, z0^3)", "(z0^3*z1, z0^3)")
-    assert report.principal == "z0^3"
-    # a last chart generated by a lower power of z0 than e_l fails the end check
-    chain[1] = (names, [(2, 0, 0)], ["z0^2"])
-    message = r"^side chain at level 1 ended in z0\^2, expected the exceptional coordinate to the power 3$"
+def test_side_chain_end_checks_its_cut_generators():
+    # the end chart passes when each of its first q generators carries z0 to
+    # at least e_l, whatever the generators past q hold
+    names = ["z0", "z1", "z2", "z3"]
+    ideal = [(3, 1, 0, 0), (4, 0, 1, 0), (1, 0, 0, 1)]
+    texts = ["z0^3*z1", "z0^4*z2", "z0*z3"]
+    assert rs._side_chain_end(names, ideal, texts, 2, 2, 3) == rs.Case3Report(2, "z0^3")
+    # a cut generator with a lower power of z0 than e_l fails the end check,
+    # the q-th one too
+    message = r"^side chain at level 2 ended in z0\^2\*z2, expected the exceptional coordinate to the power 3$"
     with pytest.raises(rs.ResolutionError, match=message):
-        rs._side_chain(chain, 1, 1, 3)
+        rs._side_chain_end(names, [ideal[0], (2, 0, 1, 0), ideal[2]], ["z0^3*z1", "z0^2*z2", texts[2]], 2, 2, 3)
+
+
+def test_side_chain_end_is_checked_after_the_ledger(monkeypatch):
+    # the first blow-up's z0 chart loses one power of z0 in every generator,
+    # so level 1's side chain ends short of z0^{e_1}; with a level after it,
+    # the next divisor's a is short too, and the ledger reports first
+    blowup = rs._blowup
+    depth = []
+
+    def short_first_chart(ideal, k, width):
+        a, k, charts = blowup(ideal, k, width)
+        depth.append(1)
+        if len(depth) == 1:
+            charts[0] = [(g[0] - 1, *g[1:]) for g in charts[0]]
+        return a, k, charts
+
+    monkeypatch.setattr(rs, "_blowup", short_first_chart)
+    message = r"^side chain at level 1 ended in u0\^2\*u1, expected the exceptional coordinate to the power 3$"
+    with pytest.raises(rs.ResolutionError, match=message):
+        simulate_resolution(DegreeProfile(6, (2, 3)))
+    depth.clear()
+    message = r"^ledger rows \[\(2, 7\), \(3, 8\), \(3, 10\), \(4, 12\)\] != closed form"
+    with pytest.raises(rs.ResolutionError, match=message):
+        simulate_resolution(DegreeProfile(8, (2, 3, 5)))
+
+
+def test_side_chain_ends_have_their_closed_form():
+    # on the C3 grid, level l's side chain ends in the chart after e_l - e_0
+    # blow-ups, whose letter names z0's power e_l
+    for profile in _c3_grid():
+        report = simulate_resolution(profile)
+        e = [d for d, _ in report.levels]
+        expected = [rs.Case3Report(m, f"{rs._letter(e[m] - e[0])}0^{e[m]}") for m in range(1, len(e))]
+        assert list(report.case3) == expected, profile
 
 
 def _hand_built_chart(roles, ideal):
@@ -926,7 +956,7 @@ def test_scan_budgets():
 # --- the work budget of a resolution --------------------------------------------
 
 def test_resolution_budget_admits_the_wide_baselines():
-    # the widest profiles measured for resolve; n=200 builds about 5.1e7 of the 1e8
+    # the widest profiles measured for resolve; n=200 builds about 3.4e7 of the 1e8
     for n, low, high in [(60, 2, 39), (120, 2, 60), (200, 2, 90)]:
         rs._check_resolution_budget(DegreeProfile(n, tuple(range(low, high + 1))))
     report = simulate_resolution(DegreeProfile(60, tuple(range(2, 40))))
@@ -934,12 +964,13 @@ def test_resolution_budget_admits_the_wide_baselines():
 
 
 def test_resolution_budget_counts_every_chart():
-    # the main chain of (4; 2, D) has 1 + 2 * (D - 2) charts of 3 x 2 entries and its
-    # one side chain D - 1 steps of 2 x 2; each chart costs 400 more
+    # the main chain of (4; 2, D) has 1 + 2 * (D - 2) charts of 3 x 2 entries;
+    # each chart costs 400 more
     def work(high):
-        return (1 + 2 * (high - 2)) * (6 + 400) + (high - 1) * (4 + 400)
+        return (1 + 2 * (high - 2)) * (6 + 400)
 
-    high = max(h for h in range(80_000, 90_000) if work(h) <= rs.RESOLVE_BUDGET)
+    high = max(h for h in range(120_000, 130_000) if work(h) <= rs.RESOLVE_BUDGET)
+    assert high == 123_154
     rs._check_resolution_budget(DegreeProfile(4, (2, high)))
     with pytest.raises(ValueError, match="^resolution exceeds the work budget of 100000000 chart entries$"):
         rs._check_resolution_budget(DegreeProfile(4, (2, high + 1)))
