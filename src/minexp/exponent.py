@@ -63,12 +63,13 @@ def _is_int(x) -> bool:
 
 
 def _as_fraction(x) -> Fraction:
-    """The exact rational value of x; a float is rejected, never rounded.
-    A Fraction is returned as it is, not copied."""
+    """The exact rational value of x; a float or a bool is rejected, never
+    rounded or read as 0 or 1.  A Fraction is returned as it is, not copied."""
     if type(x) is Fraction:
         return x
-    if isinstance(x, float):
-        raise TypeError(f"floating-point value {x!r} is not accepted; use an int, a Fraction or a string")
+    if isinstance(x, (float, bool)):
+        kind = "bool" if isinstance(x, bool) else "floating-point"
+        raise TypeError(f"{kind} value {x!r} is not accepted; use an int, a Fraction or a string")
     return Fraction(x)
 
 

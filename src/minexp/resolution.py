@@ -27,11 +27,11 @@ The simulation runs on plain generator tuples.  In every chart the main
 chain follows, z0 is the newest exceptional divisor and z1..zr are strict,
 so its state is z0's discrepancy k and the generators.  Each blow-up is
 one :func:`_blowup`, which returns the new divisor's (a, k) and the
-generators of every pivot chart.  Each generator of each chart is rendered
-once, by ``minexp.poly._render``, the one writer of the monomial grammar
-that ``minexp.poly.parse_poly`` reads, and every text of a report is read
-from those renderings: the ledger, the vj checks, the side-chain ends and
-the factorization witness.  Each exceptional divisor has one record, its
+generators of every pivot chart.  ``minexp.poly._render``, the one writer
+of the grammar that ``minexp.poly.parse_poly`` reads, renders each
+followed chart once, for the ledger, the side-chain ends and the witness,
+and of a chart off the main chain only its generator, for its
+:class:`VjCheck`, unless a check of it fails.  Each exceptional divisor has one record, its
 :class:`LedgerRow`: the blow-up that made it, its (a, k), its ratio
 (k + 1)/a and the ideal of the chart the main chain follows.  The ratios are
 built only after the (a, k) rows equal their closed form, so a = 0 is a
@@ -126,12 +126,11 @@ class LedgerRow(NamedTuple):
 
 
 class VjCheck(NamedTuple):
-    """Depth-one expansion of a non-pivot chart: the transformed ideal must
-    be principal with an exceptional-supported generator."""
+    """The chart of ``pivot`` in the blow-up that made ``divisor`` is principal,
+    generated by ``generator``, the pivot's strict transform on z0 and the pivot."""
 
     divisor: str
     pivot: str
-    ideal: str
     generator: str
 
 
@@ -175,9 +174,9 @@ def _start_chart(profile: DegreeProfile):
     return profile.n - 1, ideal
 
 
-def _check_principal(pivot: int, ideal: Sequence[tuple[int, ...]], texts: Sequence[str]) -> None:
-    """Check that the chart of ``pivot`` p >= 1, of generators ``ideal``
-    rendered as ``texts``, is generated by generator p - 1 on z0 and z_p.
+def _check_principal(pivot: int, ideal: Sequence[tuple[int, ...]], names: Sequence[str]) -> None:
+    """Check that the chart of ``pivot`` p >= 1, of coordinate ``names`` and
+    generators ``ideal``, is generated by generator p - 1 on z0 and z_p.
 
     Generator p - 1 is z_p's own strict transform.  Every other generator j
     carries the strict coordinate z_{j+1} (:func:`_start_chart`; each chart
@@ -185,13 +184,13 @@ def _check_principal(pivot: int, ideal: Sequence[tuple[int, ...]], texts: Sequen
     generator p - 1 can generate the ideal.  Supported on z0 and z_p, it
     divides h exactly when h[0] >= g[0] and h[p] >= g[p]: two comparisons
     per generator, O(r).  A generator that divides every generator is the
-    componentwise minimum."""
+    componentwise minimum.  The chart is rendered only in an error text."""
     g = ideal[pivot - 1]
     if any(g[1:pivot]) or any(g[pivot + 1 :]):
-        raise ResolutionError(f"principal generator {texts[pivot - 1]} is not exceptional-supported")
+        raise ResolutionError(f"principal generator {_render(names, [g])[0]} is not exceptional-supported")
     low, high = g[0], g[pivot]
     if any(h[0] < low or h[pivot] < high for h in ideal):
-        raise ResolutionError(f"ideal {_ideal_text(texts)} is not principal")
+        raise ResolutionError(f"ideal {_ideal_text(_render(names, ideal))} is not principal")
 
 
 def _side_chain_end(
@@ -311,11 +310,11 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     The main chain runs on generator tuples from :func:`_start_chart`, one
     :func:`_blowup` per blow-up (see :func:`_levels`), and follows the z0
     chart as (names, generators, rendered generators).  Each chart of pivot
-    p >= 1 must be generated by z_p's own strict transform, generator
-    p - 1, on z0 and z_p (:func:`_check_principal`): a :class:`VjCheck`.
-    The followed chart after the last blow-up of each level of the schedule
-    is held, one per level, for :func:`_side_chain_end`, which runs after
-    the ledger comparison and the factorization witness.
+    p >= 1 is checked by :func:`_check_principal` and reported by its
+    generator, z_p's own strict transform, in a :class:`VjCheck`.  The
+    followed chart after each level's last blow-up is held for
+    :func:`_side_chain_end`, which runs after the ledger comparison and the
+    factorization witness.
 
     The same chart of the side chain of a level m >= l holds this chart's
     first cum[m-1] generators, cut to z0..z_{cum[m-1]}, and
@@ -342,11 +341,11 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
         a, k, charts = _blowup(ideal, k, q + 1)
         names = _names(depth, width)
         for p, chart in enumerate(charts[1:], 1):
-            texts = _render(names, chart)
-            _check_principal(p, chart, texts)
+            _check_principal(p, chart, names)
+            generator = _render(names, [chart[p - 1]])[0]
             if max(chart[p - 1][0], chart[p - 1][p]) > power:
-                raise ResolutionError(f"level {level}: {texts[p - 1]} does not divide the {center[p]} side chart")
-            vj_checks.append(VjCheck(divisor, center[p], _ideal_text(texts), texts[p - 1]))
+                raise ResolutionError(f"level {level}: {generator} does not divide the {center[p]} side chart")
+            vj_checks.append(VjCheck(divisor, center[p], generator))
         ideal = charts[0]
         texts = _render(names, ideal)
         ends[level] = names, ideal, texts

@@ -958,7 +958,7 @@ def _climb(state: ChartState, e: Sequence[int], cum: Sequence[int], vj_checks: l
                 raise ResolutionError(
                     f"level {level}: {generator} does not divide the {chart.born_pivot} side chart"
                 )
-            vj_checks.append(VjCheck(f"E{divisor}", chart.born_pivot, chart.render_ideal(), generator))
+            vj_checks.append(VjCheck(f"E{divisor}", chart.born_pivot, generator))
         yield center, state
 
 

@@ -231,7 +231,9 @@ def test_reports_match_golden_bytes(capsys, tmp_path, name):
     # only, every resolve --json entry with a side chain was re-recorded: the
     # four of the resolve file, the cli entry of (4; 2,3,4) and the cli batch
     # --json entry, each "case3" record without its "steps"; no other byte
-    # changed.
+    # changed.  Once each vj check was given by its generator alone, the same
+    # six entries were re-recorded, each "vj_checks" record without its
+    # "ideal"; no other byte changed.
     golden = json.loads((Path(__file__).parent / "data" / name).read_text())
     manifest = tmp_path / "manifest.json"
     for case in golden:

@@ -17,7 +17,7 @@ from minexp.exponent import (
     exponent_candidates,
     weighted_upper_bound,
 )
-from minexp.poly import parse_poly, weighted_profile
+from minexp.poly import Poly, parse_poly, weighted_profile
 
 F = Fraction
 
@@ -257,6 +257,24 @@ def test_profile_validation():
 )
 def test_rationals_reject_floats(call):
     with pytest.raises(TypeError, match="floating-point value"):
+        call()
+
+
+# A bool used to be read as 0 or 1: Poly(("x",), {(2,): True}) printed x^2,
+# and exponent_candidates(True, (True,)) gave a table.  Every other input
+# check refuses a bool as an integer, and the CLI never passes one.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: WeightedProfile((True, 2), (2,)),
+        lambda: exponent_candidates(True, (True,)),
+        lambda: weighted_profile([parse_poly("x1^2 + x2^3", ["x1", "x2"])], [True, 2]),
+        lambda: Poly(("x",), {(2,): True}),
+    ],
+    ids=["WeightedProfile", "exponent_candidates", "weighted_profile", "Poly"],
+)
+def test_rationals_reject_bools(call):
+    with pytest.raises(TypeError, match="^bool value True is not accepted; use an int, a Fraction or a string$"):
         call()
 
 

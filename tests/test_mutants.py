@@ -10,12 +10,13 @@ then must fail under the mutant.
 
 The table covers every route and certificate: the simplex, its closed-form
 start and the Newton certificate, the blow-up chain, its chart checks, its
-closed-form ledger and its ratios, the candidate formula, its values against
-the Newton route on the Fermat pivot chart, its degree-1 shift and its
-degree-sum check, both ``verify`` certificates, the weighted order, the
-probe's multiple-root test, its one-row test and its rank, the resolve
-report's cross-check against the formula, and the two writers of a report,
-the JSON writer and the monomial writer.
+closed-form ledger and its ratios, the edges of the work budgets, the
+candidate formula, its values against the Newton route on the Fermat pivot
+chart, its degree-1 shift and its degree-sum check, both ``verify``
+certificates, the weighted order, the probe's multiple-root test, its
+one-row test and its rank, the resolve report's cross-check against the
+formula, and the two writers of a report, the JSON writer and the monomial
+writer.
 A simplex mutant that cycles needs no pivot cap:
 the solver raises on a revisited basis (see ``newton._iterate``).
 """
@@ -49,6 +50,7 @@ from test_acceptance import _pivot_chart_routes
 from test_cli import _resolve_with_the_bound_off_by_one
 from test_newton import _certificate, _cone_support, _random_points
 from test_poly import PREFIX_CASES, _forms
+import test_resolution  # by module: its tests imported by name would be collected here too
 
 F = Fraction
 
@@ -145,7 +147,7 @@ def principal_check_rejects_a_chart_short_at_the_pivot() -> bool:
     principal: z0*z1^2, z1's own strict transform, does not divide z0*z1*z2."""
     ideal = [(1, 2, 0), (1, 1, 1)]
     try:
-        resolution._check_principal(1, ideal, poly._render(["z0", "z1", "z2"], ideal))
+        resolution._check_principal(1, ideal, ["z0", "z1", "z2"])
     except ResolutionError:
         return True
     return False
@@ -171,6 +173,35 @@ def side_chain_rejects_a_short_last_cut_generator() -> bool:
     """A side chain of power 3 whose q-th cut generator is z0^2*z2 does not
     end in z0^3, though its first one, z0^3*z1, passes."""
     return _side_chain_end_rejects([(3, 1, 0), (2, 0, 1)])
+
+
+def _test_passes(test: Callable[[], None]) -> bool:
+    """Whether a Tier-1 test passes: it raises no assertion, no failed
+    ``pytest.raises`` and no ``ValueError`` of a budget check."""
+    try:
+        test()
+    except (AssertionError, ValueError, pytest.fail.Exception):
+        return False
+    return True
+
+
+def resolution_budget_admits_its_exact_work() -> bool:
+    """``test_resolution_budget_admits_its_exact_work``: a budget of exactly
+    a profile's work admits it, and one unit less refuses it."""
+    with pytest.MonkeyPatch.context() as patch:
+        return _test_passes(lambda: test_resolution.test_resolution_budget_admits_its_exact_work(patch))
+
+
+def chain_grid_axis_is_cut_just_over_the_budget() -> bool:
+    """``test_chain_grid_axis_is_cut_just_over_the_budget``: one axis of
+    10^6 points fits, and one of 10^6 + 1 does not."""
+    return _test_passes(test_resolution.test_chain_grid_axis_is_cut_just_over_the_budget)
+
+
+def scan_bound_of_one_is_accepted() -> bool:
+    """``test_scan_bound_of_one_is_a_box_of_two_points_per_axis``: bound 1
+    is accepted and sizes a box of 2^free tuples."""
+    return _test_passes(test_resolution.test_scan_bound_of_one_is_a_box_of_two_points_per_axis)
 
 
 def certificates_verify() -> bool:
@@ -451,8 +482,8 @@ MUTANTS = {
     ),
     "vj_check_reads_the_next_generator": Mutant(
         resolution, "simulate_resolution",
-        "_ideal_text(texts), texts[p - 1]))",
-        "_ideal_text(texts), texts[p]))",
+        "_render(names, [chart[p - 1]])",
+        "_render(names, [chart[p]])",
         resolution_matches_the_chart_oracle,
     ),
     "ledger_ratio_drops_the_one": Mutant(
@@ -472,6 +503,24 @@ MUTANTS = {
         "ideal[:q]",
         "ideal[:q - 1]",
         side_chain_rejects_a_short_last_cut_generator,
+    ),
+    "resolution_budget_refuses_its_exact_work": Mutant(
+        resolution, "_check_resolution_budget",
+        "if work > RESOLVE_BUDGET:",
+        "if work >= RESOLVE_BUDGET:",
+        resolution_budget_admits_its_exact_work,
+    ),
+    "axis_cap_cuts_below_the_budget": Mutant(
+        resolution, "_check_budget",
+        "min(axis, SCAN_BUDGET + 1)",
+        "min(axis, SCAN_BUDGET - 1)",
+        chain_grid_axis_is_cut_just_over_the_budget,
+    ),
+    "scan_bound_refuses_one": Mutant(
+        resolution, "_check_scan_bound",
+        "if bound < 1:",
+        "if bound < 2:",
+        scan_bound_of_one_is_accepted,
     ),
     "valuation_certificate_drops_its_cap": Mutant(
         resolution, "valuation_certificate",

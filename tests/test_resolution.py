@@ -28,6 +28,7 @@ from _oracles import (
 from minexp import resolution as rs
 from minexp.cli import EXIT_OK, main
 from minexp.exponent import DegreeProfile
+from minexp.poly import parse_poly
 from minexp.resolution import (
     LOG_RESOLUTION,
     STRONG_FACTORIZING,
@@ -268,15 +269,38 @@ def test_derived_charts_pass_the_public_checks(monkeypatch):
     assert total > 1000
 
 
-def test_resolution_matches_the_chart_oracle():
-    # every report field; the oracle's terminal chart renders to the last
-    # ledger row's ideal, carries the last ledger row's tags and gives the witness
+def test_resolution_matches_the_chart_oracle(monkeypatch):
+    # every report field, and the generators of every pivot chart, which a
+    # vj check gives by its generator alone; the oracle's terminal chart
+    # renders to the last ledger row's ideal, carries the last ledger row's
+    # tags and gives the witness
+    blowup, oracle_blowup = rs._blowup, _oracles.blowup_chart
+    library, oracle = [], []
+
+    def library_pivot_charts(ideal, k, width):
+        a, k, charts = blowup(ideal, k, width)
+        library.append([tuple(chart) for chart in charts[1:]])
+        return a, k, charts
+
+    def oracle_pivot_charts(state, center):
+        charts = oracle_blowup(state, center)
+        oracle.append([chart.ideal for chart in charts[1:]])
+        return charts
+
+    monkeypatch.setattr(rs, "_blowup", library_pivot_charts)
+    monkeypatch.setattr(_oracles, "blowup_chart", oracle_pivot_charts)
     profiles = list(_c3_grid()) + _golden_profiles() + [WIDE]
     assert len(profiles) == 3122 + 5 + 1
+    pivot_charts = 0
     for profile in profiles:
+        library.clear()
+        oracle.clear()
         report = simulate_resolution(profile)
         expected, terminal = simulate_resolution_by_charts(profile)
         assert report == expected, profile
+        assert library == oracle, profile
+        assert sum(map(len, library)) == len(report.vj_checks), profile
+        pivot_charts += len(report.vj_checks)
         last = report.ledger[-1]
         assert terminal.render_ideal() == last.ideal, profile
         assert [(c.a, c.k) for c in terminal.coords if c.role == EXCEPTIONAL] == [(last.a, last.k)], profile
@@ -284,6 +308,23 @@ def test_resolution_matches_the_chart_oracle():
             assert _oracles._factorization_witness(terminal, profile) == report.witness, profile
         else:
             assert report.witness is None, profile
+    assert pivot_charts == 18004 + 71 + 703  # the C3 grid, the golden profiles, WIDE
+
+
+def test_pivot_charts_are_determined_by_the_ledger(monkeypatch):
+    # a vj check gives no chart: the chart of pivot z_p made with E_j is row
+    # E_{j-1}'s ideal with each z_p exponent replaced by the generator's
+    # total over row E_j's centre
+    for profile in _golden_profiles() + list(_c3_sample()) + [WIDE]:
+        steps = _blowups_of_resolution(profile, monkeypatch)
+        report = simulate_resolution(profile)
+        assert len(steps) == len(report.ledger) - 1, profile
+        for charts, before, row in zip(steps, report.ledger, report.ledger[1:]):
+            names = rs._names(charts[0].depth - 1, len(charts[0].coords))
+            ideal = [next(iter(parse_poly(g, names).terms)) for g in before.ideal[1:-1].split(", ")]
+            width = len(row.center)
+            for p, chart in enumerate(charts[1:], 1):
+                assert chart.ideal == tuple(g[:p] + (sum(g[:width]),) + g[p + 1 :] for g in ideal), (profile, row)
 
 
 @pytest.mark.parametrize("profile", [WIDE, DegreeProfile(24, (2, 2, 4, 7, 7))], ids=["n60", "golden_n24"])
@@ -411,9 +452,8 @@ def test_principal_generator_lies_on_z0_and_the_pivot(pivot, ideal, message):
     # oracle searches the same chart, of the same roles, for its
     # componentwise minimum.
     names, chart = _hand_built_chart([EXCEPTIONAL if i in (0, pivot) else STRICT for i in range(3)], ideal)
-    texts = rs._render(names, ideal)
     calls = [
-        lambda: rs._check_principal(pivot, ideal, texts) or ideal[pivot - 1],
+        lambda: rs._check_principal(pivot, ideal, names) or ideal[pivot - 1],
         lambda: _oracles._principal_exceptional_generator(chart),
     ]
     for call in calls:
@@ -556,13 +596,6 @@ def test_simulate_witness_shape():
     for g in term.ideal:
         res = [e - c for e, c in zip(g, common)]
         assert sum(res) == 1 and term.coords[res.index(1)].role == STRICT
-
-
-def test_simulate_case3_chains_terminate():
-    rep = simulate_resolution(DegreeProfile(7, (2, 2, 3, 5)))
-    assert len(rep.case3) == 2  # one chain per level below the top
-    for chain in rep.case3:
-        assert "*" not in chain.principal  # single exceptional power
 
 
 def test_golden_trace(capsys):
@@ -953,6 +986,22 @@ def test_scan_budgets():
             rs._check_chain_grid(lct, step, maximum)
 
 
+def test_chain_grid_axis_is_cut_just_over_the_budget():
+    # the one axis of (3; 2) with step 1: 10^6 points fit, and 10^6 + 1, past
+    # the budget by one, do not, though the axis is cut to one over it
+    profile = DegreeProfile(3, (2,))
+    assert rs._check_chain_grid(profile, F(1), F(10**6 - 1)) == 10**6
+    with pytest.raises(ValueError, match="^chain grid exceeds the work budget of 1000000 points$"):
+        rs._check_chain_grid(profile, F(1), F(10**6))
+
+
+def test_scan_bound_of_one_is_a_box_of_two_points_per_axis():
+    # bound 1 is the least accepted: b0 = 1 and each free b_j in {0, 1};
+    # (3; 2, 3) has two free axes, (6; 2, 3) one, its b_r pinned
+    assert rs._check_scan_bound(DegreeProfile(3, (2, 3)), 1) == 2**2
+    assert rs._check_scan_bound(DegreeProfile(6, (2, 3)), 1) == 2**1
+
+
 # --- the work budget of a resolution --------------------------------------------
 
 def test_resolution_budget_admits_the_wide_baselines():
@@ -974,6 +1023,17 @@ def test_resolution_budget_counts_every_chart():
     rs._check_resolution_budget(DegreeProfile(4, (2, high)))
     with pytest.raises(ValueError, match="^resolution exceeds the work budget of 100000000 chart entries$"):
         rs._check_resolution_budget(DegreeProfile(4, (2, high + 1)))
+
+
+def test_resolution_budget_admits_its_exact_work(monkeypatch):
+    # a budget of exactly the work of (4; 2, 10), 17 charts, admits it, and
+    # one unit less refuses it
+    work = (1 + 2 * 8) * (6 + 400)
+    monkeypatch.setattr(rs, "RESOLVE_BUDGET", work)
+    rs._check_resolution_budget(DegreeProfile(4, (2, 10)))
+    monkeypatch.setattr(rs, "RESOLVE_BUDGET", work - 1)
+    with pytest.raises(ValueError, match=f"^resolution exceeds the work budget of {work - 1} chart entries$"):
+        rs._check_resolution_budget(DegreeProfile(4, (2, 10)))
 
 
 def test_resolution_over_the_budget_builds_no_chart(monkeypatch):
