@@ -26,12 +26,12 @@ that agreement scan is this module's primary oracle.
 The simulation runs on plain generator tuples.  In every chart the main
 chain follows, z0 is the newest exceptional divisor and z1..zr are strict,
 so its state is z0's discrepancy k and the generators.  Each blow-up is
-one :func:`_blowup`, which returns the new divisor's (a, k) and the
-generators of every pivot chart.  ``minexp.poly._render``, the one writer
-of the grammar that ``minexp.poly.parse_poly`` reads, renders each
-followed chart once, for the ledger, the side-chain ends and the witness,
-and of a chart off the main chain only its generator, for its
-:class:`VjCheck`, unless a check of it fails.  Each exceptional divisor has one record, its
+one :func:`_blowup`, which returns the new divisor's (a, k) and each
+generator's total over the centre.  These determine every pivot chart
+(:func:`_pivot_chart`), but the chain builds only the one it follows,
+rendered once by ``minexp.poly._render`` (the writer of the grammar
+``minexp.poly.parse_poly`` reads); of a chart off it, only the generator of
+its :class:`VjCheck`, unless a check of it fails.  Each exceptional divisor has one record, its
 :class:`LedgerRow`: the blow-up that made it, its (a, k), its ratio
 (k + 1)/a and the ideal of the chart the main chain follows.  The ratios are
 built only after the (a, k) rows equal their closed form, so a = 0 is a
@@ -94,21 +94,21 @@ def _blowup(ideal: Sequence[tuple[int, ...]], k: int, width: int):
 
     ``ideal`` holds the generators as exponent tuples and ``k`` is the
     discrepancy of z0, the one exceptional coordinate of the centre.
-    Returns (a, k, charts): the tags of the new exceptional divisor,
+    Returns (a, k, totals): the tags of the new exceptional divisor,
 
         a = min over generators of their total exponent over the centre,
         k = (width - 1) + the discrepancy of z0,
 
-    and, for each pivot p < width, charts[p], the generators of the chart
-    of pivot p: each generator with its pivot exponent replaced by its
-    total over the centre, all other exponents unchanged.  The pivot
-    coordinate becomes the new divisor; the remaining centre coordinates
-    keep their roles (they cut the strict transforms of whatever they cut
-    before).
-    """
+    and totals[i], generator i's total over the centre, which with ``ideal``
+    determines the chart of each pivot p < width (:func:`_pivot_chart`)."""
     totals = [sum(g[:width]) for g in ideal]
-    charts = [[g[:p] + (t,) + g[p + 1 :] for g, t in zip(ideal, totals)] for p in range(width)]
-    return min(totals, default=0), width - 1 + k, charts
+    return min(totals, default=0), width - 1 + k, totals
+
+
+def _pivot_chart(ideal: Sequence[tuple[int, ...]], totals: Sequence[int], p: int) -> list[tuple[int, ...]]:
+    """The chart of pivot ``p`` of the :func:`_blowup` of ``ideal``: each
+    generator with exponent p replaced by its total; the pivot is the new divisor."""
+    return [g[:p] + (t,) + g[p + 1 :] for g, t in zip(ideal, totals)]
 
 
 class LedgerRow(NamedTuple):
@@ -174,23 +174,23 @@ def _start_chart(profile: DegreeProfile):
     return profile.n - 1, ideal
 
 
-def _check_principal(pivot: int, ideal: Sequence[tuple[int, ...]], names: Sequence[str]) -> None:
-    """Check that the chart of ``pivot`` p >= 1, of coordinate ``names`` and
-    generators ``ideal``, is generated by generator p - 1 on z0 and z_p.
+def _check_principal(pivot: int, ideal: Sequence[tuple[int, ...]], totals: Sequence[int], names: Sequence[str]):
+    """Generator p - 1 of the chart of ``pivot`` p >= 1 of the :func:`_blowup`
+    of ``ideal`` with ``totals``, of coordinate ``names``, checked to generate
+    that chart on z0 and z_p.
 
-    Generator p - 1 is z_p's own strict transform.  Every other generator j
-    carries the strict coordinate z_{j+1} (:func:`_start_chart`; each chart
-    of :func:`_blowup` changes only the exponent of its pivot), so only
-    generator p - 1 can generate the ideal.  Supported on z0 and z_p, it
-    divides h exactly when h[0] >= g[0] and h[p] >= g[p]: two comparisons
-    per generator, O(r).  A generator that divides every generator is the
-    componentwise minimum.  The chart is rendered only in an error text."""
-    g = ideal[pivot - 1]
+    It is z_p's own strict transform; every other generator j carries the
+    strict coordinate z_{j+1} (:func:`_start_chart`; :func:`_pivot_chart`
+    changes only the pivot's exponent).  On z0 and z_p, it divides h exactly
+    when h[0] >= g[0] and h[p] >= g[p], the parent's h[0] and h's total: two
+    minima, O(r).  Only g is built, and the chart only in an error text."""
+    g = _pivot_chart(ideal[pivot - 1 : pivot], totals[pivot - 1 : pivot], pivot)[0]
     if any(g[1:pivot]) or any(g[pivot + 1 :]):
         raise ResolutionError(f"principal generator {_render(names, [g])[0]} is not exceptional-supported")
-    low, high = g[0], g[pivot]
-    if any(h[0] < low or h[pivot] < high for h in ideal):
-        raise ResolutionError(f"ideal {_ideal_text(_render(names, ideal))} is not principal")
+    if min([h[0] for h in ideal]) < g[0] or min(totals) < g[pivot]:
+        chart = _ideal_text(_render(names, _pivot_chart(ideal, totals, pivot)))
+        raise ResolutionError(f"ideal {chart} is not principal")
+    return g
 
 
 def _side_chain_end(
@@ -210,7 +210,7 @@ def _side_chain_end(
     the centre.  So step t is main chart t cut to its first q+1 coordinates
     and first q generators, followed by z0^power.  Main generator j <= q is
     z0^x z_j in every chart (:func:`_start_chart` gives z0^{d_j} z_j, and
-    :func:`_blowup`'s z0 chart changes only the exponent of z0), so the cut
+    the z0 chart of :func:`_pivot_chart` changes only the exponent of z0), so the cut
     never drops a coordinate and keeps the main chart's text.
     :func:`simulate_resolution` checks the other charts; the last chart,
     whose one exceptional coordinate is z0, must be generated by z0^power,
@@ -253,9 +253,9 @@ def _factorization_witness(
     return FactorizationWitness(common=common_text, residual=tuple(residual_texts))
 
 
-# The most chart entries one resolution may build, and what one chart counts
-# for beyond its entries (its own upkeep: its names, its generator list, its text).
-# A profile over the budget is rejected before any chart is built.
+# The most chart entries one resolution may determine (each blow-up determines
+# q + 1 charts and builds one), and what one chart counts for beyond its entries
+# (its upkeep: names, generator list, text).  Checked before any chart is built.
 RESOLVE_BUDGET = 10**8
 _CHART_UPKEEP = 400
 
@@ -283,13 +283,13 @@ def ledger_rows(profile: DegreeProfile) -> list[tuple[int, int]]:
 
 
 def _check_resolution_budget(profile: DegreeProfile) -> None:
-    """Reject a profile whose resolution builds more than RESOLVE_BUDGET
+    """Reject a profile whose resolution determines more than RESOLVE_BUDGET
     chart entries, each chart counted with _CHART_UPKEEP more.
 
-    The main chain holds the first chart and, per blow-up, one chart per
-    centre coordinate (q + 1 of them, see :func:`_levels`), each r + 1
-    coordinates by r generators.  The count takes O(r) steps, whatever the
-    degrees."""
+    The main chain holds the first chart and, per blow-up, determines one
+    chart per centre coordinate (q + 1 of them, see :func:`_levels`), each
+    r + 1 coordinates by r generators, though it builds only the one it
+    follows.  The count takes O(r) steps, whatever the degrees."""
     r = profile.r
     main = 1 + sum(count * (q + 1) for q, _, count in _levels(profile)[1])
     work = main * (r * (r + 1) + _CHART_UPKEEP)
@@ -309,12 +309,11 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
 
     The main chain runs on generator tuples from :func:`_start_chart`, one
     :func:`_blowup` per blow-up (see :func:`_levels`), and follows the z0
-    chart as (names, generators, rendered generators).  Each chart of pivot
-    p >= 1 is checked by :func:`_check_principal` and reported by its
-    generator, z_p's own strict transform, in a :class:`VjCheck`.  The
-    followed chart after each level's last blow-up is held for
-    :func:`_side_chain_end`, which runs after the ledger comparison and the
-    factorization witness.
+    chart, ``_pivot_chart(ideal, totals, 0)``, as (names, generators, texts).
+    :func:`_check_principal` checks each chart of pivot p >= 1 from the
+    totals and gives its generator for a :class:`VjCheck`.  The followed
+    chart after each level's last blow-up is held for :func:`_side_chain_end`,
+    which runs after the ledger comparison and the factorization witness.
 
     The same chart of the side chain of a level m >= l holds this chart's
     first cum[m-1] generators, cut to z0..z_{cum[m-1]}, and
@@ -338,15 +337,16 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     blowups = ((level, q, power) for level, (q, power, count) in enumerate(schedule, 1) for _ in range(count))
     for depth, (level, q, power) in enumerate(blowups, 1):
         center, divisor = tuple(names[: q + 1]), f"E{depth + 1}"
-        a, k, charts = _blowup(ideal, k, q + 1)
+        a, k, totals = _blowup(ideal, k, q + 1)
         names = _names(depth, width)
-        for p, chart in enumerate(charts[1:], 1):
-            _check_principal(p, chart, names)
-            generator = _render(names, [chart[p - 1]])[0]
-            if max(chart[p - 1][0], chart[p - 1][p]) > power:
+        for p in range(1, q + 1):
+            g = _check_principal(p, ideal, totals, names)
+            generator = _render(names, [g])[0]
+            # g[p] is the generator's total over the centre, which includes g[0], so the max is always g[p]
+            if g[p] > power:
                 raise ResolutionError(f"level {level}: {generator} does not divide the {center[p]} side chart")
             vj_checks.append(VjCheck(divisor, center[p], generator))
-        ideal = charts[0]
+        ideal = _pivot_chart(ideal, totals, 0)
         texts = _render(names, ideal)
         ends[level] = names, ideal, texts
         divisors.append((center, divisor, a, k, _ideal_text(texts)))

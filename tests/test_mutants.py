@@ -144,10 +144,12 @@ def resolution_matches_the_chart_oracle() -> bool:
 
 def principal_check_rejects_a_chart_short_at_the_pivot() -> bool:
     """The chart of pivot 1 with generators z0*z1^2 and z0*z1*z2 is not
-    principal: z0*z1^2, z1's own strict transform, does not divide z0*z1*z2."""
+    principal: z0*z1^2, z1's own strict transform, does not divide z0*z1*z2.
+    The chart is read as the blow-up of itself whose totals are its z1
+    exponents."""
     ideal = [(1, 2, 0), (1, 1, 1)]
     try:
-        resolution._check_principal(1, ideal, ["z0", "z1", "z2"])
+        resolution._check_principal(1, ideal, [2, 1], ["z0", "z1", "z2"])
     except ResolutionError:
         return True
     return False
@@ -177,10 +179,11 @@ def side_chain_rejects_a_short_last_cut_generator() -> bool:
 
 def _test_passes(test: Callable[[], None]) -> bool:
     """Whether a Tier-1 test passes: it raises no assertion, no failed
-    ``pytest.raises`` and no ``ValueError`` of a budget check."""
+    ``pytest.raises``, no ``ResolutionError`` of a chain check and no
+    ``ValueError`` of a budget check."""
     try:
         test()
-    except (AssertionError, ValueError, pytest.fail.Exception):
+    except (AssertionError, ResolutionError, ValueError, pytest.fail.Exception):
         return False
     return True
 
@@ -190,6 +193,13 @@ def resolution_budget_admits_its_exact_work() -> bool:
     a profile's work admits it, and one unit less refuses it."""
     with pytest.MonkeyPatch.context() as patch:
         return _test_passes(lambda: test_resolution.test_resolution_budget_admits_its_exact_work(patch))
+
+
+def vj_generators_have_their_closed_form() -> bool:
+    """``test_vj_generator_has_its_closed_form``: on the C3 grid and two
+    wide profiles, every vj check's generator is z0^{a_{j-1}}*z_p^{a_j},
+    and the chain raises no ``ResolutionError``."""
+    return _test_passes(test_resolution.test_vj_generator_has_its_closed_form)
 
 
 def chain_grid_axis_is_cut_just_over_the_budget() -> bool:
@@ -476,15 +486,21 @@ MUTANTS = {
     ),
     "principal_check_drops_the_pivot_comparison": Mutant(
         resolution, "_check_principal",
-        "h[0] < low or h[pivot] < high",
-        "h[0] < low",
+        "min([h[0] for h in ideal]) < g[0] or min(totals) < g[pivot]",
+        "min([h[0] for h in ideal]) < g[0]",
         principal_check_rejects_a_chart_short_at_the_pivot,
     ),
     "vj_check_reads_the_next_generator": Mutant(
-        resolution, "simulate_resolution",
-        "_render(names, [chart[p - 1]])",
-        "_render(names, [chart[p]])",
+        resolution, "_check_principal",
+        "ideal[pivot - 1 : pivot], totals[pivot - 1 : pivot]",
+        "ideal[pivot : pivot + 1], totals[pivot : pivot + 1]",
         resolution_matches_the_chart_oracle,
+    ),
+    "principal_check_reads_the_next_total": Mutant(
+        resolution, "_check_principal",
+        "totals[pivot - 1 : pivot]",
+        "totals[pivot : pivot + 1]",
+        vj_generators_have_their_closed_form,
     ),
     "ledger_ratio_drops_the_one": Mutant(
         resolution, "simulate_resolution",

@@ -179,9 +179,9 @@ def _assert_public_checks_pass(charts):
 def _blowups_of_resolution(profile, monkeypatch):
     """The charts of each blow-up step made while ``profile`` is resolved,
     one list per step, each chart rebuilt through the public ChartState and
-    Coordinate: the step's generators for each pivot, under the names of
-    the step's depth, with z0 tagged as in the parent and the pivot tagged
-    as the new divisor.  The parent's z0 carries the previous step's (a, k),
+    Coordinate: the generators the step's totals determine for each pivot
+    (``_pivot_chart``), under the names of the step's depth, with z0 tagged
+    as in the parent and the pivot tagged as the new divisor.  The parent's z0 carries the previous step's (a, k),
     or (d_1, n - 1) at the first step; every other coordinate of the main
     chain is strict."""
     step = rs._blowup
@@ -190,12 +190,13 @@ def _blowups_of_resolution(profile, monkeypatch):
 
     def recording(ideal, k, width):
         assert k == parent_tags[-1][1]
-        a, k, charts = step(ideal, k, width)
+        a, k, totals = step(ideal, k, width)
         depth = len(calls) + 1
         names, parent = rs._names(depth, len(ideal[0])), rs._names(depth - 1, len(ideal[0]))
         rebuilt = []
         tags = [parent_tags[-1]] + [None] * (len(names) - 1)
-        for p, chart in enumerate(charts):
+        for p in range(width):
+            chart = rs._pivot_chart(ideal, totals, p)
             chart_tags = tags[:p] + [(a, k)] + tags[p + 1 :]
             coords = [
                 Coordinate(name, STRICT, None, None) if tag is None else Coordinate(name, EXCEPTIONAL, *tag)
@@ -204,7 +205,7 @@ def _blowups_of_resolution(profile, monkeypatch):
             rebuilt.append(ChartState(coords, chart, depth, parent[p], p))
         calls.append(rebuilt)
         parent_tags.append((a, k))
-        return a, k, charts
+        return a, k, totals
 
     with monkeypatch.context() as patch:
         patch.setattr(rs, "_blowup", recording)
@@ -254,6 +255,9 @@ def _c3_sample():
 
 
 WIDE = DegreeProfile(60, tuple(range(2, 40)))
+# r = 89: 88 side chains and 3,916 vj checks, past every golden file and the
+# chart oracle's reach
+WIDEST = DegreeProfile(200, tuple(range(2, 91)))
 
 
 def test_derived_charts_pass_the_public_checks(monkeypatch):
@@ -270,17 +274,18 @@ def test_derived_charts_pass_the_public_checks(monkeypatch):
 
 
 def test_resolution_matches_the_chart_oracle(monkeypatch):
-    # every report field, and the generators of every pivot chart, which a
-    # vj check gives by its generator alone; the oracle's terminal chart
+    # every report field, and the generators of every pivot chart, which the
+    # chain determines by its totals and does not build, and a vj check
+    # gives by its generator alone; the oracle's terminal chart
     # renders to the last ledger row's ideal, carries the last ledger row's
     # tags and gives the witness
     blowup, oracle_blowup = rs._blowup, _oracles.blowup_chart
     library, oracle = [], []
 
     def library_pivot_charts(ideal, k, width):
-        a, k, charts = blowup(ideal, k, width)
-        library.append([tuple(chart) for chart in charts[1:]])
-        return a, k, charts
+        a, k, totals = blowup(ideal, k, width)
+        library.append([tuple(rs._pivot_chart(ideal, totals, p)) for p in range(1, width)])
+        return a, k, totals
 
     def oracle_pivot_charts(state, center):
         charts = oracle_blowup(state, center)
@@ -360,8 +365,8 @@ def test_vj_generator_has_its_closed_form():
     # L0^{a_{j-1}}*Li^{a_j}, L the letter of E_j's charts: z_i's strict
     # transform, its z0 exponent the last divisor's a and its pivot exponent
     # the new one's; the pivot is named in the letter of E_{j-1}'s charts.
-    # The wide profile is past the chart oracle's reach.
-    profiles = list(_c3_grid()) + [DegreeProfile(120, tuple(range(2, 61)))]
+    # The wide profiles are past the chart oracle's reach.
+    profiles = list(_c3_grid()) + [DegreeProfile(120, tuple(range(2, 61))), WIDEST]
     total = 0
     for profile in profiles:
         report = simulate_resolution(profile)
@@ -373,7 +378,8 @@ def test_vj_generator_has_its_closed_form():
         # one check per pivot p >= 1 of each blow-up
         assert len(report.vj_checks) == sum(q * count for q, _, count in rs._levels(profile)[1]), profile
         total += len(report.vj_checks)
-    assert total == 19715
+    assert len(report.vj_checks) == 3916
+    assert total == 19715 + 3916
 
 
 def test_side_chain_end_checks_its_cut_generators():
@@ -394,17 +400,18 @@ def test_side_chain_end_is_checked_after_the_ledger(monkeypatch):
     # the first blow-up's z0 chart loses one power of z0 in every generator,
     # so level 1's side chain ends short of z0^{e_1}; with a level after it,
     # the next divisor's a is short too, and the ledger reports first
-    blowup = rs._blowup
+    pivot_chart = rs._pivot_chart
     depth = []
 
-    def short_first_chart(ideal, k, width):
-        a, k, charts = blowup(ideal, k, width)
-        depth.append(1)
-        if len(depth) == 1:
-            charts[0] = [(g[0] - 1, *g[1:]) for g in charts[0]]
-        return a, k, charts
+    def short_first_chart(ideal, totals, p):
+        chart = pivot_chart(ideal, totals, p)
+        if p == 0:
+            depth.append(1)
+            if len(depth) == 1:
+                chart = [(g[0] - 1, *g[1:]) for g in chart]
+        return chart
 
-    monkeypatch.setattr(rs, "_blowup", short_first_chart)
+    monkeypatch.setattr(rs, "_pivot_chart", short_first_chart)
     message = r"^side chain at level 1 ended in u0\^2\*u1, expected the exceptional coordinate to the power 3$"
     with pytest.raises(rs.ResolutionError, match=message):
         simulate_resolution(DegreeProfile(6, (2, 3)))
@@ -415,13 +422,14 @@ def test_side_chain_end_is_checked_after_the_ledger(monkeypatch):
 
 
 def test_side_chain_ends_have_their_closed_form():
-    # on the C3 grid, level l's side chain ends in the chart after e_l - e_0
-    # blow-ups, whose letter names z0's power e_l
-    for profile in _c3_grid():
+    # on the C3 grid and the widest profile, level l's side chain ends in the
+    # chart after e_l - e_0 blow-ups, whose letter names z0's power e_l
+    for profile in [*_c3_grid(), WIDEST]:
         report = simulate_resolution(profile)
         e = [d for d, _ in report.levels]
         expected = [rs.Case3Report(m, f"{rs._letter(e[m] - e[0])}0^{e[m]}") for m in range(1, len(e))]
         assert list(report.case3) == expected, profile
+    assert len(report.case3) == 88
 
 
 def _hand_built_chart(roles, ideal):
@@ -449,11 +457,14 @@ def _hand_built_chart(roles, ideal):
 def test_principal_generator_lies_on_z0_and_the_pivot(pivot, ideal, message):
     # a chart off the main chain, of pivot p, has the exceptional coordinates
     # z0 and z_p, and generator p - 1 is z_p's own strict transform.  The
-    # oracle searches the same chart, of the same roles, for its
-    # componentwise minimum.
+    # library reads the chart as the blow-up of itself whose totals are its
+    # pivot exponents.  The oracle searches the same chart, of the same
+    # roles, for its componentwise minimum.
     names, chart = _hand_built_chart([EXCEPTIONAL if i in (0, pivot) else STRICT for i in range(3)], ideal)
+    totals = [h[pivot] for h in ideal]
+    assert rs._pivot_chart(ideal, totals, pivot) == ideal
     calls = [
-        lambda: rs._check_principal(pivot, ideal, names) or ideal[pivot - 1],
+        lambda: rs._check_principal(pivot, ideal, totals, names),
         lambda: _oracles._principal_exceptional_generator(chart),
     ]
     for call in calls:
@@ -543,9 +554,9 @@ def test_random_blowups_pass_the_public_checks(case):
     # given the sum of the centre's discrepancies (in the main chain, z0's alone)
     width = len(pivots)
     k = sum(c.k for c in state.coords[:width] if c.role == EXCEPTIONAL)
-    a, k, ideals = rs._blowup(list(state.ideal), k, width)
+    a, k, totals = rs._blowup(list(state.ideal), k, width)
     charts = blowup_chart(state, state.names()[:width])
-    assert ideals == [list(chart.ideal) for chart in charts]
+    assert [rs._pivot_chart(state.ideal, totals, p) for p in range(width)] == [list(chart.ideal) for chart in charts]
     assert [(a, k)] * width == [(chart.coords[p].a, chart.coords[p].k) for p, chart in enumerate(charts)]
 
 
@@ -658,8 +669,8 @@ def test_ledger_is_checked_against_its_closed_form(monkeypatch):
     blowup = rs._blowup
 
     def off_by_one(ideal, k, width):
-        a, k, charts = blowup(ideal, k, width)
-        return a, k + 1, charts
+        a, k, totals = blowup(ideal, k, width)
+        return a, k + 1, totals
 
     monkeypatch.setattr(rs, "_blowup", off_by_one)
     with pytest.raises(rs.ResolutionError, match=r"^ledger rows \[\(2, 5\), \(3, 7\)\] != closed form \[\(2, 5\), \(3, 6\)\]$"):
