@@ -402,34 +402,28 @@ def _split_last(terms: list[tuple[int, tuple[int, ...]]], q: int, tables: dict[i
     return out
 
 
-def _zeros(parts, prefix: tuple[int, ...], q: int, memo: dict) -> tuple[list[int], list[int]]:
+def _zeros(parts, values: tuple[int, ...], q: int) -> tuple[list[int], list[int]]:
     """The roots and the multiple roots, each ascending, of phi(t) = f(prefix,
-    t) mod q, for the form split by :func:`_split_last`.  A root t is
-    multiple where phi'(t) = sum over e of e * g_e(prefix) * t^(e - 1), the
-    last partial of f at prefix + (t,), is 0 mod q.  Each g_e is evaluated
-    once; the roots depend only on the values of the g_e, so ``memo`` keeps
-    them by those values, and only a new tuple of values builds the form's q
-    values from the tables."""
-    key = tuple([_eval_power_terms(terms, prefix, q) for _, _, terms in parts])
-    zeros = memo.get(key)
-    if zeros is None:
-        values = [0] * q
-        for c, (_, table, _) in zip(key, parts):
-            if c:
-                values = [v + c * x for v, x in zip(values, table)]
-        roots = [t for t, v in enumerate(values) if not v % q]
-        slopes = [(c, e) for c, (e, *_) in zip(key, parts) if c and e]
-        multiple = [t for t in roots if not sum(e * c * pow(t, e - 1, q) for c, e in slopes) % q]
-        zeros = memo[key] = roots, multiple
-    return zeros
+    t) mod q, for the form split by :func:`_split_last` whose g_e take the
+    ``values`` at the prefix.  A root t is multiple where phi'(t) = sum over e
+    of e * g_e(prefix) * t^(e - 1), the last partial of f, is 0 mod q."""
+    phi = [0] * q
+    for c, (_, table, _) in zip(values, parts):
+        if c:
+            phi = [v + c * x for v, x in zip(phi, table)]
+    roots = [t for t, v in enumerate(phi) if not v % q]
+    multiple = [t for t in roots if not sum(e * c * pow(t, e - 1, q) for c, (e, *_) in zip(values, parts) if e) % q]
+    return roots, multiple
 
 
 def _needs_gradient(zeros: list) -> list[tuple[int, list[int]]]:
     """(t, indices of the inputs that vanish there), t ascending, for each
     last coordinate where two or more inputs vanish, or one vanishes at a
     multiple root; ``zeros`` holds each input's roots and multiple roots
-    from :func:`_zeros`.  Where one input vanishes at a simple root, its
-    last partial is nonzero, so its gradient row is independent."""
+    from :func:`_zeros`; for one input, its multiple roots at once.  Where one
+    input vanishes at a simple root, its gradient row is independent."""
+    if len(zeros) == 1:
+        return [(t, [0]) for t in zeros[0][1]]
     out = []
     for t in sorted(set().union(*(roots for roots, _ in zeros))):
         vanishing = [i for i, (roots, _) in enumerate(zeros) if t in roots]
@@ -452,27 +446,27 @@ def _line_prefixes(q: int, n: int):
             yield head + tail
 
 
-def _vanishing_points(split: list, q: int, n: int):
+def _vanishing_points(split: list, terms: list, q: int, n: int):
     """(point, indices of the inputs that vanish there) for each line
     representative of F_q^n whose gradient rank needs checking (see
     :func:`_needs_gradient`), in lexicographic order; ``split`` holds each
-    input as :func:`_split_last` gives it.  Each prefix (see
-    :func:`_line_prefixes`) evaluates every input once for all q values of
-    the last coordinate."""
-    memos = [{} for _ in split]
+    input as :func:`_split_last` gives it, with the span of its g_e in
+    ``terms``, the g_e of every input.
+
+    One loop runs over the prefix (0, ..., 0), keeping only t = 1, then
+    :func:`_line_prefixes`.  Each prefix evaluates every input's g_e once,
+    and one memo keeps the points by all those values."""
+    memo: dict[tuple[int, ...], list] = {}
     zero = (0,) * (n - 1)
-    for t, vanishing in _needs_gradient([_zeros(parts, zero, q, memo) for parts, memo in zip(split, memos)]):
-        if t == 1:
-            yield zero + (1,), vanishing
-    if len(split) == 1:  # one input: only its multiple roots need a gradient
-        (parts,), (memo,) = split, memos
-        for prefix in _line_prefixes(q, n):
-            for t in _zeros(parts, prefix, q, memo)[1]:
-                yield prefix + (t,), [0]
-        return
-    for prefix in _line_prefixes(q, n):
-        for t, vanishing in _needs_gradient([_zeros(parts, prefix, q, memo) for parts, memo in zip(split, memos)]):
-            yield prefix + (t,), vanishing
+    for prefix in itertools.chain([zero], _line_prefixes(q, n)):
+        key = tuple([_eval_power_terms(g, prefix, q) for g in terms])
+        points = memo.get(key)
+        if points is None:
+            zeros = [_zeros(parts, key[span], q) for parts, span in split]
+            points = memo[key] = _needs_gradient(zeros)
+        for t, vanishing in points:
+            if t == 1 or prefix != zero:
+                yield prefix + (t,), vanishing
 
 
 def _rank(rows: list[list], inverse, reduce) -> int:
@@ -533,8 +527,8 @@ def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = PROBE
     transverse.  The gradient rank is checked, in ascending order of t,
     only where two or more inputs vanish or one vanishes at a multiple root
     (where one input vanishes, its gradient is evaluated up to its first
-    nonzero entry).  The point (0, ..., 0, 1) is a line of its own and is
-    checked alone.
+    nonzero entry).  A prefix whose g_e values, of every input, were seen
+    before reuses the points found there.
 
     ``points_checked`` counts the points of F_q^n the scan decided: all
     q^n - 1 nonzero points on a PASS, and on a FAIL the nonzero points up to
@@ -581,6 +575,7 @@ def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = PROBE
         )
 
     split = []
+    terms = []
     grads_mod = []
     tables: dict[int, list[int]] = {}
     for f in fs:
@@ -590,12 +585,14 @@ def probe_transversality(fs: Sequence[Poly], field_size: int, limit: int = PROBE
                 "INCONCLUSIVE", q, 0,
                 reason=f"a coefficient denominator is divisible by {q}",
             )
-        split.append(_split_last(tm, q, tables))
+        parts = _split_last(tm, q, tables)
+        split.append((parts, slice(len(terms), len(terms) + len(parts))))
+        terms += [g for _, _, g in parts]
         # each partial mod q straight from the terms mod q: c*u_i x^(u - e_i) where nonzero
         rows = [[(c * u[i] % q, u[:i] + (u[i] - 1,) + u[i + 1 :]) for c, u in tm if c * u[i] % q] for i in range(n)]
         grads_mod.append([_power_terms(row, q, tables) for row in rows])
 
-    for point, vanishing in _vanishing_points(split, q, n):
+    for point, vanishing in _vanishing_points(split, terms, q, n):
         if _independent(grads_mod, vanishing, point, q):
             continue
         # modular failure; re-check exactly at the centered lift

@@ -174,7 +174,10 @@ def _start_chart(profile: DegreeProfile):
     return profile.n - 1, ideal
 
 
-def _check_principal(pivot: int, ideal: Sequence[tuple[int, ...]], totals: Sequence[int], names: Sequence[str]):
+def _check_principal(
+    pivot: int, ideal: Sequence[tuple[int, ...]], totals: Sequence[int], names: Sequence[str],
+    least_z0: int, least_total: int,
+):
     """Generator p - 1 of the chart of ``pivot`` p >= 1 of the :func:`_blowup`
     of ``ideal`` with ``totals``, of coordinate ``names``, checked to generate
     that chart on z0 and z_p.
@@ -182,12 +185,13 @@ def _check_principal(pivot: int, ideal: Sequence[tuple[int, ...]], totals: Seque
     It is z_p's own strict transform; every other generator j carries the
     strict coordinate z_{j+1} (:func:`_start_chart`; :func:`_pivot_chart`
     changes only the pivot's exponent).  On z0 and z_p, it divides h exactly
-    when h[0] >= g[0] and h[p] >= g[p], the parent's h[0] and h's total: two
-    minima, O(r).  Only g is built, and the chart only in an error text."""
+    when h[0] >= g[0] and h[p] >= g[p], the parent's h[0] and h's total: so
+    when ``least_z0`` and ``least_total``, the blow-up's least of each, are.
+    Only g is built, and the chart only in an error text."""
     g = _pivot_chart(ideal[pivot - 1 : pivot], totals[pivot - 1 : pivot], pivot)[0]
     if any(g[1:pivot]) or any(g[pivot + 1 :]):
         raise ResolutionError(f"principal generator {_render(names, [g])[0]} is not exceptional-supported")
-    if min([h[0] for h in ideal]) < g[0] or min(totals) < g[pivot]:
+    if least_z0 < g[0] or least_total < g[pivot]:
         chart = _ideal_text(_render(names, _pivot_chart(ideal, totals, pivot)))
         raise ResolutionError(f"ideal {chart} is not principal")
     return g
@@ -233,10 +237,7 @@ def _factorization_witness(
     generators ``ideal``: the common part, the least exponent of z0 (its one
     exceptional coordinate), and a residual per generator that must be one
     strict coordinate z1..zr to the first power, r distinct ones in all."""
-    # divisorial part: the common power of z0; everything else must be
-    # accounted for by the residual shape checks below
-    low = min([g[0] for g in ideal], default=0)
-    common = (low,) + (0,) * (len(names) - 1)
+    low = min([g[0] for g in ideal])
     residual = [(g[0] - low, *g[1:]) for g in ideal]
     seen = set()
     for res in residual:
@@ -249,7 +250,7 @@ def _factorization_witness(
         seen.add(i)
     if len(seen) != r:
         raise ResolutionError("residual generators do not span r distinct coordinates")
-    common_text, *residual_texts = _render(names, [common, *residual])
+    common_text, *residual_texts = _render(names, [(low,), *residual])  # (low,) renders z0^low
     return FactorizationWitness(common=common_text, residual=tuple(residual_texts))
 
 
@@ -339,8 +340,9 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
         center, divisor = tuple(names[: q + 1]), f"E{depth + 1}"
         a, k, totals = _blowup(ideal, k, q + 1)
         names = _names(depth, width)
+        least_z0, least_total = min([g[0] for g in ideal]), min(totals)  # not a: the ledger finds a wrong a
         for p in range(1, q + 1):
-            g = _check_principal(p, ideal, totals, names)
+            g = _check_principal(p, ideal, totals, names, least_z0, least_total)
             generator = _render(names, [g])[0]
             # g[p] is the generator's total over the centre, which includes g[0], so the max is always g[p]
             if g[p] > power:

@@ -14,9 +14,9 @@ closed-form ledger and its ratios, the edges of the work budgets, the
 candidate formula, its values against the Newton route on the Fermat pivot
 chart, its degree-1 shift and its degree-sum check, both ``verify``
 certificates, the weighted order, the probe's multiple-root test, its
-one-row test and its rank, the resolve report's cross-check against the
-formula, and the two writers of a report, the JSON writer and the monomial
-writer.
+zero prefix, its memo key, its one-row test and its rank, the resolve
+report's cross-check against the formula, and the two writers of a report,
+the JSON writer and the monomial writer.
 A simplex mutant that cycles needs no pivot cap:
 the solver raises on a revisited basis (see ``newton._iterate``).
 """
@@ -50,7 +50,9 @@ from test_acceptance import _pivot_chart_routes
 from test_cli import _resolve_with_the_bound_off_by_one
 from test_newton import _certificate, _cone_support, _random_points
 from test_poly import PREFIX_CASES, _forms
-import test_resolution  # by module: its tests imported by name would be collected here too
+# by module: their tests imported by name would be collected here too
+import test_poly
+import test_resolution
 
 F = Fraction
 
@@ -146,10 +148,10 @@ def principal_check_rejects_a_chart_short_at_the_pivot() -> bool:
     """The chart of pivot 1 with generators z0*z1^2 and z0*z1*z2 is not
     principal: z0*z1^2, z1's own strict transform, does not divide z0*z1*z2.
     The chart is read as the blow-up of itself whose totals are its z1
-    exponents."""
+    exponents, with its least z0 exponent 1 and its least total 1."""
     ideal = [(1, 2, 0), (1, 1, 1)]
     try:
-        resolution._check_principal(1, ideal, [2, 1], ["z0", "z1", "z2"])
+        resolution._check_principal(1, ideal, [2, 1], ["z0", "z1", "z2"], 1, 1)
     except ResolutionError:
         return True
     return False
@@ -329,6 +331,13 @@ def probe_matches_the_line_scan() -> bool:
     return True
 
 
+def probe_passes_a_smooth_quadric() -> bool:
+    """``test_probe_smooth_quadric_passes``: x1^2 + x2^2 + x3^2 passes over
+    F_5, where the zero point, a singular point of every form of degree at
+    least 2, is no line representative."""
+    return _test_passes(test_poly.test_probe_smooth_quadric_passes)
+
+
 @cache
 def _rank_cases():
     """200 matrices over F_2..F_7 of 1-4 dense rows, half of them with a
@@ -486,8 +495,8 @@ MUTANTS = {
     ),
     "principal_check_drops_the_pivot_comparison": Mutant(
         resolution, "_check_principal",
-        "min([h[0] for h in ideal]) < g[0] or min(totals) < g[pivot]",
-        "min([h[0] for h in ideal]) < g[0]",
+        "least_z0 < g[0] or least_total < g[pivot]",
+        "least_z0 < g[0]",
         principal_check_rejects_a_chart_short_at_the_pivot,
     ),
     "vj_check_reads_the_next_generator": Mutant(
@@ -588,8 +597,22 @@ MUTANTS = {
     ),
     "every_root_counts_as_simple": Mutant(
         poly, "_zeros",
-        "zeros = memo[key] = roots, multiple",
-        "zeros = memo[key] = roots, []",
+        "return roots, multiple",
+        "return roots, []",
+        probe_matches_the_line_scan,
+    ),
+    "zero_prefix_keeps_the_origin": Mutant(
+        poly, "_vanishing_points",
+        "if t == 1 or prefix != zero:",
+        "if t <= 1 or prefix != zero:",
+        probe_passes_a_smooth_quadric,
+    ),
+    "memo_keyed_by_the_first_input_alone": Mutant(
+        poly, "_vanishing_points",
+        "memo.get(key)\n        if points is None:\n"
+        "            zeros = [_zeros(parts, key[span], q) for parts, span in split]\n            points = memo[key]",
+        "memo.get(key[split[0][1]])\n        if points is None:\n"
+        "            zeros = [_zeros(parts, key[span], q) for parts, span in split]\n            points = memo[key[split[0][1]]]",
         probe_matches_the_line_scan,
     ),
     "last_partial_drops_its_exponent": Mutant(

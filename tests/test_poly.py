@@ -543,6 +543,16 @@ PREFIX_CASES = [
     # vanishes has its gradient checked, transverse ones, and one that is not
     (["x1^4*x2 + x1^3*x2^2 + 2*x1*x2^4 + x3^5"], ["x1", "x2", "x3"], 5, "PASS", None, 124),
     (["x1^4*x2 + x1*x2^4 + x3^5"], ["x1", "x2", "x3"], 5, "FAIL", (1, 1, 3), 33),
+    # the scan's memo is keyed by the values of every input's g_e.  Diagonal
+    # quadrics whose 2x2 coefficient minors are nonzero mod 13 pass; two that
+    # agree on x3 = x4 = 0 meet with equal gradients where x1^2 + x2^2 = 0,
+    # at (1, 5, 0, 0) mod 13 (not a genuine failure: not at its lift over Q)
+    (["x1^2 + x2^2 + x3^2 + x4^2", "x1^2 + 2*x2^2 + 3*x3^2 + 4*x4^2"], ["x1", "x2", "x3", "x4"], 13, "PASS", None, 13**4 - 1),
+    (["x1^2 + x2^2 + x3^2 + x4^2", "x1^2 + x2^2 + 2*x3^2 + 3*x4^2"], ["x1", "x2", "x3", "x4"], 13, "FAIL", (1, 5, 0, 0), 3_042),
+    # x2 takes the same values at the prefixes (0,) and (1,), but the cubic,
+    # x1*(x2 - x1)*(x2 + x1), vanishes on the whole line of (0,) and not at
+    # (1, 0): keyed by x2 alone, the scan would check (1, 0) as a point of both
+    (["x2", "x1*x2^2 - x1^3"], ["x1", "x2"], 3, "PASS", None, 8),
 ]
 
 
@@ -554,6 +564,21 @@ def test_probe_by_prefix_cases(texts, names, q, verdict, point, checked):
     assert report.verdict == verdict
     assert report.points_checked == checked
     assert (report.witness and report.witness.point) == point
+
+
+_ROOTS = st.sampled_from([2, 3, 5, 7, 11, 13]).flatmap(
+    lambda q: st.lists(st.tuples(st.integers(0, q - 1), st.booleans()))  # (t, whether t is a multiple root)
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_ROOTS)
+def test_needs_gradient_of_one_input_is_the_general_rule(roots):
+    # one input returns its multiple roots at once; beside a second input
+    # with no roots it takes the general rule, which must give the same
+    multiple = sorted({t for t, is_multiple in roots if is_multiple})
+    zeros = (sorted({t for t, _ in roots}), multiple)
+    assert poly._needs_gradient([zeros]) == poly._needs_gradient([zeros, ([], [])]) == [(t, [0]) for t in multiple]
 
 
 def test_independence_check_matches_gauss_jordan(monkeypatch):

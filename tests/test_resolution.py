@@ -458,13 +458,14 @@ def test_principal_generator_lies_on_z0_and_the_pivot(pivot, ideal, message):
     # a chart off the main chain, of pivot p, has the exceptional coordinates
     # z0 and z_p, and generator p - 1 is z_p's own strict transform.  The
     # library reads the chart as the blow-up of itself whose totals are its
-    # pivot exponents.  The oracle searches the same chart, of the same
-    # roles, for its componentwise minimum.
+    # pivot exponents, and its two minima as a blow-up gives them: the
+    # least z0 exponent and the least total.  The oracle searches the same
+    # chart, of the same roles, for its componentwise minimum.
     names, chart = _hand_built_chart([EXCEPTIONAL if i in (0, pivot) else STRICT for i in range(3)], ideal)
     totals = [h[pivot] for h in ideal]
     assert rs._pivot_chart(ideal, totals, pivot) == ideal
     calls = [
-        lambda: rs._check_principal(pivot, ideal, totals, names),
+        lambda: rs._check_principal(pivot, ideal, totals, names, min(h[0] for h in ideal), min(totals)),
         lambda: _oracles._principal_exceptional_generator(chart),
     ]
     for call in calls:
