@@ -37,8 +37,8 @@ its :class:`VjCheck`, unless a check of it fails.  Each exceptional divisor has 
 built only after the (a, k) rows equal their closed form, so a = 0 is a
 chain fault, never a division by zero.  The checks stay those of the argument:
 every chart off the main chain, of pivot p, is generated by z_p's own
-strict transform on z0 and z_p (:func:`_check_principal`), and that
-generator divides the matching side-chain chart
+strict transform, which equals its closed form z0^{a-1} z_p^a, a the new
+divisor's multiplicity, and divides the matching side-chain chart
 (:func:`simulate_resolution`); every side chain ends in z0^{e_l}, checked
 on the main chart at the end of its level (:func:`_side_chain_end`); the
 ledger's (a, k) rows equal their closed form (:func:`ledger_rows`); and the
@@ -174,29 +174,6 @@ def _start_chart(profile: DegreeProfile):
     return profile.n - 1, ideal
 
 
-def _check_principal(
-    pivot: int, ideal: Sequence[tuple[int, ...]], totals: Sequence[int], names: Sequence[str],
-    least_z0: int, least_total: int,
-):
-    """Generator p - 1 of the chart of ``pivot`` p >= 1 of the :func:`_blowup`
-    of ``ideal`` with ``totals``, of coordinate ``names``, checked to generate
-    that chart on z0 and z_p.
-
-    It is z_p's own strict transform; every other generator j carries the
-    strict coordinate z_{j+1} (:func:`_start_chart`; :func:`_pivot_chart`
-    changes only the pivot's exponent).  On z0 and z_p, it divides h exactly
-    when h[0] >= g[0] and h[p] >= g[p], the parent's h[0] and h's total: so
-    when ``least_z0`` and ``least_total``, the blow-up's least of each, are.
-    Only g is built, and the chart only in an error text."""
-    g = _pivot_chart(ideal[pivot - 1 : pivot], totals[pivot - 1 : pivot], pivot)[0]
-    if any(g[1:pivot]) or any(g[pivot + 1 :]):
-        raise ResolutionError(f"principal generator {_render(names, [g])[0]} is not exceptional-supported")
-    if least_z0 < g[0] or least_total < g[pivot]:
-        chart = _ideal_text(_render(names, _pivot_chart(ideal, totals, pivot)))
-        raise ResolutionError(f"ideal {chart} is not principal")
-    return g
-
-
 def _side_chain_end(
     names: Sequence[str], ideal: Sequence[tuple[int, ...]], texts: Sequence[str], level: int, q: int, power: int
 ) -> Case3Report:
@@ -311,10 +288,23 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     The main chain runs on generator tuples from :func:`_start_chart`, one
     :func:`_blowup` per blow-up (see :func:`_levels`), and follows the z0
     chart, ``_pivot_chart(ideal, totals, 0)``, as (names, generators, texts).
-    :func:`_check_principal` checks each chart of pivot p >= 1 from the
-    totals and gives its generator for a :class:`VjCheck`.  The followed
-    chart after each level's last blow-up is held for :func:`_side_chain_end`,
-    which runs after the ledger comparison and the factorization witness.
+    Of each chart of pivot p >= 1 it builds only generator p - 1, z_p's own
+    strict transform g, for a :class:`VjCheck`.  g must equal its closed form
+    z0^{a-1} z_p^a, a the closed-form multiplicity of the blow-up's divisor,
+    read from the one :func:`ledger_rows` list the ledger comparison reads.
+    The first g off it is raised after that comparison, so a chain fault
+    the ledger sees reports as a ledger fault.  The followed chart after
+    each level's last blow-up is held for :func:`_side_chain_end`, which
+    runs after the ledger comparison and the factorization witness.
+
+    Once the ledger rows equal their closed form, g's closed form makes its
+    chart principal.  Each generator h of the chart keeps its parent's z0
+    exponent, which is h's total over the previous blow-up's centre, so at
+    least that blow-up's a, which is a - 1; for E2 the parent is the start
+    chart, whose z0 exponents are the degrees, each at least d_1 = a - 1.
+    h's exponent of z_p is its total, at least the blow-up's
+    ``min(totals)``, which is a.  So g = z0^{a-1} z_p^a divides every h,
+    and g, one of them, generates the chart.
 
     The same chart of the side chain of a level m >= l holds this chart's
     first cum[m-1] generators, cut to z0..z_{cum[m-1]}, and
@@ -335,15 +325,20 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     ends = {}  # level -> its end chart
     divisors = [("origin", "E1", profile.degrees[0], k, _ideal_text(texts))]
     vj_checks: list[VjCheck] = []
+    expected = ledger_rows(profile)
+    fault = None  # the first vj generator off its closed form, raised after the ledger comparison
     blowups = ((level, q, power) for level, (q, power, count) in enumerate(schedule, 1) for _ in range(count))
     for depth, (level, q, power) in enumerate(blowups, 1):
         center, divisor = tuple(names[: q + 1]), f"E{depth + 1}"
         a, k, totals = _blowup(ideal, k, q + 1)
         names = _names(depth, width)
-        least_z0, least_total = min([g[0] for g in ideal]), min(totals)  # not a: the ledger finds a wrong a
+        closed_a = expected[depth][0] if depth < len(expected) else 0  # past the closed form the ledger fails
         for p in range(1, q + 1):
-            g = _check_principal(p, ideal, totals, names, least_z0, least_total)
+            g = _pivot_chart(ideal[p - 1 : p], totals[p - 1 : p], p)[0]
             generator = _render(names, [g])[0]
+            closed = (closed_a - 1,) + (0,) * (p - 1) + (closed_a,) + (0,) * (width - 1 - p)
+            if fault is None and g != closed:
+                fault = f"vj check of {divisor} on {center[p]}: {generator} != closed form {_render(names, [closed])[0]}"
             # g[p] is the generator's total over the centre, which includes g[0], so the max is always g[p]
             if g[p] > power:
                 raise ResolutionError(f"level {level}: {generator} does not divide the {center[p]} side chart")
@@ -355,9 +350,11 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
 
     # one divisor, and so one blow-up, per degree step.  Checked before any
     # ratio is built, so that a = 0 is a chain fault and not a ZeroDivisionError.
-    got, expected = [(a, k) for _, _, a, k, _ in divisors], ledger_rows(profile)
+    got = [(a, k) for _, _, a, k, _ in divisors]
     if got != expected:
         raise ResolutionError(f"ledger rows {got} != closed form {expected}")
+    if fault is not None:
+        raise ResolutionError(fault)
     rows = [LedgerRow(center, divisor, a, k, Fraction(k + 1, a), text) for center, divisor, a, k, text in divisors]
 
     witness = _factorization_witness(names, ideal, profile.r) if mode == STRONG_FACTORIZING else None

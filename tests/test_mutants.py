@@ -144,19 +144,6 @@ def resolution_matches_the_chart_oracle() -> bool:
     return True
 
 
-def principal_check_rejects_a_chart_short_at_the_pivot() -> bool:
-    """The chart of pivot 1 with generators z0*z1^2 and z0*z1*z2 is not
-    principal: z0*z1^2, z1's own strict transform, does not divide z0*z1*z2.
-    The chart is read as the blow-up of itself whose totals are its z1
-    exponents, with its least z0 exponent 1 and its least total 1."""
-    ideal = [(1, 2, 0), (1, 1, 1)]
-    try:
-        resolution._check_principal(1, ideal, [2, 1], ["z0", "z1", "z2"], 1, 1)
-    except ResolutionError:
-        return True
-    return False
-
-
 def _side_chain_end_rejects(ideal) -> bool:
     """Whether the end check of a level-1 side chain of q = 2 and power 3
     rejects the end chart of generators ``ideal`` over z0, z1, z2."""
@@ -195,6 +182,15 @@ def resolution_budget_admits_its_exact_work() -> bool:
     a profile's work admits it, and one unit less refuses it."""
     with pytest.MonkeyPatch.context() as patch:
         return _test_passes(lambda: test_resolution.test_resolution_budget_admits_its_exact_work(patch))
+
+
+def vj_check_raises_a_generator_off_its_closed_form() -> bool:
+    """``test_vj_generator_off_its_closed_form_is_raised_after_the_ledger``:
+    on (6; 2,4), E2's z1 generator with its pivot exponent raised by one,
+    u0^2*u1^4, fails its closed form u0^2*u1^3 after the ledger passes, and
+    with a ledger fault besides, the ledger reports first."""
+    with pytest.MonkeyPatch.context() as patch:
+        return _test_passes(lambda: test_resolution.test_vj_generator_off_its_closed_form_is_raised_after_the_ledger(patch))
 
 
 def vj_generators_have_their_closed_form() -> bool:
@@ -494,22 +490,28 @@ MUTANTS = {
         resolution_matches_the_chart_oracle,
     ),
     "principal_check_drops_the_pivot_comparison": Mutant(
-        resolution, "_check_principal",
-        "least_z0 < g[0] or least_total < g[pivot]",
-        "least_z0 < g[0]",
-        principal_check_rejects_a_chart_short_at_the_pivot,
+        resolution, "simulate_resolution",
+        "+ (closed_a,) +",
+        "+ (g[p],) +",
+        vj_check_raises_a_generator_off_its_closed_form,
     ),
     "vj_check_reads_the_next_generator": Mutant(
-        resolution, "_check_principal",
-        "ideal[pivot - 1 : pivot], totals[pivot - 1 : pivot]",
-        "ideal[pivot : pivot + 1], totals[pivot : pivot + 1]",
+        resolution, "simulate_resolution",
+        "ideal[p - 1 : p], totals[p - 1 : p]",
+        "ideal[p : p + 1], totals[p : p + 1]",
         resolution_matches_the_chart_oracle,
     ),
     "principal_check_reads_the_next_total": Mutant(
-        resolution, "_check_principal",
-        "totals[pivot - 1 : pivot]",
-        "totals[pivot : pivot + 1]",
+        resolution, "simulate_resolution",
+        "totals[p - 1 : p]",
+        "totals[p : p + 1]",
         vj_generators_have_their_closed_form,
+    ),
+    "vj_check_drops_its_deferred_raise": Mutant(
+        resolution, "simulate_resolution",
+        "if fault is not None:\n        raise ResolutionError(fault)\n",
+        "\n",
+        vj_check_raises_a_generator_off_its_closed_form,
     ),
     "ledger_ratio_drops_the_one": Mutant(
         resolution, "simulate_resolution",
@@ -696,6 +698,15 @@ def test_an_unreduced_rank_is_caught_by_both_of_its_checks(monkeypatch):
     _install(monkeypatch, MUTANTS["rank_leaves_a_difference_unreduced"])
     assert not rank_matches_gauss_jordan()
     assert not probe_matches_the_line_scan()
+
+
+def test_a_memo_keyed_by_the_first_input_is_caught_by_the_random_diagonal_sets(monkeypatch):
+    # the prefix cases catch it, and so do the random diagonal sets alone,
+    # whose scans run far: the memo's one-input key changes 47 of 200 reports
+    test = test_poly.test_probe_matches_line_scan_oracle_on_diagonal_sets
+    assert _test_passes(test)
+    _install(monkeypatch, MUTANTS["memo_keyed_by_the_first_input_alone"])
+    assert not _test_passes(test)
 
 
 # a dense support of dimension 5 on which the simplex under

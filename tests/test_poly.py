@@ -501,6 +501,32 @@ def test_probe_matches_affine_scan_oracle():
     assert all(seen.values()), seen
 
 
+def test_probe_matches_line_scan_oracle_on_diagonal_sets():
+    # sets of 2-3 diagonal forms sum_k c_k*x_k^d of one degree d prime to q:
+    # the scan runs far before a FAIL, or to the end for a PASS, past many
+    # prefixes where one input's values repeat and another's do not, which a
+    # memo keyed by fewer than all inputs' values would confuse
+    rng = random.Random(7)
+    shapes = [(q, n, d) for q in (5, 7, 11, 13) for n in (3, 4) for d in (2, 3, 4) if d % q and q**n <= 30_000]
+    seen = Counter()
+    while seen["sets"] < 200:
+        q, n, d = rng.choice(shapes)
+        names = [f"x{i}" for i in range(1, n + 1)]
+        fs = []
+        for _ in range(rng.randint(2, 3)):
+            coefficients = [rng.randrange(q) for _ in range(n)]
+            fs.append(Poly(names, {tuple(d * (j == k) for j in range(n)): F(c) for k, c in enumerate(coefficients) if c}))
+        if any(f.is_zero() for f in fs):
+            continue
+        report = probe_transversality(fs, q)
+        assert report == probe_by_line_scan(fs, q), (fs, q)
+        seen["sets"] += 1
+        seen[report.verdict] += 1
+        seen["late FAIL"] += report.verdict == "FAIL" and report.witness.point[0] != 0
+        seen["three forms"] += len(fs) == 3
+    assert seen["PASS"] and seen["late FAIL"] and seen["three forms"], seen
+
+
 def _forms(texts, names):
     return [parse_poly(text, names) for text in texts]
 

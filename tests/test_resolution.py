@@ -365,11 +365,12 @@ def test_vj_generator_has_its_closed_form():
     # L0^{a_{j-1}}*Li^{a_j}, L the letter of E_j's charts: z_i's strict
     # transform, its z0 exponent the last divisor's a and its pivot exponent
     # the new one's; the pivot is named in the letter of E_{j-1}'s charts.
-    # The wide profiles are past the chart oracle's reach.
+    # The wide profiles are past the chart oracle's reach.  The chain is read
+    # through the module, so that a mutant of it installed there is run.
     profiles = list(_c3_grid()) + [DegreeProfile(120, tuple(range(2, 61))), WIDEST]
     total = 0
     for profile in profiles:
-        report = simulate_resolution(profile)
+        report = rs.simulate_resolution(profile)
         a = {row.divisor: row.a for row in report.ledger}
         for check in report.vj_checks:
             j = int(check.divisor[1:])
@@ -457,23 +458,55 @@ def _hand_built_chart(roles, ideal):
 def test_principal_generator_lies_on_z0_and_the_pivot(pivot, ideal, message):
     # a chart off the main chain, of pivot p, has the exceptional coordinates
     # z0 and z_p, and generator p - 1 is z_p's own strict transform.  The
-    # library reads the chart as the blow-up of itself whose totals are its
-    # pivot exponents, and its two minima as a blow-up gives them: the
-    # least z0 exponent and the least total.  The oracle searches the same
-    # chart, of the same roles, for its componentwise minimum.
-    names, chart = _hand_built_chart([EXCEPTIONAL if i in (0, pivot) else STRICT for i in range(3)], ideal)
-    totals = [h[pivot] for h in ideal]
-    assert rs._pivot_chart(ideal, totals, pivot) == ideal
-    calls = [
-        lambda: rs._check_principal(pivot, ideal, totals, names, min(h[0] for h in ideal), min(totals)),
-        lambda: _oracles._principal_exceptional_generator(chart),
-    ]
-    for call in calls:
-        if message is None:
-            assert call() == ideal[pivot - 1]
-        else:
-            with pytest.raises(rs.ResolutionError, match=message):
-                call()
+    # oracle searches the chart, of those roles, for its componentwise
+    # minimum; the library compares that generator with its closed form
+    # instead (test_vj_generator_off_its_closed_form_is_raised_after_the_ledger)
+    _, chart = _hand_built_chart([EXCEPTIONAL if i in (0, pivot) else STRICT for i in range(3)], ideal)
+    if message is None:
+        assert _oracles._principal_exceptional_generator(chart) == ideal[pivot - 1]
+    else:
+        with pytest.raises(rs.ResolutionError, match=message):
+            _oracles._principal_exceptional_generator(chart)
+
+
+def test_vj_generator_off_its_closed_form_is_raised_after_the_ledger(monkeypatch):
+    # (6; 2,4): the first pivot chart off the main chain, E2's on z1, gets
+    # its pivot exponent raised by one, to u0^2*u1^4.  That is still at most
+    # e_1 = 4, so the side-chart guard passes, and the followed chart (p = 0)
+    # is left alone, so the ledger passes: the closed form u0^2*u1^3 fails.
+    # The chain is read through the module, as a mutant of it is installed there.
+    pivot_chart = rs._pivot_chart
+    bumped = []
+
+    def bump_first_pivot(ideal, totals, p):
+        chart = pivot_chart(ideal, totals, p)
+        if p and not bumped:
+            bumped.append(p)
+            chart = [g[:p] + (g[p] + 1,) + g[p + 1 :] for g in chart]
+        return chart
+
+    monkeypatch.setattr(rs, "_pivot_chart", bump_first_pivot)
+    with pytest.raises(rs.ResolutionError, match=r"^vj check of E2 on z1: u0\^2\*u1\^4 != closed form u0\^2\*u1\^3$"):
+        rs.simulate_resolution(DegreeProfile(6, (2, 4)))
+    # with a ledger fault besides (every new a read as 0), the ledger reports first
+    bumped.clear()
+    blowup = rs._blowup
+    monkeypatch.setattr(rs, "_blowup", lambda ideal, k, width: (0, *blowup(ideal, k, width)[1:]))
+    with pytest.raises(rs.ResolutionError, match=r"^ledger rows \[\(2, 5\), \(0, 6\), \(0, 7\)\] != closed form"):
+        rs.simulate_resolution(DegreeProfile(6, (2, 4)))
+    assert bumped == [1]
+
+
+def test_a_blowup_past_the_closed_form_is_a_ledger_fault(monkeypatch):
+    # a schedule of two blow-ups for (6; 2,3)'s one degree step: E3 has no
+    # closed-form row for its vj check to read, and the ledger reports the
+    # extra row, not an IndexError
+    profile = DegreeProfile(6, (2, 3))
+    levels = rs._levels(profile)[0]
+    monkeypatch.setattr(rs, "_levels", lambda _: (levels, [(1, 4, 2)]))
+    message = r"^ledger rows \[\(2, 5\), \(3, 6\), \(3, 7\)\] != closed form \[\(2, 5\), \(3, 6\)\]$"
+    with pytest.raises(rs.ResolutionError, match=message):
+        simulate_resolution(profile)
 
 
 def _hand_built_witnesses(roles, ideal, r):
