@@ -12,10 +12,17 @@ diagonal point reduces to the tiny linear program
     minimize t   subject to   lambda >= 0,  sum(lambda) = 1,
                               sum_u lambda_u * u_i <= t  for each i,
 
-because the recession orthant absorbs any componentwise slack.  The program
-is solved by an exact revised simplex with Bland's anti-cycling rule, in one
-phase from a feasible vertex written down in closed form (all weight on a
-point whose largest coordinate is least), and fraction-free
+because the recession orthant absorbs any componentwise slack.  When the
+origin is not in S, so c > 0, put mu = lambda / t: the program becomes the
+packing program
+
+    1/c = maximize sum(mu)   subject to   mu >= 0,
+                                          sum_u mu_u * u_i <= 1  for each i,
+
+whose optimum gives the weights lambda = c * mu and, from its row prices y,
+the dual v = c * y.  It is solved by an exact revised simplex with Bland's
+anti-cycling rule, in one phase from the slack basis (the identity, with
+the right-hand side all ones), and fraction-free
 (integer-preserving pivoting in the style of Bareiss and Edmonds): it keeps
 only d * B^-1, d the last pivot element, each column stored at the
 denominator it was last written at, and prices and builds each entering
@@ -123,48 +130,48 @@ class DiagonalResult(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# exact revised simplex from a feasible vertex (fraction-free, Bland's rule)
+# exact revised simplex from the slack basis (fraction-free, Bland's rule)
 #
-# The program has dim + 1 rows, the convexity row sum(lambda) = 1 and, for
-# each coordinate i, sum_u lambda_u * u_i - t + s_i = 0, and the columns
-# lambda_0 .. lambda_{npts-1}, t, s_0 .. s_{dim-1}.  The tableau of a full
-# simplex would be d * B^-1 * A0: A0 the initial integer tableau, B the
-# basis matrix, d > 0 the last pivot element.  Only the columns of d * B^-1
-# itself are kept, slot k being d * B^-1 applied to the k-th unit vector,
-# and the reduced costs on the same slots, read as columns of cost 0: slot
-# 1 + i is s_i's column, and slot 0 is also the right-hand side, since the
-# rhs of A0 is the first unit vector.  So y = -red is d times the dual of
-# the rows, column j prices as d * cost_j + red . A0[:, j] and enters as
-# d * B^-1 * A0[:, j], the sum of a * (column k of d * B^-1) over the
-# nonzero entries a = A0[k, j]: a support point u is (1, u), one term per
-# nonzero entry.
+# The packing program has dim rows, sum_u mu_u * u_i + s_i = 1 for each
+# coordinate i, and the columns mu_0 .. mu_{npts-1}, s_0 .. s_{dim-1}; it
+# minimizes -sum(mu), each point at cost -1 and each slack at cost 0.  Its
+# optimum is -1/c: for any feasible (lambda, t) of the program in the module
+# docstring, mu = lambda / t is feasible with sum(mu) = 1/t, and back.  The
+# tableau of a full simplex would be d * B^-1 * A0: A0 the initial integer
+# tableau, B the basis matrix, d > 0 the last pivot element.  Only the
+# columns of d * B^-1 itself are kept, slot k < dim being d * B^-1 applied to
+# the k-th unit vector, s_k's column, and one more slot, the last, holding
+# d * B^-1 applied to the right-hand side, all ones.  The reduced costs are
+# kept on the same slots, read as columns of cost 0, so red[k] for k < dim
+# is d times the price y_k of row k.  A column j prices as
+# d * cost_j + red . A0[:, j] and enters as d * B^-1 * A0[:, j], the sum of
+# a * (column k of d * B^-1) over the nonzero entries a = A0[k, j]: one term
+# per nonzero coordinate of a point, one term for a slack.
 #
-# The start is a feasible vertex in closed form.  Let u* be the first
-# sorted point whose largest coordinate M is least, and i* its first
-# coordinate equal to M.  The basis is lambda_{u*} on row 0, t on row
-# 1 + i* and s_i on every other row.  B has determinant -1, so d = 1 and
-# B^-1 is an integer matrix: slot 0, the rhs, is 1 on row 0, M on row
-# 1 + i* and M - u*_i >= 0 on row 1 + i, so the start is feasible; slot
-# 1 + i* is 0 on row 0 and -1 on every other row; slot 1 + i, i != i*, is
-# the unit vector.  The cost is t, basic on row 1 + i*, so the reduced cost
-# on slot k is minus slot k's entry on that row: -M on slot 0, 1 on slot
-# 1 + i*, 0 elsewhere.  Bland's anti-cycling theorem holds from any
-# feasible basis, so one phase that minimizes t is the whole solve.
+# The start is the slack basis: B = I, d = 1 = det B, d * B^-1 = I, the
+# right-hand side all ones, so the start is feasible, and every price 0.
+# Bland's anti-cycling theorem holds from any feasible basis, so one phase
+# is the whole solve.  At the optimum the basic mu are x / d, x the
+# right-hand side's entries, and the prices red / d solve the dual
+# program, min sum(y) subject to <u, y> >= 1 for each u and y >= 0, with
+# sum(y) = sum(mu) = 1/c.  So with total = d * sum(mu) = d / c, the weights
+# lambda = c * mu are x / total, the dual v = c * y is red / total, and
+# c is d / total.  A support holding the origin has c = 0, and its packing
+# program is unbounded, the origin's column having no positive entry: the
+# caller answers it before the solve.
 #
 # In Bareiss's integer-preserving elimination, a pivot on element p
 # keeps the pivot row and replaces every other entry x by
 # (x * p - f * g) // d before setting d = p, where f is the entering
 # column's entry in x's row (for a reduced cost, the entering column's
 # reduced cost) and g the pivot row's entry in x's column.  Its d is det B,
-# and every entry is a minor of A0.  Here d = 1 = -det B at the start, so
-# the stored state is -1 times Bareiss's at the same basis, and it stays
-# so: (x * p - f * g) / d changes sign with x, p, f, g and d together.  So
-# every entry is a minor of A0 up to sign, an integer, while pivot
-# elements stay positive, the ratio test taking only a > 0.  A column
-# with g = 0 only scales by p / d: it is the same column of B^-1.  So each
-# column k is stored as it was last written, at the denominator dens[k] =
-# e, and its entries at the current d are x * d / e.  A pivot leaves a
-# column with g = 0 as it is.  A column with g != 0 becomes
+# and every entry is a minor of [A0 | 1], the tableau with its right-hand
+# side, so an integer, while pivot elements stay positive, the ratio test
+# taking only a > 0.  A column with g = 0 only scales by p / d: it is the
+# same column of B^-1.  So each column k is stored as it was last written,
+# at the denominator dens[k] = e, and its entries at the current d are
+# x * d / e.  A pivot leaves a column with g = 0 as it is.  A column with
+# g != 0 becomes
 #
 #     (x * d / e * p - g * d / e * f) / d = (x * p - g * f) / e,
 #
@@ -173,9 +180,8 @@ class DiagonalResult(NamedTuple):
 # column once, as x * d // e, before it reads it.  Each of these divisions
 # is exact.  x * d / e, g * d / e and (x * p - g * f) / e are the entries
 # of the full tableau at the denominator d or p, and those are minors of
-# A0 up to sign, so integers.  Every integer the solver compares is the
-# one the full tableau holds: the pivot path, c, the weights and the dual
-# are its.
+# [A0 | 1], so integers.  Every integer the solver compares is the one the
+# full tableau holds: the pivot path, c, the weights and the dual are its.
 
 
 def _fresh(inverse, dens, k, d):
@@ -235,7 +241,7 @@ def _iterate(inverse, dens, basis, red, d, cost, columns):
             column = [c + a * x for c, x in zip(column, _fresh(inverse, dens, k, d))]
         # ratio test rhs / a, compared by cross-multiplication (a > 0)
         leave = None
-        for r, (a, b) in enumerate(zip(column, _fresh(inverse, dens, 0, d))):
+        for r, (a, b) in enumerate(zip(column, _fresh(inverse, dens, -1, d))):
             if a > 0:
                 if leave is None:
                     leave, num, den = r, b, a
@@ -257,44 +263,38 @@ def _iterate(inverse, dens, basis, red, d, cost, columns):
 def _solve_diagonal_lp(pts: list[tuple[int, ...]]):
     npts = len(pts)
     dim = len(pts[0])
-    t_col = npts
 
-    # the sparse columns of A0 as (row, entry) pairs
-    columns = [[(0, 1)] + [(i + 1, x) for i, x in enumerate(u) if x] for u in pts]
-    columns.append([(i + 1, -1) for i in range(dim)])
-    columns += [[(i + 1, 1)] for i in range(dim)]
-    cost = [0] * len(columns)
-    cost[t_col] = 1
+    # the sparse columns of A0 as (row, entry) pairs: the points, then the slacks
+    columns = [[(i, x) for i, x in enumerate(u) if x] for u in pts]
+    columns += [[(i, 1)] for i in range(dim)]
+    cost = [-1] * npts + [0] * dim
 
-    # the feasible start of the kernel comment: lambda_{u*} = 1, t = M
-    star = min(range(npts), key=lambda k: max(pts[k]))
-    u = pts[star]
-    row = 1 + u.index(max(u))
-    top = u[row - 1]
-    inverse = [[int(r == k) for r in range(dim + 1)] for k in range(dim + 1)]
-    inverse[0] = [1] + [top - x for x in u]
-    inverse[0][row] = top
-    inverse[row] = [0] + [-1] * dim
-    basis = [star] + [t_col + 1 + i for i in range(dim)]
-    basis[row] = t_col
-    red = [0] * (dim + 1)
-    red[0], red[row] = -top, 1
+    # the slack basis of the kernel comment, the right-hand side its last slot
+    inverse = [[int(r == k) for r in range(dim)] for k in range(dim)] + [[1] * dim]
+    basis = list(range(npts, npts + dim))
     dens = [1] * (dim + 1)
+    red = [0] * (dim + 1)
     d = _iterate(inverse, dens, basis, red, 1, cost, columns)
 
     value = [0] * len(columns)
-    for x, b in zip(_fresh(inverse, dens, 0, d), basis):
+    for x, b in zip(_fresh(inverse, dens, -1, d), basis):
         value[b] = x
-    lambdas = [Fraction(x, d) for x in value[:npts]]
-    c = Fraction(value[t_col], d)
-    dual = [Fraction(x, d) for x in red[1:]]
-    return c, lambdas, dual
+    total = sum(value[:npts])  # d * sum(mu) = d / c
+    lambdas = [Fraction(x, total) for x in value[:npts]]
+    dual = [Fraction(x, total) for x in red[:dim]]
+    return Fraction(d, total), lambdas, dual
 
 
 def diagonal_entry(support: MonomialSupport) -> DiagonalResult:
     """Exact diagonal value of the Newton polyhedron, with certificates."""
     pts = sorted(support.points)
-    c, lambdas, dual = _solve_diagonal_lp(pts)
+    if pts[0] == support.origin:  # the least point, if the support holds it
+        # c = 0, all weight on the origin, and the dual e_0, before the
+        # solve: the packing program is unbounded here (see the kernel)
+        c, lambdas = Fraction(0), [Fraction(int(k == 0)) for k in range(len(pts))]
+        dual = [Fraction(int(i == 0)) for i in range(support.n)]
+    else:
+        c, lambdas, dual = _solve_diagonal_lp(pts)
     result = DiagonalResult(c, tuple(zip(pts, lambdas)), tuple(dual))
     if not result.verify():
         raise RuntimeError(f"internal error: certificate failed to verify for {pts}")

@@ -6,9 +6,10 @@ value is recomputed by enumerating candidate vertices of the feasible region
 directly.  A vertex activates the convexity equality plus a mix of
 lambda = 0 and tight-coordinate constraints totalling one per variable;
 every nonsingular activation pattern is solved exactly and the feasible
-ones are scanned for the least t.  The full-tableau oracle is the simplex
-the library ran before it kept only d * B^-1: the same pivot rules on every
-column of the tableau, so it must return the same c, weights and dual.
+ones are scanned for the least t.  The full-tableau oracle solves the
+library's packing program from the same slack basis by the same pivot rules,
+but on every column of the tableau, where the library keeps only d * B^-1,
+so it must return the same c, weights and dual.
 
 The affine probe oracle scans every nonzero point of F_q^n, where the
 library scans one point per line through the origin, and evaluates with
@@ -160,6 +161,9 @@ def diagonal_by_vertex_enumeration(points) -> Fraction:
 #
 # The library keeps only d * B^-1 and prices columns from the support; this
 # solver keeps every column of the tableau and eliminates on all of them.
+# It solves the same packing program, max sum(mu) subject to
+# sum_u mu_u * u <= 1 and mu >= 0, whose optimum is 1/c, from the same
+# slack basis.
 #
 # The tableau is kept as integer rows over one common positive denominator D:
 # the true entries are row[j] / D, and the reduced-cost row is scaled by the
@@ -174,9 +178,6 @@ def _pivot(rows, basis, red, d, leave, enter):
     """Pivot in place; return the new common denominator (the pivot element)."""
     piv_row = rows[leave]
     p = piv_row[enter]
-    if p < 0:  # only the start's pivot of t can meet one: t's column is -1
-        piv_row = rows[leave] = [-x for x in piv_row]
-        p = -p
     for r, row in enumerate(rows):
         if r != leave:
             rows[r] = _eliminate(row, piv_row, enter, p, d)
@@ -220,43 +221,27 @@ def _iterate(rows, basis, red, d):
 
 
 def diagonal_lp_by_full_tableau(pts: list[tuple[int, ...]]):
-    """(c, lambdas, dual) of the diagonal program of the sorted points ``pts``,
-    from the full fraction-free tableau."""
+    """(c, lambdas, dual) of the diagonal program of the sorted nonzero
+    points ``pts``, from the full fraction-free tableau."""
     npts = len(pts)
     dim = len(pts[0])
-    t_col = npts
-    s0 = npts + 1
-    ncols = s0 + dim
+    ncols = npts + dim
 
-    rows = [[1] * npts + [0] * (ncols - npts) + [1]]
-    for i in range(dim):
-        row = [u[i] for u in pts] + [0] * (ncols + 1 - npts)
-        row[t_col] = -1
-        row[s0 + i] = 1
-        rows.append(row)
-    # The convexity row has no basic variable yet, and every basic s_i costs
-    # 0, so the reduced costs of the cost t are the cost row itself.
-    basis = [None] + [s0 + i for i in range(dim)]
-    red = [int(j == t_col) for j in range(ncols + 1)]
-    # The feasible start: lambda_{u*} enters on the convexity row, u* the
-    # first point whose largest coordinate M is least, then t enters on the
-    # row of u*'s first coordinate equal to M, on the pivot element -1.
-    star = min(range(npts), key=lambda j: max(pts[j]))
-    d = _pivot(rows, basis, red, 1, 0, star)
-    d = _pivot(rows, basis, red, d, 1 + pts[star].index(max(pts[star])), t_col)
-    if any(row[-1] < 0 for row in rows):
-        raise RuntimeError("the start is infeasible; impossible for this formulation")
-
-    # minimize t: one phase from a feasible basis
-    d = _iterate(rows, basis, red, d)
+    # one row sum_u mu_u * u_i + s_i = 1 per coordinate i; the slack s_i is
+    # basic on row i, at cost 0, so the reduced costs are the cost row itself:
+    # -1 on each point, to minimize -sum(mu)
+    rows = [[u[i] for u in pts] + [int(k == i) for k in range(dim)] + [1] for i in range(dim)]
+    basis = [npts + i for i in range(dim)]
+    red = [-1] * npts + [0] * (dim + 1)
+    d = _iterate(rows, basis, red, 1)
 
     value = [0] * ncols
     for r, b in enumerate(basis):
         value[b] = rows[r][-1]
-    lambdas = [Fraction(x, d) for x in value[:npts]]
-    c = Fraction(value[t_col], d)
-    dual = [Fraction(red[s0 + i], d) for i in range(dim)]
-    return c, lambdas, dual
+    total = sum(value[:npts])  # d * sum(mu), and sum(mu) = 1/c
+    lambdas = [Fraction(x, total) for x in value[:npts]]
+    dual = [Fraction(red[npts + i], total) for i in range(dim)]
+    return Fraction(d, total), lambdas, dual
 
 
 def _eval_mod(terms: list[tuple[int, tuple[int, ...]]], point: tuple[int, ...], q: int) -> int:

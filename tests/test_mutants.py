@@ -6,10 +6,13 @@ occur exactly once, is replaced, and the mutated function is compiled in the
 module's namespace and monkeypatched in.  A refactor that renames a function
 or rewrites a snippet makes its entry fail here, so the entry is updated
 with it instead of lost.  Each check first passes on the library as it is,
-then must fail under the mutant.
+then must fail under the mutant.  A check that runs a Tier-1 test raises if
+the test's module binds the mutated name to the unmutated function, which
+the test would run instead: such a test calls the function through its
+module.
 
-The table covers every route and certificate: the simplex, its closed-form
-start and the Newton certificate, the blow-up chain, its chart checks, its
+The table covers every route and certificate: the simplex, its slack start
+and the Newton certificate, the blow-up chain, its chart checks, its
 closed-form ledger and its ratios, the edges of the work budgets, the
 candidate formula, its values against the Newton route on the Fermat pivot
 chart, its degree-1 shift and its degree-sum check, both ``verify``
@@ -51,6 +54,7 @@ from test_cli import _resolve_with_the_bound_off_by_one
 from test_newton import _certificate, _cone_support, _random_points
 from test_poly import PREFIX_CASES, _forms
 # by module: their tests imported by name would be collected here too
+import test_newton
 import test_poly
 import test_resolution
 
@@ -93,6 +97,15 @@ def simplex_matches_full_tableau() -> bool:
         except RuntimeError:  # the solver's own checks, a revisited basis among them
             return False
     return True
+
+
+def slack_start_is_a_feasible_basis() -> bool:
+    """``test_the_start_is_feasible_on_every_small_support``: on 1,947 small
+    supports the state the simplex begins from is d * B^-1 of its basis,
+    with the all-ones right-hand side in its last slot, and every basic
+    column prices at 0."""
+    with pytest.MonkeyPatch.context() as patch:
+        return _test_passes(test_newton.test_the_start_is_feasible_on_every_small_support, patch)
 
 
 def verify_rejects_dual_summing_above_one() -> bool:
@@ -166,12 +179,21 @@ def side_chain_rejects_a_short_last_cut_generator() -> bool:
     return _side_chain_end_rejects([(3, 1, 0), (2, 0, 1)])
 
 
-def _test_passes(test: Callable[[], None]) -> bool:
-    """Whether a Tier-1 test passes: it raises no assertion, no failed
-    ``pytest.raises``, no ``ResolutionError`` of a chain check and no
-    ``ValueError`` of a budget check."""
+def _test_passes(test: Callable[..., None], *args) -> bool:
+    """Whether a Tier-1 test passes on ``args``: it raises no assertion, no
+    failed ``pytest.raises``, no ``ResolutionError`` of a chain check and no
+    ``ValueError`` of a budget check.
+
+    A test whose module binds an installed mutant's name to the unmutated
+    function would run that function and pass vacuously, so it raises
+    instead: such a test must call the function through its module.
+    """
+    for mutant in MUTANTS.values():
+        original = getattr(getattr(mutant.owner, mutant.name), "unmutated", None)
+        if original is not None and test.__globals__.get(mutant.name) is original:
+            raise RuntimeError(f"{test.__module__} binds {mutant.name} by name: call it through its module")
     try:
-        test()
+        test(*args)
     except (AssertionError, ResolutionError, ValueError, pytest.fail.Exception):
         return False
     return True
@@ -181,7 +203,7 @@ def resolution_budget_admits_its_exact_work() -> bool:
     """``test_resolution_budget_admits_its_exact_work``: a budget of exactly
     a profile's work admits it, and one unit less refuses it."""
     with pytest.MonkeyPatch.context() as patch:
-        return _test_passes(lambda: test_resolution.test_resolution_budget_admits_its_exact_work(patch))
+        return _test_passes(test_resolution.test_resolution_budget_admits_its_exact_work, patch)
 
 
 def vj_check_raises_a_generator_off_its_closed_form() -> bool:
@@ -190,7 +212,7 @@ def vj_check_raises_a_generator_off_its_closed_form() -> bool:
     u0^2*u1^4, fails its closed form u0^2*u1^3 after the ledger passes, and
     with a ledger fault besides, the ledger reports first."""
     with pytest.MonkeyPatch.context() as patch:
-        return _test_passes(lambda: test_resolution.test_vj_generator_off_its_closed_form_is_raised_after_the_ledger(patch))
+        return _test_passes(test_resolution.test_vj_generator_off_its_closed_form_is_raised_after_the_ledger, patch)
 
 
 def vj_generators_have_their_closed_form() -> bool:
@@ -459,11 +481,11 @@ MUTANTS = {
         "basis[r] > basis[leave]",
         simplex_matches_full_tableau,
     ),
-    "start_puts_t_on_the_smallest_coordinate": Mutant(
+    "start_rhs_slot_is_zero": Mutant(
         newton, "_solve_diagonal_lp",
-        "row = 1 + u.index(max(u))",
-        "row = 1 + u.index(min(u))",
-        simplex_matches_full_tableau,
+        "+ [[1] * dim]",
+        "+ [[0] * dim]",
+        slack_start_is_a_feasible_basis,
     ),
     "verify_drops_the_dual_sum_check": Mutant(
         DiagonalResult, "verify",
@@ -669,7 +691,9 @@ def _install(monkeypatch, mutant: Mutant) -> None:
     namespace: dict = {}
     exec(compile(source.replace(mutant.old, mutant.new), inspect.getfile(function), "exec"),
          function.__globals__, namespace)
-    monkeypatch.setattr(mutant.owner, mutant.name, namespace[mutant.name])
+    mutated = namespace[mutant.name]
+    mutated.unmutated = function  # read by _test_passes
+    monkeypatch.setattr(mutant.owner, mutant.name, mutated)
 
 
 @pytest.mark.parametrize("key", MUTANTS)
@@ -713,7 +737,7 @@ def test_a_memo_keyed_by_the_first_input_is_caught_by_the_random_diagonal_sets(m
 # pivot_divides_by_d_not_dens cycles: without the revisit check it runs past
 # 5,000 pivots, and with it the solve stops at its ninth pivot.  Of 3,000
 # supports drawn as _random_points(rng, rng.randint(5, 9), rng.randint(8,
-# 16), 6) with rng = random.Random(7), that mutant revisits a basis on 551;
+# 16), 6) with rng = random.Random(7), that mutant revisits a basis on 531;
 # this is the first drawn of the smallest (dimension 5, 8 points).
 _CYCLING_SUPPORT = [
     [0, 1, 2, 4, 5], [1, 4, 5, 2, 3], [3, 0, 5, 1, 6], [3, 5, 4, 4, 5],

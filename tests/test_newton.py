@@ -260,19 +260,37 @@ def test_revised_simplex_matches_full_tableau_oracle():
         assert newton._solve_diagonal_lp(pts) == diagonal_lp_by_full_tableau(pts), pts
 
 
+def _check_start(inverse, dens, basis, red, d, cost, columns):
+    """The state the simplex begins from is a feasible basis: ``inverse``
+    is d * B^-1 for the basic columns, its last slot d * B^-1 applied to
+    the all-ones right-hand side and >= 0, and every basic column prices
+    at 0."""
+    dim = len(basis)
+    assert dens == [d] * (dim + 1)
+    for r, j in enumerate(basis):
+        column = [0] * dim
+        for k, a in columns[j]:
+            column = [c + a * x for c, x in zip(column, inverse[k])]
+        assert column == [d * (i == r) for i in range(dim)]
+        assert d * cost[j] + sum(red[k] * a for k, a in columns[j]) == 0
+    assert inverse[-1] == [sum(col[i] for col in inverse[:-1]) for i in range(dim)]
+    assert min(inverse[-1]) >= 0
+
+
 def test_the_start_is_feasible_on_every_small_support(monkeypatch):
     # every support of at most 4 nonzero points with dimension <= 2 and
-    # coordinates <= 3 (1,947 supports): the closed-form start, read where
-    # the simplex begins, has a right-hand side >= 0, and the result is the
-    # full tableau's, with the vertex-enumeration oracle's c
+    # coordinates <= 3 (1,947 supports): the slack start, checked where the
+    # simplex begins, is a feasible basis, and the result is the full
+    # tableau's, with the vertex-enumeration oracle's c
     starts = []
     iterate = newton._iterate
 
-    def recording(inverse, *rest):
-        starts.append(list(inverse[0]))  # slot 0 is the right-hand side
-        return iterate(inverse, *rest)
+    def checked(*state):
+        _check_start(*state)
+        starts.append(state)
+        return iterate(*state)
 
-    monkeypatch.setattr(newton, "_iterate", recording)
+    monkeypatch.setattr(newton, "_iterate", checked)
     count = 0
     for dim in (1, 2):
         pool = [p for p in itertools.product(range(4), repeat=dim) if any(p)]
@@ -280,11 +298,23 @@ def test_the_start_is_feasible_on_every_small_support(monkeypatch):
             for pts in itertools.combinations(pool, size):
                 pts = list(pts)
                 result = newton._solve_diagonal_lp(pts)
-                assert min(starts.pop()) >= 0, pts
+                assert len(starts) == count + 1
                 assert result == diagonal_lp_by_full_tableau(pts), pts
                 assert result[0] == diagonal_by_vertex_enumeration(pts), pts
                 count += 1
     assert count == 1947
+
+
+def test_a_support_holding_the_origin_has_c_zero():
+    # the packing program is unbounded there, the origin's column being 0,
+    # so diagonal_entry answers before the solve: all weight on the origin,
+    # the least point, and the dual e_0
+    result = diagonal_entry(_support((0, 0, 0), (1, 2, 3), (0, 1, 0)))
+    assert result == DiagonalResult(
+        F(0), (((0, 0, 0), F(1)), ((0, 1, 0), F(0)), ((1, 2, 3), F(0))), (F(1), F(0), F(0))
+    )
+    assert diagonal_entry(_support((0,))) == DiagonalResult(F(0), (((0,), F(1)),), (F(1),))
+    assert diagonal_by_vertex_enumeration([(0, 0), (2, 0)]) == diagonal_entry(_support((0, 0), (2, 0))).c == 0
 
 
 def test_matches_vertex_enumeration_oracle():

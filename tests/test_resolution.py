@@ -33,7 +33,6 @@ from minexp.resolution import (
     LOG_RESOLUTION,
     STRONG_FACTORIZING,
     FactorizationWitness,
-    simulate_resolution,
 )
 from test_acceptance import _pivot_chart_routes
 
@@ -50,7 +49,7 @@ def _resolve_results(capsys, n, degrees):
 def test_grouped_degrees(capsys):
     # the degrees group into levels (value, multiplicity); the side chain of
     # level l ends in the chart after e_l - e_0 blow-ups, in a pure power e_l
-    report = simulate_resolution(DegreeProfile(8, (2, 2, 3, 5, 5, 5)))
+    report = rs.simulate_resolution(DegreeProfile(8, (2, 2, 3, 5, 5, 5)))
     assert report.levels == ((2, 2), (3, 1), (5, 3))
     assert _resolve_results(capsys, 8, (2, 2, 3, 5, 5, 5))["levels"] == [[2, 2], [3, 1], [5, 3]]
     assert [(c.level, c.principal) for c in report.case3] == [(1, "u0^3"), (2, "w0^5")]
@@ -209,7 +208,7 @@ def _blowups_of_resolution(profile, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(rs, "_blowup", recording)
-        simulate_resolution(profile)
+        rs.simulate_resolution(profile)
     return calls
 
 
@@ -300,7 +299,7 @@ def test_resolution_matches_the_chart_oracle(monkeypatch):
     for profile in profiles:
         library.clear()
         oracle.clear()
-        report = simulate_resolution(profile)
+        report = rs.simulate_resolution(profile)
         expected, terminal = simulate_resolution_by_charts(profile)
         assert report == expected, profile
         assert library == oracle, profile
@@ -322,7 +321,7 @@ def test_pivot_charts_are_determined_by_the_ledger(monkeypatch):
     # total over row E_j's centre
     for profile in _golden_profiles() + list(_c3_sample()) + [WIDE]:
         steps = _blowups_of_resolution(profile, monkeypatch)
-        report = simulate_resolution(profile)
+        report = rs.simulate_resolution(profile)
         assert len(steps) == len(report.ledger) - 1, profile
         for charts, before, row in zip(steps, report.ledger, report.ledger[1:]):
             names = rs._names(charts[0].depth - 1, len(charts[0].coords))
@@ -336,7 +335,7 @@ def test_pivot_charts_are_determined_by_the_ledger(monkeypatch):
 def test_side_chains_make_no_blowups(monkeypatch, profile):
     # each side chain is read off the main chain: one blow-up step per
     # main-chain blow-up after the origin, none replayed
-    report = simulate_resolution(profile)
+    report = rs.simulate_resolution(profile)
     assert len(report.case3) == len(report.levels) - 1 > 1
     assert len(_blowups_of_resolution(profile, monkeypatch)) == profile.degrees[-1] - profile.degrees[0]
 
@@ -353,8 +352,8 @@ def test_side_chain_check_is_derived_from_the_main_chain(monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(rs, "_levels", lambda _: (levels, [(1, 2, 1)]))
         with pytest.raises(rs.ResolutionError, match=r"^level 1: u0\^2\*u1\^3 does not divide the z1 side chart$"):
-            simulate_resolution(profile)
-    report = simulate_resolution(profile)
+            rs.simulate_resolution(profile)
+    report = rs.simulate_resolution(profile)
     rows = report.ledger[1:]
     assert [(row.center, row.divisor, row.a, row.k) for row in rows] == [(("z0", "z1"), "E2", 3, 6)]
     assert [(v.divisor, v.pivot, v.generator) for v in report.vj_checks] == [("E2", "z1", "u0^2*u1^3")]
@@ -415,18 +414,18 @@ def test_side_chain_end_is_checked_after_the_ledger(monkeypatch):
     monkeypatch.setattr(rs, "_pivot_chart", short_first_chart)
     message = r"^side chain at level 1 ended in u0\^2\*u1, expected the exceptional coordinate to the power 3$"
     with pytest.raises(rs.ResolutionError, match=message):
-        simulate_resolution(DegreeProfile(6, (2, 3)))
+        rs.simulate_resolution(DegreeProfile(6, (2, 3)))
     depth.clear()
     message = r"^ledger rows \[\(2, 7\), \(3, 8\), \(3, 10\), \(4, 12\)\] != closed form"
     with pytest.raises(rs.ResolutionError, match=message):
-        simulate_resolution(DegreeProfile(8, (2, 3, 5)))
+        rs.simulate_resolution(DegreeProfile(8, (2, 3, 5)))
 
 
 def test_side_chain_ends_have_their_closed_form():
     # on the C3 grid and the widest profile, level l's side chain ends in the
     # chart after e_l - e_0 blow-ups, whose letter names z0's power e_l
     for profile in [*_c3_grid(), WIDEST]:
-        report = simulate_resolution(profile)
+        report = rs.simulate_resolution(profile)
         e = [d for d, _ in report.levels]
         expected = [rs.Case3Report(m, f"{rs._letter(e[m] - e[0])}0^{e[m]}") for m in range(1, len(e))]
         assert list(report.case3) == expected, profile
@@ -506,7 +505,7 @@ def test_a_blowup_past_the_closed_form_is_a_ledger_fault(monkeypatch):
     monkeypatch.setattr(rs, "_levels", lambda _: (levels, [(1, 4, 2)]))
     message = r"^ledger rows \[\(2, 5\), \(3, 6\), \(3, 7\)\] != closed form \[\(2, 5\), \(3, 6\)\]$"
     with pytest.raises(rs.ResolutionError, match=message):
-        simulate_resolution(profile)
+        rs.simulate_resolution(profile)
 
 
 def _hand_built_witnesses(roles, ideal, r):
@@ -597,36 +596,36 @@ def test_random_blowups_pass_the_public_checks(case):
 # --- the scripted resolution ---------------------------------------------------
 
 def test_simulate_examples():
-    rep = simulate_resolution(DegreeProfile(4, (2, 3, 4)))
+    rep = rs.simulate_resolution(DegreeProfile(4, (2, 3, 4)))
     assert [(r.a, r.k) for r in rep.ledger] == [(2, 3), (3, 4), (4, 6)]
     assert [r.ratio for r in rep.ledger] == [F(2), F(5, 3), F(7, 4)]
     assert rep.lower_bound == F(5, 3)
     assert len(rep.ledger) == 4 - 2 + 1
 
-    rep = simulate_resolution(DegreeProfile(6, (2, 3)))
+    rep = rs.simulate_resolution(DegreeProfile(6, (2, 3)))
     assert [(r.a, r.k) for r in rep.ledger] == [(2, 5), (3, 6)]
     assert rep.lower_bound == F(7, 3)
 
-    rep = simulate_resolution(DegreeProfile(5, (2, 2)))
+    rep = rs.simulate_resolution(DegreeProfile(5, (2, 2)))
     assert [(r.a, r.k) for r in rep.ledger] == [(2, 4)]
     assert rep.lower_bound == F(5, 2)
     assert len(rep.ledger) == 2 - 2 + 1
 
 
 def test_simulate_log_resolution_mode():
-    rep = simulate_resolution(DegreeProfile(2, (2, 2)))
+    rep = rs.simulate_resolution(DegreeProfile(2, (2, 2)))
     assert rep.mode == LOG_RESOLUTION
     assert rep.witness is None
     assert [(r.a, r.k) for r in rep.ledger] == [(2, 1)]
     assert rep.lower_bound == 1
 
-    rep = simulate_resolution(DegreeProfile(3, (2, 2)))
+    rep = rs.simulate_resolution(DegreeProfile(3, (2, 2)))
     assert rep.mode == STRONG_FACTORIZING
     assert rep.witness is not None
 
 
 def test_simulate_witness_shape():
-    rep = simulate_resolution(DegreeProfile(7, (2, 2, 4)))
+    rep = rs.simulate_resolution(DegreeProfile(7, (2, 2, 4)))
     assert rep.mode == STRONG_FACTORIZING
     witness = rep.witness
     assert witness.common
@@ -659,7 +658,7 @@ def test_ledger_lower_bound_examples():
     ]
     cases += [(DegreeProfile(n, (d,)), [(d, n - 1)], F(n, d)) for n in range(2, 9) for d in range(2, 7)]
     for profile, pairs, bound in cases:
-        rep = simulate_resolution(profile)
+        rep = rs.simulate_resolution(profile)
         assert [(row.a, row.k) for row in rep.ledger] == pairs
         assert rep.lower_bound == bound
         assert any(rep.lower_bound is row.ratio for row in rep.ledger)
@@ -670,7 +669,7 @@ def test_ledger_agrees_with_formula_small_scan():
         for r in range(1, min(3, n) + 1):
             for degrees in itertools.combinations_with_replacement(range(2, 7), r):
                 profile = DegreeProfile(n, degrees)
-                rep = simulate_resolution(profile)
+                rep = rs.simulate_resolution(profile)
                 assert rep.lower_bound == profile.table.minimum, profile
 
 
@@ -680,7 +679,7 @@ def test_ledger_shape():
         n = rng.randint(1, 10)
         r = rng.randint(1, min(4, n))
         degrees = tuple(sorted(rng.randint(2, 8) for _ in range(r)))
-        rep = simulate_resolution(DegreeProfile(n, degrees))
+        rep = rs.simulate_resolution(DegreeProfile(n, degrees))
         a_values = [row.a for row in rep.ledger]
         assert a_values == list(range(degrees[0], degrees[-1] + 1))
         k_values = [row.k for row in rep.ledger]
@@ -695,7 +694,7 @@ def test_ledger_rows_closed_form():
     assert rs.ledger_rows(DegreeProfile(9, (3, 3, 3))) == [(3, 8)]
     for n, degrees in [(6, (2, 3)), (12, (2, 3, 3, 7)), (60, tuple(range(2, 40)))]:
         profile = DegreeProfile(n, degrees)
-        assert rs.ledger_rows(profile) == [(row.a, row.k) for row in simulate_resolution(profile).ledger]
+        assert rs.ledger_rows(profile) == [(row.a, row.k) for row in rs.simulate_resolution(profile).ledger]
 
 
 def test_ledger_is_checked_against_its_closed_form(monkeypatch):
@@ -708,11 +707,11 @@ def test_ledger_is_checked_against_its_closed_form(monkeypatch):
 
     monkeypatch.setattr(rs, "_blowup", off_by_one)
     with pytest.raises(rs.ResolutionError, match=r"^ledger rows \[\(2, 5\), \(3, 7\)\] != closed form \[\(2, 5\), \(3, 6\)\]$"):
-        simulate_resolution(DegreeProfile(6, (2, 3)))
+        rs.simulate_resolution(DegreeProfile(6, (2, 3)))
 
 
 def test_equal_degrees_single_row():
-    rep = simulate_resolution(DegreeProfile(9, (3, 3, 3)))
+    rep = rs.simulate_resolution(DegreeProfile(9, (3, 3, 3)))
     assert [(r.a, r.k) for r in rep.ledger] == [(3, 8)]
     assert rep.lower_bound == F(9, 3)
 
@@ -729,7 +728,7 @@ def _wide_profiles(draw):
 def test_c3_wide_route_agreement(profile):
     # C3 (tests/test_acceptance.py) on profiles past its grid: n <= 60, r <= 8, degrees <= 30
     formula = profile.table.minimum
-    report = simulate_resolution(profile)
+    report = rs.simulate_resolution(profile)
     assert report == simulate_resolution_by_charts(profile)[0]
     assert report.lower_bound == formula
     assert min(F(k + 1, a) for a, k in rs.ledger_rows(profile)) == formula
@@ -1053,7 +1052,7 @@ def test_resolution_budget_admits_the_wide_baselines():
     # the widest profiles measured for resolve; n=200 builds about 3.4e7 of the 1e8
     for n, low, high in [(60, 2, 39), (120, 2, 60), (200, 2, 90)]:
         rs._check_resolution_budget(DegreeProfile(n, tuple(range(low, high + 1))))
-    report = simulate_resolution(DegreeProfile(60, tuple(range(2, 40))))
+    report = rs.simulate_resolution(DegreeProfile(60, tuple(range(2, 40))))
     assert len(report.ledger) == 39 - 2 + 1
 
 
@@ -1089,4 +1088,4 @@ def test_resolution_over_the_budget_builds_no_chart(monkeypatch):
     monkeypatch.setattr(rs, "_blowup", charts)
     for profile in [DegreeProfile(4, (2, 10**8)), DegreeProfile(10**5, (2,) * 10**4), DegreeProfile(4, (2, 10**4000))]:
         with pytest.raises(ValueError, match="^resolution exceeds the work budget of 100000000 chart entries$"):
-            simulate_resolution(profile)
+            rs.simulate_resolution(profile)
