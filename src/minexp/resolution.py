@@ -35,15 +35,16 @@ its :class:`VjCheck`, unless a check of it fails.  Each exceptional divisor has 
 :class:`LedgerRow`: the blow-up that made it, its (a, k), its ratio
 (k + 1)/a and the ideal of the chart the main chain follows.  The ratios are
 built only after the (a, k) rows equal their closed form, so a = 0 is a
-chain fault, never a division by zero.  The checks stay those of the argument:
-every chart off the main chain, of pivot p, is generated by z_p's own
-strict transform, which equals its closed form z0^{a-1} z_p^a, a the new
-divisor's multiplicity, and divides the matching side-chain chart
-(:func:`simulate_resolution`); every side chain ends in z0^{e_l}, checked
-on the main chart at the end of its level (:func:`_side_chain_end`); the
-ledger's (a, k) rows equal their closed form (:func:`ledger_rows`); and the
-terminal chart factors as a power of z0 times r distinct strict coordinates
-(:func:`_factorization_witness`).
+chain fault, never a division by zero.  Each check is a comparison with a
+closed form: the ledger's (a, k) rows equal theirs (:func:`ledger_rows`);
+after the blow-up that makes the divisor of multiplicity a, the followed
+chart is (z0^{max(d_j, a)} z_j)_j, and a level's last blow-up makes a equal
+to the level's degree; and every chart off the main chain, of pivot p, is
+generated by z_p's own strict transform, which equals z0^{a-1} z_p^a and
+divides the matching side-chain chart (:func:`simulate_resolution`).  From
+these follow, with the proofs in :func:`simulate_resolution`, that the side
+chain of level l ends in z0^{e_l} and that the terminal chart factors as
+z0^{d_r} (z1, ..., zr), so both are read off the closed forms.
 
 The module also decides the two lemmas behind the lower bound, each on the
 whole cone and in O(r), by a certificate that re-checks itself in integers:
@@ -174,63 +175,6 @@ def _start_chart(profile: DegreeProfile):
     return profile.n - 1, ideal
 
 
-def _side_chain_end(
-    names: Sequence[str], ideal: Sequence[tuple[int, ...]], texts: Sequence[str], level: int, q: int, power: int
-) -> Case3Report:
-    """The side chain at ``level``, checked at its end: ``names``,
-    ``ideal`` and ``texts`` are the coordinate names, generators and
-    rendered generators of the main chain's followed chart after the
-    level's last blow-up; ``q`` and ``power`` are the level's in
-    :func:`_levels`.
-
-    The side chain starts from z1..zq, the strict transforms of the lower
-    levels, and z0^power, and runs the main chain's blow-ups of levels
-    1..``level``.  Every chart map is monomial and acts on each generator
-    alone, and these centres use only z0..zq, so the main chain carries the
-    first q generators along; the z0 chart keeps z0^power, its total over
-    the centre.  So step t is main chart t cut to its first q+1 coordinates
-    and first q generators, followed by z0^power.  Main generator j <= q is
-    z0^x z_j in every chart (:func:`_start_chart` gives z0^{d_j} z_j, and
-    the z0 chart of :func:`_pivot_chart` changes only the exponent of z0), so the cut
-    never drops a coordinate and keeps the main chart's text.
-    :func:`simulate_resolution` checks the other charts; the last chart,
-    whose one exceptional coordinate is z0, must be generated by z0^power,
-    which it is exactly when power is at most the z0 exponent of every cut
-    generator.
-    """
-    for g, text in zip(ideal[:q], texts):
-        if g[0] < power:
-            raise ResolutionError(
-                f"side chain at level {level} ended in {text}, "
-                f"expected the exceptional coordinate to the power {power}"
-            )
-    return Case3Report(level=level, principal=_render(names[:1], [(power,)])[0])
-
-
-def _factorization_witness(
-    names: Sequence[str], ideal: Sequence[tuple[int, ...]], r: int
-) -> FactorizationWitness:
-    """The factorization of the terminal chart, of coordinate ``names`` and
-    generators ``ideal``: the common part, the least exponent of z0 (its one
-    exceptional coordinate), and a residual per generator that must be one
-    strict coordinate z1..zr to the first power, r distinct ones in all."""
-    low = min([g[0] for g in ideal])
-    residual = [(g[0] - low, *g[1:]) for g in ideal]
-    seen = set()
-    for res in residual:
-        support = [i for i, exp in enumerate(res) if exp]
-        if len(support) != 1 or res[support[0]] != 1:
-            raise ResolutionError(f"residual generator {res} is not a single coordinate")
-        i = support[0]
-        if i == 0:
-            raise ResolutionError(f"residual coordinate {names[0]} is not strict")
-        seen.add(i)
-    if len(seen) != r:
-        raise ResolutionError("residual generators do not span r distinct coordinates")
-    common_text, *residual_texts = _render(names, [(low,), *residual])  # (low,) renders z0^low
-    return FactorizationWitness(common=common_text, residual=tuple(residual_texts))
-
-
 # The most chart entries one resolution may determine (each blow-up determines
 # q + 1 charts and builds one), and what one chart counts for beyond its entries
 # (its upkeep: names, generator list, text).  Checked before any chart is built.
@@ -287,31 +231,41 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
 
     The main chain runs on generator tuples from :func:`_start_chart`, one
     :func:`_blowup` per blow-up (see :func:`_levels`), and follows the z0
-    chart, ``_pivot_chart(ideal, totals, 0)``, as (names, generators, texts).
-    Of each chart of pivot p >= 1 it builds only generator p - 1, z_p's own
-    strict transform g, for a :class:`VjCheck`.  g must equal its closed form
-    z0^{a-1} z_p^a, a the closed-form multiplicity of the blow-up's divisor,
-    read from the one :func:`ledger_rows` list the ledger comparison reads.
-    The first g off it is raised after that comparison, so a chain fault
-    the ledger sees reports as a ledger fault.  The followed chart after
-    each level's last blow-up is held for :func:`_side_chain_end`, which
-    runs after the ledger comparison and the factorization witness.
+    chart, ``_pivot_chart(ideal, totals, 0)``.  Each blow-up is compared
+    with closed forms in a, the closed-form multiplicity of its divisor,
+    read from the one :func:`ledger_rows` list the ledger comparison reads:
+    the followed chart is (z0^{max(d_j, a)} z_j)_j, d_j and z_j generator
+    j's z0 exponent and strict part in the start chart; at a level's last
+    blow-up a is the level's degree e_l, its schedule's power; and of each
+    chart of pivot p >= 1 the chain builds only generator p - 1, z_p's own
+    strict transform g, for a :class:`VjCheck`, and g is z0^{a-1} z_p^a.
+    The first mismatch is raised after the ledger comparison, so a chain
+    fault the ledger sees reports as a ledger fault.  (The chart's closed
+    form holds by induction: of z0^{max(d_j, a-1)} z_j the total over the
+    centre z0..zq is a for j <= q, where d_j < a, and d_j for j > q.)
 
-    Once the ledger rows equal their closed form, g's closed form makes its
-    chart principal.  Each generator h of the chart keeps its parent's z0
-    exponent, which is h's total over the previous blow-up's centre, so at
-    least that blow-up's a, which is a - 1; for E2 the parent is the start
-    chart, whose z0 exponents are the degrees, each at least d_1 = a - 1.
-    h's exponent of z_p is its total, at least the blow-up's
-    ``min(totals)``, which is a.  So g = z0^{a-1} z_p^a divides every h,
-    and g, one of them, generates the chart.
+    Once these hold, the side chain of level l ends in z0^{e_l}.  It starts
+    from z1..zq, the strict transforms of the lower levels (q = cum[l-1]),
+    and z0^{e_l}, and runs the blow-ups of levels 1..l.  Every chart map is
+    monomial and acts on each generator alone, and these centres use only
+    z0..zq, so step t is main chart t cut to its first q + 1 coordinates and
+    first q generators, followed by z0^{e_l}, its own total.  After the
+    level's last blow-up a = e_l > d_j for j <= q, so cut generator j is
+    z0^{e_l} z_j, and z0^{e_l} generates the last chart.  Likewise the
+    terminal chart, where a = d_r (with no blow-up, the start chart's d_1),
+    is z0^{d_r} (z1, ..., zr): the factorization witness.
 
+    g makes its chart principal.  Each generator h of the chart keeps its
+    parent's z0 exponent, max(d_j, a - 1) by the parent's closed form (for
+    E2 the start chart, d_j >= d_1 = a - 1), and its exponent of z_p is its
+    total, at least the blow-up's ``min(totals)``, which is a.  So g =
+    z0^{a-1} z_p^a divides every h, and g, one of them, generates the chart.
     The same chart of the side chain of a level m >= l holds this chart's
     first cum[m-1] generators, cut to z0..z_{cum[m-1]}, and
-    z0^{e_m} z_p^{e_m}.  Generator p - 1 is among the first q, as p <= q,
-    so if its exponents of z0 and z_p are at most e_l, it divides all of
-    them, and that chart is principal with the same generator; as cum and e
-    rise with the level, this one comparison covers every side chain.
+    z0^{e_m} z_p^{e_m}.  g is among the first q, as p <= q, and a <= e_l,
+    as a rises by one per blow-up to e_l at the level's last, so g divides
+    all of them and generates that chart too; as cum and e rise with the
+    level, this covers every side chain.
     """
     _check_resolution_budget(profile)
     n = profile.n
@@ -319,16 +273,20 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     mode = LOG_RESOLUTION if profile.r == n else STRONG_FACTORIZING
 
     k, ideal = _start_chart(profile)
+    start = [(g[0], g[1:]) for g in ideal]  # each generator's d_j and strict part
     width = profile.r + 1
     names = _names(0, width)
-    texts = _render(names, ideal)
-    ends = {}  # level -> its end chart
-    divisors = [("origin", "E1", profile.degrees[0], k, _ideal_text(texts))]
+    divisors = [("origin", "E1", profile.degrees[0], k, _ideal_text(_render(names, ideal)))]
     vj_checks: list[VjCheck] = []
+    case3: list[Case3Report] = []
     expected = ledger_rows(profile)
-    fault = None  # the first vj generator off its closed form, raised after the ledger comparison
-    blowups = ((level, q, power) for level, (q, power, count) in enumerate(schedule, 1) for _ in range(count))
-    for depth, (level, q, power) in enumerate(blowups, 1):
+    fault = None  # the first mismatch with a closed form, raised after the ledger comparison
+    blowups = (
+        (level, q, power, step == count)
+        for level, (q, power, count) in enumerate(schedule, 1)
+        for step in range(1, count + 1)
+    )
+    for depth, (level, q, power, last) in enumerate(blowups, 1):
         center, divisor = tuple(names[: q + 1]), f"E{depth + 1}"
         a, k, totals = _blowup(ideal, k, q + 1)
         names = _names(depth, width)
@@ -339,14 +297,17 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
             closed = (closed_a - 1,) + (0,) * (p - 1) + (closed_a,) + (0,) * (width - 1 - p)
             if fault is None and g != closed:
                 fault = f"vj check of {divisor} on {center[p]}: {generator} != closed form {_render(names, [closed])[0]}"
-            # g[p] is the generator's total over the centre, which includes g[0], so the max is always g[p]
-            if g[p] > power:
-                raise ResolutionError(f"level {level}: {generator} does not divide the {center[p]} side chart")
             vj_checks.append(VjCheck(divisor, center[p], generator))
         ideal = _pivot_chart(ideal, totals, 0)
-        texts = _render(names, ideal)
-        ends[level] = names, ideal, texts
-        divisors.append((center, divisor, a, k, _ideal_text(texts)))
+        text = _ideal_text(_render(names, ideal))
+        closed = [(max(d, closed_a),) + tail for d, tail in start]
+        if fault is None and ideal != closed:
+            fault = f"chart of {divisor}: {text} != closed form {_ideal_text(_render(names, closed))}"
+        if last:
+            if fault is None and power != closed_a:
+                fault = f"level {level} ends in {divisor} of multiplicity {closed_a}, not its degree {power}"
+            case3.append(Case3Report(level, _render(names[:1], [(power,)])[0]))
+        divisors.append((center, divisor, a, k, text))
 
     # one divisor, and so one blow-up, per degree step.  Checked before any
     # ratio is built, so that a = 0 is a chain fault and not a ZeroDivisionError.
@@ -357,8 +318,10 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
         raise ResolutionError(fault)
     rows = [LedgerRow(center, divisor, a, k, Fraction(k + 1, a), text) for center, divisor, a, k, text in divisors]
 
-    witness = _factorization_witness(names, ideal, profile.r) if mode == STRONG_FACTORIZING else None
-    case3 = tuple(_side_chain_end(*ends[level], level, q, e) for level, (q, e, _) in enumerate(schedule, 1))
+    witness = None
+    if mode == STRONG_FACTORIZING:
+        common, *residual = _render(names, [(profile.degrees[-1],), *((0,) + tail for _, tail in start)])
+        witness = FactorizationWitness(common, tuple(residual))
 
     return ResolutionReport(
         mode=mode,
@@ -366,7 +329,7 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
         ledger=tuple(rows),
         lower_bound=min([row.ratio for row in rows]),
         witness=witness,
-        case3=case3,
+        case3=tuple(case3),
         vj_checks=tuple(vj_checks),
     )
 

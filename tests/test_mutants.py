@@ -11,8 +11,8 @@ the test's module binds the mutated name to the unmutated function, which
 the test would run instead: such a test calls the function through its
 module.
 
-The table covers every route and certificate: the simplex, its slack start
-and the Newton certificate, the blow-up chain, its chart checks, its
+The table covers every route and certificate: the simplex, its slack start,
+its costs and the Newton certificate, the blow-up chain, its chart checks, its
 closed-form ledger and its ratios, the edges of the work budgets, the
 candidate formula, its values against the Newton route on the Fermat pivot
 chart, its degree-1 shift and its degree-sum check, both ``verify``
@@ -89,12 +89,13 @@ def _oracle_results():
 
 def simplex_matches_full_tableau() -> bool:
     """The revised simplex gives the full tableau's c, weights and dual,
-    and raises none of its own ``RuntimeError`` checks."""
+    and raises nothing: neither its own ``RuntimeError`` checks, a revisited
+    basis among them, nor an arithmetic fault such as a division by zero."""
     for pts, expected in _oracle_results():
         try:
             if newton._solve_diagonal_lp(pts) != expected:
                 return False
-        except RuntimeError:  # the solver's own checks, a revisited basis among them
+        except Exception:
             return False
     return True
 
@@ -157,28 +158,6 @@ def resolution_matches_the_chart_oracle() -> bool:
     return True
 
 
-def _side_chain_end_rejects(ideal) -> bool:
-    """Whether the end check of a level-1 side chain of q = 2 and power 3
-    rejects the end chart of generators ``ideal`` over z0, z1, z2."""
-    names = ["z0", "z1", "z2"]
-    try:
-        resolution._side_chain_end(names, ideal, poly._render(names, ideal), 1, 2, 3)
-    except ResolutionError:
-        return True
-    return False
-
-
-def side_chain_rejects_an_end_below_its_power() -> bool:
-    """A side chain of power 3 whose end holds z0^2*z1 does not end in z0^3."""
-    return _side_chain_end_rejects([(2, 1, 0), (3, 0, 1)])
-
-
-def side_chain_rejects_a_short_last_cut_generator() -> bool:
-    """A side chain of power 3 whose q-th cut generator is z0^2*z2 does not
-    end in z0^3, though its first one, z0^3*z1, passes."""
-    return _side_chain_end_rejects([(3, 1, 0), (2, 0, 1)])
-
-
 def _test_passes(test: Callable[..., None], *args) -> bool:
     """Whether a Tier-1 test passes on ``args``: it raises no assertion, no
     failed ``pytest.raises``, no ``ResolutionError`` of a chain check and no
@@ -213,6 +192,22 @@ def vj_check_raises_a_generator_off_its_closed_form() -> bool:
     with a ledger fault besides, the ledger reports first."""
     with pytest.MonkeyPatch.context() as patch:
         return _test_passes(test_resolution.test_vj_generator_off_its_closed_form_is_raised_after_the_ledger, patch)
+
+
+def level_end_is_compared_with_its_degree() -> bool:
+    """``test_side_chain_check_is_derived_from_the_main_chain``: on (6; 2,3)
+    with its one level's degree lowered to 2 in the schedule, the level's
+    last blow-up makes a = 3, not 2, and the chain raises."""
+    with pytest.MonkeyPatch.context() as patch:
+        return _test_passes(test_resolution.test_side_chain_check_is_derived_from_the_main_chain, patch)
+
+
+def followed_chart_is_compared_whole() -> bool:
+    """``test_followed_chart_is_compared_past_its_z0_column``: on (6; 2,3),
+    E2's followed chart with its two generators' strict parts swapped keeps
+    every z0 exponent, and the chain raises."""
+    with pytest.MonkeyPatch.context() as patch:
+        return _test_passes(test_resolution.test_followed_chart_is_compared_past_its_z0_column, patch)
 
 
 def vj_generators_have_their_closed_form() -> bool:
@@ -487,6 +482,12 @@ MUTANTS = {
         "+ [[0] * dim]",
         slack_start_is_a_feasible_basis,
     ),
+    "points_priced_at_zero": Mutant(
+        newton, "_solve_diagonal_lp",
+        "cost = [-1] * npts",
+        "cost = [0] * npts",
+        simplex_matches_full_tableau,
+    ),
     "verify_drops_the_dual_sum_check": Mutant(
         DiagonalResult, "verify",
         "if any(x < 0 for x in v) or sum(v) > v_den:",
@@ -542,16 +543,22 @@ MUTANTS = {
         resolution_matches_the_chart_oracle,
     ),
     "side_chain_end_bound_lowered_by_one": Mutant(
-        resolution, "_side_chain_end",
-        "g[0] < power",
-        "g[0] < power - 1",
-        side_chain_rejects_an_end_below_its_power,
+        resolution, "simulate_resolution",
+        "max(d, closed_a)",
+        "max(d, closed_a - 1)",
+        resolution_passes_its_own_checks,
     ),
-    "side_chain_end_cuts_one_generator_too_few": Mutant(
-        resolution, "_side_chain_end",
-        "ideal[:q]",
-        "ideal[:q - 1]",
-        side_chain_rejects_a_short_last_cut_generator,
+    "level_end_drops_its_degree_comparison": Mutant(
+        resolution, "simulate_resolution",
+        "and power != closed_a",
+        "and False",
+        level_end_is_compared_with_its_degree,
+    ),
+    "chart_check_reads_only_the_z0_column": Mutant(
+        resolution, "simulate_resolution",
+        "and ideal != closed:",
+        "and [g[0] for g in ideal] != [g[0] for g in closed]:",
+        followed_chart_is_compared_whole,
     ),
     "resolution_budget_refuses_its_exact_work": Mutant(
         resolution, "_check_resolution_budget",

@@ -343,15 +343,16 @@ def test_side_chains_make_no_blowups(monkeypatch, profile):
 def test_side_chain_check_is_derived_from_the_main_chain(monkeypatch):
     # (6; 2,3) with its one level's degree lowered to e_1 = 2, as the schedule
     # (q, e_1, count) = (1, 2, 1): the z1 chart of the one blow-up is
-    # principal, generated by u0^2*u1^3, so the main chain's check passes,
-    # but the side chain's pure power becomes u0^2*u1^2, which that generator
-    # does not divide (g*[p] = 3 > e_1 = 2).  With the real schedule
-    # (1, 3, 1) the comparison holds with equality.
+    # principal, generated by u0^2*u1^3, and the followed chart has its
+    # closed form, so the ledger and both chart checks pass.  But the side
+    # chain's pure power becomes u0^2*u1^2, which that generator does not
+    # divide, and its end would read u0^2: the level's last blow-up makes
+    # a = 3, not e_1.  With the real schedule (1, 3, 1) the two are equal.
     profile = DegreeProfile(6, (2, 3))
     levels = rs._levels(profile)[0]
     with monkeypatch.context() as patch:
         patch.setattr(rs, "_levels", lambda _: (levels, [(1, 2, 1)]))
-        with pytest.raises(rs.ResolutionError, match=r"^level 1: u0\^2\*u1\^3 does not divide the z1 side chart$"):
+        with pytest.raises(rs.ResolutionError, match=r"^level 1 ends in E2 of multiplicity 3, not its degree 2$"):
             rs.simulate_resolution(profile)
     report = rs.simulate_resolution(profile)
     rows = report.ledger[1:]
@@ -382,24 +383,53 @@ def test_vj_generator_has_its_closed_form():
     assert total == 19715 + 3916
 
 
-def test_side_chain_end_checks_its_cut_generators():
-    # the end chart passes when each of its first q generators carries z0 to
-    # at least e_l, whatever the generators past q hold
-    names = ["z0", "z1", "z2", "z3"]
-    ideal = [(3, 1, 0, 0), (4, 0, 1, 0), (1, 0, 0, 1)]
-    texts = ["z0^3*z1", "z0^4*z2", "z0*z3"]
-    assert rs._side_chain_end(names, ideal, texts, 2, 2, 3) == rs.Case3Report(2, "z0^3")
-    # a cut generator with a lower power of z0 than e_l fails the end check,
-    # the q-th one too
-    message = r"^side chain at level 2 ended in z0\^2\*z2, expected the exceptional coordinate to the power 3$"
+def test_side_chain_end_checks_its_cut_generators(monkeypatch):
+    # (6; 2,2,4): level 1's side chain is cut to the q = 2 generators of
+    # degree 2, and ends in the chart after E3, the last blow-up, where each
+    # carries z0 to e_1 = 4.  A cut generator one power of z0 short there,
+    # the first or the q-th, would leave that end short of v0^4; the chart
+    # check raises it
+    pivot_chart = rs._pivot_chart
+    short = []
+
+    def short_end(ideal, totals, p):
+        chart = pivot_chart(ideal, totals, p)
+        if p == 0 and chart[0][0] == 4:  # E3's, the only followed chart whose first generator carries z0^4
+            j = short[0]
+            chart[j] = (chart[j][0] - 1, *chart[j][1:])
+        return chart
+
+    profile = DegreeProfile(6, (2, 2, 4))
+    assert [(c.level, c.principal) for c in rs.simulate_resolution(profile).case3] == [(1, "v0^4")]
+    monkeypatch.setattr(rs, "_pivot_chart", short_end)
+    for j, chart in [(0, r"v0\^3\*v1, v0\^4\*v2"), (1, r"v0\^4\*v1, v0\^3\*v2")]:
+        short[:] = [j]
+        message = rf"^chart of E3: \({chart}, v0\^4\*v3\) != closed form \(v0\^4\*v1, v0\^4\*v2, v0\^4\*v3\)$"
+        with pytest.raises(rs.ResolutionError, match=message):
+            rs.simulate_resolution(profile)
+
+
+def test_followed_chart_is_compared_past_its_z0_column(monkeypatch):
+    # (6; 2,3): E2's followed chart with the strict parts of its two
+    # generators swapped keeps every z0 exponent, and the ledger, whose (a, k)
+    # come from the totals, passes; the whole chart is off its closed form
+    pivot_chart = rs._pivot_chart
+
+    def swapped(ideal, totals, p):
+        chart = pivot_chart(ideal, totals, p)
+        return [(g[0], *h[1:]) for g, h in zip(chart, chart[::-1])] if p == 0 else chart
+
+    monkeypatch.setattr(rs, "_pivot_chart", swapped)
+    message = r"^chart of E2: \(u0\^3\*u2, u0\^3\*u1\) != closed form \(u0\^3\*u1, u0\^3\*u2\)$"
     with pytest.raises(rs.ResolutionError, match=message):
-        rs._side_chain_end(names, [ideal[0], (2, 0, 1, 0), ideal[2]], ["z0^3*z1", "z0^2*z2", texts[2]], 2, 2, 3)
+        rs.simulate_resolution(DegreeProfile(6, (2, 3)))
 
 
 def test_side_chain_end_is_checked_after_the_ledger(monkeypatch):
     # the first blow-up's z0 chart loses one power of z0 in every generator,
-    # so level 1's side chain ends short of z0^{e_1}; with a level after it,
-    # the next divisor's a is short too, and the ledger reports first
+    # so it is off its closed form and level 1's side chain would end short
+    # of z0^{e_1}; with a level after it, the next divisor's a is short too,
+    # and the ledger reports first
     pivot_chart = rs._pivot_chart
     depth = []
 
@@ -412,7 +442,7 @@ def test_side_chain_end_is_checked_after_the_ledger(monkeypatch):
         return chart
 
     monkeypatch.setattr(rs, "_pivot_chart", short_first_chart)
-    message = r"^side chain at level 1 ended in u0\^2\*u1, expected the exceptional coordinate to the power 3$"
+    message = r"^chart of E2: \(u0\^2\*u1, u0\^2\*u2\) != closed form \(u0\^3\*u1, u0\^3\*u2\)$"
     with pytest.raises(rs.ResolutionError, match=message):
         rs.simulate_resolution(DegreeProfile(6, (2, 3)))
     depth.clear()
@@ -430,6 +460,34 @@ def test_side_chain_ends_have_their_closed_form():
         expected = [rs.Case3Report(m, f"{rs._letter(e[m] - e[0])}0^{e[m]}") for m in range(1, len(e))]
         assert list(report.case3) == expected, profile
     assert len(report.case3) == 88
+
+
+def _chart_letter(depth):
+    """The letter of the charts at ``depth``, as the reports print it."""
+    return "zuvwstqm"[depth] if depth < 8 else f"c{depth}_"
+
+
+@pytest.mark.parametrize("profile", [DegreeProfile(120, tuple(range(2, 61))), WIDEST], ids=["n120", "n200"])
+def test_wide_reports_read_as_strings_built_here(profile):
+    # past the chart oracle's reach, each ledger ideal, side-chain end and
+    # the witness are strings built here from the degrees alone: after the
+    # blow-up of depth t, whose divisor has a = d_1 + t, generator j is
+    # L0^max(d_j, a)*Lj, L the depth's letter; level l ends at depth
+    # e_l - e_0 in L0^e_l; and the terminal chart is L0^d_r times L1..Lr
+    degrees, report = profile.degrees, rs.simulate_resolution(profile)
+    depths = degrees[-1] - degrees[0] + 1
+    ideals = []
+    for t in range(depths):
+        a, letter = degrees[0] + t, _chart_letter(t)
+        ideals.append("(" + ", ".join(f"{letter}0^{max(d, a)}*{letter}{j}" for j, d in enumerate(degrees, 1)) + ")")
+    assert [row.ideal for row in report.ledger] == ideals
+    e = sorted(set(degrees))
+    assert [(c.level, c.principal) for c in report.case3] == [
+        (m, f"{_chart_letter(e[m] - e[0])}0^{e[m]}") for m in range(1, len(e))
+    ]
+    letter = _chart_letter(depths - 1)
+    residual = tuple(f"{letter}{j}" for j in range(1, len(degrees) + 1))
+    assert report.witness == FactorizationWitness(f"{letter}0^{degrees[-1]}", residual)
 
 
 def _hand_built_chart(roles, ideal):
@@ -470,9 +528,9 @@ def test_principal_generator_lies_on_z0_and_the_pivot(pivot, ideal, message):
 
 def test_vj_generator_off_its_closed_form_is_raised_after_the_ledger(monkeypatch):
     # (6; 2,4): the first pivot chart off the main chain, E2's on z1, gets
-    # its pivot exponent raised by one, to u0^2*u1^4.  That is still at most
-    # e_1 = 4, so the side-chart guard passes, and the followed chart (p = 0)
-    # is left alone, so the ledger passes: the closed form u0^2*u1^3 fails.
+    # its pivot exponent raised by one, to u0^2*u1^4.  The followed chart
+    # (p = 0) is left alone, so the ledger and the chart check pass: the
+    # closed form u0^2*u1^3 fails.
     # The chain is read through the module, as a mutant of it is installed there.
     pivot_chart = rs._pivot_chart
     bumped = []
@@ -508,17 +566,13 @@ def test_a_blowup_past_the_closed_form_is_a_ledger_fault(monkeypatch):
         rs.simulate_resolution(profile)
 
 
-def _hand_built_witnesses(roles, ideal, r):
-    """The factorization witness of a hand-built terminal chart, as calls:
-    the oracle's on a ChartState of coordinates with ``roles``, and the
-    library's on tuples when the roles are those of every library chart,
-    z0 exceptional and the rest strict."""
-    names, chart = _hand_built_chart(roles, ideal)
-    profile = DegreeProfile(r + 1, (2,) * r)
-    witnesses = [lambda: _oracles._factorization_witness(chart, profile)]
-    if roles == [EXCEPTIONAL] + [STRICT] * (len(roles) - 1):
-        witnesses.append(lambda: rs._factorization_witness(names, ideal, r))
-    return witnesses
+def _hand_built_witness(roles, ideal, r):
+    """The oracle's factorization witness of a hand-built terminal chart of
+    coordinates with ``roles`` and generators ``ideal``.  The library reads
+    its witness off its terminal chart's closed form instead, which its
+    chart check compares (test_side_chain_end_checks_its_cut_generators)."""
+    _, chart = _hand_built_chart(roles, ideal)
+    return _oracles._factorization_witness(chart, DegreeProfile(r + 1, (2,) * r))
 
 
 @pytest.mark.parametrize(
@@ -538,19 +592,13 @@ def _hand_built_witnesses(roles, ideal, r):
     ids=["power", "two_coordinates", "exceptional", "second_exceptional", "plain", "repeated", "too_few"],
 )
 def test_witness_rejects_a_terminal_chart_that_does_not_factor(roles, ideal, r, message):
-    # the library's charts have no plain coordinate and one exceptional one,
-    # so the second_exceptional and plain cases check the oracle's witness alone
-    witnesses = _hand_built_witnesses(roles, ideal, r)
-    assert len(witnesses) == (1 if PLAIN in roles or roles.count(EXCEPTIONAL) > 1 else 2)
-    for witness in witnesses:
-        with pytest.raises(rs.ResolutionError, match=message):
-            witness()
+    with pytest.raises(rs.ResolutionError, match=message):
+        _hand_built_witness(roles, ideal, r)
 
 
 def test_witness_of_a_hand_built_terminal_chart():
-    expected = FactorizationWitness("z0^2", ("z1", "z2"))
-    witnesses = _hand_built_witnesses([EXCEPTIONAL, STRICT, STRICT], [(2, 1, 0), (2, 0, 1)], 2)
-    assert [witness() for witness in witnesses] == [expected, expected]
+    witness = _hand_built_witness([EXCEPTIONAL, STRICT, STRICT], [(2, 1, 0), (2, 0, 1)], 2)
+    assert witness == FactorizationWitness("z0^2", ("z1", "z2"))
 
 
 @st.composite
