@@ -19,7 +19,6 @@ import math
 import re
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _json_string
 from typing import Callable, NamedTuple
 
 from minexp import exponent as ex
@@ -151,61 +150,42 @@ def _rat_json(x):
     return {"num": num, "den": den}
 
 
-def _json_text(value, indent: str = "\n") -> str:
-    """The one JSON writer: the text of json.dumps(value, indent=2,
-    sort_keys=True), with strings escaped to ASCII by the stdlib's C encoder.
-    (Given an indent, the stdlib encodes in pure Python.)  It writes str,
-    dict with str keys, list and tuple (as json.dumps does, both as an
-    array), int, bool and None, and raises TypeError on anything else: a
-    float or a Fraction, as reports are exact, or a library record, a tuple
-    subclass, which reaches a report only through its ``_asdict()``.
+# The types a report is built of, each written by the stdlib's C encoder as
+# json.dumps writes it; a subclass of one is none of them.
+_JSON_SCALARS = frozenset((str, int, bool, type(None)))
 
-    A child of a dict or an array is written by one rule: a str or an exact
-    int directly, anything else by recursion.  A {"den", "num"} dict of two
-    ints, the shape of every rational in a report, is written at once."""
+# The walk of _json_text visits every node first, so a cyclic report has
+# already ended in RecursionError and the encoder need not track containers.
+_encode = json.JSONEncoder(sort_keys=True, check_circular=False).encode
+
+
+def _json_text(value) -> str:
+    """The one JSON writer: the text of json.dumps(value, sort_keys=True),
+    written by the stdlib's C encoder.  It writes str, dict with str keys,
+    list and tuple (both as an array), int, bool and None, and raises
+    TypeError on anything else, which the C encoder would write or coerce
+    silently: a float or a Fraction, as reports are exact; a library record,
+    a tuple subclass, which reaches a report only through its ``_asdict()``;
+    a subclass of str or int; and a key that is not a str."""
+    _check_json(value)
+    return _encode(value)
+
+
+def _check_json(value) -> None:
+    """Raise TypeError unless ``value`` is built of exact report types alone."""
     kind = type(value)
-    if kind is str:
-        return _json_string(value)
-    if kind is int:
-        return int.__repr__(value)
     if kind is dict:
-        if not value:
-            return "{}"
-        inner = indent + "  "
-        if len(value) == 2 and "num" in value and "den" in value:
-            num, den = value["num"], value["den"]
-            if type(num) is int and type(den) is int:
-                return f'{{{inner}"den": {int.__repr__(den)},{inner}"num": {int.__repr__(num)}{indent}}}'
-        items = []
-        for key, item in sorted(value.items()):
-            item_kind = type(item)
-            if item_kind is str:
-                text = _json_string(item)
-            elif item_kind is int:
-                text = int.__repr__(item)
-            else:
-                text = _json_text(item, inner)
-            items.append(f"{_json_string(key)}: {text}")
-        return "{" + inner + ("," + inner).join(items) + indent + "}"
-    if kind is list or kind is tuple:
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        texts = []
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            if type(item) not in _JSON_SCALARS:
+                _check_json(item)
+    elif kind is list or kind is tuple:
         for item in value:
-            item_kind = type(item)
-            if item_kind is str:
-                texts.append(_json_string(item))
-            elif item_kind is int:
-                texts.append(int.__repr__(item))
-            else:
-                texts.append(_json_text(item, inner))
-        return "[" + inner + ("," + inner).join(texts) + indent + "]"
-    if value is None:
-        return "null"
-    if kind is bool:
-        return "true" if value else "false"
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+            if type(item) not in _JSON_SCALARS:
+                _check_json(item)
+    elif kind not in _JSON_SCALARS:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def _show(value: dict) -> str:

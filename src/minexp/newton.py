@@ -158,7 +158,8 @@ class DiagonalResult(NamedTuple):
 # lambda = c * mu are x / total, the dual v = c * y is red / total, and
 # c is d / total.  A support holding the origin has c = 0, and its packing
 # program is unbounded, the origin's column having no positive entry: the
-# caller answers it before the solve.
+# caller answers it before the solve, and the kernel, given the origin,
+# raises its unbounded program's RuntimeError when that column enters.
 #
 # In Bareiss's integer-preserving elimination, a pivot on element p
 # keeps the pivot row and replaces every other entry x by
@@ -235,7 +236,8 @@ def _iterate(inverse, dens, basis, red, d, cost, columns):
                 break
         if enter is None:
             return d
-        (k, a), *rest = columns[enter]
+        # the origin's column is empty: read as zero, no row bounds it
+        (k, a), *rest = columns[enter] or [(0, 0)]
         column = [a * x for x in _fresh(inverse, dens, k, d)]
         for k, a in rest:
             column = [c + a * x for c, x in zip(column, _fresh(inverse, dens, k, d))]

@@ -233,7 +233,11 @@ def test_reports_match_golden_bytes(capsys, tmp_path, name):
     # --json entry, each "case3" record without its "steps"; no other byte
     # changed.  Once each vj check was given by its generator alone, the same
     # six entries were re-recorded, each "vj_checks" record without its
-    # "ideal"; no other byte changed.
+    # "ideal"; no other byte changed.  Once --json was written compact, as
+    # json.dumps(report, sort_keys=True), all 51 --json entries were
+    # re-recorded: each new stdout is the old one parsed and written so, plus
+    # a newline, and parses to the same value; exit codes, stderr and every
+    # text entry are unchanged.
     golden = json.loads((Path(__file__).parent / "data" / name).read_text())
     manifest = tmp_path / "manifest.json"
     for case in golden:
@@ -1434,7 +1438,7 @@ def test_fuzzed_manifest_bytes_end_in_a_report(data):
 
 
 # ---------------------------------------------------------------------------
-# the JSON writer: the stdlib's bytes on every JSON tree it accepts
+# the JSON writer: json.dumps(value, sort_keys=True) on every JSON tree it accepts
 
 _TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028é€\U0001d538\ud800'), st.characters()), max_size=6)
 _SCALARS = st.one_of(
@@ -1444,11 +1448,11 @@ _SCALARS = st.one_of(
     st.integers(-(10**80), 10**80),
     _TEXT,
 )
-# lists of only ints or only strings and an int list with a bool in it, whose
-# items the writer writes by the rule of a dict value (a bool is not an exact
-# int), each also as a tuple, which json.dumps writes as a list; and the one
-# shape it takes a shorter path on, with its near misses: {"num", "den"}
-# dicts with ints, bools or strings and now and then an extra key
+# lists of only ints or only strings and an int list with a bool in it (a
+# bool is an int to isinstance, but its own type to the writer's check), each
+# also as a tuple, which json.dumps writes as a list; and the shape of every
+# rational in a report, with its near misses: {"num", "den"} dicts with ints,
+# bools or strings and now and then an extra key
 _INTEGERS = st.one_of(st.integers(), st.integers(-(10**80), 10**80))
 _INT_LISTS = st.lists(_INTEGERS, min_size=1, max_size=6)
 _FLAT_LISTS = st.one_of(
@@ -1483,27 +1487,44 @@ def _nested(tree, keys):
 @given(_TREES, st.lists(st.one_of(st.none(), _TEXT), min_size=4, max_size=6))
 def test_json_writer_gives_the_stdlib_bytes(tree, keys):
     for value in (tree, _nested(tree, keys)):
-        assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+        assert cli._json_text(value) == json.dumps(value, sort_keys=True)
 
 
-@pytest.mark.parametrize(
-    "value",
-    [
-        1.5, Fraction(3, 2), {"c": {"num": 0.5, "den": 1}}, [[Fraction(1)]],
-        rs.FactorizationWitness("u0^3", ("u1", "u2")), {1: 2},
-        {"num": 1, "den": 2.0}, [1, 2, 3.0], ["a", 1.0], {"a": "b", "c": 1.0},
-    ],
-    ids=[
-        "float", "fraction", "nested_float", "nested_fraction", "record", "int_key",
-        "float_denominator", "float_in_int_list", "float_in_str_list", "float_beside_str",
-    ],
-)
+class _Name(str):
+    pass
+
+
+class _Count(int):
+    pass
+
+
+# reports are exact, so a float or a Fraction in one is a bug, not a value;
+# non-string keys never occur either, so nothing needs their conversion.  A
+# tuple is written as json.dumps writes it, but a library record, a tuple
+# subclass, is refused though each of its fields could be written (here a
+# factorization witness: a string and a tuple of strings), so that a record
+# reaches a report only through its _asdict().  The C encoder would write the
+# last four silently: a str subclass as its text, an int subclass as its
+# digits, and the keys True and None, here one nested, as "true" and "null"
+NOT_IN_A_REPORT = {
+    "float": 1.5,
+    "fraction": Fraction(3, 2),
+    "nested_float": {"c": {"num": 0.5, "den": 1}},
+    "nested_fraction": [[Fraction(1)]],
+    "record": rs.FactorizationWitness("u0^3", ("u1", "u2")),
+    "int_key": {1: 2},
+    "float_denominator": {"num": 1, "den": 2.0},
+    "float_in_int_list": [1, 2, 3.0],
+    "float_in_str_list": ["a", 1.0],
+    "float_beside_str": {"a": "b", "c": 1.0},
+    "str_subclass_in_list": ["a", _Name("b")],
+    "int_subclass": {"k": _Count(2)},
+    "true_key": {True: 1},
+    "none_key": [{None: 1}],
+}
+
+
+@pytest.mark.parametrize("value", NOT_IN_A_REPORT.values(), ids=NOT_IN_A_REPORT)
 def test_json_writer_rejects_what_no_report_holds(value):
-    # reports are exact, so a float or a Fraction in one is a bug, not a value;
-    # non-string keys never occur either, so nothing needs their conversion.  A
-    # tuple is written as json.dumps writes it, but a library record, a tuple
-    # subclass, is refused though each of its fields could be written (here a
-    # factorization witness: a string and a tuple of strings), so that a record
-    # reaches a report only through its _asdict()
     with pytest.raises(TypeError):
         cli._json_text(value)

@@ -12,14 +12,14 @@ the test would run instead: such a test calls the function through its
 module.
 
 The table covers every route and certificate: the simplex, its slack start,
-its costs and the Newton certificate, the blow-up chain, its chart checks, its
-closed-form ledger and its ratios, the edges of the work budgets, the
-candidate formula, its values against the Newton route on the Fermat pivot
-chart, its degree-1 shift and its degree-sum check, both ``verify``
-certificates, the weighted order, the probe's multiple-root test, its
-zero prefix, its memo key, its one-row test and its rank, the resolve
+its costs and the Newton certificate, the blow-up chain, its start chart, its
+chart checks, its closed-form ledger and its ratios, the edges of the work
+budgets, the candidate formula, its values against the Newton route on the
+Fermat pivot chart, its degree-1 shift and its degree-sum check, both
+``verify`` certificates, the weighted order, the probe's multiple-root test,
+its zero prefix, its memo key, its one-row test and its rank, the resolve
 report's cross-check against the formula, and the two writers of a report,
-the JSON writer and the monomial writer.
+the JSON writer (its type check and its sorted keys) and the monomial writer.
 A simplex mutant that cycles needs no pivot cap:
 the solver raises on a revisited basis (see ``newton._iterate``).
 """
@@ -50,7 +50,7 @@ from minexp.newton import DiagonalResult
 from minexp.poly import PolyParseError, parse_poly
 from minexp.resolution import ChainCertificate, ResolutionError, ValuationCertificate
 from test_acceptance import _pivot_chart_routes
-from test_cli import _resolve_with_the_bound_off_by_one
+from test_cli import NOT_IN_A_REPORT, _resolve_with_the_bound_off_by_one
 from test_newton import _certificate, _cone_support, _random_points
 from test_poly import PREFIX_CASES, _forms
 # by module: their tests imported by name would be collected here too
@@ -418,9 +418,22 @@ _JSON_CORPUS = [
 
 
 def json_writer_matches_the_stdlib() -> bool:
-    """``_json_text`` writes what ``json.dumps(indent=2, sort_keys=True)``
-    writes, a bool in a list or a tuple of ints included."""
-    return all(cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True) for value in _JSON_CORPUS)
+    """``_json_text`` writes what ``json.dumps(sort_keys=True)`` writes, a
+    bool in a list or a tuple of ints included."""
+    return all(cli._json_text(value) == json.dumps(value, sort_keys=True) for value in _JSON_CORPUS)
+
+
+def json_writer_refuses_what_no_report_holds() -> bool:
+    """``test_json_writer_rejects_what_no_report_holds``: ``_json_text``
+    raises TypeError on each of its values, among them those the C encoder
+    would write silently: a str or int subclass and a non-str key."""
+    for value in NOT_IN_A_REPORT.values():
+        try:
+            cli._json_text(value)
+        except TypeError:
+            continue
+        return False
+    return True
 
 
 _POLYS = [
@@ -510,6 +523,12 @@ MUTANTS = {
         resolution, "_levels",
         "[(q, d, d - low)",
         "[(q + 1, d, d - low)",
+        resolution_matches_the_chart_oracle,
+    ),
+    "start_chart_squares_the_strict_parts": Mutant(
+        resolution, "_start_chart",
+        "+ (1,) +",
+        "+ (2,) +",
         resolution_matches_the_chart_oracle,
     ),
     "principal_check_drops_the_pivot_comparison": Mutant(
@@ -676,10 +695,16 @@ MUTANTS = {
         "match = True",
         resolve_fails_a_ledger_bound_off_the_formula,
     ),
-    "json_list_writes_a_bool_as_an_int": Mutant(
+    "json_check_admits_a_subclass_in_a_list": Mutant(
+        cli, "_check_json",
+        "for item in value:\n            if type(item) not in _JSON_SCALARS:",
+        "for item in value:\n            if not isinstance(item, (str, int, type(None))):",
+        json_writer_refuses_what_no_report_holds,
+    ),
+    "json_writer_drops_its_sorted_keys": Mutant(
         cli, "_json_text",
-        "elif item_kind is int:\n                texts.append(",
-        "elif isinstance(item, int):\n                texts.append(",
+        "return _encode(value)",
+        "return json.dumps(value)",
         json_writer_matches_the_stdlib,
     ),
     "render_writes_a_python_power": Mutant(

@@ -317,6 +317,13 @@ def test_a_support_holding_the_origin_has_c_zero():
     assert diagonal_by_vertex_enumeration([(0, 0), (2, 0)]) == diagonal_entry(_support((0, 0), (2, 0))).c == 0
 
 
+def test_the_kernel_given_the_origin_raises_its_unbounded_program():
+    # the origin's column is empty and prices at -d, so it enters first and
+    # no row bounds it: the kernel's own error, not a failed unpack
+    with pytest.raises(RuntimeError, match="^unbounded linear program; "):
+        newton._solve_diagonal_lp([(0, 0), (2, 0)])
+
+
 def test_matches_vertex_enumeration_oracle():
     rng = random.Random(99)
     for _ in range(80):
