@@ -506,6 +506,8 @@ def run_resolve(n: int, degrees: list[int]) -> tuple[dict, int]:
         )
     provenance = [
         "ledger: multiplicities and discrepancies of the scripted blow-up sequence",
+        "charts: each chart the blow-up chain follows equals its closed form (z0^max(d_j, a)*z_j)_j, "
+        "a the multiplicity of its newest divisor",
         "lower bound: min over divisors of (discrepancy + 1) / multiplicity",
         "cross-check: ledger bound against the closed-form exponent",
     ]
@@ -519,7 +521,7 @@ def _text_resolve(results: dict):
         where = row["center"] if isinstance(row["center"], str) else ", ".join(row["center"])
         yield (
             f"  {row['divisor']}: blow up [{where}], a = {row['a']}, k = {row['k']}, "
-            f"(k+1)/a = {_show(row['ratio'])}: {row['ideal']}"
+            f"(k+1)/a = {_show(row['ratio'])}"
         )
     if results["witness"]:
         witness = results["witness"]

@@ -28,14 +28,14 @@ chain follows, z0 is the newest exceptional divisor and z1..zr are strict,
 so its state is z0's discrepancy k and the generators.  Each blow-up is
 one :func:`_blowup`, which returns the new divisor's (a, k) and each
 generator's total over the centre.  These determine every pivot chart
-(:func:`_pivot_chart`), but the chain builds only the one it follows,
-rendered once by ``minexp.poly._render`` (the writer of the grammar
-``minexp.poly.parse_poly`` reads); of a chart off it, only the generator of
-its :class:`VjCheck`, unless a check of it fails.  Each exceptional divisor has one record, its
-:class:`LedgerRow`: the blow-up that made it, its (a, k), its ratio
-(k + 1)/a and the ideal of the chart the main chain follows.  The ratios are
-built only after the (a, k) rows equal their closed form, so a = 0 is a
-chain fault, never a division by zero.  Each check is a comparison with a
+(:func:`_pivot_chart`), but the chain builds only the one it follows; of a
+chart off it, only the generator of its :class:`VjCheck`, rendered by
+``minexp.poly._render`` (the writer of the grammar ``minexp.poly.parse_poly``
+reads).  A followed chart is rendered only in the message of a failed check.
+Each exceptional divisor has one record, its :class:`LedgerRow`: the blow-up
+that made it, its (a, k) and its ratio (k + 1)/a.  The ratios are built only
+after the (a, k) rows equal their closed form, so a = 0 is a chain fault,
+never a division by zero.  Each check is a comparison with a
 closed form: the ledger's (a, k) rows equal theirs (:func:`ledger_rows`);
 after the blow-up that makes the divisor of multiplicity a, the followed
 chart is (z0^{max(d_j, a)} z_j)_j, and a level's last blow-up makes a equal
@@ -115,15 +115,13 @@ def _pivot_chart(ideal: Sequence[tuple[int, ...]], totals: Sequence[int], p: int
 class LedgerRow(NamedTuple):
     """One exceptional divisor, the one record of its blow-up: the centre
     (``"origin"`` for E1), the divisor's name, its ideal multiplicity a and
-    discrepancy k, its ratio (k + 1) / a, and the text of the ideal in the
-    chart the main chain follows."""
+    discrepancy k, and its ratio (k + 1) / a."""
 
     center: tuple[str, ...] | str
     divisor: str
     a: int
     k: int
     ratio: Fraction
-    ideal: str
 
 
 class VjCheck(NamedTuple):
@@ -177,7 +175,7 @@ def _start_chart(profile: DegreeProfile):
 
 # The most chart entries one resolution may determine (each blow-up determines
 # q + 1 charts and builds one), and what one chart counts for beyond its entries
-# (its upkeep: names, generator list, text).  Checked before any chart is built.
+# (its upkeep: names, generator list, checks).  Checked before any chart is built.
 RESOLVE_BUDGET = 10**8
 _CHART_UPKEEP = 400
 
@@ -239,10 +237,11 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     blow-up a is the level's degree e_l, its schedule's power; and of each
     chart of pivot p >= 1 the chain builds only generator p - 1, z_p's own
     strict transform g, for a :class:`VjCheck`, and g is z0^{a-1} z_p^a.
-    The first mismatch is raised after the ledger comparison, so a chain
-    fault the ledger sees reports as a ledger fault.  (The chart's closed
-    form holds by induction: of z0^{max(d_j, a-1)} z_j the total over the
-    centre z0..zq is a for j <= q, where d_j < a, and d_j for j > q.)
+    The first mismatch, the one place a followed chart is rendered, is raised
+    after the ledger comparison, so a chain fault the ledger sees reports as
+    a ledger fault.  (The chart's closed form holds by induction: of
+    z0^{max(d_j, a-1)} z_j the total over the centre z0..zq is a for j <= q,
+    where d_j < a, and d_j for j > q.)
 
     Once these hold, the side chain of level l ends in z0^{e_l}.  It starts
     from z1..zq, the strict transforms of the lower levels (q = cum[l-1]),
@@ -276,7 +275,7 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
     start = [(g[0], g[1:]) for g in ideal]  # each generator's d_j and strict part
     width = profile.r + 1
     names = _names(0, width)
-    divisors = [("origin", "E1", profile.degrees[0], k, _ideal_text(_render(names, ideal)))]
+    divisors = [("origin", "E1", profile.degrees[0], k)]
     vj_checks: list[VjCheck] = []
     case3: list[Case3Report] = []
     expected = ledger_rows(profile)
@@ -299,24 +298,24 @@ def simulate_resolution(profile: DegreeProfile) -> ResolutionReport:
                 fault = f"vj check of {divisor} on {center[p]}: {generator} != closed form {_render(names, [closed])[0]}"
             vj_checks.append(VjCheck(divisor, center[p], generator))
         ideal = _pivot_chart(ideal, totals, 0)
-        text = _ideal_text(_render(names, ideal))
         closed = [(max(d, closed_a),) + tail for d, tail in start]
         if fault is None and ideal != closed:
-            fault = f"chart of {divisor}: {text} != closed form {_ideal_text(_render(names, closed))}"
+            built, form = _ideal_text(_render(names, ideal)), _ideal_text(_render(names, closed))
+            fault = f"chart of {divisor}: {built} != closed form {form}"
         if last:
             if fault is None and power != closed_a:
                 fault = f"level {level} ends in {divisor} of multiplicity {closed_a}, not its degree {power}"
             case3.append(Case3Report(level, _render(names[:1], [(power,)])[0]))
-        divisors.append((center, divisor, a, k, text))
+        divisors.append((center, divisor, a, k))
 
     # one divisor, and so one blow-up, per degree step.  Checked before any
     # ratio is built, so that a = 0 is a chain fault and not a ZeroDivisionError.
-    got = [(a, k) for _, _, a, k, _ in divisors]
+    got = [(a, k) for _, _, a, k in divisors]
     if got != expected:
         raise ResolutionError(f"ledger rows {got} != closed form {expected}")
     if fault is not None:
         raise ResolutionError(fault)
-    rows = [LedgerRow(center, divisor, a, k, Fraction(k + 1, a), text) for center, divisor, a, k, text in divisors]
+    rows = [LedgerRow(center, divisor, a, k, Fraction(k + 1, a)) for center, divisor, a, k in divisors]
 
     witness = None
     if mode == STRONG_FACTORIZING:

@@ -33,10 +33,10 @@ the flag options and text readers the request keys had then.  The candidate
 oracle adds ``Fraction`` terms one by one, where the library builds each
 candidate from integers over a common denominator.  The chart oracle is the
 resolution the library ran before its chain ran on generator tuples:
-``blowup_chart`` makes every chart a ``ChartState`` of fresh
-``Coordinate`` objects, each ideal is rendered from its chart, and each
-side chain's end is cut from the kept chain and checked by the general
-principal-generator test.  The chart classes
+``blowup_chart`` makes every chart a ``ChartState`` of fresh ``Coordinate``
+objects, each followed chart's ideal is rendered, where the library renders
+none unless a check fails, and each side chain's end is cut from the kept
+chain and checked by the general principal-generator test.  The chart classes
 ``Coordinate`` and ``ChartState``, with their checks (``_check_chart``) and
 the roles ``EXCEPTIONAL``, ``STRICT`` and ``PLAIN``, live here, since the
 library runs on generator tuples alone, with z0 its one exceptional
@@ -994,7 +994,7 @@ def _factorization_witness(state: ChartState, profile: DegreeProfile) -> Factori
     return FactorizationWitness(common=common_text, residual=tuple(residual_texts))
 
 
-def simulate_resolution_by_charts(profile: DegreeProfile) -> tuple[ResolutionReport, ChartState]:
+def simulate_resolution_by_charts(profile: DegreeProfile) -> tuple[ResolutionReport, list[str], ChartState]:
     """Drive the scripted blow-up sequence and collect the divisor ledger.
 
     For codimension r < n this is a strong factorizing resolution and the
@@ -1002,8 +1002,9 @@ def simulate_resolution_by_charts(profile: DegreeProfile) -> tuple[ResolutionRep
     for r = n the same bookkeeping runs in log-resolution mode and no
     factorization witness is asserted.  A profile over the work budget
     (:func:`_check_resolution_budget`) raises ``ValueError`` before any
-    chart is built.  Returns the report and the terminal chart, the last
-    chart of the main chain.
+    chart is built.  Returns the report, the text of every chart the main
+    chain follows, one per ledger row, and the terminal chart, the last of
+    them.
     """
     _check_resolution_budget(profile)
     n = profile.n
@@ -1015,13 +1016,12 @@ def simulate_resolution_by_charts(profile: DegreeProfile) -> tuple[ResolutionRep
 
     chain = [_start_chart(profile)]
     a, k = profile.degrees[0], n - 1
-    rows = [LedgerRow("origin", "E1", a, k, Fraction(k + 1, a), chain[0].render_ideal())]
+    rows = [LedgerRow("origin", "E1", a, k, Fraction(k + 1, a))]
     vj_checks: list[VjCheck] = []
     for center, state in _climb(chain[0], e, cum, vj_checks):
         chain.append(state)
         z0 = state.coords[0]
-        ratio = Fraction(z0.k + 1, z0.a)
-        rows.append(LedgerRow(center, f"E{len(rows) + 1}", z0.a, z0.k, ratio, state.render_ideal()))
+        rows.append(LedgerRow(center, f"E{len(rows) + 1}", z0.a, z0.k, Fraction(z0.k + 1, z0.a)))
 
     # one divisor, and so one blow-up, per degree step
     expected_a = list(range(e[0], e[-1] + 1))
@@ -1043,4 +1043,4 @@ def simulate_resolution_by_charts(profile: DegreeProfile) -> tuple[ResolutionRep
         case3=case3,
         vj_checks=tuple(vj_checks),
     )
-    return report, chain[-1]
+    return report, [chart.render_ideal() for chart in chain], chain[-1]

@@ -237,7 +237,13 @@ def test_reports_match_golden_bytes(capsys, tmp_path, name):
     # json.dumps(report, sort_keys=True), all 51 --json entries were
     # re-recorded: each new stdout is the old one parsed and written so, plus
     # a newline, and parses to the same value; exit codes, stderr and every
-    # text entry are unchanged.
+    # text entry are unchanged.  Once the resolve ledger dropped its chart
+    # text, every entry holding a resolve report was re-recorded: the seven
+    # of the resolve file, the four cli resolve entries and the cli batch
+    # --json entry.  Each --json entry is the old one without the "ideal" of
+    # each ledger record, plus the "charts:" provenance line; each text entry
+    # is the old one without the ": <ideal>" of each divisor line, plus that
+    # note; exit codes and stderr are unchanged.
     golden = json.loads((Path(__file__).parent / "data" / name).read_text())
     manifest = tmp_path / "manifest.json"
     for case in golden:

@@ -13,13 +13,14 @@ module.
 
 The table covers every route and certificate: the simplex, its slack start,
 its costs and the Newton certificate, the blow-up chain, its start chart, its
-chart checks, its closed-form ledger and its ratios, the edges of the work
-budgets, the candidate formula, its values against the Newton route on the
-Fermat pivot chart, its degree-1 shift and its degree-sum check, both
-``verify`` certificates, the weighted order, the probe's multiple-root test,
-its zero prefix, its memo key, its one-row test and its rank, the resolve
-report's cross-check against the formula, and the two writers of a report,
-the JSON writer (its type check and its sorted keys) and the monomial writer.
+chart checks and the chart a failed one names, its closed-form ledger and its
+ratios, the edges of the work budgets, the candidate formula, its values
+against the Newton route on the Fermat pivot chart, its degree-1 shift and its
+degree-sum check, both ``verify`` certificates, the weighted order, the
+probe's multiple-root test, its zero prefix, its memo key, its one-row test
+and its rank, the resolve report's cross-check against the formula, and the
+two writers of a report, the JSON writer (its type check and its sorted keys)
+and the monomial writer.
 A simplex mutant that cycles needs no pivot cap:
 the solver raises on a revisited basis (see ``newton._iterate``).
 """
@@ -205,7 +206,8 @@ def level_end_is_compared_with_its_degree() -> bool:
 def followed_chart_is_compared_whole() -> bool:
     """``test_followed_chart_is_compared_past_its_z0_column``: on (6; 2,3),
     E2's followed chart with its two generators' strict parts swapped keeps
-    every z0 exponent, and the chain raises."""
+    every z0 exponent, and the chain raises, its message naming the chart as
+    built and its closed form."""
     with pytest.MonkeyPatch.context() as patch:
         return _test_passes(test_resolution.test_followed_chart_is_compared_past_its_z0_column, patch)
 
@@ -577,6 +579,12 @@ MUTANTS = {
         resolution, "simulate_resolution",
         "and ideal != closed:",
         "and [g[0] for g in ideal] != [g[0] for g in closed]:",
+        followed_chart_is_compared_whole,
+    ),
+    "chart_fault_renders_the_closed_form": Mutant(
+        resolution, "simulate_resolution",
+        "_render(names, ideal)",
+        "_render(names, closed)",
         followed_chart_is_compared_whole,
     ),
     "resolution_budget_refuses_its_exact_work": Mutant(
